@@ -225,12 +225,14 @@ fn bench_pingpong(c: &mut Criterion) {
 }
 
 // ---------------------------------------------------------------------------
-// Transport microbenches: logarithmic collective engine vs the retained
-// naive/linear baselines, on one communicator size where the tree depth
-// pays off (8 ranks). Both variants are always compiled (the `naive`
-// feature only flips the *default* dispatch), so the A/B runs in one
-// process on identical data.
+// Transport microbenches: logarithmic collective engine vs the linear
+// reference oracle (public `send`/`recv` only, shared with the equivalence
+// suites), on one communicator size where the tree depth pays off
+// (8 ranks). The A/B runs in one process on identical data.
 // ---------------------------------------------------------------------------
+
+#[path = "../../mpi/tests/oracle/mod.rs"]
+mod oracle;
 
 /// Ranks used for the tree-vs-naive comparison.
 const TP: usize = 8;
@@ -258,7 +260,7 @@ fn bcast_op(naive: bool, bytes: usize) -> impl Fn(&kamping::Communicator, u64) +
                 Vec::new()
             };
             if naive {
-                comm.raw().bcast_naive(&mut buf, 0).unwrap();
+                oracle::bcast(comm.raw(), &mut buf, 0);
             } else {
                 comm.raw().bcast(&mut buf, 0).unwrap();
             }
@@ -272,7 +274,7 @@ fn allgather_op(naive: bool, bytes: usize) -> impl Fn(&kamping::Communicator, u6
         let mine = vec![comm.rank() as u8; bytes];
         for _ in 0..iters {
             let out = if naive {
-                comm.raw().allgather_naive(&mine).unwrap()
+                oracle::allgatherv(comm.raw(), &mine)
             } else {
                 comm.raw().allgather(&mine).unwrap()
             };
@@ -286,7 +288,7 @@ fn alltoall_op(naive: bool, block: usize) -> impl Fn(&kamping::Communicator, u64
         let send = vec![comm.rank() as u8; block * TP];
         for _ in 0..iters {
             let out = if naive {
-                comm.raw().alltoall_linear(&send).unwrap()
+                oracle::alltoall(comm.raw(), &send)
             } else {
                 comm.raw().alltoall_bruck(&send).unwrap()
             };

@@ -1,20 +1,17 @@
-//! Blocking collectives, implemented over point-to-point transport.
+//! Blocking collectives.
 //!
-//! Algorithm selection (see DESIGN.md for the full table): dissemination
-//! barrier, binomial-tree broadcast and reduce, recursive-doubling
-//! allgather for power-of-two sizes and Bruck's allgather otherwise,
-//! Bruck's all-to-all for small blocks, linear (rooted) gather/scatter,
-//! chain scan. Broadcast fan-out is zero-copy: every envelope of one bcast
-//! aliases a single shared allocation. The dense all-to-alls post one
-//! envelope per peer — including empty ones — which reproduces the
+//! The log-round and all-peers algorithms (dissemination barrier, tree
+//! bcast/reduce/allreduce, Bruck allgatherv and small-block alltoall,
+//! linear alltoallv — see DESIGN.md for the full table) are the state
+//! machines of [`crate::icoll`]; the entry points here validate, pick the
+//! machine and step it inline on the caller's stack
+//! ([`RawComm::run_inline`]). The rooted linear collectives (gather,
+//! scatter) and the chain scans are straight-line code over the internal
+//! send/receive helpers. Broadcast fan-out is zero-copy: every envelope of
+//! one bcast aliases a single shared allocation. The dense all-to-alls post
+//! one envelope per peer — including empty ones — which reproduces the
 //! linear-in-`p` startup cost of `MPI_Alltoallv` that §V-A of the paper
 //! contrasts with sparse and grid exchanges.
-//!
-//! Every log-round algorithm keeps its linear counterpart (`bcast_naive`,
-//! `barrier_naive`, `reduce_naive`, `allgather_naive`, `alltoall_linear`)
-//! publicly callable so benchmarks can A/B them in one process; building
-//! with the `naive` cargo feature flips the *default* dispatch to the
-//! linear paths (the baseline configuration for the overhead benches).
 //!
 //! Byte-level API: counts and displacements are in bytes; the typed layer
 //! (`kamping`) converts element counts. Variable-size collectives take
@@ -23,6 +20,9 @@
 //! job (paper §III-A), not the substrate's.
 
 use crate::error::{MpiError, MpiResult};
+use crate::hier::AllreduceAlgo;
+use crate::icoll::check_elems;
+use crate::icoll::sm::{AllgathervSm, AlltoallvSm, BarrierSm};
 use crate::profile::Op;
 use crate::tag::{coll_tag, Tag, ANY_SOURCE, MAX_USER_TAG};
 use crate::transport::{MatchKey, Payload};
@@ -152,7 +152,7 @@ fn for_each_block(wire: &[u8], mut f: impl FnMut(usize, usize, &[u8])) -> MpiRes
 
 /// Applies `op` elementwise: both buffers are sequences of `elem_size`-byte
 /// elements of equal length.
-pub(crate) fn combine(acc: &mut [u8], rhs: &[u8], op: ByteOp<'_>, elem_size: usize) {
+pub(crate) fn combine(acc: &mut [u8], rhs: &[u8], op: impl Fn(&mut [u8], &[u8]), elem_size: usize) {
     debug_assert_eq!(acc.len(), rhs.len());
     debug_assert!(elem_size > 0 && acc.len().is_multiple_of(elem_size));
     for (a, r) in acc.chunks_mut(elem_size).zip(rhs.chunks(elem_size)) {
@@ -172,9 +172,9 @@ pub fn excl_prefix_sum(counts: &[usize]) -> Vec<usize> {
 }
 
 impl RawComm {
-    /// Internal receive on a collective tag (no op-counter recording),
-    /// returning the transport payload (zero-copy when uniquely held).
-    pub(crate) fn recv_payload_internal(&self, src: usize, tag: Tag) -> MpiResult<Payload> {
+    /// Internal receive on a collective tag (no op-counter recording;
+    /// zero-copy when the payload is uniquely held).
+    pub(crate) fn recv_internal(&self, src: usize, tag: Tag) -> MpiResult<Vec<u8>> {
         let src_global = self.global_rank(src)?;
         let key = MatchKey {
             src: src_global,
@@ -186,34 +186,17 @@ impl RawComm {
             .state
             .mailbox(self.my_global_rank())
             .take_blocking(key, &interrupt)?;
-        Ok(d.payload)
-    }
-
-    /// Internal receive on a collective tag (no op-counter recording).
-    pub(crate) fn recv_internal(&self, src: usize, tag: Tag) -> MpiResult<Vec<u8>> {
-        Ok(self.recv_payload_internal(src, tag)?.into_vec())
-    }
-
-    /// Internal send of an already-packed payload on a collective tag (no
-    /// op-counter recording). Fan-out senders clone the payload: for shared
-    /// payloads that clones an `Arc`, not the bytes.
-    pub(crate) fn send_payload_internal(
-        &self,
-        dest: usize,
-        tag: Tag,
-        payload: Payload,
-    ) -> MpiResult<()> {
-        if self.state.is_revoked(self.ctx) {
-            return Err(MpiError::Revoked);
-        }
-        let dest_global = self.global_rank(dest)?;
-        self.post_to(dest_global, tag, payload, None);
-        Ok(())
+        Ok(d.payload.into_vec())
     }
 
     /// Internal send on a collective tag (no op-counter recording).
     pub(crate) fn send_internal(&self, dest: usize, tag: Tag, payload: Vec<u8>) -> MpiResult<()> {
-        self.send_payload_internal(dest, tag, Payload::from_vec(payload))
+        if self.state.is_revoked(self.ctx) {
+            return Err(MpiError::Revoked);
+        }
+        let dest_global = self.global_rank(dest)?;
+        self.post_to(dest_global, tag, Payload::from_vec(payload), None);
+        Ok(())
     }
 
     fn check_len(&self, v: &[usize], what: &'static str) -> MpiResult<()> {
@@ -223,121 +206,32 @@ impl RawComm {
         Ok(())
     }
 
-    /// Barrier. Dissemination algorithm (⌈log₂ p⌉ rounds) by default; the
-    /// `naive` feature flips the default to [`RawComm::barrier_naive`].
-    pub fn barrier(&self) -> MpiResult<()> {
-        let _op = self.record(Op::Barrier);
-        let tag = coll_tag(self.next_coll_seq());
-        #[cfg(not(feature = "naive"))]
-        return self.barrier_dissemination_inner(tag);
-        #[cfg(feature = "naive")]
-        return self.barrier_naive_inner(tag);
-    }
-
-    /// Dissemination barrier: round `i` signals rank `r + 2^i` and waits
-    /// for rank `r - 2^i`; after ⌈log₂ p⌉ rounds every rank transitively
-    /// depends on every other.
-    fn barrier_dissemination_inner(&self, tag: Tag) -> MpiResult<()> {
-        let p = self.size();
-        let r = self.rank();
-        let mut step = 1;
-        while step < p {
-            let dest = (r + step) % p;
-            let src = (r + p - step) % p;
-            self.send_internal(dest, tag, Vec::new())?;
-            self.recv_internal(src, tag)?;
-            step <<= 1;
-        }
-        Ok(())
-    }
-
-    /// Centralized linear barrier (everyone signals rank 0, rank 0 releases
-    /// everyone): the A/B baseline for the dissemination barrier.
-    pub fn barrier_naive(&self) -> MpiResult<()> {
-        let _op = self.record(Op::Barrier);
-        let tag = coll_tag(self.next_coll_seq());
-        self.barrier_naive_inner(tag)
-    }
-
-    fn barrier_naive_inner(&self, tag: Tag) -> MpiResult<()> {
-        let p = self.size();
-        if self.rank() == 0 {
-            for src in 1..p {
-                self.recv_internal(src, tag)?;
-            }
-            for dest in 1..p {
-                self.send_internal(dest, tag, Vec::new())?;
-            }
-        } else {
-            self.send_internal(0, tag, Vec::new())?;
-            self.recv_internal(0, tag)?;
-        }
-        Ok(())
-    }
-
-    /// Broadcast: `buf` at `root` is distributed to all ranks, replacing
-    /// their `buf` contents. Strategy-selected (DESIGN.md §11): the flat
-    /// zero-copy binomial tree on a single host, the two-level pipelined
-    /// tree when [`crate::hier::CollStrategy`] resolves to hierarchy; the
-    /// `naive` feature flips the default to [`RawComm::bcast_naive`].
-    ///
-    /// Selection never looks at `buf` — non-root ranks legitimately pass
-    /// empty buffers, so only topology and environment (identical on all
-    /// ranks) may steer the algorithm.
-    pub fn bcast(&self, buf: &mut Vec<u8>, root: usize) -> MpiResult<()> {
-        let _op = self.record(Op::Bcast);
+    pub(crate) fn check_root(&self, root: usize) -> MpiResult<()> {
         if root >= self.size() {
             return Err(MpiError::InvalidRank {
                 rank: root,
                 size: self.size(),
             });
         }
-        #[cfg(feature = "naive")]
-        {
-            let tag = coll_tag(self.next_coll_seq());
-            return self.bcast_naive_inner(buf, root, tag);
-        }
-        #[cfg(not(feature = "naive"))]
-        {
-            if self.use_hier() {
-                self.note_strategy(crate::metrics::Counter::StrategyHier);
-                let h = self.hier_topo()?;
-                let tag = coll_tag(self.next_coll_seq());
-                return self.bcast_hier_inner(buf, root, tag, &h);
-            }
-            self.note_strategy(crate::metrics::Counter::StrategyFlat);
-            let tag = coll_tag(self.next_coll_seq());
-            self.bcast_inner(buf, root, tag)
-        }
+        Ok(())
     }
 
-    /// Linear broadcast (root posts one copy per rank): the A/B baseline
-    /// for the binomial tree.
-    pub fn bcast_naive(&self, buf: &mut Vec<u8>, root: usize) -> MpiResult<()> {
+    /// Barrier: dissemination algorithm, ⌈log₂ p⌉ rounds.
+    pub fn barrier(&self) -> MpiResult<()> {
+        let _op = self.record(Op::Barrier);
+        self.run_inline(|cx| Ok(BarrierSm::start(cx, coll_tag(self.next_coll_seq()))))?;
+        Ok(())
+    }
+
+    /// Broadcast: `buf` at `root` is distributed to all ranks, replacing
+    /// their `buf` contents. Strategy-selected (DESIGN.md §11): the flat
+    /// zero-copy binomial tree on a single host, the two-level segmented
+    /// tree when [`crate::hier::CollStrategy`] resolves to hierarchy.
+    pub fn bcast(&self, buf: &mut Vec<u8>, root: usize) -> MpiResult<()> {
         let _op = self.record(Op::Bcast);
-        let tag = coll_tag(self.next_coll_seq());
-        self.bcast_naive_inner(buf, root, tag)
-    }
-
-    fn bcast_naive_inner(&self, buf: &mut Vec<u8>, root: usize, tag: Tag) -> MpiResult<()> {
-        let p = self.size();
-        if root >= p {
-            return Err(MpiError::InvalidRank {
-                rank: root,
-                size: p,
-            });
-        }
-        if self.rank() == root {
-            for dest in 0..p {
-                if dest != root {
-                    // Deliberately copies per receiver — this is the
-                    // baseline the zero-copy tree path is measured against.
-                    self.send_internal(dest, tag, buf.clone())?;
-                }
-            }
-        } else {
-            *buf = self.recv_internal(root, tag)?;
-        }
+        *buf = self.run_inline(|cx| {
+            self.bcast_sm(cx, root, || Payload::from_vec(std::mem::take(buf)), true)
+        })?;
         Ok(())
     }
 
@@ -347,80 +241,16 @@ impl RawComm {
     /// received bytes on non-root ranks and `None` at the root.
     pub fn bcast_from(&self, data_at_root: &[u8], root: usize) -> MpiResult<Option<Vec<u8>>> {
         let _op = self.record(Op::Bcast);
-        let tag = coll_tag(self.next_coll_seq());
-        let p = self.size();
-        if root >= p {
-            return Err(MpiError::InvalidRank {
-                rank: root,
-                size: p,
-            });
-        }
-        if p == 1 {
+        let seed = || Payload::from_slice(data_at_root);
+        if self.rank() == root {
+            // A root's machine is complete once built — it only fans out —
+            // so dropping it unstepped skips materializing a result the
+            // caller already holds.
+            self.bcast_sm(&self.cx()?, root, seed, true)?;
             return Ok(None);
         }
-        if self.rank() == root {
-            self.bcast_payload_inner(Some(Payload::from_slice(data_at_root)), root, tag)?;
-            Ok(None)
-        } else {
-            Ok(Some(self.bcast_payload_inner(None, root, tag)?.into_vec()))
-        }
-    }
-
-    pub(crate) fn bcast_inner(&self, buf: &mut Vec<u8>, root: usize, tag: Tag) -> MpiResult<()> {
-        let p = self.size();
-        if root >= p {
-            return Err(MpiError::InvalidRank {
-                rank: root,
-                size: p,
-            });
-        }
-        if p == 1 {
-            return Ok(());
-        }
-        let seed = (self.rank() == root).then(|| Payload::from_vec(std::mem::take(buf)));
-        *buf = self.bcast_payload_inner(seed, root, tag)?.into_vec();
-        Ok(())
-    }
-
-    /// Binomial-tree broadcast over [`Payload`]s. The root supplies `seed`;
-    /// every rank returns the broadcast payload. Envelopes clone the
-    /// payload, so one allocation backs the entire fan-out and the last
-    /// holder unwraps it for free.
-    fn bcast_payload_inner(
-        &self,
-        seed: Option<Payload>,
-        root: usize,
-        tag: Tag,
-    ) -> MpiResult<Payload> {
-        let p = self.size();
-        let relative = (self.rank() + p - root) % p;
-        let actual = |rel: usize| (rel + root) % p;
-        let mut mask = 1usize;
-        let data = if relative == 0 {
-            while mask < p {
-                mask <<= 1;
-            }
-            seed.expect("bcast root must seed the payload")
-        } else {
-            loop {
-                if relative & mask != 0 {
-                    break self.recv_payload_internal(actual(relative - mask), tag)?;
-                }
-                mask <<= 1;
-            }
-        };
-        // After the loop, `mask` is the bit we received on (lowest set bit
-        // of `relative`), or the first power of two >= p at the root. All
-        // lower bits of `relative` are zero, so `relative + m` for each
-        // lower bit m enumerates this node's binomial-tree children.
-        mask >>= 1;
-        while mask > 0 {
-            if relative + mask < p {
-                self.send_payload_internal(actual(relative + mask), tag, data.clone())?;
-            }
-            mask >>= 1;
-        }
-        Ok(data)
+        self.run_inline(|cx| self.bcast_sm(cx, root, seed, true))
+            .map(Some)
     }
 
     /// Variable-size gather: every rank contributes `send`; `root` receives
@@ -438,7 +268,7 @@ impl RawComm {
         self.gatherv_inner(send, recv_counts, root, tag)
     }
 
-    pub(crate) fn gatherv_inner(
+    fn gatherv_inner(
         &self,
         send: &[u8],
         recv_counts: Option<&[usize]>,
@@ -446,12 +276,7 @@ impl RawComm {
         tag: Tag,
     ) -> MpiResult<Option<Vec<u8>>> {
         let p = self.size();
-        if root >= p {
-            return Err(MpiError::InvalidRank {
-                rank: root,
-                size: p,
-            });
-        }
+        self.check_root(root)?;
         if self.rank() != root {
             self.send_internal(root, tag, send.to_vec())?;
             return Ok(None);
@@ -501,19 +326,14 @@ impl RawComm {
         self.scatterv_inner(parts, root, tag)
     }
 
-    pub(crate) fn scatterv_inner(
+    fn scatterv_inner(
         &self,
         parts: Option<&[Vec<u8>]>,
         root: usize,
         tag: Tag,
     ) -> MpiResult<Vec<u8>> {
         let p = self.size();
-        if root >= p {
-            return Err(MpiError::InvalidRank {
-                rank: root,
-                size: p,
-            });
-        }
+        self.check_root(root)?;
         if self.rank() == root {
             let parts = parts.ok_or(MpiError::InvalidCounts {
                 what: "root scatterv needs parts",
@@ -550,48 +370,33 @@ impl RawComm {
 
     /// Fixed-size allgather: every rank contributes `send` (same length on
     /// every rank); returns the rank-ordered concatenation on every rank.
-    ///
-    /// Log-round algorithm by default — recursive doubling when `p` is a
-    /// power of two, Bruck's allgather otherwise; the `naive` feature flips
-    /// the default to [`RawComm::allgather_naive`].
+    /// Bruck's allgather: ⌈log₂ p⌉ rounds for any `p`.
     pub fn allgather(&self, send: &[u8]) -> MpiResult<Vec<u8>> {
         let _op = self.record(Op::Allgather);
         let counts = vec![send.len(); self.size()];
-        #[cfg(not(feature = "naive"))]
-        return self.allgatherv_log_inner(send, &counts);
-        #[cfg(feature = "naive")]
-        return self.allgatherv_naive_inner(send, &counts);
+        self.run_inline(|cx| {
+            let tag = coll_tag(self.next_coll_seq());
+            Ok(AllgathervSm::start(cx, tag, send, counts))
+        })
     }
 
     /// Variable-size allgather. `recv_counts[r]` is the byte count rank `r`
     /// contributes — required on every rank, exactly like `MPI_Allgatherv`.
-    /// Same algorithm selection as [`RawComm::allgather`].
+    /// Same algorithm as [`RawComm::allgather`].
     pub fn allgatherv(&self, send: &[u8], recv_counts: &[usize]) -> MpiResult<Vec<u8>> {
         let _op = self.record(Op::Allgatherv);
-        self.check_allgatherv_args(send, recv_counts)?;
-        #[cfg(not(feature = "naive"))]
-        return self.allgatherv_log_inner(send, recv_counts);
-        #[cfg(feature = "naive")]
-        return self.allgatherv_naive_inner(send, recv_counts);
+        self.run_inline(|cx| {
+            self.check_allgatherv_args(send, recv_counts)?;
+            let tag = coll_tag(self.next_coll_seq());
+            Ok(AllgathervSm::start(cx, tag, send, recv_counts))
+        })
     }
 
-    /// Direct linear allgather (every rank sends its block to every peer):
-    /// the textbook O(p) algorithm and the A/B baseline for the log-round
-    /// engine.
-    pub fn allgather_naive(&self, send: &[u8]) -> MpiResult<Vec<u8>> {
-        let _op = self.record(Op::Allgather);
-        let counts = vec![send.len(); self.size()];
-        self.allgatherv_naive_inner(send, &counts)
-    }
-
-    /// Variable-size counterpart of [`RawComm::allgather_naive`].
-    pub fn allgatherv_naive(&self, send: &[u8], recv_counts: &[usize]) -> MpiResult<Vec<u8>> {
-        let _op = self.record(Op::Allgatherv);
-        self.check_allgatherv_args(send, recv_counts)?;
-        self.allgatherv_naive_inner(send, recv_counts)
-    }
-
-    fn check_allgatherv_args(&self, send: &[u8], recv_counts: &[usize]) -> MpiResult<()> {
+    pub(crate) fn check_allgatherv_args(
+        &self,
+        send: &[u8],
+        recv_counts: &[usize],
+    ) -> MpiResult<()> {
         self.check_len(recv_counts, "allgatherv recv_counts length != comm size")?;
         if recv_counts[self.rank()] != send.len() {
             return Err(MpiError::InvalidCounts {
@@ -601,280 +406,19 @@ impl RawComm {
         Ok(())
     }
 
-    /// Direct exchange: each rank posts its block to all p − 1 peers, then
-    /// receives p − 1 blocks — p(p − 1) envelopes and p − 1 payload copies
-    /// per rank, the linear cost the log-round engine amortizes away.
-    fn allgatherv_naive_inner(&self, send: &[u8], recv_counts: &[usize]) -> MpiResult<Vec<u8>> {
-        let p = self.size();
-        let r = self.rank();
-        let tag = coll_tag(self.next_coll_seq());
-        let displs = excl_prefix_sum(recv_counts);
-        let total: usize = recv_counts.iter().sum();
-        let mut out = vec![0u8; total];
-        out[displs[r]..displs[r] + send.len()].copy_from_slice(send);
-        for dest in 0..p {
-            if dest != r {
-                self.send_internal(dest, tag, send.to_vec())?;
-            }
-        }
-        for src in 0..p {
-            if src == r {
-                continue;
-            }
-            let incoming = self.recv_internal(src, tag)?;
-            if incoming.len() != recv_counts[src] {
-                return Err(MpiError::InvalidCounts {
-                    what: "allgather: peer block length mismatch",
-                });
-            }
-            out[displs[src]..displs[src] + incoming.len()].copy_from_slice(&incoming);
-        }
-        Ok(out)
-    }
-
-    /// Log-round allgatherv dispatch. Bruck's allgather handles any `p` in
-    /// ⌈log₂ p⌉ rounds and its descending orientation schedules best when
-    /// rank-threads share cores, so it is the default; recursive doubling
-    /// is kept (and exposed through [`RawComm::allgather`]'s docs and the
-    /// benchmarks) as the classical power-of-two alternative. The direct
-    /// naive path posts p(p − 1) envelopes instead.
-    fn allgatherv_log_inner(&self, send: &[u8], recv_counts: &[usize]) -> MpiResult<Vec<u8>> {
-        let p = self.size();
-        let tag = coll_tag(self.next_coll_seq());
-        if p == 1 {
-            return Ok(send.to_vec());
-        }
-        self.allgatherv_bruck(send, recv_counts, tag)
-    }
-
-    /// Recursive-doubling allgather (power-of-two `p` only; exposed for
-    /// benchmarks and tests — the default dispatch uses Bruck's algorithm).
-    pub fn allgather_rd(&self, send: &[u8]) -> MpiResult<Vec<u8>> {
-        let _op = self.record(Op::Allgather);
-        let p = self.size();
-        if !p.is_power_of_two() {
-            return Err(MpiError::InvalidCounts {
-                what: "recursive doubling requires power-of-two size",
-            });
-        }
-        let counts = vec![send.len(); p];
-        let tag = coll_tag(self.next_coll_seq());
-        if p == 1 {
-            return Ok(send.to_vec());
-        }
-        self.allgatherv_recursive_doubling(send, &counts, tag)
-    }
-
-    /// Tree-composite allgather: binomial gather + zero-copy binomial
-    /// broadcast (exposed for benchmarks, like the other variants).
-    pub fn allgather_tree(&self, send: &[u8]) -> MpiResult<Vec<u8>> {
-        let _op = self.record(Op::Allgather);
-        let counts = vec![send.len(); self.size()];
-        self.allgatherv_tree_inner(send, &counts)
-    }
-
-    /// Bruck's allgather regardless of `p` (exposed for benchmarks; the
-    /// default dispatch prefers recursive doubling when `p` is a power of
-    /// two).
-    pub fn allgather_bruck(&self, send: &[u8]) -> MpiResult<Vec<u8>> {
-        let _op = self.record(Op::Allgather);
-        let counts = vec![send.len(); self.size()];
-        let tag = coll_tag(self.next_coll_seq());
-        self.allgatherv_bruck(send, &counts, tag)
-    }
-
-    /// Tree-composite allgatherv: binomial gather to rank 0 followed by the
-    /// zero-copy binomial broadcast — 2(p − 1) envelopes at 2⌈log₂ p⌉
-    /// depth, and the broadcast fan-out shares one allocation.
-    fn allgatherv_tree_inner(&self, send: &[u8], recv_counts: &[usize]) -> MpiResult<Vec<u8>> {
-        let p = self.size();
-        let r = self.rank();
-        let gather_tag = coll_tag(self.next_coll_seq());
-        let bcast_tag = coll_tag(self.next_coll_seq());
-        if p == 1 {
-            return Ok(send.to_vec());
-        }
-        // Binomial gather: rank r accumulates the contiguous block run of
-        // its subtree (ranks r .. r + subtree), then ships it to its parent
-        // r − 2^h the first time bit h of r is set.
-        let mut held = send.to_vec();
-        let mut cnt = 1usize; // ranks held: r .. r + cnt
-        let mut mask = 1usize;
-        loop {
-            if r & mask != 0 {
-                self.send_internal(r - mask, gather_tag, held)?;
-                held = Vec::new();
-                break;
-            }
-            let child = r + mask;
-            if child < p {
-                let take = mask.min(p - child);
-                let incoming = self.recv_internal(child, gather_tag)?;
-                let expect: usize = recv_counts[child..child + take].iter().sum();
-                if incoming.len() != expect {
-                    return Err(MpiError::InvalidCounts {
-                        what: "allgather: peer block length mismatch",
-                    });
-                }
-                held.extend_from_slice(&incoming);
-                cnt += take;
-            }
-            mask <<= 1;
-            if mask >= p {
-                break;
-            }
-        }
-        debug_assert!(r != 0 || cnt == p);
-        // Zero-copy broadcast of the assembled buffer from rank 0.
-        let seed = (r == 0).then(|| Payload::from_vec(held));
-        Ok(self.bcast_payload_inner(seed, 0, bcast_tag)?.into_vec())
-    }
-
-    /// Recursive doubling (power-of-two `p` only): in round `i` rank `r`
-    /// exchanges *all data held so far* with partner `r ⊕ 2^i`, so after
-    /// round `i` it holds the blocks of its entire 2^(i+1)-aligned rank
-    /// group. Blocks are written into their final position directly.
-    fn allgatherv_recursive_doubling(
-        &self,
-        send: &[u8],
-        recv_counts: &[usize],
-        tag: Tag,
-    ) -> MpiResult<Vec<u8>> {
-        let p = self.size();
-        let r = self.rank();
-        let displs = excl_prefix_sum(recv_counts);
-        let total: usize = recv_counts.iter().sum();
-        let mut out = vec![0u8; total];
-        out[displs[r]..displs[r] + send.len()].copy_from_slice(send);
-        let mut span = 1usize;
-        while span < p {
-            let partner = r ^ span;
-            // Aligned group starts of my and my partner's current holdings.
-            let my_base = r & !(span - 1);
-            let partner_base = partner & !(span - 1);
-            let my_bytes = |base: usize| {
-                let lo = displs[base];
-                let hi = displs[base + span - 1] + recv_counts[base + span - 1];
-                (lo, hi)
-            };
-            let (slo, shi) = my_bytes(my_base);
-            let (rlo, rhi) = my_bytes(partner_base);
-            self.send_internal(partner, tag, out[slo..shi].to_vec())?;
-            let incoming = self.recv_internal(partner, tag)?;
-            if incoming.len() != rhi - rlo {
-                return Err(MpiError::InvalidCounts {
-                    what: "allgather: peer block length mismatch",
-                });
-            }
-            out[rlo..rhi].copy_from_slice(&incoming);
-            span <<= 1;
-        }
-        Ok(out)
-    }
-
-    /// Bruck's allgather (any `p`), descending orientation: rank `r`
-    /// accumulates the cyclic block run `r, r−1, …` — in each round it
-    /// sends its newest `m = min(cur, p−cur)` blocks to `r + cur` and
-    /// receives the blocks `r−cur, …, r−cur−m+1` from `r − cur`, doubling
-    /// `cur` until all `p` blocks are present. ⌈log₂ p⌉ messages per rank
-    /// for any `p`.
-    ///
-    /// Receiving from *lower* ranks matters when rank-threads share cores:
-    /// a round-robin scheduler tends to run low ranks first, so the data a
-    /// rank blocks on usually already arrived. Blocks are cyclically
-    /// contiguous in rank order, so they are built from / placed into the
-    /// output with at most two `memcpy`s per round — no final rotation.
-    fn allgatherv_bruck(&self, send: &[u8], recv_counts: &[usize], tag: Tag) -> MpiResult<Vec<u8>> {
-        let p = self.size();
-        let r = self.rank();
-        let displs = excl_prefix_sum(recv_counts);
-        let total: usize = recv_counts.iter().sum();
-        let mut out = vec![0u8; total];
-        out[displs[r]..displs[r] + send.len()].copy_from_slice(send);
-        // Byte range of the cyclic ascending run of `m` blocks starting at
-        // rank `a`: one contiguous range, or two if it wraps past rank p−1.
-        let ranges = |a: usize, m: usize| -> (std::ops::Range<usize>, std::ops::Range<usize>) {
-            if a + m <= p {
-                let hi = a + m - 1;
-                (displs[a]..displs[hi] + recv_counts[hi], 0..0)
-            } else {
-                let wrap = a + m - p; // blocks 0..wrap
-                (
-                    displs[a]..total,
-                    0..displs[wrap - 1] + recv_counts[wrap - 1],
-                )
-            }
-        };
-        let mut cur = 1usize;
-        while cur < p {
-            let m = cur.min(p - cur); // blocks still missing after this round
-            let dest = (r + cur) % p;
-            let src = (r + p - cur) % p;
-            // My newest m blocks are ranks r−m+1 ..= r (already in `out`).
-            let (s1, s2) = ranges((r + p - m + 1) % p, m);
-            let mut wire = Vec::with_capacity(s1.len() + s2.len());
-            wire.extend_from_slice(&out[s1]);
-            wire.extend_from_slice(&out[s2]);
-            self.send_internal(dest, tag, wire)?;
-            let incoming = self.recv_internal(src, tag)?;
-            // Incoming: ranks src−m+1 ..= src, placed straight into `out`.
-            let (r1, r2) = ranges((src + p - m + 1) % p, m);
-            if incoming.len() != r1.len() + r2.len() {
-                return Err(MpiError::InvalidCounts {
-                    what: "allgather: peer block length mismatch",
-                });
-            }
-            let split = r1.len();
-            out[r1].copy_from_slice(&incoming[..split]);
-            out[r2].copy_from_slice(&incoming[split..]);
-            cur += m;
-        }
-        Ok(out)
-    }
-
     /// Fixed-size all-to-all: `send` is `p` equal byte blocks; block `i`
     /// goes to rank `i`. Returns the `p` received blocks concatenated in
-    /// rank order.
-    ///
-    /// Like real MPI implementations, small blocks take Bruck's algorithm
-    /// (⌈log₂ p⌉ rounds of combined messages instead of p − 1 direct
-    /// ones); large blocks use the direct linear exchange. Note that
-    /// *`alltoallv` never gets this optimization* — mirroring practice,
-    /// and the reason the paper's sparse/grid plugins exist (§V-A).
+    /// rank order. Bruck's algorithm for small blocks, the direct linear
+    /// exchange otherwise ([`RawComm::alltoall_plan`]).
     pub fn alltoall(&self, send: &[u8]) -> MpiResult<Vec<u8>> {
         let _op = self.record(Op::Alltoall);
-        let p = self.size();
-        if !send.len().is_multiple_of(p) {
-            return Err(MpiError::InvalidCounts {
-                what: "alltoall send length not divisible by comm size",
-            });
+        let (block, bruck) = self.alltoall_plan(send)?;
+        if bruck {
+            return self.run_inline(|cx| Ok(self.alltoall_bruck_sm(cx, send, block)));
         }
-        let block = send.len() / p;
-        #[cfg(not(feature = "naive"))]
-        if p > 4 && block <= BRUCK_THRESHOLD_BYTES {
-            return self.alltoall_bruck_inner(send, block);
-        }
-        self.alltoall_linear_inner(send, block)
-    }
-
-    /// Fixed-size all-to-all via the direct linear exchange regardless of
-    /// block size: the A/B baseline for Bruck's algorithm.
-    pub fn alltoall_linear(&self, send: &[u8]) -> MpiResult<Vec<u8>> {
-        let _op = self.record(Op::Alltoall);
-        let p = self.size();
-        if !send.len().is_multiple_of(p) {
-            return Err(MpiError::InvalidCounts {
-                what: "alltoall send length not divisible by comm size",
-            });
-        }
-        self.alltoall_linear_inner(send, send.len() / p)
-    }
-
-    fn alltoall_linear_inner(&self, send: &[u8], block: usize) -> MpiResult<Vec<u8>> {
         let counts = vec![block; self.size()];
         let displs = excl_prefix_sum(&counts);
-        let tag = coll_tag(self.next_coll_seq());
-        self.alltoallv_inner(send, &counts, &displs, &counts, &displs, tag)
+        self.alltoallv_inline(send, &counts, &displs, &counts, &displs)
     }
 
     /// Fixed-size all-to-all with Bruck's algorithm, regardless of size
@@ -882,69 +426,8 @@ impl RawComm {
     /// automatically for small blocks).
     pub fn alltoall_bruck(&self, send: &[u8]) -> MpiResult<Vec<u8>> {
         let _op = self.record(Op::Alltoall);
-        let p = self.size();
-        if !send.len().is_multiple_of(p) {
-            return Err(MpiError::InvalidCounts {
-                what: "alltoall send length not divisible by comm size",
-            });
-        }
-        self.alltoall_bruck_inner(send, send.len() / p)
-    }
-
-    /// Bruck (1997). Invariant: the block that starts in slot `j` of rank
-    /// `s` (destined to rank `s + j`) is forwarded exactly on the rounds
-    /// matching the set bits of `j`, always staying in slot `j`; the bit
-    /// values sum to `j`, so it lands at its destination — which therefore
-    /// finds the block *from* rank `me - j` in slot `j`. ⌈log₂ p⌉ combined
-    /// messages per rank instead of p − 1 direct ones.
-    ///
-    /// The slot set exchanged in round `k` (ascending `j` with bit `k`
-    /// set) is identical on every rank, so the wire is the bare block
-    /// concatenation — no per-block headers, and the slots live in one
-    /// flat buffer.
-    fn alltoall_bruck_inner(&self, send: &[u8], block: usize) -> MpiResult<Vec<u8>> {
-        let p = self.size();
-        let me = self.rank();
-        // Phase 1 — local rotation: slot j holds the block for (me + j) % p.
-        let mut slots = vec![0u8; p * block];
-        for j in 0..p {
-            let dest = (me + j) % p;
-            slots[j * block..(j + 1) * block]
-                .copy_from_slice(&send[dest * block..(dest + 1) * block]);
-        }
-        // Phase 2 — log rounds of combined exchanges.
-        let mut k = 1usize;
-        while k < p {
-            // One sequence number per round keeps tags collision-free and
-            // rank-synchronized.
-            let tag = coll_tag(self.next_coll_seq());
-            let dest = (me + k) % p;
-            let src = (me + p - k) % p;
-            let moved: usize = (0..p).filter(|j| j & k != 0).count();
-            let mut wire = Vec::with_capacity(moved * block);
-            for j in (0..p).filter(|j| j & k != 0) {
-                wire.extend_from_slice(&slots[j * block..(j + 1) * block]);
-            }
-            self.send_internal(dest, tag, wire)?;
-            let incoming = self.recv_internal(src, tag)?;
-            if incoming.len() != moved * block {
-                return Err(MpiError::Internal("bruck: malformed round payload"));
-            }
-            // Received blocks replace the same slots, in the same order.
-            for (i, j) in (0..p).filter(|j| j & k != 0).enumerate() {
-                slots[j * block..(j + 1) * block]
-                    .copy_from_slice(&incoming[i * block..(i + 1) * block]);
-            }
-            k <<= 1;
-        }
-        // Phase 3 — inverse rotation: slot j holds the block from
-        // (me - j) % p.
-        let mut out = vec![0u8; p * block];
-        for j in 0..p {
-            let src = (me + p - j) % p;
-            out[src * block..(src + 1) * block].copy_from_slice(&slots[j * block..(j + 1) * block]);
-        }
-        Ok(out)
+        let (block, _) = self.alltoall_plan(send)?;
+        self.run_inline(|cx| Ok(self.alltoall_bruck_sm(cx, send, block)))
     }
 
     /// Variable all-to-all with explicit byte counts and displacements, the
@@ -960,87 +443,30 @@ impl RawComm {
         recv_displs: &[usize],
     ) -> MpiResult<Vec<u8>> {
         let _op = self.record(Op::Alltoallv);
-        let tag = coll_tag(self.next_coll_seq());
-        self.alltoallv_inner(
-            send,
-            send_counts,
-            send_displs,
-            recv_counts,
-            recv_displs,
-            tag,
-        )
+        self.alltoallv_inline(send, send_counts, send_displs, recv_counts, recv_displs)
     }
 
-    pub(crate) fn alltoallv_inner(
+    fn alltoallv_inline(
         &self,
         send: &[u8],
         send_counts: &[usize],
         send_displs: &[usize],
         recv_counts: &[usize],
         recv_displs: &[usize],
-        tag: Tag,
     ) -> MpiResult<Vec<u8>> {
-        let p = self.size();
-        self.check_len(send_counts, "alltoallv send_counts length != comm size")?;
-        self.check_len(send_displs, "alltoallv send_displs length != comm size")?;
-        self.check_len(recv_counts, "alltoallv recv_counts length != comm size")?;
-        self.check_len(recv_displs, "alltoallv recv_displs length != comm size")?;
-        for dest in 0..p {
-            let (c, d) = (send_counts[dest], send_displs[dest]);
-            if d + c > send.len() {
-                return Err(MpiError::InvalidCounts {
-                    what: "alltoallv send block out of bounds",
-                });
-            }
-        }
-        let total: usize = recv_counts
-            .iter()
-            .zip(recv_displs)
-            .map(|(&c, &d)| d + c)
-            .max()
-            .unwrap_or(0);
-        let mut out = vec![0u8; total];
-        // Post every outgoing block (including empty ones) ...
-        for dest in 0..p {
-            let (c, d) = (send_counts[dest], send_displs[dest]);
-            if dest == self.rank() {
-                continue;
-            }
-            self.send_internal(dest, tag, send[d..d + c].to_vec())?;
-        }
-        // ... copy the self block locally ...
-        {
-            let (sc, sd) = (send_counts[self.rank()], send_displs[self.rank()]);
-            let (rc, rd) = (recv_counts[self.rank()], recv_displs[self.rank()]);
-            if sc != rc {
-                return Err(MpiError::InvalidCounts {
-                    what: "alltoallv self send/recv count mismatch",
-                });
-            }
-            out[rd..rd + rc].copy_from_slice(&send[sd..sd + sc]);
-        }
-        // ... and collect everyone else's.
-        for src in 0..p {
-            if src == self.rank() {
-                continue;
-            }
-            let part = self.recv_internal(src, tag)?;
-            let (c, d) = (recv_counts[src], recv_displs[src]);
-            if part.len() != c {
-                return Err(MpiError::InvalidCounts {
-                    what: "alltoallv: message length != recv_count",
-                });
-            }
-            out[d..d + c].copy_from_slice(&part);
-        }
-        Ok(out)
+        self.run_inline(|cx| {
+            let tag = coll_tag(self.next_coll_seq());
+            let send_layout = (send_counts, send_displs);
+            AlltoallvSm::start(cx, tag, send, send_layout, recv_counts, recv_displs)
+        })
     }
 
-    /// Binomial-tree reduce of equal-length buffers into `root`'s `buf`.
+    /// Tree reduce of equal-length buffers into `root`'s `buf`; non-root
+    /// buffers are consumed. Strategy-selected like [`RawComm::bcast`].
     /// `op` combines `elem_size`-byte elements; the combine order is a
-    /// deterministic left-to-right tree over ranks (associative ops reduce
-    /// exactly; floating-point results depend on `p` — see the
-    /// reproducible-reduce plugin).
+    /// deterministic function of the tree (associative ops reduce exactly;
+    /// floating-point results depend on `p` — see the reproducible-reduce
+    /// plugin).
     pub fn reduce(
         &self,
         buf: &mut Vec<u8>,
@@ -1049,182 +475,26 @@ impl RawComm {
         root: usize,
     ) -> MpiResult<()> {
         let _op = self.record(Op::Reduce);
-        #[cfg(feature = "naive")]
-        {
-            let tag = coll_tag(self.next_coll_seq());
-            return self.reduce_naive_inner(buf, op, elem_size, root, tag);
-        }
-        #[cfg(not(feature = "naive"))]
-        {
-            if self.use_hier() {
-                if root >= self.size() {
-                    return Err(MpiError::InvalidRank {
-                        rank: root,
-                        size: self.size(),
-                    });
-                }
-                if elem_size == 0 || !buf.len().is_multiple_of(elem_size) {
-                    return Err(MpiError::InvalidCounts {
-                        what: "reduce buffer not a multiple of elem_size",
-                    });
-                }
-                self.note_strategy(crate::metrics::Counter::StrategyHier);
-                let h = self.hier_topo()?;
-                let tag = coll_tag(self.next_coll_seq());
-                return self.reduce_hier_inner(buf, op, elem_size, root, tag, &h);
-            }
-            self.note_strategy(crate::metrics::Counter::StrategyFlat);
-            let tag = coll_tag(self.next_coll_seq());
-            self.reduce_inner(buf, op, elem_size, root, tag)
-        }
-    }
-
-    /// Linear reduce (root receives and folds every rank's buffer in rank
-    /// order): the A/B baseline for the binomial tree. The combine order
-    /// differs from the tree's, so results match only for associative and
-    /// commutative operators — which is also MPI's requirement for
-    /// predefined reductions.
-    pub fn reduce_naive(
-        &self,
-        buf: &mut Vec<u8>,
-        op: ByteOp<'_>,
-        elem_size: usize,
-        root: usize,
-    ) -> MpiResult<()> {
-        let _op = self.record(Op::Reduce);
-        let tag = coll_tag(self.next_coll_seq());
-        self.reduce_naive_inner(buf, op, elem_size, root, tag)
-    }
-
-    fn reduce_naive_inner(
-        &self,
-        buf: &mut Vec<u8>,
-        op: ByteOp<'_>,
-        elem_size: usize,
-        root: usize,
-        tag: Tag,
-    ) -> MpiResult<()> {
-        let p = self.size();
-        if root >= p {
-            return Err(MpiError::InvalidRank {
-                rank: root,
-                size: p,
-            });
-        }
-        if elem_size == 0 || !buf.len().is_multiple_of(elem_size) {
-            return Err(MpiError::InvalidCounts {
-                what: "reduce buffer not a multiple of elem_size",
-            });
-        }
-        if self.rank() != root {
-            return self.send_internal(root, tag, std::mem::take(buf));
-        }
-        for src in 0..p {
-            if src == root {
-                continue;
-            }
-            let part = self.recv_internal(src, tag)?;
-            if part.len() != buf.len() {
-                return Err(MpiError::InvalidCounts {
-                    what: "reduce buffers differ in length",
-                });
-            }
-            combine(buf, &part, op, elem_size);
-        }
+        *buf = self.run_inline(|_| self.reduce_sm(buf, op, elem_size, root, true))?;
         Ok(())
     }
 
-    pub(crate) fn reduce_inner(
-        &self,
-        buf: &mut Vec<u8>,
-        op: ByteOp<'_>,
-        elem_size: usize,
-        root: usize,
-        tag: Tag,
-    ) -> MpiResult<()> {
-        let p = self.size();
-        if root >= p {
-            return Err(MpiError::InvalidRank {
-                rank: root,
-                size: p,
-            });
-        }
-        if elem_size == 0 || !buf.len().is_multiple_of(elem_size) {
-            return Err(MpiError::InvalidCounts {
-                what: "reduce buffer not a multiple of elem_size",
-            });
-        }
-        let relative = (self.rank() + p - root) % p;
-        let actual = |rel: usize| (rel + root) % p;
-        let mut mask = 1usize;
-        while mask < p {
-            if relative & mask == 0 {
-                let child = relative + mask;
-                if child < p {
-                    let part = self.recv_internal(actual(child), tag)?;
-                    if part.len() != buf.len() {
-                        return Err(MpiError::InvalidCounts {
-                            what: "reduce buffers differ in length",
-                        });
-                    }
-                    combine(buf, &part, op, elem_size);
-                }
-            } else {
-                self.send_internal(actual(relative - mask), tag, std::mem::take(buf))?;
-                break;
-            }
-            mask <<= 1;
-        }
-        Ok(())
-    }
-
-    /// Reduce-to-all. Strategy-selected (DESIGN.md §11): binomial reduce +
-    /// broadcast by default; the two-level algorithm (intra-host reduce,
-    /// leader recursive doubling, intra-host pipelined broadcast) on mixed
-    /// topologies; [`RawComm::allreduce_rabenseifner`] for large payloads
-    /// under `Auto`. The payload-size input to selection is rank-uniform
-    /// by the collective's own contract (all buffers equal length).
+    /// Reduce-to-all. Strategy-selected ([`RawComm::allreduce_algo`],
+    /// DESIGN.md §11): tree reduce + broadcast by default, the two-level
+    /// composition on mixed topologies,
+    /// [`RawComm::allreduce_rabenseifner`] for large payloads under `Auto`.
     pub fn allreduce(&self, buf: &mut Vec<u8>, op: ByteOp<'_>, elem_size: usize) -> MpiResult<()> {
         let _op = self.record(Op::Allreduce);
-        #[cfg(not(feature = "naive"))]
-        {
-            use crate::hier::{CollStrategy, RABENSEIFNER_MIN_BYTES};
-            match self.coll_strategy() {
-                CollStrategy::Hier => {
-                    if elem_size == 0 || !buf.len().is_multiple_of(elem_size) {
-                        return Err(MpiError::InvalidCounts {
-                            what: "reduce buffer not a multiple of elem_size",
-                        });
-                    }
-                    self.note_strategy(crate::metrics::Counter::StrategyHier);
-                    let h = self.hier_topo()?;
-                    return self.allreduce_hier(buf, op, elem_size, &h);
-                }
-                CollStrategy::Auto => {
-                    if !self.single_host_view() {
-                        let h = self.hier_topo()?;
-                        if h.has_fanout() {
-                            if elem_size == 0 || !buf.len().is_multiple_of(elem_size) {
-                                return Err(MpiError::InvalidCounts {
-                                    what: "reduce buffer not a multiple of elem_size",
-                                });
-                            }
-                            self.note_strategy(crate::metrics::Counter::StrategyHier);
-                            return self.allreduce_hier(buf, op, elem_size, &h);
-                        }
-                    }
-                    if buf.len() >= RABENSEIFNER_MIN_BYTES && self.size() >= 4 {
-                        return self.allreduce_rabenseifner_inner(buf, op, elem_size);
-                    }
-                }
-                CollStrategy::Flat => {}
+        check_elems(buf, elem_size)?;
+        match self.allreduce_algo(buf.len(), true)? {
+            AllreduceAlgo::Rabenseifner => self.allreduce_rabenseifner_inner(buf, op, elem_size),
+            AllreduceAlgo::Tree(hier) => {
+                let mine = std::mem::take(buf);
+                *buf = self
+                    .run_inline(|_| Ok(self.allreduce_sm(hier.as_deref(), mine, op, elem_size)))?;
+                Ok(())
             }
         }
-        self.note_strategy(crate::metrics::Counter::StrategyFlat);
-        let reduce_tag = coll_tag(self.next_coll_seq());
-        let bcast_tag = coll_tag(self.next_coll_seq());
-        self.reduce_inner(buf, op, elem_size, 0, reduce_tag)?;
-        self.bcast_inner(buf, 0, bcast_tag)
     }
 
     /// Reduce-scatter with equal blocks (`MPI_Reduce_scatter_block`): the
@@ -1250,10 +520,10 @@ impl RawComm {
                 what: "reduce_scatter_block: buffer not divisible into p element blocks",
             });
         }
-        let reduce_tag = coll_tag(self.next_coll_seq());
+        let acc = self.run_inline(|_| {
+            Ok(self.reduce_over(&self.flat_tree(0), buf.to_vec(), op, elem_size))
+        })?;
         let scatter_tag = coll_tag(self.next_coll_seq());
-        let mut acc = buf.to_vec();
-        self.reduce_inner(&mut acc, op, elem_size, 0, reduce_tag)?;
         let parts: Option<Vec<Vec<u8>>> = (self.rank() == 0).then(|| {
             let block = acc.len() / p;
             (0..p)
@@ -1845,7 +1115,6 @@ mod tests {
     }
 
     #[test]
-    #[cfg(not(feature = "naive"))]
     fn small_alltoall_uses_log_messages() {
         let p = 16;
         let (_, profile) = Universe::run_profiled(p, |comm| {
@@ -1960,34 +1229,31 @@ mod tests {
     }
 
     #[test]
-    fn allgather_log_matches_naive() {
-        // Power-of-two sizes take recursive doubling, others Bruck; both
-        // must agree with the rooted gather+bcast result.
+    fn allgather_matches_rank_order_concatenation() {
         for p in [2, 3, 4, 5, 6, 7, 8, 12, 16] {
             Universe::run(p, |comm| {
                 let send = vec![comm.rank() as u8; 3];
-                let log = comm.allgather(&send).unwrap();
-                let naive = comm.allgather_naive(&send).unwrap();
-                assert_eq!(log, naive, "p={p}");
+                let all = comm.allgather(&send).unwrap();
+                let want: Vec<u8> = (0..p).flat_map(|r| vec![r as u8; 3]).collect();
+                assert_eq!(all, want, "p={p}");
             });
         }
     }
 
     #[test]
-    fn allgatherv_log_matches_naive_variable_counts() {
+    fn allgatherv_matches_rank_order_concatenation_variable_counts() {
         for p in [2, 3, 5, 8, 11, 16] {
             Universe::run(p, |comm| {
                 let counts: Vec<usize> = (0..comm.size()).map(|r| (r * 7) % 5 + 1).collect();
                 let send = vec![comm.rank() as u8; counts[comm.rank()]];
-                let log = comm.allgatherv(&send, &counts).unwrap();
-                let naive = comm.allgatherv_naive(&send, &counts).unwrap();
-                assert_eq!(log, naive, "p={p}");
+                let all = comm.allgatherv(&send, &counts).unwrap();
+                let want: Vec<u8> = (0..p).flat_map(|r| vec![r as u8; counts[r]]).collect();
+                assert_eq!(all, want, "p={p}");
             });
         }
     }
 
     #[test]
-    #[cfg(not(feature = "naive"))]
     fn allgather_uses_log_messages() {
         for (p, rounds) in [(16usize, 4u64), (13, 4), (8, 3), (5, 3)] {
             let (_, profile) = Universe::run_profiled(p, |comm| {
@@ -1999,70 +1265,32 @@ mod tests {
     }
 
     #[test]
-    fn naive_allgather_is_direct_exchange() {
-        let p = 8;
-        let (_, profile) = Universe::run_profiled(p, |comm| {
-            comm.allgather_naive(&[comm.rank() as u8]).unwrap();
-        });
-        // Every rank posts its block to every peer: p(p-1) envelopes.
-        assert_eq!(profile.total_messages(), (p as u64) * (p as u64 - 1));
-    }
-
-    #[test]
-    fn bcast_naive_matches_tree() {
+    fn bcast_all_roots_ragged_trees() {
         for p in [2, 5, 9] {
             Universe::run(p, |comm| {
                 for root in 0..comm.size() {
                     let seed = |r: usize| vec![r as u8; 40];
-                    let mut tree = if comm.rank() == root {
+                    let mut buf = if comm.rank() == root {
                         seed(root)
                     } else {
                         Vec::new()
                     };
-                    let mut naive = tree.clone();
-                    comm.bcast(&mut tree, root).unwrap();
-                    comm.bcast_naive(&mut naive, root).unwrap();
-                    assert_eq!(tree, seed(root));
-                    assert_eq!(naive, seed(root));
+                    comm.bcast(&mut buf, root).unwrap();
+                    assert_eq!(buf, seed(root));
                 }
             });
         }
     }
 
     #[test]
-    fn barrier_naive_synchronizes() {
-        use std::sync::atomic::{AtomicUsize, Ordering};
-        let entered = AtomicUsize::new(0);
-        Universe::run(6, |comm| {
-            entered.fetch_add(1, Ordering::SeqCst);
-            comm.barrier_naive().unwrap();
-            assert_eq!(entered.load(Ordering::SeqCst), 6);
-        });
-    }
-
-    #[test]
-    fn reduce_naive_matches_tree() {
+    fn reduce_to_inner_root() {
         Universe::run(7, |comm| {
             let op = u64_op();
-            let mut tree = encode(&[comm.rank() as u64, 5]);
-            let mut naive = tree.clone();
-            comm.reduce(&mut tree, &op, 8, 2).unwrap();
-            comm.reduce_naive(&mut naive, &op, 8, 2).unwrap();
+            let mut buf = encode(&[comm.rank() as u64, 5]);
+            comm.reduce(&mut buf, &op, 8, 2).unwrap();
             if comm.rank() == 2 {
-                assert_eq!(decode(&tree), vec![21, 35]);
-                assert_eq!(tree, naive);
+                assert_eq!(decode(&buf), vec![21, 35]);
             }
-        });
-    }
-
-    #[test]
-    fn alltoall_linear_matches_bruck() {
-        Universe::run(6, |comm| {
-            let me = comm.rank() as u8;
-            let send: Vec<u8> = (0..comm.size()).flat_map(|d| [me, d as u8]).collect();
-            let linear = comm.alltoall_linear(&send).unwrap();
-            let bruck = comm.alltoall_bruck(&send).unwrap();
-            assert_eq!(linear, bruck);
         });
     }
 

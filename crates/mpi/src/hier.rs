@@ -1,38 +1,46 @@
-//! Hierarchical and strategy-selected collectives (DESIGN.md §11).
+//! Strategy selection and tree shapes for the rooted collectives
+//! (DESIGN.md §11).
 //!
 //! Flat binomial trees treat every link as equal; on a mixed
 //! intra/inter-host topology that serializes slow inter-host hops along
-//! the critical path. The algorithms here consult the communicator's
+//! the critical path. The shapes here consult the communicator's
 //! host-group view ([`crate::topo::HierTopo`], derived from
 //! [`crate::transport::Transport::locality`]) and build **two-level**
 //! trees: one binomial tree over the group leaders (inter-host), one
 //! binomial tree inside each group (intra-host), merged into a single
 //! parent/children relation so a payload streams through both levels
-//! without a store-and-forward barrier between them.
+//! without a store-and-forward barrier between them. [`binomial_over`] is
+//! the only tree-shape generator; the machines in [`crate::icoll`] that
+//! run over its output do not know which level a link belongs to.
 //!
-//! Large broadcasts are additionally **pipelined**: the payload is cut
-//! into segments (`KAMPING_BCAST_SEGMENT` bytes, default 64 KiB) relayed
-//! segment-by-segment, so tree depth adds latency once, not once per
-//! byte. The wire is self-describing (the first segment carries a
-//! (total, segment) header), which keeps receivers independent of the
-//! root's environment.
+//! Hierarchical broadcasts are additionally **segmented**: the payload is
+//! cut into segments (`KAMPING_BCAST_SEGMENT` bytes, default 64 KiB)
+//! relayed segment-by-segment, so tree depth adds latency once, not once
+//! per byte.
 //!
 //! For large allreduces [`RawComm::allreduce_rabenseifner`] implements
 //! the classic reduce-scatter + allgather composition (Rabenseifner),
 //! whose bandwidth term is 2·(p−1)/p·n instead of the 2·n·log p of
-//! reduce+bcast trees.
+//! reduce+bcast trees. It is straight-line blocking code, not a machine
+//! yet, so `iallreduce` never selects it.
 //!
 //! Selection is governed by [`CollStrategy`] (`KAMPING_COLL_STRATEGY`,
-//! or [`RawComm::set_coll_strategy`]): `flat` always takes the PR-1
-//! binomial paths, `hier` always takes the two-level paths, and `auto`
-//! (the default) decides per call from locality and payload size. Every
-//! input to the decision — environment, communicator topology, the
-//! (rank-uniform) buffer length of reduce/allreduce — is identical on
-//! all ranks, so ranks never diverge in algorithm choice.
+//! or [`RawComm::set_coll_strategy`]): `flat` always takes the binomial
+//! tree over all ranks, `hier` always takes the two-level shapes, and
+//! `auto` (the default) decides per call from locality and payload size.
+//! It is consulted in exactly one function per collective —
+//! [`RawComm::rooted_tree`] for bcast and reduce,
+//! [`RawComm::allreduce_algo`] for allreduce — shared by the blocking and
+//! the nonblocking name. Every input to the decision — environment,
+//! communicator topology, the (rank-uniform) buffer length of allreduce —
+//! is identical on all ranks, so ranks never diverge in algorithm choice.
 
 use crate::coll::combine;
 use crate::error::{MpiError, MpiResult};
-use crate::tag::{coll_tag, Tag};
+use crate::icoll::check_elems;
+use crate::icoll::sm::{recursive_doubling_steps, BcastSm, FoldStep, Tree};
+use crate::metrics::Counter;
+use crate::tag::coll_tag;
 use crate::topo::HierTopo;
 use crate::transport::Payload;
 use crate::{ByteOp, RawComm};
@@ -44,10 +52,6 @@ pub const DEFAULT_BCAST_SEGMENT: usize = 64 * 1024;
 /// Payload size (bytes) from which `auto` prefers the Rabenseifner
 /// allreduce over reduce+bcast.
 pub const RABENSEIFNER_MIN_BYTES: usize = 32 * 1024;
-
-/// Byte length of the self-describing header on a pipelined broadcast's
-/// first segment: total length and segment length, both u64 LE.
-const SEG_HDR: usize = 16;
 
 /// How the rooted collectives (bcast/reduce/allreduce) pick their
 /// algorithm. Must be uniform across the ranks of a communicator.
@@ -76,16 +80,29 @@ impl CollStrategy {
     }
 }
 
-/// Binomial parent/children over an explicit member list, rooted at list
-/// index `root_idx`. Same shape as the flat binomial bcast/reduce, but
-/// over arbitrary rank subsets — the building block of both levels of
-/// the two-level trees. Members are communicator-local ranks; `my_idx`
-/// indexes `members`.
-fn binomial_over(members: &[usize], my_idx: usize, root_idx: usize) -> (Option<usize>, Vec<usize>) {
-    let n = members.len();
+/// What [`RawComm::allreduce_algo`] selected.
+pub(crate) enum AllreduceAlgo {
+    /// Reduce + broadcast trees: flat (`None`), or two-level over the
+    /// given host groups with a recursive-doubling exchange among leaders.
+    Tree(Option<Arc<HierTopo>>),
+    /// [`RawComm::allreduce_rabenseifner`].
+    Rabenseifner,
+}
+
+/// Binomial parent/children of position `my_idx` among `n` positions,
+/// rooted at position `root_idx`; `member` maps positions to
+/// communicator-local ranks (the identity for the flat tree, a host
+/// group's or the leaders' member list for the two levels). Children are
+/// listed farthest subtree first. The only code computing binomial shapes.
+pub(crate) fn binomial_over(
+    n: usize,
+    my_idx: usize,
+    root_idx: usize,
+    member: impl Fn(usize) -> usize,
+) -> Tree {
     debug_assert!(my_idx < n && root_idx < n);
     let rel = (my_idx + n - root_idx) % n;
-    let actual = |r: usize| members[(r + root_idx) % n];
+    let actual = |r: usize| member((r + root_idx) % n);
     let mut mask = 1usize;
     let parent = if rel == 0 {
         while mask < n {
@@ -127,7 +144,7 @@ impl RawComm {
 
     /// Counts one strategy dispatch in this rank's metrics registry — the
     /// dashboard's answer to "which tree did my collectives actually take".
-    pub(crate) fn note_strategy(&self, c: crate::metrics::Counter) {
+    fn note_strategy(&self, c: Counter) {
         if self.state.trace.metrics().enabled() {
             self.state
                 .trace
@@ -137,15 +154,98 @@ impl RawComm {
         }
     }
 
-    /// True when the current strategy resolves to the two-level tree paths
-    /// for bcast/reduce. Uses only environment and topology — identical on
-    /// every rank.
-    pub(crate) fn use_hier(&self) -> bool {
-        match self.coll_strategy() {
+    /// The host-group view, if the strategy resolves to hierarchy for this
+    /// communicator: always under `Hier`, on multi-host communicators under
+    /// `Auto`, never under `Flat`. The one place [`CollStrategy`] is
+    /// consulted. Uses only environment and topology, so every rank
+    /// resolves the same answer.
+    ///
+    /// Building a missing view is a blocking collective (unless the hosts
+    /// are synthetic), which a nonblocking issue must never run — it could
+    /// not be bounded by `wait_timeout`. Issues pass `build: false` and keep
+    /// the flat shapes until a blocking collective (or an explicit
+    /// [`RawComm::hier_topo`]) has built the view; that state is
+    /// rank-uniform because collectives are called in the same order
+    /// everywhere.
+    fn hier_view(&self, build: bool) -> MpiResult<Option<Arc<HierTopo>>> {
+        let wanted = match self.coll_strategy() {
             CollStrategy::Flat => false,
             CollStrategy::Hier => true,
             CollStrategy::Auto => !self.single_host_view(),
+        };
+        let available =
+            || build || self.hier.borrow().is_some() || self.fake_hosts_setting().is_some();
+        if wanted && available() {
+            self.hier_topo().map(Some)
+        } else {
+            Ok(None)
         }
+    }
+
+    /// This rank's place in the tree a bcast or reduce rooted at `root`
+    /// runs over, and whether it is the two-level one (a broadcast down it
+    /// is then segmented): flat binomial on a single host, two-level when
+    /// [`RawComm::hier_view`] has one. Never looks at the buffer, which
+    /// non-root ranks of a broadcast legitimately leave empty.
+    pub(crate) fn rooted_tree(&self, root: usize, build: bool) -> MpiResult<(Tree, bool)> {
+        match self.hier_view(build)? {
+            Some(h) => {
+                self.note_strategy(Counter::StrategyHier);
+                Ok((self.hier_tree(&h, root), true))
+            }
+            None => {
+                self.note_strategy(Counter::StrategyFlat);
+                Ok((self.flat_tree(root), false))
+            }
+        }
+    }
+
+    /// The flat binomial tree over all ranks, rooted at `root`.
+    pub(crate) fn flat_tree(&self, root: usize) -> Tree {
+        binomial_over(self.size(), self.rank(), root, |i| i)
+    }
+
+    /// The algorithm an allreduce of `len` bytes takes: reduce + broadcast
+    /// over the flat tree by default; the two-level composition (intra-host
+    /// reduce, leader recursive doubling, intra-host segmented broadcast)
+    /// when [`RawComm::hier_view`] has host groups with fan-out;
+    /// Rabenseifner for large payloads under `Auto`. `len` is rank-uniform
+    /// by the collective's own contract (all buffers equal length).
+    pub(crate) fn allreduce_algo(&self, len: usize, build: bool) -> MpiResult<AllreduceAlgo> {
+        let auto = self.coll_strategy() == CollStrategy::Auto;
+        let hier = self.hier_view(build)?.filter(|h| !auto || h.has_fanout());
+        if hier.is_none() && auto && len >= RABENSEIFNER_MIN_BYTES && self.size() >= 4 {
+            return Ok(AllreduceAlgo::Rabenseifner);
+        }
+        self.note_strategy(match hier {
+            Some(_) => Counter::StrategyHier,
+            None => Counter::StrategyFlat,
+        });
+        Ok(AllreduceAlgo::Tree(hier))
+    }
+
+    /// The pieces of a tree allreduce for this rank: the tree its reduce
+    /// and broadcast stages run over, the leader-exchange schedule if it
+    /// has one to run in between, and the broadcast's segment size. Flat:
+    /// the binomial tree over all ranks. Two-level: the binomial tree over
+    /// the rank's host group, rooted at the group's leader, and for leaders
+    /// a recursive-doubling allreduce among themselves (one full-payload
+    /// exchange per ⌈log₂ #groups⌉ round — the inter-host critical path).
+    pub(crate) fn allreduce_shape(
+        &self,
+        hier: Option<&HierTopo>,
+    ) -> (Tree, Option<Vec<FoldStep>>, Option<usize>) {
+        let Some(h) = hier else {
+            return (self.flat_tree(0), None, None);
+        };
+        let members = &h.groups[h.my_group];
+        let my_idx = members
+            .iter()
+            .position(|&r| r == self.rank())
+            .expect("rank is in its own group");
+        let tree = binomial_over(members.len(), my_idx, 0, |i| members[i]);
+        let leaders = (my_idx == 0).then(|| recursive_doubling_steps(&h.leaders(), h.my_group));
+        (tree, leaders, Some(self.bcast_segment()))
     }
 
     /// Overrides the strategy for this communicator (API counterpart of
@@ -208,7 +308,7 @@ impl RawComm {
     /// intra-group binomial tree. A representative's children list puts
     /// the inter-host children first so remote forwarding starts before
     /// local fan-out.
-    pub(crate) fn hier_tree(&self, h: &HierTopo, root: usize) -> (Option<usize>, Vec<usize>) {
+    fn hier_tree(&self, h: &HierTopo, root: usize) -> Tree {
         let me = self.rank();
         let root_g = h.group_of[root];
         let rep = |g: usize| if g == root_g { root } else { h.leader(g) };
@@ -223,231 +323,28 @@ impl RawComm {
             .iter()
             .position(|&r| r == my_rep)
             .expect("representative is in the group");
-        let (intra_parent, intra_children) = binomial_over(members, my_idx, rep_idx);
+        let (intra_parent, intra_children) =
+            binomial_over(members.len(), my_idx, rep_idx, |i| members[i]);
         if me != my_rep {
             return (intra_parent, intra_children);
         }
-        let reps: Vec<usize> = (0..h.groups.len()).map(rep).collect();
-        let (lead_parent, mut children) = binomial_over(&reps, g, root_g);
+        let (lead_parent, mut children) = binomial_over(h.groups.len(), g, root_g, rep);
         children.extend(intra_children);
         (lead_parent, children)
     }
 
-    /// Pipelined broadcast along an explicit (parent, children) relation:
-    /// the root cuts `buf` into `segment`-byte envelopes (the first
-    /// prefixed with a (total, segment) header) and every inner node
-    /// relays each envelope as it arrives. One shared payload allocation
-    /// per segment backs the whole fan-out.
-    pub(crate) fn bcast_pipelined_tree(
-        &self,
-        buf: &mut Vec<u8>,
-        parent: Option<usize>,
-        children: &[usize],
-        segment: usize,
-        tag: Tag,
-    ) -> MpiResult<()> {
-        let Some(parent) = parent else {
-            let total = buf.len();
-            let seg = segment.max(1);
-            let nseg = total.div_ceil(seg).max(1);
-            for i in 0..nseg {
-                let lo = i * seg;
-                let hi = total.min(lo + seg);
-                let mut wire = Vec::with_capacity(if i == 0 { SEG_HDR } else { 0 } + hi - lo);
-                if i == 0 {
-                    wire.extend_from_slice(&(total as u64).to_le_bytes());
-                    wire.extend_from_slice(&(seg as u64).to_le_bytes());
-                }
-                wire.extend_from_slice(&buf[lo..hi]);
-                let payload = Payload::from_vec(wire);
-                for &c in children {
-                    self.send_payload_internal(c, tag, payload.clone())?;
-                }
-            }
-            return Ok(());
-        };
-        let first = self.recv_payload_internal(parent, tag)?;
-        for &c in children {
-            self.send_payload_internal(c, tag, first.clone())?;
-        }
-        let first = first.into_vec();
-        if first.len() < SEG_HDR {
-            return Err(MpiError::Internal("pipelined bcast: truncated header"));
-        }
-        let total = u64::from_le_bytes(first[..8].try_into().expect("8 bytes")) as usize;
-        let seg = (u64::from_le_bytes(first[8..16].try_into().expect("8 bytes")) as usize).max(1);
-        let nseg = total.div_ceil(seg).max(1);
-        let mut out = Vec::with_capacity(total);
-        out.extend_from_slice(&first[SEG_HDR..]);
-        for _ in 1..nseg {
-            let payload = self.recv_payload_internal(parent, tag)?;
-            for &c in children {
-                self.send_payload_internal(c, tag, payload.clone())?;
-            }
-            out.extend_from_slice(&payload.into_vec());
-        }
-        if out.len() != total {
-            return Err(MpiError::Internal(
-                "pipelined bcast: reassembled length mismatch",
-            ));
-        }
-        *buf = out;
-        Ok(())
-    }
-
-    /// Two-level pipelined broadcast (dispatched from [`RawComm::bcast`]
-    /// when the strategy selects hierarchy).
-    pub(crate) fn bcast_hier_inner(
-        &self,
-        buf: &mut Vec<u8>,
-        root: usize,
-        tag: Tag,
-        h: &HierTopo,
-    ) -> MpiResult<()> {
-        let (parent, children) = self.hier_tree(h, root);
-        self.bcast_pipelined_tree(buf, parent, &children, self.bcast_segment(), tag)
-    }
-
-    /// Pipelined, segmented broadcast over the *flat* binomial tree with
-    /// an explicit segment size — the A/B point between the zero-copy
-    /// store-and-forward tree and the hierarchy-aware paths.
+    /// Segmented broadcast over the *flat* binomial tree with an explicit
+    /// segment size — the A/B point between the whole-payload flat
+    /// broadcast and the hierarchy-aware one.
     pub fn bcast_segmented(&self, buf: &mut Vec<u8>, root: usize, segment: usize) -> MpiResult<()> {
         let _op = self.record(crate::profile::Op::Bcast);
-        let p = self.size();
-        if root >= p {
-            return Err(MpiError::InvalidRank {
-                rank: root,
-                size: p,
-            });
-        }
-        let tag = coll_tag(self.next_coll_seq());
-        let members: Vec<usize> = (0..p).collect();
-        let (parent, children) = binomial_over(&members, self.rank(), root);
-        self.bcast_pipelined_tree(buf, parent, &children, segment, tag)
-    }
-
-    /// Tree reduce along an explicit (parent, children) relation: combine
-    /// every child's buffer (in reverse child order, so intra-host
-    /// subtrees — listed last — fold first), then forward to the parent.
-    /// Like the flat binomial reduce, non-root buffers are consumed.
-    pub(crate) fn reduce_tree(
-        &self,
-        buf: &mut Vec<u8>,
-        op: ByteOp<'_>,
-        elem_size: usize,
-        parent: Option<usize>,
-        children: &[usize],
-        tag: Tag,
-    ) -> MpiResult<()> {
-        for &c in children.iter().rev() {
-            let part = self.recv_internal(c, tag)?;
-            if part.len() != buf.len() {
-                return Err(MpiError::InvalidCounts {
-                    what: "reduce buffers differ in length",
-                });
-            }
-            combine(buf, &part, op, elem_size);
-        }
-        if let Some(parent) = parent {
-            self.send_internal(parent, tag, std::mem::take(buf))?;
-        }
-        Ok(())
-    }
-
-    /// Two-level reduce (dispatched from [`RawComm::reduce`]).
-    pub(crate) fn reduce_hier_inner(
-        &self,
-        buf: &mut Vec<u8>,
-        op: ByteOp<'_>,
-        elem_size: usize,
-        root: usize,
-        tag: Tag,
-        h: &HierTopo,
-    ) -> MpiResult<()> {
-        let (parent, children) = self.hier_tree(h, root);
-        self.reduce_tree(buf, op, elem_size, parent, &children, tag)
-    }
-
-    /// Two-level allreduce: reduce inside each group to its leader, a
-    /// recursive-doubling allreduce across the leaders (one full-payload
-    /// exchange per ⌈log₂ #groups⌉ round — the inter-host critical path),
-    /// then a pipelined broadcast back down inside each group.
-    pub(crate) fn allreduce_hier(
-        &self,
-        buf: &mut Vec<u8>,
-        op: ByteOp<'_>,
-        elem_size: usize,
-        h: &Arc<HierTopo>,
-    ) -> MpiResult<()> {
-        let reduce_tag = coll_tag(self.next_coll_seq());
-        let leader_tag = coll_tag(self.next_coll_seq());
-        let bcast_tag = coll_tag(self.next_coll_seq());
-        let members = &h.groups[h.my_group];
-        let my_idx = members
-            .iter()
-            .position(|&r| r == self.rank())
-            .expect("rank is in its own group");
-        let (parent, children) = binomial_over(members, my_idx, 0);
-        self.reduce_tree(buf, op, elem_size, parent, &children, reduce_tag)?;
-        if my_idx == 0 {
-            let leaders = h.leaders();
-            self.allreduce_rd_over(&leaders, h.my_group, buf, op, elem_size, leader_tag)?;
-        }
-        self.bcast_pipelined_tree(buf, parent, &children, self.bcast_segment(), bcast_tag)
-    }
-
-    /// Recursive-doubling allreduce over an explicit member list (used at
-    /// the leader level). Non-power-of-two counts take the standard fold:
-    /// the first `2r` members pair up, odd members park their data with
-    /// the even partner and re-enter at the end.
-    fn allreduce_rd_over(
-        &self,
-        members: &[usize],
-        my_idx: usize,
-        buf: &mut Vec<u8>,
-        op: ByteOp<'_>,
-        elem_size: usize,
-        tag: Tag,
-    ) -> MpiResult<()> {
-        let n = members.len();
-        if n <= 1 {
-            return Ok(());
-        }
-        let k = prev_power_of_two(n);
-        let r = n - k;
-        let combine_in = |buf: &mut Vec<u8>, part: Vec<u8>| -> MpiResult<()> {
-            if part.len() != buf.len() {
-                return Err(MpiError::InvalidCounts {
-                    what: "allreduce buffers differ in length",
-                });
-            }
-            combine(buf, &part, op, elem_size);
-            Ok(())
-        };
-        // Fold down: odd members of the first 2r hand off and wait.
-        let new_idx = if my_idx < 2 * r {
-            if my_idx % 2 == 1 {
-                self.send_internal(members[my_idx - 1], tag, buf.clone())?;
-                *buf = self.recv_internal(members[my_idx - 1], tag)?;
-                return Ok(());
-            }
-            combine_in(buf, self.recv_internal(members[my_idx + 1], tag)?)?;
-            my_idx / 2
-        } else {
-            my_idx - r
-        };
-        let to_actual = |j: usize| members[if j < r { 2 * j } else { j + r }];
-        let mut span = 1usize;
-        while span < k {
-            let partner = to_actual(new_idx ^ span);
-            self.send_internal(partner, tag, buf.clone())?;
-            combine_in(buf, self.recv_internal(partner, tag)?)?;
-            span <<= 1;
-        }
-        // Fold up: hand the result back to the parked odd partner.
-        if my_idx < 2 * r {
-            self.send_internal(members[my_idx + 1], tag, buf.clone())?;
-        }
+        self.check_root(root)?;
+        *buf = self.run_inline(|cx| {
+            let tag = coll_tag(self.next_coll_seq());
+            let seed = Payload::from_vec(std::mem::take(buf));
+            let tree = self.flat_tree(root);
+            Ok(BcastSm::start(cx, tag, tree, Some(segment), seed))
+        })?;
         Ok(())
     }
 
@@ -475,12 +372,8 @@ impl RawComm {
         op: ByteOp<'_>,
         elem_size: usize,
     ) -> MpiResult<()> {
-        if elem_size == 0 || !buf.len().is_multiple_of(elem_size) {
-            return Err(MpiError::InvalidCounts {
-                what: "allreduce buffer not a multiple of elem_size",
-            });
-        }
-        self.note_strategy(crate::metrics::Counter::StrategyRabenseifner);
+        check_elems(buf, elem_size)?;
+        self.note_strategy(Counter::StrategyRabenseifner);
         let p = self.size();
         let fold_tag = coll_tag(self.next_coll_seq());
         let rs_tag = coll_tag(self.next_coll_seq());
@@ -571,7 +464,7 @@ impl RawComm {
 }
 
 /// Largest power of two ≤ `n` (n ≥ 1).
-fn prev_power_of_two(n: usize) -> usize {
+pub(crate) fn prev_power_of_two(n: usize) -> usize {
     debug_assert!(n >= 1);
     1usize << (usize::BITS - 1 - n.leading_zeros())
 }
@@ -600,7 +493,7 @@ mod tests {
                 let members: Vec<usize> = (100..100 + n).collect();
                 let mut seen_parent = vec![0usize; n];
                 for i in 0..n {
-                    let (parent, children) = binomial_over(&members, i, root);
+                    let (parent, children) = binomial_over(n, i, root, |j| members[j]);
                     if i == root {
                         assert!(parent.is_none());
                     } else {
@@ -610,7 +503,7 @@ mod tests {
                         let ci = members.iter().position(|&m| m == c).unwrap();
                         seen_parent[ci] += 1;
                         // Child's computed parent must point back at me.
-                        let (cp, _) = binomial_over(&members, ci, root);
+                        let (cp, _) = binomial_over(n, ci, root, |j| members[j]);
                         assert_eq!(cp, Some(members[i]), "n={n} root={root}");
                     }
                 }

@@ -1,53 +1,75 @@
-//! Nonblocking collectives: explicit schedules advanced by the progress
-//! machinery.
+//! The collective engine: one state machine per algorithm, two drivers.
 //!
-//! Every i-collective is an explicit state machine ([`CollSm`]) — a schedule
-//! of send / receive / local-combine steps derived from the blocking
-//! algorithms in [`crate::coll`] (dissemination barrier, binomial
-//! bcast/reduce, Bruck allgatherv/alltoall, linear alltoallv). Issuing the
-//! operation validates the arguments, posts the schedule's *initial* sends
-//! (sends are eager on every backend, so they never block), and registers
-//! the machine with the universe's [`Registry`]. From then on the schedule
-//! is advanced by whichever thread delivers a collective-tagged envelope to
-//! the owner's mailbox:
+//! Every collective algorithm with a log-round or all-peers schedule
+//! (dissemination barrier, tree bcast/reduce and their allreduce composite,
+//! Bruck allgatherv/alltoall, linear alltoallv) exists exactly once, as an
+//! explicit state machine ([`CollSm`], in [`sm`]) — a schedule of send /
+//! receive / local-combine steps whose `step` never blocks. Building a
+//! machine validates the arguments and posts the schedule's *initial* sends
+//! (sends are eager on every backend, so they never block). Two drivers
+//! run it to completion:
 //!
-//! * **shm** — the peer rank-thread that performed the [`Mailbox::post`];
-//! * **socket** — the epoll progress engine's routing (its `EngineHooks`
-//!   feed decoded frames into `Mailbox::post`);
-//! * **shm-xproc** — the ring consumer thread, or a *waiting receiver*
-//!   draining its own rings through the mailbox progress poll.
+//! * **Inline** ([`RawComm::run_inline`]) — the blocking collectives. The
+//!   machine lives on the caller's stack and is stepped by the caller
+//!   alone, parked on its mailbox gate between steps like any blocking
+//!   receive. No `Arc`, no `Mutex`, no registry entry, and the reduce
+//!   operator stays a borrowed [`crate::ByteOp`]. An `issue().wait()` pair
+//!   costs 2.74× a blocking 8-byte allreduce on the reference box
+//!   (kbench `mpi.icoll.issue_wait_over_blocking_ratio`), which is why
+//!   blocking calls do not take the registered path.
+//! * **Registered** ([`RawComm::issue`]) — the `i*` collectives. The
+//!   machine moves into a [`CollCell`] listed in the universe's
+//!   [`Registry`] and is advanced by whichever thread delivers a
+//!   collective-tagged envelope to the owner's mailbox:
 //!
-//! All three funnel through one hook: [`Mailbox::set_coll_notifier`] fires
-//! after the gate bump of every collective-tagged deposit. The caller never
-//! has to poll — compute proceeds while peers' deliveries push the schedule
-//! forward — and `wait` parks on the owner's mailbox gate like any blocking
-//! receive, stepping the machines on each wakeup.
+//!   * **shm** — the peer rank-thread that performed the [`Mailbox::post`];
+//!   * **socket** — the epoll progress engine's routing (its `EngineHooks`
+//!     feed decoded frames into `Mailbox::post`);
+//!   * **shm-xproc** — the ring consumer thread, or a *waiting receiver*
+//!     draining its own rings through the mailbox progress poll.
+//!
+//!   All three funnel through one hook: [`Mailbox::set_coll_notifier`]
+//!   fires after the gate bump of every collective-tagged deposit. The
+//!   caller never has to poll — compute proceeds while peers' deliveries
+//!   push the schedule forward — and `wait` parks on the owner's mailbox
+//!   gate, stepping the machines on each wakeup.
+//!
+//! Algorithm selection ([`crate::hier::CollStrategy`], the Bruck
+//! threshold) happens where a machine is built — one function per
+//! collective, shared by the blocking and the nonblocking name, so `ix`
+//! runs the same algorithm as `x`. Two documented exceptions, both
+//! because an issue must never block: `ix` takes the two-level shapes
+//! only once the communicator's host-group view exists (building it is a
+//! blocking collective), and `iallreduce` has no Rabenseifner machine.
 //!
 //! # Ownership
 //!
-//! Buffers *move into* the operation (paper §III-E) and come back out of
-//! [`RawCollRequest::wait`]/[`RawCollRequest::test`]. A dropped incomplete
-//! request is adopted by the registry so the schedule still completes —
-//! peers depend on this rank's relay sends — and is pruned once settled.
+//! Buffers *move into* a nonblocking operation (paper §III-E) and come back
+//! out of [`RawCollRequest::wait`]/[`RawCollRequest::test`]. A dropped
+//! incomplete request is adopted by the registry so the schedule still
+//! completes — peers depend on this rank's relay sends — and is pruned
+//! once settled.
 //!
 //! # Tags and multiple outstanding collectives
 //!
-//! Each issue draws one (or, for multi-round Bruck schedules, several)
-//! per-communicator collective sequence numbers at issue time. Because MPI
-//! requires every rank to issue collectives in the same order, the derived
-//! [`coll_tag`]s are rank-synchronized, and any number of collectives can
-//! be outstanding at once: their envelopes cannot be confused. Collective
-//! tags are invisible to `ANY_TAG` receives, so user-tag traffic (e.g. the
-//! NBX sparse alltoall polling an `ibarrier`) cannot interfere.
+//! Each machine draws one or several per-communicator collective sequence
+//! numbers when it is built. Because MPI requires every rank to issue
+//! collectives in the same order, the derived [`coll_tag`]s are
+//! rank-synchronized, and any number of collectives can be outstanding at
+//! once: their envelopes cannot be confused. Collective tags are invisible
+//! to `ANY_TAG` receives, so user-tag traffic (e.g. the NBX sparse alltoall
+//! polling an `ibarrier`) cannot interfere.
 
-mod sm;
+pub(crate) mod sm;
 
+use std::cell::{Cell, RefCell};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, TryLockError, Weak};
 use std::time::{Duration, Instant};
 
 use crate::coll::excl_prefix_sum;
 use crate::error::{MpiError, MpiResult};
+use crate::hier::AllreduceAlgo;
 use crate::profile::Op;
 use crate::tag::{coll_tag, Tag};
 use crate::transport::{Envelope, Mailbox, MatchKey, Payload};
@@ -55,18 +77,19 @@ use crate::universe::UniverseState;
 use crate::RawComm;
 
 use sm::{
-    IallgathervSm, IallreduceSm, IalltoallBruckSm, IalltoallvSm, IbarrierSm, IbcastSm, IreduceSm,
+    reduce_steps, AllgathervSm, AllreduceSm, AlltoallBruckSm, AlltoallvSm, BarrierSm, BcastSm,
+    FoldSm,
 };
 
 /// Owned element-combine closure for nonblocking reductions. The blocking
-/// twins borrow their operator ([`crate::ByteOp`]); an i-reduction outlives
-/// its call site, so the engine needs ownership — and any thread that
+/// calls borrow their operator ([`crate::ByteOp`]); an i-reduction outlives
+/// its call site, so the registry needs ownership — and any thread that
 /// delivers an envelope may run the combine, hence `Send + Sync`.
 pub type OwnedByteOp = Arc<dyn Fn(&mut [u8], &[u8]) + Send + Sync>;
 
 /// Everything a schedule step may touch, borrowed for the duration of one
 /// [`CollSm::step`] call. Lives on the stack of whichever thread advances
-/// the machine (the owner in `wait`, or a delivering peer thread).
+/// the machine (the owner, or a delivering peer thread).
 pub(crate) struct StepCx<'a> {
     state: &'a UniverseState,
     group: &'a [usize],
@@ -126,33 +149,35 @@ impl StepCx<'_> {
     }
 }
 
-/// One nonblocking collective as an explicit state machine. `step` runs
-/// every transition whose input is available and **never blocks**;
-/// `Ok(Some(out))` means the schedule completed with result bytes `out`.
-/// Machines are stepped under the owning [`CollCell`]'s lock, so `&mut
-/// self` is exclusive even though any thread may drive it.
-pub(crate) trait CollSm: Send {
+/// One collective as an explicit state machine. `step` runs every
+/// transition whose input is available and **never blocks**;
+/// `Ok(Some(out))` means the schedule completed with result bytes `out`,
+/// after which the machine is not stepped again. The inline driver steps
+/// it from the owning thread only; registered machines are stepped under
+/// their [`CollCell`]'s lock, so `&mut self` is exclusive even though any
+/// thread may drive them.
+pub(crate) trait CollSm {
     /// Advances as far as currently possible.
     fn step(&mut self, cx: &StepCx<'_>) -> MpiResult<Option<Vec<u8>>>;
 
-    /// Communicator-local ranks whose message this schedule is blocked on
-    /// (for fault attribution: if one of them is gone, the schedule can
-    /// never complete).
-    fn waiting_on(&self, out: &mut Vec<usize>);
+    /// Communicator-local rank whose message this schedule is blocked on
+    /// (for fault attribution: if it is gone, the schedule can never
+    /// complete). Every algorithm receives from one peer at a time.
+    fn awaited(&self) -> Option<usize>;
 }
 
 /// Lifecycle of one issued collective.
 enum CollCore {
     /// Schedule still has pending receives. `clean` caches the fault epoch
-    /// *and the awaited-rank set* for which the fault scan last came up
-    /// empty, so the (lock-protected) scan reruns only when a mark lands
-    /// or the schedule advances onto different peers. Epoch alone is not
-    /// enough: a mark can be applied while the schedule still waits on a
-    /// live rank, and when it then advances onto the already-marked dead
-    /// one, no further epoch bump ever arrives to retrigger the scan.
+    /// *and the awaited rank* for which the fault scan last came up empty,
+    /// so the (lock-protected) scan reruns only when a mark lands or the
+    /// schedule advances onto a different peer. Epoch alone is not enough:
+    /// a mark can be applied while the schedule still waits on a live
+    /// rank, and when it then advances onto the already-marked dead one,
+    /// no further epoch bump ever arrives to retrigger the scan.
     Running {
-        sm: Box<dyn CollSm>,
-        clean: Option<(u64, Vec<usize>)>,
+        sm: Box<dyn CollSm + Send>,
+        clean: Option<(u64, Option<usize>)>,
     },
     /// Completed; result bytes awaiting pickup by the owner.
     Done(Vec<u8>),
@@ -275,28 +300,27 @@ impl CollCell {
                 true
             }
             Ok(None) => {
-                let epoch = state.fault_epoch.load(Ordering::Acquire);
-                let mut waiting = Vec::new();
-                sm.waiting_on(&mut waiting);
-                if matches!(clean, Some((e, w)) if *e == epoch && *w == waiting) {
+                let verdict = (state.fault_epoch.load(Ordering::Acquire), sm.awaited());
+                if *clean == Some(verdict) {
                     return false;
                 }
                 if state.is_revoked(self.ctx) {
                     *core = CollCore::Failed(MpiError::Revoked);
                     return true;
                 }
-                // Two ways a fault dooms an incomplete schedule: a rank we
+                // Two ways a fault dooms an incomplete schedule: the rank we
                 // directly await is gone (failed *or* finished — it will
                 // never post), or any group member has *failed*. The latter
                 // catches transitive stalls: the schedule may be waiting on
                 // a live rank whose own step awaits the dead one, so the
-                // dead rank never shows up in our `waiting_on`. A member
-                // that finished cleanly is exempt unless directly awaited —
-                // its `Bye` proves it posted everything first.
-                let doomed = waiting.iter().any(|&l| state.is_gone(self.group[l]))
-                    || self.group.iter().any(|&g| state.is_failed(g));
-                if !doomed {
-                    *clean = Some((epoch, waiting));
+                // dead rank never shows up as our `awaited`. A member that
+                // finished cleanly is exempt unless directly awaited — its
+                // `Bye` proves it posted everything first.
+                let gone =
+                    |l: Option<usize>| l.map(|l| self.group[l]).filter(|&g| state.is_gone(g));
+                let failed = || self.group.iter().copied().find(|&g| state.is_failed(g));
+                if gone(verdict.1).or_else(failed).is_none() {
+                    *clean = Some(verdict);
                     return false;
                 }
                 // A waited-on rank is gone — but envelopes it posted before
@@ -314,30 +338,18 @@ impl CollCell {
                         true
                     }
                     Ok(None) => {
-                        waiting.clear();
-                        sm.waiting_on(&mut waiting);
                         // Attribute the failure to an actually *failed*
                         // member first: a directly awaited rank that merely
                         // finished may only be collateral (it left after the
                         // real fault wedged the schedule).
-                        let culprit = self
-                            .group
-                            .iter()
-                            .copied()
-                            .find(|&g| state.is_failed(g))
-                            .or_else(|| {
-                                waiting
-                                    .iter()
-                                    .map(|&l| self.group[l])
-                                    .find(|&g| state.is_gone(g))
-                            });
-                        match culprit {
+                        let awaited = sm.awaited();
+                        match failed().or_else(|| gone(awaited)) {
                             Some(rank) => {
                                 *core = CollCore::Failed(MpiError::ProcFailed { rank });
                                 true
                             }
                             None => {
-                                *clean = Some((epoch, waiting));
+                                *clean = Some((verdict.0, awaited));
                                 false
                             }
                         }
@@ -630,25 +642,70 @@ impl std::fmt::Debug for RawCollRequest {
 }
 
 impl RawComm {
-    /// Issues one collective schedule: `build` validates arguments and
-    /// posts the initial sends, then the cell is registered and stepped
-    /// once (messages may already be queued from faster peers).
-    pub(crate) fn issue_cell(
-        &self,
-        op: Op,
-        build: impl FnOnce(&StepCx<'_>) -> MpiResult<Box<dyn CollSm>>,
-    ) -> MpiResult<Arc<CollCell>> {
+    /// This rank's step context on this communicator. Refused once the
+    /// communicator is revoked, so no machine is built (and nothing
+    /// posted) on a dead context.
+    pub(crate) fn cx(&self) -> MpiResult<StepCx<'_>> {
         if self.state.is_revoked(self.ctx) {
             return Err(MpiError::Revoked);
         }
-        self.state.counters[self.my_global_rank()].record_op(op);
-        let cx = StepCx {
+        Ok(StepCx {
             state: &self.state,
             group: &self.group,
             ctx: self.ctx,
             rank: self.rank,
+        })
+    }
+
+    /// The inline driver: builds a machine and steps it on the caller's
+    /// stack until it completes, parking on this rank's mailbox between
+    /// steps — the same wait loop as a blocking receive, with the machine's
+    /// `step` as the match attempt and its awaited peer as the fault
+    /// source: the wait fails with `ProcFailed` if that peer is gone
+    /// (failed, or returned without posting) and with `Revoked` if the
+    /// communicator was revoked. The verdict is cached per (fault epoch,
+    /// awaited peer) like [`CollCore::Running`]'s, so a wakeup costs one
+    /// atomic load while nothing changed.
+    pub(crate) fn run_inline<S: CollSm>(
+        &self,
+        build: impl FnOnce(&StepCx<'_>) -> MpiResult<S>,
+    ) -> MpiResult<Vec<u8>> {
+        let cx = self.cx()?;
+        let sm = RefCell::new(build(&cx)?);
+        let clean = Cell::new(None);
+        let interrupt = || {
+            let epoch = self.state.fault_epoch.load(Ordering::Acquire);
+            let verdict = (epoch, sm.borrow().awaited());
+            if clean.get() == Some(verdict) {
+                return None;
+            }
+            if self.state.is_revoked(self.ctx) {
+                return Some(MpiError::Revoked);
+            }
+            let awaited = verdict.1.map(|l| self.group[l]);
+            if let Some(rank) = awaited.filter(|&g| self.state.is_gone(g)) {
+                return Some(MpiError::ProcFailed { rank });
+            }
+            clean.set(Some(verdict));
+            None
         };
-        let sm = build(&cx)?;
+        self.state
+            .mailbox(self.my_global_rank())
+            .wait_until(&interrupt, None, |_| sm.borrow_mut().step(&cx).transpose())?
+    }
+
+    /// The registered driver: builds a machine, moves it into a
+    /// [`CollCell`] listed in the registry and steps it once (messages may
+    /// already be queued from faster peers); delivering threads and the
+    /// request's `wait`/`test` advance it from there.
+    fn issue<S: CollSm + Send + 'static>(
+        &self,
+        op: Op,
+        build: impl FnOnce(&StepCx<'_>) -> MpiResult<S>,
+    ) -> MpiResult<RawCollRequest> {
+        let cx = self.cx()?;
+        self.state.counters[self.my_global_rank()].record_op(op);
+        let sm = Box::new(build(&cx)?);
         let cell = Arc::new(CollCell {
             state: Arc::downgrade(&self.state),
             group: Arc::clone(&self.group),
@@ -666,15 +723,6 @@ impl RawComm {
         }
         Registry::attach(&self.state, self.my_global_rank(), &cell);
         cell.advance(true);
-        Ok(cell)
-    }
-
-    fn issue(
-        &self,
-        op: Op,
-        build: impl FnOnce(&StepCx<'_>) -> MpiResult<Box<dyn CollSm>>,
-    ) -> MpiResult<RawCollRequest> {
-        let cell = self.issue_cell(op, build)?;
         Ok(RawCollRequest {
             state: Arc::clone(&self.state),
             cell: Some(cell),
@@ -683,119 +731,191 @@ impl RawComm {
         })
     }
 
+    // ----- machine builders, shared by `x` and `ix` -----
+
+    /// Broadcast machine for the tree the strategy selects
+    /// ([`RawComm::rooted_tree`]; `blocking` says whether the selection may
+    /// run a blocking topology build): whole-payload on the flat binomial
+    /// tree, segmented on the two-level one. `seed` produces the root's
+    /// payload and runs only once the arguments are validated.
+    pub(crate) fn bcast_sm(
+        &self,
+        cx: &StepCx<'_>,
+        root: usize,
+        seed: impl FnOnce() -> Payload,
+        blocking: bool,
+    ) -> MpiResult<BcastSm> {
+        self.check_root(root)?;
+        let (tree, hier) = self.rooted_tree(root, blocking)?;
+        let segment = hier.then(|| self.bcast_segment());
+        let tag = coll_tag(self.next_coll_seq());
+        Ok(BcastSm::start(cx, tag, tree, segment, seed()))
+    }
+
+    /// Reduce machine over the tree the strategy selects (`blocking` as
+    /// for [`RawComm::bcast_sm`]); takes `buf` once the arguments are
+    /// validated.
+    pub(crate) fn reduce_sm<F: Fn(&mut [u8], &[u8])>(
+        &self,
+        buf: &mut Vec<u8>,
+        op: F,
+        elem_size: usize,
+        root: usize,
+        blocking: bool,
+    ) -> MpiResult<FoldSm<F>> {
+        self.check_root(root)?;
+        check_elems(buf, elem_size)?;
+        let (tree, _) = self.rooted_tree(root, blocking)?;
+        Ok(self.reduce_over(&tree, std::mem::take(buf), op, elem_size))
+    }
+
+    /// Reduce machine up an explicit tree.
+    pub(crate) fn reduce_over<F: Fn(&mut [u8], &[u8])>(
+        &self,
+        tree: &sm::Tree,
+        buf: Vec<u8>,
+        op: F,
+        elem_size: usize,
+    ) -> FoldSm<F> {
+        let tag = coll_tag(self.next_coll_seq());
+        FoldSm::new(tag, reduce_steps(tree), buf, op, elem_size)
+    }
+
+    /// Tree allreduce machine (reduce, leader exchange under hierarchy,
+    /// broadcast) for a choice made by [`RawComm::allreduce_algo`].
+    pub(crate) fn allreduce_sm<F: Fn(&mut [u8], &[u8])>(
+        &self,
+        hier: Option<&crate::topo::HierTopo>,
+        buf: Vec<u8>,
+        op: F,
+        elem_size: usize,
+    ) -> AllreduceSm<F> {
+        let (tree, leaders, segment) = self.allreduce_shape(hier);
+        let fold = self.reduce_over(&tree, buf, op, elem_size);
+        // Every rank of a two-level allreduce draws the leader tag, so the
+        // sequence stays rank-synchronized; only leaders use it.
+        let leader_tag = hier.map(|_| coll_tag(self.next_coll_seq()));
+        let leader = leader_tag.zip(leaders);
+        let bcast_tag = coll_tag(self.next_coll_seq());
+        AllreduceSm::new(fold, leader, bcast_tag, tree, segment)
+    }
+
+    /// Block size of the fixed-size all-to-all of `send`, and whether it
+    /// takes Bruck's algorithm: like real MPI implementations, small
+    /// blocks go in ⌈log₂ p⌉ rounds of combined messages, large ones in
+    /// the direct linear exchange. Note that *`alltoallv` never gets this
+    /// optimization* — mirroring practice, and the reason the paper's
+    /// sparse/grid plugins exist (§V-A).
+    pub(crate) fn alltoall_plan(&self, send: &[u8]) -> MpiResult<(usize, bool)> {
+        let p = self.size();
+        if !send.len().is_multiple_of(p) {
+            return Err(MpiError::InvalidCounts {
+                what: "alltoall send length not divisible by comm size",
+            });
+        }
+        let block = send.len() / p;
+        Ok((block, p > 4 && block <= crate::coll::BRUCK_THRESHOLD_BYTES))
+    }
+
+    /// Bruck all-to-all machine; reserves one tag per round up front.
+    pub(crate) fn alltoall_bruck_sm(
+        &self,
+        cx: &StepCx<'_>,
+        send: &[u8],
+        block: usize,
+    ) -> AlltoallBruckSm {
+        let rounds = self.size().next_power_of_two().trailing_zeros();
+        let tags = (0..rounds).map(|_| coll_tag(self.next_coll_seq()));
+        AlltoallBruckSm::start(cx, tags.collect(), send, block)
+    }
+
+    // ----- nonblocking entry points -----
+
     /// Nonblocking broadcast: the root moves `buf` in; every rank's `wait`
     /// returns the broadcast bytes (the non-root input buffer is dropped,
-    /// mirroring `bcast` overwriting it). Binomial tree.
+    /// mirroring `bcast` overwriting it). Same algorithm as
+    /// [`RawComm::bcast`] — with one caveat shared by `ireduce` and
+    /// `iallreduce`: an issue never blocks, so it takes the two-level
+    /// shapes only once the communicator's host-group view exists (built
+    /// by any blocking hierarchical collective or by
+    /// [`RawComm::hier_topo`]; synthetic hosts need no build).
     pub fn ibcast(&self, buf: Vec<u8>, root: usize) -> MpiResult<RawCollRequest> {
-        let tag = coll_tag(self.next_coll_seq());
         self.issue(Op::Ibcast, |cx| {
-            if root >= cx.group.len() {
-                return Err(MpiError::InvalidRank {
-                    rank: root,
-                    size: cx.group.len(),
-                });
-            }
-            Ok(Box::new(IbcastSm::start(cx, tag, root, buf)))
+            self.bcast_sm(cx, root, || Payload::from_vec(buf), false)
         })
     }
 
-    /// Nonblocking binomial reduce to `root`: `wait` returns the reduced
-    /// buffer at the root and an empty buffer elsewhere.
+    /// Nonblocking reduce to `root`: `wait` returns the reduced buffer at
+    /// the root and an empty buffer elsewhere. Same algorithm as
+    /// [`RawComm::reduce`].
     pub fn ireduce(
         &self,
-        buf: Vec<u8>,
+        mut buf: Vec<u8>,
         op: OwnedByteOp,
         elem_size: usize,
         root: usize,
     ) -> MpiResult<RawCollRequest> {
-        let tag = coll_tag(self.next_coll_seq());
-        self.issue(Op::Ireduce, |cx| {
-            check_reduce_args(cx, &buf, elem_size, root)?;
-            Ok(Box::new(IreduceSm::new(cx, tag, root, buf, op, elem_size)))
+        self.issue(Op::Ireduce, |_| {
+            let op = move |a: &mut [u8], r: &[u8]| op(a, r);
+            self.reduce_sm(&mut buf, op, elem_size, root, false)
         })
     }
 
-    /// Nonblocking reduce-to-all (binomial reduce to rank 0, then binomial
-    /// broadcast): `wait` returns the reduced buffer on every rank.
+    /// Nonblocking reduce-to-all: `wait` returns the reduced buffer on
+    /// every rank. Same algorithm as [`RawComm::allreduce`], except that
+    /// Rabenseifner's has no machine yet: where the blocking call would
+    /// pick it (large payloads under `Auto`), this one keeps the flat tree.
     pub fn iallreduce(
         &self,
         buf: Vec<u8>,
         op: OwnedByteOp,
         elem_size: usize,
     ) -> MpiResult<RawCollRequest> {
-        let reduce_tag = coll_tag(self.next_coll_seq());
-        let bcast_tag = coll_tag(self.next_coll_seq());
-        self.issue(Op::Iallreduce, |cx| {
-            check_reduce_args(cx, &buf, elem_size, 0)?;
-            Ok(Box::new(IallreduceSm::new(
-                cx, reduce_tag, bcast_tag, buf, op, elem_size,
-            )))
+        self.issue(Op::Iallreduce, |_| {
+            check_elems(&buf, elem_size)?;
+            let hier = match self.allreduce_algo(buf.len(), false)? {
+                AllreduceAlgo::Tree(hier) => hier,
+                AllreduceAlgo::Rabenseifner => None,
+            };
+            Ok(self.allreduce_sm(hier.as_deref(), buf, move |a, r| op(a, r), elem_size))
         })
     }
 
     /// Nonblocking allgather of equal-size blocks: `wait` returns the
-    /// rank-ordered concatenation. Bruck's algorithm (descending).
+    /// rank-ordered concatenation.
     pub fn iallgather(&self, send: Vec<u8>) -> MpiResult<RawCollRequest> {
         let counts = vec![send.len(); self.size()];
-        let tag = coll_tag(self.next_coll_seq());
         self.issue(Op::Iallgather, |cx| {
-            Ok(Box::new(IallgathervSm::start(cx, tag, send, &counts)))
+            let tag = coll_tag(self.next_coll_seq());
+            Ok(AllgathervSm::start(cx, tag, &send, counts))
         })
     }
 
     /// Variable-size counterpart of [`RawComm::iallgather`].
     pub fn iallgatherv(&self, send: Vec<u8>, recv_counts: &[usize]) -> MpiResult<RawCollRequest> {
-        let tag = coll_tag(self.next_coll_seq());
         self.issue(Op::Iallgatherv, |cx| {
-            if recv_counts.len() != cx.group.len() {
-                return Err(MpiError::InvalidCounts {
-                    what: "allgatherv recv_counts length != comm size",
-                });
-            }
-            if recv_counts[cx.rank] != send.len() {
-                return Err(MpiError::InvalidCounts {
-                    what: "allgatherv: own recv_count != send length",
-                });
-            }
-            Ok(Box::new(IallgathervSm::start(cx, tag, send, recv_counts)))
+            self.check_allgatherv_args(&send, recv_counts)?;
+            let tag = coll_tag(self.next_coll_seq());
+            Ok(AllgathervSm::start(cx, tag, &send, recv_counts.to_vec()))
         })
     }
 
     /// Nonblocking fixed-size all-to-all: `send` is `p` equal byte blocks,
     /// block `i` goes to rank `i`; `wait` returns the received blocks in
-    /// rank order. Dispatches like the blocking twin: Bruck's log-round
-    /// algorithm for small blocks, linear otherwise.
+    /// rank order. Same algorithm as [`RawComm::alltoall`].
     pub fn ialltoall(&self, send: Vec<u8>) -> MpiResult<RawCollRequest> {
-        let p = self.size();
-        if !send.len().is_multiple_of(p) {
-            // Checked before any sequence number is drawn so an erroneous
-            // call leaves the rank-synchronized tag stream untouched.
-            self.state.counters[self.my_global_rank()].record_op(Op::Ialltoall);
-            return Err(MpiError::InvalidCounts {
-                what: "alltoall send length not divisible by comm size",
-            });
-        }
-        let block = send.len() / p;
-        #[cfg(not(feature = "naive"))]
-        if p > 4 && block <= crate::coll::BRUCK_THRESHOLD_BYTES {
-            // One tag per round, reserved up front (⌈log₂ p⌉ of them).
-            let mut tags = Vec::new();
-            let mut k = 1usize;
-            while k < p {
-                tags.push(coll_tag(self.next_coll_seq()));
-                k <<= 1;
-            }
+        let (block, bruck) = self.alltoall_plan(&send)?;
+        if bruck {
             return self.issue(Op::Ialltoall, |cx| {
-                Ok(Box::new(IalltoallBruckSm::start(cx, tags, send, block)))
+                Ok(self.alltoall_bruck_sm(cx, &send, block))
             });
         }
-        let counts = vec![block; p];
+        let counts = vec![block; self.size()];
         let displs = excl_prefix_sum(&counts);
-        let tag = coll_tag(self.next_coll_seq());
         self.issue(Op::Ialltoall, |cx| {
-            Ok(Box::new(IalltoallvSm::start(
-                cx, tag, send, &counts, &displs, &counts, &displs,
-            )?))
+            let tag = coll_tag(self.next_coll_seq());
+            let layout = (&counts[..], &displs[..]);
+            AlltoallvSm::start(cx, tag, &send, layout, counts.clone(), displs.clone())
         })
     }
 
@@ -810,37 +930,30 @@ impl RawComm {
         recv_counts: &[usize],
         recv_displs: &[usize],
     ) -> MpiResult<RawCollRequest> {
-        let tag = coll_tag(self.next_coll_seq());
         self.issue(Op::Ialltoallv, |cx| {
-            Ok(Box::new(IalltoallvSm::start(
+            AlltoallvSm::start(
                 cx,
-                tag,
-                send,
-                send_counts,
-                send_displs,
-                recv_counts,
-                recv_displs,
-            )?))
+                coll_tag(self.next_coll_seq()),
+                &send,
+                (send_counts, send_displs),
+                recv_counts.to_vec(),
+                recv_displs.to_vec(),
+            )
         })
     }
 
-    /// Nonblocking barrier as the trivial case of the schedule executor: a
-    /// dissemination schedule of zero-byte envelopes. Crate-internal — the
-    /// public face is [`RawComm::ibarrier`], which wraps this in a
+    /// Nonblocking barrier. Crate-internal — the public face is
+    /// [`RawComm::ibarrier`], which wraps this in a
     /// [`crate::request::RawRequest`] for drop-in `MPI_Request` semantics.
     pub(crate) fn ibarrier_req(&self) -> MpiResult<RawCollRequest> {
-        let tag = coll_tag(self.next_coll_seq());
-        self.issue(Op::Ibarrier, |cx| Ok(Box::new(IbarrierSm::start(cx, tag))))
+        self.issue(Op::Ibarrier, |cx| {
+            Ok(BarrierSm::start(cx, coll_tag(self.next_coll_seq())))
+        })
     }
 }
 
-fn check_reduce_args(cx: &StepCx<'_>, buf: &[u8], elem_size: usize, root: usize) -> MpiResult<()> {
-    if root >= cx.group.len() {
-        return Err(MpiError::InvalidRank {
-            rank: root,
-            size: cx.group.len(),
-        });
-    }
+/// A reduction buffer must hold whole elements.
+pub(crate) fn check_elems(buf: &[u8], elem_size: usize) -> MpiResult<()> {
     if elem_size == 0 || !buf.len().is_multiple_of(elem_size) {
         return Err(MpiError::InvalidCounts {
             what: "reduce buffer not a multiple of elem_size",

@@ -1,25 +1,40 @@
-//! The collective state machines: each is the blocking algorithm from
-//! [`crate::coll`] with every blocking receive replaced by a resumable
-//! transition. Because sends are eager on every backend, the only blocking
-//! points of the originals *are* the receives — so each machine posts
-//! whatever the blocking code would have sent up to its first receive, and
-//! `step` consumes arrived envelopes and posts the follow-up sends until
-//! the next receive is dry.
+//! The collective algorithms, each written exactly once as a resumable
+//! state machine. Sends are eager on every backend, so the only blocking
+//! points of a collective are its receives: a machine posts whatever it can
+//! send up to its first receive at creation, and `step` consumes arrived
+//! envelopes and posts the follow-up sends until the next receive is dry.
+//! Blocking collectives step these machines inline on the caller's stack,
+//! nonblocking ones through the registry — see the module docs of
+//! [`crate::icoll`] for the two drivers.
 //!
 //! All machines work on bytes and communicator-local ranks; argument
-//! validation happens before construction (in the `RawComm` entry points),
-//! so constructors only stage state and post initial sends.
+//! validation that needs no algorithm knowledge happens before
+//! construction (in the `RawComm` entry points).
 
+use std::borrow::Cow;
+
+use crate::coll::{combine, excl_prefix_sum};
 use crate::error::{MpiError, MpiResult};
+use crate::hier::prev_power_of_two;
 use crate::tag::Tag;
 use crate::transport::Payload;
 
-use super::{CollSm, OwnedByteOp, StepCx};
+use super::{CollSm, StepCx};
 
-/// Dissemination barrier (the trivial schedule: ⌈log₂ p⌉ zero-byte
-/// rounds). Round `i` signals rank `r + 2^i` and waits for `r − 2^i`; all
-/// step sizes are distinct modulo `p`, so one tag serves every round.
-pub(crate) struct IbarrierSm {
+/// One rank's place in a rooted tree: its parent (`None` at the root) and
+/// its children, as communicator-local ranks. Generated only by
+/// [`crate::hier::binomial_over`] and its two-level composition.
+pub(crate) type Tree = (Option<usize>, Vec<usize>);
+
+/// Byte length of the self-describing header on a segmented broadcast's
+/// first envelope: total length and segment length, both u64 LE.
+const SEG_HDR: usize = 16;
+
+/// Dissemination barrier (⌈log₂ p⌉ zero-byte rounds). Round `i` signals
+/// rank `r + 2^i` and waits for `r − 2^i`; after the last round every rank
+/// transitively depends on every other. All step sizes are distinct modulo
+/// `p`, so one tag serves every round.
+pub(crate) struct BarrierSm {
     p: usize,
     r: usize,
     tag: Tag,
@@ -27,7 +42,7 @@ pub(crate) struct IbarrierSm {
     step: usize,
 }
 
-impl IbarrierSm {
+impl BarrierSm {
     pub(crate) fn start(cx: &StepCx<'_>, tag: Tag) -> Self {
         let (p, r) = (cx.group.len(), cx.rank);
         if p > 1 {
@@ -37,10 +52,9 @@ impl IbarrierSm {
     }
 }
 
-impl CollSm for IbarrierSm {
+impl CollSm for BarrierSm {
     fn step(&mut self, cx: &StepCx<'_>) -> MpiResult<Option<Vec<u8>>> {
-        while self.step < self.p {
-            let src = (self.r + self.p - self.step) % self.p;
+        while let Some(src) = self.awaited() {
             if cx.try_take(src, self.tag).is_none() {
                 return Ok(None);
             }
@@ -56,291 +70,373 @@ impl CollSm for IbarrierSm {
         Ok(Some(Vec::new()))
     }
 
-    fn waiting_on(&self, out: &mut Vec<usize>) {
-        if self.step < self.p {
-            out.push((self.r + self.p - self.step) % self.p);
-        }
+    fn awaited(&self) -> Option<usize> {
+        (self.step < self.p).then(|| (self.r + self.p - self.step) % self.p)
     }
 }
 
-/// Posts `data` to this node's binomial-tree children: every bit below
-/// `from_bit` that keeps `relative + bit` inside the tree. Zero-copy:
-/// every envelope clones the payload (an `Arc` for heap payloads).
-fn bcast_fan_out(
-    cx: &StepCx<'_>,
-    p: usize,
-    root: usize,
-    relative: usize,
-    from_bit: usize,
-    data: &Payload,
+/// Broadcast down a [`Tree`]. With `segment: None` the payload travels
+/// whole and zero-copy: every envelope of the fan-out aliases one shared
+/// allocation and the last holder unwraps it for free. With a segment size
+/// the root cuts it into envelopes of that many bytes (the first prefixed
+/// with a (total, segment) header, so receivers are independent of the
+/// root's setting) and every inner node relays each envelope as it
+/// arrives — tree depth adds latency once, not once per byte. The root
+/// fans out at creation and is complete immediately.
+pub(crate) struct BcastSm {
     tag: Tag,
-) {
-    let mut m = from_bit;
-    while m > 0 {
-        if relative + m < p {
-            cx.post((relative + m + root) % p, tag, data.clone());
-        }
-        m >>= 1;
-    }
+    tree: Tree,
+    segmented: bool,
+    /// Envelopes still to come from the parent; `None` until the first one
+    /// tells (segmented: through its header; whole: it is the only one).
+    left: Option<usize>,
+    /// Segmented receivers: announced total and the bytes assembled so far.
+    total: usize,
+    out: Vec<u8>,
+    /// The payload where it exists in one piece (root, whole receivers).
+    whole: Option<Payload>,
 }
 
-/// Binomial-tree broadcast. The root fans out at creation and is complete
-/// immediately; a non-root waits on its parent (the lowest set bit of its
-/// root-relative rank), then relays to its children.
-pub(crate) struct IbcastSm {
-    p: usize,
-    relative: usize,
-    root: usize,
-    tag: Tag,
-    /// Bit this node receives on (lowest set bit of `relative`); unused at
-    /// the root.
-    recv_bit: usize,
-    data: Option<Payload>,
-}
-
-impl IbcastSm {
-    pub(crate) fn start(cx: &StepCx<'_>, tag: Tag, root: usize, buf: Vec<u8>) -> Self {
-        let p = cx.group.len();
-        let relative = (cx.rank + p - root) % p;
-        if relative == 0 {
-            let mut mask = 1usize;
-            while mask < p {
-                mask <<= 1;
-            }
-            let data = Payload::from_vec(buf);
-            bcast_fan_out(cx, p, root, relative, mask >> 1, &data, tag);
-            Self {
-                p,
-                relative,
-                root,
-                tag,
-                recv_bit: 0,
-                data: Some(data),
-            }
-        } else {
-            // The non-root input buffer is dropped: `wait` returns the
-            // broadcast bytes, mirroring `bcast` overwriting `buf`.
-            Self {
-                p,
-                relative,
-                root,
-                tag,
-                recv_bit: relative & relative.wrapping_neg(),
-                data: None,
-            }
-        }
-    }
-}
-
-impl CollSm for IbcastSm {
-    fn step(&mut self, cx: &StepCx<'_>) -> MpiResult<Option<Vec<u8>>> {
-        if self.data.is_none() {
-            let parent = (self.relative - self.recv_bit + self.root) % self.p;
-            let Some(payload) = cx.try_take(parent, self.tag) else {
-                return Ok(None);
-            };
-            bcast_fan_out(
-                cx,
-                self.p,
-                self.root,
-                self.relative,
-                self.recv_bit >> 1,
-                &payload,
-                self.tag,
-            );
-            self.data = Some(payload);
-        }
-        Ok(Some(self.data.take().expect("data just set").into_vec()))
-    }
-
-    fn waiting_on(&self, out: &mut Vec<usize>) {
-        if self.data.is_none() {
-            out.push((self.relative - self.recv_bit + self.root) % self.p);
-        }
-    }
-}
-
-/// Binomial-tree reduce. Mirrors `reduce_inner`'s mask loop: while bit
-/// `mask` of the root-relative rank is clear, fold in the child at
-/// `relative + mask`; the first set bit sends the partial to the parent
-/// and finishes. Leaves therefore send on the first `step` (no receives),
-/// interior nodes fold children in ascending mask order — the same
-/// deterministic combine order as the blocking twin.
-pub(crate) struct IreduceSm {
-    p: usize,
-    relative: usize,
-    root: usize,
-    tag: Tag,
-    mask: usize,
-    elem: usize,
-    op: OwnedByteOp,
-    buf: Vec<u8>,
-    sent: bool,
-}
-
-impl IreduceSm {
-    pub(crate) fn new(
+impl BcastSm {
+    /// `seed` is the root's payload; other ranks' is ignored.
+    pub(crate) fn start(
         cx: &StepCx<'_>,
         tag: Tag,
-        root: usize,
-        buf: Vec<u8>,
-        op: OwnedByteOp,
-        elem: usize,
+        tree: Tree,
+        segment: Option<usize>,
+        seed: Payload,
     ) -> Self {
-        let p = cx.group.len();
-        Self {
-            p,
-            relative: (cx.rank + p - root) % p,
-            root,
+        let mut sm = Self {
             tag,
-            mask: 1,
-            elem,
-            op,
-            buf,
-            sent: false,
+            tree,
+            segmented: segment.is_some(),
+            left: None,
+            total: 0,
+            out: Vec::new(),
+            whole: None,
+        };
+        if sm.tree.0.is_some() {
+            return sm;
         }
+        match segment {
+            None => sm.relay(cx, &seed),
+            Some(seg) => {
+                let (data, seg) = (seed.as_slice(), seg.max(1));
+                // At least one envelope, so an empty payload still travels.
+                for i in 0..data.len().div_ceil(seg).max(1) {
+                    let part = &data[i * seg..data.len().min((i + 1) * seg)];
+                    let mut wire = Vec::with_capacity(SEG_HDR + part.len());
+                    if i == 0 {
+                        wire.extend_from_slice(&(data.len() as u64).to_le_bytes());
+                        wire.extend_from_slice(&(seg as u64).to_le_bytes());
+                    }
+                    wire.extend_from_slice(part);
+                    sm.relay(cx, &Payload::from_vec(wire));
+                }
+            }
+        }
+        sm.whole = Some(seed);
+        sm.left = Some(0);
+        sm
     }
 
-    fn actual(&self, rel: usize) -> usize {
-        (rel + self.root) % self.p
+    /// Children are listed farthest subtree first, so the longest relay
+    /// chain starts earliest.
+    fn relay(&self, cx: &StepCx<'_>, payload: &Payload) {
+        for &c in &self.tree.1 {
+            cx.post(c, self.tag, payload.clone());
+        }
     }
 }
 
-impl CollSm for IreduceSm {
+impl CollSm for BcastSm {
     fn step(&mut self, cx: &StepCx<'_>) -> MpiResult<Option<Vec<u8>>> {
-        while self.mask < self.p {
-            if self.relative & self.mask == 0 {
-                let child = self.relative + self.mask;
-                if child < self.p {
-                    let Some(part) = cx.try_take(self.actual(child), self.tag) else {
+        while let Some(parent) = self.awaited() {
+            let Some(part) = cx.try_take(parent, self.tag) else {
+                return Ok(None);
+            };
+            self.relay(cx, &part);
+            match self.left {
+                None if !self.segmented => {
+                    self.whole = Some(part);
+                    self.left = Some(0);
+                }
+                None => {
+                    let bytes = part.as_slice();
+                    if bytes.len() < SEG_HDR {
+                        return Err(MpiError::Internal("segmented bcast: truncated header"));
+                    }
+                    let word = |at: usize| {
+                        u64::from_le_bytes(bytes[at..at + 8].try_into().expect("8 bytes"))
+                    };
+                    self.total = word(0) as usize;
+                    let seg = (word(8) as usize).max(1);
+                    self.out = Vec::with_capacity(self.total);
+                    self.out.extend_from_slice(&bytes[SEG_HDR..]);
+                    self.left = Some(self.total.div_ceil(seg).max(1) - 1);
+                }
+                Some(n) => {
+                    self.out.extend_from_slice(part.as_slice());
+                    self.left = Some(n - 1);
+                }
+            }
+        }
+        match self.whole.take() {
+            Some(p) => Ok(Some(p.into_vec())),
+            None if self.out.len() == self.total => Ok(Some(std::mem::take(&mut self.out))),
+            None => Err(MpiError::Internal(
+                "segmented bcast: reassembled length mismatch",
+            )),
+        }
+    }
+
+    fn awaited(&self) -> Option<usize> {
+        self.tree.0.filter(|_| self.left != Some(0))
+    }
+}
+
+/// One step of a [`FoldSm`] schedule.
+#[derive(Clone, Copy)]
+pub(crate) enum FoldStep {
+    /// Receive the peer's buffer and fold it into mine (`mine ∘= theirs`).
+    Fold(usize),
+    /// Receive the peer's buffer in place of mine.
+    Adopt(usize),
+    /// Send the peer a copy of my buffer.
+    Share(usize),
+    /// Send the peer my buffer itself; mine is empty afterwards.
+    Give(usize),
+}
+use FoldStep::{Adopt, Fold, Give, Share};
+
+/// The reducing machine: runs a schedule of [`FoldStep`]s over one
+/// equal-length buffer per rank and completes with whatever the schedule
+/// leaves in this rank's buffer. Tree reduce and recursive doubling are
+/// schedules ([`reduce_steps`], [`recursive_doubling_steps`]), not
+/// machines of their own. Generic over the operator so the inline driver
+/// can run it over a borrowed [`crate::ByteOp`] and the registry over an
+/// owned one.
+pub(crate) struct FoldSm<F> {
+    tag: Tag,
+    steps: Vec<FoldStep>,
+    /// Index of the first step not yet run.
+    pc: usize,
+    buf: Vec<u8>,
+    op: F,
+    elem: usize,
+}
+
+impl<F: Fn(&mut [u8], &[u8])> FoldSm<F> {
+    pub(crate) fn new(tag: Tag, steps: Vec<FoldStep>, buf: Vec<u8>, op: F, elem: usize) -> Self {
+        Self {
+            tag,
+            steps,
+            pc: 0,
+            buf,
+            op,
+            elem,
+        }
+    }
+
+    /// Loads the next stage of a composite: another schedule, run over the
+    /// buffer the previous one completed with.
+    fn restart(&mut self, tag: Tag, steps: Vec<FoldStep>, buf: Vec<u8>) {
+        (self.tag, self.steps, self.pc, self.buf) = (tag, steps, 0, buf);
+    }
+}
+
+impl<F: Fn(&mut [u8], &[u8])> CollSm for FoldSm<F> {
+    fn step(&mut self, cx: &StepCx<'_>) -> MpiResult<Option<Vec<u8>>> {
+        while let Some(&step) = self.steps.get(self.pc) {
+            match step {
+                Fold(peer) | Adopt(peer) => {
+                    let Some(part) = cx.try_take(peer, self.tag) else {
                         return Ok(None);
                     };
-                    let part = part.as_slice();
-                    if part.len() != self.buf.len() {
+                    if matches!(step, Adopt(_)) {
+                        self.buf = part.into_vec();
+                    } else if part.len() != self.buf.len() {
                         return Err(MpiError::InvalidCounts {
                             what: "reduce buffers differ in length",
                         });
-                    }
-                    for (a, r) in self.buf.chunks_mut(self.elem).zip(part.chunks(self.elem)) {
-                        (self.op)(a, r);
+                    } else {
+                        combine(&mut self.buf, part.as_slice(), &self.op, self.elem);
                     }
                 }
-                self.mask <<= 1;
-            } else {
-                let parent = self.actual(self.relative - self.mask);
-                cx.post(
-                    parent,
-                    self.tag,
-                    Payload::from_vec(std::mem::take(&mut self.buf)),
-                );
-                self.sent = true;
-                return Ok(Some(Vec::new()));
+                Share(peer) => cx.post(peer, self.tag, Payload::from_slice(&self.buf)),
+                Give(peer) => {
+                    let buf = std::mem::take(&mut self.buf);
+                    cx.post(peer, self.tag, Payload::from_vec(buf));
+                }
             }
+            self.pc += 1;
         }
-        // Root: the fully-reduced buffer.
         Ok(Some(std::mem::take(&mut self.buf)))
     }
 
-    fn waiting_on(&self, out: &mut Vec<usize>) {
-        if !self.sent && self.mask < self.p && self.relative & self.mask == 0 {
-            let child = self.relative + self.mask;
-            if child < self.p {
-                out.push(self.actual(child));
-            }
+    fn awaited(&self) -> Option<usize> {
+        match self.steps.get(self.pc) {
+            Some(&(Fold(peer) | Adopt(peer))) => Some(peer),
+            _ => None,
         }
     }
 }
 
-enum AllreducePhase {
-    Reduce(IreduceSm),
-    Bcast(IbcastSm),
+/// Tree reduce as a fold schedule: fold the children in reverse list order
+/// — nearest subtree first; under a two-level tree the intra-host subtrees,
+/// listed last, before the inter-host ones — then give the partial to the
+/// parent. The combine order is therefore a deterministic function of the
+/// tree; the root completes with the reduction, every other rank empty.
+pub(crate) fn reduce_steps((parent, children): &Tree) -> Vec<FoldStep> {
+    let folds = children.iter().rev().map(|&c| Fold(c));
+    folds.chain(parent.map(Give)).collect()
 }
 
-/// Reduce-to-all: binomial reduce to rank 0 chained into a binomial
-/// broadcast, each on its own issue-time tag. A non-root's reduce phase
-/// ends as soon as its partial is sent, so it transitions to the (still
-/// pending) broadcast receive without any intermediate blocking.
-pub(crate) struct IallreduceSm {
-    phase: AllreducePhase,
+/// Recursive-doubling allreduce over an explicit member list as a fold
+/// schedule for member `my_idx`: one full-buffer exchange per ⌈log₂ n⌉
+/// round. Non-power-of-two counts take the standard fold: the first `2r`
+/// members pair up, odd members park their data with the even partner and
+/// get the result back at the end.
+pub(crate) fn recursive_doubling_steps(members: &[usize], my_idx: usize) -> Vec<FoldStep> {
+    let n = members.len();
+    let k = prev_power_of_two(n);
+    let r = n - k;
+    let paired = my_idx < 2 * r;
+    if paired && my_idx % 2 == 1 {
+        return vec![Give(members[my_idx - 1]), Adopt(members[my_idx - 1])];
+    }
+    let mut steps = Vec::new();
+    let new_idx = if paired {
+        steps.push(Fold(members[my_idx + 1]));
+        my_idx / 2
+    } else {
+        my_idx - r
+    };
+    let mut span = 1usize;
+    while span < k {
+        let j = new_idx ^ span;
+        let partner = members[if j < r { 2 * j } else { j + r }];
+        steps.extend([Share(partner), Fold(partner)]);
+        span <<= 1;
+    }
+    if paired {
+        steps.push(Share(members[my_idx + 1]));
+    }
+    steps
+}
+
+/// Reduce-to-all as a composite: a [`reduce_steps`] stage up `tree`, on
+/// hierarchical topologies a [`recursive_doubling_steps`] stage among the
+/// group leaders (`tree` is then the rank's host-group tree), and a
+/// [`BcastSm`] back down the same tree, each on its own issue-time tag. A
+/// non-root's reduce stage ends as soon as its partial is given away, so it
+/// moves on to the (still pending) broadcast receive without blocking.
+pub(crate) struct AllreduceSm<F> {
+    fold: FoldSm<F>,
+    /// Group leaders only: the exchange still to run after the reduce.
+    leader: Option<(Tag, Vec<FoldStep>)>,
     bcast_tag: Tag,
+    tree: Tree,
+    segment: Option<usize>,
+    bcast: Option<BcastSm>,
 }
 
-impl IallreduceSm {
+impl<F: Fn(&mut [u8], &[u8])> AllreduceSm<F> {
+    /// `fold` is the reduce stage, already loaded with this rank's buffer.
     pub(crate) fn new(
-        cx: &StepCx<'_>,
-        reduce_tag: Tag,
+        fold: FoldSm<F>,
+        leader: Option<(Tag, Vec<FoldStep>)>,
         bcast_tag: Tag,
-        buf: Vec<u8>,
-        op: OwnedByteOp,
-        elem: usize,
+        tree: Tree,
+        segment: Option<usize>,
     ) -> Self {
         Self {
-            phase: AllreducePhase::Reduce(IreduceSm::new(cx, reduce_tag, 0, buf, op, elem)),
+            fold,
+            leader,
             bcast_tag,
+            tree,
+            segment,
+            bcast: None,
         }
     }
 }
 
-impl CollSm for IallreduceSm {
+impl<F: Fn(&mut [u8], &[u8])> CollSm for AllreduceSm<F> {
     fn step(&mut self, cx: &StepCx<'_>) -> MpiResult<Option<Vec<u8>>> {
         loop {
-            match &mut self.phase {
-                AllreducePhase::Reduce(r) => {
-                    let Some(reduced) = r.step(cx)? else {
-                        return Ok(None);
-                    };
-                    // Rank 0 seeds the broadcast with the reduction result;
-                    // everyone else enters it as a plain receiver.
-                    self.phase =
-                        AllreducePhase::Bcast(IbcastSm::start(cx, self.bcast_tag, 0, reduced));
+            if let Some(bcast) = &mut self.bcast {
+                return bcast.step(cx);
+            }
+            let Some(buf) = self.fold.step(cx)? else {
+                return Ok(None);
+            };
+            match self.leader.take() {
+                Some((tag, steps)) => self.fold.restart(tag, steps, buf),
+                // The tree's root seeds the broadcast with the result;
+                // everyone else enters it as a plain receiver.
+                None => {
+                    let tree = std::mem::take(&mut self.tree);
+                    let seed = Payload::from_vec(buf);
+                    self.bcast = Some(BcastSm::start(cx, self.bcast_tag, tree, self.segment, seed));
                 }
-                AllreducePhase::Bcast(b) => return b.step(cx),
             }
         }
     }
 
-    fn waiting_on(&self, out: &mut Vec<usize>) {
-        match &self.phase {
-            AllreducePhase::Reduce(r) => r.waiting_on(out),
-            AllreducePhase::Bcast(b) => b.waiting_on(out),
+    fn awaited(&self) -> Option<usize> {
+        match &self.bcast {
+            Some(bcast) => bcast.awaited(),
+            None => self.fold.awaited(),
         }
     }
 }
 
-/// Bruck's allgatherv (descending orientation), one tag for all rounds:
-/// in each round send the newest `m = min(cur, p − cur)` blocks to
-/// `r + cur` and place the `m` blocks arriving from `r − cur` straight
-/// into the output; `cur += m` until all `p` blocks are present.
-pub(crate) struct IallgathervSm {
+/// Bruck's allgatherv (any `p`, ⌈log₂ p⌉ messages per rank), descending
+/// orientation, one tag for all rounds: rank `r` accumulates the cyclic
+/// block run `r, r−1, …` — in each round it sends its newest
+/// `m = min(cur, p − cur)` blocks to `r + cur` and places the `m` blocks
+/// arriving from `r − cur` straight into the output; `cur += m` until all
+/// `p` blocks are present.
+///
+/// Receiving from *lower* ranks matters when rank-threads share cores: a
+/// round-robin scheduler tends to run low ranks first, so the data a rank
+/// waits for has usually arrived. Blocks are cyclically contiguous in rank
+/// order, so they move with at most two `memcpy`s per round — no final
+/// rotation.
+pub(crate) struct AllgathervSm<'a> {
     p: usize,
     r: usize,
     tag: Tag,
-    counts: Vec<usize>,
+    counts: Cow<'a, [usize]>,
     displs: Vec<usize>,
-    total: usize,
     out: Vec<u8>,
     cur: usize,
 }
 
-impl IallgathervSm {
-    pub(crate) fn start(cx: &StepCx<'_>, tag: Tag, send: Vec<u8>, recv_counts: &[usize]) -> Self {
-        let p = cx.group.len();
+impl<'a> AllgathervSm<'a> {
+    /// `recv_counts` has one entry per rank and `send` this rank's length
+    /// (checked by the callers).
+    pub(crate) fn start(
+        cx: &StepCx<'_>,
+        tag: Tag,
+        send: &[u8],
+        recv_counts: impl Into<Cow<'a, [usize]>>,
+    ) -> Self {
+        let counts = recv_counts.into();
+        let displs = excl_prefix_sum(&counts);
         let r = cx.rank;
-        let displs = crate::coll::excl_prefix_sum(recv_counts);
-        let total: usize = recv_counts.iter().sum();
-        let mut out = vec![0u8; total];
-        out[displs[r]..displs[r] + send.len()].copy_from_slice(&send);
+        let mut out = vec![0u8; counts.iter().sum()];
+        out[displs[r]..displs[r] + send.len()].copy_from_slice(send);
         let sm = Self {
-            p,
+            p: cx.group.len(),
             r,
             tag,
-            counts: recv_counts.to_vec(),
+            counts,
             displs,
-            total,
             out,
             cur: 1,
         };
-        if p > 1 {
+        if sm.p > 1 {
             sm.post_round(cx);
         }
         sm
@@ -349,15 +445,11 @@ impl IallgathervSm {
     /// Byte range of the cyclic ascending run of `m` blocks starting at
     /// rank `a`: one contiguous range, or two if it wraps past rank p−1.
     fn ranges(&self, a: usize, m: usize) -> (std::ops::Range<usize>, std::ops::Range<usize>) {
+        let end = |rank: usize| self.displs[rank] + self.counts[rank];
         if a + m <= self.p {
-            let hi = a + m - 1;
-            (self.displs[a]..self.displs[hi] + self.counts[hi], 0..0)
+            (self.displs[a]..end(a + m - 1), 0..0)
         } else {
-            let wrap = a + m - self.p; // blocks 0..wrap
-            (
-                self.displs[a]..self.total,
-                0..self.displs[wrap - 1] + self.counts[wrap - 1],
-            )
+            (self.displs[a]..self.out.len(), 0..end(a + m - self.p - 1))
         }
     }
 
@@ -373,16 +465,15 @@ impl IallgathervSm {
     }
 }
 
-impl CollSm for IallgathervSm {
+impl CollSm for AllgathervSm<'_> {
     fn step(&mut self, cx: &StepCx<'_>) -> MpiResult<Option<Vec<u8>>> {
-        while self.cur < self.p {
-            let m = self.cur.min(self.p - self.cur);
-            let src = (self.r + self.p - self.cur) % self.p;
+        while let Some(src) = self.awaited() {
             let Some(incoming) = cx.try_take(src, self.tag) else {
                 return Ok(None);
             };
             let incoming = incoming.as_slice();
             // Incoming: ranks src−m+1 ..= src, placed straight into `out`.
+            let m = self.cur.min(self.p - self.cur);
             let (r1, r2) = self.ranges((src + self.p - m + 1) % self.p, m);
             if incoming.len() != r1.len() + r2.len() {
                 return Err(MpiError::InvalidCounts {
@@ -400,32 +491,38 @@ impl CollSm for IallgathervSm {
         Ok(Some(std::mem::take(&mut self.out)))
     }
 
-    fn waiting_on(&self, out: &mut Vec<usize>) {
-        if self.cur < self.p {
-            out.push((self.r + self.p - self.cur) % self.p);
-        }
+    fn awaited(&self) -> Option<usize> {
+        (self.cur < self.p).then(|| (self.r + self.p - self.cur) % self.p)
     }
 }
 
-/// Bruck's all-to-all for small fixed-size blocks: local rotation at
-/// creation, then ⌈log₂ p⌉ combined exchanges (round `k` forwards every
-/// slot whose index has bit `k` set), inverse rotation at completion. One
+/// Bruck's all-to-all (1997) for small fixed-size blocks: ⌈log₂ p⌉
+/// combined messages per rank instead of p − 1 direct ones. Invariant: the
+/// block that starts in slot `j` of rank `s` (destined to rank `s + j`) is
+/// forwarded exactly on the rounds matching the set bits of `j`, always
+/// staying in slot `j`; the bit values sum to `j`, so it lands at its
+/// destination — which therefore finds the block *from* rank `me − j` in
+/// slot `j`.
+///
+/// The slot set exchanged in round `k` (ascending `j` with bit `k` set) is
+/// identical on every rank, so the wire is the bare block concatenation —
+/// no per-block headers — and the slots live in one flat buffer. One
 /// issue-time tag per round keeps concurrent schedules collision-free.
-pub(crate) struct IalltoallBruckSm {
+pub(crate) struct AlltoallBruckSm {
     p: usize,
     me: usize,
     block: usize,
     tags: Vec<Tag>,
     round: usize,
-    k: usize,
     slots: Vec<u8>,
 }
 
-impl IalltoallBruckSm {
-    pub(crate) fn start(cx: &StepCx<'_>, tags: Vec<Tag>, send: Vec<u8>, block: usize) -> Self {
+impl AlltoallBruckSm {
+    /// `tags` holds one tag per round (⌈log₂ p⌉ of them).
+    pub(crate) fn start(cx: &StepCx<'_>, tags: Vec<Tag>, send: &[u8], block: usize) -> Self {
         let p = cx.group.len();
         let me = cx.rank;
-        // Phase 1 — local rotation: slot j holds the block for (me + j) % p.
+        // Local rotation: slot j holds the block for (me + j) % p.
         let mut slots = vec![0u8; p * block];
         for j in 0..p {
             let dest = (me + j) % p;
@@ -438,54 +535,52 @@ impl IalltoallBruckSm {
             block,
             tags,
             round: 0,
-            k: 1,
             slots,
         };
-        if sm.k < p {
+        if p > 1 {
             sm.post_round(cx);
         }
         sm
     }
 
+    /// Slots travelling in the current round, ascending.
+    fn moving(&self) -> impl Iterator<Item = usize> {
+        let k = 1usize << self.round;
+        (0..self.p).filter(move |j| j & k != 0)
+    }
+
     fn post_round(&self, cx: &StepCx<'_>) {
-        let (k, p, block) = (self.k, self.p, self.block);
-        let dest = (self.me + k) % p;
-        let moved = (0..p).filter(|j| j & k != 0).count();
-        let mut wire = Vec::with_capacity(moved * block);
-        for j in (0..p).filter(|j| j & k != 0) {
-            wire.extend_from_slice(&self.slots[j * block..(j + 1) * block]);
+        let dest = (self.me + (1 << self.round)) % self.p;
+        let mut wire = Vec::with_capacity(self.moving().count() * self.block);
+        for j in self.moving() {
+            wire.extend_from_slice(&self.slots[j * self.block..(j + 1) * self.block]);
         }
         cx.post(dest, self.tags[self.round], Payload::from_vec(wire));
     }
 }
 
-impl CollSm for IalltoallBruckSm {
+impl CollSm for AlltoallBruckSm {
     fn step(&mut self, cx: &StepCx<'_>) -> MpiResult<Option<Vec<u8>>> {
         let (p, block) = (self.p, self.block);
-        while self.k < p {
-            let k = self.k;
-            let src = (self.me + p - k) % p;
+        while let Some(src) = self.awaited() {
             let Some(incoming) = cx.try_take(src, self.tags[self.round]) else {
                 return Ok(None);
             };
             let incoming = incoming.as_slice();
-            let moved = (0..p).filter(|j| j & k != 0).count();
-            if incoming.len() != moved * block {
+            if incoming.len() != self.moving().count() * block {
                 return Err(MpiError::Internal("bruck: malformed round payload"));
             }
             // Received blocks replace the same slots, in the same order.
-            for (i, j) in (0..p).filter(|j| j & k != 0).enumerate() {
+            for (i, j) in self.moving().enumerate() {
                 self.slots[j * block..(j + 1) * block]
                     .copy_from_slice(&incoming[i * block..(i + 1) * block]);
             }
-            self.k <<= 1;
             self.round += 1;
-            if self.k < p {
+            if 1 << self.round < p {
                 self.post_round(cx);
             }
         }
-        // Phase 3 — inverse rotation: slot j holds the block from
-        // (me − j) % p.
+        // Inverse rotation: slot j holds the block from (me − j) % p.
         let mut out = vec![0u8; p * block];
         for j in 0..p {
             let src = (self.me + p - j) % p;
@@ -495,37 +590,38 @@ impl CollSm for IalltoallBruckSm {
         Ok(Some(out))
     }
 
-    fn waiting_on(&self, out: &mut Vec<usize>) {
-        if self.k < self.p {
-            out.push((self.me + self.p - self.k) % self.p);
-        }
+    fn awaited(&self) -> Option<usize> {
+        let k = 1usize << self.round;
+        (k < self.p).then(|| (self.me + self.p - k) % self.p)
     }
 }
 
-/// Linear variable all-to-all: *all* outgoing blocks (including empty
-/// ones) are posted at creation — the whole send side is nonblocking — and
-/// `step` collects whichever peers' blocks have arrived, in any order.
-pub(crate) struct IalltoallvSm {
+/// Linear variable all-to-all, the full `MPI_Alltoallv` surface: *all*
+/// outgoing blocks (including empty ones — the linear startup cost the
+/// sparse/grid exchanges exist to avoid) are posted at creation, then the
+/// peers' blocks are collected in rank order.
+pub(crate) struct AlltoallvSm<'a> {
+    me: usize,
     tag: Tag,
-    recv_counts: Vec<usize>,
-    recv_displs: Vec<usize>,
+    recv_counts: Cow<'a, [usize]>,
+    recv_displs: Cow<'a, [usize]>,
     out: Vec<u8>,
-    /// Source ranks whose block has not arrived yet.
-    outstanding: Vec<usize>,
+    /// Lowest source rank whose block has not been placed yet.
+    next: usize,
 }
 
-impl IalltoallvSm {
+impl<'a> AlltoallvSm<'a> {
     pub(crate) fn start(
         cx: &StepCx<'_>,
         tag: Tag,
-        send: Vec<u8>,
-        send_counts: &[usize],
-        send_displs: &[usize],
-        recv_counts: &[usize],
-        recv_displs: &[usize],
+        send: &[u8],
+        (send_counts, send_displs): (&[usize], &[usize]),
+        recv_counts: impl Into<Cow<'a, [usize]>>,
+        recv_displs: impl Into<Cow<'a, [usize]>>,
     ) -> MpiResult<Self> {
+        let (recv_counts, recv_displs) = (recv_counts.into(), recv_displs.into());
         let p = cx.group.len();
-        let r = cx.rank;
+        let me = cx.rank;
         let check_len = |v: &[usize], what: &'static str| {
             if v.len() != p {
                 return Err(MpiError::InvalidCounts { what });
@@ -534,80 +630,58 @@ impl IalltoallvSm {
         };
         check_len(send_counts, "alltoallv send_counts length != comm size")?;
         check_len(send_displs, "alltoallv send_displs length != comm size")?;
-        check_len(recv_counts, "alltoallv recv_counts length != comm size")?;
-        check_len(recv_displs, "alltoallv recv_displs length != comm size")?;
-        for dest in 0..p {
-            let (c, d) = (send_counts[dest], send_displs[dest]);
-            if d + c > send.len() {
-                return Err(MpiError::InvalidCounts {
-                    what: "alltoallv send block out of bounds",
-                });
-            }
+        check_len(&recv_counts, "alltoallv recv_counts length != comm size")?;
+        check_len(&recv_displs, "alltoallv recv_displs length != comm size")?;
+        if (0..p).any(|dest| send_displs[dest] + send_counts[dest] > send.len()) {
+            return Err(MpiError::InvalidCounts {
+                what: "alltoallv send block out of bounds",
+            });
         }
-        let total: usize = recv_counts
-            .iter()
-            .zip(recv_displs)
-            .map(|(&c, &d)| d + c)
-            .max()
-            .unwrap_or(0);
-        let mut out = vec![0u8; total];
-        // Copy the self block locally ...
-        {
-            let (sc, sd) = (send_counts[r], send_displs[r]);
-            let (rc, rd) = (recv_counts[r], recv_displs[r]);
-            if sc != rc {
-                return Err(MpiError::InvalidCounts {
-                    what: "alltoallv self send/recv count mismatch",
-                });
-            }
-            out[rd..rd + rc].copy_from_slice(&send[sd..sd + sc]);
+        if send_counts[me] != recv_counts[me] {
+            return Err(MpiError::InvalidCounts {
+                what: "alltoallv self send/recv count mismatch",
+            });
         }
-        // ... and post every outgoing block (including empty ones).
+        let total = (0..p).map(|s| recv_displs[s] + recv_counts[s]).max();
+        let mut out = vec![0u8; total.unwrap_or(0)];
         for dest in 0..p {
-            if dest == r {
-                continue;
+            let block = &send[send_displs[dest]..send_displs[dest] + send_counts[dest]];
+            if dest == me {
+                out[recv_displs[me]..recv_displs[me] + block.len()].copy_from_slice(block);
+            } else {
+                cx.post(dest, tag, Payload::from_slice(block));
             }
-            let (c, d) = (send_counts[dest], send_displs[dest]);
-            cx.post(dest, tag, Payload::from_slice(&send[d..d + c]));
         }
         Ok(Self {
+            me,
             tag,
-            recv_counts: recv_counts.to_vec(),
-            recv_displs: recv_displs.to_vec(),
+            recv_counts,
+            recv_displs,
             out,
-            outstanding: (0..p).filter(|&s| s != r).collect(),
+            next: if me == 0 { 1 } else { 0 },
         })
     }
 }
 
-impl CollSm for IalltoallvSm {
+impl CollSm for AlltoallvSm<'_> {
     fn step(&mut self, cx: &StepCx<'_>) -> MpiResult<Option<Vec<u8>>> {
-        let mut i = 0;
-        while i < self.outstanding.len() {
-            let src = self.outstanding[i];
-            match cx.try_take(src, self.tag) {
-                None => i += 1,
-                Some(part) => {
-                    let part = part.as_slice();
-                    let (c, d) = (self.recv_counts[src], self.recv_displs[src]);
-                    if part.len() != c {
-                        return Err(MpiError::InvalidCounts {
-                            what: "alltoallv: message length != recv_count",
-                        });
-                    }
-                    self.out[d..d + c].copy_from_slice(part);
-                    self.outstanding.swap_remove(i);
-                }
+        while let Some(src) = self.awaited() {
+            let Some(part) = cx.try_take(src, self.tag) else {
+                return Ok(None);
+            };
+            let (c, d) = (self.recv_counts[src], self.recv_displs[src]);
+            if part.len() != c {
+                return Err(MpiError::InvalidCounts {
+                    what: "alltoallv: message length != recv_count",
+                });
             }
+            self.out[d..d + c].copy_from_slice(part.as_slice());
+            self.next += 1 + usize::from(src + 1 == self.me);
         }
-        if self.outstanding.is_empty() {
-            Ok(Some(std::mem::take(&mut self.out)))
-        } else {
-            Ok(None)
-        }
+        Ok(Some(std::mem::take(&mut self.out)))
     }
 
-    fn waiting_on(&self, out: &mut Vec<usize>) {
-        out.extend_from_slice(&self.outstanding);
+    fn awaited(&self) -> Option<usize> {
+        (self.next < self.recv_counts.len()).then_some(self.next)
     }
 }

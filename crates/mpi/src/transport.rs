@@ -690,7 +690,21 @@ impl Mailbox {
                 return Ok(hit);
             }
             if let Some(err) = interrupt() {
-                return Err(err);
+                // A peer that deposits its last envelope and then finishes
+                // (or dies) between the attempt above and this check is
+                // reported gone although its message is in the lane. Marks
+                // are applied after the deposits they follow, so one more
+                // attempt tells the two cases apart. That attempt may also
+                // move a multi-receive wait (a collective machine) on to
+                // another peer without completing it; the fault is final
+                // only if it is still the verdict afterwards.
+                if let Some(hit) = attempt(self) {
+                    return Ok(hit);
+                }
+                if interrupt().as_ref() == Some(&err) {
+                    return Err(err);
+                }
+                continue;
             }
             // The deadline is checked after one final match/interrupt pass,
             // so an envelope racing the deadline is still delivered.
@@ -1072,6 +1086,56 @@ mod tests {
             .take_blocking(key, &|| Some(MpiError::ProcFailed { rank: 2 }))
             .unwrap_err();
         assert_eq!(err, MpiError::ProcFailed { rank: 2 });
+    }
+
+    #[test]
+    fn envelope_deposited_before_the_interrupt_fires_is_delivered() {
+        // The finish-vs-interrupt race, forced: the envelope lands after
+        // the parked loop's attempt and before its interrupt check, and
+        // the interrupt then reports the sender gone — exactly what a peer
+        // that posts its last message and returns looks like.
+        let mb = mailbox(2);
+        let key = MatchKey {
+            src: 1,
+            tag: 4,
+            ctx: 0,
+        };
+        let interrupt = || {
+            mb.post(env(1, 4, 0, b"last words"));
+            Some(MpiError::ProcFailed { rank: 1 })
+        };
+        let d = mb.take_blocking(key, &interrupt).unwrap();
+        assert_eq!(d.payload.as_slice(), b"last words");
+    }
+
+    #[test]
+    fn fault_verdict_must_survive_the_reattempt() {
+        // A two-receive wait (what a collective machine is): the re-attempt
+        // after source 1's fault takes source 1's envelope and moves on to
+        // source 2 without completing. The stale verdict about source 1
+        // must not end the wait.
+        let mb = mailbox(3);
+        let key = |src| MatchKey {
+            src,
+            tag: 4,
+            ctx: 0,
+        };
+        let next = std::cell::Cell::new(1);
+        let attempt = |mb: &Mailbox| {
+            while next.get() < 3 {
+                mb.try_take(key(next.get()))?;
+                next.set(next.get() + 1);
+            }
+            Some(())
+        };
+        let asked = std::cell::Cell::new(0);
+        let interrupt = || {
+            asked.set(asked.get() + 1);
+            mb.post(env(asked.get(), 4, 0, b""));
+            (asked.get() == 1).then_some(MpiError::ProcFailed { rank: 1 })
+        };
+        mb.wait_until(&interrupt, None, attempt).unwrap();
+        assert_eq!(asked.get(), 2);
     }
 
     #[test]

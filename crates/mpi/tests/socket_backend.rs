@@ -25,10 +25,12 @@
 //! 3. `issend` completes exactly on match (wire acks), or errors when the
 //!    destination is gone;
 //! 4. collectives (blocking and — this PR — the nonblocking engine:
-//!    equivalence against the blocking twins, chaos seeds surfacing typed
+//!    equivalence against the blocking names, chaos seeds surfacing typed
 //!    `Timeout`/`ProcFailed` instead of hangs), non-blocking barriers,
 //!    revocation and rank-death recovery (a child killed mid-job surfaces
 //!    as `ProcFailed` and the survivors shrink and continue).
+
+mod oracle;
 
 use std::time::Duration;
 
@@ -554,7 +556,7 @@ fn case_chaos_kill(comm: &RawComm) {
 /// collectives at p=32 across a mixed topology — two 16-rank "hosts"
 /// joined by sockets, rings inside each. The topology must be discovered
 /// from transport locality (not configured), and broadcast / allreduce /
-/// reduce must produce the same bytes as the flat naive twins on the same
+/// reduce must produce the same bytes as the linear oracle on the same
 /// communicator.
 fn case_hier_collectives(comm: &RawComm) {
     let p = comm.size();
@@ -586,11 +588,10 @@ fn case_hier_collectives(comm: &RawComm) {
     if comm.rank() == p / 2 {
         assert_eq!(u64::from_le_bytes(acc.try_into().unwrap()), n * (n + 1) / 2);
     }
-    // The naive twins interleave on the same communicator without
-    // desynchronizing the collective sequence.
+    // The linear oracle interleaves on the same communicator and agrees.
     let mut flat = (comm.rank() as u64).to_le_bytes().to_vec();
-    comm.reduce_naive(&mut flat, &byte_sum, 8, 0).unwrap();
-    comm.bcast_naive(&mut flat, 0).unwrap();
+    oracle::reduce(comm, &mut flat, &byte_sum, 8, 0);
+    oracle::bcast(comm, &mut flat, 0);
     assert_eq!(
         u64::from_le_bytes(flat.try_into().unwrap()),
         n * (n - 1) / 2
@@ -1248,11 +1249,8 @@ fn mixed_backend_hierarchical_collectives_p32() {
 /// Chaos kill of a group leader mid two-level allreduce: every survivor
 /// surfaces a typed failure instead of hanging.
 ///
-/// The kill budget counts the victim's posts under the *logarithmic*
-/// schedules (topology-build Bruck + leader exchange); the `naive`
-/// feature swaps in linear algorithms with different message counts, so
-/// the arithmetic only holds on the default dispatch.
-#[cfg(not(feature = "naive"))]
+/// The kill budget counts the victim's posts under the topology-build
+/// Bruck allgather and the leader exchange.
 #[test]
 fn mixed_backend_hier_leader_death_fails_allreduce() {
     let exits = run_job_full(
@@ -1283,8 +1281,7 @@ fn mixed_backend_hier_leader_death_fails_allreduce() {
 /// member gets `ProcFailed` once its peers finish; nobody hangs.
 ///
 /// Like the leader-kill case, the sever offset is pinned to the
-/// logarithmic schedules' message counts — skipped under `naive`.
-#[cfg(not(feature = "naive"))]
+/// schedules' message counts.
 #[test]
 fn mixed_backend_hier_severed_bcast_link_fails_starved_member() {
     let exits = run_job_full(
