@@ -3,209 +3,39 @@
 //! The KaMPIng library ships a measurement component used throughout its
 //! example studies (the running-time plots of §IV are produced with it):
 //! named timers accumulated locally and *aggregated over the communicator*
-//! (min / max / mean / gather) at evaluation points. This is its Rust
-//! counterpart, deliberately simple: start/stop named stopwatches, then
-//! aggregate collectively.
+//! (min / max / mean / gather) at evaluation points. The implementation is
+//! the substrate's hierarchical [`TimerTree`]; this module re-exports it
+//! for the typed layer.
 //!
 //! ```
-//! use kamping::measurements::Timer;
+//! use kamping::measurements::{aggregate, TimerTree};
 //!
 //! kamping::run(4, |comm| {
-//!     let mut t = Timer::new();
+//!     let mut t = TimerTree::new();
 //!     t.start("compute");
 //!     let mut acc = 0u64;
 //!     for i in 0..1000 * (comm.rank() as u64 + 1) {
 //!         acc = acc.wrapping_add(i);
 //!     }
 //!     std::hint::black_box(acc);
-//!     t.stop("compute");
-//!     let agg = t.aggregate(&comm).unwrap();
-//!     let row = &agg["compute"];
+//!     t.stop();
+//!     let agg = aggregate(&t, &comm).unwrap();
+//!     let row = &agg.root.children[0].measurements[0];
+//!     assert_eq!(agg.root.children[0].name, "compute");
 //!     assert!(row.max >= row.min);
 //!     assert_eq!(row.per_rank.len(), 4);
 //! });
 //! ```
 
-use std::collections::BTreeMap;
-use std::time::{Duration, Instant};
+pub use kamping_mpi::measurements::{AggNode, Aggregate, TimerTree, TreeAggregate};
 
 use crate::communicator::Communicator;
-use crate::error::{KResult, KampingError};
+use crate::error::KResult;
 
-/// Accumulated measurements of one named region on all ranks.
-#[derive(Debug, Clone, PartialEq)]
-pub struct Aggregate {
-    /// Fastest rank's accumulated seconds.
-    pub min: f64,
-    /// Slowest rank's accumulated seconds.
-    pub max: f64,
-    /// Mean accumulated seconds over ranks.
-    pub mean: f64,
-    /// Every rank's accumulated seconds, by rank.
-    pub per_rank: Vec<f64>,
-}
-
-/// A set of named, restartable stopwatches local to one rank.
-#[derive(Debug, Default)]
-pub struct Timer {
-    accumulated: BTreeMap<String, Duration>,
-    running: BTreeMap<String, Instant>,
-}
-
-impl Timer {
-    /// Creates an empty timer set.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Starts (or resumes) the named stopwatch.
-    ///
-    /// # Panics
-    /// Panics if the stopwatch is already running (a measurement bug).
-    pub fn start(&mut self, name: &str) {
-        let prev = self.running.insert(name.to_string(), Instant::now());
-        assert!(prev.is_none(), "timer '{name}' started twice");
-    }
-
-    /// Stops the named stopwatch, accumulating the elapsed time.
-    ///
-    /// # Panics
-    /// Panics if the stopwatch is not running.
-    pub fn stop(&mut self, name: &str) {
-        let started = self
-            .running
-            .remove(name)
-            .unwrap_or_else(|| panic!("timer '{name}' not running"));
-        *self.accumulated.entry(name.to_string()).or_default() += started.elapsed();
-    }
-
-    /// Accumulated time of one stopwatch (zero if never stopped).
-    pub fn elapsed(&self, name: &str) -> Duration {
-        self.accumulated.get(name).copied().unwrap_or_default()
-    }
-
-    /// Times a closure under `name` and returns its value.
-    pub fn time<R>(&mut self, name: &str, f: impl FnOnce() -> R) -> R {
-        self.start(name);
-        let out = f();
-        self.stop(name);
-        out
-    }
-
-    /// Collectively aggregates every stopwatch over the communicator.
-    ///
-    /// All ranks must call this with the same set of stopwatch names in
-    /// the same state (the usual collective contract); the result maps
-    /// each name to its cross-rank statistics, identical on every rank.
-    pub fn aggregate(&self, comm: &Communicator) -> KResult<BTreeMap<String, Aggregate>> {
-        // Agree on the name set (sorted — BTreeMap iteration order).
-        let names: Vec<String> = self.accumulated.keys().cloned().collect();
-        let mine: Vec<f64> = names
-            .iter()
-            .map(|n| self.elapsed(n).as_secs_f64())
-            .collect();
-        // Sanity: all ranks must time the same regions.
-        let my_count = names.len();
-        let max_count = comm.allreduce_single(my_count as u64, |a, b| a.max(b))?;
-        if max_count != my_count as u64 {
-            return Err(KampingError::InvalidArgument(
-                "Timer::aggregate: ranks timed different region sets",
-            ));
-        }
-        let all = comm.allgather_vec(&mine)?;
-        let p = comm.size();
-        let mut out = BTreeMap::new();
-        for (k, name) in names.into_iter().enumerate() {
-            let per_rank: Vec<f64> = (0..p).map(|r| all[r * my_count + k]).collect();
-            let min = per_rank.iter().copied().fold(f64::INFINITY, f64::min);
-            let max = per_rank.iter().copied().fold(0.0f64, f64::max);
-            let mean = per_rank.iter().sum::<f64>() / p as f64;
-            out.insert(
-                name,
-                Aggregate {
-                    min,
-                    max,
-                    mean,
-                    per_rank,
-                },
-            );
-        }
-        Ok(out)
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn start_stop_accumulates() {
-        let mut t = Timer::new();
-        t.start("a");
-        std::thread::sleep(Duration::from_millis(2));
-        t.stop("a");
-        let first = t.elapsed("a");
-        assert!(first >= Duration::from_millis(2));
-        t.start("a");
-        t.stop("a");
-        assert!(t.elapsed("a") >= first);
-        assert_eq!(t.elapsed("never"), Duration::ZERO);
-    }
-
-    #[test]
-    #[should_panic(expected = "started twice")]
-    fn double_start_panics() {
-        let mut t = Timer::new();
-        t.start("x");
-        t.start("x");
-    }
-
-    #[test]
-    #[should_panic(expected = "not running")]
-    fn stop_without_start_panics() {
-        let mut t = Timer::new();
-        t.stop("x");
-    }
-
-    #[test]
-    fn time_closure_returns_value() {
-        let mut t = Timer::new();
-        let v = t.time("f", || 41 + 1);
-        assert_eq!(v, 42);
-        assert!(t.elapsed("f") > Duration::ZERO);
-    }
-
-    #[test]
-    fn aggregate_is_consistent_across_ranks() {
-        crate::run(3, |comm| {
-            let mut t = Timer::new();
-            t.time("work", || {
-                std::thread::sleep(Duration::from_millis(1 + comm.rank() as u64))
-            });
-            t.time("idle", || ());
-            let agg = t.aggregate(&comm).unwrap();
-            assert_eq!(agg.len(), 2);
-            let w = &agg["work"];
-            assert!(w.min <= w.mean && w.mean <= w.max);
-            assert_eq!(w.per_rank.len(), 3);
-            // identical on every rank
-            let sig = (w.max * 1e9) as u64;
-            let sigs = comm.allgather_single(sig).unwrap();
-            assert!(sigs.iter().all(|&s| s == sigs[0]));
-        });
-    }
-
-    #[test]
-    fn mismatched_region_sets_detected() {
-        crate::run(2, |comm| {
-            let mut t = Timer::new();
-            if comm.rank() == 0 {
-                t.time("only-on-rank0", || ());
-            }
-            let r = t.aggregate(&comm);
-            if comm.rank() == 1 {
-                assert!(r.is_err());
-            }
-        });
-    }
+/// Collectively aggregates `tree` over the communicator
+/// ([`TimerTree::aggregate`] on the underlying raw communicator): every
+/// rank must call it with an identically-shaped tree; the result is
+/// identical on every rank.
+pub fn aggregate(tree: &TimerTree, comm: &Communicator) -> KResult<TreeAggregate> {
+    Ok(tree.aggregate(comm.raw())?)
 }

@@ -30,8 +30,8 @@
 //! assert "under seed 7, rank 2's third message to rank 0 is dropped"
 //! instead of hoping a race shows up.
 //!
-//! Activation: `KAMPING_CHAOS=<seed>:<spec>` in the environment (parsed by
-//! [`ChaosSpec::from_env`], applied by [`crate::Universe::run`]), or
+//! Activation: `KAMPING_CHAOS=<seed>:<spec>` in the environment (parsed
+//! into [`crate::Config::chaos`], applied by [`crate::Universe::run`]), or
 //! programmatically via [`crate::Universe::run_with_chaos`]. The spec is a
 //! comma-separated directive list, e.g.
 //! `KAMPING_CHAOS=7:drop=20,delay=30@2,kill=2@40`. See
@@ -44,6 +44,7 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use crate::error::{MpiError, MpiResult};
+use crate::metrics::Counter;
 use crate::trace::{EventKind, TraceCtx};
 use crate::transport::{ControlMsg, ControlSink, Envelope, Mailbox, Transport};
 
@@ -184,16 +185,6 @@ impl ChaosSpec {
             }
         }
         Ok(spec)
-    }
-
-    /// Reads `KAMPING_CHAOS` from the environment: `Ok(None)` when unset
-    /// or empty, a typed [`MpiError::Config`] when malformed.
-    pub fn from_env() -> MpiResult<Option<Self>> {
-        match std::env::var("KAMPING_CHAOS") {
-            Ok(v) if v.is_empty() => Ok(None),
-            Ok(v) => Self::parse(&v).map(Some),
-            Err(_) => Ok(None),
-        }
     }
 }
 
@@ -430,30 +421,24 @@ impl ChaosTransport {
 
     /// Records one injected fault as a trace event and a metrics counter
     /// (no-op when both are off or no context is bound). The counter lands
-    /// on the *victim* rank's registry — the side whose traffic is being
+    /// on the *victim* rank's block — the side whose traffic is being
     /// mangled is the one a dashboard reader will be staring at.
     fn trace_fault(&self, src: usize, dst: usize, fault: &'static str) {
-        if let Some(t) = self.trace.get() {
-            if t.metrics().enabled() {
-                use crate::metrics::Counter;
-                let c = match fault {
-                    "drop" => Counter::FaultsDropped,
-                    "dup" => Counter::FaultsDuplicated,
-                    "delay" => Counter::FaultsDelayed,
-                    "reorder" => Counter::FaultsReordered,
-                    "sever" => Counter::FaultsSevered,
-                    _ => Counter::FaultsKilled,
-                };
-                t.metrics().rank(dst).add(c, 1);
-            }
-            if t.tracing() {
-                t.record(EventKind::Chaos {
-                    src: src as u32,
-                    dst: dst as u32,
-                    fault,
-                });
-            }
-        }
+        let Some(t) = self.trace.get() else { return };
+        let c = match fault {
+            "drop" => Counter::FaultsDropped,
+            "dup" => Counter::FaultsDuplicated,
+            "delay" => Counter::FaultsDelayed,
+            "reorder" => Counter::FaultsReordered,
+            "sever" => Counter::FaultsSevered,
+            _ => Counter::FaultsKilled,
+        };
+        t.count(dst, c, 1);
+        t.event(|| EventKind::Chaos {
+            src: src as u32,
+            dst: dst as u32,
+            fault,
+        });
     }
 
     /// Binds where an injected rank death is applied locally (the universe

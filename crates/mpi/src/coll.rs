@@ -712,12 +712,8 @@ impl RawComm {
     /// the grid once per-peer startups dominate — large `p`, or moderate
     /// `p` spread across hosts (socket startups cost ~µs, not ~ns).
     fn auto_alltoall_algo(&self) -> AlltoallAlgo {
-        if let Some(a) = std::env::var("KAMPING_ALLTOALL")
-            .ok()
-            .and_then(|v| AlltoallAlgo::parse(&v))
-            .filter(|&a| a != AlltoallAlgo::Auto)
-        {
-            return a;
+        if self.state.config.alltoall != AlltoallAlgo::Auto {
+            return self.state.config.alltoall;
         }
         let p = self.size();
         if p >= 48 || (p >= 16 && !self.single_host_view()) {

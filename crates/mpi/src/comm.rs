@@ -242,16 +242,11 @@ impl RawComm {
         s
     }
 
-    /// Counts one invocation of `op` and returns an RAII scope that, while
-    /// measuring is active, attributes the op's latency (split into
-    /// blocked-wait vs local compute) to this rank on drop. Call sites
-    /// bind it (`let _op = self.record(..)`) so the scope spans the whole
-    /// operation; with tracing and measuring off it is a single relaxed
-    /// atomic load.
+    /// The op-start probe ([`crate::trace::TraceCtx::op`]) for this rank.
+    /// Call sites bind the scope (`let _op = self.record(..)`) so it spans
+    /// the whole operation.
     pub(crate) fn record(&self, op: Op) -> crate::trace::OpScope<'_> {
-        let global = self.my_global_rank();
-        self.state.counters[global].record_op(op);
-        self.state.trace.op_scope(op, global)
+        self.state.trace.op(op, self.my_global_rank())
     }
 
     /// Derives the deterministic child context id for the current collective

@@ -128,30 +128,16 @@ pub(crate) fn binomial_over(
 
 impl RawComm {
     /// The rooted-collective strategy in effect for this communicator:
-    /// an explicit [`RawComm::set_coll_strategy`] override, else
-    /// `KAMPING_COLL_STRATEGY`, else `Auto`. Cached per communicator.
+    /// an explicit [`RawComm::set_coll_strategy`] override, else the
+    /// universe's configuration (`KAMPING_COLL_STRATEGY`, default `Auto`).
     pub fn coll_strategy(&self) -> CollStrategy {
-        if let Some(s) = self.strategy.get() {
-            return s;
-        }
-        let s = std::env::var("KAMPING_COLL_STRATEGY")
-            .ok()
-            .and_then(|v| CollStrategy::parse(&v))
-            .unwrap_or_default();
-        self.strategy.set(Some(s));
-        s
+        (self.strategy.get()).unwrap_or(self.state.config.coll_strategy)
     }
 
-    /// Counts one strategy dispatch in this rank's metrics registry — the
+    /// Counts one strategy dispatch in this rank's stats block — the
     /// dashboard's answer to "which tree did my collectives actually take".
     fn note_strategy(&self, c: Counter) {
-        if self.state.trace.metrics().enabled() {
-            self.state
-                .trace
-                .metrics()
-                .rank(self.my_global_rank())
-                .add(c, 1);
-        }
+        self.state.trace.count(self.my_global_rank(), c, 1);
     }
 
     /// The host-group view, if the strategy resolves to hierarchy for this
@@ -266,11 +252,7 @@ impl RawComm {
     }
 
     pub(crate) fn fake_hosts_setting(&self) -> Option<usize> {
-        self.fake_hosts.get().or_else(|| {
-            std::env::var("KAMPING_FAKE_HOSTS")
-                .ok()
-                .and_then(|v| v.parse().ok())
-        })
+        self.fake_hosts.get().or(self.state.config.fake_hosts)
     }
 
     /// True if every rank of this communicator shares the calling
@@ -295,11 +277,7 @@ impl RawComm {
     /// default. Only the root's value shapes the wire; receivers follow
     /// the self-describing header.
     pub fn bcast_segment(&self) -> usize {
-        std::env::var("KAMPING_BCAST_SEGMENT")
-            .ok()
-            .and_then(|v| v.parse().ok())
-            .filter(|&s: &usize| s > 0)
-            .unwrap_or(DEFAULT_BCAST_SEGMENT)
+        self.state.config.bcast_segment
     }
 
     /// The merged two-level tree rooted at `root`: group representatives

@@ -70,6 +70,7 @@ use std::time::{Duration, Instant};
 use crate::coll::excl_prefix_sum;
 use crate::error::{MpiError, MpiResult};
 use crate::hier::AllreduceAlgo;
+use crate::metrics::{Counter, Gauge, Hist};
 use crate::profile::Op;
 use crate::tag::{coll_tag, Tag};
 use crate::transport::{Envelope, Mailbox, MatchKey, Payload};
@@ -108,34 +109,16 @@ impl StepCx<'_> {
     }
 
     /// Eager send to communicator-local rank `dest` — the schedule-step
-    /// mirror of `RawComm::post_to` (records LogGP counters and the trace
-    /// `Post` event; messages to failed ranks are dropped, the failure
-    /// surfaces at the peers' receives).
+    /// mirror of `RawComm::post_to`.
     fn post(&self, dest: usize, tag: Tag, payload: Payload) {
-        let dest_global = self.group[dest];
-        self.state.counters[self.me_global()].record_message(payload.len());
-        if self.state.trace.tracing() {
-            self.state.trace.record(crate::trace::EventKind::Post {
-                src: self.me_global() as u32,
-                dst: dest_global as u32,
-                tag,
-                ctx: self.ctx,
-                bytes: payload.len() as u64,
-            });
-        }
-        if self.state.is_failed(dest_global) {
-            return;
-        }
-        self.state.transport.post(
-            dest_global,
-            Envelope {
-                src: self.me_global(),
-                tag,
-                ctx: self.ctx,
-                payload,
-                ack: None,
-            },
-        );
+        let envelope = Envelope {
+            src: self.me_global(),
+            tag,
+            ctx: self.ctx,
+            payload,
+            ack: None,
+        };
+        self.state.post(self.group[dest], envelope);
     }
 
     /// Nonblocking take of the schedule's next expected envelope.
@@ -269,17 +252,12 @@ impl CollCell {
     /// One non-blocking run of the schedule plus the fault scan, under the
     /// core lock. Returns `true` when the cell settled (done or failed).
     fn step_locked(&self, state: &UniverseState, core: &mut CollCore) -> bool {
-        let metrics_on = state.trace.metrics().enabled();
-        let start_ns = if metrics_on { state.trace.now_ns() } else { 0 };
+        let start_ns = state.trace.metrics_clock();
         let settled = self.step_locked_inner(state, core);
-        if metrics_on {
-            use crate::metrics::{Counter, Hist};
-            let rm = state.trace.metrics().rank(self.group[self.rank]);
-            rm.add(Counter::CollSteps, 1);
-            rm.observe(
-                Hist::CollStep,
-                state.trace.now_ns().saturating_sub(start_ns),
-            );
+        if let Some(start_ns) = start_ns {
+            let (trace, me) = (&state.trace, self.group[self.rank]);
+            trace.count(me, Counter::CollSteps, 1);
+            trace.observe(me, Hist::CollStep, trace.now_ns().saturating_sub(start_ns));
         }
         settled
     }
@@ -398,12 +376,9 @@ impl Drop for CollCell {
         // threads taking both registry locks for every collective-tagged
         // envelope (including blocking collectives') indefinitely.
         if let Some(state) = self.state.upgrade() {
-            if state.trace.metrics().enabled() {
-                use crate::metrics::{Counter, Gauge};
-                let rm = state.trace.metrics().rank(self.group[self.rank]);
-                rm.add(Counter::CollsCompleted, 1);
-                rm.gauge_sub(Gauge::CollsOutstanding, 1);
-            }
+            let me = self.group[self.rank];
+            state.trace.count(me, Counter::CollsCompleted, 1);
+            state.trace.gauge_add(me, Gauge::CollsOutstanding, -1);
             state.icoll.active.fetch_sub(1, Ordering::Release);
         }
     }
@@ -573,7 +548,7 @@ impl RawCollRequest {
         // Attribute the blocked portion of this wait to the op itself, so
         // compute/comm overlap is visible per-op in Perfetto and the
         // aggregated op tree (issue time recorded only the call counter).
-        let _scope = self.state.trace.op_scope(cell.op, self.owner_global);
+        let _scope = self.state.trace.op_resumed(cell.op, self.owner_global);
         let start = Instant::now();
         let no_interrupt = || None;
         let outcome =
@@ -704,7 +679,7 @@ impl RawComm {
         build: impl FnOnce(&StepCx<'_>) -> MpiResult<S>,
     ) -> MpiResult<RawCollRequest> {
         let cx = self.cx()?;
-        self.state.counters[self.my_global_rank()].record_op(op);
+        self.state.trace.op_issued(op, self.my_global_rank());
         let sm = Box::new(build(&cx)?);
         let cell = Arc::new(CollCell {
             state: Arc::downgrade(&self.state),
@@ -715,12 +690,9 @@ impl RawComm {
             core: Mutex::new(CollCore::Running { sm, clean: None }),
             rerun: AtomicBool::new(false),
         });
-        if self.state.trace.metrics().enabled() {
-            use crate::metrics::{Counter, Gauge};
-            let rm = self.state.trace.metrics().rank(self.my_global_rank());
-            rm.add(Counter::CollsIssued, 1);
-            rm.gauge_add(Gauge::CollsOutstanding, 1);
-        }
+        let me = self.my_global_rank();
+        self.state.trace.count(me, Counter::CollsIssued, 1);
+        self.state.trace.gauge_add(me, Gauge::CollsOutstanding, 1);
         Registry::attach(&self.state, self.my_global_rank(), &cell);
         cell.advance(true);
         Ok(RawCollRequest {

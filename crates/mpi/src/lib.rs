@@ -69,6 +69,7 @@
 pub mod chaos;
 pub mod coll;
 pub mod comm;
+pub mod config;
 pub mod dtype;
 pub mod elastic;
 pub mod error;
@@ -91,6 +92,7 @@ pub mod universe;
 pub use chaos::{ChaosSpec, ChaosTransport};
 pub use coll::{AlltoallAlgo, SparseMsg};
 pub use comm::RawComm;
+pub use config::Config;
 pub use elastic::{ShardMap, ShardMove};
 pub use error::{MpiError, MpiResult};
 pub use fault::MembershipChange;
@@ -101,7 +103,7 @@ pub use p2p::Status;
 pub use profile::{Op, ProfileSnapshot};
 pub use request::RawRequest;
 pub use tag::{Tag, ANY_SOURCE, ANY_TAG};
-pub use trace::{EventKind, TraceConfig, TraceEvent};
+pub use trace::{EventKind, TraceEvent};
 pub use universe::{TraceReport, Universe};
 
 /// Reduction operator over packed byte buffers.

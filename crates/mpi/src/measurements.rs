@@ -13,10 +13,9 @@
 //! emitted as deterministic JSON ([`TreeAggregate::to_json`]) or a
 //! pretty-printed tree ([`TreeAggregate::render`]).
 //!
-//! [`aggregate_op_tree`] builds the same aggregate from the wait-time
-//! attribution data collected by [`crate::trace`], giving per-op
-//! `calls` / `wait` / `compute` splits across ranks without any manual
-//! instrumentation.
+//! [`op_tree`] builds the same aggregate from the per-op cells of every
+//! rank's stats block ([`crate::trace`]), giving per-op `calls` / `wait` /
+//! `compute` splits across ranks without any manual instrumentation.
 //!
 //! Aggregation is collective: every rank of the communicator must call it,
 //! in the same collective order, with an identically-shaped tree — a shape
@@ -28,30 +27,22 @@ use std::time::Instant;
 
 use crate::comm::RawComm;
 use crate::error::{MpiError, MpiResult};
+use crate::metrics::MetricsSnapshot;
 use crate::profile::ALL_OPS;
-
-/// Reserved per-communicator collective sequence base used by the post-run
-/// op-tree aggregation in `Universe::run_traced`, far above any realistic
-/// user sequence. Must stay below 2^24: `coll_tag` masks the sequence to
-/// 24 bits, so a larger base would alias user collective tags.
-pub(crate) const AGG_SEQ_BASE: u32 = 0x00F0_0000;
-
-/// Reserved sequence base for the socket backend's post-run profile
-/// gather (see `net::run_socket`). Distinct from [`AGG_SEQ_BASE`]; same
-/// 24-bit constraint.
-pub(crate) const PROFILE_SEQ_BASE: u32 = 0x00E0_0000;
-
-/// Reserved sequence base for the live metrics snapshot protocol (rank 0
-/// pulls registry deltas over `coll_tag(METRICS_SEQ_BASE)` /
-/// `coll_tag(METRICS_SEQ_BASE + 1)`, see `crate::metrics`). Distinct from
-/// the other reserved bases; same 24-bit constraint.
-pub(crate) const METRICS_SEQ_BASE: u32 = 0x00D0_0000;
 
 /// Field / record separators for the schema exchange (control characters,
 /// never valid in phase names).
 const FIELD_SEP: char = '\u{1f}';
 const NODE_SEP: char = '\u{1e}';
 const SECTION_SEP: char = '\u{1d}';
+
+/// Control characters are the separators of the aggregation wire format.
+fn check_name(what: &str, name: &str) {
+    assert!(
+        !name.chars().any(|c| c.is_control()),
+        "{what} names must not contain control characters"
+    );
+}
 
 #[derive(Debug)]
 struct Node {
@@ -147,10 +138,7 @@ impl TimerTree {
     /// If `name` contains ASCII control characters (reserved for the
     /// aggregation wire format) or the phase is already running.
     pub fn start(&mut self, name: &str) {
-        assert!(
-            !name.chars().any(|c| c.is_control()),
-            "phase names must not contain control characters"
-        );
+        check_name("phase", name);
         let id = self.child_named(name);
         assert!(
             self.nodes[id].started.is_none(),
@@ -202,10 +190,7 @@ impl TimerTree {
     /// clock. Used to import externally-timed values and by deterministic
     /// tests.
     pub fn append_seconds(&mut self, name: &str, seconds: f64) {
-        assert!(
-            !name.chars().any(|c| c.is_control()),
-            "phase names must not contain control characters"
-        );
+        check_name("phase", name);
         let id = self.child_named(name);
         self.nodes[id].values.push(seconds);
         self.nodes[id].append_next = false;
@@ -213,19 +198,13 @@ impl TimerTree {
 
     /// Adds `delta` to the named counter (created at zero).
     pub fn counter_add(&mut self, name: &str, delta: f64) {
-        assert!(
-            !name.chars().any(|c| c.is_control()),
-            "counter names must not contain control characters"
-        );
+        check_name("counter", name);
         *self.counters.entry(name.to_string()).or_insert(0.0) += delta;
     }
 
     /// Sets the named counter to `value`.
     pub fn counter_put(&mut self, name: &str, value: f64) {
-        assert!(
-            !name.chars().any(|c| c.is_control()),
-            "counter names must not contain control characters"
-        );
+        check_name("counter", name);
         self.counters.insert(name.to_string(), value);
     }
 
@@ -516,74 +495,45 @@ impl TreeAggregate {
     }
 }
 
-/// Builds an aggregated per-op timing tree from the wait-time attribution
-/// data the tracer collected for this universe (collective; every rank
-/// must call it in the same collective order).
+/// The per-op timing tree of a job, as a view of its ranks' stats blocks.
 ///
 /// The tree has a `mpi_ops` root with one child per operation that was
 /// called on *any* rank; each op node's measurement is its total seconds,
-/// with `calls` / `wait` / `compute` children splitting the latency.
-/// Requires measuring to be active (`KAMPING_MEASURE`, `KAMPING_TRACE` or
-/// `Universe::run_traced`) — with measuring off the tree is empty.
-pub fn aggregate_op_tree(comm: &RawComm) -> MpiResult<TreeAggregate> {
-    let snap = comm.state.trace.timings(comm.my_global_rank()).snapshot();
-    // Fixed layout: (calls, total_s, wait_s) per op, all ops — every rank
-    // agrees on the size, so a plain allgather suffices.
-    let mut bytes = Vec::with_capacity(snap.len() * 24);
-    for &(_, calls, total_ns, wait_ns) in &snap {
-        bytes.extend_from_slice(&(calls as f64).to_le_bytes());
-        bytes.extend_from_slice(&(total_ns as f64 / 1e9).to_le_bytes());
-        bytes.extend_from_slice(&(wait_ns as f64 / 1e9).to_le_bytes());
-    }
-    let all = comm.allgather(&bytes)?;
-    let size = comm.size();
-    let row = |rank: usize, op: usize, field: usize| -> f64 {
-        let off = rank * bytes.len() + (op * 3 + field) * 8;
-        f64::from_le_bytes(all[off..off + 8].try_into().expect("8 bytes"))
+/// with `calls` / `wait` / `compute` children splitting the latency. The
+/// call counts are always on; the times are zero unless measuring was
+/// active (`KAMPING_MEASURE`, `KAMPING_TRACE` or `Universe::run_traced`).
+pub fn op_tree(ranks: &[MetricsSnapshot]) -> TreeAggregate {
+    let leaf = |name: &str, per_rank: Vec<f64>| AggNode {
+        name: name.into(),
+        measurements: vec![Aggregate::from_per_rank(per_rank)],
+        children: vec![],
     };
-    let mut children = Vec::new();
-    for (i, op) in ALL_OPS.iter().enumerate() {
-        let calls: Vec<f64> = (0..size).map(|r| row(r, i, 0)).collect();
-        if calls.iter().all(|&c| c == 0.0) {
-            continue;
-        }
-        let total: Vec<f64> = (0..size).map(|r| row(r, i, 1)).collect();
-        let wait: Vec<f64> = (0..size).map(|r| row(r, i, 2)).collect();
-        let compute: Vec<f64> = total
-            .iter()
-            .zip(&wait)
-            .map(|(t, w)| (t - w).max(0.0))
-            .collect();
-        children.push(AggNode {
-            name: op.name().to_string(),
-            measurements: vec![Aggregate::from_per_rank(total)],
-            children: vec![
-                AggNode {
-                    name: "calls".into(),
-                    measurements: vec![Aggregate::from_per_rank(calls)],
-                    children: vec![],
-                },
-                AggNode {
-                    name: "wait".into(),
-                    measurements: vec![Aggregate::from_per_rank(wait)],
-                    children: vec![],
-                },
-                AggNode {
-                    name: "compute".into(),
-                    measurements: vec![Aggregate::from_per_rank(compute)],
-                    children: vec![],
-                },
-            ],
-        });
-    }
-    Ok(TreeAggregate {
+    let children = (ALL_OPS.iter().enumerate())
+        .filter(|(i, _)| ranks.iter().any(|r| r.op_calls[*i] != 0))
+        .map(|(i, op)| {
+            let secs = |ns: u64| ns as f64 / 1e9;
+            let column = |f: &dyn Fn(&MetricsSnapshot) -> f64| ranks.iter().map(f).collect();
+            AggNode {
+                children: vec![
+                    leaf("calls", column(&|r| r.op_calls[i] as f64)),
+                    leaf("wait", column(&|r| secs(r.op_wait_ns[i]))),
+                    leaf(
+                        "compute",
+                        column(&|r| secs(r.op_total_ns[i].saturating_sub(r.op_wait_ns[i]))),
+                    ),
+                ],
+                ..leaf(op.name(), column(&|r| secs(r.op_total_ns[i])))
+            }
+        })
+        .collect();
+    TreeAggregate {
         root: AggNode {
             name: "mpi_ops".into(),
             measurements: vec![],
             children,
         },
         counters: BTreeMap::new(),
-    })
+    }
 }
 
 #[cfg(test)]

@@ -1,23 +1,23 @@
-//! Live metrics plane: per-rank lock-free registries, a periodic snapshot
-//! protocol, and the crash-evidence flight recorder.
+//! Live views of the stats blocks: the frozen snapshot type, the periodic
+//! snapshot protocol, and the crash-evidence flight recorder.
 //!
-//! Where [`crate::trace`] answers *what happened, in order* (post-hoc, for
-//! Perfetto) and [`crate::profile`] counts calls, this module answers *how
-//! is the universe doing right now*: each rank owns a [`RankMetrics`] slot
-//! of monotonic counters, high-water gauges, and log-bucketed (base-2,
-//! 1 µs – 16 s) latency histograms, all plain relaxed atomics. Every hook
-//! sits behind the same one-load-one-branch gate `TraceCtx` uses, so the
-//! runtime-disabled path stays inside the existing overhead budget and the
-//! `no-trace` feature compiles the hooks out entirely.
+//! Where the Perfetto export of [`crate::trace`] answers *what happened,
+//! in order* and [`crate::profile`] counts calls, this module answers *how
+//! is the universe doing right now*. It names the counters, high-water
+//! gauges and log-bucketed (base-2, 1 µs – 16 s) latency histograms every
+//! rank's [`crate::trace::StatsBlock`] carries, and defines the operations
+//! on a frozen block ([`MetricsSnapshot`]: delta, merge, percentiles, the
+//! one wire form). The probes that write those cells live in
+//! [`crate::trace::TraceCtx`], behind its single gate.
 //!
 //! # Snapshot protocol
 //!
-//! Rank 0 periodically pulls every rank's registry and emits one merged
+//! Rank 0 periodically pulls every rank's block and emits one merged
 //! JSONL record per interval (throughput, p50/p99 op latency, per-rank
 //! blocked-wait ratios, straggler flags). In-process (shm) the poller
-//! reads all registries directly; across processes it rides the normal
-//! data plane on a reserved collective-tag pair
-//! ([`crate::measurements::METRICS_SEQ_BASE`]), so no new wire machinery
+//! reads all blocks directly; across processes it rides the normal data
+//! plane on a reserved collective-tag pair
+//! ([`crate::tag::METRICS_SEQ_BASE`]), so no new wire machinery
 //! is needed. Dead or unresponsive ranks are reported as `stale` for the
 //! interval instead of stalling the poll — the property the chaos-kill
 //! soak relies on.
@@ -26,20 +26,20 @@
 //!
 //! With `KAMPING_CRASH_DIR` set, tracing + metrics are forced on and every
 //! surviving rank that observes a failure (peer death, timeout, panic)
-//! dumps its last trace events plus a final metrics snapshot to
+//! dumps its last trace events plus a final snapshot to
 //! `crash-rank<R>.json` at teardown. `kampirun` folds those into one
 //! post-mortem naming the first-failing rank and the ops in flight.
 
 use std::io::{self, Write as _};
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use crate::error::MpiError;
-use crate::profile::{Op, ALL_OPS};
-use crate::tag::coll_tag;
-use crate::trace::TraceConfig;
+use crate::profile::RankProfile;
+use crate::tag::{coll_tag, Tag, METRICS_SEQ_BASE};
+use crate::trace::{StatsBlock, TraceEvent};
 use crate::transport::{Envelope, MatchKey, Payload};
 use crate::universe::UniverseState;
 
@@ -47,169 +47,108 @@ use crate::universe::UniverseState;
 /// `[2^(i-1), 2^i) µs`, bucket 25 collects everything ≥ 2^24 µs (~16.8 s).
 pub const N_BUCKETS: usize = 26;
 
-/// Monotonic counters, one slot per [`Counter`] variant per rank.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-#[repr(usize)]
-pub enum Counter {
-    /// Data-plane messages sent (mirrors the always-on profile counter;
-    /// filled at snapshot time, not on the hot path).
-    MsgsSent,
-    /// Data-plane payload bytes sent (filled at snapshot time).
-    BytesSent,
-    /// Envelopes deposited into this rank's mailbox.
-    MsgsDelivered,
-    /// Payload bytes deposited into this rank's mailbox.
-    BytesDelivered,
-    /// Substrate operations started (also the latency-sampling base).
-    OpsStarted,
-    /// Nanoseconds parked on the mailbox slow path.
-    BlockedNs,
-    /// Bounded waits that gave up with [`MpiError::Timeout`].
-    Timeouts,
-    /// Chaos faults injected, by kind.
-    FaultsDropped,
-    /// Duplicated envelopes.
-    FaultsDuplicated,
-    /// Delayed envelopes.
-    FaultsDelayed,
-    /// Reordered envelopes.
-    FaultsReordered,
-    /// Envelopes eaten by a severed channel.
-    FaultsSevered,
-    /// Kill faults fired.
-    FaultsKilled,
-    /// Progress-engine wakeups (socket backend).
-    EpollWakeups,
-    /// Ready epoll events serviced.
-    EpollEvents,
-    /// Data-plane frames moved by the progress engine.
-    EpollFrames,
-    /// `writev` batches flushed.
-    WritevCalls,
-    /// Frames coalesced across all `writev` batches.
-    WritevFrames,
-    /// Heartbeat pings sent.
-    PingsSent,
-    /// shm-xproc futex sleeps (producer full-ring + consumer idle).
-    RingFutexSleeps,
-    /// Nanoseconds spent in those futex sleeps.
-    RingFutexSleepNs,
-    /// Nonblocking collectives issued.
-    CollsIssued,
-    /// Nonblocking collectives retired (completed, failed, or abandoned).
-    CollsCompleted,
-    /// Collective state-machine steps taken.
-    CollSteps,
-    /// Rooted collectives dispatched to the flat (single-level) trees.
-    StrategyFlat,
-    /// Rooted collectives dispatched to the two-level hierarchy.
-    StrategyHier,
-    /// Allreduces dispatched to Rabenseifner reduce-scatter+allgather.
-    StrategyRabenseifner,
-}
-
-/// Number of [`Counter`] variants.
-pub const N_COUNTERS: usize = 27;
-
-/// All counters in discriminant order (the wire and JSONL layout).
-pub const ALL_COUNTERS: [Counter; N_COUNTERS] = [
-    Counter::MsgsSent,
-    Counter::BytesSent,
-    Counter::MsgsDelivered,
-    Counter::BytesDelivered,
-    Counter::OpsStarted,
-    Counter::BlockedNs,
-    Counter::Timeouts,
-    Counter::FaultsDropped,
-    Counter::FaultsDuplicated,
-    Counter::FaultsDelayed,
-    Counter::FaultsReordered,
-    Counter::FaultsSevered,
-    Counter::FaultsKilled,
-    Counter::EpollWakeups,
-    Counter::EpollEvents,
-    Counter::EpollFrames,
-    Counter::WritevCalls,
-    Counter::WritevFrames,
-    Counter::PingsSent,
-    Counter::RingFutexSleeps,
-    Counter::RingFutexSleepNs,
-    Counter::CollsIssued,
-    Counter::CollsCompleted,
-    Counter::CollSteps,
-    Counter::StrategyFlat,
-    Counter::StrategyHier,
-    Counter::StrategyRabenseifner,
-];
-
-impl Counter {
-    /// Stable snake_case name (JSONL `totals` key).
-    pub fn name(self) -> &'static str {
-        match self {
-            Counter::MsgsSent => "msgs_sent",
-            Counter::BytesSent => "bytes_sent",
-            Counter::MsgsDelivered => "msgs_delivered",
-            Counter::BytesDelivered => "bytes_delivered",
-            Counter::OpsStarted => "ops_started",
-            Counter::BlockedNs => "blocked_ns",
-            Counter::Timeouts => "timeouts",
-            Counter::FaultsDropped => "faults_dropped",
-            Counter::FaultsDuplicated => "faults_duplicated",
-            Counter::FaultsDelayed => "faults_delayed",
-            Counter::FaultsReordered => "faults_reordered",
-            Counter::FaultsSevered => "faults_severed",
-            Counter::FaultsKilled => "faults_killed",
-            Counter::EpollWakeups => "epoll_wakeups",
-            Counter::EpollEvents => "epoll_events",
-            Counter::EpollFrames => "epoll_frames",
-            Counter::WritevCalls => "writev_calls",
-            Counter::WritevFrames => "writev_frames",
-            Counter::PingsSent => "pings_sent",
-            Counter::RingFutexSleeps => "ring_futex_sleeps",
-            Counter::RingFutexSleepNs => "ring_futex_sleep_ns",
-            Counter::CollsIssued => "colls_issued",
-            Counter::CollsCompleted => "colls_completed",
-            Counter::CollSteps => "coll_steps",
-            Counter::StrategyFlat => "strategy_flat",
-            Counter::StrategyHier => "strategy_hier",
-            Counter::StrategyRabenseifner => "strategy_raben",
+/// Declares a `#[repr(usize)]` enum together with its variant count, its
+/// discriminant-ordered variant list and its stable snake_case names, so a
+/// new cell is added in exactly one place.
+macro_rules! named_cells {
+    ($(#[$meta:meta])* $ty:ident, $n:ident, $all:ident; $($(#[$doc:meta])* $variant:ident => $name:literal,)*) => {
+        $(#[$meta])*
+        #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+        #[repr(usize)]
+        pub enum $ty {
+            $($(#[$doc])* $variant,)*
         }
-    }
+
+        /// Number of variants.
+        pub const $n: usize = [$($name,)*].len();
+
+        /// All variants in discriminant order (the wire and JSONL layout).
+        pub const $all: [$ty; $n] = [$($ty::$variant,)*];
+
+        impl $ty {
+            /// Stable snake_case name (JSONL `totals` key).
+            pub fn name(self) -> &'static str {
+                match self {
+                    $($ty::$variant => $name,)*
+                }
+            }
+        }
+    };
 }
 
-/// Gauges. `CollsOutstanding` is a live level (summed across ranks when
-/// merging); the `*Max` gauges are high-water marks (max across ranks).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-#[repr(usize)]
-pub enum Gauge {
+named_cells! {
+    /// Monotonic counters, one cell per variant per rank. The first two are
+    /// always on; the rest count while metrics are enabled.
+    Counter, N_COUNTERS, ALL_COUNTERS;
+    /// Data-plane messages posted (always on — the LogGP message count).
+    MsgsSent => "msgs_sent",
+    /// Data-plane payload bytes posted (always on).
+    BytesSent => "bytes_sent",
+    /// Envelopes deposited into this rank's mailbox.
+    MsgsDelivered => "msgs_delivered",
+    /// Payload bytes deposited into this rank's mailbox.
+    BytesDelivered => "bytes_delivered",
+    /// Substrate operations started (also the latency-sampling base).
+    OpsStarted => "ops_started",
+    /// Nanoseconds parked on the mailbox slow path.
+    BlockedNs => "blocked_ns",
+    /// Bounded waits that gave up with [`MpiError::Timeout`].
+    Timeouts => "timeouts",
+    /// Chaos faults injected, by kind.
+    FaultsDropped => "faults_dropped",
+    /// Duplicated envelopes.
+    FaultsDuplicated => "faults_duplicated",
+    /// Delayed envelopes.
+    FaultsDelayed => "faults_delayed",
+    /// Reordered envelopes.
+    FaultsReordered => "faults_reordered",
+    /// Envelopes eaten by a severed channel.
+    FaultsSevered => "faults_severed",
+    /// Kill faults fired.
+    FaultsKilled => "faults_killed",
+    /// Progress-engine wakeups (socket backend).
+    EpollWakeups => "epoll_wakeups",
+    /// Ready epoll events serviced.
+    EpollEvents => "epoll_events",
+    /// Data-plane frames moved by the progress engine.
+    EpollFrames => "epoll_frames",
+    /// `writev` batches flushed.
+    WritevCalls => "writev_calls",
+    /// Frames coalesced across all `writev` batches.
+    WritevFrames => "writev_frames",
+    /// Heartbeat pings sent.
+    PingsSent => "pings_sent",
+    /// shm-xproc futex sleeps (producer full-ring + consumer idle).
+    RingFutexSleeps => "ring_futex_sleeps",
+    /// Nanoseconds spent in those futex sleeps.
+    RingFutexSleepNs => "ring_futex_sleep_ns",
+    /// Nonblocking collectives issued.
+    CollsIssued => "colls_issued",
+    /// Nonblocking collectives retired (completed, failed, or abandoned).
+    CollsCompleted => "colls_completed",
+    /// Collective state-machine steps taken.
+    CollSteps => "coll_steps",
+    /// Rooted collectives dispatched to the flat (single-level) trees.
+    StrategyFlat => "strategy_flat",
+    /// Rooted collectives dispatched to the two-level hierarchy.
+    StrategyHier => "strategy_hier",
+    /// Allreduces dispatched to Rabenseifner reduce-scatter+allgather.
+    StrategyRabenseifner => "strategy_raben",
+}
+
+named_cells! {
+    /// Gauges. `CollsOutstanding` is a live level (summed across ranks when
+    /// merging); the `*Max` gauges are high-water marks (max across ranks).
+    Gauge, N_GAUGES, ALL_GAUGES;
     /// Nonblocking collectives currently in flight.
-    CollsOutstanding,
+    CollsOutstanding => "colls_outstanding",
     /// Deepest progress-engine outbound queue observed.
-    OutboundQueueMax,
+    OutboundQueueMax => "outbound_queue_max",
     /// Highest shm-xproc ring occupancy (bytes) observed.
-    RingOccupancyMax,
+    RingOccupancyMax => "ring_occupancy_max",
 }
-
-/// Number of [`Gauge`] variants.
-pub const N_GAUGES: usize = 3;
-
-/// All gauges in discriminant order.
-pub const ALL_GAUGES: [Gauge; N_GAUGES] = [
-    Gauge::CollsOutstanding,
-    Gauge::OutboundQueueMax,
-    Gauge::RingOccupancyMax,
-];
 
 impl Gauge {
-    /// Stable snake_case name (JSONL `totals` key).
-    pub fn name(self) -> &'static str {
-        match self {
-            Gauge::CollsOutstanding => "colls_outstanding",
-            Gauge::OutboundQueueMax => "outbound_queue_max",
-            Gauge::RingOccupancyMax => "ring_occupancy_max",
-        }
-    }
-
     /// True for high-water gauges (merged with `max`, not `+`).
     fn is_high_water(self) -> bool {
         !matches!(self, Gauge::CollsOutstanding)
@@ -248,266 +187,59 @@ pub fn bucket_bound_us(i: usize) -> u64 {
     1u64 << i.min(25)
 }
 
-/// One rank's registry slot. Written only by threads hosting that rank (or
-/// its transport helpers), read by the snapshot poller — all relaxed.
-#[derive(Debug)]
-pub struct RankMetrics {
-    counters: [AtomicU64; N_COUNTERS],
-    gauges: [AtomicU64; N_GAUGES],
-    hists: [[AtomicU64; N_BUCKETS]; N_HISTS],
-    /// `op as usize + 1` while an op scope is open, 0 otherwise — the
-    /// flight recorder's "op in flight at failure time".
-    current_op: AtomicU64,
-    /// Parks seen so far — the sampling base for blocked-wait timing
-    /// (local bookkeeping; never leaves the process).
-    park_seq: AtomicU64,
-    /// `TraceCtx::now_ns` when the in-flight op started, when known
-    /// (only timed scopes pay the clock read); 0 = unknown.
-    current_op_since_ns: AtomicU64,
-}
-
-impl Default for RankMetrics {
-    fn default() -> Self {
-        Self {
-            counters: std::array::from_fn(|_| AtomicU64::new(0)),
-            gauges: std::array::from_fn(|_| AtomicU64::new(0)),
-            hists: std::array::from_fn(|_| std::array::from_fn(|_| AtomicU64::new(0))),
-            current_op: AtomicU64::new(0),
-            park_seq: AtomicU64::new(0),
-            current_op_since_ns: AtomicU64::new(0),
-        }
-    }
-}
-
-impl RankMetrics {
-    /// Adds `v` to a counter.
-    #[inline]
-    pub fn add(&self, c: Counter, v: u64) {
-        self.counters[c as usize].fetch_add(v, Ordering::Relaxed);
-    }
-
-    /// Bumps the park counter and returns its previous value — the
-    /// sampling base for blocked-wait timing.
-    #[inline]
-    pub(crate) fn park_tick(&self) -> u64 {
-        self.park_seq.fetch_add(1, Ordering::Relaxed)
-    }
-
-    /// Adds `v` and returns the previous value (the sampling base).
-    #[inline]
-    pub fn add_ret(&self, c: Counter, v: u64) -> u64 {
-        self.counters[c as usize].fetch_add(v, Ordering::Relaxed)
-    }
-
-    /// Reads a counter.
-    #[inline]
-    pub fn get(&self, c: Counter) -> u64 {
-        self.counters[c as usize].load(Ordering::Relaxed)
-    }
-
-    /// Raises a high-water gauge to at least `v`.
-    #[inline]
-    pub fn gauge_max(&self, g: Gauge, v: u64) {
-        self.gauges[g as usize].fetch_max(v, Ordering::Relaxed);
-    }
-
-    /// Bumps a level gauge.
-    #[inline]
-    pub fn gauge_add(&self, g: Gauge, v: u64) {
-        self.gauges[g as usize].fetch_add(v, Ordering::Relaxed);
-    }
-
-    /// Drops a level gauge (saturating at 0 via wrapping-safe sub on a
-    /// value that is only ever decremented after a matching add).
-    #[inline]
-    pub fn gauge_sub(&self, g: Gauge, v: u64) {
-        self.gauges[g as usize].fetch_sub(v, Ordering::Relaxed);
-    }
-
-    /// Records one latency observation (nanoseconds).
-    #[inline]
-    pub fn observe(&self, h: Hist, ns: u64) {
-        self.hists[h as usize][bucket_of(ns)].fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Marks `op` as in flight (flight-recorder breadcrumb).
-    #[inline]
-    pub(crate) fn set_in_flight(&self, op: Op, since_ns: u64) {
-        self.current_op.store(op as u64 + 1, Ordering::Relaxed);
-        self.current_op_since_ns.store(since_ns, Ordering::Relaxed);
-    }
-
-    /// Clears the in-flight breadcrumb.
-    #[inline]
-    pub(crate) fn clear_in_flight(&self) {
-        self.current_op.store(0, Ordering::Relaxed);
-    }
-
-    /// The op currently in flight, with its start (`now_ns` domain, 0 when
-    /// the start was not timed).
-    pub fn in_flight(&self) -> Option<(Op, u64)> {
-        let v = self.current_op.load(Ordering::Relaxed);
-        if v == 0 {
-            return None;
-        }
-        let op = *ALL_OPS.get(v as usize - 1)?;
-        Some((op, self.current_op_since_ns.load(Ordering::Relaxed)))
-    }
-}
-
-/// Per-universe metrics state: the enable gate and one [`RankMetrics`]
-/// slot per global rank. Lives inside [`crate::trace::TraceCtx`] so every
-/// existing instrumentation seam reaches it without new wiring.
-#[derive(Debug)]
-pub struct MetricsCtx {
-    enabled: AtomicBool,
-    ranks: Vec<RankMetrics>,
-}
-
-impl MetricsCtx {
-    /// A registry for `size` global ranks.
-    pub fn new(size: usize, enabled: bool) -> Self {
-        Self {
-            enabled: AtomicBool::new(enabled),
-            ranks: (0..size).map(|_| RankMetrics::default()).collect(),
-        }
-    }
-
-    /// True when metrics collection is on. Compile-time `false` under the
-    /// `no-trace` feature, one relaxed load otherwise — the same gate
-    /// shape as `TraceCtx::tracing`.
-    #[inline]
-    pub fn enabled(&self) -> bool {
-        if cfg!(feature = "no-trace") {
-            return false;
-        }
-        self.enabled.load(Ordering::Relaxed)
-    }
-
-    /// Flips collection.
-    pub fn set_enabled(&self, on: bool) {
-        self.enabled.store(on, Ordering::Relaxed);
-    }
-
-    /// The slot of global rank `rank`.
-    #[inline]
-    pub fn rank(&self, rank: usize) -> &RankMetrics {
-        &self.ranks[rank]
-    }
-
-    /// Number of rank slots.
-    pub fn size(&self) -> usize {
-        self.ranks.len()
-    }
-}
-
 // ---------------------------------------------------------------------------
-// Snapshots: capture / delta / merge / wire
+// Snapshots: delta / merge / wire
 // ---------------------------------------------------------------------------
 
-/// Frozen copy of one rank's registry (or a delta, or a cross-rank merge —
-/// the same shape serves all three).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct MetricsSnapshot {
-    /// Counter values in [`ALL_COUNTERS`] order.
-    pub counters: [u64; N_COUNTERS],
-    /// Gauge values in [`ALL_GAUGES`] order.
-    pub gauges: [u64; N_GAUGES],
-    /// Histogram buckets, `[hist][bucket]`.
-    pub hists: [[u64; N_BUCKETS]; N_HISTS],
-}
+/// Frozen copy of one rank's stats block (or a delta, or a cross-rank
+/// merge — the same shape serves all three), taken with
+/// [`crate::trace::RankStats::snapshot`].
+pub type MetricsSnapshot = StatsBlock<u64>;
 
-/// Wire size of one snapshot: every cell as a little-endian `u64`, the
-/// same fixed-blob scheme as `RankProfile`.
-pub const METRICS_WIRE_BYTES: usize = (N_COUNTERS + N_GAUGES + N_HISTS * N_BUCKETS) * 8;
-
-impl Default for MetricsSnapshot {
-    fn default() -> Self {
-        Self {
-            counters: [0; N_COUNTERS],
-            gauges: [0; N_GAUGES],
-            hists: [[0; N_BUCKETS]; N_HISTS],
-        }
-    }
-}
+/// Wire size of one snapshot: every cell as a little-endian `u64`.
+pub const METRICS_WIRE_BYTES: usize =
+    (3 * crate::profile::N_OPS + N_COUNTERS + N_GAUGES + N_HISTS * N_BUCKETS) * 8;
 
 impl MetricsSnapshot {
-    /// Freezes `rm`. `sent` supplies the (messages, bytes) totals from the
-    /// always-on profile counters, so the send path needs no new hooks.
-    pub fn capture(rm: &RankMetrics, sent: (u64, u64)) -> Self {
-        let mut s = Self::default();
-        for i in 0..N_COUNTERS {
-            s.counters[i] = rm.counters[i].load(Ordering::Relaxed);
-        }
-        s.counters[Counter::MsgsSent as usize] = sent.0;
-        s.counters[Counter::BytesSent as usize] = sent.1;
-        for i in 0..N_GAUGES {
-            s.gauges[i] = rm.gauges[i].load(Ordering::Relaxed);
-        }
-        for h in 0..N_HISTS {
-            for b in 0..N_BUCKETS {
-                s.hists[h][b] = rm.hists[h][b].load(Ordering::Relaxed);
-            }
-        }
-        s
-    }
-
     /// Counter value by name.
     pub fn counter(&self, c: Counter) -> u64 {
         self.counters[c as usize]
     }
 
-    /// What happened since `earlier`: counters and histogram buckets
-    /// subtract; gauges keep the latest value (levels and high-waters are
+    /// The §III-H / LogGP columns of this block.
+    pub fn profile(&self) -> RankProfile {
+        RankProfile::of(self, |v| *v)
+    }
+
+    /// What happened since `earlier`: every cell subtracts, except gauges,
+    /// which keep the latest value (levels and high-waters are
     /// instantaneous, not cumulative).
     pub fn delta(&self, earlier: &Self) -> Self {
         let mut d = self.clone();
-        for i in 0..N_COUNTERS {
-            d.counters[i] = self.counters[i].saturating_sub(earlier.counters[i]);
+        for (v, e) in d.words_mut().zip(earlier.words()) {
+            *v = v.saturating_sub(*e);
         }
-        for h in 0..N_HISTS {
-            for b in 0..N_BUCKETS {
-                d.hists[h][b] = self.hists[h][b].saturating_sub(earlier.hists[h][b]);
-            }
-        }
+        d.gauges = self.gauges;
         d
     }
 
-    /// Folds `other` (another rank) into `self`: counters and buckets add;
-    /// level gauges add, high-water gauges take the max.
+    /// Folds `other` (another rank) into `self`: every cell adds, except
+    /// high-water gauges, which take the max.
     pub fn merge(&mut self, other: &Self) {
-        for i in 0..N_COUNTERS {
-            self.counters[i] = self.counters[i].saturating_add(other.counters[i]);
+        let mine = self.gauges;
+        for (v, o) in self.words_mut().zip(other.words()) {
+            *v = v.saturating_add(*o);
         }
-        for (i, g) in ALL_GAUGES.iter().enumerate() {
-            self.gauges[i] = if g.is_high_water() {
-                self.gauges[i].max(other.gauges[i])
-            } else {
-                self.gauges[i].saturating_add(other.gauges[i])
-            };
-        }
-        for h in 0..N_HISTS {
-            for b in 0..N_BUCKETS {
-                self.hists[h][b] = self.hists[h][b].saturating_add(other.hists[h][b]);
-            }
+        for g in ALL_GAUGES.into_iter().filter(|g| g.is_high_water()) {
+            self.gauges[g as usize] = mine[g as usize].max(other.gauges[g as usize]);
         }
     }
 
-    /// Fixed little-endian `u64` blob ([`METRICS_WIRE_BYTES`] long).
+    /// Fixed little-endian `u64` blob ([`METRICS_WIRE_BYTES`] long) — the
+    /// one wire form of per-rank numbers, used by the live plane and the
+    /// teardown gather alike.
     pub fn to_bytes(&self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(METRICS_WIRE_BYTES);
-        for v in &self.counters {
-            out.extend_from_slice(&v.to_le_bytes());
-        }
-        for v in &self.gauges {
-            out.extend_from_slice(&v.to_le_bytes());
-        }
-        for h in &self.hists {
-            for v in h {
-                out.extend_from_slice(&v.to_le_bytes());
-            }
-        }
-        out
+        self.words().flat_map(|v| v.to_le_bytes()).collect()
     }
 
     /// Parses a [`MetricsSnapshot::to_bytes`] blob; `None` on any size
@@ -516,25 +248,9 @@ impl MetricsSnapshot {
         if bytes.len() != METRICS_WIRE_BYTES {
             return None;
         }
-        let word = |i: usize| {
-            let at = i * 8;
-            u64::from_le_bytes(bytes[at..at + 8].try_into().expect("8-byte word"))
-        };
         let mut s = Self::default();
-        let mut w = 0;
-        for v in &mut s.counters {
-            *v = word(w);
-            w += 1;
-        }
-        for v in &mut s.gauges {
-            *v = word(w);
-            w += 1;
-        }
-        for h in &mut s.hists {
-            for v in h.iter_mut() {
-                *v = word(w);
-                w += 1;
-            }
+        for (v, word) in s.words_mut().zip(bytes.chunks_exact(8)) {
+            *v = u64::from_le_bytes(word.try_into().expect("8-byte word"));
         }
         Some(s)
     }
@@ -543,6 +259,18 @@ impl MetricsSnapshot {
     /// bucket bound in microseconds; 0 when the histogram is empty.
     pub fn percentile_us(&self, h: Hist, q: f64) -> u64 {
         hist_percentile_us(&self.hists[h as usize], q)
+    }
+
+    /// The `"totals"` object of the JSONL record and the crash report:
+    /// every counter, then every gauge, by name.
+    fn totals_json(&self) -> String {
+        let counters = ALL_COUNTERS.iter().zip(&self.counters);
+        let gauges = ALL_GAUGES.iter().zip(&self.gauges);
+        let cells: Vec<String> = counters
+            .map(|(c, v)| format!("\"{}\":{v}", c.name()))
+            .chain(gauges.map(|(g, v)| format!("\"{}\":{v}", g.name())))
+            .collect();
+        format!("{{{}}}", cells.join(","))
     }
 }
 
@@ -656,17 +384,6 @@ pub fn format_interval_record(r: &IntervalRecord<'_>) -> String {
     let p99 = r.merged.percentile_us(Hist::OpLatency, 0.99);
     let (blocked_median, straggler_ranks) = stragglers(r.blocked, r.stale, r.straggler_factor);
     let blocked: Vec<String> = r.blocked.iter().map(|v| format!("{v:.4}")).collect();
-    let mut totals = String::from("{");
-    for (i, c) in ALL_COUNTERS.iter().enumerate() {
-        if i > 0 {
-            totals.push(',');
-        }
-        totals.push_str(&format!("\"{}\":{}", c.name(), r.merged.counters[i]));
-    }
-    for (i, g) in ALL_GAUGES.iter().enumerate() {
-        totals.push_str(&format!(",\"{}\":{}", g.name(), r.merged.gauges[i]));
-    }
-    totals.push('}');
     format!(
         "{{\"seq\":{},\"t_unix_ms\":{},\"interval_ms\":{},\"ranks\":{},\"stale\":{},\
          \"msgs_per_s\":{},\"bytes_per_s\":{},\"op_p50_us\":{},\"op_p99_us\":{},\
@@ -683,7 +400,7 @@ pub fn format_interval_record(r: &IntervalRecord<'_>) -> String {
         blocked.join(","),
         blocked_median,
         json_usize_array(&straggler_ranks),
-        totals,
+        r.merged.totals_json(),
     )
 }
 
@@ -712,26 +429,24 @@ pub fn tty_line(record: &str) -> Option<String> {
     Some(line)
 }
 
-/// Extracts the integer after `"key":` in a JSON line.
-pub fn scrape_u64(line: &str, key: &str) -> Option<u64> {
+/// Parses the number after `"key":` in a JSON line.
+fn scrape_num<T: std::str::FromStr>(line: &str, key: &str) -> Option<T> {
     let pat = format!("\"{key}\":");
-    let at = line.find(&pat)? + pat.len();
-    let rest = &line[at..];
-    let end = rest
-        .find(|c: char| !c.is_ascii_digit())
-        .unwrap_or(rest.len());
-    rest[..end].parse().ok()
-}
-
-/// Extracts the float after `"key":` in a JSON line.
-pub fn scrape_f64(line: &str, key: &str) -> Option<f64> {
-    let pat = format!("\"{key}\":");
-    let at = line.find(&pat)? + pat.len();
-    let rest = &line[at..];
+    let rest = &line[line.find(&pat)? + pat.len()..];
     let end = rest
         .find(|c: char| c != '.' && c != '-' && !c.is_ascii_digit())
         .unwrap_or(rest.len());
     rest[..end].parse().ok()
+}
+
+/// Extracts the integer after `"key":` in a JSON line.
+pub fn scrape_u64(line: &str, key: &str) -> Option<u64> {
+    scrape_num(line, key)
+}
+
+/// Extracts the float after `"key":` in a JSON line.
+pub fn scrape_f64(line: &str, key: &str) -> Option<f64> {
+    scrape_num(line, key)
 }
 
 /// Extracts the `[..]` integer array after `"key":` in a JSON line.
@@ -751,122 +466,57 @@ pub fn scrape_array(line: &str, key: &str) -> Option<Vec<usize>> {
 // Snapshot plane: the poller / responder threads
 // ---------------------------------------------------------------------------
 
-/// Reserved collective-tag pair for the pull protocol (see
-/// [`crate::measurements::METRICS_SEQ_BASE`]).
-fn req_tag() -> crate::tag::Tag {
-    coll_tag(crate::measurements::METRICS_SEQ_BASE)
-}
+/// Reserved collective-tag pair of the pull protocol.
+const REQUEST_TAG: Tag = coll_tag(METRICS_SEQ_BASE);
+const REPLY_TAG: Tag = coll_tag(METRICS_SEQ_BASE + 1);
 
-fn rep_tag() -> crate::tag::Tag {
-    coll_tag(crate::measurements::METRICS_SEQ_BASE + 1)
-}
-
-fn unix_ms() -> u64 {
-    std::time::SystemTime::now()
-        .duration_since(std::time::UNIX_EPOCH)
-        .map(|d| d.as_millis() as u64)
-        .unwrap_or(0)
-}
-
-/// Freezes the registry of global rank `r`, folding in the always-on
-/// profile send counters.
-pub(crate) fn capture_rank(state: &UniverseState, r: usize) -> MetricsSnapshot {
-    let prof = state.counters[r].snapshot();
-    MetricsSnapshot::capture(
-        state.trace.metrics().rank(r),
-        (prof.messages_sent, prof.bytes_sent),
-    )
-}
-
-/// Handle to the background snapshot threads; [`MetricsPlane::stop`] joins
-/// them (call before transport teardown).
+/// Handle to this process's background snapshot thread;
+/// [`MetricsPlane::stop`] joins it (call before transport teardown).
 pub(crate) struct MetricsPlane {
     stop: Arc<AtomicBool>,
-    handles: Vec<std::thread::JoinHandle<()>>,
+    handle: std::thread::JoinHandle<()>,
 }
 
 impl MetricsPlane {
-    /// Signals the threads and joins them. The poller emits one final
+    /// Signals the thread and joins it. The poller emits one final
     /// partial interval on the way out, so even runs shorter than the
     /// interval produce a record.
     pub(crate) fn stop(self) {
         self.stop.store(true, Ordering::Release);
-        for h in self.handles {
-            let _ = h.join();
-        }
+        let _ = self.handle.join();
     }
 
-    /// Starts the in-process (shm backend) poller: every registry is in
-    /// this address space, so rank 0's pull is a direct read. Returns
-    /// `None` when metrics are off or no output path is configured.
-    pub(crate) fn start_local(state: &Arc<UniverseState>, cfg: &TraceConfig) -> Option<Self> {
-        if !state.trace.metrics().enabled() {
-            return None;
+    /// Starts this process's part of the plane; `None` when metrics are
+    /// off or the poller has no output path. `me` is the one rank a
+    /// multi-process backend hosts here: rank 0 runs the poller (requests
+    /// every live peer's snapshot each interval over the reserved tag
+    /// pair), every other rank a responder. On shm (`me: None`) every
+    /// block is in this address space, so the poll is a direct read.
+    pub(crate) fn start(state: &Arc<UniverseState>, me: Option<usize>) -> Option<Self> {
+        fn spawn(
+            name: &str,
+            body: impl FnOnce() + Send + 'static,
+        ) -> Option<std::thread::JoinHandle<()>> {
+            std::thread::Builder::new()
+                .name(name.into())
+                .spawn(body)
+                .ok()
         }
-        let out = cfg.metrics_out.clone()?;
-        let stop = Arc::new(AtomicBool::new(false));
-        let flag = Arc::clone(&stop);
-        let state = Arc::clone(state);
-        let interval = Duration::from_millis(cfg.metrics_interval_ms);
-        let factor = cfg.straggler_factor;
-        let handle = std::thread::Builder::new()
-            .name("kamping-metrics".into())
-            .spawn(move || {
-                let size = state.size;
-                let mut sink = IntervalSink::new(&out, size, factor);
-                loop {
-                    let stopped = sleep_until(&flag, interval);
-                    let stale: Vec<usize> = (0..size).filter(|&r| state.is_gone(r)).collect();
-                    let snaps: Vec<MetricsSnapshot> =
-                        (0..size).map(|r| capture_rank(&state, r)).collect();
-                    sink.emit(&snaps, &stale);
-                    if stopped {
-                        return;
-                    }
-                }
-            })
-            .ok()?;
-        Some(Self {
-            stop,
-            handles: vec![handle],
-        })
-    }
-
-    /// Starts the cross-process plane for the socket / shm-xproc backends:
-    /// rank 0 runs the poller (requests every live peer's snapshot each
-    /// interval over the reserved tag pair), every other rank runs a
-    /// responder. A peer that does not answer within the reply budget is
-    /// reported stale for that interval — the poll never hangs on a dead
-    /// rank.
-    pub(crate) fn start_socket(
-        state: &Arc<UniverseState>,
-        cfg: &TraceConfig,
-        me: usize,
-    ) -> Option<Self> {
-        if !state.trace.metrics().enabled() {
+        if !state.config.metrics {
             return None;
         }
         let stop = Arc::new(AtomicBool::new(false));
-        let flag = Arc::clone(&stop);
-        let state_arc = Arc::clone(state);
-        let handle = if me == 0 {
-            let out = cfg.metrics_out.clone()?;
-            let interval = Duration::from_millis(cfg.metrics_interval_ms);
-            let factor = cfg.straggler_factor;
-            std::thread::Builder::new()
-                .name("kamping-metrics-poll".into())
-                .spawn(move || socket_poller(&state_arc, &flag, &out, interval, factor))
-                .ok()?
-        } else {
-            std::thread::Builder::new()
-                .name("kamping-metrics-resp".into())
-                .spawn(move || socket_responder(&state_arc, &flag, me))
-                .ok()?
-        };
-        Some(Self {
-            stop,
-            handles: vec![handle],
-        })
+        let (flag, st) = (Arc::clone(&stop), Arc::clone(state));
+        let handle = match me {
+            Some(me) if me != 0 => spawn("kamping-metrics-resp", move || responder(&st, &flag, me)),
+            _ => {
+                let out = state.config.metrics_out.clone()?;
+                spawn("kamping-metrics", move || {
+                    poller(&st, &flag, &out, me.is_some())
+                })
+            }
+        }?;
+        Some(Self { stop, handle })
     }
 }
 
@@ -882,173 +532,135 @@ fn sleep_until(stop: &AtomicBool, interval: Duration) -> bool {
     stop.load(Ordering::Acquire)
 }
 
-/// Per-interval delta bookkeeping + JSONL appender shared by both plane
-/// flavours.
-struct IntervalSink {
-    out: PathBuf,
-    factor: f64,
-    seq: u64,
-    last_emit: Instant,
-    prev: Vec<MetricsSnapshot>,
-}
-
-impl IntervalSink {
-    fn new(out: &Path, size: usize, factor: f64) -> Self {
-        Self {
-            out: out.to_path_buf(),
-            factor,
-            seq: 0,
-            last_emit: Instant::now(),
-            prev: vec![MetricsSnapshot::default(); size],
-        }
-    }
-
-    /// Emits one record from fresh per-rank totals. `stale` ranks keep
-    /// their previous baseline so a later successful pull attributes the
-    /// missed interval's work instead of losing it.
-    fn emit(&mut self, totals: &[MetricsSnapshot], stale: &[usize]) {
-        self.seq += 1;
-        let interval_ms = (self.last_emit.elapsed().as_millis() as u64).max(1);
-        self.last_emit = Instant::now();
-        let interval_ns = interval_ms as f64 * 1e6;
-        let mut merged = MetricsSnapshot::default();
-        let mut blocked = vec![0.0; totals.len()];
-        for (r, total) in totals.iter().enumerate() {
-            if stale.contains(&r) {
-                continue;
+/// The poll loop: every interval, refresh the per-rank totals — read
+/// directly, or pulled from the other processes when `remote` — and append
+/// one merged record of what happened since the previous one to `out`.
+fn poller(state: &Arc<UniverseState>, stop: &AtomicBool, out: &Path, remote: bool) {
+    let size = state.size;
+    let interval = Duration::from_millis(state.config.metrics_interval_ms);
+    // Last known totals per rank, and the totals the previous record was
+    // cut at. Stale ranks keep both, so a later successful pull attributes
+    // the missed interval's work instead of losing it.
+    let mut totals = vec![MetricsSnapshot::default(); size];
+    let mut prev = totals.clone();
+    let mut last_emit = Instant::now();
+    for seq in 1u64.. {
+        let stopped = sleep_until(stop, interval);
+        let stale: Vec<usize> = if remote {
+            totals[0] = state.trace.rank(0).snapshot();
+            pull_remote(state, seq, interval, &mut totals)
+        } else {
+            for (r, total) in totals.iter_mut().enumerate() {
+                *total = state.trace.rank(r).snapshot();
             }
-            let d = total.delta(&self.prev[r]);
-            blocked[r] = (d.counter(Counter::BlockedNs) as f64 / interval_ns).clamp(0.0, 1.0);
+            (0..size).filter(|&r| state.is_gone(r)).collect()
+        };
+        let interval_ms = (last_emit.elapsed().as_millis() as u64).max(1);
+        last_emit = Instant::now();
+        let mut merged = MetricsSnapshot::default();
+        let mut blocked = vec![0.0; size];
+        for r in (0..size).filter(|r| !stale.contains(r)) {
+            let d = totals[r].delta(&prev[r]);
+            let blocked_ns = d.counter(Counter::BlockedNs) as f64;
+            blocked[r] = (blocked_ns / (interval_ms as f64 * 1e6)).clamp(0.0, 1.0);
             merged.merge(&d);
-            self.prev[r] = total.clone();
+            prev[r] = totals[r].clone();
         }
-        let rec = IntervalRecord {
-            seq: self.seq,
-            t_unix_ms: unix_ms(),
+        let line = format_interval_record(&IntervalRecord {
+            seq,
+            t_unix_ms: (std::time::SystemTime::now().duration_since(std::time::UNIX_EPOCH))
+                .map_or(0, |d| d.as_millis() as u64),
             interval_ms,
-            ranks: totals.len(),
-            stale,
+            ranks: size,
+            stale: &stale,
             merged: &merged,
             blocked: &blocked,
-            straggler_factor: self.factor,
-        };
-        let line = format_interval_record(&rec);
-        let _ = append_line(&self.out, &line);
-    }
-}
-
-fn append_line(path: &Path, line: &str) -> io::Result<()> {
-    let mut f = std::fs::OpenOptions::new()
-        .create(true)
-        .append(true)
-        .open(path)?;
-    f.write_all(line.as_bytes())?;
-    f.write_all(b"\n")?;
-    f.flush()
-}
-
-/// Rank 0's cross-process poll loop.
-fn socket_poller(
-    state: &Arc<UniverseState>,
-    stop: &AtomicBool,
-    out: &Path,
-    interval: Duration,
-    factor: f64,
-) {
-    let size = state.size;
-    let mut sink = IntervalSink::new(out, size, factor);
-    // Last known totals per rank; stale ranks report their previous pull.
-    let mut totals = vec![MetricsSnapshot::default(); size];
-    let mut seq: u64 = 0;
-    let no_interrupt = || None;
-    loop {
-        let stopped = sleep_until(stop, interval);
-        seq += 1;
-        // Membership, not slot range: on an elastic universe `size` is the
-        // capacity, and never-admitted slots must not be polled (or they
-        // would eat the reply budget every interval).
-        let members = state.current_members();
-        let live: Vec<usize> = members
-            .iter()
-            .copied()
-            .filter(|&r| r != 0 && !state.is_gone(r))
-            .collect();
-        for &r in &live {
-            let mut payload = Vec::with_capacity(8);
-            payload.extend_from_slice(&seq.to_le_bytes());
-            state.transport.post(
-                r,
-                Envelope {
-                    src: 0,
-                    tag: req_tag(),
-                    ctx: 0,
-                    payload: Payload::from_vec(payload),
-                    ack: None,
-                },
-            );
-        }
-        // Reply budget: most of the interval, but never unbounded — a
-        // rank that died between the liveness check and the reply is
-        // simply stale this round.
-        let budget = (interval / 2).clamp(Duration::from_millis(50), Duration::from_millis(500));
-        let deadline = Instant::now() + budget;
-        let mut stale: Vec<usize> = members
-            .iter()
-            .copied()
-            .filter(|&r| r != 0 && !live.contains(&r))
-            .collect();
-        for &r in &live {
-            let key = MatchKey {
-                src: r,
-                tag: rep_tag(),
-                ctx: 0,
-            };
-            loop {
-                match state
-                    .mailbox(0)
-                    .take_blocking_deadline(key, &no_interrupt, Some(deadline))
-                {
-                    Ok(d) => {
-                        let bytes = d.payload.as_slice();
-                        if bytes.len() < 8 {
-                            continue;
-                        }
-                        let rep_seq =
-                            u64::from_le_bytes(bytes[..8].try_into().expect("8-byte seq"));
-                        if rep_seq < seq {
-                            // Late answer to an earlier poll; drain it and
-                            // keep waiting for the current one.
-                            continue;
-                        }
-                        match MetricsSnapshot::from_bytes(&bytes[8..]) {
-                            Some(s) => totals[r] = s,
-                            None => stale.push(r),
-                        }
-                        break;
-                    }
-                    Err(_) => {
-                        stale.push(r);
-                        break;
-                    }
-                }
-            }
-        }
-        totals[0] = capture_rank(state, 0);
-        stale.sort_unstable();
-        stale.dedup();
-        sink.emit(&totals, &stale);
+            straggler_factor: state.config.straggler_factor,
+        });
+        let file = std::fs::OpenOptions::new()
+            .create(true)
+            .append(true)
+            .open(out);
+        let _ = file.and_then(|mut f| f.write_all(format!("{line}\n").as_bytes()));
         if stopped {
             return;
         }
     }
 }
 
+/// One round of rank 0's cross-process pull: request every live peer's
+/// snapshot, collect the replies into `totals`, and return the ranks that
+/// did not answer within the reply budget — the poll never hangs on a
+/// dead rank.
+fn pull_remote(
+    state: &UniverseState,
+    seq: u64,
+    interval: Duration,
+    totals: &mut [MetricsSnapshot],
+) -> Vec<usize> {
+    // Membership, not slot range: on an elastic universe `size` is the
+    // capacity, and never-admitted slots must not be polled (or they
+    // would eat the reply budget every interval).
+    let members = state.current_members();
+    let (live, mut stale): (Vec<usize>, Vec<usize>) = members
+        .iter()
+        .filter(|&&r| r != 0)
+        .partition(|&&r| !state.is_gone(r));
+    for &r in &live {
+        state.transport.post(
+            r,
+            Envelope {
+                src: 0,
+                tag: REQUEST_TAG,
+                ctx: 0,
+                payload: Payload::from_slice(&seq.to_le_bytes()),
+                ack: None,
+            },
+        );
+    }
+    // Reply budget: most of the interval, but never unbounded — a rank
+    // that died between the liveness check and the reply is simply stale
+    // this round.
+    let budget = (interval / 2).clamp(Duration::from_millis(50), Duration::from_millis(500));
+    let deadline = Instant::now() + budget;
+    let no_interrupt = || None;
+    for &r in &live {
+        let key = MatchKey {
+            src: r,
+            tag: REPLY_TAG,
+            ctx: 0,
+        };
+        loop {
+            let reply = state
+                .mailbox(0)
+                .take_blocking_deadline(key, &no_interrupt, Some(deadline));
+            let Ok(d) = reply else {
+                stale.push(r);
+                break;
+            };
+            let bytes = d.payload.as_slice();
+            // Shorter than a seq, or a late answer to an earlier poll:
+            // drain it and keep waiting for the current one.
+            if bytes.len() < 8 || u64::from_le_bytes(bytes[..8].try_into().expect("8")) < seq {
+                continue;
+            }
+            match MetricsSnapshot::from_bytes(&bytes[8..]) {
+                Some(s) => totals[r] = s,
+                None => stale.push(r),
+            }
+            break;
+        }
+    }
+    stale.sort_unstable();
+    stale
+}
+
 /// A non-zero rank's reply loop: answer each snapshot request with the
 /// current registry blob, checking the stop flag between bounded waits.
-fn socket_responder(state: &Arc<UniverseState>, stop: &AtomicBool, me: usize) {
+fn responder(state: &Arc<UniverseState>, stop: &AtomicBool, me: usize) {
     let key = MatchKey {
         src: 0,
-        tag: req_tag(),
+        tag: REQUEST_TAG,
         ctx: 0,
     };
     let no_interrupt = || None;
@@ -1063,15 +675,13 @@ fn socket_responder(state: &Arc<UniverseState>, stop: &AtomicBool, me: usize) {
                 if bytes.len() < 8 {
                     continue;
                 }
-                let snap = capture_rank(state, me);
-                let mut payload = Vec::with_capacity(8 + METRICS_WIRE_BYTES);
-                payload.extend_from_slice(&bytes[..8]);
-                payload.extend_from_slice(&snap.to_bytes());
+                let mut payload = bytes[..8].to_vec();
+                payload.extend(state.trace.rank(me).snapshot().to_bytes());
                 state.transport.post(
                     0,
                     Envelope {
                         src: me,
-                        tag: rep_tag(),
+                        tag: REPLY_TAG,
                         ctx: 0,
                         payload: Payload::from_vec(payload),
                         ack: None,
@@ -1089,119 +699,88 @@ fn socket_responder(state: &Arc<UniverseState>, stop: &AtomicBool, me: usize) {
 // ---------------------------------------------------------------------------
 
 /// Everything one rank knows at crash time.
-pub(crate) struct CrashInfo {
+pub(crate) struct CrashInfo<'a> {
     /// This (surviving) global rank.
     pub rank: usize,
     /// True when the rank's own closure panicked.
     pub panicked: bool,
     /// Global ranks marked failed, sorted.
-    pub failed: Vec<usize>,
+    pub failed: &'a [usize],
     /// The first failure this process observed, if any.
     pub first_failed: Option<usize>,
     /// Ops open at dump time: `(global rank, op name, since_ns)`.
-    pub ops_in_flight: Vec<(usize, &'static str, u64)>,
+    pub ops_in_flight: &'a [(usize, &'static str, u64)],
     /// Trace events lost to ring overflow.
     pub dropped_events: u64,
-    /// Final registry totals for this rank.
+    /// Final totals of this rank's block.
     pub totals: MetricsSnapshot,
     /// Last trace events, already rendered as Chrome JSON objects.
-    pub events: Vec<String>,
+    pub events: &'a [String],
 }
 
 /// Writes `crash-rank<R>.json`. Scalar fields come first so the
 /// post-mortem collector can field-scrape the prefix without parsing the
 /// (arbitrary) event bodies.
-pub(crate) fn write_crash_report(dir: &Path, info: &CrashInfo) -> io::Result<PathBuf> {
+pub(crate) fn write_crash_report(dir: &Path, info: &CrashInfo<'_>) -> io::Result<PathBuf> {
     std::fs::create_dir_all(dir)?;
-    let mut doc = format!(
+    let ops: Vec<String> = (info.ops_in_flight.iter())
+        .map(|(rank, op, since)| {
+            format!("{{\"rank\":{rank},\"op\":\"{op}\",\"since_ns\":{since}}}")
+        })
+        .collect();
+    let doc = format!(
         "{{\"rank\":{},\"panicked\":{},\"failed\":{},\"first_failed\":{},\"timeouts\":{},\
-         \"dropped_events\":{},\"ops_in_flight\":[",
+         \"dropped_events\":{},\"ops_in_flight\":[{}],\"totals\":{},\"events\":[\n{}\n]}}\n",
         info.rank,
         info.panicked,
-        json_usize_array(&info.failed),
-        match info.first_failed {
-            Some(r) => r.to_string(),
-            None => "null".to_string(),
-        },
+        json_usize_array(info.failed),
+        info.first_failed
+            .map_or("null".to_string(), |r| r.to_string()),
         info.totals.counter(Counter::Timeouts),
         info.dropped_events,
+        ops.join(","),
+        info.totals.totals_json(),
+        info.events.join(",\n"),
     );
-    for (i, (rank, op, since)) in info.ops_in_flight.iter().enumerate() {
-        if i > 0 {
-            doc.push(',');
-        }
-        doc.push_str(&format!(
-            "{{\"rank\":{rank},\"op\":\"{op}\",\"since_ns\":{since}}}"
-        ));
-    }
-    doc.push_str("],\"totals\":{");
-    for (i, c) in ALL_COUNTERS.iter().enumerate() {
-        if i > 0 {
-            doc.push(',');
-        }
-        doc.push_str(&format!("\"{}\":{}", c.name(), info.totals.counters[i]));
-    }
-    for (i, g) in ALL_GAUGES.iter().enumerate() {
-        doc.push_str(&format!(",\"{}\":{}", g.name(), info.totals.gauges[i]));
-    }
-    doc.push_str("},\"events\":[\n");
-    for (i, ev) in info.events.iter().enumerate() {
-        doc.push_str(ev);
-        if i + 1 < info.events.len() {
-            doc.push(',');
-        }
-        doc.push('\n');
-    }
-    doc.push_str("]}\n");
     let path = dir.join(format!("crash-rank{}.json", info.rank));
     std::fs::write(&path, doc)?;
     Ok(path)
 }
 
-/// How many trailing trace events each crash report keeps.
-pub(crate) const CRASH_EVENT_TAIL: usize = 256;
-
-/// Writes one crash report per rank in `report_ranks` (the surviving
-/// ranks this process hosts), sharing one already-rendered event tail.
-/// In-flight ops are gathered from every registry visible in this
-/// process — on the shm backend that includes the frozen registries of
-/// dead ranks, which is usually where the interesting op sits.
+/// Writes one crash report per rank in `report_ranks` (ranks this process
+/// hosts) from the already-drained `events`. In-flight ops are gathered
+/// from every block visible in this process — on the shm backend that
+/// includes the frozen blocks of dead ranks, which is usually where the
+/// interesting op sits.
 pub(crate) fn dump_crash_reports(
     state: &UniverseState,
     dir: &Path,
     panicked: &[usize],
-    events: &[String],
-    dropped_events: u64,
+    failed: &[usize],
+    events: &[TraceEvent],
     report_ranks: &[usize],
 ) {
-    let mut failed: Vec<usize> = state
-        .failed
-        .read()
-        .expect("failed set poisoned")
-        .iter()
-        .copied()
-        .collect();
-    failed.sort_unstable();
-    let first_failed = state.first_failed.get().copied();
-    let metrics = state.trace.metrics();
-    let ops_in_flight: Vec<(usize, &'static str, u64)> = (0..metrics.size())
+    /// How many trailing trace events each crash report keeps.
+    const CRASH_EVENT_TAIL: usize = 256;
+    let trace = &state.trace;
+    let tail = &events[events.len().saturating_sub(CRASH_EVENT_TAIL)..];
+    let tail = crate::trace::render_events(tail, trace.epoch_unix_ns());
+    let ops_in_flight: Vec<(usize, &'static str, u64)> = (0..trace.size())
         .filter_map(|r| {
-            metrics
-                .rank(r)
-                .in_flight()
-                .map(|(op, since)| (r, op.name(), since))
+            let (op, since) = trace.rank(r).in_flight()?;
+            Some((r, op.name(), since))
         })
         .collect();
     for &r in report_ranks {
         let info = CrashInfo {
             rank: r,
             panicked: panicked.contains(&r),
-            failed: failed.clone(),
-            first_failed,
-            ops_in_flight: ops_in_flight.clone(),
-            dropped_events,
-            totals: capture_rank(state, r),
-            events: events.to_vec(),
+            failed,
+            first_failed: state.first_failed.get().copied(),
+            ops_in_flight: &ops_in_flight,
+            dropped_events: trace.dropped_events(),
+            totals: trace.rank(r).snapshot(),
+            events: &tail,
         };
         if let Err(e) = write_crash_report(dir, &info) {
             eprintln!("kamping: failed to write crash report for rank {r}: {e}");
@@ -1263,30 +842,17 @@ pub fn collect_crash_reports(dir: &Path) -> io::Result<Option<String>> {
     failed.dedup();
     // Consensus first-failing rank: the most frequent vote, smallest on a
     // tie; fall back to the smallest failed rank when nobody voted.
-    let first_failed = {
-        let mut best: Option<(usize, usize)> = None;
-        for &v in &first_votes {
-            let count = first_votes.iter().filter(|&&x| x == v).count();
-            let better = match best {
-                None => true,
-                Some((bc, bv)) => count > bc || (count == bc && v < bv),
-            };
-            if better {
-                best = Some((count, v));
-            }
-        }
-        best.map(|(_, v)| v).or_else(|| failed.first().copied())
-    };
+    let votes = |v: usize| first_votes.iter().filter(|&&x| x == v).count();
+    let first_failed = (first_votes.iter().copied())
+        .max_by_key(|&v| (votes(v), std::cmp::Reverse(v)))
+        .or_else(|| failed.first().copied());
     let reporters: Vec<usize> = reports.iter().map(|(r, _)| *r).collect();
     let doc = format!(
         "{{\"reports\":{},\"reporters\":{},\"first_failed\":{},\"failed\":{},\
          \"panicked\":{},\"timeouts\":{},\"ops_in_flight\":[{}]}}",
         reports.len(),
         json_usize_array(&reporters),
-        match first_failed {
-            Some(r) => r.to_string(),
-            None => "null".to_string(),
-        },
+        first_failed.map_or("null".to_string(), |r| r.to_string()),
         json_usize_array(&failed),
         json_usize_array(&panicked),
         timeouts,
@@ -1298,6 +864,7 @@ pub fn collect_crash_reports(dir: &Path) -> io::Result<Option<String>> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::trace::{TraceCtx, METRICS};
 
     #[test]
     fn bucket_boundaries() {
@@ -1355,15 +922,27 @@ mod tests {
 
     #[test]
     fn snapshot_wire_round_trip() {
-        let rm = RankMetrics::default();
-        rm.add(Counter::MsgsDelivered, 7);
-        rm.add(Counter::BlockedNs, 12345);
-        rm.gauge_max(Gauge::OutboundQueueMax, 42);
-        rm.observe(Hist::OpLatency, 3_000);
-        rm.observe(Hist::HeartbeatRtt, 900_000);
-        let snap = MetricsSnapshot::capture(&rm, (11, 222));
-        assert_eq!(snap.counter(Counter::MsgsSent), 11);
+        let ctx = TraceCtx::new(1, METRICS);
+        ctx.count(0, Counter::MsgsDelivered, 7);
+        ctx.count(0, Counter::BlockedNs, 12345);
+        ctx.gauge_max(0, Gauge::OutboundQueueMax, 42);
+        ctx.observe(0, Hist::OpLatency, 3_000);
+        ctx.observe(0, Hist::HeartbeatRtt, 900_000);
+        for bytes in [100, 122] {
+            let envelope = Envelope {
+                src: 0,
+                tag: 0,
+                ctx: 0,
+                payload: Payload::from_vec(vec![0; bytes]),
+                ack: None,
+            };
+            ctx.posted(0, &envelope);
+        }
+        drop(ctx.op(crate::Op::Bcast, 0));
+        let snap = ctx.rank(0).snapshot();
+        assert_eq!(snap.counter(Counter::MsgsSent), 2);
         assert_eq!(snap.counter(Counter::BytesSent), 222);
+        assert_eq!(snap.profile().calls(crate::Op::Bcast), 1);
         let bytes = snap.to_bytes();
         assert_eq!(bytes.len(), METRICS_WIRE_BYTES);
         assert_eq!(MetricsSnapshot::from_bytes(&bytes), Some(snap));
@@ -1372,13 +951,13 @@ mod tests {
 
     #[test]
     fn delta_subtracts_counters_keeps_gauges() {
-        let rm = RankMetrics::default();
-        rm.add(Counter::MsgsDelivered, 10);
-        rm.gauge_max(Gauge::RingOccupancyMax, 100);
-        let first = MetricsSnapshot::capture(&rm, (0, 0));
-        rm.add(Counter::MsgsDelivered, 5);
-        rm.gauge_max(Gauge::RingOccupancyMax, 50); // high-water stays 100
-        let second = MetricsSnapshot::capture(&rm, (0, 0));
+        let ctx = TraceCtx::new(1, METRICS);
+        ctx.count(0, Counter::MsgsDelivered, 10);
+        ctx.gauge_max(0, Gauge::RingOccupancyMax, 100);
+        let first = ctx.rank(0).snapshot();
+        ctx.count(0, Counter::MsgsDelivered, 5);
+        ctx.gauge_max(0, Gauge::RingOccupancyMax, 50); // high-water stays 100
+        let second = ctx.rank(0).snapshot();
         let d = second.delta(&first);
         assert_eq!(d.counter(Counter::MsgsDelivered), 5);
         assert_eq!(d.gauges[Gauge::RingOccupancyMax as usize], 100);
@@ -1470,12 +1049,12 @@ mod tests {
         let info = CrashInfo {
             rank: 1,
             panicked: false,
-            failed: vec![3],
+            failed: &[3],
             first_failed: Some(3),
-            ops_in_flight: vec![(1, "recv", 500)],
+            ops_in_flight: &[(1, "recv", 500)],
             dropped_events: 0,
             totals,
-            events: vec!["{\"ts\":1.000,\"name\":\"x\"}".into()],
+            events: &["{\"ts\":1.000,\"name\":\"x\"}".into()],
         };
         write_crash_report(&dir, &info).unwrap();
         let post = collect_crash_reports(&dir).unwrap().expect("has reports");

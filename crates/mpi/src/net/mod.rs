@@ -11,7 +11,7 @@
 //!
 //! which amounts to `KAMPING_TRANSPORT=socket` plus `KAMPING_RANK`,
 //! `KAMPING_RANKS`, and `KAMPING_RENDEZVOUS` for each spawned process.
-//! [`crate::Universe::run`] detects that environment ([`SocketConfig::from_env`])
+//! [`crate::Universe::run`] detects that environment ([`crate::Config::socket`])
 //! and joins the job as one rank instead of spawning threads.
 //!
 //! # Rendezvous
@@ -61,13 +61,14 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Weak};
 use std::time::Duration;
 
-use crate::chaos::{ChaosSpec, ChaosTransport};
+use crate::chaos::ChaosTransport;
 use crate::comm::RawComm;
+use crate::config::Config;
 use crate::error::{MpiError, MpiResult};
-use crate::profile::{ProfileSnapshot, RankProfile, PROFILE_WIRE_BYTES};
-use crate::trace::{TraceConfig, TraceCtx};
+use crate::metrics::{MetricsSnapshot, METRICS_WIRE_BYTES};
+use crate::trace::TraceCtx;
 use crate::transport::{ControlSink, Hub, Transport};
-use crate::universe::UniverseState;
+use crate::universe::{Job, UniverseState};
 
 use wire::{read_frame, write_frame, Frame};
 
@@ -114,18 +115,12 @@ pub struct SocketConfig {
 }
 
 impl SocketConfig {
-    /// Reads the launch environment. `Ok(None)` unless
-    /// `KAMPING_TRANSPORT=socket`; a typed [`MpiError::Config`] (naming
-    /// the offending variable) if the socket environment is requested but
-    /// malformed or incomplete, because silently falling back to threads
-    /// would mask launcher bugs.
-    pub fn from_env() -> MpiResult<Option<Self>> {
-        Self::from_lookup(|key| std::env::var(key).ok())
-    }
-
-    /// [`SocketConfig::from_env`] over an arbitrary variable lookup — the
-    /// pure core, so tests can exercise malformed environments without
-    /// racing on the process-global environment.
+    /// Parses the launch environment out of a variable lookup (the
+    /// process environment, via [`Config::from_lookup`]). `Ok(None)` unless
+    /// `KAMPING_TRANSPORT` names a multi-process backend; a typed
+    /// [`MpiError::Config`] (naming the offending variable) if one is
+    /// requested but its environment is malformed or incomplete, because
+    /// silently falling back to threads would mask launcher bugs.
     pub fn from_lookup(get: impl Fn(&str) -> Option<String>) -> MpiResult<Option<Self>> {
         let backend = match get("KAMPING_TRANSPORT") {
             Some(v) if v == "socket" => Backend::Socket,
@@ -565,16 +560,17 @@ static SOCKET_UNIVERSE_ACTIVE: AtomicBool = AtomicBool::new(false);
 /// Setup failures — an unbindable data listener, a broken rendezvous —
 /// come back as [`MpiError::Config`] with the single-universe guard
 /// released, so a launcher can correct the environment and retry.
-pub(crate) fn run_socket<R, F>(
-    cfg: &SocketConfig,
-    chaos: Option<ChaosSpec>,
-    trace_cfg: TraceConfig,
-    f: F,
-) -> MpiResult<(Vec<R>, ProfileSnapshot, Arc<TraceCtx>)>
+pub(crate) fn run_socket<R, F>(config: Config, f: F) -> MpiResult<Job<R>>
 where
     R: Send,
     F: Fn(RawComm) -> R + Sync,
 {
+    let Some(cfg) = config.socket.clone() else {
+        return Err(MpiError::Config(
+            "the socket backend needs the kampirun launch environment".into(),
+        ));
+    };
+    let cfg = &cfg;
     if SOCKET_UNIVERSE_ACTIVE.swap(true, Ordering::AcqRel) {
         return Err(MpiError::Config(
             "the socket backend supports one Universe::run per process: \
@@ -789,7 +785,7 @@ where
         rdv = handle;
     }
 
-    let trace = Arc::new(TraceCtx::new(capacity, &trace_cfg));
+    let trace = Arc::new(TraceCtx::new(capacity, config.trace_flags()));
     crate::trace::set_thread_rank(my_rank);
     let hub = Arc::new(Hub::new());
     let monitor_table = table.clone();
@@ -805,8 +801,8 @@ where
         Ok(t) => Arc::new(t),
         Err(e) => return fail(format!("{who}: starting transport: {e}")),
     };
-    let chaos_active = chaos.is_some();
-    let (transport, chaos_layer) = match chaos {
+    let chaos_active = config.chaos.is_some();
+    let (transport, chaos_layer) = match config.chaos.clone() {
         None => (Arc::clone(&socket) as Arc<dyn Transport>, None),
         Some(spec) => {
             let layer = Arc::new(ChaosTransport::new(
@@ -824,6 +820,7 @@ where
         transport,
         hub,
         Arc::clone(&trace),
+        config,
     ));
     {
         let weak: Weak<UniverseState> = Arc::downgrade(&state);
@@ -867,7 +864,7 @@ where
     // Live metrics plane: rank 0 polls, everyone else answers. Runs over
     // the data plane on a reserved tag pair, so it needs nothing beyond
     // the transport that is already up.
-    let plane = crate::metrics::MetricsPlane::start_socket(&state, &trace_cfg, my_rank);
+    let plane = crate::metrics::MetricsPlane::start(&state, Some(my_rank));
 
     let comm = if cfg.join {
         // The admission epoch and everything it implies (member list,
@@ -887,15 +884,16 @@ where
     if outcome.is_err() {
         state.mark_failed(my_rank);
     }
-    // Exchange frozen per-rank counters while the mesh is still up, so the
-    // snapshot this process returns covers *every* rank, not just its own
-    // (remote columns used to read as all-zero). Skipped under chaos — a
-    // lossy transport could stall the collective — and after a local panic.
-    let profile = if outcome.is_ok() && !chaos_active {
-        gather_profiles(&comm)
-    } else {
-        state.profile()
-    };
+    // Exchange frozen stats blocks while the mesh is still up, so the
+    // views this process returns (profile, op tree) cover *every* rank,
+    // not just its own. Skipped under chaos — a lossy transport could
+    // stall the collective — and after a local panic.
+    let gathered = (outcome.is_ok() && !chaos_active)
+        .then(|| gather_stats(&comm))
+        .flatten();
+    let complete = gathered.is_some();
+    let stats =
+        gathered.unwrap_or_else(|| (0..capacity).map(|r| trace.rank(r).snapshot()).collect());
     // Join the metrics threads while the mesh is still up: the poller
     // emits its final (partial) interval here, and the responder must not
     // outlive the transport it posts replies on.
@@ -915,78 +913,37 @@ where
         let _ = write_frame(&mut s, &Frame::Bye { rank: my_rank });
     }
 
-    // Flight recorder + trace export share one `take_events` drain. A
-    // panicking rank still writes its own report (the process survives
+    // A panicking rank still writes its own report (the process survives
     // long enough to tell the story); a SIGKILLed one cannot, which is
     // exactly what the survivors' reports are for.
-    let panicked: Vec<usize> = if outcome.is_err() {
-        vec![my_rank]
-    } else {
-        Vec::new()
-    };
-    let crashed = outcome.is_err()
-        || !state.failed.read().expect("failed set poisoned").is_empty()
-        || trace
-            .metrics()
-            .rank(my_rank)
-            .get(crate::metrics::Counter::Timeouts)
-            > 0;
-    let want_trace = trace.tracing() && trace_cfg.out.is_some();
-    let want_crash = trace_cfg.crash_dir.is_some() && crashed;
-    if want_trace || want_crash {
-        let events = trace.take_events();
-        if let (Some(dir), true) = (&trace_cfg.crash_dir, want_crash) {
-            let tail = crate::trace::render_event_tail(
-                &events,
-                crate::metrics::CRASH_EVENT_TAIL,
-                trace.epoch_unix_ns(),
-            );
-            crate::metrics::dump_crash_reports(
-                &state,
-                dir,
-                &panicked,
-                &tail,
-                trace.dropped_events(),
-                &[my_rank],
-            );
-        }
-        if want_trace {
-            if let Some(out) = &trace_cfg.out {
-                if let Err(e) =
-                    crate::trace::write_process_trace_events(&trace, &events, out, Some(my_rank))
-                {
-                    eprintln!("kamping: rank {my_rank}: writing trace: {e}");
-                }
-            }
-        }
-    }
+    let panicked: Vec<usize> = outcome.is_err().then_some(my_rank).into_iter().collect();
+    state.write_artifacts(&panicked, &[my_rank], Some(my_rank));
 
     match outcome {
-        Ok(v) => Ok((vec![v], profile, trace)),
+        Ok(v) => Ok(Job {
+            values: vec![v],
+            stats,
+            complete,
+            trace,
+        }),
         Err(p) => std::panic::resume_unwind(p),
     }
 }
 
-/// All-gathers every rank's frozen [`RankProfile`] over the world
-/// communicator on a reserved tag range, so a [`ProfileSnapshot`] captured
-/// by one process reflects the whole job. Falls back to the local-only
-/// snapshot if any peer cannot participate (e.g. it already failed).
-fn gather_profiles(comm: &RawComm) -> ProfileSnapshot {
+/// All-gathers every member's frozen stats block over `comm` on the
+/// reserved teardown tag range, so the views a multi-process rank returns
+/// (profile, op tree) cover the whole job. The result is indexed by
+/// *global* rank (never-admitted slots stay zero); `None` if any peer
+/// cannot participate (e.g. it already failed).
+fn gather_stats(comm: &RawComm) -> Option<Vec<MetricsSnapshot>> {
     // Freeze *before* the exchange so the gather's own allgather traffic
     // does not inflate the counters being reported.
-    let local = comm.profile();
-    let mine = local.ranks[comm.my_global_rank()].to_bytes();
-    comm.coll_seq.set(crate::measurements::PROFILE_SEQ_BASE);
-    let all = match comm.allgather(&mine) {
-        Ok(bytes) if bytes.len() == comm.size() * PROFILE_WIRE_BYTES => bytes,
-        _ => return local,
-    };
-    let ranks: Option<Vec<RankProfile>> = all
-        .chunks_exact(PROFILE_WIRE_BYTES)
-        .map(RankProfile::from_bytes)
-        .collect();
-    match ranks {
-        Some(ranks) => ProfileSnapshot { ranks },
-        None => local,
+    let mine = comm.state.trace.rank(comm.my_global_rank()).snapshot();
+    comm.coll_seq.set(crate::tag::TEARDOWN_SEQ_BASE);
+    let all = comm.allgather(&mine.to_bytes()).ok()?;
+    let mut ranks = vec![MetricsSnapshot::default(); comm.state.size];
+    for (local, blob) in all.chunks(METRICS_WIRE_BYTES).enumerate() {
+        ranks[comm.global_rank(local).ok()?] = MetricsSnapshot::from_bytes(blob)?;
     }
+    Some(ranks)
 }

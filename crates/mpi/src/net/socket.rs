@@ -51,6 +51,7 @@ use std::sync::{Arc, Mutex, OnceLock, Weak};
 use std::thread::JoinHandle;
 use std::time::Duration;
 
+use crate::metrics::{Counter, Gauge, Hist};
 use crate::trace::{EventKind, TraceCtx};
 use crate::transport::{
     members_to_mask, AckCell, ControlMsg, ControlSink, Envelope, Hub, Locality, Mailbox, Payload,
@@ -71,15 +72,8 @@ const CONSUMER_PARK_SLICE: Duration = Duration::from_millis(100);
 /// producers skip the doorbell `futex_wake` syscall entirely — on the
 /// latency path a *waiting receiver* drains the rings itself (the mailbox
 /// progress poll), so the consumer's job is to yield cheaply, not to wake
-/// fast. `KAMPING_RING_SPIN` overrides for experiments.
+/// fast.
 const CONSUMER_IDLE_PASSES: u32 = 256;
-
-fn consumer_idle_passes() -> u32 {
-    std::env::var("KAMPING_RING_SPIN")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(CONSUMER_IDLE_PASSES)
-}
 
 /// Where control frames go before/after the universe binds itself.
 enum SinkState {
@@ -290,13 +284,26 @@ impl Shared {
 
     /// Records a non-data frame sent to `peer` in the event ring.
     fn trace_control(&self, peer: usize, frame: &'static str) {
-        if self.trace.tracing() {
-            self.trace.record(EventKind::Control {
-                rank: self.my_rank as u32,
-                peer: peer as u32,
-                frame,
-            });
-        }
+        self.trace.event(|| EventKind::Control {
+            rank: self.my_rank as u32,
+            peer: peer as u32,
+            frame,
+        });
+    }
+
+    /// Records one futex sleep of `parked` on a ring (`peer` is `u32::MAX`
+    /// for the consumer, which parks on the whole inbox).
+    fn ring_waited(&self, peer: u32, role: &'static str, parked: Duration) {
+        let dur_ns = parked.as_nanos() as u64;
+        self.trace.count(self.my_rank, Counter::RingFutexSleeps, 1);
+        self.trace
+            .count(self.my_rank, Counter::RingFutexSleepNs, dur_ns);
+        self.trace.event(|| EventKind::RingWait {
+            rank: self.my_rank as u32,
+            peer,
+            role,
+            dur_ns,
+        });
     }
 
     /// Sends `frame` to `dest` over its ring (co-located peer) or the
@@ -345,29 +352,10 @@ impl Shared {
                     .expect("finished set poisoned")
                     .contains(&dest)
         };
-        let wait_hint = |parked: Duration| {
-            if self.trace.metrics().enabled() {
-                use crate::metrics::Counter;
-                let rm = self.trace.metrics().rank(self.my_rank);
-                rm.add(Counter::RingFutexSleeps, 1);
-                rm.add(Counter::RingFutexSleepNs, parked.as_nanos() as u64);
-            }
-            if self.trace.tracing() {
-                self.trace.record(EventKind::RingWait {
-                    rank: self.my_rank as u32,
-                    peer: dest as u32,
-                    role: "send",
-                    dur_ns: parked.as_nanos() as u64,
-                });
-            }
-        };
+        let wait_hint = |parked: Duration| self.ring_waited(dest as u32, "send", parked);
         let tx = ring.lock().expect("ring producer poisoned");
-        if self.trace.metrics().enabled() {
-            self.trace.metrics().rank(self.my_rank).gauge_max(
-                crate::metrics::Gauge::RingOccupancyMax,
-                tx.occupancy() as u64,
-            );
-        }
+        self.trace
+            .gauge_max(self.my_rank, Gauge::RingOccupancyMax, tx.occupancy() as u64);
         match frame {
             Frame::Data {
                 src,
@@ -464,16 +452,12 @@ impl Shared {
                     });
                 }
             }
-            Frame::Pong => {
-                if src < self.size && self.trace.metrics().enabled() {
-                    let sent = self.last_ping_ns[src].swap(0, Ordering::Relaxed);
-                    if sent != 0 {
-                        let rtt = self.trace.now_ns().saturating_sub(sent);
-                        self.trace
-                            .metrics()
-                            .rank(self.my_rank)
-                            .observe(crate::metrics::Hist::HeartbeatRtt, rtt);
-                    }
+            Frame::Pong if src < self.size => {
+                // Nonzero only if metrics were on when the ping left.
+                let sent = self.last_ping_ns[src].swap(0, Ordering::Relaxed);
+                if sent != 0 {
+                    let rtt = self.trace.now_ns().saturating_sub(sent);
+                    self.trace.observe(self.my_rank, Hist::HeartbeatRtt, rtt);
                 }
             }
             _ => {
@@ -554,50 +538,38 @@ impl EngineHooks for Shared {
     }
 
     fn on_control_sent(&self, peer: usize, kind: &'static str) {
-        if kind == "ping" && peer < self.size && self.trace.metrics().enabled() {
-            self.last_ping_ns[peer].store(self.trace.now_ns(), Ordering::Relaxed);
-            self.trace
-                .metrics()
-                .rank(self.my_rank)
-                .add(crate::metrics::Counter::PingsSent, 1);
+        if kind == "ping" && peer < self.size {
+            if let Some(now_ns) = self.trace.metrics_clock() {
+                self.last_ping_ns[peer].store(now_ns, Ordering::Relaxed);
+                self.trace.count(self.my_rank, Counter::PingsSent, 1);
+            }
         }
         self.trace_control(peer, kind);
     }
 
     fn on_wakeup(&self, events: usize, frames: usize, busy: Duration) {
-        if self.trace.metrics().enabled() {
-            use crate::metrics::Counter;
-            let rm = self.trace.metrics().rank(self.my_rank);
-            rm.add(Counter::EpollWakeups, 1);
-            rm.add(Counter::EpollEvents, events as u64);
-            rm.add(Counter::EpollFrames, frames as u64);
-        }
-        if self.trace.tracing() {
-            self.trace.record(EventKind::Progress {
-                rank: self.my_rank as u32,
-                events: events as u32,
-                frames: frames as u32,
-                dur_ns: busy.as_nanos() as u64,
-            });
-        }
+        let (trace, me) = (&self.trace, self.my_rank);
+        trace.count(me, Counter::EpollWakeups, 1);
+        trace.count(me, Counter::EpollEvents, events as u64);
+        trace.count(me, Counter::EpollFrames, frames as u64);
+        trace.event(|| EventKind::Progress {
+            rank: me as u32,
+            events: events as u32,
+            frames: frames as u32,
+            dur_ns: busy.as_nanos() as u64,
+        });
     }
 
     fn on_writev(&self, calls: usize, frames: usize) {
-        if self.trace.metrics().enabled() {
-            use crate::metrics::Counter;
-            let rm = self.trace.metrics().rank(self.my_rank);
-            rm.add(Counter::WritevCalls, calls as u64);
-            rm.add(Counter::WritevFrames, frames as u64);
-        }
+        self.trace
+            .count(self.my_rank, Counter::WritevCalls, calls as u64);
+        self.trace
+            .count(self.my_rank, Counter::WritevFrames, frames as u64);
     }
 
     fn on_queue_depth(&self, depth: usize) {
-        if self.trace.metrics().enabled() {
-            self.trace
-                .metrics()
-                .rank(self.my_rank)
-                .gauge_max(crate::metrics::Gauge::OutboundQueueMax, depth as u64);
-        }
+        self.trace
+            .gauge_max(self.my_rank, Gauge::OutboundQueueMax, depth as u64);
     }
 }
 
@@ -801,7 +773,6 @@ impl SocketTransport {
 /// nobody is listening. Parks on the inbox doorbell futex when idle.
 fn ring_consumer(shared: Arc<Shared>, inbox: Arc<Inbox>) {
     crate::trace::set_thread_rank(shared.my_rank);
-    let max_idle_passes = consumer_idle_passes();
     let mut idle_passes = 0u32;
     loop {
         let snapshot = inbox.doorbell_value();
@@ -821,7 +792,7 @@ fn ring_consumer(shared: Arc<Shared>, inbox: Arc<Inbox>) {
             idle_passes = 0;
             continue;
         }
-        if idle_passes < max_idle_passes {
+        if idle_passes < CONSUMER_IDLE_PASSES {
             idle_passes += 1;
             // Yield rather than spin: on a busy (or single-core) host the
             // producer needs the CPU to make the doorbell move at all.
@@ -831,21 +802,7 @@ fn ring_consumer(shared: Arc<Shared>, inbox: Arc<Inbox>) {
         idle_passes = 0;
         let start = std::time::Instant::now();
         inbox.park(snapshot, CONSUMER_PARK_SLICE);
-        let parked = start.elapsed();
-        if shared.trace.metrics().enabled() {
-            use crate::metrics::Counter;
-            let rm = shared.trace.metrics().rank(shared.my_rank);
-            rm.add(Counter::RingFutexSleeps, 1);
-            rm.add(Counter::RingFutexSleepNs, parked.as_nanos() as u64);
-        }
-        if shared.trace.tracing() {
-            shared.trace.record(EventKind::RingWait {
-                rank: shared.my_rank as u32,
-                peer: u32::MAX,
-                role: "recv",
-                dur_ns: parked.as_nanos() as u64,
-            });
-        }
+        shared.ring_waited(u32::MAX, "recv", start.elapsed());
     }
 }
 

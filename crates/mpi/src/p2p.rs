@@ -40,9 +40,8 @@ impl RawComm {
         self.global_rank(dest)
     }
 
-    /// Deposits `payload` in `dest_global`'s mailbox, recording profile
-    /// counters. Messages to failed ranks are silently dropped (a send to a
-    /// dead process may complete in MPI; the failure surfaces at receives).
+    /// Deposits `payload` in `dest_global`'s mailbox
+    /// ([`crate::universe::UniverseState::post`]).
     pub(crate) fn post_to(
         &self,
         dest_global: usize,
@@ -50,34 +49,14 @@ impl RawComm {
         payload: Payload,
         ack: Option<Arc<AckCell>>,
     ) {
-        self.state.counters[self.my_global_rank()].record_message(payload.len());
-        if self.state.trace.tracing() {
-            self.state.trace.record(crate::trace::EventKind::Post {
-                src: self.my_global_rank() as u32,
-                dst: dest_global as u32,
-                tag,
-                ctx: self.ctx,
-                bytes: payload.len() as u64,
-            });
-        }
-        if self.state.is_failed(dest_global) {
-            if let Some(ack) = ack {
-                // Never going to be matched; complete it so senders don't hang.
-                ack.set();
-                self.state.hub.notify();
-            }
-            return;
-        }
-        self.state.transport.post(
-            dest_global,
-            Envelope {
-                src: self.my_global_rank(),
-                tag,
-                ctx: self.ctx,
-                payload,
-                ack,
-            },
-        );
+        let envelope = Envelope {
+            src: self.my_global_rank(),
+            tag,
+            ctx: self.ctx,
+            payload,
+            ack,
+        };
+        self.state.post(dest_global, envelope);
     }
 
     fn match_key(&self, source: usize, tag: Tag) -> MpiResult<MatchKey> {

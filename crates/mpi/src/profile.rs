@@ -2,9 +2,10 @@
 //!
 //! The paper (§III-H) uses MPI's profiling interface to verify that the
 //! binding layer "only issues the expected MPI calls" when it computes
-//! default parameters. This module is our equivalent: every substrate
-//! operation increments a per-rank call counter, and the transport
-//! increments per-rank message/byte counters at every envelope post.
+//! default parameters. This module is our equivalent, as a view of the
+//! always-on cells of every rank's stats block ([`crate::trace`]): the
+//! op-start probe increments a per-rank call counter, the post probe the
+//! per-rank message/byte counters.
 //!
 //! Two consumers:
 //! * the test suites assert exact call patterns (e.g. an `allgatherv` with
@@ -15,178 +16,79 @@
 //!   all-to-all vs. O(sqrt p) grid vs. degree-proportional sparse exchange)
 //!   independent of wall-clock noise.
 
-use std::sync::atomic::{AtomicU64, Ordering};
+use crate::metrics::Counter;
+use crate::trace::TraceCtx;
 
-/// Substrate operations tracked by the profiler.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-#[repr(usize)]
-#[allow(missing_docs)]
-pub enum Op {
-    Send,
-    Isend,
-    Issend,
-    Recv,
-    Irecv,
-    Probe,
-    Iprobe,
-    Barrier,
-    Ibarrier,
-    Bcast,
-    Gather,
-    Gatherv,
-    Scatter,
-    Scatterv,
-    Allgather,
-    Allgatherv,
-    Alltoall,
-    Alltoallv,
-    Alltoallw,
-    Reduce,
-    Allreduce,
-    Scan,
-    Exscan,
-    NeighborAlltoallv,
-    CommSplit,
-    CommDup,
-    Shrink,
-    Agree,
-    Ibcast,
-    Ireduce,
-    Iallreduce,
-    Iallgather,
-    Iallgatherv,
-    Ialltoall,
-    Ialltoallv,
-    Grow,
-}
-
-/// Number of distinct [`Op`] variants.
-pub const N_OPS: usize = Op::Grow as usize + 1;
-
-/// All operations, in discriminant order (for reporting).
-pub const ALL_OPS: [Op; N_OPS] = [
-    Op::Send,
-    Op::Isend,
-    Op::Issend,
-    Op::Recv,
-    Op::Irecv,
-    Op::Probe,
-    Op::Iprobe,
-    Op::Barrier,
-    Op::Ibarrier,
-    Op::Bcast,
-    Op::Gather,
-    Op::Gatherv,
-    Op::Scatter,
-    Op::Scatterv,
-    Op::Allgather,
-    Op::Allgatherv,
-    Op::Alltoall,
-    Op::Alltoallv,
-    Op::Alltoallw,
-    Op::Reduce,
-    Op::Allreduce,
-    Op::Scan,
-    Op::Exscan,
-    Op::NeighborAlltoallv,
-    Op::CommSplit,
-    Op::CommDup,
-    Op::Shrink,
-    Op::Agree,
-    Op::Ibcast,
-    Op::Ireduce,
-    Op::Iallreduce,
-    Op::Iallgather,
-    Op::Iallgatherv,
-    Op::Ialltoall,
-    Op::Ialltoallv,
-    Op::Grow,
-];
-
-impl Op {
-    /// Short lowercase name used in reports.
-    pub fn name(self) -> &'static str {
-        match self {
-            Op::Send => "send",
-            Op::Isend => "isend",
-            Op::Issend => "issend",
-            Op::Recv => "recv",
-            Op::Irecv => "irecv",
-            Op::Probe => "probe",
-            Op::Iprobe => "iprobe",
-            Op::Barrier => "barrier",
-            Op::Ibarrier => "ibarrier",
-            Op::Bcast => "bcast",
-            Op::Gather => "gather",
-            Op::Gatherv => "gatherv",
-            Op::Scatter => "scatter",
-            Op::Scatterv => "scatterv",
-            Op::Allgather => "allgather",
-            Op::Allgatherv => "allgatherv",
-            Op::Alltoall => "alltoall",
-            Op::Alltoallv => "alltoallv",
-            Op::Alltoallw => "alltoallw",
-            Op::Reduce => "reduce",
-            Op::Allreduce => "allreduce",
-            Op::Scan => "scan",
-            Op::Exscan => "exscan",
-            Op::NeighborAlltoallv => "neighbor_alltoallv",
-            Op::CommSplit => "comm_split",
-            Op::CommDup => "comm_dup",
-            Op::Shrink => "shrink",
-            Op::Agree => "agree",
-            Op::Ibcast => "ibcast",
-            Op::Ireduce => "ireduce",
-            Op::Iallreduce => "iallreduce",
-            Op::Iallgather => "iallgather",
-            Op::Iallgatherv => "iallgatherv",
-            Op::Ialltoall => "ialltoall",
-            Op::Ialltoallv => "ialltoallv",
-            Op::Grow => "grow",
+/// Declares [`Op`], [`ALL_OPS`] and [`Op::name`] from one list, so a new
+/// operation is added in exactly one place.
+macro_rules! ops {
+    ($($variant:ident => $name:literal,)*) => {
+        /// Substrate operations tracked by the profiler.
+        #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+        #[repr(usize)]
+        #[allow(missing_docs)]
+        pub enum Op {
+            $($variant,)*
         }
-    }
-}
 
-/// Live per-rank counters (atomics, written by the rank's thread).
-#[derive(Debug)]
-pub struct RankCounters {
-    op_calls: [AtomicU64; N_OPS],
-    messages_sent: AtomicU64,
-    bytes_sent: AtomicU64,
-}
+        /// Number of distinct [`Op`] variants.
+        pub const N_OPS: usize = [$($name,)*].len();
 
-impl Default for RankCounters {
-    fn default() -> Self {
-        Self {
-            op_calls: std::array::from_fn(|_| AtomicU64::new(0)),
-            messages_sent: AtomicU64::new(0),
-            bytes_sent: AtomicU64::new(0),
+        /// All operations, in discriminant order (for reporting).
+        pub const ALL_OPS: [Op; N_OPS] = [$(Op::$variant,)*];
+
+        impl Op {
+            /// Short lowercase name used in reports.
+            pub fn name(self) -> &'static str {
+                match self {
+                    $(Op::$variant => $name,)*
+                }
+            }
         }
-    }
+    };
 }
 
-impl RankCounters {
-    /// Records one invocation of `op`.
-    pub fn record_op(&self, op: Op) {
-        self.op_calls[op as usize].fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Records one posted envelope of `bytes` payload bytes.
-    pub fn record_message(&self, bytes: usize) {
-        self.messages_sent.fetch_add(1, Ordering::Relaxed);
-        self.bytes_sent.fetch_add(bytes as u64, Ordering::Relaxed);
-    }
-
-    pub(crate) fn snapshot(&self) -> RankProfile {
-        RankProfile {
-            op_calls: std::array::from_fn(|i| self.op_calls[i].load(Ordering::Relaxed)),
-            messages_sent: self.messages_sent.load(Ordering::Relaxed),
-            bytes_sent: self.bytes_sent.load(Ordering::Relaxed),
-        }
-    }
+ops! {
+    Send => "send",
+    Isend => "isend",
+    Issend => "issend",
+    Recv => "recv",
+    Irecv => "irecv",
+    Probe => "probe",
+    Iprobe => "iprobe",
+    Barrier => "barrier",
+    Ibarrier => "ibarrier",
+    Bcast => "bcast",
+    Gather => "gather",
+    Gatherv => "gatherv",
+    Scatter => "scatter",
+    Scatterv => "scatterv",
+    Allgather => "allgather",
+    Allgatherv => "allgatherv",
+    Alltoall => "alltoall",
+    Alltoallv => "alltoallv",
+    Alltoallw => "alltoallw",
+    Reduce => "reduce",
+    Allreduce => "allreduce",
+    Scan => "scan",
+    Exscan => "exscan",
+    NeighborAlltoallv => "neighbor_alltoallv",
+    CommSplit => "comm_split",
+    CommDup => "comm_dup",
+    Shrink => "shrink",
+    Agree => "agree",
+    Ibcast => "ibcast",
+    Ireduce => "ireduce",
+    Iallreduce => "iallreduce",
+    Iallgather => "iallgather",
+    Iallgatherv => "iallgatherv",
+    Ialltoall => "ialltoall",
+    Ialltoallv => "ialltoallv",
+    Grow => "grow",
 }
 
-/// Frozen counters of one rank.
+/// Frozen always-on counters of one rank — the §III-H / LogGP view of its
+/// stats block.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RankProfile {
     /// Call count per [`Op`] (indexed by discriminant).
@@ -197,41 +99,19 @@ pub struct RankProfile {
     pub bytes_sent: u64,
 }
 
-/// Wire size of one serialized [`RankProfile`]: all op counters plus the
-/// message/byte counters, 8 bytes each (little-endian `u64`).
-pub const PROFILE_WIRE_BYTES: usize = (N_OPS + 2) * 8;
-
 impl RankProfile {
+    /// The profile columns of one stats block (live or frozen).
+    pub(crate) fn of<T>(block: &crate::trace::StatsBlock<T>, read: impl Fn(&T) -> u64) -> Self {
+        Self {
+            op_calls: std::array::from_fn(|i| read(&block.op_calls[i])),
+            messages_sent: read(&block.counters[Counter::MsgsSent as usize]),
+            bytes_sent: read(&block.counters[Counter::BytesSent as usize]),
+        }
+    }
+
     /// Call count for one operation.
     pub fn calls(&self, op: Op) -> u64 {
         self.op_calls[op as usize]
-    }
-
-    /// Fixed-size wire form ([`PROFILE_WIRE_BYTES`] bytes): op counters in
-    /// discriminant order, then messages, then bytes — exchanged by the
-    /// socket backend so cross-process snapshots cover every rank.
-    pub fn to_bytes(&self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(PROFILE_WIRE_BYTES);
-        for c in &self.op_calls {
-            out.extend_from_slice(&c.to_le_bytes());
-        }
-        out.extend_from_slice(&self.messages_sent.to_le_bytes());
-        out.extend_from_slice(&self.bytes_sent.to_le_bytes());
-        out
-    }
-
-    /// Parses the [`RankProfile::to_bytes`] form; `None` on a size
-    /// mismatch (e.g. a peer built with a different op set).
-    pub fn from_bytes(bytes: &[u8]) -> Option<Self> {
-        if bytes.len() != PROFILE_WIRE_BYTES {
-            return None;
-        }
-        let word = |i: usize| u64::from_le_bytes(bytes[i * 8..(i + 1) * 8].try_into().expect("8"));
-        Some(Self {
-            op_calls: std::array::from_fn(word),
-            messages_sent: word(N_OPS),
-            bytes_sent: word(N_OPS + 1),
-        })
     }
 
     fn saturating_sub(&self, earlier: &RankProfile) -> RankProfile {
@@ -251,9 +131,10 @@ pub struct ProfileSnapshot {
 }
 
 impl ProfileSnapshot {
-    pub(crate) fn capture(counters: &[RankCounters]) -> Self {
+    /// Freezes the always-on part of every rank's live block.
+    pub(crate) fn capture(ctx: &TraceCtx) -> Self {
         Self {
-            ranks: counters.iter().map(RankCounters::snapshot).collect(),
+            ranks: (0..ctx.size()).map(|r| ctx.rank(r).profile()).collect(),
         }
     }
 
@@ -312,15 +193,26 @@ impl ProfileSnapshot {
 mod tests {
     use super::*;
 
+    fn message(ctx: &TraceCtx, src: usize, bytes: usize) {
+        let envelope = crate::transport::Envelope {
+            src,
+            tag: 0,
+            ctx: 0,
+            payload: crate::transport::Payload::from_vec(vec![0; bytes]),
+            ack: None,
+        };
+        ctx.posted(0, &envelope);
+    }
+
     #[test]
     fn record_and_snapshot() {
-        let c = RankCounters::default();
-        c.record_op(Op::Bcast);
-        c.record_op(Op::Bcast);
-        c.record_op(Op::Allgatherv);
-        c.record_message(100);
-        c.record_message(28);
-        let snap = ProfileSnapshot::capture(std::slice::from_ref(&c));
+        let c = TraceCtx::disabled(1);
+        drop(c.op(Op::Bcast, 0));
+        drop(c.op(Op::Bcast, 0));
+        drop(c.op(Op::Allgatherv, 0));
+        message(&c, 0, 100);
+        message(&c, 0, 28);
+        let snap = ProfileSnapshot::capture(&c);
         assert_eq!(snap.total_calls(Op::Bcast), 2);
         assert_eq!(snap.total_calls(Op::Allgatherv), 1);
         assert_eq!(snap.total_calls(Op::Reduce), 0);
@@ -330,12 +222,12 @@ mod tests {
 
     #[test]
     fn since_computes_deltas() {
-        let c = RankCounters::default();
-        c.record_op(Op::Send);
-        let before = ProfileSnapshot::capture(std::slice::from_ref(&c));
-        c.record_op(Op::Send);
-        c.record_message(10);
-        let after = ProfileSnapshot::capture(std::slice::from_ref(&c));
+        let c = TraceCtx::disabled(1);
+        drop(c.op(Op::Send, 0));
+        let before = ProfileSnapshot::capture(&c);
+        drop(c.op(Op::Send, 0));
+        message(&c, 0, 10);
+        let after = ProfileSnapshot::capture(&c);
         let d = after.since(&before);
         assert_eq!(d.total_calls(Op::Send), 1);
         assert_eq!(d.total_bytes(), 10);
@@ -343,13 +235,12 @@ mod tests {
 
     #[test]
     fn modeled_time_is_bottleneck_rank() {
-        let a = RankCounters::default();
-        let b = RankCounters::default();
-        a.record_message(8); // 1 msg, 8 bytes
+        let c = TraceCtx::disabled(2);
+        message(&c, 0, 8); // rank a: 1 msg, 8 bytes
         for _ in 0..10 {
-            b.record_message(0); // 10 msgs, 0 bytes
+            message(&c, 1, 0); // rank b: 10 msgs, 0 bytes
         }
-        let snap = ProfileSnapshot::capture(&[a, b]);
+        let snap = ProfileSnapshot::capture(&c);
         // alpha-dominated: rank b is the bottleneck
         assert_eq!(snap.modeled_time(1.0, 0.0), 10.0);
         // beta-dominated: rank a is the bottleneck

@@ -26,9 +26,21 @@ pub(crate) const COLL_TAG_BASE: Tag = 1 << 24;
 /// communicator (an MPI requirement we inherit), so a per-communicator
 /// sequence number disambiguates successive collectives even when a fast
 /// rank races ahead into the next one.
-pub(crate) fn coll_tag(seq: u32) -> Tag {
+pub(crate) const fn coll_tag(seq: u32) -> Tag {
     COLL_TAG_BASE + (seq & 0x00ff_ffff)
 }
+
+/// Reserved collective sequence base of the teardown gather (every rank's
+/// stats block, `crate::net::gather_stats`), far above any realistic user
+/// sequence. Must stay below 2^24: [`coll_tag`] masks the sequence to 24
+/// bits, so a larger base would alias user collective tags.
+pub(crate) const TEARDOWN_SEQ_BASE: u32 = 0x00F0_0000;
+
+/// Reserved sequence base of the live metrics plane (rank 0 pulls
+/// snapshots over `coll_tag(METRICS_SEQ_BASE)`, peers answer on
+/// `coll_tag(METRICS_SEQ_BASE + 1)`, see `crate::metrics`). Same 24-bit
+/// constraint.
+pub(crate) const METRICS_SEQ_BASE: u32 = 0x00D0_0000;
 
 /// Returns true if `msg_tag` (a concrete tag on a queued message) matches
 /// the receiver's requested `want` tag, honouring [`ANY_TAG`].

@@ -1,28 +1,35 @@
-//! Low-overhead transport tracing and wait-time attribution.
+//! The instrumentation core: one per-rank stats block, one gate word, one
+//! probe per seam.
 //!
-//! The paper verifies its zero-overhead claim through the MPI profiling
-//! interface (§III-H); this module extends that story to *timing*: where
-//! [`crate::profile`] counts calls, messages and bytes, the tracer records
-//! **when** things happened — per-envelope lifecycle events (post →
-//! deliver → take), blocking-wait spans in the mailbox/hub, chaos fault
-//! injections, socket control-plane frames — and splits every substrate
-//! operation's latency into *local compute* vs *blocked waiting*, so a
-//! straggler rank is identifiable per op.
+//! The paper verifies its zero-overhead claim through *one* profiling
+//! interface (PMPI, §III-H); this module is that interface for the
+//! substrate. Every seam — an operation starts, an envelope is posted /
+//! delivered / taken, a thread parks — calls exactly one probe on the
+//! per-universe [`TraceCtx`], which updates the calling rank's
+//! [`StatsBlock`] (per-op `calls / total_ns / wait_ns`, counters, gauges,
+//! histograms, the in-flight breadcrumb) and, when events are on, the
+//! bounded event ring. Everything else is a *view* that reads the block
+//! or the ring: [`crate::profile`] (call counts, LogGP messages/bytes),
+//! the `mpi_ops` wait/compute tree of [`crate::measurements`], the live
+//! JSONL stream and the crash report of [`crate::metrics`], and the
+//! Perfetto export below.
 //!
-//! # Zero overhead when off
+//! # One gate
 //!
-//! All instrumentation hangs off a per-universe [`TraceCtx`]. When neither
-//! tracing nor measuring is enabled (the default), every hook compiles to
-//! a relaxed atomic load and a branch; no clock is read, no allocation
-//! happens, no lock is taken. Enabled, events go into a sharded bounded
-//! ring (oldest events overwritten, never blocking the hot path), and op
-//! timings into per-rank atomic cells.
+//! The exact counts (`calls`, messages and bytes sent) are always on and
+//! need no gate. Everything else hangs off one flags word
+//! ([`TraceCtx::flags`], bits [`MEASURE`] | [`METRICS`] | [`EVENTS`]):
+//! with all bits clear (the default) every probe is the always-on
+//! `fetch_add`s plus one relaxed load and a branch — no clock is read, no
+//! allocation happens, no lock is taken; under the `no-trace` feature the
+//! word is a compile-time 0. Only this module reads it.
 //!
 //! # Activation
 //!
-//! * `KAMPING_TRACE=<path|dir|1>` — full event tracing + measuring; the
-//!   trace is written at teardown (see [`TraceConfig`]).
-//! * `KAMPING_MEASURE=1` — wait-time measuring only (no event ring).
+//! * `KAMPING_TRACE=<path|dir|1>` — events + measuring; the trace is
+//!   written at teardown (see [`crate::config::Config`]).
+//! * `KAMPING_MEASURE=1` — per-op latency and wait attribution only.
+//! * `KAMPING_METRICS=<path|1>` — counters, gauges, sampled histograms.
 //! * [`crate::Universe::run_traced`] — programmatic, env-independent.
 //!
 //! # Export
@@ -42,15 +49,15 @@
 use std::cell::Cell;
 use std::collections::VecDeque;
 use std::io;
-use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::path::Path;
+use std::sync::atomic::{AtomicU64, AtomicU8, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
-use crate::error::{MpiError, MpiResult};
-use crate::metrics::{Counter, Hist, MetricsCtx};
-use crate::profile::{Op, ALL_OPS, N_OPS};
+use crate::metrics::{bucket_of, Counter, Gauge, Hist, N_BUCKETS, N_COUNTERS, N_GAUGES, N_HISTS};
+use crate::profile::{Op, RankProfile, ALL_OPS, N_OPS};
 use crate::tag::Tag;
+use crate::transport::Envelope;
 
 /// Ring shards; events from different threads usually hit different
 /// shards, so recording never contends in the common case.
@@ -71,6 +78,9 @@ thread_local! {
     static THREAD_WAIT_NS: Cell<u64> = const { Cell::new(0) };
     /// This thread's ring shard, assigned round-robin on first use.
     static THREAD_SHARD: Cell<usize> = const { Cell::new(usize::MAX) };
+    /// Sleeps this thread has entered on behalf of the rank it hosts — the
+    /// sampling base for blocked-wait timing.
+    static THREAD_PARKS: Cell<u64> = const { Cell::new(0) };
 }
 
 /// Marks the current thread as hosting global rank `rank` (used to label
@@ -223,194 +233,6 @@ pub enum EventKind {
     },
 }
 
-/// Env-derived activation switches (see module docs).
-#[derive(Debug, Clone)]
-pub struct TraceConfig {
-    /// Record lifecycle events into the ring.
-    pub tracing: bool,
-    /// Measure per-op latency and wait attribution.
-    pub measuring: bool,
-    /// Where to write the trace at teardown (`KAMPING_TRACE` value when it
-    /// names a path; `None` for flag-only activation).
-    pub out: Option<PathBuf>,
-    /// Collect live metrics (counters/gauges/histograms).
-    pub metrics: bool,
-    /// Where rank 0 appends the merged JSONL interval records
-    /// (`KAMPING_METRICS` value when it names a path).
-    pub metrics_out: Option<PathBuf>,
-    /// Snapshot poll interval (`KAMPING_METRICS_INTERVAL_MS`, default 1 s).
-    pub metrics_interval_ms: u64,
-    /// Straggler threshold multiplier over the interval's median
-    /// blocked-wait ratio (`KAMPING_STRAGGLER_FACTOR`, default 2.0).
-    pub straggler_factor: f64,
-    /// Flight-recorder output directory (`KAMPING_CRASH_DIR`). Setting it
-    /// forces tracing, measuring, and metrics on: crash evidence needs the
-    /// rings populated.
-    pub crash_dir: Option<PathBuf>,
-}
-
-impl Default for TraceConfig {
-    fn default() -> Self {
-        Self {
-            tracing: false,
-            measuring: false,
-            out: None,
-            metrics: false,
-            metrics_out: None,
-            metrics_interval_ms: 1000,
-            straggler_factor: 2.0,
-            crash_dir: None,
-        }
-    }
-}
-
-/// `""`/`0`/`false` → off, `1`/`true` → on, anything else is not a switch
-/// (either a path or a config error, depending on the variable).
-fn parse_switch(v: &str) -> Option<bool> {
-    match v {
-        "" | "0" | "false" => Some(false),
-        "1" | "true" => Some(true),
-        _ => None,
-    }
-}
-
-impl TraceConfig {
-    /// Reads the `KAMPING_TRACE` / `KAMPING_MEASURE` / `KAMPING_METRICS` /
-    /// `KAMPING_CRASH_DIR` family from the environment. Malformed values
-    /// surface as [`MpiError::Config`] (naming the variable), matching the
-    /// rest of the env parsing — they are never silently treated as off.
-    pub fn from_env() -> MpiResult<Self> {
-        Self::from_lookup(|k| std::env::var(k).ok())
-    }
-
-    /// [`TraceConfig::from_env`] over an arbitrary lookup (testable without
-    /// process-global env mutation).
-    pub fn from_lookup(get: impl Fn(&str) -> Option<String>) -> MpiResult<Self> {
-        let mut cfg = Self::default();
-        if let Some(v) = get("KAMPING_TRACE") {
-            match parse_switch(&v) {
-                Some(on) => {
-                    cfg.tracing = on;
-                    cfg.measuring = on;
-                }
-                None if v.trim().is_empty() => {
-                    return Err(MpiError::Config(format!(
-                        "KAMPING_TRACE must be 0/false, 1/true, or an output path (got {v:?})"
-                    )));
-                }
-                None => {
-                    cfg.tracing = true;
-                    cfg.measuring = true;
-                    cfg.out = Some(PathBuf::from(v));
-                }
-            }
-        }
-        if let Some(v) = get("KAMPING_MEASURE") {
-            match parse_switch(&v) {
-                Some(on) => cfg.measuring |= on,
-                None => {
-                    return Err(MpiError::Config(format!(
-                        "KAMPING_MEASURE must be 0, 1, true, or false (got {v:?})"
-                    )));
-                }
-            }
-        }
-        if let Some(v) = get("KAMPING_METRICS") {
-            match parse_switch(&v) {
-                Some(on) => cfg.metrics = on,
-                None if v.trim().is_empty() => {
-                    return Err(MpiError::Config(format!(
-                        "KAMPING_METRICS must be 0/false, 1/true, or an output path (got {v:?})"
-                    )));
-                }
-                None => {
-                    cfg.metrics = true;
-                    cfg.metrics_out = Some(PathBuf::from(v));
-                }
-            }
-        }
-        if let Some(v) = get("KAMPING_METRICS_INTERVAL_MS") {
-            cfg.metrics_interval_ms = v
-                .trim()
-                .parse()
-                .ok()
-                .filter(|&ms: &u64| ms >= 10)
-                .ok_or_else(|| {
-                    MpiError::Config(format!(
-                        "KAMPING_METRICS_INTERVAL_MS must be an integer >= 10 (got {v:?})"
-                    ))
-                })?;
-        }
-        if let Some(v) = get("KAMPING_STRAGGLER_FACTOR") {
-            cfg.straggler_factor = v
-                .trim()
-                .parse()
-                .ok()
-                .filter(|&f: &f64| f.is_finite() && f > 0.0)
-                .ok_or_else(|| {
-                    MpiError::Config(format!(
-                        "KAMPING_STRAGGLER_FACTOR must be a positive number (got {v:?})"
-                    ))
-                })?;
-        }
-        if let Some(v) = get("KAMPING_CRASH_DIR") {
-            if !v.trim().is_empty() {
-                cfg.crash_dir = Some(PathBuf::from(v));
-                cfg.tracing = true;
-                cfg.measuring = true;
-                cfg.metrics = true;
-            }
-        }
-        Ok(cfg)
-    }
-}
-
-/// Per-op timing cells of one rank (written by that rank's thread).
-#[derive(Debug)]
-pub struct RankOpTimings {
-    calls: [AtomicU64; N_OPS],
-    total_ns: [AtomicU64; N_OPS],
-    wait_ns: [AtomicU64; N_OPS],
-}
-
-impl Default for RankOpTimings {
-    fn default() -> Self {
-        Self {
-            calls: std::array::from_fn(|_| AtomicU64::new(0)),
-            total_ns: std::array::from_fn(|_| AtomicU64::new(0)),
-            wait_ns: std::array::from_fn(|_| AtomicU64::new(0)),
-        }
-    }
-}
-
-impl RankOpTimings {
-    fn record(&self, op: Op, dur_ns: u64, wait_ns: u64) {
-        let i = op as usize;
-        self.calls[i].fetch_add(1, Ordering::Relaxed);
-        self.total_ns[i].fetch_add(dur_ns, Ordering::Relaxed);
-        self.wait_ns[i].fetch_add(wait_ns, Ordering::Relaxed);
-    }
-
-    /// Frozen `(op, calls, total_ns, wait_ns)` rows, all ops in
-    /// discriminant order (zero rows included, so every rank agrees on the
-    /// layout).
-    pub fn snapshot(&self) -> Vec<(Op, u64, u64, u64)> {
-        ALL_OPS
-            .iter()
-            .map(|&op| {
-                let i = op as usize;
-                (
-                    op,
-                    self.calls[i].load(Ordering::Relaxed),
-                    self.total_ns[i].load(Ordering::Relaxed),
-                    self.wait_ns[i].load(Ordering::Relaxed),
-                )
-            })
-            .collect()
-    }
-}
-
-/// Per-universe trace state: enable flags, the monotonic epoch, the event
 /// Timestamp source for the instrumentation clock: the raw TSC, converted
 /// to nanoseconds with a fixed-point multiplier calibrated once per
 /// process against the OS monotonic clock. `Instant::now` costs ~30 ns on
@@ -466,12 +288,130 @@ mod tscclock {
     }
 }
 
-/// ring and the per-rank op timing cells. Cheap when disabled; every hook
-/// checks one relaxed atomic first.
+/// Gate bit: per-op latency and wait attribution (`total_ns` / `wait_ns`).
+pub const MEASURE: u8 = 1;
+/// Gate bit: counters, gauges, sampled histograms, the in-flight breadcrumb.
+pub const METRICS: u8 = 2;
+/// Gate bit: lifecycle events into the ring (set together with [`MEASURE`]).
+pub const EVENTS: u8 = 4;
+
+/// The numbers kept per rank, in wire order. Instantiated twice: over
+/// `AtomicU64` as the live block the probes write ([`RankStats`]), over
+/// `u64` as its frozen copy ([`crate::metrics::MetricsSnapshot`]) — one
+/// layout, so a snapshot, a delta, a merge and the wire form are all walks
+/// over [`StatsBlock::words`].
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct StatsBlock<T> {
+    /// Invocations per [`Op`] (always on; indexed by discriminant).
+    pub op_calls: [T; N_OPS],
+    /// Wall-clock nanoseconds per [`Op`] (while [`MEASURE`] is set).
+    pub op_total_ns: [T; N_OPS],
+    /// The blocked-waiting part of `op_total_ns`.
+    pub op_wait_ns: [T; N_OPS],
+    /// Counter values in [`crate::metrics::ALL_COUNTERS`] order.
+    pub counters: [T; N_COUNTERS],
+    /// Gauge values in [`crate::metrics::ALL_GAUGES`] order.
+    pub gauges: [T; N_GAUGES],
+    /// Histogram buckets, `[hist][bucket]`.
+    pub hists: [[T; N_BUCKETS]; N_HISTS],
+}
+
+impl<T: Default> Default for StatsBlock<T> {
+    fn default() -> Self {
+        Self {
+            op_calls: std::array::from_fn(|_| T::default()),
+            op_total_ns: std::array::from_fn(|_| T::default()),
+            op_wait_ns: std::array::from_fn(|_| T::default()),
+            counters: std::array::from_fn(|_| T::default()),
+            gauges: std::array::from_fn(|_| T::default()),
+            hists: std::array::from_fn(|_| std::array::from_fn(|_| T::default())),
+        }
+    }
+}
+
+impl<T> StatsBlock<T> {
+    /// Every cell, in wire order.
+    pub fn words(&self) -> impl Iterator<Item = &T> {
+        (self.op_calls.iter())
+            .chain(&self.op_total_ns)
+            .chain(&self.op_wait_ns)
+            .chain(&self.counters)
+            .chain(&self.gauges)
+            .chain(self.hists.iter().flatten())
+    }
+
+    /// Every cell, in wire order, mutably.
+    pub fn words_mut(&mut self) -> impl Iterator<Item = &mut T> {
+        (self.op_calls.iter_mut())
+            .chain(&mut self.op_total_ns)
+            .chain(&mut self.op_wait_ns)
+            .chain(&mut self.counters)
+            .chain(&mut self.gauges)
+            .chain(self.hists.iter_mut().flatten())
+    }
+}
+
+/// One rank's live block. Written by threads hosting that rank (or its
+/// transport helpers), read by the views — all relaxed. Aligned so the
+/// always-on words of neighbouring ranks never share a cache line.
+#[derive(Debug, Default)]
+#[repr(align(64))]
+pub struct RankStats {
+    block: StatsBlock<AtomicU64>,
+    /// `start_ns << 8 | (op + 1)` while an op scope is open, 0 otherwise —
+    /// the flight recorder's "op in flight at failure time" (`start_ns` is
+    /// 0 when the scope was not timed). Only the rank's own thread writes.
+    in_flight: AtomicU64,
+}
+
+impl RankStats {
+    #[inline]
+    fn counter(&self, c: Counter) -> &AtomicU64 {
+        &self.block.counters[c as usize]
+    }
+
+    /// Freezes the whole block.
+    pub fn snapshot(&self) -> StatsBlock<u64> {
+        let mut snap = StatsBlock::<u64>::default();
+        for (out, cell) in snap.words_mut().zip(self.block.words()) {
+            *out = cell.load(Ordering::Relaxed);
+        }
+        snap
+    }
+
+    /// Freezes the always-on part only (cheap enough to call per op).
+    pub fn profile(&self) -> RankProfile {
+        RankProfile::of(&self.block, |cell| cell.load(Ordering::Relaxed))
+    }
+
+    /// The op currently in flight, with its start (`now_ns` domain, 0 when
+    /// the start was not timed).
+    pub fn in_flight(&self) -> Option<(Op, u64)> {
+        let v = self.in_flight.load(Ordering::Relaxed);
+        let op = *ALL_OPS.get(((v & 0xff) as usize).checked_sub(1)?)?;
+        Some((op, v >> 8))
+    }
+}
+
+/// The event of envelope `$e` reaching lifecycle stage `$stage` at `$dst`.
+macro_rules! envelope_event {
+    ($stage:ident, $dst:expr, $e:expr) => {
+        EventKind::$stage {
+            src: $e.src as u32,
+            dst: $dst as u32,
+            tag: $e.tag,
+            ctx: $e.ctx,
+            bytes: $e.payload.len() as u64,
+        }
+    };
+}
+
+/// Per-universe instrumentation state: the gate word, the monotonic
+/// epoch, the event ring and one [`RankStats`] per global rank.
 #[derive(Debug)]
 pub struct TraceCtx {
-    tracing: AtomicBool,
-    measuring: AtomicBool,
+    /// The activation bits — the only gate in the crate.
+    flags: AtomicU8,
     epoch: Instant,
     /// Raw TSC at `epoch` (x86_64 fast clock base).
     #[cfg(target_arch = "x86_64")]
@@ -481,21 +421,17 @@ pub struct TraceCtx {
     epoch_unix_ns: u64,
     shards: Vec<Mutex<VecDeque<TraceEvent>>>,
     dropped: AtomicU64,
-    /// Op timing cells, one per global rank.
-    timings: Vec<RankOpTimings>,
-    /// Live metrics registry (same enable-gate discipline; see
-    /// [`crate::metrics`]). Embedded here so every seam that already holds
-    /// the trace context reaches the metrics plane without new wiring.
-    metrics: MetricsCtx,
+    ranks: Vec<RankStats>,
 }
 
 impl TraceCtx {
-    /// A context for `size` ranks with the given activation switches.
-    pub fn new(size: usize, cfg: &TraceConfig) -> Self {
+    /// A context for `size` ranks with the given activation bits
+    /// ([`crate::config::Config::trace_flags`]).
+    pub fn new(size: usize, flags: u8) -> Self {
         // Calibrate the fast clock before capturing the epoch pair, so the
         // one-time spin never lands between the two base readings.
         #[cfg(target_arch = "x86_64")]
-        if cfg.tracing || cfg.measuring || cfg.metrics {
+        if flags != 0 {
             tscclock::calibrate();
         }
         let epoch = Instant::now();
@@ -506,70 +442,48 @@ impl TraceCtx {
             .map(|d| d.as_nanos() as u64)
             .unwrap_or(0);
         Self {
-            tracing: AtomicBool::new(cfg.tracing),
-            measuring: AtomicBool::new(cfg.measuring || cfg.tracing),
+            flags: AtomicU8::new(flags),
             epoch,
             #[cfg(target_arch = "x86_64")]
             tsc_epoch,
             epoch_unix_ns,
             shards: (0..SHARDS).map(|_| Mutex::new(VecDeque::new())).collect(),
             dropped: AtomicU64::new(0),
-            timings: (0..size).map(|_| RankOpTimings::default()).collect(),
-            metrics: MetricsCtx::new(size, cfg.metrics),
+            ranks: (0..size).map(|_| RankStats::default()).collect(),
         }
     }
 
     /// A fully-disabled context (standalone mailboxes, tests, benches).
     pub fn disabled(size: usize) -> Arc<Self> {
-        Arc::new(Self::new(size, &TraceConfig::default()))
+        Arc::new(Self::new(size, 0))
     }
 
-    /// True when lifecycle events are being recorded.
-    ///
-    /// Under the `no-trace` feature this is a compile-time `false`, so the
-    /// optimizer removes every instrumentation site — the seed-equivalent
-    /// build the overhead guard compares the runtime-disabled path against.
+    /// The activation bits. Under the `no-trace` feature this is a
+    /// compile-time 0, so the optimizer removes every gated site — the
+    /// seed-equivalent build the overhead guard compares the
+    /// runtime-disabled path against.
     #[inline]
-    pub fn tracing(&self) -> bool {
+    pub fn flags(&self) -> u8 {
         if cfg!(feature = "no-trace") {
-            return false;
+            return 0;
         }
-        self.tracing.load(Ordering::Relaxed)
+        self.flags.load(Ordering::Relaxed)
     }
 
-    /// True when op latency / wait attribution is being measured.
+    /// Number of rank slots.
+    pub fn size(&self) -> usize {
+        self.ranks.len()
+    }
+
+    /// The live block of global rank `rank`.
     #[inline]
-    pub fn measuring(&self) -> bool {
-        if cfg!(feature = "no-trace") {
-            return false;
-        }
-        self.measuring.load(Ordering::Relaxed)
-    }
-
-    /// Flips event tracing (measuring is implied on).
-    pub fn set_tracing(&self, on: bool) {
-        self.tracing.store(on, Ordering::Relaxed);
-        if on {
-            self.measuring.store(true, Ordering::Relaxed);
-        }
-    }
-
-    /// Flips latency measuring.
-    pub fn set_measuring(&self, on: bool) {
-        self.measuring.store(on, Ordering::Relaxed);
-    }
-
-    /// The live metrics registry (gate included; see
-    /// [`MetricsCtx::enabled`]).
-    #[inline]
-    pub fn metrics(&self) -> &MetricsCtx {
-        &self.metrics
+    pub fn rank(&self, rank: usize) -> &RankStats {
+        &self.ranks[rank]
     }
 
     /// Nanoseconds since this context's monotonic epoch. Served from the
     /// calibrated TSC when available (see [`tscclock`]), from the OS
-    /// monotonic clock otherwise — including on contexts whose switches
-    /// were flipped on only after construction.
+    /// monotonic clock otherwise.
     #[inline]
     pub fn now_ns(&self) -> u64 {
         #[cfg(target_arch = "x86_64")]
@@ -585,14 +499,8 @@ impl TraceCtx {
         self.epoch_unix_ns
     }
 
-    /// Records `kind` at the current time. Callers on hot paths must gate
-    /// on [`TraceCtx::tracing`] first.
-    pub fn record(&self, kind: EventKind) {
-        self.record_at(self.now_ns(), kind);
-    }
-
-    /// Records `kind` with an explicit timestamp (span starts).
-    pub fn record_at(&self, ts_ns: u64, kind: EventKind) {
+    /// Appends `kind` to the ring with an explicit timestamp.
+    fn record_at(&self, ts_ns: u64, kind: EventKind) {
         let shard = &self.shards[thread_shard()];
         let mut q = shard.lock().expect("trace shard poisoned");
         if q.len() >= SHARD_CAP {
@@ -617,147 +525,234 @@ impl TraceCtx {
         all
     }
 
-    /// The op timing cells of global rank `rank`.
-    pub fn timings(&self, rank: usize) -> &RankOpTimings {
-        &self.timings[rank]
+    // ----- probes: one per seam -----
+
+    /// Seam: a substrate operation starts on `rank`. Counts the call
+    /// (always) and returns the scope that, on drop, attributes the op's
+    /// latency — split into blocked-wait vs local compute — to it.
+    #[inline]
+    pub(crate) fn op(&self, op: Op, rank: usize) -> OpScope<'_> {
+        self.op_issued(op, rank);
+        self.op_resumed(op, rank)
     }
 
-    /// Starts an op scope for `rank`. Inert (no clock read) unless
-    /// measuring or metrics are on.
+    /// Seam: a nonblocking operation was issued — the call is counted now,
+    /// its time is attributed by the [`TraceCtx::op_resumed`] scope around
+    /// the matching wait.
+    #[inline]
+    pub(crate) fn op_issued(&self, op: Op, rank: usize) {
+        self.ranks[rank].block.op_calls[op as usize].fetch_add(1, Ordering::Relaxed);
+    }
+
+    /// Seam: `rank` resumes (waits on) an already-counted operation.
+    #[inline]
+    pub(crate) fn op_resumed(&self, op: Op, rank: usize) -> OpScope<'_> {
+        let flags = self.flags();
+        if flags & (MEASURE | METRICS) == 0 {
+            return OpScope(None);
+        }
+        OpScope(Some(self.open_scope(op, rank, flags)))
+    }
+
+    /// The armed half of [`TraceCtx::op_resumed`], out of line so the
+    /// disabled path stays a load and a branch at every call site.
     ///
     /// A measured scope reads the clock exactly once on entry and once on
-    /// drop (the single `now_ns` is reused by the timings, the trace span,
-    /// and the metrics histogram). A metrics-only scope pays only the
-    /// counter bumps: op latency is sampled 1-in-64, so the clock reads
+    /// drop (the one reading serves the op cells, the trace span and the
+    /// latency histogram). A metrics-only scope pays the counter bump and
+    /// the breadcrumb: op latency is sampled 1-in-64, so the clock reads
     /// amortize to a fraction of a nanosecond per op.
-    pub(crate) fn op_scope(&self, op: Op, rank: usize) -> OpScope<'_> {
-        let measuring = self.measuring();
-        let metrics_on = self.metrics.enabled();
-        if !measuring && !metrics_on {
-            return OpScope { inner: None };
-        }
-        let mut timed = measuring;
-        if metrics_on {
-            let prev = self.metrics.rank(rank).add_ret(Counter::OpsStarted, 1);
-            if !measuring && prev & 63 == 0 {
-                timed = true;
-            }
+    fn open_scope(&self, op: Op, rank: usize, flags: u8) -> OpScopeInner<'_> {
+        let stats = &self.ranks[rank];
+        let mut timed = flags & MEASURE != 0;
+        if flags & METRICS != 0 {
+            let started = stats.counter(Counter::OpsStarted);
+            timed |= started.fetch_add(1, Ordering::Relaxed) & 63 == 0;
         }
         let start_ns = if timed { self.now_ns() } else { 0 };
-        if metrics_on {
-            self.metrics.rank(rank).set_in_flight(op, start_ns);
+        let mut outer = 0;
+        if flags & METRICS != 0 {
+            // Scopes nest (`split` runs an `allgather`), so the breadcrumb
+            // of the enclosing op is saved here and restored on drop.
+            outer = stats.in_flight.load(Ordering::Relaxed);
+            let crumb = start_ns << 8 | (op as u64 + 1);
+            stats.in_flight.store(crumb, Ordering::Relaxed);
         }
-        OpScope {
-            inner: Some(OpScopeInner {
-                ctx: self,
-                op,
-                rank,
-                start_ns,
-                wait_at_start: if measuring { thread_wait_ns() } else { 0 },
-                timed,
-                measuring,
-                metrics_on,
-            }),
-        }
-    }
-
-    /// Starts a wait span attributed to `rank`. Inert unless measuring.
-    pub(crate) fn wait_span(&self, rank: u32) -> WaitSpan<'_> {
-        if !self.measuring() {
-            return WaitSpan { inner: None };
-        }
-        WaitSpan {
-            inner: Some(WaitSpanInner {
-                ctx: self,
-                rank,
-                start_ns: self.now_ns(),
-            }),
+        OpScopeInner {
+            ctx: self,
+            stats,
+            op,
+            rank: rank as u32,
+            start_ns,
+            wait_at_start: if flags & MEASURE != 0 {
+                thread_wait_ns()
+            } else {
+                0
+            },
+            outer,
+            flags,
+            timed,
         }
     }
 
-    /// Accumulates parked time into `rank`'s blocked-wait metrics counter.
-    /// A no-op unless metrics are on *and* the calling thread hosts
-    /// `rank` — helper threads (snapshot responders, progress engines)
-    /// parking on a mailbox must not count as that rank being blocked.
-    ///
-    /// Only 1 park in [`PARK_SAMPLE`] pays the two clock reads; the
-    /// measured duration is scaled back up on drop. `BlockedNs` is a
-    /// statistical estimate feeding an interval *ratio* — with thousands
-    /// of parks per interval the sampling error vanishes, while the
-    /// common park costs one relaxed `fetch_add`. That is what keeps the
-    /// metrics-on ping-pong inside its overhead gate on a machine where
-    /// every blocking receive parks.
-    pub(crate) fn metrics_block_guard(&self, rank: usize) -> MetricsBlockGuard<'_> {
-        if !self.metrics.enabled() || thread_rank() != rank as u32 {
-            return MetricsBlockGuard { inner: None };
-        }
-        if !self
-            .metrics
-            .rank(rank)
-            .park_tick()
-            .is_multiple_of(PARK_SAMPLE)
-        {
-            return MetricsBlockGuard { inner: None };
-        }
-        MetricsBlockGuard {
-            inner: Some((self, rank, self.now_ns())),
+    /// Seam: `e.src` handed envelope `e` for `dst` to the transport. The
+    /// LogGP message/byte counters are always on.
+    #[inline]
+    pub(crate) fn posted(&self, dst: usize, e: &Envelope) {
+        let stats = &self.ranks[e.src];
+        let bytes = e.payload.len() as u64;
+        (stats.counter(Counter::MsgsSent)).fetch_add(1, Ordering::Relaxed);
+        (stats.counter(Counter::BytesSent)).fetch_add(bytes, Ordering::Relaxed);
+        self.event(|| envelope_event!(Post, dst, e));
+    }
+
+    /// Seam: envelope `e` landed in `dst`'s mailbox.
+    #[inline]
+    pub(crate) fn delivered(&self, dst: usize, e: &Envelope) {
+        self.count(dst, Counter::MsgsDelivered, 1);
+        self.count(dst, Counter::BytesDelivered, e.payload.len() as u64);
+        self.event(|| envelope_event!(Deliver, dst, e));
+    }
+
+    /// Seam: a receive/probe on `dst` matched and consumed envelope `e`.
+    #[inline]
+    pub(crate) fn taken(&self, dst: usize, e: &Envelope) {
+        self.event(|| envelope_event!(Take, dst, e));
+    }
+
+    /// Seam: the calling thread leaves the fast path of a blocking wait on
+    /// behalf of `rank` (`u32::MAX` if unknown). While measuring, the
+    /// returned guard adds everything until its drop to the thread's wait
+    /// accumulator, which open op scopes read back as `wait_ns`.
+    #[inline]
+    pub(crate) fn parked(&self, rank: u32) -> Parked<'_> {
+        let flags = self.flags();
+        Parked {
+            ctx: self,
+            rank,
+            flags,
+            wait_start: (flags & MEASURE != 0).then(|| self.now_ns()),
+            sleep_start: None,
         }
     }
 
-    /// Counts one timed-out bounded wait for `rank` (same thread-identity
-    /// rule as [`TraceCtx::metrics_block_guard`]).
-    pub(crate) fn metrics_timeout(&self, rank: usize) {
-        if self.metrics.enabled() && thread_rank() == rank as u32 {
-            self.metrics.rank(rank).add(Counter::Timeouts, 1);
+    /// Seam: a bounded wait on `rank`'s mailbox gave up. Counted only when
+    /// the calling thread hosts `rank` — helper threads (snapshot
+    /// responders, progress engines) polling a mailbox with a deadline are
+    /// not that rank timing out.
+    pub(crate) fn timed_out(&self, rank: usize) {
+        if thread_rank() == rank as u32 {
+            self.count(rank, Counter::Timeouts, 1);
+        }
+    }
+
+    /// Adds `v` to one of `rank`'s counters (while [`METRICS`] is set).
+    #[inline]
+    pub fn count(&self, rank: usize, c: Counter, v: u64) {
+        if self.flags() & METRICS != 0 {
+            self.ranks[rank].counter(c).fetch_add(v, Ordering::Relaxed);
+        }
+    }
+
+    /// Raises a high-water gauge to at least `v`.
+    #[inline]
+    pub fn gauge_max(&self, rank: usize, g: Gauge, v: u64) {
+        if self.flags() & METRICS != 0 {
+            self.ranks[rank].block.gauges[g as usize].fetch_max(v, Ordering::Relaxed);
+        }
+    }
+
+    /// Moves a level gauge by `delta` (every decrement follows a matching
+    /// increment, so the wrapping add never underflows).
+    #[inline]
+    pub fn gauge_add(&self, rank: usize, g: Gauge, delta: i64) {
+        if self.flags() & METRICS != 0 {
+            self.ranks[rank].block.gauges[g as usize].fetch_add(delta as u64, Ordering::Relaxed);
+        }
+    }
+
+    /// Records one latency observation (nanoseconds).
+    #[inline]
+    pub fn observe(&self, rank: usize, h: Hist, ns: u64) {
+        if self.flags() & METRICS != 0 {
+            self.ranks[rank].block.hists[h as usize][bucket_of(ns)].fetch_add(1, Ordering::Relaxed);
+        }
+    }
+
+    /// The clock, if metrics are on — for sites that time a region only to
+    /// [`TraceCtx::observe`] it afterwards.
+    #[inline]
+    pub fn metrics_clock(&self) -> Option<u64> {
+        (self.flags() & METRICS != 0).then(|| self.now_ns())
+    }
+
+    /// Records the event `make` builds (while [`EVENTS`] is set; `make`
+    /// does not run otherwise).
+    #[inline]
+    pub fn event(&self, make: impl FnOnce() -> EventKind) {
+        if self.flags() & EVENTS != 0 {
+            self.record_at(self.now_ns(), make());
         }
     }
 }
 
 struct OpScopeInner<'a> {
     ctx: &'a TraceCtx,
+    stats: &'a RankStats,
     op: Op,
-    rank: usize,
+    rank: u32,
     start_ns: u64,
     wait_at_start: u64,
+    /// The enclosing scope's breadcrumb.
+    outer: u64,
+    /// The gate as read on entry; the drop acts on the same bits.
+    flags: u8,
     /// Clock was read at start; read it again at drop.
     timed: bool,
-    measuring: bool,
-    metrics_on: bool,
 }
 
-/// RAII guard timing one substrate operation; on drop it attributes the
-/// elapsed time (split into wait vs compute) to the op and, when tracing,
-/// emits an [`EventKind::OpSpan`].
-pub struct OpScope<'a> {
-    inner: Option<OpScopeInner<'a>>,
-}
+/// RAII guard around one substrate operation (see [`TraceCtx::op`]); `None`
+/// when neither [`MEASURE`] nor [`METRICS`] was set on entry.
+pub struct OpScope<'a>(Option<OpScopeInner<'a>>);
 
 impl Drop for OpScope<'_> {
+    #[inline]
     fn drop(&mut self) {
-        let Some(i) = self.inner.take() else { return };
-        let dur_ns = if i.timed {
-            i.ctx.now_ns().saturating_sub(i.start_ns)
+        if let Some(scope) = self.0.take() {
+            scope.close();
+        }
+    }
+}
+
+impl OpScopeInner<'_> {
+    fn close(self) {
+        let (block, op) = (&self.stats.block, self.op as usize);
+        let dur_ns = if self.timed {
+            self.ctx.now_ns().saturating_sub(self.start_ns)
         } else {
             0
         };
-        if i.metrics_on {
-            let rm = i.ctx.metrics.rank(i.rank);
-            rm.clear_in_flight();
-            if i.timed {
-                rm.observe(Hist::OpLatency, dur_ns);
+        if self.flags & METRICS != 0 {
+            self.stats.in_flight.store(self.outer, Ordering::Relaxed);
+            if self.timed {
+                block.hists[Hist::OpLatency as usize][bucket_of(dur_ns)]
+                    .fetch_add(1, Ordering::Relaxed);
             }
         }
-        if i.measuring {
-            let wait_ns = thread_wait_ns().saturating_sub(i.wait_at_start);
-            i.ctx.timings[i.rank].record(i.op, dur_ns, wait_ns.min(dur_ns));
-            if i.ctx.tracing() {
-                i.ctx.record_at(
-                    i.start_ns,
+        if self.flags & MEASURE != 0 {
+            let waited = thread_wait_ns().saturating_sub(self.wait_at_start);
+            let wait_ns = waited.min(dur_ns);
+            block.op_total_ns[op].fetch_add(dur_ns, Ordering::Relaxed);
+            block.op_wait_ns[op].fetch_add(wait_ns, Ordering::Relaxed);
+            if self.flags & EVENTS != 0 {
+                let (rank, op) = (self.rank, self.op);
+                self.ctx.record_at(
+                    self.start_ns,
                     EventKind::OpSpan {
-                        rank: i.rank as u32,
-                        op: i.op,
+                        rank,
+                        op,
                         dur_ns,
-                        wait_ns: wait_ns.min(dur_ns),
+                        wait_ns,
                     },
                 );
             }
@@ -765,55 +760,70 @@ impl Drop for OpScope<'_> {
     }
 }
 
-struct WaitSpanInner<'a> {
+/// 1-in-N park sampling rate for blocked-wait timing (power of two).
+const PARK_SAMPLE: u64 = 8;
+
+/// RAII guard around the slow path of a blocking wait (see
+/// [`TraceCtx::parked`]). One clock read per side and per armed part.
+pub(crate) struct Parked<'a> {
     ctx: &'a TraceCtx,
     rank: u32,
-    start_ns: u64,
+    flags: u8,
+    wait_start: Option<u64>,
+    sleep_start: Option<u64>,
 }
 
-/// RAII guard around a blocking wait (mailbox/hub slow path); on drop it
-/// adds the parked time to the thread's wait accumulator and, when
-/// tracing, emits an [`EventKind::Wait`]. One clock read per side.
-pub struct WaitSpan<'a> {
-    inner: Option<WaitSpanInner<'a>>,
-}
-
-impl Drop for WaitSpan<'_> {
-    fn drop(&mut self) {
-        let Some(i) = self.inner.take() else { return };
-        let dur_ns = i.ctx.now_ns().saturating_sub(i.start_ns);
-        THREAD_WAIT_NS.with(|w| w.set(w.get().saturating_add(dur_ns)));
-        if i.ctx.tracing() {
-            i.ctx.record_at(
-                i.start_ns,
-                EventKind::Wait {
-                    rank: i.rank,
-                    dur_ns,
-                },
-            );
+impl Parked<'_> {
+    /// Marks the point where the thread stops polling and actually sleeps;
+    /// from here to the drop is charged to the rank's `BlockedNs` counter
+    /// (while [`METRICS`] is set, and only if this thread hosts the rank —
+    /// a helper thread parking on a mailbox is not that rank being
+    /// blocked).
+    ///
+    /// Only 1 sleep in [`PARK_SAMPLE`] pays the two clock reads; the
+    /// measured duration is scaled back up on drop. `BlockedNs` feeds an
+    /// interval *ratio* — with thousands of parks per interval the
+    /// sampling error vanishes, while the common park costs one
+    /// thread-local increment. That is what keeps the metrics-on ping-pong
+    /// inside its overhead gate on a machine where every blocking receive
+    /// parks.
+    pub(crate) fn sleeping(&mut self) {
+        if self.flags & METRICS != 0
+            && thread_rank() == self.rank
+            && (self.rank as usize) < self.ctx.ranks.len()
+            && THREAD_PARKS
+                .with(|p| p.replace(p.get() + 1))
+                .is_multiple_of(PARK_SAMPLE)
+        {
+            self.sleep_start = Some(self.ctx.now_ns());
         }
     }
 }
 
-/// 1-in-N park sampling rate for blocked-wait timing (power of two).
-const PARK_SAMPLE: u64 = 8;
-
-/// RAII guard for the metrics blocked-wait counter (see
-/// [`TraceCtx::metrics_block_guard`]).
-pub(crate) struct MetricsBlockGuard<'a> {
-    inner: Option<(&'a TraceCtx, usize, u64)>,
-}
-
-impl Drop for MetricsBlockGuard<'_> {
+impl Drop for Parked<'_> {
     fn drop(&mut self) {
-        let Some((ctx, rank, start_ns)) = self.inner.take() else {
+        if self.wait_start.is_none() && self.sleep_start.is_none() {
             return;
-        };
-        let dur = ctx.now_ns().saturating_sub(start_ns);
-        // Scale the sampled park back to an estimate of total parked time.
-        ctx.metrics
-            .rank(rank)
-            .add(Counter::BlockedNs, dur.saturating_mul(PARK_SAMPLE));
+        }
+        let now = self.ctx.now_ns();
+        if let Some(start_ns) = self.sleep_start {
+            // Scale the sampled sleep back to an estimate of the total.
+            self.ctx.ranks[self.rank as usize]
+                .counter(Counter::BlockedNs)
+                .fetch_add(
+                    now.saturating_sub(start_ns).saturating_mul(PARK_SAMPLE),
+                    Ordering::Relaxed,
+                );
+        }
+        if let Some(start_ns) = self.wait_start {
+            let dur_ns = now.saturating_sub(start_ns);
+            THREAD_WAIT_NS.with(|w| w.set(w.get().saturating_add(dur_ns)));
+            if self.flags & EVENTS != 0 {
+                let rank = self.rank;
+                self.ctx
+                    .record_at(start_ns, EventKind::Wait { rank, dur_ns });
+            }
+        }
     }
 }
 
@@ -838,27 +848,32 @@ fn chrome_event(ev: &TraceEvent, base_unix_ns: u64) -> String {
             tag,
             ctx,
             bytes,
-        } => format!(
-            r#"{{"name":"post {src}->{dst}","cat":"envelope","ph":"i","s":"t","ts":{ts},"pid":{src},"tid":{dst},"args":{{"kind":"post","src":{src},"dst":{dst},"tag":{tag},"ctx":{ctx},"bytes":{bytes}}}}}"#
-        ),
-        EventKind::Deliver {
+        }
+        | EventKind::Deliver {
             src,
             dst,
             tag,
             ctx,
             bytes,
-        } => format!(
-            r#"{{"name":"deliver {src}->{dst}","cat":"envelope","ph":"i","s":"t","ts":{ts},"pid":{dst},"tid":{src},"args":{{"kind":"deliver","src":{src},"dst":{dst},"tag":{tag},"ctx":{ctx},"bytes":{bytes}}}}}"#
-        ),
-        EventKind::Take {
+        }
+        | EventKind::Take {
             src,
             dst,
             tag,
             ctx,
             bytes,
-        } => format!(
-            r#"{{"name":"take {src}->{dst}","cat":"envelope","ph":"i","s":"t","ts":{ts},"pid":{dst},"tid":{src},"args":{{"kind":"take","src":{src},"dst":{dst},"tag":{tag},"ctx":{ctx},"bytes":{bytes}}}}}"#
-        ),
+        } => {
+            // The three envelope stages differ only in name and in whose
+            // track (`pid`) they sit on.
+            let (kind, pid, tid) = match &ev.kind {
+                EventKind::Post { .. } => ("post", src, dst),
+                EventKind::Deliver { .. } => ("deliver", dst, src),
+                _ => ("take", dst, src),
+            };
+            format!(
+                r#"{{"name":"{kind} {src}->{dst}","cat":"envelope","ph":"i","s":"t","ts":{ts},"pid":{pid},"tid":{tid},"args":{{"kind":"{kind}","src":{src},"dst":{dst},"tag":{tag},"ctx":{ctx},"bytes":{bytes}}}}}"#
+            )
+        }
         EventKind::Wait { rank, dur_ns } => format!(
             r#"{{"name":"blocked","cat":"wait","ph":"X","ts":{ts},"dur":{},"pid":{rank},"tid":{rank},"args":{{"kind":"wait"}}}}"#,
             us(*dur_ns)
@@ -901,33 +916,27 @@ fn chrome_event(ev: &TraceEvent, base_unix_ns: u64) -> String {
     }
 }
 
-/// Renders the last `tail` events as individual Chrome JSON object
-/// strings — the flight-recorder format embedded in crash reports.
-pub(crate) fn render_event_tail(
-    events: &[TraceEvent],
-    tail: usize,
-    base_unix_ns: u64,
-) -> Vec<String> {
-    let start = events.len().saturating_sub(tail);
-    events[start..]
-        .iter()
+/// Renders `events` as individual Chrome JSON object strings — the unit of
+/// every export and of the crash reports' event list.
+pub(crate) fn render_events(events: &[TraceEvent], base_unix_ns: u64) -> Vec<String> {
+    (events.iter())
         .map(|ev| chrome_event(ev, base_unix_ns))
         .collect()
+}
+
+/// Wraps serialized event objects into one Chrome trace JSON document.
+fn trace_document<'a>(objects: impl Iterator<Item = &'a String>) -> String {
+    let objects: Vec<&str> = objects.map(String::as_str).collect();
+    format!(
+        "{{\"displayTimeUnit\":\"ms\",\"traceEvents\":[\n{}\n]}}\n",
+        objects.join(",\n")
+    )
 }
 
 /// Renders `events` as one Chrome trace JSON document (run-relative
 /// timestamps — the single-process export).
 pub fn chrome_trace_json(events: &[TraceEvent]) -> String {
-    let mut out = String::from("{\"displayTimeUnit\":\"ms\",\"traceEvents\":[\n");
-    for (i, ev) in events.iter().enumerate() {
-        out.push_str(&chrome_event(ev, 0));
-        if i + 1 < events.len() {
-            out.push(',');
-        }
-        out.push('\n');
-    }
-    out.push_str("]}\n");
-    out
+    trace_document(render_events(events, 0).iter())
 }
 
 /// Per-rank bookkeeping carried in the trace metadata line (a Chrome
@@ -940,13 +949,6 @@ pub struct RankTraceMeta {
     pub dropped_events: u64,
 }
 
-fn rank_meta_line(meta: &RankTraceMeta) -> String {
-    format!(
-        r#"{{"ph":"M","name":"kamping_rank_meta","ts":0,"pid":{},"args":{{"rank":{},"dropped_events":{}}}}}"#,
-        meta.rank, meta.rank, meta.dropped_events
-    )
-}
-
 /// Writes `events` as JSONL (one Chrome event object per line, timestamps
 /// shifted to absolute wall-clock µs) — the per-rank format merged by
 /// [`merge_trace_dir`]. `meta` (when present) becomes the file's first
@@ -957,26 +959,15 @@ pub fn write_trace_jsonl(
     epoch_unix_ns: u64,
     meta: Option<RankTraceMeta>,
 ) -> io::Result<()> {
-    let mut out = String::new();
-    if let Some(meta) = meta {
-        out.push_str(&rank_meta_line(&meta));
-        out.push('\n');
-    }
-    for ev in events {
-        out.push_str(&chrome_event(ev, epoch_unix_ns));
-        out.push('\n');
-    }
-    std::fs::write(path, out)
-}
-
-/// Extracts the numeric `"ts"` value from one serialized event line.
-fn line_ts(line: &str) -> Option<f64> {
-    let at = line.find("\"ts\":")? + 5;
-    let rest = &line[at..];
-    let end = rest
-        .find(|c: char| c != '.' && c != '-' && !c.is_ascii_digit())
-        .unwrap_or(rest.len());
-    rest[..end].parse().ok()
+    let meta = meta.map(|m| {
+        format!(
+            r#"{{"ph":"M","name":"kamping_rank_meta","ts":0,"pid":{0},"args":{{"rank":{0},"dropped_events":{1}}}}}"#,
+            m.rank, m.dropped_events
+        )
+    });
+    let lines = render_events(events, epoch_unix_ns);
+    let lines: Vec<&str> = meta.iter().chain(&lines).map(String::as_str).collect();
+    std::fs::write(path, lines.join("\n") + "\n")
 }
 
 /// What [`merge_trace_dir`] produced: the merged event count plus the
@@ -1025,7 +1016,7 @@ pub fn merge_trace_dir(dir: &Path, out: &Path) -> io::Result<MergeReport> {
                 }
                 continue;
             }
-            let ts = line_ts(line).ok_or_else(|| {
+            let ts = crate::metrics::scrape_f64(line, "ts").ok_or_else(|| {
                 io::Error::new(
                     io::ErrorKind::InvalidData,
                     format!("trace line without ts in {}", path.display()),
@@ -1036,28 +1027,15 @@ pub fn merge_trace_dir(dir: &Path, out: &Path) -> io::Result<MergeReport> {
     }
     lines.sort_by(|a, b| a.0.total_cmp(&b.0));
     dropped.sort_unstable();
-    let mut doc = String::from("{\"displayTimeUnit\":\"ms\",\"traceEvents\":[\n");
-    if !dropped.is_empty() {
+    let meta = (!dropped.is_empty()).then(|| {
         let per_rank: Vec<String> = dropped.iter().map(|(r, d)| format!("[{r},{d}]")).collect();
         let total: u64 = dropped.iter().map(|(_, d)| d).sum();
-        doc.push_str(&format!(
-            r#"{{"ph":"M","name":"kamping_dropped_events","ts":0,"args":{{"total":{},"per_rank":[{}]}}}}"#,
-            total,
+        format!(
+            r#"{{"ph":"M","name":"kamping_dropped_events","ts":0,"args":{{"total":{total},"per_rank":[{}]}}}}"#,
             per_rank.join(",")
-        ));
-        if !lines.is_empty() {
-            doc.push(',');
-        }
-        doc.push('\n');
-    }
-    for (i, (_, line)) in lines.iter().enumerate() {
-        doc.push_str(line);
-        if i + 1 < lines.len() {
-            doc.push(',');
-        }
-        doc.push('\n');
-    }
-    doc.push_str("]}\n");
+        )
+    });
+    let doc = trace_document(meta.iter().chain(lines.iter().map(|(_, line)| line)));
     std::fs::write(out, doc)?;
     Ok(MergeReport {
         events: lines.len(),
@@ -1120,34 +1098,23 @@ mod tests {
     #[test]
     fn disabled_ctx_records_nothing() {
         let ctx = TraceCtx::disabled(2);
-        assert!(!ctx.tracing());
-        assert!(!ctx.measuring());
+        assert_eq!(ctx.flags(), 0);
         // Guards are inert: no wait accumulates, no event appears.
         let before = thread_wait_ns();
-        drop(ctx.wait_span(0));
-        drop(ctx.op_scope(Op::Send, 0));
+        drop(ctx.parked(0));
+        drop(ctx.op(Op::Send, 0));
+        ctx.event(|| unreachable!("events are off"));
         assert_eq!(thread_wait_ns(), before);
         assert!(ctx.take_events().is_empty());
+        // ... but the exact counts are always on.
+        assert_eq!(ctx.rank(0).profile().calls(Op::Send), 1);
     }
 
     #[test]
     fn enabled_ctx_round_trips_events() {
-        let ctx = TraceCtx::new(
-            2,
-            &TraceConfig {
-                tracing: true,
-                measuring: true,
-                ..TraceConfig::default()
-            },
-        );
-        ctx.record(EventKind::Post {
-            src: 0,
-            dst: 1,
-            tag: 3,
-            ctx: 0,
-            bytes: 5,
-        });
-        drop(ctx.op_scope(Op::Recv, 1));
+        let ctx = TraceCtx::new(2, MEASURE | EVENTS);
+        ctx.event(|| ev(0).kind);
+        drop(ctx.op(Op::Recv, 1));
         let events = ctx.take_events();
         assert_eq!(events.len(), 2);
         // Timestamps come back sorted.
@@ -1156,40 +1123,47 @@ mod tests {
     }
 
     #[test]
-    fn wait_span_accumulates_thread_wait() {
-        let ctx = TraceCtx::new(
-            1,
-            &TraceConfig {
-                tracing: false,
-                measuring: true,
-                ..TraceConfig::default()
-            },
-        );
+    fn parked_guard_accumulates_thread_wait() {
+        let ctx = TraceCtx::new(1, MEASURE);
         let before = thread_wait_ns();
-        drop(ctx.wait_span(0));
+        drop(ctx.parked(0));
         assert!(thread_wait_ns() >= before);
     }
 
     #[test]
-    fn op_timings_record_calls_and_split() {
-        let t = RankOpTimings::default();
-        t.record(Op::Bcast, 1000, 400);
-        t.record(Op::Bcast, 500, 100);
-        let snap = t.snapshot();
-        let row = snap.iter().find(|r| r.0 == Op::Bcast).unwrap();
-        assert_eq!((row.1, row.2, row.3), (2, 1500, 500));
+    fn op_cells_record_calls_and_split() {
+        let ctx = TraceCtx::new(1, MEASURE);
+        for _ in 0..2 {
+            let _op = ctx.op(Op::Bcast, 0);
+            let _parked = ctx.parked(0);
+            std::thread::sleep(std::time::Duration::from_millis(2));
+        }
+        let snap = ctx.rank(0).snapshot();
+        let i = Op::Bcast as usize;
+        assert_eq!(snap.op_calls[i], 2);
+        assert!(snap.op_wait_ns[i] >= 4_000_000, "both sleeps are wait");
+        assert!(snap.op_wait_ns[i] <= snap.op_total_ns[i]);
+    }
+
+    #[test]
+    fn nested_scope_restores_the_outer_breadcrumb() {
+        let ctx = TraceCtx::new(1, METRICS);
+        let in_flight = || ctx.rank(0).in_flight().map(|(op, _)| op);
+        let split = ctx.op(Op::CommSplit, 0);
+        assert_eq!(in_flight(), Some(Op::CommSplit));
+        drop(ctx.op(Op::Allgather, 0));
+        assert_eq!(
+            in_flight(),
+            Some(Op::CommSplit),
+            "a rank dying in the rest of split must not dump 'no op in flight'"
+        );
+        drop(split);
+        assert_eq!(in_flight(), None);
     }
 
     #[test]
     fn ring_drops_oldest_beyond_cap() {
-        let ctx = TraceCtx::new(
-            1,
-            &TraceConfig {
-                tracing: true,
-                measuring: true,
-                ..TraceConfig::default()
-            },
-        );
+        let ctx = TraceCtx::new(1, MEASURE | EVENTS);
         // All from one thread = one shard; overflow it.
         for i in 0..(SHARD_CAP + 10) as u64 {
             ctx.record_at(i, ev(i).kind);
@@ -1208,7 +1182,10 @@ mod tests {
         assert!(doc.contains("\"ts\":1.500"));
         assert!(doc.contains("\"ts\":2.500"));
         assert!(doc.trim_end().ends_with("]}"));
-        assert_eq!(line_ts("{\"ts\":12.034,\"x\":1}"), Some(12.034));
+        assert_eq!(
+            crate::metrics::scrape_f64("{\"ts\":12.034,\"x\":1}", "ts"),
+            Some(12.034)
+        );
     }
 
     #[test]
@@ -1251,75 +1228,19 @@ mod tests {
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
-    fn lookup<'a>(pairs: &'a [(&'a str, &'a str)]) -> impl Fn(&str) -> Option<String> + 'a {
-        move |k| {
-            pairs
-                .iter()
-                .find(|(key, _)| *key == k)
-                .map(|(_, v)| v.to_string())
-        }
-    }
-
-    #[test]
-    fn config_env_switches() {
-        let cfg = TraceConfig::from_lookup(lookup(&[("KAMPING_TRACE", "1")])).unwrap();
-        assert!(cfg.tracing && cfg.measuring && cfg.out.is_none());
-        let cfg = TraceConfig::from_lookup(lookup(&[("KAMPING_TRACE", "/tmp/t.json")])).unwrap();
-        assert_eq!(cfg.out.as_deref(), Some(Path::new("/tmp/t.json")));
-        let cfg = TraceConfig::from_lookup(lookup(&[("KAMPING_MEASURE", "false")])).unwrap();
-        assert!(!cfg.measuring, "false now means off, not a silent enable");
-        let cfg = TraceConfig::from_lookup(lookup(&[("KAMPING_METRICS", "/tmp/m.jsonl")])).unwrap();
-        assert!(cfg.metrics);
-        assert_eq!(cfg.metrics_out.as_deref(), Some(Path::new("/tmp/m.jsonl")));
-        let cfg = TraceConfig::from_lookup(lookup(&[("KAMPING_CRASH_DIR", "/tmp/crash")])).unwrap();
-        assert!(
-            cfg.tracing && cfg.measuring && cfg.metrics,
-            "crash dir forces evidence collection on"
-        );
-    }
-
-    #[test]
-    fn config_bad_values_are_typed_errors() {
-        for (var, val) in [
-            ("KAMPING_MEASURE", "yes"),
-            ("KAMPING_TRACE", "   "),
-            ("KAMPING_METRICS", " "),
-            ("KAMPING_METRICS_INTERVAL_MS", "fast"),
-            ("KAMPING_METRICS_INTERVAL_MS", "5"),
-            ("KAMPING_STRAGGLER_FACTOR", "-1"),
-            ("KAMPING_STRAGGLER_FACTOR", "NaNx"),
-        ] {
-            let err = TraceConfig::from_lookup(lookup(&[(var, val)]))
-                .expect_err(&format!("{var}={val:?} must be rejected"));
-            match err {
-                MpiError::Config(msg) => {
-                    assert!(msg.contains(var), "error names the variable: {msg}")
-                }
-                other => panic!("expected Config error, got {other:?}"),
-            }
-        }
-    }
-
     #[test]
     fn metrics_only_scope_counts_without_measuring() {
-        let ctx = TraceCtx::new(
-            2,
-            &TraceConfig {
-                metrics: true,
-                ..TraceConfig::default()
-            },
-        );
-        assert!(!ctx.measuring());
-        assert!(ctx.metrics().enabled());
+        let ctx = TraceCtx::new(2, METRICS);
         for _ in 0..65 {
-            drop(ctx.op_scope(Op::Send, 1));
+            drop(ctx.op(Op::Send, 1));
         }
-        let snap = crate::metrics::MetricsSnapshot::capture(ctx.metrics().rank(1), (0, 0));
+        let snap = ctx.rank(1).snapshot();
         assert_eq!(snap.counter(Counter::OpsStarted), 65);
         // 1-in-64 sampling: ops 0 and 64 were timed.
         let hist_total: u64 = snap.hists[Hist::OpLatency as usize].iter().sum();
         assert_eq!(hist_total, 2);
-        // Timings stay untouched (measuring off).
-        assert_eq!(ctx.timings(1).snapshot()[Op::Send as usize].1, 0);
+        // The timing cells stay untouched (measuring off).
+        assert_eq!(snap.op_calls[Op::Send as usize], 65);
+        assert_eq!(snap.op_total_ns[Op::Send as usize], 0);
     }
 }

@@ -52,7 +52,7 @@ use std::time::Instant;
 
 use crate::error::{MpiError, MpiResult};
 use crate::tag::{source_matches, tag_matches, Tag, ANY_SOURCE, COLL_TAG_BASE};
-use crate::trace::{EventKind, TraceCtx};
+use crate::trace::TraceCtx;
 
 /// Largest payload (bytes) carried inline in the envelope instead of on the
 /// heap. Sub-cacheline messages — barrier tokens, counts exchanges, single
@@ -296,7 +296,7 @@ impl Hub {
         let _wait = self
             .trace
             .get()
-            .map(|t| t.wait_span(crate::trace::thread_rank()));
+            .map(|t| t.parked(crate::trace::thread_rank()));
         loop {
             // Read the epoch before evaluating the predicate: a state change
             // strictly after this read also bumps the epoch, so the wait
@@ -429,23 +429,7 @@ impl Mailbox {
     /// # Panics
     /// Panics if `envelope.src` is not a valid source for this mailbox.
     pub fn post(&self, envelope: Envelope) {
-        if self.trace.tracing() {
-            self.trace.record(EventKind::Deliver {
-                src: envelope.src as u32,
-                dst: self.owner as u32,
-                tag: envelope.tag,
-                ctx: envelope.ctx,
-                bytes: envelope.payload.len() as u64,
-            });
-        }
-        if self.trace.metrics().enabled() {
-            let rm = self.trace.metrics().rank(self.owner);
-            rm.add(crate::metrics::Counter::MsgsDelivered, 1);
-            rm.add(
-                crate::metrics::Counter::BytesDelivered,
-                envelope.payload.len() as u64,
-            );
-        }
+        self.trace.delivered(self.owner, &envelope);
         let stamp = self.next_stamp.fetch_add(1, Ordering::Relaxed);
         let tag = envelope.tag;
         {
@@ -496,15 +480,7 @@ impl Mailbox {
             ack.set();
             self.hub.notify();
         }
-        if self.trace.tracing() {
-            self.trace.record(EventKind::Take {
-                src: e.src as u32,
-                dst: self.owner as u32,
-                tag: e.tag,
-                ctx: e.ctx,
-                bytes: e.payload.len() as u64,
-            });
-        }
+        self.trace.taken(self.owner, &e);
         Some(Delivered {
             src: e.src,
             tag: e.tag,
@@ -632,10 +608,10 @@ impl Mailbox {
         if let Some(hit) = attempt(self) {
             return Ok(hit);
         }
-        // Everything past the fast path is blocked-waiting; the RAII span
+        // Everything past the fast path is blocked-waiting; the RAII guard
         // attributes it to the owning rank (inert when measuring is off)
         // and covers every exit — match, interrupt, or timeout.
-        let _wait = self.trace.wait_span(self.owner as u32);
+        let mut parked = self.trace.parked(self.owner as u32);
         // A short burst of cooperative hand-offs before committing to the
         // condvar: when rank-threads outnumber cores the matching send is
         // usually posted by a peer that just needs the CPU, and taking the
@@ -667,12 +643,11 @@ impl Mailbox {
                 return Ok(hit);
             }
         }
-        // From here on the thread actually parks. The metrics guard charges
-        // the parked time to the owner's blocked-wait counter — only the
-        // condvar section, and only when this thread hosts the owner, so
-        // the live blocked-ratio stays meaningful without a clock read on
-        // the burst path (measuring-mode wait spans still cover the burst).
-        let _blocked = self.trace.metrics_block_guard(self.owner);
+        // From here on the thread actually sleeps. The live blocked-wait
+        // counter is charged for the condvar section only, so the metrics
+        // path reads no clock on the burst (measuring-mode wait attribution
+        // still covers the burst).
+        parked.sleeping();
         loop {
             // Snapshot the epoch, then run `attempt` with *no* mailbox lock
             // held. The i-collective attempt steps schedules that post to
@@ -709,7 +684,7 @@ impl Mailbox {
             // The deadline is checked after one final match/interrupt pass,
             // so an envelope racing the deadline is still delivered.
             if deadline.is_some_and(|d| Instant::now() >= d) {
-                self.trace.metrics_timeout(self.owner);
+                self.trace.timed_out(self.owner);
                 return Err(MpiError::Timeout {
                     waited: start.elapsed(),
                 });

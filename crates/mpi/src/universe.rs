@@ -25,13 +25,15 @@ use std::sync::{Arc, Mutex, OnceLock, RwLock};
 
 use crate::chaos::{ChaosSpec, ChaosTransport};
 use crate::comm::RawComm;
+use crate::config::Config;
 use crate::error::{MpiError, MpiResult};
 use crate::icoll::Registry;
 use crate::measurements::TreeAggregate;
-use crate::profile::{ProfileSnapshot, RankCounters};
-use crate::trace::{TraceConfig, TraceCtx, TraceEvent};
+use crate::metrics::{Counter, MetricsPlane, MetricsSnapshot};
+use crate::profile::ProfileSnapshot;
+use crate::trace::{TraceCtx, TraceEvent};
 use crate::transport::{
-    members_from_mask, ControlMsg, ControlSink, Hub, Mailbox, ShmTransport, Transport,
+    members_from_mask, ControlMsg, ControlSink, Envelope, Hub, Mailbox, ShmTransport, Transport,
 };
 
 /// One membership-growth admission: at `epoch`, `joiners` were added and
@@ -76,9 +78,6 @@ pub(crate) struct UniverseState {
     pub closing: AtomicBool,
     /// The backend moving envelopes and control events between ranks.
     pub transport: Arc<dyn Transport>,
-    /// One profiling counter block per global rank (remote ranks' blocks
-    /// stay zero on multi-process backends; each process reports its own).
-    pub counters: Vec<RankCounters>,
     /// Wakeup channel for events not tied to one mailbox: ssend acks,
     /// failure/revocation marks.
     pub hub: Arc<Hub>,
@@ -102,27 +101,26 @@ pub(crate) struct UniverseState {
     /// ranks, advanced by whichever thread delivers a collective-tagged
     /// envelope (see [`crate::icoll`]).
     pub icoll: Registry,
-    /// Per-universe tracing/measuring context (disabled by default; one
-    /// relaxed atomic load per hook when off).
+    /// The instrumentation core: one stats block per global rank (remote
+    /// ranks' blocks stay zero on multi-process backends; each process
+    /// reports its own), the gate word and the event ring.
     pub trace: Arc<TraceCtx>,
+    /// The environment as parsed at universe start.
+    pub config: Config,
 }
 
 impl UniverseState {
-    /// In-process universe over the shared-memory backend, with an optional
-    /// chaos wrapper around it. The chaos layer's control sink (where an
-    /// injected rank death is applied) is bound to the returned state.
-    /// `initial` of the `size` rank slots are live at launch (they differ
-    /// only on elastic universes; fixed jobs pass `initial == size`).
-    fn new_shm(
-        size: usize,
-        initial: usize,
-        chaos: Option<ChaosSpec>,
-        trace: Arc<TraceCtx>,
-    ) -> Arc<Self> {
+    /// In-process universe over the shared-memory backend, wrapped in the
+    /// chaos layer if `config` carries a schedule. The chaos layer's
+    /// control sink (where an injected rank death is applied) is bound to
+    /// the returned state. `initial` of the `size` rank slots are live at
+    /// launch (they differ only on elastic universes; fixed jobs pass
+    /// `initial == size`).
+    fn new_shm(size: usize, initial: usize, config: Config) -> Arc<Self> {
+        let trace = Arc::new(TraceCtx::new(size, config.trace_flags()));
         let hub = Arc::new(Hub::new());
-        hub.bind_trace(Arc::clone(&trace));
         let shm: Arc<dyn Transport> = Arc::new(ShmTransport::new(size, &hub, &trace));
-        let (transport, chaos_layer) = match chaos {
+        let (transport, chaos_layer) = match config.chaos.clone() {
             None => (shm, None),
             Some(spec) => {
                 let layer = Arc::new(ChaosTransport::new(shm, size, spec));
@@ -136,6 +134,7 @@ impl UniverseState {
             transport,
             hub,
             trace,
+            config,
         ));
         if let Some(layer) = chaos_layer {
             let sink: Arc<dyn ControlSink> = Arc::clone(&state) as Arc<dyn ControlSink>;
@@ -153,6 +152,7 @@ impl UniverseState {
         transport: Arc<dyn Transport>,
         hub: Arc<Hub>,
         trace: Arc<TraceCtx>,
+        config: Config,
     ) -> Self {
         hub.bind_trace(Arc::clone(&trace));
         Self {
@@ -165,7 +165,6 @@ impl UniverseState {
             active_unfinished: AtomicUsize::new(0),
             closing: AtomicBool::new(false),
             transport,
-            counters: (0..size).map(|_| RankCounters::default()).collect(),
             hub,
             fault_epoch: AtomicU64::new(0),
             failed: RwLock::new(HashSet::new()),
@@ -174,7 +173,26 @@ impl UniverseState {
             revoked: RwLock::new(HashSet::new()),
             icoll: Registry::new(),
             trace,
+            config,
         }
+    }
+
+    /// Hands `envelope` to the transport for `dest` — the one post seam of
+    /// point-to-point sends and collective schedule steps. Messages to
+    /// failed ranks are silently dropped (a send to a dead process may
+    /// complete in MPI; the failure surfaces at receives).
+    #[inline]
+    pub(crate) fn post(&self, dest: usize, envelope: Envelope) {
+        self.trace.posted(dest, &envelope);
+        if self.is_failed(dest) {
+            if let Some(ack) = envelope.ack {
+                // Never going to be matched; complete it so senders don't hang.
+                ack.set();
+                self.hub.notify();
+            }
+            return;
+        }
+        self.transport.post(dest, envelope);
     }
 
     /// The mailbox of a locally-hosted rank.
@@ -320,9 +338,50 @@ impl UniverseState {
             .contains(&ctx)
     }
 
+    /// Writes this process's teardown artefacts: the crash reports (when
+    /// `KAMPING_CRASH_DIR` is set and a rank panicked, failed or timed
+    /// out) and the `KAMPING_TRACE` export, sharing one drain of the event
+    /// ring. `hosted` are the ranks living in this process; `proc_rank` is
+    /// the one rank of a multi-process backend — it names the per-rank
+    /// trace file, and reports even when it is itself the failed rank,
+    /// whereas a shared process reports for its survivors only.
+    pub(crate) fn write_artifacts(
+        &self,
+        panicked: &[usize],
+        hosted: &[usize],
+        proc_rank: Option<usize>,
+    ) {
+        let mut failed: Vec<usize> = (self.failed.read().expect("failed set poisoned"))
+            .iter()
+            .copied()
+            .collect();
+        failed.sort_unstable();
+        let timeouts = |r: usize| self.trace.rank(r).snapshot().counter(Counter::Timeouts);
+        let crash_dir = self.config.crash_dir.as_deref().filter(|_| {
+            !panicked.is_empty() || !failed.is_empty() || hosted.iter().any(|&r| timeouts(r) > 0)
+        });
+        if crash_dir.is_none() && self.config.trace_out.is_none() {
+            return;
+        }
+        let events = self.trace.take_events();
+        if let Some(dir) = crash_dir {
+            let reporting: Vec<usize> = (hosted.iter().copied())
+                .filter(|r| proc_rank.is_some() || !failed.contains(r))
+                .collect();
+            crate::metrics::dump_crash_reports(self, dir, panicked, &failed, &events, &reporting);
+        }
+        if let Some(out) = &self.config.trace_out {
+            if let Err(e) =
+                crate::trace::write_process_trace_events(&self.trace, &events, out, proc_rank)
+            {
+                eprintln!("kamping: failed to write trace to {}: {e}", out.display());
+            }
+        }
+    }
+
     /// Freezes the profiling counters.
     pub fn profile(&self) -> ProfileSnapshot {
-        ProfileSnapshot::capture(&self.counters)
+        ProfileSnapshot::capture(&self.trace)
     }
 }
 
@@ -401,36 +460,32 @@ impl Universe {
         Self::try_run_profiled(size, f).unwrap_or_else(|e| panic!("{e}"))
     }
 
-    /// The non-panicking entry point behind every `run_*` wrapper: selects
-    /// the backend from the environment, applies any `KAMPING_CHAOS`
-    /// schedule, and surfaces configuration problems as
+    /// The non-panicking entry point behind every `run_*` wrapper: parses
+    /// the environment (once), selects the backend, applies any
+    /// `KAMPING_CHAOS` schedule, and surfaces configuration problems as
     /// [`MpiError::Config`].
     pub fn try_run_profiled<R, F>(size: usize, f: F) -> MpiResult<(Vec<R>, ProfileSnapshot)>
     where
         R: Send,
         F: Fn(RawComm) -> R + Sync,
     {
-        Self::run_dispatch(size, TraceConfig::from_env()?, f)
-            .map(|(values, profile, _)| (values, profile))
+        let job = Self::run_dispatch(size, Config::from_env()?, f)?;
+        let ranks = job.stats.iter().map(MetricsSnapshot::profile).collect();
+        Ok((job.values, ProfileSnapshot { ranks }))
     }
 
-    /// Backend dispatch shared by every entry point: selects shm vs socket
-    /// from the environment and threads the trace configuration through,
-    /// returning the universe's trace context alongside the results.
-    fn run_dispatch<R, F>(
-        size: usize,
-        trace_cfg: TraceConfig,
-        f: F,
-    ) -> MpiResult<(Vec<R>, ProfileSnapshot, Arc<TraceCtx>)>
+    /// Backend dispatch shared by every entry point: a `kampirun` launch
+    /// environment in `config` joins that job as one rank, anything else
+    /// runs `size` rank threads over shared memory.
+    fn run_dispatch<R, F>(size: usize, config: Config, f: F) -> MpiResult<Job<R>>
     where
         R: Send,
         F: Fn(RawComm) -> R + Sync,
     {
-        let chaos = ChaosSpec::from_env()?;
-        if let Some(cfg) = crate::net::SocketConfig::from_env()? {
-            return crate::net::run_socket(&cfg, chaos, trace_cfg, f);
+        if config.socket.is_some() {
+            return crate::net::run_socket(config, f);
         }
-        Self::run_threads_profiled(size, chaos, trace_cfg, f)
+        Self::run_threads(size, config, f)
     }
 
     /// Runs `f` with tracing and measuring force-enabled (on top of any
@@ -439,37 +494,26 @@ impl Universe {
     /// aggregated per-op timer tree where every rank contributes its
     /// call counts and wait/compute latency split.
     ///
-    /// Works on both backends: the op-tree aggregation runs *inside* the
-    /// job (using the library's own collectives on a reserved tag range),
-    /// so on the socket backend each process reports the cross-rank
-    /// aggregate of its own universe.
+    /// Works on both backends: the op tree is a view of every rank's stats
+    /// block, which a multi-process job gathers at teardown (on a reserved
+    /// tag range), so on the socket backend each process reports the
+    /// cross-rank aggregate of its own universe.
     pub fn run_traced<R, F>(size: usize, f: F) -> MpiResult<(Vec<R>, TraceReport)>
     where
         R: Send,
         F: Fn(RawComm) -> R + Sync,
     {
-        let mut cfg = TraceConfig::from_env()?;
-        cfg.tracing = true;
-        cfg.measuring = true;
-        let agg: Mutex<Option<TreeAggregate>> = Mutex::new(None);
-        let wrapped = |comm: RawComm| {
-            let r = f(comm.clone());
-            // Post-run aggregation on a reserved collective sequence range
-            // so its tags cannot collide with anything `f` left in flight.
-            comm.coll_seq.set(crate::measurements::AGG_SEQ_BASE);
-            if let Ok(tree) = crate::measurements::aggregate_op_tree(&comm) {
-                *agg.lock().expect("op-tree slot poisoned") = Some(tree);
-            }
-            r
-        };
-        let (values, _, trace) = Self::run_dispatch(size, cfg, wrapped)?;
-        let events = trace.take_events();
+        let mut config = Config::from_env()?;
+        config.tracing = true;
+        config.measuring = true;
+        let job = Self::run_dispatch(size, config, f)?;
+        let events = job.trace.take_events();
         let chrome_json = crate::trace::chrome_trace_json(&events);
         Ok((
-            values,
+            job.values,
             TraceReport {
-                op_tree: agg.into_inner().expect("op-tree slot poisoned"),
-                dropped_events: trace.dropped_events(),
+                op_tree: (job.complete).then(|| crate::measurements::op_tree(&job.stats)),
+                dropped_events: job.trace.dropped_events(),
                 events,
                 chrome_json,
             },
@@ -485,8 +529,9 @@ impl Universe {
         R: Send,
         F: Fn(RawComm) -> R + Sync,
     {
-        Self::run_threads_profiled(size, Some(spec), TraceConfig::from_env()?, f)
-            .map(|(values, _, _)| values)
+        let mut config = Config::from_env()?;
+        config.chaos = Some(spec);
+        Self::run_threads(size, config, f).map(|job| job.values)
     }
 
     /// Runs `f` as an *elastic* SPMD job: `initial` ranks start immediately
@@ -507,14 +552,15 @@ impl Universe {
         R: Send,
         F: Fn(RawComm) -> R + Sync,
     {
-        if crate::net::SocketConfig::from_env()?.is_some() {
+        let config = Config::from_env()?;
+        if config.socket.is_some() {
             // One rank per process under kampirun; joiners are separate
             // processes, so the initial/capacity split is the launcher's
             // business (`--ranks` / `--elastic`), not ours.
             let wrapped = |comm: RawComm| (comm.my_global_rank(), f(comm));
-            return Self::try_run(initial.max(1), wrapped);
+            return crate::net::run_socket(config, wrapped).map(|job| job.values);
         }
-        Self::run_elastic_threads(initial, capacity, f)
+        Self::run_elastic_threads(initial, capacity, config, f)
     }
 
     /// The shm elastic path: `capacity` rank threads, of which the last
@@ -522,6 +568,7 @@ impl Universe {
     fn run_elastic_threads<R, F>(
         initial: usize,
         capacity: usize,
+        config: Config,
         f: F,
     ) -> MpiResult<Vec<(usize, R)>>
     where
@@ -543,13 +590,10 @@ impl Universe {
                 "elastic universes are capped at 64 global ranks".into(),
             ));
         }
-        let trace_cfg = TraceConfig::from_env()?;
-        let chaos = ChaosSpec::from_env()?;
-        let trace = Arc::new(TraceCtx::new(capacity, &trace_cfg));
-        let state = UniverseState::new_shm(capacity, initial, chaos, Arc::clone(&trace));
+        let state = UniverseState::new_shm(capacity, initial, config);
         *state.parked.lock().expect("parked pool poisoned") = (initial..capacity).collect();
         state.active_unfinished.store(initial, Ordering::Release);
-        let plane = crate::metrics::MetricsPlane::start_local(&state, &trace_cfg);
+        let plane = MetricsPlane::start(&state, None);
         let f = &f;
 
         let results: Vec<(usize, std::thread::Result<R>)> = std::thread::scope(|scope| {
@@ -636,12 +680,7 @@ impl Universe {
     }
 
     /// The shared-memory path: spawn `size` rank threads and join them.
-    fn run_threads_profiled<R, F>(
-        size: usize,
-        chaos: Option<ChaosSpec>,
-        trace_cfg: TraceConfig,
-        f: F,
-    ) -> MpiResult<(Vec<R>, ProfileSnapshot, Arc<TraceCtx>)>
+    fn run_threads<R, F>(size: usize, config: Config, f: F) -> MpiResult<Job<R>>
     where
         R: Send,
         F: Fn(RawComm) -> R + Sync,
@@ -651,9 +690,8 @@ impl Universe {
                 "a universe needs at least one rank".into(),
             ));
         }
-        let trace = Arc::new(TraceCtx::new(size, &trace_cfg));
-        let state = UniverseState::new_shm(size, size, chaos, Arc::clone(&trace));
-        let plane = crate::metrics::MetricsPlane::start_local(&state, &trace_cfg);
+        let state = UniverseState::new_shm(size, size, config);
+        let plane = MetricsPlane::start(&state, None);
         let f = &f;
 
         let results: Vec<std::thread::Result<R>> = std::thread::scope(|scope| {
@@ -701,50 +739,11 @@ impl Universe {
             .map(|(r, _)| r)
             .collect();
 
-        // Flight recorder + trace export share one `take_events` drain.
-        let crashed = !panicked.is_empty()
-            || !state.failed.read().expect("failed set poisoned").is_empty()
-            || (0..size).any(|r| {
-                trace
-                    .metrics()
-                    .rank(r)
-                    .get(crate::metrics::Counter::Timeouts)
-                    > 0
-            });
-        let want_trace = trace.tracing() && trace_cfg.out.is_some();
-        let want_crash = trace_cfg.crash_dir.is_some() && crashed;
-        if want_trace || want_crash {
-            let events = trace.take_events();
-            if let (Some(dir), true) = (&trace_cfg.crash_dir, want_crash) {
-                let tail = crate::trace::render_event_tail(
-                    &events,
-                    crate::metrics::CRASH_EVENT_TAIL,
-                    trace.epoch_unix_ns(),
-                );
-                let survivors: Vec<usize> = (0..size).filter(|r| !state.is_failed(*r)).collect();
-                crate::metrics::dump_crash_reports(
-                    &state,
-                    dir,
-                    &panicked,
-                    &tail,
-                    trace.dropped_events(),
-                    &survivors,
-                );
-            }
-            // KAMPING_TRACE named a destination: all ranks share this
-            // process, so one self-contained trace covers the whole job.
-            if want_trace {
-                if let Some(out) = &trace_cfg.out {
-                    if let Err(e) =
-                        crate::trace::write_process_trace_events(&trace, &events, out, None)
-                    {
-                        eprintln!("kamping: failed to write trace to {}: {e}", out.display());
-                    }
-                }
-            }
-        }
+        // All ranks share this process, so one self-contained trace (and
+        // one set of survivor crash reports) covers the whole job.
+        let all: Vec<usize> = (0..size).collect();
+        state.write_artifacts(&panicked, &all, None);
 
-        let profile = state.profile();
         let mut values = Vec::with_capacity(size);
         let mut first_panic = None;
         for r in results {
@@ -760,8 +759,26 @@ impl Universe {
         if let Some(p) = first_panic {
             std::panic::resume_unwind(p);
         }
-        Ok((values, profile, trace))
+        Ok(Job {
+            values,
+            stats: (0..size).map(|r| state.trace.rank(r).snapshot()).collect(),
+            complete: true,
+            trace: Arc::clone(&state.trace),
+        })
     }
+}
+
+/// What a finished job hands back to the `run_*` wrappers.
+pub(crate) struct Job<R> {
+    /// The closure results of the ranks this process hosted.
+    pub values: Vec<R>,
+    /// Every rank's frozen stats block, by global rank.
+    pub stats: Vec<MetricsSnapshot>,
+    /// False when a multi-process teardown gather did not happen (chaos, a
+    /// local panic, a failed peer) and `stats` covers this process only.
+    pub complete: bool,
+    /// The universe's instrumentation core (the event ring outlives it).
+    pub trace: Arc<TraceCtx>,
 }
 
 /// Everything [`Universe::run_traced`] captured about a job.
@@ -811,6 +828,7 @@ pub(crate) fn wait_interrupt(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::profile::Op;
 
     #[test]
     fn run_returns_results_in_rank_order() {
@@ -865,7 +883,7 @@ mod tests {
 
     #[test]
     fn fault_epoch_moves_on_marks() {
-        let state = UniverseState::new_shm(2, 2, None, TraceCtx::disabled(2));
+        let state = UniverseState::new_shm(2, 2, Config::default());
         let e0 = state.fault_epoch.load(Ordering::Acquire);
         state.mark_failed(1);
         let e1 = state.fault_epoch.load(Ordering::Acquire);
@@ -876,7 +894,7 @@ mod tests {
 
     #[test]
     fn wait_interrupt_caches_clean_verdict_per_epoch() {
-        let state = UniverseState::new_shm(2, 2, None, TraceCtx::disabled(2));
+        let state = UniverseState::new_shm(2, 2, Config::default());
         let check = wait_interrupt(&state, 1, 0);
         assert!(check().is_none());
         assert!(check().is_none());
@@ -886,12 +904,91 @@ mod tests {
 
     #[test]
     fn control_sink_applies_remote_events() {
-        let state = UniverseState::new_shm(3, 3, None, TraceCtx::disabled(3));
+        let state = UniverseState::new_shm(3, 3, Config::default());
         state.apply(ControlMsg::Failed { rank: 2 });
         assert!(state.is_failed(2));
         state.apply(ControlMsg::Finished { rank: 1 });
         assert!(state.is_gone(1));
         state.apply(ControlMsg::Revoked { ctx: 9 });
         assert!(state.is_revoked(9));
+    }
+
+    /// The fixed script of the views test: p2p ring, bcast, allreduce and a
+    /// waited nonblocking alltoallv.
+    fn views_script(comm: RawComm) {
+        let (me, p) = (comm.rank(), comm.size());
+        comm.send((me + 1) % p, 3, &[me as u8; 40]).unwrap();
+        comm.recv((me + p - 1) % p, 3).unwrap();
+        let mut buf = vec![7u8; 100];
+        comm.bcast(&mut buf, 1).unwrap();
+        let mut sum = (me as u64).to_le_bytes().to_vec();
+        let add = |acc: &mut [u8], x: &[u8]| {
+            let s = u64::from_le_bytes(acc.try_into().unwrap())
+                + u64::from_le_bytes(x.try_into().unwrap());
+            acc.copy_from_slice(&s.to_le_bytes());
+        };
+        comm.allreduce(&mut sum, &add, 8).unwrap();
+        let (counts, displs) = (vec![2; p], (0..p).map(|r| 2 * r).collect::<Vec<_>>());
+        let req = comm.ialltoallv(vec![me as u8; 2 * p], &counts, &displs, &counts, &displs);
+        req.unwrap().wait().unwrap();
+    }
+
+    /// Profile, op tree, counters and the event ring are views of one
+    /// block: with every bit on they report the same numbers per rank, and
+    /// with every bit off the profile (the always-on part) is unchanged.
+    #[test]
+    fn every_view_reads_the_same_numbers() {
+        use crate::metrics::Counter;
+        use crate::trace::EventKind;
+        let all_on = Config {
+            tracing: true,
+            measuring: true,
+            metrics: true,
+            ..Config::default()
+        };
+        let on = Universe::run_threads(4, all_on, views_script).unwrap();
+        let off = Universe::run_threads(4, Config::default(), views_script).unwrap();
+        let events = on.trace.take_events();
+        let tree = crate::measurements::op_tree(&on.stats);
+        let of_rank = |r: usize, pick: &dyn Fn(&EventKind) -> Option<(u32, u64)>| -> (u64, u64) {
+            (events.iter().filter_map(|e| pick(&e.kind)))
+                .filter(|&(rank, _)| rank == r as u32)
+                .fold((0, 0), |(n, bytes), (_, b)| (n + 1, bytes + b))
+        };
+        for r in 0..4 {
+            let (stats, profile) = (&on.stats[r], on.stats[r].profile());
+            assert_eq!(profile, off.stats[r].profile(), "rank {r}: always-on part");
+            for op in crate::profile::ALL_OPS {
+                let spans = of_rank(r, &|k| match *k {
+                    EventKind::OpSpan { rank, op: o, .. } if o == op => Some((rank, 0)),
+                    _ => None,
+                });
+                let in_tree = (tree.root.children.iter().find(|n| n.name == op.name()))
+                    .map_or(0.0, |n| n.children[0].measurements[0].per_rank[r]);
+                assert_eq!(profile.calls(op), spans.0, "rank {r}: {op:?} spans");
+                assert_eq!(profile.calls(op) as f64, in_tree, "rank {r}: {op:?} tree");
+            }
+            assert!(profile.calls(Op::Ialltoallv) == 1 && profile.calls(Op::Send) == 1);
+            let posts = of_rank(r, &|k| match *k {
+                EventKind::Post { src, bytes, .. } => Some((src, bytes)),
+                _ => None,
+            });
+            assert_eq!((profile.messages_sent, profile.bytes_sent), posts);
+            let sent = (
+                stats.counter(Counter::MsgsSent),
+                stats.counter(Counter::BytesSent),
+            );
+            assert_eq!(sent, posts);
+            let delivers = of_rank(r, &|k| match *k {
+                EventKind::Deliver { dst, bytes, .. } => Some((dst, bytes)),
+                _ => None,
+            });
+            assert_eq!(stats.counter(Counter::MsgsDelivered), delivers.0);
+            assert_eq!(stats.counter(Counter::BytesDelivered), delivers.1);
+            assert!(
+                off.stats[r].counter(Counter::MsgsDelivered) == 0,
+                "gated part is off"
+            );
+        }
     }
 }
