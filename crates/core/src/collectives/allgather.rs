@@ -1,268 +1,54 @@
-//! `allgather` / `allgatherv` builders — the paper's flagship example
+//! `allgather` / `allgatherv` — the paper's flagship example
 //! (Fig. 1, Fig. 2, Fig. 3).
 
-use crate::collectives::{excl_prefix_sum, place_by_displs, to_byte_counts};
+use crate::call::{role, Call, Takes};
+use crate::collectives::{place_by_displs, resolve, to_bytes, Exchange};
 use crate::communicator::Communicator;
 use crate::error::{KResult, KampingError};
 use crate::params::{
-    recv_buf as recv_buf_param, recv_buf_owned as recv_buf_owned_param,
-    recv_buf_resize as recv_buf_resize_param, Absent, OutRequest, RecvBuf, RecvBufSlot, RecvCounts,
-    RecvCountsOut, RecvCountsSlot, RecvDispls, RecvDisplsOut, RecvDisplsSlot, SendBuf, SendBufSlot,
-    SendRecvBufSlot, Unset,
+    Absent, CountSlot, RecvBufSlot, SendBuf, SendBufSlot, SendRecvBuf, SendRecvBufSlot, Unset,
 };
-use crate::resize::{NoResize, ResizePolicy, ResizeToFit};
 use crate::result::CallResult;
 use crate::types::{pod_as_bytes, PodType};
 
-/// Builder for a fixed-size `allgather`: every rank contributes the same
-/// number of elements; the rank-ordered concatenation is received
-/// everywhere.
-#[must_use = "builders do nothing until .call()"]
-pub struct Allgather<'c, S, R> {
-    comm: &'c Communicator,
-    send: S,
-    recv: R,
-}
+/// Fixed-size `allgather`: every rank contributes the same number of
+/// elements; the rank-ordered concatenation is received everywhere.
+pub struct Allgather;
+impl Takes<role::RecvBuf> for Allgather {}
 
-/// Builder for a variable-size `allgatherv`; omitted receive counts are
-/// exchanged internally, omitted displacements computed by prefix sum.
-#[must_use = "builders do nothing until .call()"]
-pub struct Allgatherv<'c, S, R, C, D> {
-    comm: &'c Communicator,
-    send: S,
-    recv: R,
-    counts: C,
-    displs: D,
-}
+/// Variable-size `allgatherv`; omitted receive counts are exchanged
+/// internally, omitted displacements computed by prefix sum.
+pub struct Allgatherv;
+impl Takes<role::RecvBuf> for Allgatherv {}
+impl Takes<role::RecvCounts> for Allgatherv {}
+impl Takes<role::RecvDispls> for Allgatherv {}
 
-/// Builder for the in-place `allgather` (`send_recv_buf`, §III-G): the
-/// buffer holds `size * n` elements of which this rank's block is at
-/// `rank * n`; after the call it holds everyone's blocks.
-#[must_use = "builders do nothing until .call()"]
-pub struct AllgatherInplace<'c, B> {
-    comm: &'c Communicator,
-    buf: B,
-}
+/// In-place `allgather` (`send_recv_buf`, §III-G): the buffer holds
+/// `size * n` elements of which this rank's block is at `rank * n`; after
+/// the call it holds everyone's blocks. Takes no optional parameter.
+pub struct AllgatherInplace;
 
 impl Communicator {
     /// Starts a fixed-size `allgather` of `send_buf`.
-    pub fn allgather<X>(&self, send_buf: SendBuf<X>) -> Allgather<'_, SendBuf<X>, Unset> {
-        Allgather {
-            comm: self,
-            send: send_buf,
-            recv: Unset,
-        }
+    pub fn allgather<X>(&self, send_buf: SendBuf<X>) -> Call<'_, Allgather, SendBuf<X>> {
+        Call::new(self, Allgather, send_buf)
     }
 
     /// Starts a variable-size `allgatherv` of `send_buf`.
-    pub fn allgatherv<X>(
-        &self,
-        send_buf: SendBuf<X>,
-    ) -> Allgatherv<'_, SendBuf<X>, Unset, Unset, Unset> {
-        Allgatherv {
-            comm: self,
-            send: send_buf,
-            recv: Unset,
-            counts: Unset,
-            displs: Unset,
-        }
+    pub fn allgatherv<X>(&self, send_buf: SendBuf<X>) -> Call<'_, Allgatherv, SendBuf<X>> {
+        Call::new(self, Allgatherv, send_buf)
     }
 
     /// Starts an in-place `allgather` on `send_recv_buf`.
-    pub fn allgather_inplace<B>(&self, send_recv_buf: B) -> AllgatherInplace<'_, B> {
-        AllgatherInplace {
-            comm: self,
-            buf: send_recv_buf,
-        }
+    pub fn allgather_inplace<X>(
+        &self,
+        send_recv_buf: SendRecvBuf<X>,
+    ) -> Call<'_, AllgatherInplace, SendRecvBuf<X>> {
+        Call::new(self, AllgatherInplace, send_recv_buf)
     }
 }
 
-// --- named-parameter methods -------------------------------------------------
-
-impl<'c, S, R> Allgather<'c, S, R> {
-    /// Writes the result into `buf` (checking [`NoResize`] policy).
-    pub fn recv_buf<'b, T: PodType>(
-        self,
-        buf: &'b mut Vec<T>,
-    ) -> Allgather<'c, S, RecvBuf<&'b mut Vec<T>, NoResize>> {
-        Allgather {
-            comm: self.comm,
-            send: self.send,
-            recv: recv_buf_param(buf),
-        }
-    }
-
-    /// Writes the result into `buf` under resize policy `P`.
-    pub fn recv_buf_resize<'b, P: ResizePolicy, T: PodType>(
-        self,
-        buf: &'b mut Vec<T>,
-    ) -> Allgather<'c, S, RecvBuf<&'b mut Vec<T>, P>> {
-        Allgather {
-            comm: self.comm,
-            send: self.send,
-            recv: recv_buf_resize_param::<P, T>(buf),
-        }
-    }
-
-    /// Moves `buf` in to be reused as the (returned-by-value) result.
-    pub fn recv_buf_owned<T: PodType>(
-        self,
-        buf: Vec<T>,
-    ) -> Allgather<'c, S, RecvBuf<Vec<T>, ResizeToFit>> {
-        Allgather {
-            comm: self.comm,
-            send: self.send,
-            recv: recv_buf_owned_param(buf),
-        }
-    }
-}
-
-impl<'c, S, R, C, D> Allgatherv<'c, S, R, C, D> {
-    /// Writes the result into `buf` (checking [`NoResize`] policy).
-    pub fn recv_buf<'b, T: PodType>(
-        self,
-        buf: &'b mut Vec<T>,
-    ) -> Allgatherv<'c, S, RecvBuf<&'b mut Vec<T>, NoResize>, C, D> {
-        let Allgatherv {
-            comm,
-            send,
-            counts,
-            displs,
-            ..
-        } = self;
-        Allgatherv {
-            comm,
-            send,
-            recv: recv_buf_param(buf),
-            counts,
-            displs,
-        }
-    }
-
-    /// Writes the result into `buf` under resize policy `P`.
-    pub fn recv_buf_resize<'b, P: ResizePolicy, T: PodType>(
-        self,
-        buf: &'b mut Vec<T>,
-    ) -> Allgatherv<'c, S, RecvBuf<&'b mut Vec<T>, P>, C, D> {
-        let Allgatherv {
-            comm,
-            send,
-            counts,
-            displs,
-            ..
-        } = self;
-        Allgatherv {
-            comm,
-            send,
-            recv: recv_buf_resize_param::<P, T>(buf),
-            counts,
-            displs,
-        }
-    }
-
-    /// Moves `buf` in to be reused as the (returned-by-value) result.
-    pub fn recv_buf_owned<T: PodType>(
-        self,
-        buf: Vec<T>,
-    ) -> Allgatherv<'c, S, RecvBuf<Vec<T>, ResizeToFit>, C, D> {
-        let Allgatherv {
-            comm,
-            send,
-            counts,
-            displs,
-            ..
-        } = self;
-        Allgatherv {
-            comm,
-            send,
-            recv: recv_buf_owned_param(buf),
-            counts,
-            displs,
-        }
-    }
-
-    /// Supplies the per-rank receive counts (elements).
-    pub fn recv_counts<'v>(
-        self,
-        counts: &'v [usize],
-    ) -> Allgatherv<'c, S, R, RecvCounts<&'v [usize]>, D> {
-        let Allgatherv {
-            comm,
-            send,
-            recv,
-            displs,
-            ..
-        } = self;
-        Allgatherv {
-            comm,
-            send,
-            recv,
-            counts: crate::params::recv_counts(counts),
-            displs,
-        }
-    }
-
-    /// Requests the receive counts as an out-value.
-    pub fn recv_counts_out(self) -> Allgatherv<'c, S, R, RecvCountsOut, D> {
-        let Allgatherv {
-            comm,
-            send,
-            recv,
-            displs,
-            ..
-        } = self;
-        Allgatherv {
-            comm,
-            send,
-            recv,
-            counts: crate::params::recv_counts_out(),
-            displs,
-        }
-    }
-
-    /// Supplies the per-rank receive displacements (elements).
-    pub fn recv_displs<'v>(
-        self,
-        displs: &'v [usize],
-    ) -> Allgatherv<'c, S, R, C, RecvDispls<&'v [usize]>> {
-        let Allgatherv {
-            comm,
-            send,
-            recv,
-            counts,
-            ..
-        } = self;
-        Allgatherv {
-            comm,
-            send,
-            recv,
-            counts,
-            displs: crate::params::recv_displs(displs),
-        }
-    }
-
-    /// Requests the receive displacements as an out-value.
-    pub fn recv_displs_out(self) -> Allgatherv<'c, S, R, C, RecvDisplsOut> {
-        let Allgatherv {
-            comm,
-            send,
-            recv,
-            counts,
-            ..
-        } = self;
-        Allgatherv {
-            comm,
-            send,
-            recv,
-            counts,
-            displs: crate::params::recv_displs_out(),
-        }
-    }
-}
-
-// --- call() -------------------------------------------------------------------
-
-impl<'c, S, R> Allgather<'c, S, R> {
+impl<S, R> Call<'_, Allgather, S, R> {
     /// Executes the allgather.
     pub fn call<T>(self) -> KResult<CallResult<R::Out>>
     where
@@ -270,40 +56,34 @@ impl<'c, S, R> Allgather<'c, S, R> {
         S: SendBufSlot<T>,
         R: RecvBufSlot<T>,
     {
-        let Allgather { comm, send, recv } = self;
-        let bytes = comm.raw().allgather(pod_as_bytes(send.slice()))?;
-        let out = recv.place(&bytes)?;
-        Ok(CallResult::new(out, Absent, Absent, Absent))
+        let bytes = self.comm.raw().allgather(pod_as_bytes(self.send.slice()))?;
+        Ok(CallResult::new(self.recv.place(&bytes)?, Absent, Absent))
     }
 }
 
-impl<'c, S, R, C, D> Allgatherv<'c, S, R, C, D> {
+impl<S, R, RC, RD> Call<'_, Allgatherv, S, R, Unset, Unset, RC, RD> {
     /// Executes the allgatherv. Omitted counts cost one internal
     /// `allgather`; omitted displacements cost a local prefix sum — exactly
     /// the boilerplate of paper Fig. 2, generated only when needed.
-    pub fn call<T>(
-        self,
-    ) -> KResult<CallResult<R::Out, <C as OutRequest>::Out, <D as OutRequest>::Out>>
+    pub fn call<T>(self) -> KResult<CallResult<R::Out, RC::Out, RD::Out>>
     where
         T: PodType,
         S: SendBufSlot<T>,
         R: RecvBufSlot<T>,
-        C: RecvCountsSlot + OutRequest,
-        D: RecvDisplsSlot + OutRequest,
+        RC: CountSlot,
+        RD: CountSlot,
     {
-        let Allgatherv {
+        let comm = self.comm;
+        let mine = self.send.slice();
+        let layout = resolve(
             comm,
-            send,
-            recv,
-            counts,
-            displs,
-        } = self;
-        let send_slice = send.slice();
-
-        let computed_counts: Vec<usize>;
-        let counts_ref: &[usize] = if C::PROVIDED {
-            let c = counts.provided();
-            if c.len() != comm.size() || c[comm.rank()] != send_slice.len() {
+            &self.recv_counts,
+            &self.recv_displs,
+            Exchange::Allgather(mine.len()),
+            Some((comm.size(), "allgatherv: recv_counts/recv_displs length")),
+        )?;
+        if RC::PROVIDED {
+            if layout.counts[comm.rank()] != mine.len() {
                 return Err(KampingError::InvalidArgument(
                     "allgatherv: provided recv_counts inconsistent with send_buf",
                 ));
@@ -312,60 +92,34 @@ impl<'c, S, R, C, D> Allgatherv<'c, S, R, C, D> {
             // counts against what every rank actually sends. Costs one
             // allgather; disabled below AssertionLevel::Communication.
             if crate::assertions::communication_assertions_enabled() {
-                let actual = comm.exchange_counts(send_slice.len())?;
+                let actual = comm.exchange_counts(mine.len())?;
                 crate::assertions::check_light(
-                    actual == c,
+                    actual == *layout.counts,
                     "allgatherv: recv_counts disagree with peers' send sizes",
                 )?;
             }
-            c
+        }
+
+        let byte_counts = to_bytes(&layout.counts, T::SIZE);
+        let concat = comm.raw().allgatherv(pod_as_bytes(mine), &byte_counts)?;
+        // The substrate concatenates in rank order; custom displacements
+        // are applied to its result.
+        let out = if RD::PROVIDED {
+            let displs = layout.displs();
+            self.recv
+                .place(&place_by_displs(&concat, &layout.counts, &displs, T::SIZE)?)?
         } else {
-            computed_counts = comm.exchange_counts(send_slice.len())?;
-            &computed_counts
+            self.recv.place(&concat)?
         };
-
-        let computed_displs: Vec<usize>;
-        let displs_ref: &[usize] = if D::PROVIDED {
-            let d = displs.provided();
-            if d.len() != comm.size() {
-                return Err(KampingError::InvalidArgument(
-                    "allgatherv: recv_displs length",
-                ));
-            }
-            d
-        } else {
-            computed_displs = excl_prefix_sum(counts_ref);
-            &computed_displs
-        };
-
-        let byte_counts = to_byte_counts(counts_ref, T::SIZE);
-        let concat = comm
-            .raw()
-            .allgatherv(pod_as_bytes(send_slice), &byte_counts)?;
-
-        // Canonical displacements need no re-placement; custom ones do.
-        let out = if D::PROVIDED {
-            let placed = place_by_displs(&concat, counts_ref, displs_ref, T::SIZE)?;
-            recv.place(&placed)?
-        } else {
-            recv.place(&concat)?
-        };
-
-        let counts_out = <C as OutRequest>::wrap(if <C as OutRequest>::REQUESTED {
-            counts_ref.to_vec()
-        } else {
-            Vec::new()
-        });
-        let displs_out = <D as OutRequest>::wrap(if <D as OutRequest>::REQUESTED {
-            displs_ref.to_vec()
-        } else {
-            Vec::new()
-        });
-        Ok(CallResult::new(out, counts_out, displs_out, Absent))
+        Ok(CallResult::new(
+            out,
+            RC::out(|| layout.counts.to_vec()),
+            RD::out(|| layout.displs().into_owned()),
+        ))
     }
 }
 
-impl<'c, B> AllgatherInplace<'c, B> {
+impl<B> Call<'_, AllgatherInplace, B> {
     /// Executes the in-place allgather: the buffer must hold
     /// `size * block` elements with this rank's block at `rank * block`.
     pub fn call<T>(self) -> KResult<CallResult<B::Out>>
@@ -373,19 +127,17 @@ impl<'c, B> AllgatherInplace<'c, B> {
         T: PodType,
         B: SendRecvBufSlot<T>,
     {
-        let AllgatherInplace { comm, buf } = self;
-        let p = comm.size();
-        let total = buf.slice().len();
-        if !total.is_multiple_of(p) {
+        let (p, rank) = (self.comm.size(), self.comm.rank());
+        let all = self.send.slice();
+        if !all.len().is_multiple_of(p) {
             return Err(KampingError::InvalidArgument(
                 "in-place allgather: buffer length not divisible by comm size",
             ));
         }
-        let block = total / p;
-        let mine = &buf.slice()[comm.rank() * block..(comm.rank() + 1) * block];
-        let bytes = comm.raw().allgather(pod_as_bytes(mine))?;
-        let out = buf.replace(&bytes)?;
-        Ok(CallResult::new(out, Absent, Absent, Absent))
+        let block = all.len() / p;
+        let mine = &all[rank * block..(rank + 1) * block];
+        let bytes = self.comm.raw().allgather(pod_as_bytes(mine))?;
+        Ok(CallResult::new(self.send.replace(&bytes)?, Absent, Absent))
     }
 }
 

@@ -1,4 +1,4 @@
-//! `alltoall` / `alltoallv` builders (personalized all-to-all exchange).
+//! `alltoall` / `alltoallv` (personalized all-to-all exchange).
 //!
 //! `alltoallv` is the paper's running example of an error-prone MPI call
 //! (§III): eight parameters in C, of which kamping requires two
@@ -6,49 +6,30 @@
 //! one internal `alltoall` of the send counts, displacements by prefix
 //! sums. Note that Boost.MPI ships *no* `alltoallv` binding at all (§II).
 
-use crate::collectives::{excl_prefix_sum, place_by_displs, to_byte_counts};
+use crate::call::{role, Call, Takes};
+use crate::collectives::{resolve, to_bytes, Exchange};
 use crate::communicator::Communicator;
 use crate::error::{KResult, KampingError};
-use crate::params::{
-    recv_buf as recv_buf_param, recv_buf_owned as recv_buf_owned_param,
-    recv_buf_resize as recv_buf_resize_param, Absent, OutRequest, RecvBuf, RecvBufSlot, RecvCounts,
-    RecvCountsOut, RecvCountsSlot, RecvDispls, RecvDisplsOut, RecvDisplsSlot, SendBuf, SendBufSlot,
-    SendCounts, SendCountsSlot, SendDispls, SendDisplsSlot, Unset,
-};
-use crate::resize::{NoResize, ResizePolicy, ResizeToFit};
+use crate::params::{Absent, CountSlot, Counts, RecvBufSlot, SendBuf, SendBufSlot, Unset};
 use crate::result::CallResult;
 use crate::types::{pod_as_bytes, PodType};
 
-/// Builder for a fixed-size `alltoall`: the send buffer is `size` equal
-/// blocks, block `i` goes to rank `i`; the result is the received blocks in
-/// rank order.
-#[must_use = "builders do nothing until .call()"]
-pub struct Alltoall<'c, S, R> {
-    comm: &'c Communicator,
-    send: S,
-    recv: R,
-}
+/// Fixed-size `alltoall`: the send buffer is `size` equal blocks, block `i`
+/// goes to rank `i`; the result is the received blocks in rank order.
+pub struct Alltoall;
+impl Takes<role::RecvBuf> for Alltoall {}
 
-/// Builder for a variable-size `alltoallv`.
-#[must_use = "builders do nothing until .call()"]
-pub struct Alltoallv<'c, S, R, SC, SD, C, D> {
-    comm: &'c Communicator,
-    send: S,
-    recv: R,
-    send_counts: SC,
-    send_displs: SD,
-    recv_counts: C,
-    recv_displs: D,
-}
+/// Variable-size `alltoallv`.
+pub struct Alltoallv;
+impl Takes<role::RecvBuf> for Alltoallv {}
+impl Takes<role::SendDispls> for Alltoallv {}
+impl Takes<role::RecvCounts> for Alltoallv {}
+impl Takes<role::RecvDispls> for Alltoallv {}
 
 impl Communicator {
     /// Starts a fixed-size `alltoall` of `send_buf`.
-    pub fn alltoall<X>(&self, send_buf: SendBuf<X>) -> Alltoall<'_, SendBuf<X>, Unset> {
-        Alltoall {
-            comm: self,
-            send: send_buf,
-            recv: Unset,
-        }
+    pub fn alltoall<X>(&self, send_buf: SendBuf<X>) -> Call<'_, Alltoall, SendBuf<X>> {
+        Call::new(self, Alltoall, send_buf)
     }
 
     /// Starts a variable-size `alltoallv`: `send_counts[d]` elements of
@@ -57,57 +38,14 @@ impl Communicator {
     pub fn alltoallv<X, Y>(
         &self,
         send_buf: SendBuf<X>,
-        send_counts: SendCounts<Y>,
-    ) -> Alltoallv<'_, SendBuf<X>, Unset, SendCounts<Y>, Unset, Unset, Unset> {
-        Alltoallv {
-            comm: self,
-            send: send_buf,
-            recv: Unset,
-            send_counts,
-            send_displs: Unset,
-            recv_counts: Unset,
-            recv_displs: Unset,
-        }
+        send_counts: Counts<Y>,
+    ) -> Call<'_, Alltoallv, SendBuf<X>, Unset, Counts<Y>> {
+        Call::new(self, Alltoallv, send_buf)
+            .reslot(|(r, _, sd, rc, rd)| (r, send_counts, sd, rc, rd))
     }
 }
 
-impl<'c, S, R> Alltoall<'c, S, R> {
-    /// Writes the result into `buf` (checking [`NoResize`]).
-    pub fn recv_buf<'b, T: PodType>(
-        self,
-        buf: &'b mut Vec<T>,
-    ) -> Alltoall<'c, S, RecvBuf<&'b mut Vec<T>, NoResize>> {
-        Alltoall {
-            comm: self.comm,
-            send: self.send,
-            recv: recv_buf_param(buf),
-        }
-    }
-
-    /// Writes the result into `buf` under policy `P`.
-    pub fn recv_buf_resize<'b, P: ResizePolicy, T: PodType>(
-        self,
-        buf: &'b mut Vec<T>,
-    ) -> Alltoall<'c, S, RecvBuf<&'b mut Vec<T>, P>> {
-        Alltoall {
-            comm: self.comm,
-            send: self.send,
-            recv: recv_buf_resize_param::<P, T>(buf),
-        }
-    }
-
-    /// Moves `buf` in to be reused as the returned result.
-    pub fn recv_buf_owned<T: PodType>(
-        self,
-        buf: Vec<T>,
-    ) -> Alltoall<'c, S, RecvBuf<Vec<T>, ResizeToFit>> {
-        Alltoall {
-            comm: self.comm,
-            send: self.send,
-            recv: recv_buf_owned_param(buf),
-        }
-    }
-
+impl<S, R> Call<'_, Alltoall, S, R> {
     /// Executes the alltoall.
     pub fn call<T>(self) -> KResult<CallResult<R::Out>>
     where
@@ -115,327 +53,65 @@ impl<'c, S, R> Alltoall<'c, S, R> {
         S: SendBufSlot<T>,
         R: RecvBufSlot<T>,
     {
-        let Alltoall { comm, send, recv } = self;
-        let data = send.slice();
-        if !data.len().is_multiple_of(comm.size()) {
+        let data = self.send.slice();
+        if !data.len().is_multiple_of(self.comm.size()) {
             return Err(KampingError::InvalidArgument(
                 "alltoall: send buffer length not divisible by comm size",
             ));
         }
-        let bytes = comm.raw().alltoall(pod_as_bytes(data))?;
-        let out = recv.place(&bytes)?;
-        Ok(CallResult::new(out, Absent, Absent, Absent))
+        let bytes = self.comm.raw().alltoall(pod_as_bytes(data))?;
+        Ok(CallResult::new(self.recv.place(&bytes)?, Absent, Absent))
     }
 }
 
-impl<'c, S, R, SC, SD, C, D> Alltoallv<'c, S, R, SC, SD, C, D> {
-    /// Writes the result into `buf` (checking [`NoResize`]).
-    pub fn recv_buf<'b, T: PodType>(
-        self,
-        buf: &'b mut Vec<T>,
-    ) -> Alltoallv<'c, S, RecvBuf<&'b mut Vec<T>, NoResize>, SC, SD, C, D> {
-        let Alltoallv {
-            comm,
-            send,
-            send_counts,
-            send_displs,
-            recv_counts,
-            recv_displs,
-            ..
-        } = self;
-        Alltoallv {
-            comm,
-            send,
-            recv: recv_buf_param(buf),
-            send_counts,
-            send_displs,
-            recv_counts,
-            recv_displs,
-        }
-    }
-
-    /// Writes the result into `buf` under policy `P`.
-    pub fn recv_buf_resize<'b, P: ResizePolicy, T: PodType>(
-        self,
-        buf: &'b mut Vec<T>,
-    ) -> Alltoallv<'c, S, RecvBuf<&'b mut Vec<T>, P>, SC, SD, C, D> {
-        let Alltoallv {
-            comm,
-            send,
-            send_counts,
-            send_displs,
-            recv_counts,
-            recv_displs,
-            ..
-        } = self;
-        Alltoallv {
-            comm,
-            send,
-            recv: recv_buf_resize_param::<P, T>(buf),
-            send_counts,
-            send_displs,
-            recv_counts,
-            recv_displs,
-        }
-    }
-
-    /// Moves `buf` in to be reused as the returned result.
-    pub fn recv_buf_owned<T: PodType>(
-        self,
-        buf: Vec<T>,
-    ) -> Alltoallv<'c, S, RecvBuf<Vec<T>, ResizeToFit>, SC, SD, C, D> {
-        let Alltoallv {
-            comm,
-            send,
-            send_counts,
-            send_displs,
-            recv_counts,
-            recv_displs,
-            ..
-        } = self;
-        Alltoallv {
-            comm,
-            send,
-            recv: recv_buf_owned_param(buf),
-            send_counts,
-            send_displs,
-            recv_counts,
-            recv_displs,
-        }
-    }
-
-    /// Supplies explicit send displacements (elements).
-    pub fn send_displs<'v>(
-        self,
-        displs: &'v [usize],
-    ) -> Alltoallv<'c, S, R, SC, SendDispls<&'v [usize]>, C, D> {
-        let Alltoallv {
-            comm,
-            send,
-            recv,
-            send_counts,
-            recv_counts,
-            recv_displs,
-            ..
-        } = self;
-        Alltoallv {
-            comm,
-            send,
-            recv,
-            send_counts,
-            send_displs: crate::params::send_displs(displs),
-            recv_counts,
-            recv_displs,
-        }
-    }
-
-    /// Supplies the per-source receive counts (elements).
-    pub fn recv_counts<'v>(
-        self,
-        counts: &'v [usize],
-    ) -> Alltoallv<'c, S, R, SC, SD, RecvCounts<&'v [usize]>, D> {
-        let Alltoallv {
-            comm,
-            send,
-            recv,
-            send_counts,
-            send_displs,
-            recv_displs,
-            ..
-        } = self;
-        Alltoallv {
-            comm,
-            send,
-            recv,
-            send_counts,
-            send_displs,
-            recv_counts: crate::params::recv_counts(counts),
-            recv_displs,
-        }
-    }
-
-    /// Requests the receive counts as an out-value.
-    pub fn recv_counts_out(self) -> Alltoallv<'c, S, R, SC, SD, RecvCountsOut, D> {
-        let Alltoallv {
-            comm,
-            send,
-            recv,
-            send_counts,
-            send_displs,
-            recv_displs,
-            ..
-        } = self;
-        Alltoallv {
-            comm,
-            send,
-            recv,
-            send_counts,
-            send_displs,
-            recv_counts: crate::params::recv_counts_out(),
-            recv_displs,
-        }
-    }
-
-    /// Supplies explicit receive displacements (elements).
-    pub fn recv_displs<'v>(
-        self,
-        displs: &'v [usize],
-    ) -> Alltoallv<'c, S, R, SC, SD, C, RecvDispls<&'v [usize]>> {
-        let Alltoallv {
-            comm,
-            send,
-            recv,
-            send_counts,
-            send_displs,
-            recv_counts,
-            ..
-        } = self;
-        Alltoallv {
-            comm,
-            send,
-            recv,
-            send_counts,
-            send_displs,
-            recv_counts,
-            recv_displs: crate::params::recv_displs(displs),
-        }
-    }
-
-    /// Requests the receive displacements as an out-value.
-    pub fn recv_displs_out(self) -> Alltoallv<'c, S, R, SC, SD, C, RecvDisplsOut> {
-        let Alltoallv {
-            comm,
-            send,
-            recv,
-            send_counts,
-            send_displs,
-            recv_counts,
-            ..
-        } = self;
-        Alltoallv {
-            comm,
-            send,
-            recv,
-            send_counts,
-            send_displs,
-            recv_counts,
-            recv_displs: crate::params::recv_displs_out(),
-        }
-    }
-
-    /// Executes the alltoallv.
-    pub fn call<T>(
-        self,
-    ) -> KResult<CallResult<R::Out, <C as OutRequest>::Out, <D as OutRequest>::Out>>
+impl<S, R, SC, SD, RC, RD> Call<'_, Alltoallv, S, R, SC, SD, RC, RD> {
+    /// Executes the alltoallv. Omitted receive counts cost one internal
+    /// `alltoall`; the substrate places every block at its (given or
+    /// prefix-sum) displacement directly.
+    pub fn call<T>(self) -> KResult<CallResult<R::Out, RC::Out, RD::Out>>
     where
         T: PodType,
         S: SendBufSlot<T>,
         R: RecvBufSlot<T>,
-        SC: SendCountsSlot,
-        SD: SendDisplsSlot,
-        C: RecvCountsSlot + OutRequest,
-        D: RecvDisplsSlot + OutRequest,
+        SC: CountSlot,
+        SD: CountSlot,
+        RC: CountSlot,
+        RD: CountSlot,
     {
-        let Alltoallv {
-            comm,
-            send,
-            recv,
-            send_counts,
-            send_displs,
-            recv_counts,
-            recv_displs,
-        } = self;
+        let comm = self.comm;
         let p = comm.size();
-        let data = send.slice();
-        let sc = send_counts.provided();
-        if sc.len() != p {
-            return Err(KampingError::InvalidArgument(
-                "alltoallv: send_counts length",
-            ));
-        }
-
-        let computed_sd: Vec<usize>;
-        let sd: &[usize] = if SD::PROVIDED {
-            let d = send_displs.provided();
-            if d.len() != p {
-                return Err(KampingError::InvalidArgument(
-                    "alltoallv: send_displs length",
-                ));
-            }
-            d
-        } else {
-            if sc.iter().sum::<usize>() != data.len() {
-                return Err(KampingError::InvalidArgument(
-                    "alltoallv: send_counts do not sum to send buffer length",
-                ));
-            }
-            computed_sd = excl_prefix_sum(sc);
-            &computed_sd
-        };
-
-        // Receive counts: exchanged with one alltoall when omitted.
-        let computed_rc: Vec<usize>;
-        let rc: &[usize] = if C::PROVIDED {
-            let c = recv_counts.provided();
-            if c.len() != p {
-                return Err(KampingError::InvalidArgument(
-                    "alltoallv: recv_counts length",
-                ));
-            }
-            c
-        } else {
-            let wire = crate::buffers::encode_counts(sc);
-            let exchanged = comm.raw().alltoall(&wire)?;
-            computed_rc = crate::buffers::decode_counts(&exchanged);
-            &computed_rc
-        };
-
-        let computed_rd: Vec<usize>;
-        let rd: &[usize] = if D::PROVIDED {
-            let d = recv_displs.provided();
-            if d.len() != p {
-                return Err(KampingError::InvalidArgument(
-                    "alltoallv: recv_displs length",
-                ));
-            }
-            d
-        } else {
-            computed_rd = excl_prefix_sum(rc);
-            &computed_rd
-        };
-
-        // Byte-level exchange with canonical receive placement; custom
-        // receive displacements are applied afterwards.
-        let sc_bytes = to_byte_counts(sc, T::SIZE);
-        let sd_bytes = to_byte_counts(sd, T::SIZE);
-        let rc_bytes = to_byte_counts(rc, T::SIZE);
-        let rd_canonical = excl_prefix_sum(&rc_bytes);
-        let concat = comm.raw().alltoallv(
-            pod_as_bytes(data),
-            &sc_bytes,
-            &sd_bytes,
-            &rc_bytes,
-            &rd_canonical,
+        let data = self.send.slice();
+        let send = resolve(
+            comm,
+            &self.send_counts,
+            &self.send_displs,
+            Exchange::Required("alltoallv: send_counts"),
+            Some((p, "alltoallv: send_counts/send_displs length")),
         )?;
-
-        let out = if D::PROVIDED {
-            let placed = place_by_displs(&concat, rc, rd, T::SIZE)?;
-            recv.place(&placed)?
-        } else {
-            recv.place(&concat)?
-        };
-
-        let counts_out = <C as OutRequest>::wrap(if <C as OutRequest>::REQUESTED {
-            rc.to_vec()
-        } else {
-            Vec::new()
-        });
-        let displs_out = <D as OutRequest>::wrap(if <D as OutRequest>::REQUESTED {
-            rd.to_vec()
-        } else {
-            Vec::new()
-        });
-        Ok(CallResult::new(out, counts_out, displs_out, Absent))
+        send.check_packed(
+            data.len(),
+            "alltoallv: send_counts do not sum to send buffer length",
+        )?;
+        let recv = resolve(
+            comm,
+            &self.recv_counts,
+            &self.recv_displs,
+            Exchange::Alltoall(&send.counts),
+            Some((p, "alltoallv: recv_counts/recv_displs length")),
+        )?;
+        let recv_displs = recv.displs();
+        let bytes = comm.raw().alltoallv(
+            pod_as_bytes(data),
+            &to_bytes(&send.counts, T::SIZE),
+            &to_bytes(&send.displs(), T::SIZE),
+            &to_bytes(&recv.counts, T::SIZE),
+            &to_bytes(&recv_displs, T::SIZE),
+        )?;
+        Ok(CallResult::new(
+            self.recv.place(&bytes)?,
+            RC::out(|| recv.counts.to_vec()),
+            RD::out(|| recv_displs.into_owned()),
+        ))
     }
 }
 

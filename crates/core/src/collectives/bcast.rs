@@ -1,62 +1,51 @@
-//! `bcast` builder (broadcast from a root).
+//! `bcast` (broadcast from a root).
 //!
 //! Broadcast is inherently in-place: the same buffer is the source at the
-//! root and the destination everywhere else, so the builder takes a
-//! [`crate::params::send_recv_buf`] — there simply is no separate
-//! `recv_buf` parameter to misuse (§III-G's compile-time in-place story).
+//! root and the destination everywhere else, so the call takes a
+//! [`crate::params::send_recv_buf`] and does not accept a `recv_buf` —
+//! there is no separate receive buffer to misuse (§III-G's compile-time
+//! in-place story).
 
+use crate::call::{Call, Rooted};
 use crate::communicator::Communicator;
 use crate::error::KResult;
-use crate::params::{Absent, SendRecvBufSlot};
+use crate::params::{Absent, SendRecvBuf, SendRecvBufSlot};
 use crate::result::CallResult;
 use crate::types::{pod_as_bytes, PodType};
 
-/// Builder for a broadcast.
-#[must_use = "builders do nothing until .call()"]
-pub struct Bcast<'c, B> {
-    comm: &'c Communicator,
-    buf: B,
+/// Broadcast: the root's contents replace everyone's.
+pub struct Bcast {
     root: usize,
+}
+impl Rooted for Bcast {
+    fn root_mut(&mut self) -> &mut usize {
+        &mut self.root
+    }
 }
 
 impl Communicator {
-    /// Starts a broadcast of `send_recv_buf` (default root 0): the root's
-    /// contents replace everyone's.
-    pub fn bcast<B>(&self, send_recv_buf: B) -> Bcast<'_, B> {
-        Bcast {
-            comm: self,
-            buf: send_recv_buf,
-            root: 0,
-        }
+    /// Starts a broadcast of `send_recv_buf` (default root 0).
+    pub fn bcast<X>(&self, send_recv_buf: SendRecvBuf<X>) -> Call<'_, Bcast, SendRecvBuf<X>> {
+        Call::new(self, Bcast { root: 0 }, send_recv_buf)
     }
 }
 
-impl<'c, B> Bcast<'c, B> {
-    /// Names the root rank.
-    pub fn root(mut self, rank: usize) -> Self {
-        self.root = rank;
-        self
-    }
-
+impl<B> Call<'_, Bcast, B> {
     /// Executes the broadcast.
     pub fn call<T>(self) -> KResult<CallResult<B::Out>>
     where
         T: PodType,
         B: SendRecvBufSlot<T>,
     {
-        let Bcast { comm, buf, root } = self;
         // Zero-overhead path: the root sends from its borrowed buffer (no
         // encode copy) and keeps it (no decode copy); non-roots decode the
         // received bytes straight into their buffer.
-        match comm.raw().bcast_from(pod_as_bytes(buf.slice()), root)? {
-            None => Ok(CallResult::new(buf.keep(), Absent, Absent, Absent)),
-            Some(bytes) => Ok(CallResult::new(
-                buf.replace(&bytes)?,
-                Absent,
-                Absent,
-                Absent,
-            )),
-        }
+        let at_root = pod_as_bytes(self.send.slice());
+        let out = match self.comm.raw().bcast_from(at_root, self.op.root)? {
+            None => self.send.keep(),
+            Some(bytes) => self.send.replace(&bytes)?,
+        };
+        Ok(CallResult::new(out, Absent, Absent))
     }
 }
 

@@ -1,4 +1,4 @@
-//! `gather` / `gatherv` builders (rooted collectives).
+//! `gather` / `gatherv` (rooted collectives).
 //!
 //! The root receives the rank-ordered concatenation; other ranks receive
 //! nothing (their result buffer is empty). Receive counts may be supplied
@@ -6,112 +6,50 @@
 //! latter cases the root learns them through an internal `gather` of the
 //! send counts (§III-A applied to a rooted collective).
 
-use crate::collectives::to_byte_counts;
+use crate::call::{role, Call, Rooted, Takes};
+use crate::collectives::{resolve, to_bytes, Exchange};
 use crate::communicator::Communicator;
-use crate::error::{KResult, KampingError};
-use crate::params::{
-    recv_buf as recv_buf_param, recv_buf_owned as recv_buf_owned_param,
-    recv_buf_resize as recv_buf_resize_param, Absent, OutRequest, RecvBuf, RecvBufSlot, RecvCounts,
-    RecvCountsOut, RecvCountsSlot, Root, SendBuf, SendBufSlot, Unset,
-};
-use crate::resize::{NoResize, ResizePolicy, ResizeToFit};
+use crate::error::KResult;
+use crate::params::{Absent, CountSlot, RecvBufSlot, SendBuf, SendBufSlot, Unset};
 use crate::result::CallResult;
 use crate::types::{pod_as_bytes, PodType};
 
-/// Builder for a fixed-size `gather` (equal contribution per rank).
-#[must_use = "builders do nothing until .call()"]
-pub struct Gather<'c, S, R> {
-    comm: &'c Communicator,
-    send: S,
-    recv: R,
+/// Fixed-size `gather` (equal contribution per rank).
+pub struct Gather {
     root: usize,
 }
+impl Takes<role::RecvBuf> for Gather {}
+impl Rooted for Gather {
+    fn root_mut(&mut self) -> &mut usize {
+        &mut self.root
+    }
+}
 
-/// Builder for a variable-size `gatherv`.
-#[must_use = "builders do nothing until .call()"]
-pub struct Gatherv<'c, S, R, C> {
-    comm: &'c Communicator,
-    send: S,
-    recv: R,
-    counts: C,
+/// Variable-size `gatherv`.
+pub struct Gatherv {
     root: usize,
+}
+impl Takes<role::RecvBuf> for Gatherv {}
+impl Takes<role::RecvCounts> for Gatherv {}
+impl Rooted for Gatherv {
+    fn root_mut(&mut self) -> &mut usize {
+        &mut self.root
+    }
 }
 
 impl Communicator {
     /// Starts a fixed-size `gather` of `send_buf` (default root 0).
-    pub fn gather<X>(&self, send_buf: SendBuf<X>) -> Gather<'_, SendBuf<X>, Unset> {
-        Gather {
-            comm: self,
-            send: send_buf,
-            recv: Unset,
-            root: 0,
-        }
+    pub fn gather<X>(&self, send_buf: SendBuf<X>) -> Call<'_, Gather, SendBuf<X>> {
+        Call::new(self, Gather { root: 0 }, send_buf)
     }
 
     /// Starts a variable-size `gatherv` of `send_buf` (default root 0).
-    pub fn gatherv<X>(&self, send_buf: SendBuf<X>) -> Gatherv<'_, SendBuf<X>, Unset, Unset> {
-        Gatherv {
-            comm: self,
-            send: send_buf,
-            recv: Unset,
-            counts: Unset,
-            root: 0,
-        }
+    pub fn gatherv<X>(&self, send_buf: SendBuf<X>) -> Call<'_, Gatherv, SendBuf<X>> {
+        Call::new(self, Gatherv { root: 0 }, send_buf)
     }
 }
 
-impl<'c, S, R> Gather<'c, S, R> {
-    /// Names the root rank.
-    pub fn root(mut self, rank: usize) -> Self {
-        self.root = rank;
-        self
-    }
-
-    /// Accepts the [`Root`] parameter object form.
-    pub fn root_param(mut self, r: Root) -> Self {
-        self.root = r.0;
-        self
-    }
-
-    /// Writes the result into `buf` at the root (checking [`NoResize`]).
-    pub fn recv_buf<'b, T: PodType>(
-        self,
-        buf: &'b mut Vec<T>,
-    ) -> Gather<'c, S, RecvBuf<&'b mut Vec<T>, NoResize>> {
-        Gather {
-            comm: self.comm,
-            send: self.send,
-            recv: recv_buf_param(buf),
-            root: self.root,
-        }
-    }
-
-    /// Writes the result into `buf` at the root under policy `P`.
-    pub fn recv_buf_resize<'b, P: ResizePolicy, T: PodType>(
-        self,
-        buf: &'b mut Vec<T>,
-    ) -> Gather<'c, S, RecvBuf<&'b mut Vec<T>, P>> {
-        Gather {
-            comm: self.comm,
-            send: self.send,
-            recv: recv_buf_resize_param::<P, T>(buf),
-            root: self.root,
-        }
-    }
-
-    /// Moves `buf` in to be reused as the root's returned result.
-    pub fn recv_buf_owned<T: PodType>(
-        self,
-        buf: Vec<T>,
-    ) -> Gather<'c, S, RecvBuf<Vec<T>, ResizeToFit>> {
-        Gather {
-            comm: self.comm,
-            send: self.send,
-            recv: recv_buf_owned_param(buf),
-            root: self.root,
-        }
-    }
-
+impl<S, R> Call<'_, Gather, S, R> {
     /// Executes the gather. Non-root ranks receive an empty buffer.
     pub fn call<T>(self) -> KResult<CallResult<R::Out>>
     where
@@ -119,177 +57,46 @@ impl<'c, S, R> Gather<'c, S, R> {
         S: SendBufSlot<T>,
         R: RecvBufSlot<T>,
     {
-        let Gather {
-            comm,
-            send,
-            recv,
-            root,
-        } = self;
-        let bytes = comm.raw().gather(pod_as_bytes(send.slice()), root)?;
-        let out = recv.place(bytes.as_deref().unwrap_or(&[]))?;
-        Ok(CallResult::new(out, Absent, Absent, Absent))
+        let mine = pod_as_bytes(self.send.slice());
+        let bytes = self.comm.raw().gather(mine, self.op.root)?;
+        let out = self.recv.place(bytes.as_deref().unwrap_or(&[]))?;
+        Ok(CallResult::new(out, Absent, Absent))
     }
 }
 
-impl<'c, S, R, C> Gatherv<'c, S, R, C> {
-    /// Names the root rank.
-    pub fn root(mut self, rank: usize) -> Self {
-        self.root = rank;
-        self
-    }
-
-    /// Writes the result into `buf` at the root (checking [`NoResize`]).
-    pub fn recv_buf<'b, T: PodType>(
-        self,
-        buf: &'b mut Vec<T>,
-    ) -> Gatherv<'c, S, RecvBuf<&'b mut Vec<T>, NoResize>, C> {
-        let Gatherv {
-            comm,
-            send,
-            counts,
-            root,
-            ..
-        } = self;
-        Gatherv {
-            comm,
-            send,
-            recv: recv_buf_param(buf),
-            counts,
-            root,
-        }
-    }
-
-    /// Writes the result into `buf` at the root under policy `P`.
-    pub fn recv_buf_resize<'b, P: ResizePolicy, T: PodType>(
-        self,
-        buf: &'b mut Vec<T>,
-    ) -> Gatherv<'c, S, RecvBuf<&'b mut Vec<T>, P>, C> {
-        let Gatherv {
-            comm,
-            send,
-            counts,
-            root,
-            ..
-        } = self;
-        Gatherv {
-            comm,
-            send,
-            recv: recv_buf_resize_param::<P, T>(buf),
-            counts,
-            root,
-        }
-    }
-
-    /// Moves `buf` in to be reused as the root's returned result.
-    pub fn recv_buf_owned<T: PodType>(
-        self,
-        buf: Vec<T>,
-    ) -> Gatherv<'c, S, RecvBuf<Vec<T>, ResizeToFit>, C> {
-        let Gatherv {
-            comm,
-            send,
-            counts,
-            root,
-            ..
-        } = self;
-        Gatherv {
-            comm,
-            send,
-            recv: recv_buf_owned_param(buf),
-            counts,
-            root,
-        }
-    }
-
-    /// Supplies the per-rank receive counts (meaningful at the root).
-    pub fn recv_counts<'v>(
-        self,
-        counts: &'v [usize],
-    ) -> Gatherv<'c, S, R, RecvCounts<&'v [usize]>> {
-        let Gatherv {
-            comm,
-            send,
-            recv,
-            root,
-            ..
-        } = self;
-        Gatherv {
-            comm,
-            send,
-            recv,
-            counts: crate::params::recv_counts(counts),
-            root,
-        }
-    }
-
-    /// Requests the receive counts as an out-value (root only; other ranks
-    /// get an empty vector).
-    pub fn recv_counts_out(self) -> Gatherv<'c, S, R, RecvCountsOut> {
-        let Gatherv {
-            comm,
-            send,
-            recv,
-            root,
-            ..
-        } = self;
-        Gatherv {
-            comm,
-            send,
-            recv,
-            counts: crate::params::recv_counts_out(),
-            root,
-        }
-    }
-
-    /// Executes the gatherv. Non-root ranks receive an empty buffer.
-    pub fn call<T>(self) -> KResult<CallResult<R::Out, <C as OutRequest>::Out>>
+impl<S, R, RC> Call<'_, Gatherv, S, R, Unset, Unset, RC> {
+    /// Executes the gatherv. Non-root ranks receive an empty buffer and,
+    /// for `recv_counts_out()`, empty counts; counts they provide are
+    /// ignored.
+    pub fn call<T>(self) -> KResult<CallResult<R::Out, RC::Out>>
     where
         T: PodType,
         S: SendBufSlot<T>,
         R: RecvBufSlot<T>,
-        C: RecvCountsSlot + OutRequest,
+        RC: CountSlot,
     {
-        let Gatherv {
+        let (comm, root) = (self.comm, self.op.root);
+        let mine = self.send.slice();
+        let layout = resolve(
             comm,
-            send,
-            recv,
-            counts,
-            root,
-        } = self;
-        let send_slice = send.slice();
-        let is_root = comm.rank() == root;
-
-        let computed: Vec<usize>;
-        let counts_ref: Option<&[usize]> = if C::PROVIDED {
-            let c = counts.provided();
-            if is_root && c.len() != comm.size() {
-                return Err(KampingError::InvalidArgument("gatherv: recv_counts length"));
-            }
-            Some(c)
-        } else {
-            // The root needs the counts: gather them (one extra gather).
-            let wire = crate::buffers::encode_counts(&[send_slice.len()]);
-            let gathered = comm.raw().gather(&wire, root)?;
-            match gathered {
-                Some(bytes) => {
-                    computed = crate::buffers::decode_counts(&bytes);
-                    Some(&computed)
-                }
-                None => None,
-            }
-        };
-
-        let byte_counts = counts_ref.map(|c| to_byte_counts(c, T::SIZE));
+            &self.recv_counts,
+            &Unset,
+            Exchange::Gather {
+                len: mine.len(),
+                root,
+            },
+            (comm.rank() == root).then_some((comm.size(), "gatherv: recv_counts length")),
+        )?;
+        let byte_counts = to_bytes(&layout.counts, T::SIZE);
         let bytes = comm
             .raw()
-            .gatherv(pod_as_bytes(send_slice), byte_counts.as_deref(), root)?;
-        let out = recv.place(bytes.as_deref().unwrap_or(&[]))?;
-        let counts_out = <C as OutRequest>::wrap(if <C as OutRequest>::REQUESTED {
-            counts_ref.map(|c| c.to_vec()).unwrap_or_default()
-        } else {
-            Vec::new()
-        });
-        Ok(CallResult::new(out, counts_out, Absent, Absent))
+            .gatherv(pod_as_bytes(mine), Some(&byte_counts), root)?;
+        let out = self.recv.place(bytes.as_deref().unwrap_or(&[]))?;
+        Ok(CallResult::new(
+            out,
+            RC::out(|| layout.counts.into_owned()),
+            Absent,
+        ))
     }
 }
 

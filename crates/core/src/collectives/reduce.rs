@@ -1,15 +1,21 @@
-//! `reduce` / `allreduce` / `scan` / `exscan` builders.
+//! `reduce` / `allreduce` / `scan` / `exscan`.
 //!
 //! The reduction operation is a named parameter too: any `Fn(T, T) -> T`
 //! closure works (the "reduction via lambda" feature the MPI forum asked
 //! for, §II), and [`ops`] provides the standard functors (`ops::sum()`,
 //! `ops::min()`, …) that play the role of `std::plus` mapping to
-//! `MPI_SUM`. A builder without an `op` has no `call` method — forgetting
-//! the operation is a compile error, not a runtime one.
+//! `MPI_SUM`. Only a reduction that was given an `.op(..)` has a `call` —
+//! forgetting the operation is a compile error, not a runtime one — and
+//! `.root(..)` exists on `reduce` alone: the other three would ignore it
+//! (§III-G). The in-place variants are the same operations started on a
+//! `send_recv_buf`.
 
+use kamping_mpi::{ByteOp, RawComm};
+
+use crate::call::{Call, Reduces, Rooted};
 use crate::communicator::Communicator;
 use crate::error::{KResult, KampingError};
-use crate::params::{Absent, SendBuf, SendBufSlot, SendRecvBufSlot, Unset};
+use crate::params::{Absent, ReduceBufSlot, SendBuf, SendRecvBuf, Unset};
 use crate::result::CallResult;
 use crate::types::{pod_as_bytes, pod_from_bytes, pod_value_as_bytes, PodType};
 
@@ -52,198 +58,194 @@ pub mod ops {
     }
 }
 
-/// The supplied reduction operation (named-parameter slot).
-pub struct OpHolder<F> {
+/// A reduction of kind `K` ([`ToRoot`], [`All`], [`Prefix`],
+/// [`ExclusivePrefix`]) combining elements with `F` ([`Unset`] until
+/// `.op(..)` names it).
+pub struct Reduction<K, F = Unset> {
+    kind: K,
     f: F,
 }
 
-/// Extraction of the reduction-operation slot. Only [`OpHolder`]
-/// implements it, so `call()` without `.op(…)` does not typecheck.
-pub trait ReduceOpSlot<T> {
-    /// Combines two elements.
-    fn combine(&self, a: T, b: T) -> T;
-}
-
-impl<T, F: Fn(T, T) -> T> ReduceOpSlot<T> for OpHolder<F> {
-    fn combine(&self, a: T, b: T) -> T {
-        (self.f)(a, b)
+impl<K, F> Reduces for Reduction<K, F> {
+    type With<G> = Reduction<K, G>;
+    fn with_op<G>(self, f: G) -> Reduction<K, G> {
+        Reduction { kind: self.kind, f }
     }
 }
 
-macro_rules! reduce_like_builder {
-    ($(#[$doc:meta])* $Name:ident, entry = $entry:ident, inplace = $InplaceName:ident, entry_inplace = $entry_inplace:ident) => {
-        $(#[$doc])*
-        #[must_use = "builders do nothing until .call()"]
-        pub struct $Name<'c, S, F> {
-            comm: &'c Communicator,
-            send: S,
-            op: F,
-            root: usize,
-        }
-
-        /// In-place variant of the same operation (`send_recv_buf`).
-        #[must_use = "builders do nothing until .call()"]
-        pub struct $InplaceName<'c, B, F> {
-            comm: &'c Communicator,
-            buf: B,
-            op: F,
-            root: usize,
-        }
-
-        impl Communicator {
-            /// Starts the operation on `send_buf`; attach the reduction
-            /// with `.op(…)`.
-            pub fn $entry<X>(&self, send_buf: SendBuf<X>) -> $Name<'_, SendBuf<X>, Unset> {
-                $Name { comm: self, send: send_buf, op: Unset, root: 0 }
-            }
-
-            /// Starts the in-place variant on `send_recv_buf`.
-            pub fn $entry_inplace<B>(&self, send_recv_buf: B) -> $InplaceName<'_, B, Unset> {
-                $InplaceName { comm: self, buf: send_recv_buf, op: Unset, root: 0 }
-            }
-        }
-
-        impl<'c, S, F> $Name<'c, S, F> {
-            /// Supplies the reduction operation (any `Fn(T, T) -> T`).
-            pub fn op<G>(self, f: G) -> $Name<'c, S, OpHolder<G>> {
-                $Name { comm: self.comm, send: self.send, op: OpHolder { f }, root: self.root }
-            }
-
-            /// Names the root rank (only meaningful for rooted reductions).
-            pub fn root(mut self, rank: usize) -> Self {
-                self.root = rank;
-                self
-            }
-        }
-
-        impl<'c, B, F> $InplaceName<'c, B, F> {
-            /// Supplies the reduction operation (any `Fn(T, T) -> T`).
-            pub fn op<G>(self, f: G) -> $InplaceName<'c, B, OpHolder<G>> {
-                $InplaceName { comm: self.comm, buf: self.buf, op: OpHolder { f }, root: self.root }
-            }
-
-            /// Names the root rank (only meaningful for rooted reductions).
-            pub fn root(mut self, rank: usize) -> Self {
-                self.root = rank;
-                self
-            }
-        }
-    };
+/// What distinguishes the four reductions: the substrate call that
+/// combines everyone's `bytes` with `op`, and who receives what.
+pub trait ReduceKind {
+    /// Runs the reduction; returns this rank's result bytes.
+    fn run(self, raw: &RawComm, bytes: Vec<u8>, op: ByteOp<'_>, elem: usize) -> KResult<Vec<u8>>;
 }
 
-reduce_like_builder!(
-    /// Builder for a rooted `reduce`: the elementwise reduction of
-    /// everyone's buffer lands at the root (others receive empty output).
-    Reduce, entry = reduce, inplace = ReduceInplace, entry_inplace = reduce_inplace
-);
-reduce_like_builder!(
-    /// Builder for `allreduce`: the reduction is received by every rank.
-    Allreduce, entry = allreduce, inplace = AllreduceInplace, entry_inplace = allreduce_inplace
-);
-reduce_like_builder!(
-    /// Builder for `scan` (inclusive prefix reduction over ranks).
-    Scan, entry = scan, inplace = ScanInplace, entry_inplace = scan_inplace
-);
-reduce_like_builder!(
-    /// Builder for `exscan` (exclusive prefix reduction; rank 0 receives an
-    /// empty buffer, as its value is undefined in MPI).
-    Exscan, entry = exscan, inplace = ExscanInplace, entry_inplace = exscan_inplace
-);
+/// `reduce`: the elementwise reduction of everyone's buffer lands at the
+/// root (others receive empty output).
+pub struct ToRoot {
+    root: usize,
+}
 
-/// Wraps a typed combine into the substrate's byte-level operator.
-fn byte_op<'f, T: PodType>(
-    op: &'f (dyn Fn(T, T) -> T + Sync),
-) -> impl Fn(&mut [u8], &[u8]) + Sync + 'f {
-    move |acc: &mut [u8], rhs: &[u8]| {
-        let a = pod_from_bytes::<T>(acc).expect("element size");
-        let b = pod_from_bytes::<T>(rhs).expect("element size");
-        let c = op(a, b);
-        acc.copy_from_slice(pod_value_as_bytes(&c));
+impl<F> Rooted for Reduction<ToRoot, F> {
+    fn root_mut(&mut self) -> &mut usize {
+        &mut self.kind.root
     }
 }
 
-macro_rules! reduce_call_impls {
-    ($Name:ident, $InplaceName:ident, |$comm:ident, $bytes:ident, $bop:ident, $root:ident| $body:expr) => {
-        impl<'c, S, F> $Name<'c, S, F> {
-            /// Executes the operation; the result semantics are those of the
-            /// underlying collective (see the builder docs).
-            pub fn call<T>(self) -> KResult<CallResult<Vec<T>>>
-            where
-                T: PodType,
-                S: SendBufSlot<T>,
-                F: ReduceOpSlot<T> + Sync,
-            {
-                let $comm = self.comm;
-                let op_slot = self.op;
-                let $root = self.root;
-                let typed = move |a: T, b: T| op_slot.combine(a, b);
-                let $bop = byte_op::<T>(&typed);
-                #[allow(unused_mut)]
-                let mut $bytes = pod_as_bytes(self.send.slice()).to_vec();
-                let result_bytes: Vec<u8> = $body;
-                let out = crate::types::bytes_to_pods(&result_bytes)?;
-                Ok(CallResult::new(out, Absent, Absent, Absent))
-            }
-        }
-
-        impl<'c, B, F> $InplaceName<'c, B, F> {
-            /// Executes the in-place variant on the `send_recv_buf`.
-            pub fn call<T>(self) -> KResult<CallResult<B::Out>>
-            where
-                T: PodType,
-                B: SendRecvBufSlot<T>,
-                F: ReduceOpSlot<T> + Sync,
-            {
-                let $comm = self.comm;
-                let op_slot = self.op;
-                let $root = self.root;
-                let typed = move |a: T, b: T| op_slot.combine(a, b);
-                let $bop = byte_op::<T>(&typed);
-                #[allow(unused_mut)]
-                let mut $bytes = pod_as_bytes(self.buf.slice()).to_vec();
-                let result_bytes: Vec<u8> = $body;
-                let out = self.buf.replace(&result_bytes)?;
-                Ok(CallResult::new(out, Absent, Absent, Absent))
-            }
-        }
-    };
+impl ReduceKind for ToRoot {
+    fn run(
+        self,
+        raw: &RawComm,
+        mut bytes: Vec<u8>,
+        op: ByteOp<'_>,
+        elem: usize,
+    ) -> KResult<Vec<u8>> {
+        raw.reduce(&mut bytes, op, elem, self.root)?;
+        Ok(if raw.rank() == self.root {
+            bytes
+        } else {
+            Vec::new()
+        })
+    }
 }
 
-reduce_call_impls!(Reduce, ReduceInplace, |comm, bytes, bop, root| {
-    comm.raw()
-        .reduce(&mut bytes, &bop, elem_size::<T>()?, root)?;
-    if comm.rank() == root {
-        bytes
-    } else {
-        Vec::new()
+/// `allreduce`: the reduction is received by every rank.
+pub struct All;
+
+impl ReduceKind for All {
+    fn run(
+        self,
+        raw: &RawComm,
+        mut bytes: Vec<u8>,
+        op: ByteOp<'_>,
+        elem: usize,
+    ) -> KResult<Vec<u8>> {
+        raw.allreduce(&mut bytes, op, elem)?;
+        Ok(bytes)
     }
-});
+}
 
-reduce_call_impls!(Allreduce, AllreduceInplace, |comm, bytes, bop, root| {
-    let _ = root;
-    comm.raw().allreduce(&mut bytes, &bop, elem_size::<T>()?)?;
-    bytes
-});
+/// `scan`: inclusive prefix reduction over ranks.
+pub struct Prefix;
 
-reduce_call_impls!(Scan, ScanInplace, |comm, bytes, bop, root| {
-    let _ = root;
-    comm.raw().scan(&mut bytes, &bop, elem_size::<T>()?)?;
-    bytes
-});
-
-reduce_call_impls!(Exscan, ExscanInplace, |comm, bytes, bop, root| {
-    let _ = root;
-    let prefix = comm.raw().exscan(&bytes, &bop, elem_size::<T>()?)?;
-    prefix.unwrap_or_default()
-});
-
-fn elem_size<T: PodType>() -> KResult<usize> {
-    if T::SIZE == 0 {
-        return Err(KampingError::InvalidArgument(
-            "cannot reduce zero-sized elements",
-        ));
+impl ReduceKind for Prefix {
+    fn run(
+        self,
+        raw: &RawComm,
+        mut bytes: Vec<u8>,
+        op: ByteOp<'_>,
+        elem: usize,
+    ) -> KResult<Vec<u8>> {
+        raw.scan(&mut bytes, op, elem)?;
+        Ok(bytes)
     }
-    Ok(T::SIZE)
+}
+
+/// `exscan`: exclusive prefix reduction; rank 0 receives an empty buffer,
+/// as its value is undefined in MPI.
+pub struct ExclusivePrefix;
+
+impl ReduceKind for ExclusivePrefix {
+    fn run(self, raw: &RawComm, bytes: Vec<u8>, op: ByteOp<'_>, elem: usize) -> KResult<Vec<u8>> {
+        Ok(raw.exscan(&bytes, op, elem)?.unwrap_or_default())
+    }
+}
+
+impl Communicator {
+    fn reduction<K, B>(&self, kind: K, buf: B) -> Call<'_, Reduction<K>, B> {
+        Call::new(self, Reduction { kind, f: Unset }, buf)
+    }
+
+    /// Starts a rooted `reduce` of `send_buf` (default root 0); attach the
+    /// reduction with `.op(…)`.
+    pub fn reduce<X>(&self, send_buf: SendBuf<X>) -> Call<'_, Reduction<ToRoot>, SendBuf<X>> {
+        self.reduction(ToRoot { root: 0 }, send_buf)
+    }
+
+    /// Starts an `allreduce` of `send_buf`; attach the reduction with
+    /// `.op(…)`.
+    pub fn allreduce<X>(&self, send_buf: SendBuf<X>) -> Call<'_, Reduction<All>, SendBuf<X>> {
+        self.reduction(All, send_buf)
+    }
+
+    /// Starts a `scan` of `send_buf`; attach the reduction with `.op(…)`.
+    pub fn scan<X>(&self, send_buf: SendBuf<X>) -> Call<'_, Reduction<Prefix>, SendBuf<X>> {
+        self.reduction(Prefix, send_buf)
+    }
+
+    /// Starts an `exscan` of `send_buf`; attach the reduction with
+    /// `.op(…)`.
+    pub fn exscan<X>(
+        &self,
+        send_buf: SendBuf<X>,
+    ) -> Call<'_, Reduction<ExclusivePrefix>, SendBuf<X>> {
+        self.reduction(ExclusivePrefix, send_buf)
+    }
+
+    /// Starts the in-place `reduce` on `send_recv_buf`.
+    pub fn reduce_inplace<X>(
+        &self,
+        send_recv_buf: SendRecvBuf<X>,
+    ) -> Call<'_, Reduction<ToRoot>, SendRecvBuf<X>> {
+        self.reduction(ToRoot { root: 0 }, send_recv_buf)
+    }
+
+    /// Starts the in-place `allreduce` on `send_recv_buf`.
+    pub fn allreduce_inplace<X>(
+        &self,
+        send_recv_buf: SendRecvBuf<X>,
+    ) -> Call<'_, Reduction<All>, SendRecvBuf<X>> {
+        self.reduction(All, send_recv_buf)
+    }
+
+    /// Starts the in-place `scan` on `send_recv_buf`.
+    pub fn scan_inplace<X>(
+        &self,
+        send_recv_buf: SendRecvBuf<X>,
+    ) -> Call<'_, Reduction<Prefix>, SendRecvBuf<X>> {
+        self.reduction(Prefix, send_recv_buf)
+    }
+
+    /// Starts the in-place `exscan` on `send_recv_buf`.
+    pub fn exscan_inplace<X>(
+        &self,
+        send_recv_buf: SendRecvBuf<X>,
+    ) -> Call<'_, Reduction<ExclusivePrefix>, SendRecvBuf<X>> {
+        self.reduction(ExclusivePrefix, send_recv_buf)
+    }
+}
+
+/// Applies a typed combine to one element in wire form: `acc = op(acc, rhs)`.
+pub(crate) fn combine_bytes<T: PodType>(op: &impl Fn(T, T) -> T, acc: &mut [u8], rhs: &[u8]) {
+    let a = pod_from_bytes::<T>(acc).expect("element size");
+    let b = pod_from_bytes::<T>(rhs).expect("element size");
+    acc.copy_from_slice(pod_value_as_bytes(&op(a, b)));
+}
+
+impl<K: ReduceKind, F, B> Call<'_, Reduction<K, F>, B> {
+    /// Executes the reduction. With a `send_buf` the result is a fresh
+    /// vector; with a `send_recv_buf` it replaces the buffer's contents.
+    pub fn call<T>(self) -> KResult<CallResult<B::Out>>
+    where
+        T: PodType,
+        B: ReduceBufSlot<T>,
+        F: Fn(T, T) -> T + Sync,
+    {
+        if T::SIZE == 0 {
+            return Err(KampingError::InvalidArgument(
+                "cannot reduce zero-sized elements",
+            ));
+        }
+        let Reduction { kind, f } = self.op;
+        let op = move |acc: &mut [u8], rhs: &[u8]| combine_bytes(&f, acc, rhs);
+        let bytes = pod_as_bytes(self.send.input()).to_vec();
+        let reduced = kind.run(self.comm.raw(), bytes, &op, T::SIZE)?;
+        Ok(CallResult::new(
+            self.send.deliver(&reduced)?,
+            Absent,
+            Absent,
+        ))
+    }
 }
 
 #[cfg(test)]

@@ -1,108 +1,63 @@
-//! `scatter` / `scatterv` builders (root distributes blocks).
+//! `scatter` / `scatterv` (root distributes blocks).
 
-use crate::collectives::{excl_prefix_sum, to_byte_counts};
+use crate::call::{role, Call, Rooted, Takes};
+use crate::collectives::{resolve, Exchange};
 use crate::communicator::Communicator;
 use crate::error::{KResult, KampingError};
-use crate::params::{
-    recv_buf as recv_buf_param, recv_buf_owned as recv_buf_owned_param,
-    recv_buf_resize as recv_buf_resize_param, Absent, RecvBuf, RecvBufSlot, SendBuf, SendBufSlot,
-    SendCounts, SendCountsSlot, Unset,
-};
-use crate::resize::{NoResize, ResizePolicy, ResizeToFit};
+use crate::params::{Absent, CountSlot, RecvBufSlot, SendBuf, SendBufSlot, Unset};
 use crate::result::CallResult;
 use crate::types::{pod_as_bytes, PodType};
 
-/// Builder for a fixed-size `scatter`: the root's buffer is split into
-/// `size` equal blocks; rank `i` receives block `i`.
-#[must_use = "builders do nothing until .call()"]
-pub struct Scatter<'c, S, R> {
-    comm: &'c Communicator,
-    send: S,
-    recv: R,
+/// Fixed-size `scatter`: the root's buffer is split into `size` equal
+/// blocks; rank `i` receives block `i`.
+pub struct Scatter {
     root: usize,
 }
+impl Takes<role::RecvBuf> for Scatter {}
+impl Rooted for Scatter {
+    fn root_mut(&mut self) -> &mut usize {
+        &mut self.root
+    }
+}
 
-/// Builder for a variable-size `scatterv`; the root must supply
-/// `send_counts` (one block length per destination).
-#[must_use = "builders do nothing until .call()"]
-pub struct Scatterv<'c, S, R, C> {
-    comm: &'c Communicator,
-    send: S,
-    recv: R,
-    counts: C,
+/// Variable-size `scatterv`; the root must supply `send_counts` (one block
+/// length per destination).
+pub struct Scatterv {
     root: usize,
+}
+impl Takes<role::RecvBuf> for Scatterv {}
+impl Takes<role::SendCounts> for Scatterv {}
+impl Rooted for Scatterv {
+    fn root_mut(&mut self) -> &mut usize {
+        &mut self.root
+    }
 }
 
 impl Communicator {
     /// Starts a fixed-size `scatter` of the root's `send_buf` (non-roots
     /// pass an empty buffer). Default root 0.
-    pub fn scatter<X>(&self, send_buf: SendBuf<X>) -> Scatter<'_, SendBuf<X>, Unset> {
-        Scatter {
-            comm: self,
-            send: send_buf,
-            recv: Unset,
-            root: 0,
-        }
+    pub fn scatter<X>(&self, send_buf: SendBuf<X>) -> Call<'_, Scatter, SendBuf<X>> {
+        Call::new(self, Scatter { root: 0 }, send_buf)
     }
 
     /// Starts a variable-size `scatterv` of the root's `send_buf`.
-    pub fn scatterv<X>(&self, send_buf: SendBuf<X>) -> Scatterv<'_, SendBuf<X>, Unset, Unset> {
-        Scatterv {
-            comm: self,
-            send: send_buf,
-            recv: Unset,
-            counts: Unset,
-            root: 0,
-        }
+    pub fn scatterv<X>(&self, send_buf: SendBuf<X>) -> Call<'_, Scatterv, SendBuf<X>> {
+        Call::new(self, Scatterv { root: 0 }, send_buf)
     }
 }
 
-impl<'c, S, R> Scatter<'c, S, R> {
-    /// Names the root rank.
-    pub fn root(mut self, rank: usize) -> Self {
-        self.root = rank;
-        self
-    }
+/// The wire image of each of the back-to-back blocks of `data`.
+fn split_blocks<T: PodType>(data: &[T], counts: &[usize]) -> Vec<Vec<u8>> {
+    let mut rest = data;
+    let blocks = counts.iter().map(|&c| {
+        let (block, tail) = rest.split_at(c);
+        rest = tail;
+        pod_as_bytes(block).to_vec()
+    });
+    blocks.collect()
+}
 
-    /// Writes this rank's block into `buf` (checking [`NoResize`]).
-    pub fn recv_buf<'b, T: PodType>(
-        self,
-        buf: &'b mut Vec<T>,
-    ) -> Scatter<'c, S, RecvBuf<&'b mut Vec<T>, NoResize>> {
-        Scatter {
-            comm: self.comm,
-            send: self.send,
-            recv: recv_buf_param(buf),
-            root: self.root,
-        }
-    }
-
-    /// Writes this rank's block into `buf` under policy `P`.
-    pub fn recv_buf_resize<'b, P: ResizePolicy, T: PodType>(
-        self,
-        buf: &'b mut Vec<T>,
-    ) -> Scatter<'c, S, RecvBuf<&'b mut Vec<T>, P>> {
-        Scatter {
-            comm: self.comm,
-            send: self.send,
-            recv: recv_buf_resize_param::<P, T>(buf),
-            root: self.root,
-        }
-    }
-
-    /// Moves `buf` in to be reused as the returned block.
-    pub fn recv_buf_owned<T: PodType>(
-        self,
-        buf: Vec<T>,
-    ) -> Scatter<'c, S, RecvBuf<Vec<T>, ResizeToFit>> {
-        Scatter {
-            comm: self.comm,
-            send: self.send,
-            recv: recv_buf_owned_param(buf),
-            root: self.root,
-        }
-    }
-
+impl<S, R> Call<'_, Scatter, S, R> {
     /// Executes the scatter.
     pub fn call<T>(self) -> KResult<CallResult<R::Out>>
     where
@@ -110,176 +65,53 @@ impl<'c, S, R> Scatter<'c, S, R> {
         S: SendBufSlot<T>,
         R: RecvBufSlot<T>,
     {
-        let Scatter {
-            comm,
-            send,
-            recv,
-            root,
-        } = self;
+        let (comm, root) = (self.comm, self.op.root);
         let p = comm.size();
-        let parts: Option<Vec<Vec<u8>>> = if comm.rank() == root {
-            let data = send.slice();
+        let parts = if comm.rank() == root {
+            let data = self.send.slice();
             if !data.len().is_multiple_of(p) {
                 return Err(KampingError::InvalidArgument(
                     "scatter: send buffer length not divisible by comm size",
                 ));
             }
-            let block = data.len() / p;
-            Some(
-                (0..p)
-                    .map(|i| pod_as_bytes(&data[i * block..(i + 1) * block]).to_vec())
-                    .collect(),
-            )
+            Some(split_blocks(data, &vec![data.len() / p; p]))
         } else {
             None
         };
         let bytes = comm.raw().scatter(parts.as_deref(), root)?;
-        let out = recv.place(&bytes)?;
-        Ok(CallResult::new(out, Absent, Absent, Absent))
+        Ok(CallResult::new(self.recv.place(&bytes)?, Absent, Absent))
     }
 }
 
-impl<'c, S, R, C> Scatterv<'c, S, R, C> {
-    /// Names the root rank.
-    pub fn root(mut self, rank: usize) -> Self {
-        self.root = rank;
-        self
-    }
-
-    /// Writes this rank's block into `buf` (checking [`NoResize`]).
-    pub fn recv_buf<'b, T: PodType>(
-        self,
-        buf: &'b mut Vec<T>,
-    ) -> Scatterv<'c, S, RecvBuf<&'b mut Vec<T>, NoResize>, C> {
-        let Scatterv {
-            comm,
-            send,
-            counts,
-            root,
-            ..
-        } = self;
-        Scatterv {
-            comm,
-            send,
-            recv: recv_buf_param(buf),
-            counts,
-            root,
-        }
-    }
-
-    /// Writes this rank's block into `buf` under policy `P`.
-    pub fn recv_buf_resize<'b, P: ResizePolicy, T: PodType>(
-        self,
-        buf: &'b mut Vec<T>,
-    ) -> Scatterv<'c, S, RecvBuf<&'b mut Vec<T>, P>, C> {
-        let Scatterv {
-            comm,
-            send,
-            counts,
-            root,
-            ..
-        } = self;
-        Scatterv {
-            comm,
-            send,
-            recv: recv_buf_resize_param::<P, T>(buf),
-            counts,
-            root,
-        }
-    }
-
-    /// Moves `buf` in to be reused as the returned block.
-    pub fn recv_buf_owned<T: PodType>(
-        self,
-        buf: Vec<T>,
-    ) -> Scatterv<'c, S, RecvBuf<Vec<T>, ResizeToFit>, C> {
-        let Scatterv {
-            comm,
-            send,
-            counts,
-            root,
-            ..
-        } = self;
-        Scatterv {
-            comm,
-            send,
-            recv: recv_buf_owned_param(buf),
-            counts,
-            root,
-        }
-    }
-
-    /// Supplies the per-destination block lengths (required at the root).
-    pub fn send_counts<'v>(
-        self,
-        counts: &'v [usize],
-    ) -> Scatterv<'c, S, R, SendCounts<&'v [usize]>> {
-        let Scatterv {
-            comm,
-            send,
-            recv,
-            root,
-            ..
-        } = self;
-        Scatterv {
-            comm,
-            send,
-            recv,
-            counts: crate::params::send_counts(counts),
-            root,
-        }
-    }
-
+impl<S, R, SC> Call<'_, Scatterv, S, R, SC> {
     /// Executes the scatterv.
     pub fn call<T>(self) -> KResult<CallResult<R::Out>>
     where
         T: PodType,
         S: SendBufSlot<T>,
         R: RecvBufSlot<T>,
-        C: SendCountsSlot,
+        SC: CountSlot,
     {
-        let Scatterv {
-            comm,
-            send,
-            recv,
-            counts,
-            root,
-        } = self;
-        let p = comm.size();
-        let parts: Option<Vec<Vec<u8>>> = if comm.rank() == root {
-            if !C::PROVIDED {
-                return Err(KampingError::InvalidArgument(
-                    "scatterv: root must supply send_counts",
-                ));
-            }
-            let c = counts.provided();
-            if c.len() != p {
-                return Err(KampingError::InvalidArgument(
-                    "scatterv: send_counts length",
-                ));
-            }
-            let data = send.slice();
-            if c.iter().sum::<usize>() != data.len() {
-                return Err(KampingError::InvalidArgument(
-                    "scatterv: send_counts do not sum to send buffer length",
-                ));
-            }
-            let byte_counts = to_byte_counts(c, T::SIZE);
-            let displs = excl_prefix_sum(&byte_counts);
-            let raw = pod_as_bytes(data);
-            Some(
-                byte_counts
-                    .iter()
-                    .zip(&displs)
-                    .map(|(&n, &d)| raw[d..d + n].to_vec())
-                    .collect(),
-            )
+        let (comm, root) = (self.comm, self.op.root);
+        let parts = if comm.rank() == root {
+            let data = self.send.slice();
+            let layout = resolve(
+                comm,
+                &self.send_counts,
+                &Unset,
+                Exchange::Required("scatterv: root must supply send_counts"),
+                Some((comm.size(), "scatterv: send_counts length")),
+            )?;
+            layout.check_packed(
+                data.len(),
+                "scatterv: send_counts do not sum to send buffer length",
+            )?;
+            Some(split_blocks(data, &layout.counts))
         } else {
             None
         };
         let bytes = comm.raw().scatterv(parts.as_deref(), root)?;
-        let out = recv.place(&bytes)?;
-        Ok(CallResult::new(out, Absent, Absent, Absent))
+        Ok(CallResult::new(self.recv.place(&bytes)?, Absent, Absent))
     }
 }
 

@@ -2,9 +2,9 @@
 //!
 //! Wraps a substrate [`RawComm`] and adds the three abstraction levels of
 //! the paper's Fig. 1: STL-style convenience methods (defined here), the
-//! named-parameter builders (defined in [`crate::collectives`] and
-//! [`crate::p2p`] as `impl Communicator` blocks), and raw access via
-//! [`Communicator::raw`].
+//! named-parameter calls (started by the `impl Communicator` blocks of
+//! [`crate::collectives`] and [`crate::p2p`], built on [`crate::call`]), and
+//! raw access via [`Communicator::raw`].
 
 use kamping_mpi::{RawComm, Universe};
 

@@ -30,9 +30,12 @@ use std::time::Duration;
 
 use kamping_mpi::{OwnedByteOp, RawCollRequest};
 
+use crate::collectives::reduce::combine_bytes;
+use crate::collectives::{excl_prefix_sum, resolve, to_bytes, Exchange};
 use crate::communicator::Communicator;
 use crate::error::KResult;
-use crate::types::{bytes_to_pods, pod_as_bytes, pod_from_bytes, pod_value_as_bytes, PodType};
+use crate::params::Unset;
+use crate::types::{bytes_to_pods, pod_as_bytes, PodType};
 
 /// A nonblocking collective in flight, owning its buffers (§III-E).
 ///
@@ -93,11 +96,7 @@ impl<T> std::fmt::Debug for CollRequest<T> {
 /// closure must be `Send + Sync + 'static`: any delivering thread may run
 /// it, and the operation may outlive the issuing stack frame.
 fn owned_byte_op<T: PodType>(op: impl Fn(T, T) -> T + Send + Sync + 'static) -> OwnedByteOp {
-    Arc::new(move |acc: &mut [u8], rhs: &[u8]| {
-        let a = pod_from_bytes::<T>(acc).expect("element size");
-        let b = pod_from_bytes::<T>(rhs).expect("element size");
-        acc.copy_from_slice(pod_value_as_bytes(&op(a, b)));
-    })
+    Arc::new(move |acc: &mut [u8], rhs: &[u8]| combine_bytes(&op, acc, rhs))
 }
 
 impl Communicator {
@@ -156,9 +155,10 @@ impl Communicator {
     /// same extra round every omitted `recv_counts` parameter costs); only
     /// the data exchange itself is nonblocking.
     pub fn iallgatherv_vec<T: PodType>(&self, data: Vec<T>) -> KResult<CollRequest<T>> {
-        let counts = self.exchange_counts(data.len())?;
-        let byte_counts: Vec<usize> = counts.iter().map(|&c| c * T::SIZE).collect();
+        let exchange = Exchange::Allgather(data.len());
+        let layout = resolve(self, &Unset, &Unset, exchange, None)?;
         let bytes = pod_as_bytes(&data).to_vec();
+        let byte_counts = to_bytes(&layout.counts, T::SIZE);
         Ok(CollRequest::new(
             self.raw().iallgatherv(bytes, &byte_counts)?,
         ))
@@ -182,18 +182,16 @@ impl Communicator {
         data: Vec<T>,
         send_counts: &[usize],
     ) -> KResult<CollRequest<T>> {
-        let wire = crate::buffers::encode_counts(send_counts);
-        let exchanged = self.raw().alltoall(&wire)?;
-        let recv_counts = crate::buffers::decode_counts(&exchanged);
-        let to_bytes =
-            |counts: &[usize]| -> Vec<usize> { counts.iter().map(|&c| c * T::SIZE).collect() };
-        let (sc, rc) = (to_bytes(send_counts), to_bytes(&recv_counts));
-        let sd = kamping_mpi::coll::excl_prefix_sum(&sc);
-        let rd = kamping_mpi::coll::excl_prefix_sum(&rc);
+        let exchange = Exchange::Alltoall(send_counts);
+        let recv = resolve(self, &Unset, &Unset, exchange, None)?;
         let bytes = pod_as_bytes(&data).to_vec();
-        Ok(CollRequest::new(
-            self.raw().ialltoallv(bytes, &sc, &sd, &rc, &rd)?,
-        ))
+        Ok(CollRequest::new(self.raw().ialltoallv(
+            bytes,
+            &to_bytes(send_counts, T::SIZE),
+            &to_bytes(&excl_prefix_sum(send_counts), T::SIZE),
+            &to_bytes(&recv.counts, T::SIZE),
+            &to_bytes(&recv.displs(), T::SIZE),
+        )?))
     }
 }
 

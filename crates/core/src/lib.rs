@@ -7,11 +7,12 @@
 //!
 //! 1. **STL-style one-liners** — `comm.allgatherv_vec(&v)` concatenates
 //!    everyone's vector with all counts/displacements inferred;
-//! 2. **named parameters** — any subset of an operation's parameters can be
-//!    supplied, in any order, through parameter objects combined on a
-//!    typestate builder; omitted parameters are *computed* (sometimes with
-//!    extra communication, e.g. an allgather of send counts), requested
-//!    out-parameters are returned by value;
+//! 2. **named parameters** — any subset of an operation's optional
+//!    parameters can be supplied, in any order, as methods of the one
+//!    typestate [`call::Call`]; omitted parameters are *computed* (sometimes
+//!    with extra communication, e.g. an allgather of send counts), requested
+//!    out-parameters are returned by value, and a parameter the operation
+//!    would ignore does not compile;
 //! 3. **raw access** — [`Communicator::raw`] exposes the full low-level
 //!    interface for code that wants plain-MPI semantics.
 //!
@@ -58,6 +59,7 @@
 
 pub mod assertions;
 pub mod buffers;
+pub mod call;
 pub mod collectives;
 pub mod communicator;
 pub mod error;

@@ -119,7 +119,7 @@ impl<T: PodType> NonBlockingResult<T> {
     }
 }
 
-fn check_expected<T>(data: &[T], expected: Option<usize>) -> KResult<()> {
+pub(crate) fn check_expected<T>(data: &[T], expected: Option<usize>) -> KResult<()> {
     if let Some(n) = expected {
         if data.len() != n {
             return Err(crate::KampingError::InvalidArgument(

@@ -1,80 +1,118 @@
-//! Point-to-point builders: `send`, `recv`, `isend`, `irecv`.
+//! Point-to-point operations: `send`, `recv`, `isend`, `issend`, `irecv`.
 //!
-//! The named parameters here are [`crate::destination`], [`crate::source`],
-//! [`crate::tag`] and [`crate::recv_count`]; buffers work exactly as in the
-//! collectives. Non-blocking variants return the ownership-safe
-//! [`NonBlockingResult`] of §III-E.
+//! The peer is positional ([`crate::destination`], [`crate::source`]); the
+//! named parameters are `.tag(..)` and, on receives, `.recv_count(..)`;
+//! send buffers work exactly as in the collectives. Non-blocking variants
+//! return the ownership-safe [`NonBlockingResult`] of §III-E.
 
-use kamping_mpi::Status;
+use std::marker::PhantomData;
 
+use kamping_mpi::{Status, Tag};
+
+use crate::call::{Call, Counted, Tagged};
 use crate::communicator::Communicator;
 use crate::error::KResult;
-use crate::nonblocking::NonBlockingResult;
-use crate::params::{Destination, RecvCount, SendBuf, SendBufSlot, Source, TagParam};
+use crate::nonblocking::{check_expected, NonBlockingResult};
+use crate::params::{Destination, SendBuf, SendBufSlot, Source, TagParam, Unset};
 use crate::types::{bytes_to_pods, pod_as_bytes, PodType};
 
 /// Default tag of point-to-point operations when none is named.
-pub const DEFAULT_TAG: kamping_mpi::Tag = 0;
+pub const DEFAULT_TAG: Tag = 0;
 
-/// Builder for a blocking send.
-#[must_use = "builders do nothing until .call()"]
-pub struct Send<'c, S> {
-    comm: &'c Communicator,
-    send: S,
+/// Blocking send.
+pub struct Send {
     dest: usize,
-    tag: kamping_mpi::Tag,
+    tag: Tag,
 }
 
-/// Builder for a blocking receive of elements of type `T`.
-#[must_use = "builders do nothing until .call()"]
-pub struct Recv<'c, T> {
-    comm: &'c Communicator,
-    src: usize,
-    tag: kamping_mpi::Tag,
-    expected: Option<usize>,
-    _t: std::marker::PhantomData<T>,
-}
-
-/// Builder for a non-blocking send.
-#[must_use = "builders do nothing until .call()"]
-pub struct Isend<'c, S> {
-    comm: &'c Communicator,
-    send: S,
+/// Non-blocking send, standard or synchronous mode.
+pub struct Isend {
     dest: usize,
-    tag: kamping_mpi::Tag,
+    tag: Tag,
     synchronous: bool,
 }
 
-/// Builder for a non-blocking receive of elements of type `T`.
-#[must_use = "builders do nothing until .call()"]
-pub struct Irecv<'c, T> {
-    comm: &'c Communicator,
+/// Blocking receive of elements of type `T`.
+pub struct Recv<T> {
     src: usize,
-    tag: kamping_mpi::Tag,
+    tag: Tag,
     expected: Option<usize>,
-    _t: std::marker::PhantomData<T>,
+    _elem: PhantomData<T>,
+}
+
+/// Non-blocking receive of elements of type `T`.
+pub struct Irecv<T>(Recv<T>);
+
+impl Tagged for Send {
+    fn tag_mut(&mut self) -> &mut Tag {
+        &mut self.tag
+    }
+}
+
+impl Tagged for Isend {
+    fn tag_mut(&mut self) -> &mut Tag {
+        &mut self.tag
+    }
+}
+
+impl<T> Tagged for Recv<T> {
+    fn tag_mut(&mut self) -> &mut Tag {
+        &mut self.tag
+    }
+}
+
+impl<T> Tagged for Irecv<T> {
+    fn tag_mut(&mut self) -> &mut Tag {
+        &mut self.0.tag
+    }
+}
+
+impl<T> Counted for Recv<T> {
+    fn expected_mut(&mut self) -> &mut Option<usize> {
+        &mut self.expected
+    }
+}
+
+impl<T> Counted for Irecv<T> {
+    fn expected_mut(&mut self) -> &mut Option<usize> {
+        &mut self.0.expected
+    }
 }
 
 impl Communicator {
     /// Starts a blocking send of `send_buf` to `destination`.
-    pub fn send<X>(&self, send_buf: SendBuf<X>, destination: Destination) -> Send<'_, SendBuf<X>> {
-        Send {
-            comm: self,
-            send: send_buf,
-            dest: destination.0,
-            tag: DEFAULT_TAG,
-        }
+    pub fn send<X>(
+        &self,
+        send_buf: SendBuf<X>,
+        destination: Destination,
+    ) -> Call<'_, Send, SendBuf<X>> {
+        let (dest, tag) = (destination.0, DEFAULT_TAG);
+        Call::new(self, Send { dest, tag }, send_buf)
     }
 
     /// Starts a blocking receive from `source`.
-    pub fn recv<T: PodType>(&self, source: Source) -> Recv<'_, T> {
-        Recv {
-            comm: self,
+    pub fn recv<T: PodType>(&self, source: Source) -> Call<'_, Recv<T>> {
+        let op = Recv {
             src: source.0,
             tag: DEFAULT_TAG,
             expected: None,
-            _t: std::marker::PhantomData,
-        }
+            _elem: PhantomData,
+        };
+        Call::new(self, op, Unset)
+    }
+
+    fn isend_mode<X>(
+        &self,
+        send_buf: SendBuf<X>,
+        destination: Destination,
+        synchronous: bool,
+    ) -> Call<'_, Isend, SendBuf<X>> {
+        let op = Isend {
+            dest: destination.0,
+            tag: DEFAULT_TAG,
+            synchronous,
+        };
+        Call::new(self, op, send_buf)
     }
 
     /// Starts a non-blocking send; the buffer is moved in and handed back
@@ -83,14 +121,8 @@ impl Communicator {
         &self,
         send_buf: SendBuf<X>,
         destination: Destination,
-    ) -> Isend<'_, SendBuf<X>> {
-        Isend {
-            comm: self,
-            send: send_buf,
-            dest: destination.0,
-            tag: DEFAULT_TAG,
-            synchronous: false,
-        }
+    ) -> Call<'_, Isend, SendBuf<X>> {
+        self.isend_mode(send_buf, destination, false)
     }
 
     /// Starts a non-blocking *synchronous-mode* send (completes only once
@@ -99,25 +131,14 @@ impl Communicator {
         &self,
         send_buf: SendBuf<X>,
         destination: Destination,
-    ) -> Isend<'_, SendBuf<X>> {
-        Isend {
-            comm: self,
-            send: send_buf,
-            dest: destination.0,
-            tag: DEFAULT_TAG,
-            synchronous: true,
-        }
+    ) -> Call<'_, Isend, SendBuf<X>> {
+        self.isend_mode(send_buf, destination, true)
     }
 
     /// Starts a non-blocking receive.
-    pub fn irecv<T: PodType>(&self, source: Source) -> Irecv<'_, T> {
-        Irecv {
-            comm: self,
-            src: source.0,
-            tag: DEFAULT_TAG,
-            expected: None,
-            _t: std::marker::PhantomData,
-        }
+    pub fn irecv<T: PodType>(&self, source: Source) -> Call<'_, Irecv<T>> {
+        let Call { comm, op, .. } = self.recv(source);
+        Call::new(comm, Irecv(op), Unset)
     }
 
     /// Non-blocking probe: status of a matching pending message, if any.
@@ -130,87 +151,33 @@ impl Communicator {
     }
 }
 
-impl<'c, S> Send<'c, S> {
-    /// Names the message tag.
-    pub fn tag(mut self, t: kamping_mpi::Tag) -> Self {
-        self.tag = t;
-        self
-    }
-
-    /// Accepts the [`TagParam`] object form.
-    pub fn tag_param(mut self, t: TagParam) -> Self {
-        self.tag = t.0;
-        self
-    }
-
-    /// Executes the send.
+impl<S> Call<'_, Send, S> {
+    /// Executes the send: the substrate copies the borrowed elements once,
+    /// into the envelope itself when they fit inline.
     pub fn call<T>(self) -> KResult<()>
     where
         T: PodType,
         S: SendBufSlot<T>,
     {
-        let Send {
-            comm,
-            send,
-            dest,
-            tag,
-        } = self;
-        // One encode copy either way; the wire buffer is moved (not
-        // re-copied) into the transport.
-        let wire = pod_as_bytes(send.slice()).to_vec();
-        comm.raw().send_owned(dest, tag, wire)?;
-        Ok(())
+        let Send { dest, tag } = self.op;
+        Ok(self
+            .comm
+            .raw()
+            .send(dest, tag, pod_as_bytes(self.send.slice()))?)
     }
 }
 
-impl<'c, T: PodType> Recv<'c, T> {
-    /// Names the message tag.
-    pub fn tag(mut self, t: kamping_mpi::Tag) -> Self {
-        self.tag = t;
-        self
-    }
-
-    /// Declares the expected element count (validated on delivery).
-    pub fn recv_count(mut self, n: usize) -> Self {
-        self.expected = Some(n);
-        self
-    }
-
-    /// Accepts the [`RecvCount`] object form.
-    pub fn recv_count_param(mut self, n: RecvCount) -> Self {
-        self.expected = Some(n.0);
-        self
-    }
-
+impl<T: PodType> Call<'_, Recv<T>> {
     /// Executes the receive; returns the elements and the delivery status.
     pub fn call(self) -> KResult<(Vec<T>, Status)> {
-        let Recv {
-            comm,
-            src,
-            tag,
-            expected,
-            ..
-        } = self;
-        let (bytes, status) = comm.raw().recv(src, tag)?;
+        let (bytes, status) = self.comm.raw().recv(self.op.src, self.op.tag)?;
         let data = bytes_to_pods::<T>(&bytes)?;
-        if let Some(n) = expected {
-            if data.len() != n {
-                return Err(crate::KampingError::InvalidArgument(
-                    "received element count differs from recv_count",
-                ));
-            }
-        }
+        check_expected(&data, self.op.expected)?;
         Ok((data, status))
     }
 }
 
-impl<'c, S> Isend<'c, S> {
-    /// Names the message tag.
-    pub fn tag(mut self, t: kamping_mpi::Tag) -> Self {
-        self.tag = t;
-        self
-    }
-
+impl<S> Call<'_, Isend, S> {
     /// Executes the non-blocking send; the returned result owns the buffer
     /// until completion.
     pub fn call<T>(self) -> KResult<NonBlockingResult<T>>
@@ -219,47 +186,29 @@ impl<'c, S> Isend<'c, S> {
         S: SendBufSlot<T>,
     {
         let Isend {
-            comm,
-            send,
             dest,
             tag,
             synchronous,
-        } = self;
-        let wire = pod_as_bytes(send.slice()).to_vec();
+        } = self.op;
+        let raw = self.comm.raw();
+        let wire = pod_as_bytes(self.send.slice()).to_vec();
         let req = if synchronous {
-            comm.raw().issend(dest, tag, wire)?
+            raw.issend(dest, tag, wire)?
         } else {
-            comm.raw().isend(dest, tag, wire)?
+            raw.isend(dest, tag, wire)?
         };
-        let buf = send.reclaim().unwrap_or_default();
+        let buf = self.send.reclaim().unwrap_or_default();
         Ok(NonBlockingResult::send(req, buf))
     }
 }
 
-impl<'c, T: PodType> Irecv<'c, T> {
-    /// Names the message tag.
-    pub fn tag(mut self, t: kamping_mpi::Tag) -> Self {
-        self.tag = t;
-        self
-    }
-
-    /// Declares the expected element count (validated on delivery) —
-    /// paper Fig. 6's `recv_count(42)`.
-    pub fn recv_count(mut self, n: usize) -> Self {
-        self.expected = Some(n);
-        self
-    }
-
+impl<T: PodType> Call<'_, Irecv<T>> {
     /// Executes the non-blocking receive.
     pub fn call(self) -> KResult<NonBlockingResult<T>> {
-        let Irecv {
-            comm,
-            src,
-            tag,
-            expected,
-            ..
-        } = self;
-        let req = comm.raw().irecv(src, tag)?;
+        let Recv {
+            src, tag, expected, ..
+        } = self.op.0;
+        let req = self.comm.raw().irecv(src, tag)?;
         Ok(NonBlockingResult::recv(req, expected))
     }
 }

@@ -1,26 +1,30 @@
 //! Named parameters (paper §III-A, §III-B).
 //!
-//! Parameters of a communication call are constructed by small factory
-//! functions — [`send_buf`], [`recv_counts`], [`recv_counts_out`], [`root`],
-//! … — and attached to a call builder in any order. Presence or absence of
-//! each parameter is part of the builder's *type*, so:
+//! A communication call takes its *required* parameters as the arguments
+//! of the method that starts it — built by the factory functions here:
+//! [`send_buf`], [`send_recv_buf`], [`send_counts`], [`destination`],
+//! [`source`] — and its *optional* ones as named methods of the one call
+//! engine, [`crate::call::Call`], in any order. What was supplied is part
+//! of the call's *type*: every slot of a `Call` is either [`Unset`] or one
+//! of the slot types of this module, so
 //!
-//! * required-but-missing parameters are **compile errors** (the `call`
-//!   method simply does not exist on that builder state);
+//! * a required-but-missing parameter, or a parameter the operation would
+//!   ignore, is a **compile error** (§III-G);
 //! * the code that computes a defaulted parameter is only instantiated for
-//!   builders that actually omit it (monomorphization — the Rust
-//!   equivalent of the paper's `constexpr if` claim in §III-H);
+//!   calls that actually omit it (monomorphization — the Rust equivalent
+//!   of the paper's `constexpr if` claim in §III-H);
 //! * `*_out()` parameters change the *return type* of the call: requested
 //!   values come back by value in the result object (§III-B), never
 //!   through out-pointers.
 //!
 //! The traits in this module (`*Slot`) are the extraction machinery the
-//! builders use; application code only ever touches the factory functions.
+//! call bodies use; application code only touches the factory functions
+//! and the methods of `Call`.
 
 use std::marker::PhantomData;
 
 use crate::error::KResult;
-use crate::resize::{NoResize, ResizePolicy, ResizeToFit};
+use crate::resize::{NoResize, ResizePolicy};
 use crate::types::{bytes_into_pods, bytes_to_pods, fill_pod_vec_from_bytes, PodType};
 
 /// Type-level marker: this parameter slot was not supplied.
@@ -84,8 +88,7 @@ impl<T: PodType> SendBufSlot<T> for SendBuf<Vec<T>> {
 /// A buffer that is both input and output — the safe spelling of
 /// `MPI_IN_PLACE`. Passing `send_recv_buf` instead of `send_buf` selects
 /// the in-place variant of an operation; parameters that the in-place call
-/// would ignore do not exist on the in-place builders (compile-time
-/// enforcement of §III-G).
+/// would ignore are not accepted by it (compile-time enforcement of §III-G).
 pub struct SendRecvBuf<S> {
     pub(crate) data: S,
 }
@@ -140,6 +143,44 @@ impl<T: PodType> SendRecvBufSlot<T> for SendRecvBuf<Vec<T>> {
     }
 }
 
+/// The buffer slot of a reduction: a `send_buf` (the result is returned as
+/// a fresh vector) or a `send_recv_buf` (the result replaces its contents),
+/// so the in-place reductions are the same operations, not more of them.
+pub trait ReduceBufSlot<T: PodType> {
+    /// What the finished reduction hands back.
+    type Out;
+    /// The elements this rank contributes.
+    fn input(&self) -> &[T];
+    /// Delivers the reduced `bytes` and finalizes the slot.
+    fn deliver(self, bytes: &[u8]) -> KResult<Self::Out>;
+}
+
+impl<T: PodType, X> ReduceBufSlot<T> for SendBuf<X>
+where
+    SendBuf<X>: SendBufSlot<T>,
+{
+    type Out = Vec<T>;
+    fn input(&self) -> &[T] {
+        self.slice()
+    }
+    fn deliver(self, bytes: &[u8]) -> KResult<Vec<T>> {
+        bytes_to_pods(bytes)
+    }
+}
+
+impl<T: PodType, X> ReduceBufSlot<T> for SendRecvBuf<X>
+where
+    SendRecvBuf<X>: SendRecvBufSlot<T>,
+{
+    type Out = <Self as SendRecvBufSlot<T>>::Out;
+    fn input(&self) -> &[T] {
+        self.slice()
+    }
+    fn deliver(self, bytes: &[u8]) -> KResult<Self::Out> {
+        self.replace(bytes)
+    }
+}
+
 // ---------------------------------------------------------------------------
 // receive buffer
 // ---------------------------------------------------------------------------
@@ -150,31 +191,12 @@ pub struct RecvBuf<B, P = NoResize> {
     pub(crate) _policy: PhantomData<P>,
 }
 
-/// Writes received data into `buf` under the checking [`NoResize`] policy
-/// (no hidden allocation; errors if `buf` is too short).
-pub fn recv_buf<T: PodType>(buf: &mut Vec<T>) -> RecvBuf<&mut Vec<T>, NoResize> {
-    RecvBuf {
-        buf,
-        _policy: PhantomData,
-    }
-}
-
-/// Writes received data into `buf` under policy `P`
-/// (`recv_buf_resize::<ResizeToFit, _>(&mut v)`).
-pub fn recv_buf_resize<P: ResizePolicy, T: PodType>(buf: &mut Vec<T>) -> RecvBuf<&mut Vec<T>, P> {
-    RecvBuf {
-        buf,
-        _policy: PhantomData,
-    }
-}
-
-/// Moves `buf` into the call so its allocation is *reused* for the result,
-/// which is then returned by value — the paper's answer to "returning by
-/// value costs a redundant allocation" (§III-B).
-pub fn recv_buf_owned<T: PodType>(buf: Vec<T>) -> RecvBuf<Vec<T>, ResizeToFit> {
-    RecvBuf {
-        buf,
-        _policy: PhantomData,
+impl<B, P> RecvBuf<B, P> {
+    pub(crate) fn new(buf: B) -> Self {
+        RecvBuf {
+            buf,
+            _policy: PhantomData,
+        }
     }
 }
 
@@ -240,145 +262,73 @@ impl<T: PodType, P: ResizePolicy> RecvBufSlot<T> for RecvBuf<Vec<T>, P> {
 // counts / displacements (element units)
 // ---------------------------------------------------------------------------
 
-/// Generates an in-parameter wrapper, `_out()` marker, factory functions
-/// and the slot traits for one count-like parameter role. Distinct roles
-/// get distinct types so that, e.g., passing send counts where receive
-/// counts belong cannot compile.
-macro_rules! count_param {
-    (
-        $(#[$doc:meta])* wrapper = $Wrapper:ident, out = $OutMarker:ident,
-        slot = $Slot:ident, factory = $factory:ident, factory_owned = $factory_owned:ident,
-        factory_out = $factory_out:ident
-    ) => {
-        $(#[$doc])*
-        pub struct $Wrapper<C> {
-            pub(crate) values: C,
-        }
-
-        /// Marker requesting this parameter to be computed and returned by
-        /// value in the result object.
-        pub struct $OutMarker;
-
-        /// Supplies the parameter by reference (element counts).
-        pub fn $factory(values: &[usize]) -> $Wrapper<&[usize]> {
-            $Wrapper { values }
-        }
-
-        /// Supplies the parameter by value (ownership transferred).
-        pub fn $factory_owned(values: Vec<usize>) -> $Wrapper<Vec<usize>> {
-            $Wrapper { values }
-        }
-
-        /// Requests the parameter as an out-value (§III-B).
-        pub fn $factory_out() -> $OutMarker {
-            $OutMarker
-        }
-
-        /// Extraction of this parameter's slot.
-        pub trait $Slot {
-            /// Statically true when the caller supplied values (the
-            /// compute-default path is then never instantiated).
-            const PROVIDED: bool;
-            /// The supplied values; only called when `PROVIDED`.
-            fn provided(&self) -> &[usize] {
-                unreachable!("slot not provided")
-            }
-        }
-
-        impl $Slot for Unset {
-            const PROVIDED: bool = false;
-        }
-
-        impl $Slot for $OutMarker {
-            const PROVIDED: bool = false;
-        }
-
-        impl<'a> $Slot for $Wrapper<&'a [usize]> {
-            const PROVIDED: bool = true;
-            fn provided(&self) -> &[usize] {
-                self.values
-            }
-        }
-
-        impl $Slot for $Wrapper<Vec<usize>> {
-            const PROVIDED: bool = true;
-            fn provided(&self) -> &[usize] {
-                &self.values
-            }
-        }
-
-        impl OutRequest for $OutMarker {
-            const REQUESTED: bool = true;
-            type Out = Vec<usize>;
-            fn wrap(values: Vec<usize>) -> Vec<usize> {
-                values
-            }
-        }
-
-        impl<C> OutRequest for $Wrapper<C> {
-            const REQUESTED: bool = false;
-            type Out = Absent;
-            fn wrap(_values: Vec<usize>) -> Absent {
-                Absent
-            }
-        }
-    };
+/// Per-rank element counts or displacements supplied by the caller. Which
+/// of the four it is (send/receive × counts/displacements) is decided by the
+/// slot of the call it sits in.
+pub struct Counts<C> {
+    pub(crate) values: C,
 }
 
-/// Whether (and how) a parameter is returned by value in the result object.
-pub trait OutRequest {
-    /// Statically true when the caller asked for the value.
-    const REQUESTED: bool;
-    /// `Vec<usize>` when requested, [`Absent`] otherwise.
+/// Marker in a count or displacement slot: compute the values and return
+/// them by value in the result object (§III-B).
+pub struct CountsOut;
+
+/// Names the number of elements sent to each rank, by reference.
+pub fn send_counts(values: &[usize]) -> Counts<&[usize]> {
+    Counts { values }
+}
+
+/// Names the number of elements sent to each rank, by value.
+pub fn send_counts_owned(values: Vec<usize>) -> Counts<Vec<usize>> {
+    Counts { values }
+}
+
+/// Extraction of a count or displacement slot.
+pub trait CountSlot {
+    /// Statically true when the caller supplied values (the
+    /// compute-default path is then never instantiated).
+    const PROVIDED: bool;
+    /// `Vec<usize>` when the values were requested with `*_out()`,
+    /// [`Absent`] otherwise.
     type Out;
-    /// Wraps the computed values into the result slot.
-    fn wrap(values: Vec<usize>) -> Self::Out;
+    /// The supplied values; only called when `PROVIDED`.
+    fn provided(&self) -> &[usize] {
+        unreachable!("slot not provided")
+    }
+    /// Fills the result slot: evaluates `values` only when requested.
+    fn out(values: impl FnOnce() -> Vec<usize>) -> Self::Out;
 }
 
-impl OutRequest for Unset {
-    const REQUESTED: bool = false;
+impl CountSlot for Unset {
+    const PROVIDED: bool = false;
     type Out = Absent;
-    fn wrap(_values: Vec<usize>) -> Absent {
+    fn out(_values: impl FnOnce() -> Vec<usize>) -> Absent {
         Absent
     }
 }
 
-count_param!(
-    /// Number of elements received from each rank (in-parameter form).
-    wrapper = RecvCounts, out = RecvCountsOut, slot = RecvCountsSlot,
-    factory = recv_counts, factory_owned = recv_counts_owned, factory_out = recv_counts_out
-);
+impl CountSlot for CountsOut {
+    const PROVIDED: bool = false;
+    type Out = Vec<usize>;
+    fn out(values: impl FnOnce() -> Vec<usize>) -> Vec<usize> {
+        values()
+    }
+}
 
-count_param!(
-    /// Number of elements sent to each rank (in-parameter form).
-    wrapper = SendCounts, out = SendCountsOut, slot = SendCountsSlot,
-    factory = send_counts, factory_owned = send_counts_owned, factory_out = send_counts_out
-);
-
-count_param!(
-    /// Element offset at which each rank's received block starts.
-    wrapper = RecvDispls, out = RecvDisplsOut, slot = RecvDisplsSlot,
-    factory = recv_displs, factory_owned = recv_displs_owned, factory_out = recv_displs_out
-);
-
-count_param!(
-    /// Element offset at which each rank's outgoing block starts.
-    wrapper = SendDispls, out = SendDisplsOut, slot = SendDisplsSlot,
-    factory = send_displs, factory_owned = send_displs_owned, factory_out = send_displs_out
-);
+impl<C: AsRef<[usize]>> CountSlot for Counts<C> {
+    const PROVIDED: bool = true;
+    type Out = Absent;
+    fn provided(&self) -> &[usize] {
+        self.values.as_ref()
+    }
+    fn out(_values: impl FnOnce() -> Vec<usize>) -> Absent {
+        Absent
+    }
+}
 
 // ---------------------------------------------------------------------------
 // scalar parameters
 // ---------------------------------------------------------------------------
-
-/// The root rank of a rooted collective.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Root(pub usize);
-
-/// Names the root rank of a rooted collective.
-pub fn root(rank: usize) -> Root {
-    Root(rank)
-}
 
 /// The destination rank of a point-to-point send.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -403,28 +353,20 @@ pub fn any_source() -> Source {
     Source(kamping_mpi::ANY_SOURCE)
 }
 
-/// A message tag.
+/// A message tag, as a positional parameter ([`crate::Communicator::iprobe`]);
+/// calls that default the tag name it with their `.tag(..)` method.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TagParam(pub kamping_mpi::Tag);
 
-/// Names the message tag of a point-to-point operation.
+/// Names a message tag.
 pub fn tag(value: kamping_mpi::Tag) -> TagParam {
     TagParam(value)
-}
-
-/// Expected element count of a typed receive (used by `irecv`, where the
-/// value is needed before any message arrived).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct RecvCount(pub usize);
-
-/// Names the expected element count of a receive.
-pub fn recv_count(elements: usize) -> RecvCount {
-    RecvCount(elements)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::resize::ResizeToFit;
 
     #[test]
     fn send_buf_borrow_and_own() {
@@ -448,14 +390,14 @@ mod tests {
 
         // Borrowed with NoResize: too small errors, exact fits.
         let mut buf = vec![0u32; 1];
-        assert!(recv_buf(&mut buf).place(&wire).is_err());
+        assert!(RecvBuf::<_, NoResize>::new(&mut buf).place(&wire).is_err());
         let mut buf = vec![0u32; 2];
-        recv_buf(&mut buf).place(&wire).unwrap();
+        RecvBuf::<_, NoResize>::new(&mut buf).place(&wire).unwrap();
         assert_eq!(buf, vec![7, 8]);
 
         // Borrowed with ResizeToFit: grows.
-        let mut buf = Vec::new();
-        recv_buf_resize::<ResizeToFit, u32>(&mut buf)
+        let mut buf: Vec<u32> = Vec::new();
+        RecvBuf::<_, ResizeToFit>::new(&mut buf)
             .place(&wire)
             .unwrap();
         assert_eq!(buf, vec![7, 8]);
@@ -463,31 +405,32 @@ mod tests {
         // Owned: capacity reused, returned by value.
         let buf = Vec::with_capacity(16);
         let cap_before = buf.capacity();
-        let out = recv_buf_owned::<u32>(buf).place(&wire).unwrap();
+        let out = RecvBuf::<Vec<u32>, ResizeToFit>::new(buf)
+            .place(&wire)
+            .unwrap();
         assert_eq!(out, vec![7, 8]);
         assert_eq!(out.capacity(), cap_before);
     }
 
     #[test]
     fn count_slots_report_presence() {
-        fn provided<S: RecvCountsSlot>(s: &S) -> bool {
-            let _ = s;
+        fn provided<S: CountSlot>(_: &S) -> bool {
             S::PROVIDED
         }
         assert!(!provided(&Unset));
-        assert!(!provided(&recv_counts_out()));
+        assert!(!provided(&CountsOut));
         let c = [1usize, 2];
-        assert!(provided(&recv_counts(&c)));
-        assert_eq!(recv_counts(&c).provided(), &[1, 2]);
-        assert_eq!(recv_counts_owned(vec![3, 4]).provided(), &[3, 4]);
+        assert!(provided(&send_counts(&c)));
+        assert_eq!(send_counts(&c).provided(), &[1, 2]);
+        assert_eq!(send_counts_owned(vec![3, 4]).provided(), &[3, 4]);
     }
 
     #[test]
-    fn out_request_wraps_or_discards() {
-        const { assert!(<RecvCountsOut as OutRequest>::REQUESTED) };
-        assert_eq!(<RecvCountsOut as OutRequest>::wrap(vec![1]), vec![1]);
-        const { assert!(!<Unset as OutRequest>::REQUESTED) };
-        let _: Absent = <Unset as OutRequest>::wrap(vec![1]);
+    fn out_slots_wrap_or_discard() {
+        assert_eq!(<CountsOut as CountSlot>::out(|| vec![1]), vec![1]);
+        let never = || -> Vec<usize> { unreachable!("not requested, not computed") };
+        let _: Absent = <Unset as CountSlot>::out(never);
+        let _: Absent = <Counts<&[usize]> as CountSlot>::out(never);
     }
 
     #[test]
@@ -503,11 +446,9 @@ mod tests {
 
     #[test]
     fn scalar_params() {
-        assert_eq!(root(3), Root(3));
         assert_eq!(destination(1), Destination(1));
         assert_eq!(source(0), Source(0));
         assert_eq!(any_source(), Source(kamping_mpi::ANY_SOURCE));
         assert_eq!(tag(9), TagParam(9));
-        assert_eq!(recv_count(42), RecvCount(42));
     }
 }

@@ -18,23 +18,20 @@ use crate::params::Absent;
 /// * `B` — the receive buffer (`Vec<T>`, or `()` when written through a
 ///   caller-provided reference),
 /// * `C` — receive counts (`Vec<usize>` or [`Absent`]),
-/// * `D` — receive displacements (`Vec<usize>` or [`Absent`]),
-/// * `S` — send displacements (`Vec<usize>` or [`Absent`]).
+/// * `D` — receive displacements (`Vec<usize>` or [`Absent`]).
 #[derive(Debug)]
-pub struct CallResult<B, C = Absent, D = Absent, S = Absent> {
+pub struct CallResult<B, C = Absent, D = Absent> {
     pub(crate) recv: Option<B>,
     pub(crate) counts: Option<C>,
     pub(crate) displs: Option<D>,
-    pub(crate) send_displs: Option<S>,
 }
 
-impl<B, C, D, S> CallResult<B, C, D, S> {
-    pub(crate) fn new(recv: B, counts: C, displs: D, send_displs: S) -> Self {
+impl<B, C, D> CallResult<B, C, D> {
+    pub(crate) fn new(recv: B, counts: C, displs: D) -> Self {
         Self {
             recv: Some(recv),
             counts: Some(counts),
             displs: Some(displs),
-            send_displs: Some(send_displs),
         }
     }
 
@@ -66,29 +63,8 @@ impl<B, C, D, S> CallResult<B, C, D, S> {
             .expect("receive displacements already extracted")
     }
 
-    /// Moves the send displacements out of the result.
-    ///
-    /// # Panics
-    /// Panics if they were already extracted.
-    pub fn extract_send_displs(&mut self) -> S {
-        self.send_displs
-            .take()
-            .expect("send displacements already extracted")
-    }
-
-    /// Decomposes into every slot (structured-bindings analog).
-    pub fn into_parts4(mut self) -> (B, C, D, S) {
-        (
-            self.extract_recv_buf(),
-            self.extract_recv_counts(),
-            self.extract_recv_displs(),
-            self.extract_send_displs(),
-        )
-    }
-}
-
-impl<B, C, D> CallResult<B, C, D, Absent> {
-    /// Decomposes into (recv buffer, counts, displacements).
+    /// Decomposes into (recv buffer, counts, displacements) — the
+    /// structured-bindings analog.
     pub fn into_parts3(mut self) -> (B, C, D) {
         (
             self.extract_recv_buf(),
@@ -98,14 +74,14 @@ impl<B, C, D> CallResult<B, C, D, Absent> {
     }
 }
 
-impl<B, C> CallResult<B, C, Absent, Absent> {
+impl<B, C> CallResult<B, C, Absent> {
     /// Decomposes into (recv buffer, counts).
     pub fn into_parts2(mut self) -> (B, C) {
         (self.extract_recv_buf(), self.extract_recv_counts())
     }
 }
 
-impl<B> CallResult<B, Absent, Absent, Absent> {
+impl<B> CallResult<B, Absent, Absent> {
     /// Takes the receive buffer — the whole result when nothing else was
     /// requested.
     pub fn into_recv_buf(mut self) -> B {
@@ -119,8 +95,7 @@ mod tests {
 
     #[test]
     fn extraction_moves_each_slot_once() {
-        let mut r: CallResult<Vec<u8>, Vec<usize>, Absent, Absent> =
-            CallResult::new(vec![1, 2], vec![3], Absent, Absent);
+        let mut r: CallResult<Vec<u8>, Vec<usize>> = CallResult::new(vec![1, 2], vec![3], Absent);
         assert_eq!(r.extract_recv_buf(), vec![1, 2]);
         assert_eq!(r.extract_recv_counts(), vec![3]);
     }
@@ -128,26 +103,21 @@ mod tests {
     #[test]
     #[should_panic(expected = "already extracted")]
     fn double_extraction_panics() {
-        let mut r: CallResult<Vec<u8>> = CallResult::new(vec![1], Absent, Absent, Absent);
+        let mut r: CallResult<Vec<u8>> = CallResult::new(vec![1], Absent, Absent);
         let _ = r.extract_recv_buf();
         let _ = r.extract_recv_buf();
     }
 
     #[test]
     fn into_parts_variants() {
-        let r: CallResult<Vec<u8>> = CallResult::new(vec![9], Absent, Absent, Absent);
+        let r: CallResult<Vec<u8>> = CallResult::new(vec![9], Absent, Absent);
         assert_eq!(r.into_recv_buf(), vec![9]);
 
-        let r: CallResult<Vec<u8>, Vec<usize>> = CallResult::new(vec![9], vec![1], Absent, Absent);
+        let r: CallResult<Vec<u8>, Vec<usize>> = CallResult::new(vec![9], vec![1], Absent);
         assert_eq!(r.into_parts2(), (vec![9], vec![1]));
 
         let r: CallResult<Vec<u8>, Vec<usize>, Vec<usize>> =
-            CallResult::new(vec![9], vec![1], vec![0], Absent);
+            CallResult::new(vec![9], vec![1], vec![0]);
         assert_eq!(r.into_parts3(), (vec![9], vec![1], vec![0]));
-
-        let r: CallResult<Vec<u8>, Vec<usize>, Vec<usize>, Vec<usize>> =
-            CallResult::new(vec![9], vec![1], vec![0], vec![7]);
-        let (b, c, d, s) = r.into_parts4();
-        assert_eq!((b, c, d, s), (vec![9], vec![1], vec![0], vec![7]));
     }
 }

@@ -99,6 +99,235 @@
 //!     comm.bcast().call().unwrap();
 //! });
 //! ```
+//!
+//! The remaining required parameters, one pair per operation:
+//!
+//! `send_buf` on `gather`, `scatter`, `alltoall`:
+//!
+//! ```
+//! # use kamping_repro::kamping::{self, prelude::*};
+//! kamping::run(2, |comm| {
+//!     let v = vec![comm.rank() as u64; 2];
+//!     comm.gather(send_buf(&v)).call().unwrap();
+//! });
+//! ```
+//! ```compile_fail,E0061
+//! # use kamping_repro::kamping::{self, prelude::*};
+//! kamping::run(2, |comm| {
+//!     let v = vec![comm.rank() as u64; 2];
+//!     comm.gather().call().unwrap();
+//! });
+//! ```
+//!
+//! ```
+//! # use kamping_repro::kamping::{self, prelude::*};
+//! kamping::run(2, |comm| {
+//!     let v = vec![comm.rank() as u64; 2 * (1 - comm.rank())];
+//!     comm.scatter(send_buf(&v)).call().unwrap();
+//! });
+//! ```
+//! ```compile_fail,E0061
+//! # use kamping_repro::kamping::{self, prelude::*};
+//! kamping::run(2, |comm| {
+//!     let v = vec![comm.rank() as u64; 2 * (1 - comm.rank())];
+//!     comm.scatter().call().unwrap();
+//! });
+//! ```
+//!
+//! ```
+//! # use kamping_repro::kamping::{self, prelude::*};
+//! kamping::run(2, |comm| {
+//!     let v = vec![comm.rank() as u64; 2];
+//!     comm.alltoall(send_buf(&v)).call().unwrap();
+//! });
+//! ```
+//! ```compile_fail,E0061
+//! # use kamping_repro::kamping::{self, prelude::*};
+//! kamping::run(2, |comm| {
+//!     let v = vec![comm.rank() as u64; 2];
+//!     comm.alltoall().call().unwrap();
+//! });
+//! ```
+//!
+//! `send_buf` and the operation on `reduce`, `allreduce`:
+//!
+//! ```
+//! # use kamping_repro::kamping::{self, prelude::*};
+//! kamping::run(2, |comm| {
+//!     let v = vec![comm.rank() as u64; 2];
+//!     comm.reduce(send_buf(&v)).op(|a: u64, b: u64| a + b).call().unwrap();
+//! });
+//! ```
+//! ```compile_fail,E0061
+//! # use kamping_repro::kamping::{self, prelude::*};
+//! kamping::run(2, |comm| {
+//!     let v = vec![comm.rank() as u64; 2];
+//!     comm.reduce().op(|a: u64, b: u64| a + b).call().unwrap();
+//! });
+//! ```
+//! ```compile_fail,E0277
+//! # use kamping_repro::kamping::{self, prelude::*};
+//! kamping::run(2, |comm| {
+//!     let v = vec![comm.rank() as u64; 2];
+//!     comm.reduce(send_buf(&v)).call().unwrap();
+//! });
+//! ```
+//!
+//! ```
+//! # use kamping_repro::kamping::{self, prelude::*};
+//! kamping::run(2, |comm| {
+//!     let v = vec![comm.rank() as u64; 2];
+//!     comm.allreduce(send_buf(&v)).op(|a: u64, b: u64| a + b).call().unwrap();
+//! });
+//! ```
+//! ```compile_fail,E0061
+//! # use kamping_repro::kamping::{self, prelude::*};
+//! kamping::run(2, |comm| {
+//!     let v = vec![comm.rank() as u64; 2];
+//!     comm.allreduce().op(|a: u64, b: u64| a + b).call().unwrap();
+//! });
+//! ```
+//! ```compile_fail,E0277
+//! # use kamping_repro::kamping::{self, prelude::*};
+//! kamping::run(2, |comm| {
+//!     let v = vec![comm.rank() as u64; 2];
+//!     comm.allreduce(send_buf(&v)).call().unwrap();
+//! });
+//! ```
+//!
+//! `source` on `recv` and `irecv`, `send_buf` and `destination` on `isend`:
+//!
+//! ```
+//! # use kamping_repro::kamping::{self, prelude::*};
+//! kamping::run(2, |comm| {
+//!     let peer = 1 - comm.rank();
+//!     let sent = comm.isend(send_buf_owned(vec![7u64]), destination(peer)).call().unwrap();
+//!     comm.recv::<u64>(source(peer)).call().unwrap();
+//!     sent.wait().unwrap();
+//! });
+//! ```
+//! ```compile_fail,E0061
+//! # use kamping_repro::kamping::{self, prelude::*};
+//! kamping::run(2, |comm| {
+//!     let peer = 1 - comm.rank();
+//!     comm.recv::<u64>().call().unwrap();
+//! });
+//! ```
+//! ```compile_fail,E0061
+//! # use kamping_repro::kamping::{self, prelude::*};
+//! kamping::run(2, |comm| {
+//!     let peer = 1 - comm.rank();
+//!     comm.isend(destination(peer)).call().unwrap();
+//! });
+//! ```
+//! ```compile_fail,E0061
+//! # use kamping_repro::kamping::{self, prelude::*};
+//! kamping::run(2, |comm| {
+//!     let peer = 1 - comm.rank();
+//!     comm.isend(send_buf_owned(vec![7u64])).call().unwrap();
+//! });
+//! ```
+//!
+//! ```
+//! # use kamping_repro::kamping::{self, prelude::*};
+//! kamping::run(2, |comm| {
+//!     let peer = 1 - comm.rank();
+//!     let pending = comm.irecv::<u64>(source(peer)).call().unwrap();
+//!     comm.send(send_buf(&[7u64]), destination(peer)).call().unwrap();
+//!     pending.wait().unwrap();
+//! });
+//! ```
+//! ```compile_fail,E0061
+//! # use kamping_repro::kamping::{self, prelude::*};
+//! kamping::run(2, |comm| {
+//!     let peer = 1 - comm.rank();
+//!     comm.irecv::<u64>().call().unwrap();
+//! });
+//! ```
+//!
+//! # Parameters an operation would ignore are rejected too (§III-G)
+//!
+//! Every named parameter is one method of the call engine
+//! ([`kamping::call::Call`]), available only on the operations that
+//! declare it ([`kamping::call::Takes`] and friends; DESIGN.md has the
+//! table). Naming it on any other operation does not compile, instead of
+//! being accepted and dropped. Each pair is the nearest call that does
+//! take the parameter and the one that does not.
+//!
+//! `root` belongs to `reduce`, not `allreduce` (likewise `scan`, `exscan`):
+//!
+//! ```
+//! # use kamping_repro::kamping::{self, prelude::*};
+//! kamping::run(2, |comm| {
+//!     let v = vec![comm.rank() as u64; 2];
+//!     comm.reduce(send_buf(&v)).op(|a: u64, b: u64| a + b).root(1).call().unwrap();
+//! });
+//! ```
+//! ```compile_fail,E0277
+//! # use kamping_repro::kamping::{self, prelude::*};
+//! kamping::run(2, |comm| {
+//!     let v = vec![comm.rank() as u64; 2];
+//!     comm.allreduce(send_buf(&v)).op(|a: u64, b: u64| a + b).root(1).call().unwrap();
+//! });
+//! ```
+//!
+//! `recv_counts` belongs to `allgatherv`, not `allgather`:
+//!
+//! ```
+//! # use kamping_repro::kamping::{self, prelude::*};
+//! kamping::run(2, |comm| {
+//!     let (v, c) = (vec![comm.rank() as u64; 2], [2usize, 2]);
+//!     comm.allgatherv(send_buf(&v)).recv_counts(&c).call().unwrap();
+//! });
+//! ```
+//! ```compile_fail,E0277
+//! # use kamping_repro::kamping::{self, prelude::*};
+//! kamping::run(2, |comm| {
+//!     let (v, c) = (vec![comm.rank() as u64; 2], [2usize, 2]);
+//!     comm.allgather(send_buf(&v)).recv_counts(&c).call().unwrap();
+//! });
+//! ```
+//!
+//! `recv_displs` belongs to `alltoallv`, not `alltoall` or `gather`:
+//!
+//! ```
+//! # use kamping_repro::kamping::{self, prelude::*};
+//! kamping::run(2, |comm| {
+//!     let (v, c, d) = (vec![comm.rank() as u64; 2], [1usize, 1], [1usize, 0]);
+//!     comm.alltoallv(send_buf(&v), send_counts(&c)).recv_displs(&d).call().unwrap();
+//! });
+//! ```
+//! ```compile_fail,E0277
+//! # use kamping_repro::kamping::{self, prelude::*};
+//! kamping::run(2, |comm| {
+//!     let (v, c, d) = (vec![comm.rank() as u64; 2], [1usize, 1], [1usize, 0]);
+//!     comm.alltoall(send_buf(&v)).recv_displs(&d).call().unwrap();
+//! });
+//! ```
+//! ```compile_fail,E0277
+//! # use kamping_repro::kamping::{self, prelude::*};
+//! kamping::run(2, |comm| {
+//!     let (v, c, d) = (vec![comm.rank() as u64; 2], [1usize, 1], [1usize, 0]);
+//!     comm.gather(send_buf(&v)).recv_displs(&d).call().unwrap();
+//! });
+//! ```
+//!
+//! `recv_buf` belongs to the calls with a separate receive buffer, not `bcast`:
+//!
+//! ```
+//! # use kamping_repro::kamping::{self, prelude::*};
+//! kamping::run(2, |comm| {
+//!     let (mut v, mut out) = (vec![comm.rank() as u64], vec![0u64; 2]);
+//!     comm.allgather(send_buf(&v)).recv_buf(&mut out).call().unwrap();
+//! });
+//! ```
+//! ```compile_fail,E0277
+//! # use kamping_repro::kamping::{self, prelude::*};
+//! kamping::run(2, |comm| {
+//!     let (mut v, mut out) = (vec![comm.rank() as u64], vec![0u64; 2]);
+//!     comm.bcast(send_recv_buf(&mut v)).recv_buf(&mut out).call().unwrap();
+//! });
+//! ```
 
 pub use kamping;
 pub use kamping_graphs;
