@@ -172,6 +172,7 @@ impl<T: PodType> Call<'_, Recv<T>> {
     pub fn call(self) -> KResult<(Vec<T>, Status)> {
         let (bytes, status) = self.comm.raw().recv(self.op.src, self.op.tag)?;
         let data = bytes_to_pods::<T>(&bytes)?;
+        self.comm.raw().count_payload(bytes.len(), 1, 1);
         check_expected(&data, self.op.expected)?;
         Ok((data, status))
     }

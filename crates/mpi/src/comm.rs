@@ -303,6 +303,21 @@ impl RawComm {
     pub fn profile(&self) -> crate::profile::ProfileSnapshot {
         self.state.profile()
     }
+
+    /// Freezes this rank's whole stats block (counters beyond the always-on
+    /// profile move only while `KAMPING_METRICS` is on).
+    pub fn metrics(&self) -> crate::metrics::MetricsSnapshot {
+        self.state.trace.rank(self.my_global_rank()).snapshot()
+    }
+
+    /// Reports to this rank's `payload_bytes_copied` / `payload_allocs`
+    /// that a binding layer copied a `len`-byte payload `copies` times and
+    /// allocated `allocs` payload-sized buffers between the substrate and
+    /// the caller (inline-sized payloads are not counted).
+    pub fn count_payload(&self, len: usize, copies: u64, allocs: u64) {
+        let me = self.my_global_rank();
+        self.state.trace.payload_moved(me, len, copies, allocs);
+    }
 }
 
 /// Discriminates the derivation paths so e.g. a `dup` and a `split` at the

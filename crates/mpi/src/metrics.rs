@@ -134,6 +134,12 @@ named_cells! {
     StrategyHier => "strategy_hier",
     /// Allreduces dispatched to Rabenseifner reduce-scatter+allgather.
     StrategyRabenseifner => "strategy_raben",
+    /// Bytes of non-inline point-to-point payloads moved by a user-space
+    /// `memcpy` (send packing, wire, reassembly, bytes → `Vec<T>`); kernel
+    /// copies are not seen. Divided by `bytes_sent`: copies per message.
+    PayloadBytesCopied => "payload_bytes_copied",
+    /// Payload-sized buffers allocated on the same path.
+    PayloadAllocs => "payload_allocs",
 }
 
 named_cells! {

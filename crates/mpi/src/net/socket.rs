@@ -406,6 +406,8 @@ impl Shared {
                 if env_src >= self.size {
                     return; // protocol violation; drop
                 }
+                // Reassembly buffer, then `Frame::decode`'s `to_vec`.
+                self.trace.payload_moved(self.my_rank, payload.len(), 2, 1);
                 let ack = (ack_id != 0).then(|| {
                     let origin = env_src;
                     let me = self.me.clone();
@@ -832,6 +834,14 @@ impl Transport for SocketTransport {
             }
             None => 0,
         };
+        let (sh, len) = (&self.shared, envelope.payload.len());
+        // `to_vec` below, then ring: the ring write; socket: `Frame::encode`
+        // and `encode_prefixed`, each into a buffer of its own.
+        let (copies, allocs) = match sh.rings[dest].get() {
+            Some(_) => (2, 1),
+            None => (3, 3),
+        };
+        sh.trace.payload_moved(sh.my_rank, len, copies, allocs);
         let frame = Frame::Data {
             src: envelope.src,
             tag: envelope.tag,

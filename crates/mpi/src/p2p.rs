@@ -87,6 +87,7 @@ impl RawComm {
     pub fn send(&self, dest: usize, tag: Tag, payload: &[u8]) -> MpiResult<()> {
         let _op = self.record(Op::Send);
         let dest_global = self.check_dest(dest)?;
+        self.count_payload(payload.len(), 1, 1);
         self.post_to(dest_global, tag, Payload::from_slice(payload), None);
         Ok(())
     }

@@ -646,6 +646,17 @@ impl TraceCtx {
         }
     }
 
+    /// Seam: on `rank`'s behalf a `len`-byte point-to-point payload was
+    /// copied `copies` times in user space and `allocs` payload-sized
+    /// buffers were allocated for it. Inline payloads are not counted.
+    #[inline]
+    pub(crate) fn payload_moved(&self, rank: usize, len: usize, copies: u64, allocs: u64) {
+        if len > crate::transport::INLINE_CAP {
+            self.count(rank, Counter::PayloadBytesCopied, copies * len as u64);
+            self.count(rank, Counter::PayloadAllocs, allocs);
+        }
+    }
+
     /// Adds `v` to one of `rank`'s counters (while [`METRICS`] is set).
     #[inline]
     pub fn count(&self, rank: usize, c: Counter, v: u64) {

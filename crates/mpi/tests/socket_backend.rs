@@ -735,6 +735,73 @@ fn case_heartbeat_idle(comm: &RawComm) {
     comm.barrier().unwrap();
 }
 
+/// Satellite (copy budget): large typed messages to a receiver that is
+/// already waiting, with the user-space copies and the payload-sized
+/// allocations of both processes counted by the library itself
+/// (`payload_bytes_copied`, `payload_allocs`; needs `KAMPING_METRICS`).
+/// Copies per message = bytes copied / bytes sent; the parent test names
+/// the exact pair this backend must hit in `KAMPING_TEST_BUDGET`.
+fn case_large_copy_budget(comm: &RawComm) {
+    use kamping::prelude::*;
+    use kamping_mpi::metrics::Counter;
+    const SIZES: [usize; 3] = [64 << 10, 256 << 10, 1 << 20];
+    const REPS: usize = 4;
+    const WORD: usize = std::mem::size_of::<u64>();
+    let budget = std::env::var("KAMPING_TEST_BUDGET").expect("parent names the budget");
+    let (copies, allocs) = budget.split_once(',').expect("copies,allocs");
+    let (copies, allocs): (u64, u64) = (copies.parse().unwrap(), allocs.parse().unwrap());
+
+    let typed = kamping::Communicator::new(comm.clone());
+    let pattern = |bytes: usize, rep: usize| -> Vec<u64> {
+        (0..bytes / WORD)
+            .map(|i| (i as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15) ^ rep as u64)
+            .collect()
+    };
+    let moved = |m: &kamping_mpi::metrics::MetricsSnapshot| {
+        [
+            m.counter(Counter::PayloadBytesCopied),
+            m.counter(Counter::PayloadAllocs),
+        ]
+    };
+    let before = moved(&comm.metrics());
+    for bytes in SIZES {
+        for rep in 0..REPS {
+            if comm.rank() == 0 {
+                // The receiver announces itself right before it blocks.
+                comm.recv(1, 1).unwrap();
+                let msg = pattern(bytes, rep);
+                typed
+                    .send(send_buf(&msg), destination(1))
+                    .tag(2)
+                    .call()
+                    .unwrap();
+            } else {
+                comm.send(0, 1, b"").unwrap();
+                let (got, status) = typed.recv::<u64>(source(0)).tag(2).call().unwrap();
+                assert_eq!(status.bytes, bytes);
+                assert!(got == pattern(bytes, rep), "{bytes}-byte message corrupted");
+            }
+        }
+    }
+    let after = moved(&comm.metrics());
+    let mine = [after[0] - before[0], after[1] - before[1]];
+    if comm.rank() == 1 {
+        let wire: Vec<u8> = mine.iter().flat_map(|v| v.to_le_bytes()).collect();
+        comm.send(0, 3, &wire).unwrap();
+        return;
+    }
+    let (theirs, _) = comm.recv(1, 3).unwrap();
+    let theirs = |i: usize| u64::from_le_bytes(theirs[i * 8..i * 8 + 8].try_into().unwrap());
+    let sent: u64 = SIZES.iter().map(|&b| (b * REPS) as u64).sum();
+    let msgs = (SIZES.len() * REPS) as u64;
+    assert_eq!(
+        (mine[0] + theirs(0), mine[1] + theirs(1)),
+        (copies * sent, allocs * msgs),
+        "(bytes copied, allocations) over {msgs} messages of {sent} bytes: \
+         expected {copies} copies and {allocs} allocations per message"
+    );
+}
+
 /// Acceptance check of the progress-engine rewrite: the number of OS
 /// threads per rank must be *independent of job size* (the old design
 /// spent a reader + writer thread pair per peer). Every rank exchanges a
@@ -844,6 +911,7 @@ fn worker_entry() {
         "traced_work" => case_traced_work(&comm),
         "heartbeat_idle" => case_heartbeat_idle(&comm),
         "thread_count" => case_thread_count(&comm),
+        "large_copy_budget" => case_large_copy_budget(&comm),
         other => panic!("unknown case {other:?}"),
     });
 }
@@ -1056,6 +1124,24 @@ fn socket_heartbeats_stay_out_of_message_counters() {
     assert_all_success("heartbeat_idle", &run_job("heartbeat_idle", 2, false));
 }
 
+/// Runs the copy-budget case with metrics on and the backend's exact
+/// (copies, allocations) per large message as the budget.
+fn copy_budget(backend: Backend, budget: &str) {
+    let env = [
+        ("KAMPING_METRICS", "1".to_string()),
+        ("KAMPING_TEST_BUDGET", budget.to_string()),
+    ];
+    let exits = run_job_full("large_copy_budget", 2, false, backend, &env);
+    assert_all_success("large_copy_budget", &exits);
+}
+
+#[test]
+fn socket_large_copy_budget() {
+    // Send packing, `to_vec`, `encode`, `encode_prefixed` | scratch ->
+    // reassembly, `decode`, bytes -> `Vec<T>`; kernel copies not counted.
+    copy_budget(Backend::Socket, "7,6");
+}
+
 #[test]
 fn socket_killed_rank_surfaces_and_survivors_recover() {
     let exits = run_job("kill_recovery", 4, false);
@@ -1192,6 +1278,13 @@ fn ring_collectives_survive_delay_chaos() {
 #[test]
 fn ring_revoke_interrupts_blocked_peers() {
     assert_all_success("revoke", &run_ring_job("revoke", 3));
+}
+
+#[test]
+fn ring_large_copy_budget() {
+    // Send packing, `to_vec`, ring write | reassembly, `decode`,
+    // bytes -> `Vec<T>`.
+    copy_budget(Backend::ShmXproc, "6,4");
 }
 
 #[test]
