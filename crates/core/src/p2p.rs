@@ -2,19 +2,35 @@
 //!
 //! The peer is positional ([`crate::destination`], [`crate::source`]); the
 //! named parameters are `.tag(..)` and, on receives, `.recv_count(..)`;
-//! send buffers work exactly as in the collectives. Non-blocking variants
-//! return the ownership-safe [`NonBlockingResult`] of §III-E.
+//! send buffers work exactly as in the collectives, and so does the
+//! blocking receive's `.recv_buf(..)` family (§III-C): the vector named
+//! there — or the one the call allocates — is the very buffer the substrate
+//! writes the message into ([`kamping_mpi::RawComm::recv_into`]).
+//! Non-blocking variants return the ownership-safe [`NonBlockingResult`] of
+//! §III-E.
+//!
+//! A receive buffer belongs on the receiving side only:
+//!
+//! ```compile_fail
+//! use kamping::prelude::*;
+//! kamping::run(1, |comm| {
+//!     let mut buf = vec![0u8; 1];
+//!     comm.send(send_buf(&[1u8]), destination(0)).recv_buf(&mut buf);
+//! });
+//! ```
 
 use std::marker::PhantomData;
 
 use kamping_mpi::{Status, Tag};
 
-use crate::call::{Call, Counted, Tagged};
+use crate::call::{role, Call, Counted, Tagged, Takes};
 use crate::communicator::Communicator;
 use crate::error::KResult;
-use crate::nonblocking::{check_expected, NonBlockingResult};
-use crate::params::{Destination, SendBuf, SendBufSlot, Source, TagParam, Unset};
-use crate::types::{bytes_to_pods, pod_as_bytes, PodType};
+use crate::nonblocking::NonBlockingResult;
+use crate::params::{
+    fill_slot, Destination, RecvBufSlot, SendBuf, SendBufSlot, Source, TagParam, Unset,
+};
+use crate::types::{pod_as_bytes, PodType};
 
 /// Default tag of point-to-point operations when none is named.
 pub const DEFAULT_TAG: Tag = 0;
@@ -66,6 +82,8 @@ impl<T> Tagged for Irecv<T> {
         &mut self.0.tag
     }
 }
+
+impl<T> Takes<role::RecvBuf> for Recv<T> {}
 
 impl<T> Counted for Recv<T> {
     fn expected_mut(&mut self) -> &mut Option<usize> {
@@ -167,14 +185,24 @@ impl<S> Call<'_, Send, S> {
     }
 }
 
-impl<T: PodType> Call<'_, Recv<T>> {
-    /// Executes the receive; returns the elements and the delivery status.
-    pub fn call(self) -> KResult<(Vec<T>, Status)> {
-        let (bytes, status) = self.comm.raw().recv(self.op.src, self.op.tag)?;
-        let data = bytes_to_pods::<T>(&bytes)?;
-        self.comm.raw().count_payload(bytes.len(), 1, 1);
-        check_expected(&data, self.op.expected)?;
-        Ok((data, status))
+impl<T: PodType, R: RecvBufSlot<T>> Call<'_, Recv<T>, Unset, R> {
+    /// Executes the receive; returns the elements — by value, or `()` when
+    /// they went to a borrowed `recv_buf` — and the delivery status.
+    pub fn call(self) -> KResult<(R::Out, Status)> {
+        let (raw, op) = (self.comm.raw(), self.op);
+        let mut got = 0;
+        let (out, status) = fill_slot(self.recv, |sink| {
+            let status = raw.recv_into(op.src, op.tag, sink)?;
+            raw.count_payload(status.bytes, 0, sink.grew as u64);
+            got = sink.n;
+            Ok::<_, kamping_mpi::MpiError>(status)
+        })?;
+        if op.expected.is_some_and(|n| n != got) {
+            return Err(crate::KampingError::InvalidArgument(
+                "received element count differs from recv_count",
+            ));
+        }
+        Ok((out, status))
     }
 }
 

@@ -22,10 +22,13 @@
 //! and the methods of `Call`.
 
 use std::marker::PhantomData;
+use std::mem::MaybeUninit;
 
-use crate::error::KResult;
-use crate::resize::{NoResize, ResizePolicy};
-use crate::types::{bytes_into_pods, bytes_to_pods, fill_pod_vec_from_bytes, PodType};
+use kamping_mpi::transport::Sink;
+
+use crate::error::{KResult, KampingError};
+use crate::resize::{NoResize, ResizePolicy, ResizeToFit};
+use crate::types::{bytes_to_pods, fill_pod_vec_from_bytes, pod_as_bytes, PodType};
 
 /// Type-level marker: this parameter slot was not supplied.
 pub struct Unset;
@@ -200,61 +203,159 @@ impl<B, P> RecvBuf<B, P> {
     }
 }
 
-fn decoded_len<T: PodType>(bytes: &[u8]) -> KResult<usize> {
-    if T::SIZE == 0 {
-        return Ok(0);
+/// A receive buffer slot's vector as the owned destination the substrate
+/// writes into ([`Sink`]): the policy `P` makes the room, once the length
+/// of the message is known, and the bytes then land in the vector itself —
+/// from an envelope, or straight off the wire when the receive was posted.
+pub(crate) struct VecSink<T, P> {
+    buf: Vec<T>,
+    /// Elements of the payload last made room for.
+    pub(crate) n: usize,
+    /// Why `reserve` refused a payload, if it did.
+    refused: Option<KampingError>,
+    /// Whether making room allocated.
+    pub(crate) grew: bool,
+    _policy: PhantomData<P>,
+}
+
+impl<T, P> Default for VecSink<T, P> {
+    fn default() -> Self {
+        VecSink {
+            buf: Vec::new(),
+            n: 0,
+            refused: None,
+            grew: false,
+            _policy: PhantomData,
+        }
     }
-    if !bytes.len().is_multiple_of(T::SIZE) {
-        return Err(crate::KampingError::InvalidArgument(
-            "byte length not a multiple of element size",
-        ));
+}
+
+impl<T: PodType, P: ResizePolicy> Sink for VecSink<T, P> {
+    fn reserve(&mut self, len: usize) -> bool {
+        let capacity = self.buf.capacity();
+        let fits = if T::SIZE == 0 || !len.is_multiple_of(T::SIZE) {
+            Err(KampingError::InvalidArgument(
+                "byte length not a multiple of element size",
+            ))
+        } else if P::EXACT_FIT {
+            // No zero-fill: the elements are written exactly once.
+            self.buf.clear();
+            self.buf.reserve(len / T::SIZE);
+            Ok(())
+        } else {
+            P::prepare(&mut self.buf, len / T::SIZE, T::zeroed())
+        };
+        self.n = len.checked_div(T::SIZE).unwrap_or(0);
+        self.grew = self.buf.capacity() != capacity;
+        self.refused = fits.err();
+        self.refused.is_none()
     }
-    Ok(bytes.len() / T::SIZE)
+
+    fn spare(&mut self, len: usize) -> &mut [MaybeUninit<u8>] {
+        assert!(len == self.n * T::SIZE && self.n <= self.buf.capacity());
+        // SAFETY: the first `n` elements lie within the allocation
+        // (asserted), `T` has no padding, and `MaybeUninit<u8>` may hold
+        // whatever is there now.
+        unsafe { std::slice::from_raw_parts_mut(self.buf.as_mut_ptr().cast(), len) }
+    }
+
+    unsafe fn commit(&mut self, _len: usize) {
+        if P::EXACT_FIT {
+            // SAFETY: the caller wrote all `n` elements' bytes, and every
+            // bit pattern is a valid `T`.
+            self.buf.set_len(self.n);
+        }
+    }
+
+    fn filled(&self, _len: usize) -> &[u8] {
+        pod_as_bytes(&self.buf[..self.n])
+    }
 }
 
 /// Extraction of a receive buffer slot.
-pub trait RecvBufSlot<T: PodType> {
+pub trait RecvBufSlot<T: PodType>: Sized {
     /// `Vec<T>` when the call returns the data by value, `()` when it was
     /// written through a caller-provided reference.
     type Out;
+    /// How the slot's vector adapts to the incoming size.
+    type Policy: ResizePolicy;
+    /// Lends out the slot's vector (an empty one if the slot is unset).
+    fn lend(&mut self) -> Vec<T>;
+    /// Takes the vector back, `n` elements received, and finalizes the slot.
+    fn restore(self, buf: Vec<T>, n: usize) -> Self::Out;
+
     /// Decodes `bytes` into the destination and finalizes the slot.
-    fn place(self, bytes: &[u8]) -> KResult<Self::Out>;
+    fn place(self, bytes: &[u8]) -> KResult<Self::Out> {
+        let put = |sink: &mut VecSink<T, Self::Policy>| -> KResult<()> {
+            if sink.reserve(bytes.len()) {
+                let room = sink.spare(bytes.len());
+                // SAFETY: `room` is `bytes.len()` long and a different
+                // allocation; `commit` follows the write of all of it.
+                unsafe {
+                    let at = room.as_mut_ptr().cast();
+                    std::ptr::copy_nonoverlapping(bytes.as_ptr(), at, bytes.len());
+                    sink.commit(bytes.len());
+                }
+            }
+            Ok(())
+        };
+        fill_slot(self, put).map(|(out, ())| out)
+    }
+}
+
+/// Receives into `slot` through `fill`, which is handed the slot's vector
+/// as a sink; returns the finalized slot and `fill`'s own result. The
+/// vector goes back to its slot whatever happens.
+pub(crate) fn fill_slot<T: PodType, R: RecvBufSlot<T>, X, E: Into<KampingError>>(
+    mut slot: R,
+    fill: impl FnOnce(&mut VecSink<T, R::Policy>) -> Result<X, E>,
+) -> KResult<(R::Out, X)> {
+    let mut sink = VecSink {
+        buf: slot.lend(),
+        ..VecSink::default()
+    };
+    let filled = fill(&mut sink);
+    let out = slot.restore(sink.buf, sink.n);
+    let x = filled.map_err(Into::into)?;
+    match sink.refused {
+        Some(refusal) => Err(refusal),
+        None => Ok((out, x)),
+    }
 }
 
 impl<T: PodType> RecvBufSlot<T> for Unset {
     type Out = Vec<T>;
-    fn place(self, bytes: &[u8]) -> KResult<Vec<T>> {
-        bytes_to_pods(bytes)
+    type Policy = ResizeToFit;
+    fn lend(&mut self) -> Vec<T> {
+        Vec::new()
+    }
+    fn restore(self, buf: Vec<T>, _n: usize) -> Vec<T> {
+        buf
     }
 }
 
 impl<T: PodType, P: ResizePolicy> RecvBufSlot<T> for RecvBuf<&mut Vec<T>, P> {
     type Out = ();
-    fn place(self, bytes: &[u8]) -> KResult<()> {
-        if P::EXACT_FIT {
-            // No zero-fill: the buffer is overwritten wholesale.
-            fill_pod_vec_from_bytes(self.buf, bytes)
-        } else {
-            let needed = decoded_len::<T>(bytes)?;
-            P::prepare(self.buf, needed, T::zeroed())?;
-            bytes_into_pods(bytes, self.buf)?;
-            Ok(())
-        }
+    type Policy = P;
+    fn lend(&mut self) -> Vec<T> {
+        std::mem::take(self.buf)
+    }
+    fn restore(self, buf: Vec<T>, _n: usize) {
+        *self.buf = buf;
     }
 }
 
 impl<T: PodType, P: ResizePolicy> RecvBufSlot<T> for RecvBuf<Vec<T>, P> {
     type Out = Vec<T>;
-    fn place(mut self, bytes: &[u8]) -> KResult<Vec<T>> {
-        if P::EXACT_FIT {
-            fill_pod_vec_from_bytes(&mut self.buf, bytes)?;
-        } else {
-            let needed = decoded_len::<T>(bytes)?;
-            P::prepare(&mut self.buf, needed, T::zeroed())?;
-            bytes_into_pods(bytes, &mut self.buf)?;
-            self.buf.truncate(needed);
+    type Policy = P;
+    fn lend(&mut self) -> Vec<T> {
+        std::mem::take(&mut self.buf)
+    }
+    fn restore(self, mut buf: Vec<T>, n: usize) -> Vec<T> {
+        if !P::EXACT_FIT {
+            buf.truncate(n);
         }
-        Ok(self.buf)
+        buf
     }
 }
 

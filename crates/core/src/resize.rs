@@ -19,7 +19,7 @@ use crate::error::{KResult, KampingError};
 
 /// Compile-time policy deciding how a receive container adapts to incoming
 /// data of `needed` elements.
-pub trait ResizePolicy {
+pub trait ResizePolicy: Send + 'static {
     /// Human-readable policy name (diagnostics).
     const NAME: &'static str;
 

@@ -622,6 +622,10 @@ impl Transport for ChaosTransport {
         self.inner.locality(rank)
     }
 
+    fn max_payload(&self) -> usize {
+        self.inner.max_payload()
+    }
+
     fn control(&self, msg: ControlMsg) {
         // Control events (failure marks, barrier arrivals) pass through
         // unharmed: chaos injects faults into *data*, the failure-detection

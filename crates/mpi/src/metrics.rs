@@ -935,14 +935,12 @@ mod tests {
         ctx.observe(0, Hist::OpLatency, 3_000);
         ctx.observe(0, Hist::HeartbeatRtt, 900_000);
         for bytes in [100, 122] {
-            let envelope = Envelope {
+            let msg = MatchKey {
                 src: 0,
                 tag: 0,
                 ctx: 0,
-                payload: Payload::from_vec(vec![0; bytes]),
-                ack: None,
             };
-            ctx.posted(0, &envelope);
+            ctx.posted(0, msg, bytes);
         }
         drop(ctx.op(crate::Op::Bcast, 0));
         let snap = ctx.rank(0).snapshot();

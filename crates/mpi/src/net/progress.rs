@@ -8,18 +8,22 @@
 //! The loop is a single epoll instance:
 //!
 //! * **kick** — an eventfd rung by [`Engine::enqueue`] (any thread). A
-//!   sender never touches the wire: it appends the encoded frame to the
+//!   sender never touches the wire: it appends the frame — its encoded
+//!   head plus, for a data frame, the payload it already owns — to the
 //!   peer's outbound queue, marks the peer dirty, rings the doorbell and
 //!   returns. The progress thread moves dirty queues into per-connection
 //!   staging and writes.
 //! * **writes** — staged frames are drained with `writev`
-//!   ([`std::io::Write::write_vectored`]): a burst of small frames
-//!   coalesces into one syscall. `EPOLLOUT` interest exists only while a
+//!   ([`std::io::Write::write_vectored`]), head and payload as two slices:
+//!   a burst of small frames coalesces into one syscall and no payload is
+//!   copied into an encode buffer. `EPOLLOUT` interest exists only while a
 //!   write actually returned `WouldBlock`, so the fast path never sees
 //!   spurious writable events.
-//! * **reads** — inbound connections are parsed incrementally (length
-//!   prefix + body) from a per-connection buffer; a `Hello` pins the
-//!   peer's identity, everything after is handed to [`EngineHooks::on_frame`].
+//! * **reads** — every inbound connection has a
+//!   [`super::wire::FrameReader`]: a `Hello` pins the peer's identity,
+//!   control frames go to [`EngineHooks::on_frame`], and a data frame's
+//!   payload is `read` straight into the destination
+//!   [`EngineHooks::dest_for`] names once its header is in.
 //! * **timers** — the epoll timeout is the min of the next connect-retry
 //!   and the next idle-heartbeat deadline. Connect failures retry with
 //!   exponential backoff *inside the loop* (no sleeping thread); peers
@@ -40,9 +44,13 @@ use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
+use crate::transport::{Dest, MatchKey, Payload};
+
 use super::addr::{Addr, Listener, Stream};
-use super::sys::{Epoll, EpollEvent, EventFd, EPOLLERR, EPOLLHUP, EPOLLIN, EPOLLOUT};
-use super::wire::{encode_prefixed, Frame, MAX_FRAME};
+use super::sys::{read_fd, Epoll, EpollEvent, EventFd, EPOLLERR, EPOLLHUP, EPOLLIN, EPOLLOUT};
+use super::wire::{
+    corrupt, data_frame_header, encode_prefixed, Arrival, ByteSource, Frame, FrameReader,
+};
 
 /// An idle connection gets a `Ping` staged this often, so a dead peer's
 /// socket fails the write (and the failure is marked) within roughly one
@@ -64,28 +72,84 @@ const RETRY_CAP: Duration = Duration::from_millis(100);
 const FLUSH_DEADLINE: Duration = Duration::from_secs(10);
 
 /// Cap on slices per `writev` (Linux caps at `IOV_MAX` = 1024; 64 keeps
-/// the stack array small while still coalescing a healthy burst).
+/// the array small while still coalescing a healthy burst). A frame is up
+/// to two slices.
 const MAX_IOVS: usize = 64;
 
 const TOKEN_KICK: u64 = 0;
 const TOKEN_LISTENER: u64 = 1;
 const TOKEN_CONN_BASE: u64 = 2;
 
-/// One encoded, length-prefixed frame awaiting the wire, with enough
-/// metadata to settle its synchronous-send ack if it is dropped instead.
+/// One length-prefixed frame awaiting the wire, with enough metadata to
+/// settle its synchronous-send ack if it is dropped instead.
 pub(crate) struct OutFrame {
-    /// Length prefix + body, ready for `writev`.
-    pub bytes: Vec<u8>,
+    /// Length prefix + encoded frame; of a data frame, its fixed part.
+    head: Vec<u8>,
+    /// A data frame's payload (empty otherwise), as the envelope held it.
+    payload: Payload,
     /// Ack-registry key when the frame carries a synchronous-mode send;
     /// 0 otherwise.
-    pub ack_id: u64,
+    ack_id: u64,
+}
+
+impl OutFrame {
+    /// A non-data frame.
+    pub fn control(frame: &Frame) -> Self {
+        Self {
+            head: encode_prefixed(frame),
+            payload: Payload::from_slice(&[]),
+            ack_id: 0,
+        }
+    }
+
+    /// The data frame of message `msg`.
+    pub fn data(msg: MatchKey, ack_id: u64, payload: Payload) -> Self {
+        let head = data_frame_header(msg.src, msg.tag, msg.ctx, ack_id, payload.len());
+        Self {
+            head: head.to_vec(),
+            payload,
+            ack_id,
+        }
+    }
+
+    fn len(&self) -> usize {
+        self.head.len() + self.payload.len()
+    }
+
+    /// The frame's two slices past its first `off` bytes.
+    fn parts(&self, off: usize) -> [&[u8]; 2] {
+        let h = off.min(self.head.len());
+        [&self.head[h..], &self.payload.as_slice()[off - h..]]
+    }
+}
+
+/// A non-blocking socket as the byte source of a [`FrameReader`].
+struct FdSource(std::os::fd::RawFd);
+
+// SAFETY: `read_fd` returns how many leading bytes of `dst` the kernel wrote.
+unsafe impl ByteSource for FdSource {
+    fn read(&mut self, dst: &mut [std::mem::MaybeUninit<u8>]) -> io::Result<usize> {
+        loop {
+            match read_fd(self.0, dst) {
+                Ok(0) if !dst.is_empty() => return Err(io::ErrorKind::UnexpectedEof.into()),
+                Err(e) if e.kind() == io::ErrorKind::WouldBlock => return Ok(0),
+                Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
+                other => return other,
+            }
+        }
+    }
 }
 
 /// What the engine reports back into the transport. All calls come from
 /// the progress thread.
 pub(crate) trait EngineHooks: Send + Sync {
-    /// A complete frame arrived from identified peer `src`.
+    /// A complete non-data frame arrived from identified peer `src`.
     fn on_frame(&self, src: usize, frame: Frame);
+    /// The header of message `msg` is in: where do its `len` payload bytes
+    /// go? `None` if `msg` cannot be for this rank (the link is dropped).
+    fn dest_for(&self, msg: MatchKey, len: usize) -> Option<Dest>;
+    /// The message `msg` has arrived whole in the `dest` named for it.
+    fn on_data(&self, msg: MatchKey, ack_id: u64, dest: Dest);
     /// The link to `rank` is gone (connect gave up, write failed, EOF).
     /// `dropped_acks` are the ack ids of synchronous sends that were still
     /// queued or staged — the transport settles them locally so no sender
@@ -277,8 +341,7 @@ struct InConn {
     /// Identified by its `Hello`; frames before identification are a
     /// protocol violation.
     src: Option<usize>,
-    buf: Vec<u8>,
-    pos: usize,
+    reader: FrameReader,
 }
 
 enum ConnKind {
@@ -504,10 +567,7 @@ impl LoopState {
                 ..
             }) = self.conns.get_mut(&token)
             {
-                o.staging.push_back(OutFrame {
-                    bytes: encode_prefixed(&Frame::Ping),
-                    ack_id: 0,
-                });
+                o.staging.push_back(OutFrame::control(&Frame::Ping));
             }
             self.write_out(token);
         }
@@ -551,10 +611,7 @@ impl LoopState {
         }
         self.hooks.on_control_sent(rank, "hello");
         let mut staging = VecDeque::new();
-        staging.push_back(OutFrame {
-            bytes: encode_prefixed(&Frame::Hello { rank: self.my_rank }),
-            ack_id: 0,
-        });
+        staging.push_back(OutFrame::control(&Frame::Hello { rank: self.my_rank }));
         {
             let mut o = self.sh.peers[rank].lock().expect("outbound poisoned");
             staging.extend(o.queue.drain(..));
@@ -642,12 +699,16 @@ impl LoopState {
             let ConnKind::Out(o) = kind else { return };
             let mut blocked = false;
             'drain: while !o.staging.is_empty() {
-                let mut iovs: Vec<IoSlice<'_>> = Vec::with_capacity(o.staging.len().min(MAX_IOVS));
-                let mut it = o.staging.iter();
-                let front = it.next().expect("staging nonempty");
-                iovs.push(IoSlice::new(&front.bytes[o.front_off..]));
-                for f in it.take(MAX_IOVS - 1) {
-                    iovs.push(IoSlice::new(&f.bytes));
+                let mut iovs: Vec<IoSlice<'_>> =
+                    Vec::with_capacity((2 * o.staging.len()).min(MAX_IOVS));
+                for (i, f) in o.staging.iter().take(MAX_IOVS / 2).enumerate() {
+                    let parts = f.parts(if i == 0 { o.front_off } else { 0 });
+                    iovs.extend(
+                        parts
+                            .into_iter()
+                            .filter(|p| !p.is_empty())
+                            .map(IoSlice::new),
+                    );
                 }
                 match stream.write_vectored(&iovs) {
                     Ok(0) => {
@@ -659,8 +720,7 @@ impl LoopState {
                         o.last_write = Instant::now();
                         while n > 0 {
                             let front_remaining =
-                                o.staging.front().expect("bytes imply frames").bytes.len()
-                                    - o.front_off;
+                                o.staging.front().expect("bytes imply frames").len() - o.front_off;
                             if n >= front_remaining {
                                 o.staging.pop_front();
                                 n -= front_remaining;
@@ -697,119 +757,57 @@ impl LoopState {
         }
     }
 
-    /// Reads an inbound connection until `WouldBlock`, parsing complete
-    /// frames out of the per-connection buffer.
+    /// Reads an inbound connection until it runs dry, handing on every
+    /// frame that completes. A stream that ends, breaks or stops following
+    /// the protocol closes the connection.
     fn read_in(&mut self, token: u64) {
-        let mut scratch = [0u8; 16 * 1024];
-        let mut dead = false;
-        loop {
-            let Some(conn) = self.conns.get_mut(&token) else {
-                return;
-            };
-            match conn.stream.read(&mut scratch) {
-                Ok(0) => {
-                    dead = true;
-                    break;
-                }
-                Ok(n) => {
-                    let ConnKind::In(i) = &mut conn.kind else {
-                        return;
-                    };
-                    i.buf.extend_from_slice(&scratch[..n]);
-                }
-                Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
-                Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
-                Err(_) => {
-                    dead = true;
-                    break;
-                }
-            }
-            if !self.parse_in(token) {
-                return; // connection killed by a protocol violation
-            }
-        }
-        if !self.parse_in(token) {
+        let Some(Conn {
+            stream,
+            kind: ConnKind::In(i),
+        }) = self.conns.get_mut(&token)
+        else {
             return;
-        }
-        if dead {
-            self.close_in(token);
-        }
-    }
-
-    /// Parses and dispatches every complete frame buffered on `token`.
-    /// Returns false if the connection was closed for a violation.
-    fn parse_in(&mut self, token: u64) -> bool {
-        loop {
-            let Some(Conn {
-                kind: ConnKind::In(i),
-                ..
-            }) = self.conns.get_mut(&token)
-            else {
-                return false;
-            };
-            let avail = i.buf.len() - i.pos;
-            if avail < 4 {
-                break;
-            }
-            let len =
-                u32::from_le_bytes(i.buf[i.pos..i.pos + 4].try_into().expect("4 bytes")) as usize;
-            if len > MAX_FRAME {
-                self.conns.remove(&token); // corrupt stream; drop silently
-                return false;
-            }
-            if avail - 4 < len {
-                break;
-            }
-            let frame = Frame::decode(&i.buf[i.pos + 4..i.pos + 4 + len]);
-            i.pos += 4 + len;
+        };
+        let (hooks, size) = (&self.hooks, self.size);
+        let mut io = FdSource(stream.raw_fd());
+        let mut frames = 0;
+        let end = loop {
             let src = i.src;
-            match (frame, src) {
-                (Ok(Frame::Hello { rank }), None) if rank < self.size => {
-                    let Some(Conn {
-                        kind: ConnKind::In(i),
-                        ..
-                    }) = self.conns.get_mut(&token)
-                    else {
-                        return false;
-                    };
+            // Only an identified peer's payloads are given a destination.
+            let dest_for = |msg, len| match src.and_then(|_| hooks.dest_for(msg, len)) {
+                Some(dest) => Ok(Some(dest)),
+                None => Err(corrupt("data frame from nowhere")),
+            };
+            match (i.reader.next(&mut io, dest_for), src) {
+                (Ok(None), _) => break Ok(()),
+                (Ok(Some(Arrival::Control(Frame::Hello { rank }))), None) if rank < size => {
                     i.src = Some(rank);
                 }
-                (Ok(frame), Some(src)) => {
-                    self.frames_this_iter += 1;
-                    self.hooks.on_frame(src, frame);
+                (Ok(Some(arrival)), Some(src)) => {
+                    frames += 1;
+                    match arrival {
+                        Arrival::Control(frame) => hooks.on_frame(src, frame),
+                        Arrival::Data { msg, ack_id, dest } => hooks.on_data(msg, ack_id, dest),
+                    }
                 }
-                // Bad hello, frame before hello, or undecodable bytes: a
-                // connection that cannot follow the protocol is not
-                // attributed to any rank — the rendezvous monitor covers
-                // real crashes. (Matches the seed recv loop.)
-                _ => {
-                    self.conns.remove(&token);
-                    return false;
-                }
+                // Bad hello or frame before hello: a connection that never
+                // identified itself is not attributed to any rank — the
+                // rendezvous monitor covers real crashes.
+                (Ok(Some(_)), None) => break Err(io::ErrorKind::InvalidData.into()),
+                (Err(e), _) => break Err(e),
             }
+        };
+        self.frames_this_iter += frames;
+        if end.is_err() {
+            self.close_in(token);
         }
-        // Compact the buffer once the parsed prefix dominates.
-        if let Some(Conn {
-            kind: ConnKind::In(i),
-            ..
-        }) = self.conns.get_mut(&token)
-        {
-            if i.pos == i.buf.len() {
-                i.buf.clear();
-                i.pos = 0;
-            } else if i.pos > 64 * 1024 {
-                i.buf.drain(..i.pos);
-                i.pos = 0;
-            }
-        }
-        true
     }
 
     fn close_in(&mut self, token: u64) {
         if let Some(conn) = self.conns.remove(&token) {
             if let ConnKind::In(InConn { src: Some(src), .. }) = conn.kind {
-                // EOF from an identified peer: clean if it finished (the
-                // transport checks), a failure otherwise.
+                // EOF or garbage from an identified peer: clean if it
+                // finished (the transport checks), a failure otherwise.
                 self.hooks.on_peer_gone(src, Vec::new());
             }
         }
@@ -846,9 +844,12 @@ impl LoopState {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::trace::TraceCtx;
+    use crate::transport::{Hub, Mailbox};
     use std::sync::mpsc::{channel, Receiver, Sender};
 
     struct Recorder {
+        mailbox: Mailbox,
         frames: Sender<(usize, Frame)>,
         gone: Sender<(usize, Vec<u64>)>,
         control: Sender<(usize, &'static str)>,
@@ -857,6 +858,23 @@ mod tests {
     impl EngineHooks for Recorder {
         fn on_frame(&self, src: usize, frame: Frame) {
             let _ = self.frames.send((src, frame));
+        }
+        fn dest_for(&self, msg: MatchKey, len: usize) -> Option<Dest> {
+            self.mailbox.dest_for(msg, len, false)
+        }
+        fn on_data(&self, msg: MatchKey, ack_id: u64, dest: Dest) {
+            // Through a mailbox and out again: what arrived, as the frame
+            // the sender encoded.
+            self.mailbox.land(msg, dest, None);
+            let got = self.mailbox.try_take(msg).expect("landed just now");
+            let frame = Frame::Data {
+                src: msg.src,
+                tag: msg.tag,
+                ctx: msg.ctx,
+                ack_id,
+                payload: got.payload.into_vec(),
+            };
+            let _ = self.frames.send((msg.src, frame));
         }
         fn on_peer_gone(&self, rank: usize, dropped_acks: Vec<u64>) {
             let _ = self.gone.send((rank, dropped_acks));
@@ -879,6 +897,7 @@ mod tests {
         let (ctx, crx) = channel();
         (
             Arc::new(Recorder {
+                mailbox: Mailbox::new(0, 2, Arc::new(Hub::new()), TraceCtx::disabled(2)),
                 frames: ftx,
                 gone: gtx,
                 control: ctx,
@@ -909,6 +928,13 @@ mod tests {
         }
     }
 
+    /// What `SocketTransport::post` queues for the envelope `data(..)`
+    /// describes.
+    fn data_out(src: usize, tag: u32, payload: &[u8], ack_id: u64) -> OutFrame {
+        let msg = MatchKey { src, tag, ctx: 0 };
+        OutFrame::data(msg, ack_id, Payload::from_slice(payload))
+    }
+
     #[test]
     fn frames_flow_between_two_engines_in_order() {
         let (addrs, l0, l1) = pair();
@@ -917,13 +943,7 @@ mod tests {
         let e0 = Engine::start(0, addrs.clone(), l0, hooks0).unwrap();
         let _e1 = Engine::start(1, addrs, l1, hooks1).unwrap();
         for i in 0..100u32 {
-            assert!(e0.enqueue(
-                1,
-                OutFrame {
-                    bytes: encode_prefixed(&data(0, i, b"payload")),
-                    ack_id: 0,
-                },
-            ));
+            assert!(e0.enqueue(1, data_out(0, i, b"payload", 0),));
         }
         for i in 0..100u32 {
             let (src, frame) = f1.recv_timeout(Duration::from_secs(10)).unwrap();
@@ -946,24 +966,12 @@ mod tests {
         let addrs = vec![Some(l0.local_addr().unwrap()), Some(dead)];
         let (hooks, _f, gone, _c) = recorder();
         let e = Engine::start(0, addrs, l0, hooks).unwrap();
-        assert!(e.enqueue(
-            1,
-            OutFrame {
-                bytes: encode_prefixed(&data(0, 1, b"x")),
-                ack_id: 77,
-            },
-        ));
+        assert!(e.enqueue(1, data_out(0, 1, b"x", 77),));
         let (rank, acks) = gone.recv_timeout(Duration::from_secs(10)).unwrap();
         assert_eq!(rank, 1);
         assert_eq!(acks, vec![77]);
         // Once gone, enqueue refuses immediately.
-        assert!(!e.enqueue(
-            1,
-            OutFrame {
-                bytes: encode_prefixed(&Frame::Ping),
-                ack_id: 0,
-            },
-        ));
+        assert!(!e.enqueue(1, OutFrame::control(&Frame::Ping),));
         e.shutdown();
     }
 
@@ -974,13 +982,7 @@ mod tests {
         let (hooks1, f1, _g1, _c1) = recorder();
         let e0 = Engine::start(0, addrs.clone(), l0, hooks0).unwrap();
         let _e1 = Engine::start(1, addrs, l1, hooks1).unwrap();
-        e0.enqueue(
-            1,
-            OutFrame {
-                bytes: encode_prefixed(&data(0, 1, b"warm")),
-                ack_id: 0,
-            },
-        );
+        e0.enqueue(1, data_out(0, 1, b"warm", 0));
         let _ = f1.recv_timeout(Duration::from_secs(10)).unwrap();
         // No further sends: the engine must ping on its own within ~one
         // heartbeat interval (generous bound for a loaded single-core box).
@@ -1010,13 +1012,7 @@ mod tests {
         let e0 = Engine::start(0, addrs.clone(), l0, hooks0).unwrap();
         let _e1 = Engine::start(1, addrs, l1, hooks1).unwrap();
         for i in 0..50u32 {
-            e0.enqueue(
-                1,
-                OutFrame {
-                    bytes: encode_prefixed(&data(0, i, &vec![7u8; 4096])),
-                    ack_id: 0,
-                },
-            );
+            e0.enqueue(1, data_out(0, i, &vec![7u8; 4096], 0));
         }
         // Immediate shutdown: every queued frame must still arrive.
         e0.shutdown();

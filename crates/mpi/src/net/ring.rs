@@ -27,7 +27,8 @@
 //! own cache line so the two sides never false-share. The payload is a raw
 //! byte stream of length-prefixed [`super::wire::Frame`]s — the *same*
 //! frame format as the socket wire, so a frame larger than the ring simply
-//! streams through it in chunks and the consumer reassembles it.
+//! streams through it in chunks, which the consumer moves straight to the
+//! payload's destination ([`super::wire::FrameReader`]).
 //!
 //! # Futex protocol
 //!
@@ -53,6 +54,7 @@
 
 use std::fs::{File, OpenOptions};
 use std::io;
+use std::mem::MaybeUninit;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU32, Ordering};
 use std::time::Duration;
@@ -182,26 +184,37 @@ impl Inbox {
         tail.wrapping_sub(head) as usize
     }
 
-    /// Drains up to `max` readable bytes from `src`'s ring into `out`,
-    /// releases the space, and wakes the producer if it is parked on it.
-    /// Returns the number of bytes appended.
+    /// Drains up to `max` readable bytes from `src`'s ring into `out`;
+    /// returns the number of bytes appended.
     pub fn recv_into(&self, src: usize, out: &mut Vec<u8>, max: usize) -> usize {
+        let want = self.readable(src).min(max);
+        out.reserve(want);
+        let n = self.read(src, &mut out.spare_capacity_mut()[..want]);
+        // SAFETY: `read` wrote the first `n` spare bytes.
+        unsafe { out.set_len(out.len() + n) };
+        n
+    }
+
+    /// Moves up to `dst.len()` readable bytes from `src`'s ring to the
+    /// front of `dst`, releases the space, and wakes the producer if it is
+    /// parked on it. Returns the number of bytes moved, all of them written.
+    pub fn read(&self, src: usize, dst: &mut [MaybeUninit<u8>]) -> usize {
         let base = ring_base(src, self.cap);
         let head_word = self.map.atomic_u32(base + HEAD);
         let head = head_word.load(Ordering::Relaxed);
         let tail = self.map.atomic_u32(base + TAIL).load(Ordering::Acquire);
-        let avail = (tail.wrapping_sub(head) as usize).min(max);
+        let avail = (tail.wrapping_sub(head) as usize).min(dst.len());
         if avail == 0 {
             return 0;
         }
         let off = head as usize & (self.cap - 1);
         let first = avail.min(self.cap - off);
         let data = base + RING_HDR;
+        // SAFETY: `[head, head + avail)` was published by the producer (the
+        // `Acquire` load of `tail`) and is released only below.
         unsafe {
-            self.map.read_bytes_at(data + off, first, out);
-            if first < avail {
-                self.map.read_bytes_at(data, avail - first, out);
-            }
+            self.map.read_bytes_at(data + off, &mut dst[..first]);
+            self.map.read_bytes_at(data, &mut dst[first..avail]);
         }
         head_word.store(head.wrapping_add(avail as u32), Ordering::SeqCst);
         if self

@@ -6,8 +6,9 @@
 //! heartbeat — is owned by a single [`super::progress::Engine`] thread, so
 //! the per-rank thread count is *flat in job size* (the seed design spent
 //! a reader + writer thread pair per peer). [`SocketTransport::post`]
-//! never touches the wire: it encodes the frame, appends it to the peer's
-//! outbound queue and rings the engine's eventfd doorbell.
+//! never touches the wire: it appends the frame's header and the
+//! envelope's payload, as they are, to the peer's outbound queue and rings
+//! the engine's eventfd doorbell.
 //!
 //! Connections are *unidirectional*: to send to rank `d`, the engine
 //! lazily connects to `d`'s data listener (address from the rendezvous
@@ -21,13 +22,23 @@
 //!
 //! Under `KAMPING_TRANSPORT=shm-xproc`, rank pairs that are both in the
 //! co-located set exchange frames over mmap'd SPSC byte rings
-//! ([`super::ring`]) instead of sockets: `post` writes the frame straight
+//! ([`super::ring`]) instead of sockets: a send writes the frame straight
 //! into the destination's inbox ring (same wire format, two memcpy parts:
-//! header + payload) and a single ring-consumer thread per rank drains all
-//! inbound rings. Control frames travel the ring too, so `Finished` can
+//! header + payload — the *caller's slice* for a borrowed send, see
+//! [`Transport::send_borrowed`]) and a single ring-consumer thread per
+//! rank drains all inbound rings. Control frames travel the ring too, so `Finished` can
 //! never overtake data on the same channel. Pairs that are *not* both
 //! local fall back to the socket path per peer — mixed topologies share
 //! one transport.
+//!
+//! # Receiving
+//!
+//! Both wires are read by the same two-state reader
+//! ([`super::wire::FrameReader`], one per inbound ring or connection): once
+//! a data frame's fixed header is in, the local [`Mailbox`] names the
+//! payload's destination — the buffer a blocked receive posted for exactly
+//! this message, or one exact-size allocation — and the remaining bytes
+//! move from the ring (the socket) directly into it.
 //!
 //! Synchronous-mode sends travel with a registry key (`ack_id`): the
 //! receiving side rebuilds the envelope with an [`AckCell`] whose hook
@@ -54,14 +65,17 @@ use std::time::Duration;
 use crate::metrics::{Counter, Gauge, Hist};
 use crate::trace::{EventKind, TraceCtx};
 use crate::transport::{
-    members_to_mask, AckCell, ControlMsg, ControlSink, Envelope, Hub, Locality, Mailbox, Payload,
-    Transport,
+    members_to_mask, AckCell, ControlMsg, ControlSink, Dest, Envelope, Hub, Locality, Mailbox,
+    MatchKey, Transport,
 };
 
 use super::addr::{Addr, Listener};
 use super::progress::{Engine, EngineHooks, OutFrame};
 use super::ring::{inbox_path, Inbox, RingTx};
-use super::wire::{data_frame_header, encode_prefixed, Frame, MAX_FRAME};
+use super::wire::{
+    corrupt, data_frame_header, encode_prefixed, Arrival, ByteSource, Frame, FrameReader,
+    MAX_PAYLOAD,
+};
 
 /// How often a parked ring consumer re-checks the shutdown flag.
 const CONSUMER_PARK_SLICE: Duration = Duration::from_millis(100);
@@ -97,16 +111,48 @@ pub(crate) struct XprocSetup {
     pub ring_bytes: usize,
 }
 
-/// Inbound-ring drain state: the per-source reassembly buffers plus the
-/// inbox they fill from. Behind a mutex in [`Shared`] because *two* kinds
-/// of thread drain: the dedicated ring consumer (always, so a computing
-/// rank cannot wedge its producers) and any receiver blocked in
+/// Inbound-ring drain state: the per-source frame readers plus the inbox
+/// they read from. Behind a mutex in [`Shared`] because *two* kinds of
+/// thread drain: the dedicated ring consumer (always, so a computing rank
+/// cannot wedge its producers) and any receiver blocked in
 /// [`Mailbox::wait`]-style calls, which pulls its own frames via the
 /// mailbox progress poll to skip the consumer-thread handoff.
 struct RingRx {
     inbox: Arc<Inbox>,
-    /// `(source rank, partial-frame reassembly buffer)` per inbound ring.
-    chans: Vec<(usize, Vec<u8>)>,
+    chans: Vec<Chan>,
+}
+
+/// One inbound ring: its source rank and the reader of its byte stream
+/// (`None` once the stream turned out corrupt and the source was given up).
+struct Chan {
+    src: usize,
+    reader: Option<FrameReader>,
+    /// Consecutive consumer passes that left a payload in the ring for the
+    /// rank thread to receive ([`Mailbox::dest_for`]'s "ask again").
+    left_waiting: u32,
+}
+
+impl Chan {
+    fn new(src: usize) -> Self {
+        Self {
+            src,
+            reader: Some(FrameReader::default()),
+            left_waiting: 0,
+        }
+    }
+}
+
+/// `src`'s ring in `inbox` as the byte source of a [`FrameReader`], with
+/// the bytes it has moved so far.
+struct RingSource<'a>(&'a Inbox, usize, usize);
+
+// SAFETY: `Inbox::read` returns how many leading bytes of `dst` it wrote.
+unsafe impl ByteSource for RingSource<'_> {
+    fn read(&mut self, dst: &mut [std::mem::MaybeUninit<u8>]) -> io::Result<usize> {
+        let n = self.0.read(self.1, dst);
+        self.2 += n;
+        Ok(n)
+    }
 }
 
 /// State shared between the transport handle, the progress engine, the
@@ -306,39 +352,45 @@ impl Shared {
         });
     }
 
-    /// Sends `frame` to `dest` over its ring (co-located peer) or the
-    /// socket engine. Returns false if the peer is unreachable — already
-    /// or about to be marked failed.
+    /// Sends the non-data `frame` to `dest` over its ring (co-located
+    /// peer) or the socket engine. Returns false if the peer is
+    /// unreachable — already or about to be marked failed.
     fn send_frame(&self, dest: usize, frame: Frame) -> bool {
-        match &frame {
-            Frame::Data { .. } => {}
-            Frame::Ack { .. } => self.trace_control(dest, "ack"),
-            Frame::Control(_) => self.trace_control(dest, "control"),
-            Frame::Ping => self.trace_control(dest, "ping"),
-            Frame::Pong => self.trace_control(dest, "pong"),
-            Frame::Grow { .. } => self.trace_control(dest, "grow"),
-            _ => self.trace_control(dest, "rendezvous"),
-        }
-        if let Some(ring) = self.rings[dest].get() {
-            return self.ring_send(dest, ring, &frame);
-        }
-        let ack_id = match &frame {
-            Frame::Data { ack_id, .. } => *ack_id,
-            _ => 0,
-        };
-        self.engine().enqueue(
+        self.trace_control(
             dest,
-            OutFrame {
-                bytes: encode_prefixed(&frame),
-                ack_id,
+            match &frame {
+                Frame::Ack { .. } => "ack",
+                Frame::Control(_) => "control",
+                Frame::Ping => "ping",
+                Frame::Pong => "pong",
+                Frame::Grow { .. } => "grow",
+                _ => "rendezvous",
             },
-        )
+        );
+        match self.rings[dest].get() {
+            Some(ring) => self.ring_send(dest, ring, &[&encode_prefixed(&frame)]),
+            None => self.engine().enqueue(dest, OutFrame::control(&frame)),
+        }
     }
 
-    /// Writes one frame into `dest`'s inbox ring, blocking (abortably) on
-    /// space. `Data` payloads skip the intermediate encode buffer: header
-    /// and payload go in as two parts of one frame.
-    fn ring_send(&self, dest: usize, ring: &Mutex<RingTx>, frame: &Frame) -> bool {
+    /// Writes message `msg` into `dest`'s inbox ring as header + `payload`,
+    /// the only user-space copy the sending side makes.
+    fn ring_send_data(
+        &self,
+        dest: usize,
+        ring: &Mutex<RingTx>,
+        msg: MatchKey,
+        ack_id: u64,
+        payload: &[u8],
+    ) -> bool {
+        self.trace.payload_moved(self.my_rank, payload.len(), 1, 0);
+        let head = data_frame_header(msg.src, msg.tag, msg.ctx, ack_id, payload.len());
+        self.ring_send(dest, ring, &[&head, payload])
+    }
+
+    /// Writes one frame, given as `parts`, into `dest`'s inbox ring,
+    /// blocking (abortably) on space.
+    fn ring_send(&self, dest: usize, ring: &Mutex<RingTx>, parts: &[&[u8]]) -> bool {
         let abort = || {
             self.down.load(Ordering::Acquire)
                 || self
@@ -356,19 +408,7 @@ impl Shared {
         let tx = ring.lock().expect("ring producer poisoned");
         self.trace
             .gauge_max(self.my_rank, Gauge::RingOccupancyMax, tx.occupancy() as u64);
-        match frame {
-            Frame::Data {
-                src,
-                tag,
-                ctx,
-                ack_id,
-                payload,
-            } => {
-                let hdr = data_frame_header(*src, *tag, *ctx, *ack_id, payload.len());
-                tx.write(&[&hdr[..], payload.as_slice()], abort, wait_hint)
-            }
-            other => tx.write(&[&encode_prefixed(other)], abort, wait_hint),
-        }
+        tx.write(parts, abort, wait_hint)
     }
 
     /// Ack hook target: tells `origin` that its synchronous-mode send
@@ -392,39 +432,26 @@ impl Shared {
         }
     }
 
-    /// Routes one arrived data-plane frame — shared by the socket engine
-    /// and the ring consumer.
+    /// The message `msg` arrived whole in `dest` — shared by the socket
+    /// engine and the ring consumer. A synchronous-mode send gets the cell
+    /// whose first `set` sends the `Ack` frame back. True if the message
+    /// completed a posted receive.
+    fn land(&self, msg: MatchKey, ack_id: u64, dest: Dest) -> bool {
+        let ack = (ack_id != 0).then(|| {
+            let (origin, me) = (msg.src, self.me.clone());
+            Arc::new(AckCell::with_hook(move || {
+                if let Some(sh) = me.upgrade() {
+                    sh.send_ack(origin, ack_id);
+                }
+            }))
+        });
+        self.mailbox.land(msg, dest, ack)
+    }
+
+    /// Routes one arrived non-data frame — shared by the socket engine and
+    /// the ring consumer.
     fn route_frame(&self, src: usize, frame: Frame) {
         match frame {
-            Frame::Data {
-                src: env_src,
-                tag,
-                ctx,
-                ack_id,
-                payload,
-            } => {
-                if env_src >= self.size {
-                    return; // protocol violation; drop
-                }
-                // Reassembly buffer, then `Frame::decode`'s `to_vec`.
-                self.trace.payload_moved(self.my_rank, payload.len(), 2, 1);
-                let ack = (ack_id != 0).then(|| {
-                    let origin = env_src;
-                    let me = self.me.clone();
-                    Arc::new(AckCell::with_hook(move || {
-                        if let Some(sh) = me.upgrade() {
-                            sh.send_ack(origin, ack_id);
-                        }
-                    }))
-                });
-                self.mailbox.post(Envelope {
-                    src: env_src,
-                    tag,
-                    ctx,
-                    payload: Payload::from_vec(payload),
-                    ack,
-                });
-            }
             Frame::Ack { ack_id } => self.complete_ack_locally(ack_id),
             Frame::Control(msg) => self.deliver_control(msg),
             Frame::Ping => {
@@ -471,48 +498,69 @@ impl Shared {
         }
     }
 
-    /// Drains every inbound ring once, reassembling length-prefixed frames
-    /// (they may arrive in chunks — a frame larger than the ring streams
-    /// through it) and routing them exactly like socket arrivals. Returns
-    /// whether any bytes moved.
-    fn drain_rx(&self, rx: &mut RingRx) -> bool {
+    /// Drains every inbound ring once, routing what completes exactly like
+    /// socket arrivals (a frame larger than the ring streams through it and
+    /// may take many drains). Returns whether anything moved, and whether
+    /// a payload was left waiting.
+    ///
+    /// The `consumer` thread leaves a payload that a receive of the rank
+    /// thread is about to claim ([`Mailbox::dest_for`]) in its ring for
+    /// [`CONSUMER_IDLE_PASSES`] passes — it yields between idle ones —
+    /// before it takes it after all: a rank that is off computing must not
+    /// wedge its producer. A receiver draining for itself never waits: it
+    /// cannot get past a message by leaving it on the wire.
+    fn drain_rx(&self, rx: &mut RingRx, consumer: bool) -> (bool, bool) {
         {
             let mut pend = self.pending_chans.lock().expect("pending chans poisoned");
             for src in pend.drain(..) {
-                if !rx.chans.iter().any(|(s, _)| *s == src) {
-                    rx.chans.push((src, Vec::new()));
+                if !rx.chans.iter().any(|c| c.src == src) {
+                    rx.chans.push(Chan::new(src));
                 }
             }
         }
         let RingRx { inbox, chans } = rx;
-        let mut progressed = false;
-        for (src, buf) in chans.iter_mut() {
-            if inbox.recv_into(*src, buf, usize::MAX) > 0 {
-                progressed = true;
-            }
-            let mut pos = 0;
-            while buf.len() - pos >= 4 {
-                let len =
-                    u32::from_le_bytes(buf[pos..pos + 4].try_into().expect("4 bytes")) as usize;
-                if len > MAX_FRAME {
-                    // Corrupt stream; skip everything buffered. The
-                    // failure planes cover a truly broken peer.
-                    pos = buf.len();
-                    break;
+        let (mut moved, mut left_waiting) = (false, false);
+        for chan in chans.iter_mut() {
+            let Some(reader) = &mut chan.reader else {
+                continue;
+            };
+            let patient = consumer && chan.left_waiting < CONSUMER_IDLE_PASSES;
+            let waiting = std::cell::Cell::new(false);
+            let dest_for = |msg, len| {
+                let dest = self.dest_for(msg, len, patient)?;
+                waiting.set(dest.is_none());
+                Ok(dest)
+            };
+            let mut io = RingSource(inbox, chan.src, 0);
+            loop {
+                match reader.next(&mut io, dest_for) {
+                    Ok(None) => break,
+                    Ok(Some(Arrival::Control(frame))) => self.route_frame(chan.src, frame),
+                    // A receive of the rank thread is served: the next
+                    // header is for the receive it posts next.
+                    Ok(Some(Arrival::Data { msg, ack_id, dest })) => {
+                        if self.land(msg, ack_id, dest) {
+                            break;
+                        }
+                    }
+                    // A frame that makes no sense leaves no way to find the
+                    // next one: the source is as good as dead.
+                    Err(_) => {
+                        chan.reader = None;
+                        self.peer_lost(chan.src);
+                        break;
+                    }
                 }
-                if buf.len() - pos - 4 < len {
-                    break;
-                }
-                if let Ok(frame) = Frame::decode(&buf[pos + 4..pos + 4 + len]) {
-                    self.route_frame(*src, frame);
-                }
-                pos += 4 + len;
             }
-            if pos > 0 {
-                buf.drain(..pos);
-            }
+            chan.left_waiting = if waiting.get() {
+                chan.left_waiting + 1
+            } else {
+                0
+            };
+            moved |= io.2 > 0;
+            left_waiting |= waiting.get();
         }
-        progressed
+        (moved, left_waiting)
     }
 
     /// Opportunistic drain from a *waiting receiver* (the mailbox progress
@@ -523,13 +571,30 @@ impl Shared {
         let Ok(mut rx) = rx.try_lock() else {
             return false;
         };
-        self.drain_rx(&mut rx)
+        self.drain_rx(&mut rx, false).0
+    }
+
+    /// [`Mailbox::dest_for`] for a message off the wire, whose source rank
+    /// is whatever the frame says.
+    fn dest_for(&self, msg: MatchKey, len: usize, patient: bool) -> io::Result<Option<Dest>> {
+        if msg.src >= self.size {
+            return Err(corrupt("data frame from an unknown rank"));
+        }
+        Ok(self.mailbox.dest_for(msg, len, patient))
     }
 }
 
 impl EngineHooks for Shared {
     fn on_frame(&self, src: usize, frame: Frame) {
         self.route_frame(src, frame);
+    }
+
+    fn dest_for(&self, msg: MatchKey, len: usize) -> Option<Dest> {
+        Shared::dest_for(self, msg, len, false).ok().flatten()
+    }
+
+    fn on_data(&self, msg: MatchKey, ack_id: u64, dest: Dest) {
+        let _posted = self.land(msg, ack_id, dest);
     }
 
     fn on_peer_gone(&self, rank: usize, dropped_acks: Vec<u64>) {
@@ -641,7 +706,7 @@ impl SocketTransport {
                     .iter()
                     .copied()
                     .filter(|&r| r != my_rank)
-                    .map(|r| (r, Vec::new()))
+                    .map(Chan::new)
                     .collect();
                 let inbox = Arc::new(setup.inbox);
                 let rx = RingRx {
@@ -651,11 +716,13 @@ impl SocketTransport {
                 (Some(inbox), Some(Mutex::new(rx)))
             }
         };
+        let mailbox = Mailbox::new(my_rank, size, Arc::clone(&hub), Arc::clone(&trace));
+        mailbox.set_wired();
         let shared = Arc::new_cyclic(|me| Shared {
             me: me.clone(),
             my_rank,
             size,
-            mailbox: Mailbox::new(my_rank, size, Arc::clone(&hub), Arc::clone(&trace)),
+            mailbox,
             hub,
             trace,
             rings,
@@ -778,14 +845,14 @@ fn ring_consumer(shared: Arc<Shared>, inbox: Arc<Inbox>) {
     let mut idle_passes = 0u32;
     loop {
         let snapshot = inbox.doorbell_value();
-        let progressed = {
+        let (progressed, left_waiting) = {
             let mut rx = shared
                 .rx
                 .as_ref()
                 .expect("consumer spawned only with rings")
                 .lock()
                 .expect("ring rx poisoned");
-            shared.drain_rx(&mut rx)
+            shared.drain_rx(&mut rx, true)
         };
         if shared.down.load(Ordering::Acquire) {
             return;
@@ -794,7 +861,9 @@ fn ring_consumer(shared: Arc<Shared>, inbox: Arc<Inbox>) {
             idle_passes = 0;
             continue;
         }
-        if idle_passes < CONSUMER_IDLE_PASSES {
+        // A payload left for the rank thread keeps the consumer up: it is
+        // taken a bounded number of passes from now, not one park later.
+        if left_waiting || idle_passes < CONSUMER_IDLE_PASSES {
             idle_passes += 1;
             // Yield rather than spin: on a busy (or single-core) host the
             // producer needs the CPU to make the doorbell move at all.
@@ -818,15 +887,15 @@ impl Transport for SocketTransport {
     }
 
     fn post(&self, dest: usize, envelope: Envelope) {
-        if dest == self.shared.my_rank {
-            self.shared.mailbox.post(envelope);
+        let sh = &self.shared;
+        if dest == sh.my_rank {
+            sh.mailbox.post(envelope);
             return;
         }
         let ack_id = match &envelope.ack {
             Some(ack) => {
-                let id = self.shared.next_ack_id.fetch_add(1, Ordering::Relaxed);
-                self.shared
-                    .acks
+                let id = sh.next_ack_id.fetch_add(1, Ordering::Relaxed);
+                sh.acks
                     .lock()
                     .expect("ack registry poisoned")
                     .insert(id, Arc::clone(ack));
@@ -834,24 +903,32 @@ impl Transport for SocketTransport {
             }
             None => 0,
         };
-        let (sh, len) = (&self.shared, envelope.payload.len());
-        // `to_vec` below, then ring: the ring write; socket: `Frame::encode`
-        // and `encode_prefixed`, each into a buffer of its own.
-        let (copies, allocs) = match sh.rings[dest].get() {
-            Some(_) => (2, 1),
-            None => (3, 3),
+        let (msg, payload) = (envelope.key(), envelope.payload);
+        let sent = match sh.rings[dest].get() {
+            Some(ring) => sh.ring_send_data(dest, ring, msg, ack_id, payload.as_slice()),
+            None => sh
+                .engine()
+                .enqueue(dest, OutFrame::data(msg, ack_id, payload)),
         };
-        sh.trace.payload_moved(sh.my_rank, len, copies, allocs);
-        let frame = Frame::Data {
-            src: envelope.src,
-            tag: envelope.tag,
-            ctx: envelope.ctx,
-            ack_id,
-            payload: envelope.payload.as_slice().to_vec(),
-        };
-        if !self.shared.send_frame(dest, frame) && ack_id != 0 {
-            self.shared.complete_ack_locally(ack_id);
+        if !sent && ack_id != 0 {
+            sh.complete_ack_locally(ack_id);
         }
+    }
+
+    fn send_borrowed(&self, dest: usize, msg: MatchKey, bytes: &[u8]) -> bool {
+        // A ring takes the caller's slice as it is; the socket engine
+        // queues, so it needs a payload of its own (the caller packs one).
+        match self.shared.rings[dest].get() {
+            Some(ring) => {
+                self.shared.ring_send_data(dest, ring, msg, 0, bytes);
+                true
+            }
+            None => false,
+        }
+    }
+
+    fn max_payload(&self) -> usize {
+        MAX_PAYLOAD
     }
 
     fn mailbox(&self, rank: usize) -> &Mailbox {

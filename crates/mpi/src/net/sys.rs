@@ -14,6 +14,7 @@
 use std::ffi::{c_int, c_long, c_uint, c_void};
 use std::fs::File;
 use std::io;
+use std::mem::MaybeUninit;
 use std::os::fd::{AsRawFd, FromRawFd, OwnedFd, RawFd};
 use std::sync::atomic::AtomicU32;
 use std::time::Duration;
@@ -256,6 +257,17 @@ impl EventFd {
     }
 }
 
+/// `read(2)` into possibly uninitialised memory: `Ok(n)` wrote the first
+/// `n` bytes of `dst` (0 at end of stream).
+pub fn read_fd(fd: RawFd, dst: &mut [MaybeUninit<u8>]) -> io::Result<usize> {
+    // SAFETY: the kernel writes at most `dst.len()` bytes into `dst`.
+    let n = unsafe { read(fd, dst.as_mut_ptr().cast::<c_void>(), dst.len()) };
+    if n < 0 {
+        return Err(io::Error::last_os_error());
+    }
+    Ok(n as usize)
+}
+
 // ---------------------------------------------------------------------------
 // Shared mappings + futexes
 // ---------------------------------------------------------------------------
@@ -315,14 +327,15 @@ impl SharedMap {
         std::ptr::copy_nonoverlapping(src.as_ptr(), self.ptr.add(off), src.len());
     }
 
-    /// Appends `len` bytes at `off` from the mapping to `out`.
+    /// Copies `dst.len()` bytes at `off` from the mapping into `dst`, all
+    /// of which are written.
     ///
     /// # Safety
     /// The caller must guarantee the range is owned (published by the
     /// producer, not yet released by the consumer).
-    pub unsafe fn read_bytes_at(&self, off: usize, len: usize, out: &mut Vec<u8>) {
-        debug_assert!(off + len <= self.len);
-        out.extend_from_slice(std::slice::from_raw_parts(self.ptr.add(off), len));
+    pub unsafe fn read_bytes_at(&self, off: usize, dst: &mut [MaybeUninit<u8>]) {
+        debug_assert!(off + dst.len() <= self.len);
+        std::ptr::copy_nonoverlapping(self.ptr.add(off), dst.as_mut_ptr().cast(), dst.len());
     }
 }
 
@@ -479,8 +492,9 @@ mod tests {
         assert_eq!(b.atomic_u32(64).load(Ordering::Acquire), 0xfeed);
         unsafe {
             a.write_bytes_at(128, b"ring bytes");
-            let mut out = Vec::new();
-            b.read_bytes_at(128, 10, &mut out);
+            let mut out: Vec<u8> = Vec::with_capacity(10);
+            b.read_bytes_at(128, &mut out.spare_capacity_mut()[..10]);
+            out.set_len(10);
             assert_eq!(out, b"ring bytes");
         }
         drop(a);

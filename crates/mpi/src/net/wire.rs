@@ -27,17 +27,45 @@
 //! the sender's ack-registry key, and the receiver returns it in an `Ack`
 //! frame when the message is *matched* (not when it is received — NBX
 //! completion semantics).
+//!
+//! # Reading the data plane
+//!
+//! A `Data` frame starts with [`DATA_HEAD`] fixed bytes — length prefix,
+//! kind, source, tag, context, ack id, payload length — and everything
+//! after them is payload. [`FrameReader`], one per inbound ring or
+//! connection, is the only reader of the data plane and has two states:
+//!
+//! * **header** — bytes collect in a small buffer until it holds a whole
+//!   control frame (decoded with [`Frame::decode`]) or the fixed part of a
+//!   data frame; the reader then asks where the payload goes;
+//! * **body** — the remaining bytes move from the ring or the socket
+//!   straight into that destination, however many reads it takes.
+//!
+//! The buffer never sees a payload byte: a read in the header state asks
+//! for at most [`DATA_HEAD`] bytes past the last known frame boundary, and
+//! a data frame's payload starts exactly that far behind its own start.
 
 use std::io::{self, Read, Write};
+use std::mem::MaybeUninit;
 
 use kamping_serial::{Reader, SerialError, Writer};
 
 use crate::tag::Tag;
-use crate::transport::ControlMsg;
+use crate::transport::{ControlMsg, Dest, MatchKey};
 
 /// Refuse frames larger than this (a corrupt length prefix must not
 /// trigger a giant allocation).
 pub(crate) const MAX_FRAME: usize = 1 << 30;
+
+/// Bytes of a `Data` frame before its payload, length prefix included.
+pub(crate) const DATA_HEAD: usize = 45;
+
+/// Largest payload a `Data` frame can carry under [`MAX_FRAME`].
+pub(crate) const MAX_PAYLOAD: usize = MAX_FRAME - (DATA_HEAD - 4);
+
+/// Most bytes one header-state read asks for (control frames are read as
+/// they come, not allocated for on the word of their length prefix).
+const HEAD_CHUNK: usize = 64 * 1024;
 
 const KIND_HELLO: u8 = 1;
 const KIND_DATA: u8 = 2;
@@ -400,19 +428,23 @@ pub(crate) fn encode_prefixed(frame: &Frame) -> Vec<u8> {
 }
 
 /// Length-prefix + body-header bytes of a `Data` frame, *excluding* the
-/// payload — so the ring producer can write header and payload as two
-/// parts of one frame without first copying the payload into an
-/// intermediate buffer. Byte-identical to
-/// `encode_prefixed(&Frame::Data { .. })`.
+/// payload — so that header and payload go out as two parts of one frame
+/// (ring write, `writev`) and the payload is never copied into an encode
+/// buffer. Byte-identical to `encode_prefixed(&Frame::Data { .. })`.
+///
+/// # Panics
+/// Panics if `payload_len` exceeds [`MAX_PAYLOAD`]; the send calls reject
+/// such a message with a typed error before it gets here.
 pub(crate) fn data_frame_header(
     src: usize,
     tag: Tag,
     ctx: u64,
     ack_id: u64,
     payload_len: usize,
-) -> [u8; 45] {
-    let mut h = [0u8; 45];
-    let body_len = (41 + payload_len) as u32;
+) -> [u8; DATA_HEAD] {
+    assert!(payload_len <= MAX_PAYLOAD, "payload exceeds the frame cap");
+    let mut h = [0u8; DATA_HEAD];
+    let body_len = (DATA_HEAD - 4 + payload_len) as u32;
     h[0..4].copy_from_slice(&body_len.to_le_bytes());
     h[4] = KIND_DATA;
     h[5..13].copy_from_slice(&(src as u64).to_le_bytes());
@@ -421,6 +453,117 @@ pub(crate) fn data_frame_header(
     h[29..37].copy_from_slice(&ack_id.to_le_bytes());
     h[37..45].copy_from_slice(&(payload_len as u64).to_le_bytes());
     h
+}
+
+/// Where a [`FrameReader`] gets its bytes: one inbound ring, or one
+/// non-blocking socket.
+///
+/// # Safety
+/// `read` returning `Ok(n)` must have written the first `n` bytes of `dst`.
+pub(crate) unsafe trait ByteSource {
+    /// Moves up to `dst.len()` bytes into `dst`. `Ok(0)` means nothing is
+    /// there right now; a closed or broken source is an error.
+    fn read(&mut self, dst: &mut [MaybeUninit<u8>]) -> io::Result<usize>;
+}
+
+/// What a [`FrameReader`] hands over.
+pub(crate) enum Arrival {
+    /// A whole non-data frame.
+    Control(Frame),
+    /// The message `msg` with its whole payload written to `dest`.
+    Data {
+        msg: MatchKey,
+        ack_id: u64,
+        dest: Dest,
+    },
+}
+
+/// The incremental reader of one inbound byte stream of the data plane;
+/// see the [module docs](self).
+#[derive(Default)]
+pub(crate) struct FrameReader {
+    /// Control frames and data-frame headers under assembly.
+    head: Vec<u8>,
+    /// The data frame (message, ack id) whose payload is on its way into
+    /// its destination.
+    body: Option<(MatchKey, u64, Dest)>,
+}
+
+pub(crate) fn corrupt(what: &'static str) -> io::Error {
+    io::Error::new(io::ErrorKind::InvalidData, what)
+}
+
+impl FrameReader {
+    /// Reads on until a frame is complete (`Some`) or there is nothing to
+    /// do for now (`None`): `io` ran dry, or `dest_for` — asked as soon as
+    /// a data frame's header is in where the `len` payload bytes of `msg`
+    /// go — answered `Ok(None)`, "not yet", and will be asked again by the
+    /// next call. Its error, like every malformed frame
+    /// ([`io::ErrorKind::InvalidData`]), means the stream cannot be
+    /// resynchronised: the caller gives the peer up.
+    pub(crate) fn next(
+        &mut self,
+        io: &mut impl ByteSource,
+        dest_for: impl Fn(MatchKey, usize) -> io::Result<Option<Dest>>,
+    ) -> io::Result<Option<Arrival>> {
+        loop {
+            if let Some((_, _, dest)) = &mut self.body {
+                while !dest.rest().is_empty() {
+                    let n = io.read(dest.rest())?;
+                    if n == 0 {
+                        return Ok(None);
+                    }
+                    // SAFETY: `ByteSource::read` wrote the first `n` bytes.
+                    unsafe { dest.advance(n) };
+                }
+                let done = self.body.take();
+                return Ok(done.map(|(msg, ack_id, dest)| Arrival::Data { msg, ack_id, dest }));
+            }
+            let have = self.head.len();
+            let mut want = DATA_HEAD;
+            if have > 4 {
+                let word = |at: usize| {
+                    u64::from_le_bytes(self.head[at..at + 8].try_into().expect("8 bytes"))
+                };
+                let len = u32::from_le_bytes(self.head[..4].try_into().expect("4 bytes")) as usize;
+                if len == 0 || len > MAX_FRAME {
+                    return Err(corrupt("frame length out of range"));
+                }
+                if self.head[4] != KIND_DATA {
+                    let end = 4 + len;
+                    if have >= end {
+                        let frame = Frame::decode(&self.head[4..end])
+                            .map_err(|_| corrupt("undecodable control frame"))?;
+                        self.head.drain(..end);
+                        return Ok(Some(Arrival::Control(frame)));
+                    }
+                    want = end + DATA_HEAD;
+                } else if have >= DATA_HEAD {
+                    let payload = word(37);
+                    if payload != (len as u64).wrapping_sub(DATA_HEAD as u64 - 4) {
+                        return Err(corrupt("data frame lengths disagree"));
+                    }
+                    let (src, tag, ctx) = (word(5) as usize, word(13) as Tag, word(21));
+                    let msg = MatchKey { src, tag, ctx };
+                    let Some(dest) = dest_for(msg, payload as usize)? else {
+                        return Ok(None);
+                    };
+                    self.body = Some((msg, word(29), dest));
+                    debug_assert_eq!(have, DATA_HEAD, "payload bytes in the header buffer");
+                    self.head.clear();
+                    continue;
+                }
+            }
+            let room = (want - have).min(HEAD_CHUNK);
+            self.head.reserve(room);
+            let n = io.read(&mut self.head.spare_capacity_mut()[..room])?;
+            if n == 0 {
+                return Ok(None);
+            }
+            // SAFETY: `ByteSource::read` wrote the first `n` spare bytes.
+            unsafe { self.head.set_len(have + n) };
+        }
+    }
 }
 
 /// Reads one length-prefixed frame. EOF at a frame boundary surfaces as

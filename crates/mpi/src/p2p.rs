@@ -7,7 +7,10 @@
 //! Buffers travel as [`Payload`]s: messages of at most
 //! [`crate::transport::INLINE_CAP`] bytes are carried inline in the envelope
 //! (no allocation), larger ones as a refcounted heap buffer that fan-out
-//! senders (broadcast) share across all receivers.
+//! senders (broadcast) share across all receivers. A borrowed
+//! [`RawComm::send`] to another process skips the payload where it can
+//! (the caller's slice goes onto a shared-memory ring as it is), and
+//! [`RawComm::recv_into`] lets the receiver name the buffer the wire fills.
 
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -16,7 +19,7 @@ use crate::error::{MpiError, MpiResult};
 use crate::profile::Op;
 use crate::request::{RawRequest, RequestKind};
 use crate::tag::{Tag, ANY_SOURCE};
-use crate::transport::{AckCell, Envelope, MatchKey, Payload};
+use crate::transport::{AckCell, Envelope, Mailbox, MatchKey, Payload, Sink};
 use crate::universe::wait_interrupt;
 use crate::RawComm;
 
@@ -32,10 +35,16 @@ pub struct Status {
 }
 
 impl RawComm {
-    /// Checks this communicator is usable and translates `dest`.
-    fn check_dest(&self, dest: usize) -> MpiResult<usize> {
+    /// Checks this communicator is usable and that the backend can carry
+    /// `len` payload bytes in one message, and translates `dest`.
+    fn check_send(&self, dest: usize, len: usize) -> MpiResult<usize> {
         if self.state.is_revoked(self.ctx) {
             return Err(MpiError::Revoked);
+        }
+        if len > self.state.transport.max_payload() {
+            return Err(MpiError::InvalidCounts {
+                what: "payload exceeds the largest message the transport can frame",
+            });
         }
         self.global_rank(dest)
     }
@@ -83,12 +92,19 @@ impl RawComm {
     /// Blocking standard-mode send of `payload` to local rank `dest`.
     ///
     /// Payloads up to [`crate::transport::INLINE_CAP`] bytes travel inline
-    /// in the envelope and never touch the heap.
+    /// in the envelope and never touch the heap; a larger one is copied
+    /// once — into a shared payload, or straight onto the wire where the
+    /// backend has one to lend ([`crate::transport::Transport::send_borrowed`]).
     pub fn send(&self, dest: usize, tag: Tag, payload: &[u8]) -> MpiResult<()> {
         let _op = self.record(Op::Send);
-        let dest_global = self.check_dest(dest)?;
-        self.count_payload(payload.len(), 1, 1);
-        self.post_to(dest_global, tag, Payload::from_slice(payload), None);
+        let dest_global = self.check_send(dest, payload.len())?;
+        let src = self.my_global_rank();
+        let msg = MatchKey {
+            src,
+            tag,
+            ctx: self.ctx,
+        };
+        self.state.send(dest_global, msg, payload);
         Ok(())
     }
 
@@ -96,7 +112,7 @@ impl RawComm {
     /// counterpart of KaMPIng's ownership-transferring `send_buf(move)`.
     pub fn send_owned(&self, dest: usize, tag: Tag, payload: Vec<u8>) -> MpiResult<()> {
         let _op = self.record(Op::Send);
-        let dest_global = self.check_dest(dest)?;
+        let dest_global = self.check_send(dest, payload.len())?;
         self.post_to(dest_global, tag, Payload::from_vec(payload), None);
         Ok(())
     }
@@ -106,7 +122,7 @@ impl RawComm {
     /// instead of one copy per child.
     pub fn send_shared(&self, dest: usize, tag: Tag, payload: Arc<Vec<u8>>) -> MpiResult<()> {
         let _op = self.record(Op::Send);
-        let dest_global = self.check_dest(dest)?;
+        let dest_global = self.check_send(dest, payload.len())?;
         self.post_to(dest_global, tag, Payload::from_shared(payload), None);
         Ok(())
     }
@@ -127,6 +143,61 @@ impl RawComm {
     pub fn recv(&self, source: usize, tag: Tag) -> MpiResult<(Vec<u8>, Status)> {
         let (payload, status) = self.recv_payload(source, tag)?;
         Ok((payload.into_vec(), status))
+    }
+
+    /// Blocking receive into a destination of the caller's choosing — the
+    /// typed layer's `Vec<T>`, a buffer it reuses, a plain `Vec<u8>`.
+    ///
+    /// A message that has already arrived is copied into `sink`. Otherwise
+    /// a cross-process backend is handed `sink` itself, and whichever of its
+    /// threads reads the message writes the payload there directly: the
+    /// bytes are copied once on their way in and `sink` is the only buffer
+    /// allocated for them (wildcard receives and inline-sized messages take
+    /// the mailbox, as ever). A payload the sink refuses
+    /// ([`Sink::reserve`]) is consumed and dropped; the status still
+    /// describes it. See [`Mailbox::take_into`] for the one case in which
+    /// `sink` does not come back: the receive fails while its payload is
+    /// half written, and `sink` is left `S::default()`.
+    pub fn recv_into<S: Sink + Default>(
+        &self,
+        source: usize,
+        tag: Tag,
+        sink: &mut S,
+    ) -> MpiResult<Status> {
+        self.recv_into_until(source, tag, sink, None)
+    }
+
+    /// Like [`RawComm::recv_into`], but gives up after `timeout` with
+    /// [`MpiError::Timeout`]; the message, whenever it is whole, stays
+    /// receivable.
+    pub fn recv_into_timeout<S: Sink + Default>(
+        &self,
+        source: usize,
+        tag: Tag,
+        sink: &mut S,
+        timeout: Duration,
+    ) -> MpiResult<Status> {
+        self.recv_into_until(source, tag, sink, Some(Instant::now() + timeout))
+    }
+
+    fn recv_into_until<S: Sink + Default>(
+        &self,
+        source: usize,
+        tag: Tag,
+        sink: &mut S,
+        deadline: Option<Instant>,
+    ) -> MpiResult<Status> {
+        let _op = self.record(Op::Recv);
+        let key = self.match_key(source, tag)?;
+        let interrupt = wait_interrupt(&self.state, key.src, self.ctx);
+        let (src, tag, bytes) = self.mailbox().take_into(key, sink, &interrupt, deadline)?;
+        Ok(self.status_of(src, tag, bytes))
+    }
+
+    /// This rank's mailbox (diagnostics: [`Mailbox::len`],
+    /// [`Mailbox::posted_from`]).
+    pub fn mailbox(&self) -> &Mailbox {
+        self.state.mailbox(self.my_global_rank())
     }
 
     /// Like [`RawComm::recv`], but gives up after `timeout` with
@@ -175,7 +246,7 @@ impl RawComm {
     /// transport) but still returns a request for uniform completion code.
     pub fn isend(&self, dest: usize, tag: Tag, payload: Vec<u8>) -> MpiResult<RawRequest> {
         let _op = self.record(Op::Isend);
-        let dest_global = self.check_dest(dest)?;
+        let dest_global = self.check_send(dest, payload.len())?;
         self.post_to(dest_global, tag, Payload::from_vec(payload), None);
         Ok(RawRequest::new(self.state.clone(), RequestKind::SendDone))
     }
@@ -184,7 +255,7 @@ impl RawComm {
     /// matching receive has consumed the message (needed by NBX).
     pub fn issend(&self, dest: usize, tag: Tag, payload: Vec<u8>) -> MpiResult<RawRequest> {
         let _op = self.record(Op::Issend);
-        let dest_global = self.check_dest(dest)?;
+        let dest_global = self.check_send(dest, payload.len())?;
         let ack = Arc::new(AckCell::default());
         self.post_to(
             dest_global,

@@ -194,14 +194,12 @@ mod tests {
     use super::*;
 
     fn message(ctx: &TraceCtx, src: usize, bytes: usize) {
-        let envelope = crate::transport::Envelope {
+        let msg = crate::transport::MatchKey {
             src,
             tag: 0,
             ctx: 0,
-            payload: crate::transport::Payload::from_vec(vec![0; bytes]),
-            ack: None,
         };
-        ctx.posted(0, &envelope);
+        ctx.posted(0, msg, bytes);
     }
 
     #[test]

@@ -57,7 +57,7 @@ use std::time::Instant;
 use crate::metrics::{bucket_of, Counter, Gauge, Hist, N_BUCKETS, N_COUNTERS, N_GAUGES, N_HISTS};
 use crate::profile::{Op, RankProfile, ALL_OPS, N_OPS};
 use crate::tag::Tag;
-use crate::transport::Envelope;
+use crate::transport::MatchKey;
 
 /// Ring shards; events from different threads usually hit different
 /// shards, so recording never contends in the common case.
@@ -393,15 +393,16 @@ impl RankStats {
     }
 }
 
-/// The event of envelope `$e` reaching lifecycle stage `$stage` at `$dst`.
+/// The event of the `$bytes`-byte message `$msg` (its source, tag and
+/// context as a [`MatchKey`]) reaching lifecycle stage `$stage` at `$dst`.
 macro_rules! envelope_event {
-    ($stage:ident, $dst:expr, $e:expr) => {
+    ($stage:ident, $dst:expr, $msg:expr, $bytes:expr) => {
         EventKind::$stage {
-            src: $e.src as u32,
+            src: $msg.src as u32,
             dst: $dst as u32,
-            tag: $e.tag,
-            ctx: $e.ctx,
-            bytes: $e.payload.len() as u64,
+            tag: $msg.tag,
+            ctx: $msg.ctx,
+            bytes: $bytes as u64,
         }
     };
 }
@@ -595,29 +596,29 @@ impl TraceCtx {
         }
     }
 
-    /// Seam: `e.src` handed envelope `e` for `dst` to the transport. The
-    /// LogGP message/byte counters are always on.
+    /// Seam: `msg.src` handed a `bytes`-byte message for `dst` to the
+    /// transport. The LogGP message/byte counters are always on.
     #[inline]
-    pub(crate) fn posted(&self, dst: usize, e: &Envelope) {
-        let stats = &self.ranks[e.src];
-        let bytes = e.payload.len() as u64;
+    pub(crate) fn posted(&self, dst: usize, msg: MatchKey, bytes: usize) {
+        let stats = &self.ranks[msg.src];
         (stats.counter(Counter::MsgsSent)).fetch_add(1, Ordering::Relaxed);
-        (stats.counter(Counter::BytesSent)).fetch_add(bytes, Ordering::Relaxed);
-        self.event(|| envelope_event!(Post, dst, e));
+        (stats.counter(Counter::BytesSent)).fetch_add(bytes as u64, Ordering::Relaxed);
+        self.event(|| envelope_event!(Post, dst, msg, bytes));
     }
 
-    /// Seam: envelope `e` landed in `dst`'s mailbox.
+    /// Seam: a message landed in `dst`'s mailbox, or in the destination a
+    /// receive of `dst` had posted for it.
     #[inline]
-    pub(crate) fn delivered(&self, dst: usize, e: &Envelope) {
+    pub(crate) fn delivered(&self, dst: usize, msg: MatchKey, bytes: usize) {
         self.count(dst, Counter::MsgsDelivered, 1);
-        self.count(dst, Counter::BytesDelivered, e.payload.len() as u64);
-        self.event(|| envelope_event!(Deliver, dst, e));
+        self.count(dst, Counter::BytesDelivered, bytes as u64);
+        self.event(|| envelope_event!(Deliver, dst, msg, bytes));
     }
 
-    /// Seam: a receive/probe on `dst` matched and consumed envelope `e`.
+    /// Seam: a receive/probe on `dst` matched and consumed a message.
     #[inline]
-    pub(crate) fn taken(&self, dst: usize, e: &Envelope) {
-        self.event(|| envelope_event!(Take, dst, e));
+    pub(crate) fn taken(&self, dst: usize, msg: MatchKey, bytes: usize) {
+        self.event(|| envelope_event!(Take, dst, msg, bytes));
     }
 
     /// Seam: the calling thread leaves the fast path of a blocking wait on

@@ -45,13 +45,15 @@
 //! pick the matching envelope with the lowest arrival stamp across lanes,
 //! so cross-sender matching follows arrival order deterministically.
 
+use std::any::Any;
 use std::collections::VecDeque;
+use std::mem::MaybeUninit;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, OnceLock};
 use std::time::Instant;
 
 use crate::error::{MpiError, MpiResult};
-use crate::tag::{source_matches, tag_matches, Tag, ANY_SOURCE, COLL_TAG_BASE};
+use crate::tag::{source_matches, tag_matches, Tag, ANY_SOURCE, ANY_TAG, COLL_TAG_BASE};
 use crate::trace::TraceCtx;
 
 /// Largest payload (bytes) carried inline in the envelope instead of on the
@@ -207,9 +209,21 @@ pub struct Envelope {
     pub ack: Option<Arc<AckCell>>,
 }
 
+impl Envelope {
+    /// The message's (source, tag, context).
+    pub fn key(&self) -> MatchKey {
+        MatchKey {
+            src: self.src,
+            tag: self.tag,
+            ctx: self.ctx,
+        }
+    }
+}
+
 /// Matching key for receives and probes. Sources are *global* ranks; the
-/// communicator layer translates before calling into the transport.
-#[derive(Debug, Clone, Copy)]
+/// communicator layer translates before calling into the transport. With
+/// nothing wild it is also what identifies a message apart from its bytes.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct MatchKey {
     /// Wanted global source rank, or [`crate::ANY_SOURCE`].
     pub src: usize,
@@ -234,6 +248,111 @@ pub struct Delivered {
     pub tag: Tag,
     /// The message bytes.
     pub payload: Payload,
+}
+
+/// An owned destination for one message's payload, chosen by the receiver
+/// before the bytes exist: the typed layer's `Vec<T>`, a reused buffer, a
+/// plain `Vec<u8>`. A blocking receive *posts* it with the mailbox; the
+/// transport thread that reads the matching message off the wire then
+/// writes the payload straight into it. `len` is always the payload length
+/// of the message at hand, as given to the `reserve` that accepted it.
+pub trait Sink: Any + Send {
+    /// Makes room for a payload of exactly `len` bytes; `false` refuses it
+    /// (too large for this destination, not a whole number of elements).
+    /// A refused message is consumed all the same, as in MPI.
+    fn reserve(&mut self, len: usize) -> bool;
+    /// The room made: `len` bytes, possibly uninitialised.
+    fn spare(&mut self, len: usize) -> &mut [MaybeUninit<u8>];
+    /// Declares the payload complete.
+    ///
+    /// # Safety
+    /// All `len` bytes of `spare(len)` must have been written.
+    unsafe fn commit(&mut self, len: usize);
+    /// The committed payload.
+    fn filled(&self, len: usize) -> &[u8];
+}
+
+impl Sink for Vec<u8> {
+    fn reserve(&mut self, len: usize) -> bool {
+        self.clear();
+        Vec::reserve(self, len);
+        true
+    }
+    fn spare(&mut self, len: usize) -> &mut [MaybeUninit<u8>] {
+        &mut self.spare_capacity_mut()[..len]
+    }
+    unsafe fn commit(&mut self, len: usize) {
+        self.set_len(len);
+    }
+    fn filled(&self, len: usize) -> &[u8] {
+        &self[..len]
+    }
+}
+
+/// Where a transport's reader puts the payload of an arriving message:
+/// handed out by [`Mailbox::dest_for`], filled front to back, handed back
+/// whole to [`Mailbox::land`].
+pub(crate) struct Dest {
+    room: Room,
+    /// Payload length, and how much of it has been written.
+    len: usize,
+    filled: usize,
+}
+
+enum Room {
+    /// Nobody waits for it: one exact-size buffer, the envelope's payload.
+    Bytes(Vec<u8>),
+    /// The destination the matching receive posted.
+    Posted(Box<dyn Sink>),
+}
+
+impl Dest {
+    /// The part of the payload's room that is still to be written.
+    pub(crate) fn rest(&mut self) -> &mut [MaybeUninit<u8>] {
+        let room = match &mut self.room {
+            Room::Bytes(v) => v.spare(self.len),
+            Room::Posted(sink) => sink.spare(self.len),
+        };
+        &mut room[self.filled..]
+    }
+
+    /// Moves the write position on.
+    ///
+    /// # Safety
+    /// The first `n` bytes of [`Dest::rest`] must have been written.
+    pub(crate) unsafe fn advance(&mut self, n: usize) {
+        self.filled += n;
+    }
+}
+
+/// The receive posted on one lane, if any (see [`Mailbox::take_into`]).
+#[derive(Default)]
+enum Posted {
+    #[default]
+    Idle,
+    /// The receiver waits for exactly `key`; its destination lies here.
+    Waiting { key: MatchKey, sink: Box<dyn Sink> },
+    /// The transport took the destination and is filling it. A receiver
+    /// that gives up meanwhile leaves it to become a queued envelope.
+    Filling { abandoned: bool },
+    /// Filled; the receiver picks it up (and then acknowledges a
+    /// synchronous-mode sender).
+    Done {
+        sink: Box<dyn Sink>,
+        len: usize,
+        ack: Option<Arc<AckCell>>,
+    },
+}
+
+impl std::fmt::Debug for Posted {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.write_str(match self {
+            Posted::Idle => "Idle",
+            Posted::Waiting { .. } => "Waiting",
+            Posted::Filling { .. } => "Filling",
+            Posted::Done { .. } => "Done",
+        })
+    }
 }
 
 /// Process-wide wakeup channel for events that are not bound to a single
@@ -334,6 +453,13 @@ impl Hub {
 #[derive(Debug, Default)]
 struct Lane {
     queue: Mutex<VecDeque<(u64, Envelope)>>,
+    /// Taken before `queue` by whoever needs both; plain deposits and
+    /// takes never touch it.
+    posted: Mutex<Posted>,
+    /// The last large user-tagged message of this lane went into a posted
+    /// receive: its rank is receiving this source in a loop and is worth
+    /// waiting for (see [`Mailbox::dest_for`]).
+    leased: AtomicBool,
 }
 
 /// Empty polls a blocked receiver makes through the transport's
@@ -387,6 +513,11 @@ pub struct Mailbox {
     progress: OnceLock<ProgressPoll>,
     /// Optional nonblocking-collective progress hook; see [`CollNotify`].
     coll_notifier: OnceLock<CollNotify>,
+    /// Set by a transport that reads messages off a wire and asks
+    /// [`Mailbox::dest_for`] where each payload goes; receives then post
+    /// their destinations. In-process deposits are whole envelopes, so the
+    /// shared-memory backend leaves it clear.
+    wired: AtomicBool,
 }
 
 impl Mailbox {
@@ -404,7 +535,14 @@ impl Mailbox {
             trace,
             progress: OnceLock::new(),
             coll_notifier: OnceLock::new(),
+            wired: AtomicBool::new(false),
         }
+    }
+
+    /// Declares that the owning transport delivers through
+    /// [`Mailbox::dest_for`] / [`Mailbox::land`].
+    pub(crate) fn set_wired(&self) {
+        self.wired.store(true, Ordering::Relaxed);
     }
 
     /// Registers the transport's progress poll (at most once; later calls
@@ -429,7 +567,8 @@ impl Mailbox {
     /// # Panics
     /// Panics if `envelope.src` is not a valid source for this mailbox.
     pub fn post(&self, envelope: Envelope) {
-        self.trace.delivered(self.owner, &envelope);
+        self.trace
+            .delivered(self.owner, envelope.key(), envelope.payload.len());
         let stamp = self.next_stamp.fetch_add(1, Ordering::Relaxed);
         let tag = envelope.tag;
         {
@@ -441,11 +580,7 @@ impl Mailbox {
         }
         // Lane lock is released before the gate is taken: senders never hold
         // both, so a receiver may scan lanes while holding the gate.
-        {
-            let mut epoch = self.gate.lock().expect("mailbox gate poisoned");
-            *epoch = epoch.wrapping_add(1);
-            self.cond.notify_all();
-        }
+        self.bump();
         // Collective-tagged traffic additionally drives the i-collective
         // engine from the delivering thread (gate released first: the hook
         // may re-enter this mailbox or post to peers).
@@ -456,13 +591,16 @@ impl Mailbox {
         }
     }
 
+    /// Moves the gate epoch on and wakes every waiter.
+    fn bump(&self) {
+        let mut epoch = self.gate.lock().expect("mailbox gate poisoned");
+        *epoch = epoch.wrapping_add(1);
+        self.cond.notify_all();
+    }
+
     /// Wakes all waiters so they can re-check failure/revocation state.
     pub fn kick(&self) {
-        {
-            let mut epoch = self.gate.lock().expect("mailbox gate poisoned");
-            *epoch = epoch.wrapping_add(1);
-            self.cond.notify_all();
-        }
+        self.bump();
         // Failure/revocation marks must also reach schedules nobody is
         // waiting on (dropped requests adopted by the engine).
         if let Some(n) = self.coll_notifier.get() {
@@ -470,17 +608,28 @@ impl Mailbox {
         }
     }
 
-    /// Takes the first matching envelope from one specific lane.
-    fn try_take_lane(&self, lane: usize, key: MatchKey) -> Option<Delivered> {
+    /// Removes the first matching envelope from one specific lane.
+    fn remove_match(&self, lane: usize, key: MatchKey) -> Option<Envelope> {
         let mut q = self.lanes[lane].queue.lock().expect("lane poisoned");
         let idx = q.iter().position(|(_, e)| key.matches(e))?;
-        let (_, e) = q.remove(idx).expect("index valid under lock");
-        drop(q);
-        if let Some(ack) = &e.ack {
+        q.remove(idx).map(|(_, e)| e)
+    }
+
+    /// A receive consumed the message `msg`: acknowledges a synchronous-mode
+    /// sender and records the take. Runs with no mailbox lock held — the
+    /// acknowledgement of a remote sender is a frame on the wire.
+    fn matched(&self, msg: MatchKey, bytes: usize, ack: Option<&Arc<AckCell>>) {
+        if let Some(ack) = ack {
             ack.set();
             self.hub.notify();
         }
-        self.trace.taken(self.owner, &e);
+        self.trace.taken(self.owner, msg, bytes);
+    }
+
+    /// Takes the first matching envelope from one specific lane.
+    fn try_take_lane(&self, lane: usize, key: MatchKey) -> Option<Delivered> {
+        let e = self.remove_match(lane, key)?;
+        self.matched(e.key(), e.payload.len(), e.ack.as_ref());
         Some(Delivered {
             src: e.src,
             tag: e.tag,
@@ -579,6 +728,222 @@ impl Mailbox {
         self.wait_matching(interrupt, deadline, |mb| mb.try_peek(key))
     }
 
+    /// Copies a taken message into `sink` (unless the sink refuses it) and
+    /// returns its (source, tag, byte length).
+    fn pour<S: Sink>(&self, d: Delivered, sink: &mut S) -> (usize, Tag, usize) {
+        let bytes = d.payload.as_slice();
+        if sink.reserve(bytes.len()) {
+            let room = sink.spare(bytes.len());
+            assert_eq!(room.len(), bytes.len(), "sink made the wrong room");
+            // SAFETY: `room` is exactly `bytes.len()` long and cannot
+            // overlap the payload, which this function owns; after the
+            // copy every byte of it is written, as `commit` requires.
+            unsafe {
+                std::ptr::copy_nonoverlapping(bytes.as_ptr(), room.as_mut_ptr().cast(), room.len());
+                sink.commit(bytes.len());
+            }
+            self.trace.payload_moved(self.owner, bytes.len(), 1, 0);
+        }
+        (d.src, d.tag, bytes.len())
+    }
+
+    /// Blocks until a message matching `key` has been received *into*
+    /// `sink`; returns its (source, tag, byte length). `interrupt` and
+    /// `deadline` are those of [`Mailbox::take_blocking_deadline`].
+    ///
+    /// A message that is already queued is copied out of its envelope — all
+    /// the in-process backend ever does, with nothing registered and nothing
+    /// boxed. Otherwise, on a wired mailbox and with nothing wild in `key`,
+    /// the sink is *posted* on the source's lane and the transport thread
+    /// reading that source writes the payload into it straight off the wire
+    /// ([`Mailbox::dest_for`]), unless an earlier match is queued: the lane
+    /// is FIFO and has one reader, so that check is all MPI's order needs.
+    ///
+    /// The sink comes back filled or untouched, with one exception: a
+    /// receive given up (interrupt, deadline) while the transport is in the
+    /// middle of its payload leaves `S::default()`; the payload, once whole,
+    /// is queued as an ordinary envelope.
+    pub(crate) fn take_into<S: Sink + Default>(
+        &self,
+        key: MatchKey,
+        sink: &mut S,
+        interrupt: &dyn Fn() -> Option<MpiError>,
+        deadline: Option<Instant>,
+    ) -> MpiResult<(usize, Tag, usize)> {
+        if let Some(d) = self.try_take(key) {
+            return Ok(self.pour(d, sink));
+        }
+        let postable =
+            self.wired.load(Ordering::Relaxed) && key.src != ANY_SOURCE && key.tag != ANY_TAG;
+        if postable {
+            let mut slot = self.lanes[key.src].posted.lock().expect("lane poisoned");
+            // One posted receive per lane; a second thread of this rank
+            // receiving from the same source waits the ordinary way.
+            if matches!(*slot, Posted::Idle) {
+                let boxed = Box::new(std::mem::take(sink));
+                *slot = Posted::Waiting { key, sink: boxed };
+                drop(slot);
+                return self.await_posted(key, sink, interrupt, deadline);
+            }
+        }
+        let d = self.wait_slow(interrupt, deadline, |mb| mb.try_take(key))?;
+        Ok(self.pour(d, sink))
+    }
+
+    /// The wait of [`Mailbox::take_into`] once `key`'s lane holds its sink.
+    fn await_posted<S: Sink + Default>(
+        &self,
+        key: MatchKey,
+        sink: &mut S,
+        interrupt: &dyn Fn() -> Option<MpiError>,
+        deadline: Option<Instant>,
+    ) -> MpiResult<(usize, Tag, usize)> {
+        /// How the posted receive was served.
+        enum Got {
+            Filled(Box<dyn Sink>, usize, Option<Arc<AckCell>>),
+            Queued(Envelope, Box<dyn Sink>),
+        }
+        let lane = &self.lanes[key.src];
+        let back = |boxed: Box<dyn Sink>| -> S {
+            let any: Box<dyn Any> = boxed;
+            *any.downcast().expect("the sink this receive posted")
+        };
+        let waited = self.wait_slow(interrupt, deadline, |mb| {
+            let mut slot = lane.posted.lock().expect("lane poisoned");
+            match std::mem::take(&mut *slot) {
+                Posted::Done { sink, len, ack } => Some(Got::Filled(sink, len, ack)),
+                // The transport declined the sink (small message, earlier
+                // match, refused size): the message is in the queue.
+                Posted::Waiting { key, sink } => match mb.remove_match(key.src, key) {
+                    Some(e) => Some(Got::Queued(e, sink)),
+                    None => {
+                        *slot = Posted::Waiting { key, sink };
+                        None
+                    }
+                },
+                // Mid-payload: whatever is queued arrived before it.
+                filling => {
+                    *slot = filling;
+                    None
+                }
+            }
+        });
+        let got = waited.or_else(|err| {
+            let mut slot = lane.posted.lock().expect("lane poisoned");
+            match std::mem::take(&mut *slot) {
+                Posted::Waiting { sink: boxed, .. } => *sink = back(boxed),
+                Posted::Filling { .. } => *slot = Posted::Filling { abandoned: true },
+                // Completed while this receive was giving up: delivered.
+                Posted::Done { sink, len, ack } => return Ok(Got::Filled(sink, len, ack)),
+                Posted::Idle => unreachable!("only its receiver clears a posted lane"),
+            }
+            Err(err)
+        })?;
+        match got {
+            Got::Filled(boxed, len, ack) => {
+                *sink = back(boxed);
+                self.matched(key, len, ack.as_ref());
+                Ok((key.src, key.tag, len))
+            }
+            Got::Queued(e, boxed) => {
+                *sink = back(boxed);
+                self.matched(key, e.payload.len(), e.ack.as_ref());
+                let (src, tag, payload) = (e.src, e.tag, e.payload);
+                Ok(self.pour(Delivered { src, tag, payload }, sink))
+            }
+        }
+    }
+
+    /// True while a receive from `src` has its destination posted
+    /// (diagnostics / tests only).
+    pub fn posted_from(&self, src: usize) -> bool {
+        !matches!(
+            *self.lanes[src].posted.lock().expect("lane poisoned"),
+            Posted::Idle
+        )
+    }
+
+    /// Where the `len` payload bytes of the arriving message `msg` go —
+    /// asked by the transport as soon as it has read the message's header.
+    /// The destination a receive posted, iff that receive waits for exactly
+    /// `msg`, no earlier match is queued, the payload is not inline-sized
+    /// and the sink accepts it; one exact-size buffer otherwise.
+    ///
+    /// A `patient` caller (a helper thread that can leave the payload on
+    /// the wire for now) is told `None`, "ask again", where a buffer would
+    /// pre-empt a receive that is about to be posted: the previous large
+    /// user message of this lane was received posted, this one is not yet.
+    ///
+    /// # Panics
+    /// Panics if `msg.src` is no source of this mailbox.
+    pub(crate) fn dest_for(&self, msg: MatchKey, len: usize, patient: bool) -> Option<Dest> {
+        let lane = &self.lanes[msg.src];
+        let filled = 0;
+        if len > INLINE_CAP && msg.tag < COLL_TAG_BASE {
+            let mut slot = lane.posted.lock().expect("lane poisoned");
+            if let Posted::Waiting { key, sink } = &mut *slot {
+                let earlier = || {
+                    let q = lane.queue.lock().expect("lane poisoned");
+                    q.iter().any(|(_, e)| msg.matches(e))
+                };
+                if *key == msg && !earlier() && sink.reserve(len) {
+                    let filling = Posted::Filling { abandoned: false };
+                    if let Posted::Waiting { sink, .. } = std::mem::replace(&mut *slot, filling) {
+                        lane.leased.store(true, Ordering::Relaxed);
+                        let room = Room::Posted(sink);
+                        return Some(Dest { room, len, filled });
+                    }
+                }
+            }
+            if patient && lane.leased.load(Ordering::Relaxed) {
+                return None;
+            }
+            lane.leased.store(false, Ordering::Relaxed);
+        }
+        self.trace.payload_moved(self.owner, len, 0, 1);
+        let room = Room::Bytes(Vec::with_capacity(len));
+        Some(Dest { room, len, filled })
+    }
+
+    /// The message `msg` has arrived whole in `dest`, which
+    /// [`Mailbox::dest_for`] handed out for it: wakes the receiver whose
+    /// sink it is (`true`), or deposits the envelope.
+    pub(crate) fn land(&self, msg: MatchKey, dest: Dest, ack: Option<Arc<AckCell>>) -> bool {
+        let len = dest.len;
+        assert_eq!(dest.filled, len, "payload landed incomplete");
+        self.trace.payload_moved(self.owner, len, 1, 0);
+        let payload = match dest.room {
+            Room::Bytes(mut bytes) => {
+                // SAFETY: all `len` bytes are written (`Dest::advance`).
+                unsafe { bytes.commit(len) };
+                Payload::from_vec(bytes)
+            }
+            Room::Posted(mut sink) => {
+                // SAFETY: as above.
+                unsafe { sink.commit(len) };
+                let mut slot = self.lanes[msg.src].posted.lock().expect("lane poisoned");
+                if matches!(*slot, Posted::Filling { abandoned: false }) {
+                    *slot = Posted::Done { sink, len, ack };
+                    drop(slot);
+                    self.trace.delivered(self.owner, msg, len);
+                    self.bump();
+                    return true;
+                }
+                *slot = Posted::Idle;
+                Payload::from_slice(sink.filled(len))
+            }
+        };
+        let (src, tag, ctx) = (msg.src, msg.tag, msg.ctx);
+        self.post(Envelope {
+            src,
+            tag,
+            ctx,
+            payload,
+            ack,
+        });
+        false
+    }
+
     /// Parks on this mailbox until `attempt` yields a value, `interrupt`
     /// reports an error, or `deadline` passes — the generic wait loop behind
     /// the take/peek entry points, exposed to the i-collective engine so an
@@ -604,10 +969,20 @@ impl Mailbox {
         deadline: Option<Instant>,
         mut attempt: impl FnMut(&Self) -> Option<T>,
     ) -> MpiResult<T> {
-        let start = Instant::now();
         if let Some(hit) = attempt(self) {
             return Ok(hit);
         }
+        self.wait_slow(interrupt, deadline, attempt)
+    }
+
+    /// [`Mailbox::wait_matching`] after its first attempt missed.
+    fn wait_slow<T>(
+        &self,
+        interrupt: &dyn Fn() -> Option<MpiError>,
+        deadline: Option<Instant>,
+        mut attempt: impl FnMut(&Self) -> Option<T>,
+    ) -> MpiResult<T> {
+        let start = Instant::now();
         // Everything past the fast path is blocked-waiting; the RAII guard
         // attributes it to the owning rank (inert when measuring is off)
         // and covers every exit — match, interrupt, or timeout.
@@ -821,6 +1196,21 @@ pub trait Transport: Send + Sync {
     /// Deposits `envelope` in global rank `dest`'s mailbox, wherever that
     /// rank lives. Must preserve per-(source → dest) FIFO order.
     fn post(&self, dest: usize, envelope: Envelope);
+
+    /// Sends the message `msg` with payload `bytes` to `dest` straight from
+    /// the caller's slice, if this backend has a wire to copy it onto;
+    /// `false` (the default) leaves it to the caller to pack a [`Payload`]
+    /// and [`Transport::post`] it. Same ordering duty as `post`.
+    fn send_borrowed(&self, dest: usize, msg: MatchKey, bytes: &[u8]) -> bool {
+        let _ = (dest, msg, bytes);
+        false
+    }
+
+    /// Largest payload (bytes) one message may carry; the send calls reject
+    /// anything above it.
+    fn max_payload(&self) -> usize {
+        usize::MAX
+    }
 
     /// The mailbox of a rank hosted by *this* process.
     ///

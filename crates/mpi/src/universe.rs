@@ -33,7 +33,8 @@ use crate::metrics::{Counter, MetricsPlane, MetricsSnapshot};
 use crate::profile::ProfileSnapshot;
 use crate::trace::{TraceCtx, TraceEvent};
 use crate::transport::{
-    members_from_mask, ControlMsg, ControlSink, Envelope, Hub, Mailbox, ShmTransport, Transport,
+    members_from_mask, ControlMsg, ControlSink, Envelope, Hub, Mailbox, MatchKey, Payload,
+    ShmTransport, Transport, INLINE_CAP,
 };
 
 /// One membership-growth admission: at `epoch`, `joiners` were added and
@@ -183,7 +184,8 @@ impl UniverseState {
     /// complete in MPI; the failure surfaces at receives).
     #[inline]
     pub(crate) fn post(&self, dest: usize, envelope: Envelope) {
-        self.trace.posted(dest, &envelope);
+        self.trace
+            .posted(dest, envelope.key(), envelope.payload.len());
         if self.is_failed(dest) {
             if let Some(ack) = envelope.ack {
                 // Never going to be matched; complete it so senders don't hang.
@@ -193,6 +195,31 @@ impl UniverseState {
             return;
         }
         self.transport.post(dest, envelope);
+    }
+
+    /// [`UniverseState::post`] for a payload the caller only lends: a
+    /// backend with a wire copies it there directly, any other gets it
+    /// packed (one copy, into the envelope itself when it fits inline).
+    #[inline]
+    pub(crate) fn send(&self, dest: usize, msg: MatchKey, bytes: &[u8]) {
+        if bytes.len() > INLINE_CAP {
+            if self.transport.send_borrowed(dest, msg, bytes) {
+                self.trace.posted(dest, msg, bytes.len());
+                return;
+            }
+            self.trace.payload_moved(msg.src, bytes.len(), 1, 1);
+        }
+        let (src, tag, ctx) = (msg.src, msg.tag, msg.ctx);
+        self.post(
+            dest,
+            Envelope {
+                src,
+                tag,
+                ctx,
+                payload: Payload::from_slice(bytes),
+                ack: None,
+            },
+        );
     }
 
     /// The mailbox of a locally-hosted rank.

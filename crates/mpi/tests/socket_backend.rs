@@ -735,12 +735,52 @@ fn case_heartbeat_idle(comm: &RawComm) {
     comm.barrier().unwrap();
 }
 
-/// Satellite (copy budget): large typed messages to a receiver that is
-/// already waiting, with the user-space copies and the payload-sized
-/// allocations of both processes counted by the library itself
-/// (`payload_bytes_copied`, `payload_allocs`; needs `KAMPING_METRICS`).
-/// Copies per message = bytes copied / bytes sent; the parent test names
-/// the exact pair this backend must hit in `KAMPING_TEST_BUDGET`.
+/// Runs `recv`, a blocking receive from `src` that will have to post its
+/// destination, and creates the file `flag` once it has: the sender holds
+/// its message back until the file is there ([`await_flag`]), so the
+/// message finds the receive posted — by construction, not by timing. The
+/// flag is a file because the watching thread has no communicator.
+fn recv_posted<R>(
+    comm: &RawComm,
+    src: usize,
+    flag: &std::path::Path,
+    recv: impl FnOnce() -> R,
+) -> R {
+    let mailbox = comm.mailbox();
+    std::thread::scope(|s| {
+        s.spawn(move || {
+            while !mailbox.posted_from(src) {
+                std::thread::yield_now();
+            }
+            std::fs::write(flag, b"").expect("raising the posted flag");
+        });
+        recv()
+    })
+}
+
+/// The sender's half of [`recv_posted`].
+fn await_flag(flag: &std::path::Path) {
+    while !flag.exists() {
+        std::thread::yield_now();
+    }
+    std::fs::remove_file(flag).expect("clearing the posted flag");
+}
+
+/// The per-job scratch directory the parent test provides.
+fn scratch() -> std::path::PathBuf {
+    std::env::var("KAMPING_TEST_SCRATCH")
+        .expect("parent provides a scratch directory")
+        .into()
+}
+
+/// Satellite (copy budget): large typed messages to a receiver that has
+/// its receive posted (and, second budget, to one that receives late),
+/// with the user-space copies and the payload-sized allocations of both
+/// processes counted by the library itself (`payload_bytes_copied`,
+/// `payload_allocs`; needs `KAMPING_METRICS`). Copies per message = bytes
+/// copied / bytes sent; the parent test names the exact pairs this backend
+/// must hit in `KAMPING_TEST_BUDGET` ("copies,allocs" posted, then
+/// unexpected).
 fn case_large_copy_budget(comm: &RawComm) {
     use kamping::prelude::*;
     use kamping_mpi::metrics::Counter;
@@ -748,8 +788,8 @@ fn case_large_copy_budget(comm: &RawComm) {
     const REPS: usize = 4;
     const WORD: usize = std::mem::size_of::<u64>();
     let budget = std::env::var("KAMPING_TEST_BUDGET").expect("parent names the budget");
-    let (copies, allocs) = budget.split_once(',').expect("copies,allocs");
-    let (copies, allocs): (u64, u64) = (copies.parse().unwrap(), allocs.parse().unwrap());
+    let budget: Vec<u64> = budget.split(',').map(|n| n.parse().unwrap()).collect();
+    let flag = scratch().join("posted");
 
     let typed = kamping::Communicator::new(comm.clone());
     let pattern = |bytes: usize, rep: usize| -> Vec<u64> {
@@ -763,43 +803,58 @@ fn case_large_copy_budget(comm: &RawComm) {
             m.counter(Counter::PayloadAllocs),
         ]
     };
-    let before = moved(&comm.metrics());
-    for bytes in SIZES {
-        for rep in 0..REPS {
-            if comm.rank() == 0 {
-                // The receiver announces itself right before it blocks.
-                comm.recv(1, 1).unwrap();
-                let msg = pattern(bytes, rep);
-                typed
-                    .send(send_buf(&msg), destination(1))
-                    .tag(2)
-                    .call()
-                    .unwrap();
-            } else {
-                comm.send(0, 1, b"").unwrap();
-                let (got, status) = typed.recv::<u64>(source(0)).tag(2).call().unwrap();
-                assert_eq!(status.bytes, bytes);
-                assert!(got == pattern(bytes, rep), "{bytes}-byte message corrupted");
-            }
-        }
-    }
-    let after = moved(&comm.metrics());
-    let mine = [after[0] - before[0], after[1] - before[1]];
-    if comm.rank() == 1 {
-        let wire: Vec<u8> = mine.iter().flat_map(|v| v.to_le_bytes()).collect();
-        comm.send(0, 3, &wire).unwrap();
-        return;
-    }
-    let (theirs, _) = comm.recv(1, 3).unwrap();
-    let theirs = |i: usize| u64::from_le_bytes(theirs[i * 8..i * 8 + 8].try_into().unwrap());
     let sent: u64 = SIZES.iter().map(|&b| (b * REPS) as u64).sum();
     let msgs = (SIZES.len() * REPS) as u64;
-    assert_eq!(
-        (mine[0] + theirs(0), mine[1] + theirs(1)),
-        (copies * sent, allocs * msgs),
-        "(bytes copied, allocations) over {msgs} messages of {sent} bytes: \
-         expected {copies} copies and {allocs} allocations per message"
-    );
+    // Every phase is counted from the snapshot that closed the one before
+    // it: taken before this rank reports, so before the sender moves on.
+    let mut before = moved(&comm.metrics());
+    for (posted, want) in [(true, &budget[..2]), (false, &budget[2..])] {
+        for bytes in SIZES {
+            for rep in 0..REPS {
+                if comm.rank() == 0 {
+                    if posted {
+                        await_flag(&flag);
+                    }
+                    let msg = pattern(bytes, rep);
+                    let to = typed.send(send_buf(&msg), destination(1));
+                    to.tag(2).call().unwrap();
+                    // Behind the message on the same channel: when it is
+                    // there, so is the whole message.
+                    comm.send(1, 1, b"").unwrap();
+                } else {
+                    let recv = || typed.recv::<u64>(source(0)).tag(2).call().unwrap();
+                    let (got, status) = if posted {
+                        let got = recv_posted(comm, 0, &flag, recv);
+                        comm.recv(0, 1).unwrap();
+                        got
+                    } else {
+                        comm.recv(0, 1).unwrap();
+                        recv()
+                    };
+                    assert_eq!(status.bytes, bytes);
+                    assert!(got == pattern(bytes, rep), "{bytes}-byte message corrupted");
+                }
+            }
+        }
+        let after = moved(&comm.metrics());
+        let mine = [after[0] - before[0], after[1] - before[1]];
+        before = after;
+        if comm.rank() == 1 {
+            let wire: Vec<u8> = mine.iter().flat_map(|v| v.to_le_bytes()).collect();
+            comm.send(0, 3, &wire).unwrap();
+            continue;
+        }
+        let (theirs, _) = comm.recv(1, 3).unwrap();
+        let theirs = |i: usize| u64::from_le_bytes(theirs[i * 8..i * 8 + 8].try_into().unwrap());
+        assert_eq!(
+            (mine[0] + theirs(0), mine[1] + theirs(1)),
+            (want[0] * sent, want[1] * msgs),
+            "(bytes copied, allocations) over {msgs} messages of {sent} bytes, \
+             receive posted: {posted}; expected {} copies and {} allocations per message",
+            want[0],
+            want[1]
+        );
+    }
 }
 
 /// Acceptance check of the progress-engine rewrite: the number of OS
@@ -1124,22 +1179,37 @@ fn socket_heartbeats_stay_out_of_message_counters() {
     assert_all_success("heartbeat_idle", &run_job("heartbeat_idle", 2, false));
 }
 
+/// A fresh scratch directory for the children of one job.
+fn scratch_dir(case: &str, backend: Backend) -> (&'static str, String) {
+    let dir = std::env::temp_dir().join(format!(
+        "kamping-test-{}-{case}-{backend:?}",
+        std::process::id()
+    ));
+    std::fs::create_dir_all(&dir).expect("creating the scratch directory");
+    ("KAMPING_TEST_SCRATCH", dir.to_string_lossy().into_owned())
+}
+
 /// Runs the copy-budget case with metrics on and the backend's exact
-/// (copies, allocations) per large message as the budget.
+/// (copies, allocations) per large message, posted then unexpected, as the
+/// budget.
 fn copy_budget(backend: Backend, budget: &str) {
+    let scratch = scratch_dir("copy-budget", backend);
     let env = [
         ("KAMPING_METRICS", "1".to_string()),
         ("KAMPING_TEST_BUDGET", budget.to_string()),
+        scratch.clone(),
     ];
     let exits = run_job_full("large_copy_budget", 2, false, backend, &env);
+    let _ = std::fs::remove_dir_all(scratch.1);
     assert_all_success("large_copy_budget", &exits);
 }
 
 #[test]
 fn socket_large_copy_budget() {
-    // Send packing, `to_vec`, `encode`, `encode_prefixed` | scratch ->
-    // reassembly, `decode`, bytes -> `Vec<T>`; kernel copies not counted.
-    copy_budget(Backend::Socket, "7,6");
+    // Posted: slice -> the queued payload (its allocation), [kernel],
+    // socket -> the `Vec<T>` the caller gets (its allocation). Unexpected:
+    // the socket fills an exact-size buffer first, copied once more.
+    copy_budget(Backend::Socket, "2,2,3,3");
 }
 
 #[test]
@@ -1282,9 +1352,9 @@ fn ring_revoke_interrupts_blocked_peers() {
 
 #[test]
 fn ring_large_copy_budget() {
-    // Send packing, `to_vec`, ring write | reassembly, `decode`,
-    // bytes -> `Vec<T>`.
-    copy_budget(Backend::ShmXproc, "6,4");
+    // Posted: slice -> ring, ring -> the `Vec<T>` the caller gets, the one
+    // allocation. Unexpected: ring -> an exact-size buffer -> `Vec<T>`.
+    copy_budget(Backend::ShmXproc, "2,1,3,2");
 }
 
 #[test]
