@@ -8,16 +8,6 @@
 //! writes the message into ([`kamping_mpi::RawComm::recv_into`]).
 //! Non-blocking variants return the ownership-safe [`NonBlockingResult`] of
 //! §III-E.
-//!
-//! A receive buffer belongs on the receiving side only:
-//!
-//! ```compile_fail
-//! use kamping::prelude::*;
-//! kamping::run(1, |comm| {
-//!     let mut buf = vec![0u8; 1];
-//!     comm.send(send_buf(&[1u8]), destination(0)).recv_buf(&mut buf);
-//! });
-//! ```
 
 use std::marker::PhantomData;
 

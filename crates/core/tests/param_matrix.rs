@@ -550,3 +550,153 @@ fn every_receive_buffer_form_on_every_collective() {
         });
     }
 }
+
+// --- receive-buffer forms of the blocking receive -------------------------------
+
+const GO: kamping_mpi::Tag = 1;
+const DATA: kamping_mpi::Tag = 2;
+const SENT: kamping_mpi::Tag = 3;
+const RECV_FORMS: usize = 8;
+
+/// Receives `want` from rank 0 once per receive-buffer form. `early`: the
+/// receive is entered before the message is sent (it waits — on a
+/// cross-process backend it would post its buffer); otherwise only once the
+/// message is known to be in the mailbox.
+fn recv_buf_forms_on_recv<T>(comm: &Communicator, want: &[T], junk: T, early: bool)
+where
+    T: PodType + PartialEq + std::fmt::Debug,
+{
+    let raw = comm.raw();
+    let n = want.len();
+    let what = format!("recv of {n} x {} B, early: {early}", T::SIZE);
+    // Asks rank 0 for the next message; it follows every message with a
+    // `SENT` marker, behind which the message is certain to have arrived.
+    let start = || {
+        raw.send(0, GO, &[]).unwrap();
+        if !early {
+            raw.recv(0, SENT).unwrap();
+        }
+        comm.recv::<T>(source(0)).tag(DATA)
+    };
+    let finish = |status: kamping_mpi::Status| {
+        assert_eq!(
+            (status.source, status.tag, status.bytes),
+            (0, DATA, n * T::SIZE)
+        );
+        if early {
+            raw.recv(0, SENT).unwrap();
+        }
+    };
+
+    let (by_value, status) = start().call().unwrap();
+    assert_eq!(by_value, want, "{what}: by value");
+    finish(status);
+
+    let mut exact = vec![junk; n];
+    finish(start().recv_buf(&mut exact).call().unwrap().1);
+    assert_eq!(exact, want, "{what}: NoResize exact");
+
+    let mut roomy = vec![junk; n + 2];
+    finish(start().recv_buf(&mut roomy).call().unwrap().1);
+    assert_eq!(roomy[..n], *want, "{what}: NoResize roomy");
+    assert_eq!(roomy[n..], [junk, junk], "{what}: NoResize leaves the tail");
+
+    // Too short: the message is consumed, the buffer comes back as it was.
+    let mut short = vec![junk; n - 1];
+    match start().recv_buf(&mut short).call() {
+        Err(KampingError::BufferTooSmall { needed, available }) => {
+            assert_eq!(
+                (needed, available),
+                (n, n - 1),
+                "{what}: NoResize too short"
+            )
+        }
+        other => panic!("{what}: NoResize too short: {other:?}"),
+    }
+    assert_eq!(
+        short,
+        vec![junk; n - 1],
+        "{what}: NoResize too short keeps the buffer"
+    );
+    if early {
+        raw.recv(0, SENT).unwrap();
+    }
+
+    let mut fit = vec![junk; n + 5];
+    finish(
+        start()
+            .recv_buf_resize::<ResizeToFit, _>(&mut fit)
+            .call()
+            .unwrap()
+            .1,
+    );
+    assert_eq!(fit, want, "{what}: ResizeToFit shrinks");
+
+    let mut grow = Vec::new();
+    finish(
+        start()
+            .recv_buf_resize::<GrowOnly, _>(&mut grow)
+            .call()
+            .unwrap()
+            .1,
+    );
+    assert_eq!(grow, want, "{what}: GrowOnly grows");
+    let mut grown = vec![junk; n + 2];
+    finish(
+        start()
+            .recv_buf_resize::<GrowOnly, _>(&mut grown)
+            .call()
+            .unwrap()
+            .1,
+    );
+    assert_eq!(grown[..n], *want, "{what}: GrowOnly roomy");
+    assert_eq!(grown.len(), n + 2, "{what}: GrowOnly never shrinks");
+
+    let spare: Vec<T> = Vec::with_capacity(n + 64);
+    let (ptr, cap) = (spare.as_ptr(), spare.capacity());
+    let (reused, status) = start().recv_buf_owned(spare).call().unwrap();
+    finish(status);
+    assert_eq!(reused, want, "{what}: owned");
+    assert_eq!(
+        (reused.as_ptr(), reused.capacity()),
+        (ptr, cap),
+        "{what}: owned buffer's allocation is reused"
+    );
+}
+
+/// Rank 0's side of [`recv_buf_forms_on_recv`].
+fn serve_recv_forms<T: PodType>(comm: &Communicator, msg: &[T]) {
+    for _ in 0..RECV_FORMS {
+        comm.raw().recv(1, GO).unwrap();
+        comm.send(send_buf(msg), destination(1))
+            .tag(DATA)
+            .call()
+            .unwrap();
+        comm.raw().send(1, SENT, &[]).unwrap();
+    }
+}
+
+#[test]
+fn every_receive_buffer_form_on_recv() {
+    // Inline in the envelope, one byte past it, and 1 MiB; bytes and words.
+    let bytes = |n: usize| -> Vec<u8> { (0..n).map(|i| (i * 7 + 1) as u8).collect() };
+    let words = |n: usize| -> Vec<u64> { (1..=n as u64).map(|i| i * 0x0101_0101).collect() };
+    kamping::run(2, |comm| {
+        for early in [true, false] {
+            for n in [8, 33, 1 << 20] {
+                let msg = bytes(n);
+                match comm.rank() {
+                    0 => serve_recv_forms(&comm, &msg),
+                    _ => recv_buf_forms_on_recv(&comm, &msg, 0xee, early),
+                }
+            }
+            for n in [4, 5, 1 << 17] {
+                let msg = words(n);
+                match comm.rank() {
+                    0 => serve_recv_forms(&comm, &msg),
+                    _ => recv_buf_forms_on_recv(&comm, &msg, u64::MAX, early),
+                }
+            }
+        }
+    });
+}

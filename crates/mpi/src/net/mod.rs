@@ -458,7 +458,13 @@ fn spawn_monitor(
                         }
                         Ok(_) => {}
                         Err(_) => {
-                            if !state.is_gone(rank) {
+                            // A rank this process already holds for failed
+                            // is announced all the same: a broken data link
+                            // tells only its own end, the monitor everyone.
+                            let finished = state.finished.read().expect("finished set poisoned");
+                            let crashed = !finished.contains(&rank);
+                            drop(finished);
+                            if crashed {
                                 state.mark_failed(rank);
                             }
                             conns.swap_remove(i);

@@ -698,6 +698,220 @@ mod tests {
         }
     }
 
+    /// A byte stream that hands out at most `step` bytes per read and runs
+    /// dry (once) at every offset in `dry`.
+    struct Trickle<'a> {
+        bytes: &'a [u8],
+        at: usize,
+        step: usize,
+        dry: Vec<usize>,
+        /// Most bytes ever asked for in one read.
+        widest: usize,
+    }
+
+    // SAFETY: `read` writes exactly the `n` leading bytes it reports.
+    unsafe impl ByteSource for Trickle<'_> {
+        fn read(&mut self, dst: &mut [MaybeUninit<u8>]) -> io::Result<usize> {
+            self.widest = self.widest.max(dst.len());
+            if self.dry.first() == Some(&self.at) {
+                self.dry.remove(0);
+                return Ok(0);
+            }
+            let stop = self.dry.first().copied().unwrap_or(usize::MAX);
+            let n = dst
+                .len()
+                .min(self.step)
+                .min(self.bytes.len() - self.at)
+                .min(stop - self.at);
+            for (slot, byte) in dst.iter_mut().zip(&self.bytes[self.at..self.at + n]) {
+                slot.write(*byte);
+            }
+            self.at += n;
+            Ok(n)
+        }
+    }
+
+    fn mailbox() -> crate::transport::Mailbox {
+        use crate::transport::{Hub, Mailbox};
+        Mailbox::new(
+            0,
+            4,
+            std::sync::Arc::new(Hub::new()),
+            crate::trace::TraceCtx::disabled(4),
+        )
+    }
+
+    /// Everything `reader` yields from `io` until it runs dry for good,
+    /// data frames rebuilt as the `Frame::Data` their sender encoded.
+    fn read_all(reader: &mut FrameReader, io: &mut Trickle<'_>) -> io::Result<Vec<Frame>> {
+        let mb = mailbox();
+        let mut frames = Vec::new();
+        loop {
+            match reader.next(io, |msg, len| {
+                Ok(Some(mb.dest_for(msg, len, false).unwrap()))
+            })? {
+                Some(Arrival::Control(frame)) => frames.push(frame),
+                Some(Arrival::Data { msg, ack_id, dest }) => {
+                    mb.land(msg, dest, None);
+                    let payload = mb.try_take(msg).unwrap().payload.into_vec();
+                    let (src, tag, ctx) = (msg.src, msg.tag, msg.ctx);
+                    frames.push(Frame::Data {
+                        src,
+                        tag,
+                        ctx,
+                        ack_id,
+                        payload,
+                    });
+                }
+                None if io.at == io.bytes.len() => return Ok(frames),
+                None => {}
+            }
+        }
+    }
+
+    fn data(tag: Tag, ack_id: u64, payload: Vec<u8>) -> Frame {
+        Frame::Data {
+            src: 3,
+            tag,
+            ctx: 9,
+            ack_id,
+            payload,
+        }
+    }
+
+    #[test]
+    fn reader_reassembles_any_chunking_without_buffering_payload() {
+        let frames = vec![
+            Frame::Ping,
+            data(1, 0, vec![]),
+            Frame::Ack { ack_id: 4 },
+            data(2, 77, (0..100_000u32).map(|i| i as u8).collect()),
+            Frame::Pong,
+            Frame::Ping,
+            data(3, 0, vec![5; 33]),
+            Frame::Control(ControlMsg::Finished { rank: 3 }),
+            Frame::Grow {
+                epoch: 1,
+                joiner: 2,
+                addr: "unix:/some/where/far/longer/than/a/data/frame/header.sock".into(),
+                members: vec![0, 1, 2],
+            },
+            data(4, 0, vec![6; 1]),
+        ];
+        let stream: Vec<u8> = frames.iter().flat_map(encode_prefixed).collect();
+        for step in [1, 3, 44, 45, 46, 4096, usize::MAX] {
+            let dry = vec![0, 2, 5, 44, 45, 46, 50, 1000, stream.len() - 1];
+            let mut io = Trickle {
+                bytes: &stream,
+                at: 0,
+                step,
+                dry,
+                widest: 0,
+            };
+            let mut reader = FrameReader::default();
+            assert_eq!(
+                read_all(&mut reader, &mut io).unwrap(),
+                frames,
+                "step {step}"
+            );
+            assert!(reader.head.is_empty() && reader.body.is_none());
+            // Header-state reads are small; only a payload read may be as
+            // wide as its payload — the 100 000 bytes went straight to
+            // their destination.
+            assert_eq!(io.widest, 100_000);
+            assert!(
+                reader.head.capacity() < 1024,
+                "header buffer held a payload"
+            );
+        }
+    }
+
+    #[test]
+    fn reader_asks_again_after_not_yet() {
+        let frame = data(1, 0, vec![8; 64]);
+        let stream = encode_prefixed(&frame);
+        let mut io = Trickle {
+            bytes: &stream,
+            at: 0,
+            step: usize::MAX,
+            dry: Vec::new(),
+            widest: 0,
+        };
+        let mut reader = FrameReader::default();
+        let asked = std::cell::Cell::new(0);
+        let not_yet = |_, _| {
+            asked.set(asked.get() + 1);
+            Ok(None)
+        };
+        assert!(reader.next(&mut io, not_yet).unwrap().is_none());
+        assert!(reader.next(&mut io, not_yet).unwrap().is_none());
+        // The header is in and kept, the payload still on the wire.
+        assert_eq!((asked.get(), io.at), (2, DATA_HEAD));
+        assert_eq!(read_all(&mut reader, &mut io).unwrap(), vec![frame]);
+    }
+
+    #[test]
+    fn reader_gives_up_on_streams_it_cannot_follow() {
+        let good = encode_prefixed(&Frame::Ack { ack_id: 1 });
+        let oversized = (MAX_FRAME as u32 + 1).to_le_bytes().to_vec();
+        let empty = 0u32.to_le_bytes().to_vec();
+        let mut unknown_kind = good.clone();
+        unknown_kind[4] = 0xee;
+        let mut trailing = good.clone();
+        trailing[0] += 1;
+        trailing.push(0);
+        let mut disagreeing = data_frame_header(1, 2, 3, 0, 64).to_vec();
+        disagreeing[37] += 1;
+        let mut short_data = data_frame_header(1, 2, 3, 0, 0).to_vec();
+        short_data[0] -= 1;
+        for (what, mut stream) in [
+            ("oversized", oversized),
+            ("empty", empty),
+            ("unknown kind", unknown_kind),
+            ("trailing byte", trailing),
+            ("payload length", disagreeing),
+            ("short data frame", short_data),
+        ] {
+            // Enough bytes behind the bad frame for any read it asks for.
+            stream.extend_from_slice(&[0; 2 * DATA_HEAD]);
+            let mut io = Trickle {
+                bytes: &stream,
+                at: 0,
+                step: usize::MAX,
+                dry: Vec::new(),
+                widest: 0,
+            };
+            let err = read_all(&mut FrameReader::default(), &mut io).unwrap_err();
+            assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{what}");
+        }
+        // A source the caller does not know is the caller's verdict.
+        let stream = encode_prefixed(&data(1, 0, vec![1; 8]));
+        let mut io = Trickle {
+            bytes: &stream,
+            at: 0,
+            step: usize::MAX,
+            dry: Vec::new(),
+            widest: 0,
+        };
+        let unknown = |_, _| Err(corrupt("unknown source"));
+        assert!(FrameReader::default().next(&mut io, unknown).is_err());
+    }
+
+    #[test]
+    fn oversized_payloads_cannot_be_framed() {
+        assert_eq!(MAX_PAYLOAD + DATA_HEAD - 4, MAX_FRAME);
+        let at_cap = data_frame_header(0, 0, 0, 0, MAX_PAYLOAD);
+        assert_eq!(
+            u32::from_le_bytes(at_cap[..4].try_into().unwrap()) as usize,
+            MAX_FRAME
+        );
+        let over = std::panic::catch_unwind(|| data_frame_header(0, 0, 0, 0, MAX_PAYLOAD + 1));
+        assert!(
+            over.is_err(),
+            "a wrapped length prefix must never reach the wire"
+        );
+    }
+
     #[test]
     fn corrupt_length_prefix_rejected_without_allocation() {
         let mut bytes = Vec::new();

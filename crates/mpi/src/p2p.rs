@@ -519,6 +519,61 @@ mod tests {
         });
     }
 
+    /// The shared-memory backend behind a 64-byte message cap — the socket
+    /// backend's frame limit in miniature.
+    struct Capped(crate::transport::ShmTransport);
+
+    impl crate::transport::Transport for Capped {
+        fn name(&self) -> &'static str {
+            "capped"
+        }
+        fn post(&self, dest: usize, envelope: Envelope) {
+            self.0.post(dest, envelope);
+        }
+        fn mailbox(&self, rank: usize) -> &Mailbox {
+            self.0.mailbox(rank)
+        }
+        fn is_local(&self, rank: usize) -> bool {
+            self.0.is_local(rank)
+        }
+        fn control(&self, _msg: crate::transport::ControlMsg) {}
+        fn kick_local(&self) {
+            self.0.kick_local();
+        }
+        fn max_payload(&self) -> usize {
+            64
+        }
+        fn shutdown(&self) {}
+    }
+
+    #[test]
+    fn payload_above_the_transport_cap_is_rejected_at_the_send() {
+        use crate::trace::TraceCtx;
+        use crate::transport::{Hub, ShmTransport};
+        use crate::universe::UniverseState;
+        let (hub, trace) = (Arc::new(Hub::new()), TraceCtx::disabled(1));
+        let capped = Arc::new(Capped(ShmTransport::new(1, &hub, &trace)));
+        let config = crate::Config::default();
+        let state = UniverseState::with_transport(1, vec![0], capped, hub, trace, config);
+        let comm = RawComm::world(Arc::new(state), 0);
+        let too_long = MpiError::InvalidCounts {
+            what: "payload exceeds the largest message the transport can frame",
+        };
+        let big = vec![0u8; 65];
+        assert_eq!(comm.send(0, 1, &big).unwrap_err(), too_long);
+        assert_eq!(comm.send_owned(0, 1, big.clone()).unwrap_err(), too_long);
+        assert_eq!(
+            comm.send_shared(0, 1, Arc::new(big.clone())).unwrap_err(),
+            too_long
+        );
+        assert_eq!(comm.isend(0, 1, big.clone()).err(), Some(too_long.clone()));
+        assert_eq!(comm.issend(0, 1, big).err(), Some(too_long));
+        // Nothing was posted; a message at the cap goes through.
+        assert!(comm.iprobe(0, 1).unwrap().is_none());
+        comm.send(0, 1, &[7; 64]).unwrap();
+        assert_eq!(comm.recv(0, 1).unwrap().0, [7; 64]);
+    }
+
     #[test]
     fn send_owned_moves_buffer() {
         Universe::run(2, |comm| {

@@ -1623,6 +1623,273 @@ mod tests {
         assert_eq!(handle.join().unwrap().unwrap_err(), MpiError::Revoked);
     }
 
+    // --- posted receives -------------------------------------------------
+
+    const BIG: usize = INLINE_CAP + 1;
+
+    fn key(src: usize, tag: Tag) -> MatchKey {
+        MatchKey { src, tag, ctx: 0 }
+    }
+
+    /// A mailbox whose transport reads messages off a wire.
+    fn wired(n: usize) -> Mailbox {
+        let mb = mailbox(n);
+        mb.set_wired();
+        mb
+    }
+
+    /// What the transport does with a message once its header is in: asks
+    /// for the destination, writes the payload there, lands it. Returns
+    /// whether it completed a posted receive.
+    fn arrive(mb: &Mailbox, msg: MatchKey, payload: &[u8]) -> bool {
+        let mut dest = mb.dest_for(msg, payload.len(), false).unwrap();
+        fill(&mut dest, payload);
+        mb.land(msg, dest, None)
+    }
+
+    fn fill(dest: &mut Dest, payload: &[u8]) {
+        for (slot, byte) in dest.rest().iter_mut().zip(payload) {
+            slot.write(*byte);
+        }
+        // SAFETY: every byte of the rest was just written.
+        unsafe { dest.advance(payload.len()) };
+    }
+
+    /// Spins (yielding) until a receive from `src` is posted.
+    fn await_posted(mb: &Mailbox, src: usize) {
+        while !mb.posted_from(src) {
+            std::thread::yield_now();
+        }
+    }
+
+    fn never() -> Option<MpiError> {
+        None
+    }
+
+    #[test]
+    fn posted_receive_is_filled_in_place_and_nothing_is_queued() {
+        let mb = wired(2);
+        let payload = vec![7u8; 4096];
+        std::thread::scope(|s| {
+            let receiver = s.spawn(|| {
+                let mut sink = Vec::with_capacity(8192);
+                let room = sink.as_ptr() as usize;
+                let got = mb.take_into(key(1, 5), &mut sink, &never, None).unwrap();
+                (got, sink, room)
+            });
+            await_posted(&mb, 1);
+            assert!(
+                arrive(&mb, key(1, 5), &payload),
+                "the posted sink was the destination"
+            );
+            let (got, sink, room) = receiver.join().unwrap();
+            assert_eq!(got, (1, 5, 4096));
+            assert_eq!(sink, payload);
+            assert_eq!(
+                sink.as_ptr() as usize,
+                room,
+                "the caller's own allocation was filled"
+            );
+        });
+        assert!(mb.is_empty() && !mb.posted_from(1));
+    }
+
+    #[test]
+    fn posted_sink_is_passed_over_for_other_keys_small_messages_and_earlier_matches() {
+        let mb = wired(2);
+        let slot = |state| *mb.lanes[1].posted.lock().unwrap() = state;
+        let waiting = || Posted::Waiting {
+            key: key(1, 5),
+            sink: Box::new(Vec::<u8>::new()),
+        };
+        slot(waiting());
+        // Another tag, an inline-sized payload, a collective tag: queued.
+        assert!(!arrive(&mb, key(1, 6), &[1; BIG]));
+        assert!(!arrive(&mb, key(1, 5), &[2; INLINE_CAP]));
+        assert!(!arrive(&mb, key(1, COLL_TAG_BASE), &[3; BIG]));
+        // The inline message matches and came first: a later large match
+        // must not overtake it through the sink.
+        assert!(!arrive(&mb, key(1, 5), &[4; BIG]));
+        assert_eq!(mb.len(), 4);
+        let first = mb.try_take(key(1, 5)).unwrap();
+        assert_eq!(first.payload.as_slice(), &[2; INLINE_CAP]);
+        // With the earlier match gone the next large one is claimed.
+        mb.try_take(key(1, 5)).unwrap();
+        assert!(matches!(
+            mb.dest_for(key(1, 5), BIG, false).unwrap().room,
+            Room::Posted(_)
+        ));
+        slot(Posted::Idle);
+    }
+
+    #[test]
+    fn receiver_waits_for_the_payload_in_flight_not_for_later_arrivals() {
+        let mb = wired(2);
+        std::thread::scope(|s| {
+            let receiver = s.spawn(|| {
+                let mut sink = Vec::new();
+                mb.take_into(key(1, 5), &mut sink, &never, None).unwrap();
+                sink
+            });
+            await_posted(&mb, 1);
+            let mut dest = mb.dest_for(key(1, 5), BIG, false).unwrap();
+            // Mid-payload a later match is deposited (a single reader could
+            // not do that; the mailbox must not care): the receiver has to
+            // stay on the message it was matched with.
+            mb.post(env(1, 5, 0, b"later"));
+            fill(&mut dest, &[9; BIG]);
+            assert!(mb.land(key(1, 5), dest, None));
+            assert_eq!(receiver.join().unwrap(), vec![9; BIG]);
+        });
+        assert_eq!(mb.try_take(key(1, 5)).unwrap().payload.as_slice(), b"later");
+    }
+
+    #[test]
+    fn receive_abandoned_mid_payload_leaves_an_ordinary_envelope() {
+        let mb = wired(2);
+        let ack = Arc::new(AckCell::new());
+        let gate = Hub::new();
+        let (claimed, gave_up) = (AtomicBool::new(false), AtomicBool::new(false));
+        std::thread::scope(|s| {
+            let receiver = s.spawn(|| {
+                let mut sink = vec![1u8, 2, 3];
+                // Interrupted only once the transport holds the sink.
+                let interrupt = || claimed.load(Ordering::Acquire).then_some(MpiError::Revoked);
+                let err = mb.take_into(key(1, 5), &mut sink, &interrupt, None);
+                gave_up.store(true, Ordering::Release);
+                gate.notify();
+                (err, sink)
+            });
+            await_posted(&mb, 1);
+            let mut dest = mb.dest_for(key(1, 5), BIG, false).unwrap();
+            claimed.store(true, Ordering::Release);
+            mb.kick();
+            await_flag(&gate, &gave_up);
+            let (err, sink) = receiver.join().unwrap();
+            assert_eq!(err.unwrap_err(), MpiError::Revoked);
+            assert!(sink.is_empty(), "the sink stayed with the transport");
+            // The payload completes all the same, as a queued envelope
+            // whose synchronous-mode ack is still to come.
+            fill(&mut dest, &[6; BIG]);
+            assert!(!mb.land(key(1, 5), dest, Some(ack.clone())));
+        });
+        assert!(!mb.posted_from(1) && !ack.is_set());
+        // A plain take gets it whole; the lane takes a new posted receive.
+        assert_eq!(
+            mb.try_take(key(1, 5)).unwrap().payload.as_slice(),
+            &[6; BIG]
+        );
+        assert!(ack.is_set());
+        std::thread::scope(|s| {
+            let receiver = s.spawn(|| {
+                let mut sink = Vec::new();
+                mb.take_into(key(1, 5), &mut sink, &never, None).unwrap();
+                sink
+            });
+            await_posted(&mb, 1);
+            assert!(arrive(&mb, key(1, 5), &[8; BIG]));
+            assert_eq!(receiver.join().unwrap(), vec![8; BIG]);
+        });
+    }
+
+    #[test]
+    fn timed_out_posted_receive_takes_its_sink_back() {
+        let mb = wired(2);
+        let mut sink = vec![1u8, 2, 3];
+        let soon = Some(Instant::now() + std::time::Duration::from_millis(20));
+        let err = mb
+            .take_into(key(1, 5), &mut sink, &never, soon)
+            .unwrap_err();
+        assert!(err.is_timeout());
+        assert_eq!(sink, [1, 2, 3]);
+        assert!(!mb.posted_from(1));
+    }
+
+    /// A sink that holds at most `0` bytes and counts what it was offered.
+    #[derive(Default)]
+    struct Tiny(usize, Vec<u8>);
+
+    impl Sink for Tiny {
+        fn reserve(&mut self, len: usize) -> bool {
+            self.0 += 1;
+            len == 0
+        }
+        fn spare(&mut self, len: usize) -> &mut [MaybeUninit<u8>] {
+            self.1.spare(len)
+        }
+        unsafe fn commit(&mut self, _len: usize) {}
+        fn filled(&self, _len: usize) -> &[u8] {
+            &[]
+        }
+    }
+
+    #[test]
+    fn refused_message_is_consumed_and_reported() {
+        let mb = wired(2);
+        std::thread::scope(|s| {
+            let receiver = s.spawn(|| {
+                let mut sink = Tiny::default();
+                let got = mb.take_into(key(1, 5), &mut sink, &never, None).unwrap();
+                (got, sink.0)
+            });
+            await_posted(&mb, 1);
+            assert!(
+                !arrive(&mb, key(1, 5), &[5; BIG]),
+                "refused: queued instead"
+            );
+            // Offered once off the wire, once out of the envelope.
+            assert_eq!(receiver.join().unwrap(), ((1, 5, BIG), 2));
+        });
+        assert!(mb.is_empty());
+    }
+
+    #[test]
+    fn wildcards_and_unwired_mailboxes_never_post() {
+        for (mb, k) in [
+            (wired(2), key(1, ANY_TAG)),
+            (wired(2), key(ANY_SOURCE, 5)),
+            (mailbox(2), key(1, 5)),
+        ] {
+            let polled = AtomicBool::new(false);
+            let interrupt = || {
+                // Runs once the wait is past its fast path: nothing may be
+                // posted, and the message arrives as an envelope.
+                if !polled.swap(true, Ordering::AcqRel) {
+                    assert!(!mb.posted_from(1));
+                    mb.post(env(1, 5, 0, &[3; BIG]));
+                }
+                None
+            };
+            let mut sink = Vec::new();
+            let got = mb.take_into(k, &mut sink, &interrupt, None).unwrap();
+            assert_eq!((got, sink), ((1, 5, BIG), vec![3; BIG]));
+        }
+    }
+
+    #[test]
+    fn patient_helper_waits_only_on_a_lane_that_receives_posted() {
+        let mb = wired(2);
+        // No posted receive has ever been served here: a buffer at once.
+        assert!(mb.dest_for(key(1, 5), BIG, true).is_some());
+        std::thread::scope(|s| {
+            let receiver = s.spawn(|| {
+                let mut sink = Vec::new();
+                mb.take_into(key(1, 5), &mut sink, &never, None).unwrap();
+            });
+            await_posted(&mb, 1);
+            assert!(arrive(&mb, key(1, 5), &[1; BIG]));
+            receiver.join().unwrap();
+        });
+        // Now the rank receives this source posted: the next large user
+        // message is left for it — by a patient helper only, and only until
+        // somebody buffers one.
+        assert!(mb.dest_for(key(1, 5), BIG, true).is_none());
+        assert!(mb.dest_for(key(1, 5), INLINE_CAP, true).is_some());
+        assert!(mb.dest_for(key(1, COLL_TAG_BASE), BIG, true).is_some());
+        assert!(mb.dest_for(key(1, 5), BIG, false).is_some());
+        assert!(mb.dest_for(key(1, 5), BIG, true).is_some());
+    }
+
     #[test]
     fn inline_payloads_stay_off_the_heap() {
         let small = Payload::from_slice(&[7u8; INLINE_CAP]);

@@ -773,6 +773,22 @@ fn scratch() -> std::path::PathBuf {
         .into()
 }
 
+/// [`recv_posted`] where receives post at all; in-process nothing is ever
+/// posted and the sender does not wait.
+fn recv_maybe_posted<R>(comm: &RawComm, src: usize, recv: impl FnOnce() -> R) -> R {
+    if in_process() {
+        return recv();
+    }
+    recv_posted(comm, src, &scratch().join(format!("posted-{src}")), recv)
+}
+
+/// The sender's half of [`recv_maybe_posted`].
+fn await_posted_flag(comm: &RawComm) {
+    if !in_process() {
+        await_flag(&scratch().join(format!("posted-{}", comm.rank())));
+    }
+}
+
 /// Satellite (copy budget): large typed messages to a receiver that has
 /// its receive posted (and, second budget, to one that receives late),
 /// with the user-space copies and the payload-sized allocations of both
@@ -855,6 +871,362 @@ fn case_large_copy_budget(comm: &RawComm) {
             want[1]
         );
     }
+}
+
+// ---------------------------------------------------------------------
+// The posted path: a blocking receive hands the transport its buffer.
+// ---------------------------------------------------------------------
+
+/// True on the shm-xproc rings, where a test can write (part of) a frame
+/// into the peer's inbox by hand.
+fn on_rings() -> bool {
+    std::env::var("KAMPING_TRANSPORT").as_deref() == Ok("shm-xproc")
+}
+
+/// True when all ranks are threads of this process: nothing is ever posted.
+fn in_process() -> bool {
+    std::env::var("KAMPING_TRANSPORT").is_err()
+}
+
+/// Deterministic content of message `id`: its id, then a counter pattern.
+fn body(id: u64, len: usize) -> Vec<u8> {
+    let word = |i: usize| (id ^ (i as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15)).to_le_bytes();
+    (0..len.div_ceil(8)).flat_map(word).take(len).collect()
+}
+
+/// A second producer handle on rank `dest`'s inbox ring from this rank —
+/// for writing a frame in two halves. Only safe to use while this rank's
+/// transport is not sending to `dest` itself.
+fn raw_ring(comm: &RawComm, dest: usize) -> kamping_mpi::net::ring::RingTx {
+    use kamping_mpi::net::ring::{RingTx, DEFAULT_RING_BYTES};
+    let dir = std::env::var("KAMPING_SHM_DIR").expect("ring jobs know their directory");
+    RingTx::open(
+        dir.as_ref(),
+        dest,
+        comm.rank(),
+        comm.size(),
+        DEFAULT_RING_BYTES,
+    )
+    .expect("opening the peer's inbox")
+}
+
+/// The bytes of the data frame `comm.send(dest, tag, payload)` would put
+/// on the wire from this rank (world communicator: context 0).
+fn frame_bytes(comm: &RawComm, tag: u32, payload: &[u8]) -> Vec<u8> {
+    let frame = kamping_mpi::net::wire::Frame::Data {
+        src: comm.rank(),
+        tag,
+        ctx: 0,
+        ack_id: 0,
+        payload: payload.to_vec(),
+    };
+    let body = frame.encode();
+    let mut bytes = (body.len() as u32).to_le_bytes().to_vec();
+    bytes.extend_from_slice(&body);
+    bytes
+}
+
+/// Satellite (ordering): one source, three tags, every size class around
+/// the inline cap, the frame header and the ring size — sent in one seeded
+/// order, received in another through every kind of receive (posted into a
+/// buffer, plain, `ANY_SOURCE`, `ANY_TAG`, probe-then-receive), two of them
+/// synchronous-mode. What each receive returns is fixed by MPI's matching
+/// rules alone, so rank 0's transcript must be the in-process one the
+/// parent wrote to `order.txt` (which the in-process run itself writes).
+fn case_posted_order(comm: &RawComm, reference: &std::path::Path) {
+    const SIZES: [usize; 8] = [
+        0,
+        8,
+        32,
+        33,
+        4 << 10,
+        (256 << 10) - 45,
+        256 << 10,
+        (1 << 20) + 1,
+    ];
+    const TAGS: [u32; 3] = [10, 11, 12];
+    const MSGS: usize = 36;
+    let mut rng = 0x5eed_u64;
+    let mut draw = |n: usize| {
+        rng = rng
+            .wrapping_mul(6364136223846793005)
+            .wrapping_add(1442695040888963407);
+        (rng >> 33) as usize % n
+    };
+    // (tag, size) of message `id`, in send order.
+    let script: Vec<(u32, usize)> = (0..MSGS).map(|_| (TAGS[draw(3)], SIZES[draw(8)])).collect();
+
+    if comm.rank() == 1 {
+        let mut pending = Vec::new();
+        for (id, &(tag, len)) in script.iter().enumerate() {
+            let payload = body(id as u64, len);
+            match id {
+                // Matched only when rank 0 says so: the ack is for the
+                // match, not for the arrival of the bytes.
+                5 => {
+                    let mut req = comm.issend(0, 20, payload).unwrap();
+                    comm.recv(0, 21).unwrap();
+                    assert!(
+                        req.test().unwrap().is_none(),
+                        "acknowledged before its match"
+                    );
+                    comm.send(0, 22, b"").unwrap();
+                    req.wait().unwrap();
+                }
+                17 | 29 => pending.push(comm.issend(0, tag, payload).unwrap()),
+                _ => comm.send(0, tag, &payload).unwrap(),
+            }
+        }
+        for mut req in pending {
+            req.wait().unwrap();
+        }
+        return;
+    }
+
+    // Rank 0: receive everything, choosing among the receives that some
+    // outstanding message can satisfy.
+    let mut left: Vec<Vec<usize>> = TAGS
+        .iter()
+        .map(|&t| {
+            (0..MSGS)
+                .filter(|&id| id != 5 && script[id].0 == t)
+                .collect()
+        })
+        .collect();
+    let mut transcript = String::new();
+    let mut note = |how: &str, tag: u32, bytes: &[u8]| {
+        let id = if bytes.len() >= 8 {
+            u64::from_le_bytes(bytes[..8].try_into().unwrap()) as i64
+        } else {
+            -1
+        };
+        if id >= 0 {
+            assert!(bytes == body(id as u64, bytes.len()), "message {id} torn");
+        }
+        transcript.push_str(&format!("{how} tag {tag} len {} id {id}\n", bytes.len()));
+    };
+    let mut sink: Vec<u8> = Vec::new();
+    let mut synced = false;
+    while left.iter().any(|q| !q.is_empty()) {
+        // Until message 5 is matched, rank 1 has sent nothing behind it.
+        let sent = |c: usize| left[c].first().is_some_and(|&id| synced || id < 5);
+        if !(0..3).any(sent) {
+            // The explicitly synchronised issend: everything sent before
+            // it has been received.
+            comm.send(1, 21, b"").unwrap();
+            comm.recv(1, 22).unwrap();
+            let st = comm.recv_into(1, 20, &mut sink).unwrap();
+            note("sync", st.tag, &sink);
+            synced = true;
+            continue;
+        }
+        let class = loop {
+            let c = draw(3);
+            if sent(c) {
+                break c;
+            }
+        };
+        // The oldest outstanding message over all tags: what a receive
+        // with `ANY_TAG` has to return (message 5, on a tag of its own, is
+        // younger than anything receivable before the sync).
+        let oldest = (0..3)
+            .filter(|&c| !left[c].is_empty())
+            .min_by_key(|&c| left[c][0])
+            .unwrap();
+        let (how, class) = match draw(5) {
+            0 => ("into", class),
+            1 => ("plain", class),
+            2 => ("any-source", class),
+            3 => ("any-tag", oldest),
+            _ => ("probe", oldest),
+        };
+        let tag = TAGS[class];
+        match how {
+            "into" => {
+                let st = comm.recv_into(1, tag, &mut sink).unwrap();
+                assert_eq!((st.source, st.tag, st.bytes), (1, tag, sink.len()));
+                note(how, st.tag, &sink);
+            }
+            "plain" => {
+                let (bytes, st) = comm.recv(1, tag).unwrap();
+                note(how, st.tag, &bytes);
+            }
+            "any-source" => {
+                let (bytes, st) = comm.recv(ANY_SOURCE, tag).unwrap();
+                assert_eq!(st.source, 1);
+                note(how, st.tag, &bytes);
+            }
+            "any-tag" => {
+                let (bytes, st) = comm.recv(1, ANY_TAG).unwrap();
+                assert_eq!(st.tag, tag, "ANY_TAG must take the oldest message");
+                note(how, st.tag, &bytes);
+            }
+            _ => {
+                let seen = comm.probe(1, ANY_TAG).unwrap();
+                assert_eq!(seen.tag, tag, "probe must see the oldest message");
+                let st = comm.recv_into(seen.source, seen.tag, &mut sink).unwrap();
+                assert_eq!(st, seen);
+                note(how, st.tag, &sink);
+            }
+        }
+        left[class].remove(0);
+    }
+    if in_process() {
+        std::fs::write(reference, transcript).expect("writing the reference transcript");
+    } else {
+        let want = std::fs::read_to_string(reference).expect("reference transcript");
+        assert!(
+            transcript == want,
+            "transcript differs from the in-process one:\n{transcript}"
+        );
+    }
+}
+
+/// Satellite (timeout): a receive into a buffer times out while its
+/// message is half on the wire (on the rings, where the test can write the
+/// frame in two halves; elsewhere the message is simply late). The message
+/// must then arrive intact for a plain receive, and the lane must take the
+/// next posted receive — no stuck slot, no torn bytes.
+fn case_posted_timeout(comm: &RawComm) {
+    const LEN: usize = 1 << 20;
+    if comm.rank() == 1 {
+        let wire = frame_bytes(comm, 5, &body(1, LEN));
+        let cut = wire.len() / 3;
+        if on_rings() {
+            let ring = raw_ring(comm, 0);
+            await_posted_flag(comm);
+            assert!(ring.write(&[&wire[..cut]], || false, |_| ()));
+            comm.recv(0, 6).unwrap();
+            assert!(ring.write(&[&wire[cut..]], || false, |_| ()));
+        } else {
+            comm.recv(0, 6).unwrap();
+            comm.send(0, 5, &body(1, LEN)).unwrap();
+        }
+        await_posted_flag(comm);
+        comm.send(0, 7, &body(2, LEN)).unwrap();
+        return;
+    }
+    let mut sink = vec![0xaa_u8; 16];
+    let short = Duration::from_millis(200);
+    let timed_out = |sink: &mut Vec<u8>| comm.recv_into_timeout(1, 5, sink, short).unwrap_err();
+    let err = if on_rings() {
+        recv_maybe_posted(comm, 1, || timed_out(&mut sink))
+    } else {
+        timed_out(&mut sink)
+    };
+    assert!(err.is_timeout(), "expected Timeout, got {err:?}");
+    // The buffer is back untouched, or stayed with the transport.
+    assert!(
+        sink == [0xaa; 16] || sink.is_empty(),
+        "torn bytes surfaced: {sink:?}"
+    );
+    comm.send(1, 6, b"timed out").unwrap();
+    let (late, st) = comm.recv(1, 5).unwrap();
+    assert_eq!(st.bytes, LEN);
+    assert!(late == body(1, LEN), "late message corrupted");
+    assert!(!comm.mailbox().posted_from(1), "the lane is still taken");
+    // The lane is free again: the next receive posts and is filled.
+    let st = recv_maybe_posted(comm, 1, || comm.recv_into(1, 7, &mut sink).unwrap());
+    assert_eq!(st.bytes, LEN);
+    assert!(sink == body(2, LEN), "message after the timeout corrupted");
+}
+
+/// Satellite (sender death): rank 1 dies with a 1 MiB frame half on the
+/// wire — by hand on the rings; on sockets by exiting right behind a send
+/// too large for the socket buffers. Rank 0's receive must end in
+/// `ProcFailed` (or, on sockets, with the whole message if the kernel got
+/// it all): never with torn bytes. Receiving from the live rank 2 still
+/// works, posted.
+fn case_posted_sender_dies(comm: &RawComm) {
+    const LEN: usize = 1 << 20;
+    match comm.rank() {
+        // In-process a message is there whole or not at all.
+        1 if in_process() => comm.simulate_failure(),
+        1 if on_rings() => {
+            let wire = frame_bytes(comm, 5, &body(1, LEN));
+            let ring = raw_ring(comm, 0);
+            await_posted_flag(comm);
+            assert!(ring.write(&[&wire[..wire.len() / 2]], || false, |_| ()));
+            std::process::exit(7);
+        }
+        1 => {
+            await_posted_flag(comm);
+            comm.send(0, 5, &body(1, 16 * LEN)).unwrap();
+            std::process::exit(7);
+        }
+        2 => {
+            await_posted_flag(comm);
+            comm.send(0, 5, &body(2, LEN)).unwrap();
+        }
+        _ => {
+            let mut sink = vec![0xaa_u8; 16];
+            match recv_maybe_posted(comm, 1, || comm.recv_into(1, 5, &mut sink)) {
+                Err(e) => {
+                    assert_eq!(e, MpiError::ProcFailed { rank: 1 });
+                    assert!(sink == [0xaa; 16] || sink.is_empty(), "torn bytes surfaced");
+                }
+                Ok(st) => {
+                    assert!(!on_rings(), "half a frame cannot complete");
+                    assert!(st.bytes == 16 * LEN && sink == body(1, 16 * LEN));
+                }
+            }
+            let st = recv_maybe_posted(comm, 2, || comm.recv_into(2, 5, &mut sink)).unwrap();
+            assert_eq!(st.bytes, LEN);
+            assert!(sink == body(2, LEN), "message from the live rank corrupted");
+        }
+    }
+    // The survivors leave together, both knowing who died.
+    if comm.rank() == 2 {
+        assert_eq!(
+            comm.recv(1, 9).unwrap_err(),
+            MpiError::ProcFailed { rank: 1 }
+        );
+    }
+    if comm.rank() != 1 {
+        comm.shrink().unwrap().barrier().unwrap();
+    }
+}
+
+/// Satellite (eager guarantee): both ranks send 1 MiB to each other before
+/// either receives. Nobody is receiving, so nothing is posted and no rank
+/// thread drains: the sends complete only because the transport's own
+/// threads keep taking payloads off the wire.
+fn case_posted_cross_send(comm: &RawComm) {
+    const LEN: usize = 1 << 20;
+    let peer = 1 - comm.rank();
+    for round in 0..4u64 {
+        comm.send(peer, 5, &body(round * 2 + comm.rank() as u64, LEN))
+            .unwrap();
+        let mut sink = Vec::new();
+        let st = comm.recv_into(peer, 5, &mut sink).unwrap();
+        assert_eq!(st.bytes, LEN);
+        assert!(
+            sink == body(round * 2 + peer as u64, LEN),
+            "round {round} corrupted"
+        );
+    }
+}
+
+/// Satellite (corrupt stream): garbage where a frame should start must
+/// surface as the typed death of its source — on a ring there is no
+/// connection to drop, and a skipped length prefix desynchronises the
+/// stream for good. Frames before the garbage are delivered.
+fn case_corrupt_ring(comm: &RawComm) {
+    if comm.rank() == 1 {
+        comm.send(0, 5, b"fine").unwrap();
+        comm.recv(0, 6).unwrap();
+        // A length prefix beyond the frame cap, then noise.
+        let ring = raw_ring(comm, 0);
+        assert!(ring.write(&[&u32::MAX.to_le_bytes(), &[0x5a; 64]], || false, |_| ()));
+        // Stay alive: the verdict must come from the stream, not from the
+        // rendezvous monitor noticing an exit.
+        comm.recv(0, 7).unwrap_err();
+        return;
+    }
+    assert_eq!(comm.recv(1, 5).unwrap().0, b"fine");
+    comm.send(1, 6, b"go on").unwrap();
+    let err = comm.recv(1, 5).unwrap_err();
+    assert_eq!(err, MpiError::ProcFailed { rank: 1 });
 }
 
 /// Acceptance check of the progress-engine rewrite: the number of OS
@@ -967,6 +1339,11 @@ fn worker_entry() {
         "heartbeat_idle" => case_heartbeat_idle(&comm),
         "thread_count" => case_thread_count(&comm),
         "large_copy_budget" => case_large_copy_budget(&comm),
+        "posted_order" => case_posted_order(&comm, &scratch().join("order.txt")),
+        "posted_timeout" => case_posted_timeout(&comm),
+        "posted_sender_dies" => case_posted_sender_dies(&comm),
+        "posted_cross_send" => case_posted_cross_send(&comm),
+        "corrupt_ring" => case_corrupt_ring(&comm),
         other => panic!("unknown case {other:?}"),
     });
 }
@@ -1212,6 +1589,71 @@ fn socket_large_copy_budget() {
     copy_budget(Backend::Socket, "2,2,3,3");
 }
 
+/// Runs a posted-path case over `backend` with a scratch directory for its
+/// flag files; `posted_order` first runs in-process, which writes the
+/// transcript the cross-process run must reproduce.
+fn posted_case(case: &str, ranks: usize, backend: Backend) -> Vec<RankExit> {
+    let scratch = scratch_dir(case, backend);
+    if case == "posted_order" {
+        let reference = std::path::Path::new(&scratch.1).join("order.txt");
+        Universe::run(ranks, |comm| case_posted_order(&comm, &reference));
+    }
+    let exits = run_job_full(case, ranks, false, backend, std::slice::from_ref(&scratch));
+    let _ = std::fs::remove_dir_all(scratch.1);
+    exits
+}
+
+/// The sender-death case: rank 1 exits with 7, everybody else cleanly.
+fn assert_only_rank_1_died(exits: &[RankExit]) {
+    for e in exits {
+        match e.rank {
+            1 => assert_eq!(e.status.code(), Some(7), "rank 1 dies by its own hand"),
+            _ => assert!(
+                e.status.success(),
+                "rank {} exited with {}",
+                e.rank,
+                e.status
+            ),
+        }
+    }
+}
+
+#[test]
+fn shm_posted_cases_hold_in_process() {
+    // The same scripts with every rank a thread: nothing is posted, and
+    // the results are what the cross-process runs are compared against.
+    let dir = scratch_dir("posted-shm", Backend::Socket).1;
+    let reference = std::path::Path::new(&dir).join("order.txt");
+    Universe::run(2, |comm| case_posted_order(&comm, &reference));
+    let _ = std::fs::remove_dir_all(dir);
+    Universe::run(2, |comm| case_posted_timeout(&comm));
+    Universe::run(3, |comm| case_posted_sender_dies(&comm));
+    Universe::run(2, |comm| case_posted_cross_send(&comm));
+}
+
+#[test]
+fn socket_posted_receives_keep_mpi_order() {
+    let exits = posted_case("posted_order", 2, Backend::Socket);
+    assert_all_success("posted_order", &exits);
+}
+
+#[test]
+fn socket_posted_receive_times_out_and_leaves_the_message_whole() {
+    let exits = posted_case("posted_timeout", 2, Backend::Socket);
+    assert_all_success("posted_timeout", &exits);
+}
+
+#[test]
+fn socket_posted_receive_survives_its_sender_dying_mid_frame() {
+    assert_only_rank_1_died(&posted_case("posted_sender_dies", 3, Backend::Socket));
+}
+
+#[test]
+fn socket_cross_sends_complete_before_either_side_receives() {
+    let exits = posted_case("posted_cross_send", 2, Backend::Socket);
+    assert_all_success("posted_cross_send", &exits);
+}
+
 #[test]
 fn socket_killed_rank_surfaces_and_survivors_recover() {
     let exits = run_job("kill_recovery", 4, false);
@@ -1355,6 +1797,35 @@ fn ring_large_copy_budget() {
     // Posted: slice -> ring, ring -> the `Vec<T>` the caller gets, the one
     // allocation. Unexpected: ring -> an exact-size buffer -> `Vec<T>`.
     copy_budget(Backend::ShmXproc, "2,1,3,2");
+}
+
+#[test]
+fn ring_posted_receives_keep_mpi_order() {
+    let exits = posted_case("posted_order", 2, Backend::ShmXproc);
+    assert_all_success("posted_order", &exits);
+}
+
+#[test]
+fn ring_posted_receive_times_out_mid_frame_and_leaves_the_message_whole() {
+    let exits = posted_case("posted_timeout", 2, Backend::ShmXproc);
+    assert_all_success("posted_timeout", &exits);
+}
+
+#[test]
+fn ring_posted_receive_survives_its_sender_dying_mid_frame() {
+    assert_only_rank_1_died(&posted_case("posted_sender_dies", 3, Backend::ShmXproc));
+}
+
+#[test]
+fn ring_cross_sends_complete_before_either_side_receives() {
+    let exits = posted_case("posted_cross_send", 2, Backend::ShmXproc);
+    assert_all_success("posted_cross_send", &exits);
+}
+
+#[test]
+fn ring_corrupt_stream_fails_its_source() {
+    let exits = posted_case("corrupt_ring", 2, Backend::ShmXproc);
+    assert_all_success("corrupt_ring", &exits);
 }
 
 #[test]

@@ -328,6 +328,24 @@
 //!     comm.bcast(send_recv_buf(&mut v)).recv_buf(&mut out).call().unwrap();
 //! });
 //! ```
+//!
+//! ... and to `recv`, whose buffer the substrate fills directly, not `send`:
+//!
+//! ```
+//! # use kamping_repro::kamping::{self, prelude::*};
+//! kamping::run(2, |comm| {
+//!     let (peer, mut out) = (1 - comm.rank(), vec![0u64; 1]);
+//!     comm.send(send_buf(&[7u64]), destination(peer)).call().unwrap();
+//!     comm.recv::<u64>(source(peer)).recv_buf(&mut out).call().unwrap();
+//! });
+//! ```
+//! ```compile_fail,E0277
+//! # use kamping_repro::kamping::{self, prelude::*};
+//! kamping::run(2, |comm| {
+//!     let (peer, mut out) = (1 - comm.rank(), vec![0u64; 1]);
+//!     comm.send(send_buf(&[7u64]), destination(peer)).recv_buf(&mut out).call().unwrap();
+//! });
+//! ```
 
 pub use kamping;
 pub use kamping_graphs;
