@@ -183,7 +183,9 @@ impl<T: PodType, R: RecvBufSlot<T>> Call<'_, Recv<T>, Unset, R> {
         let mut got = 0;
         let (out, status) = fill_slot(self.recv, |sink| {
             let status = raw.recv_into(op.src, op.tag, sink)?;
-            raw.count_payload(status.bytes, 0, sink.grew as u64);
+            if sink.grew {
+                raw.count_payload(status.bytes, 0, 1);
+            }
             got = sink.n;
             Ok::<_, kamping_mpi::MpiError>(status)
         })?;

@@ -233,19 +233,19 @@ impl<T, P> Default for VecSink<T, P> {
 impl<T: PodType, P: ResizePolicy> Sink for VecSink<T, P> {
     fn reserve(&mut self, len: usize) -> bool {
         let capacity = self.buf.capacity();
-        let fits = if T::SIZE == 0 || !len.is_multiple_of(T::SIZE) {
+        self.n = len.checked_div(T::SIZE).unwrap_or(0);
+        let fits = if self.n * T::SIZE != len {
             Err(KampingError::InvalidArgument(
                 "byte length not a multiple of element size",
             ))
         } else if P::EXACT_FIT {
             // No zero-fill: the elements are written exactly once.
             self.buf.clear();
-            self.buf.reserve(len / T::SIZE);
+            self.buf.reserve(self.n);
             Ok(())
         } else {
-            P::prepare(&mut self.buf, len / T::SIZE, T::zeroed())
+            P::prepare(&mut self.buf, self.n, T::zeroed())
         };
-        self.n = len.checked_div(T::SIZE).unwrap_or(0);
         self.grew = self.buf.capacity() != capacity;
         self.refused = fits.err();
         self.refused.is_none()
@@ -286,20 +286,9 @@ pub trait RecvBufSlot<T: PodType>: Sized {
 
     /// Decodes `bytes` into the destination and finalizes the slot.
     fn place(self, bytes: &[u8]) -> KResult<Self::Out> {
-        let put = |sink: &mut VecSink<T, Self::Policy>| -> KResult<()> {
-            if sink.reserve(bytes.len()) {
-                let room = sink.spare(bytes.len());
-                // SAFETY: `room` is `bytes.len()` long and a different
-                // allocation; `commit` follows the write of all of it.
-                unsafe {
-                    let at = room.as_mut_ptr().cast();
-                    std::ptr::copy_nonoverlapping(bytes.as_ptr(), at, bytes.len());
-                    sink.commit(bytes.len());
-                }
-            }
-            Ok(())
-        };
-        fill_slot(self, put).map(|(out, ())| out)
+        // A refusal is the sink's to report (`fill_slot`).
+        let put = |sink: &mut VecSink<T, Self::Policy>| Ok::<_, KampingError>(sink.put(bytes));
+        fill_slot(self, put).map(|(out, _)| out)
     }
 }
 

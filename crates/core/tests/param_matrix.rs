@@ -5,7 +5,10 @@
 //! p ∈ {1, 3, 4} with ragged block sizes (including empty blocks) against an
 //! oracle that talks to `comm.raw()` only, and each cell's substrate call
 //! counts are checked through `run_profiled`: a provided count costs no
-//! extra exchange, an omitted one exactly one per rank (§III-H).
+//! extra exchange, an omitted one exactly one per rank (§III-H). The
+//! blocking `recv` runs its eight receive-buffer forms at p = 2 for inline,
+//! just-past-inline and 1 MiB messages, entered before and after the
+//! message arrives.
 
 use kamping::prelude::*;
 use kamping::result::CallResult;

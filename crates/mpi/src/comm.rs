@@ -202,6 +202,7 @@ impl RawComm {
     }
 
     /// Translates a communicator-local rank to a global (world) rank.
+    #[inline]
     pub fn global_rank(&self, local: usize) -> MpiResult<usize> {
         self.group.get(local).copied().ok_or(MpiError::InvalidRank {
             rank: local,
@@ -210,11 +211,13 @@ impl RawComm {
     }
 
     /// Translates a global rank back to this communicator's local rank.
+    #[inline]
     pub fn local_rank_of(&self, global: usize) -> Option<usize> {
         self.inverse.get(&global).copied()
     }
 
     /// This rank's global (world) rank.
+    #[inline]
     pub fn my_global_rank(&self) -> usize {
         self.group[self.rank]
     }
@@ -245,6 +248,7 @@ impl RawComm {
     /// The op-start probe ([`crate::trace::TraceCtx::op`]) for this rank.
     /// Call sites bind the scope (`let _op = self.record(..)`) so it spans
     /// the whole operation.
+    #[inline]
     pub(crate) fn record(&self, op: Op) -> crate::trace::OpScope<'_> {
         self.state.trace.op(op, self.my_global_rank())
     }

@@ -146,8 +146,8 @@ pub(crate) trait EngineHooks: Send + Sync {
     /// A complete non-data frame arrived from identified peer `src`.
     fn on_frame(&self, src: usize, frame: Frame);
     /// The header of message `msg` is in: where do its `len` payload bytes
-    /// go? `None` if `msg` cannot be for this rank (the link is dropped).
-    fn dest_for(&self, msg: MatchKey, len: usize) -> Option<Dest>;
+    /// go? An error if `msg` cannot be for this rank (the link is dropped).
+    fn dest_for(&self, msg: MatchKey, len: usize) -> io::Result<Dest>;
     /// The message `msg` has arrived whole in the `dest` named for it.
     fn on_data(&self, msg: MatchKey, ack_id: u64, dest: Dest);
     /// The link to `rank` is gone (connect gave up, write failed, EOF).
@@ -774,9 +774,9 @@ impl LoopState {
         let end = loop {
             let src = i.src;
             // Only an identified peer's payloads are given a destination.
-            let dest_for = |msg, len| match src.and_then(|_| hooks.dest_for(msg, len)) {
-                Some(dest) => Ok(Some(dest)),
-                None => Err(corrupt("data frame from nowhere")),
+            let dest_for = |msg, len| match src {
+                Some(_) => hooks.dest_for(msg, len).map(Some),
+                None => Err(corrupt("data frame before hello")),
             };
             match (i.reader.next(&mut io, dest_for), src) {
                 (Ok(None), _) => break Ok(()),
@@ -859,8 +859,8 @@ mod tests {
         fn on_frame(&self, src: usize, frame: Frame) {
             let _ = self.frames.send((src, frame));
         }
-        fn dest_for(&self, msg: MatchKey, len: usize) -> Option<Dest> {
-            self.mailbox.dest_for(msg, len, false)
+        fn dest_for(&self, msg: MatchKey, len: usize) -> io::Result<Dest> {
+            Ok(self.mailbox.dest_for(msg, len, false).expect("not patient"))
         }
         fn on_data(&self, msg: MatchKey, ack_id: u64, dest: Dest) {
             // Through a mailbox and out again: what arrived, as the frame

@@ -26,10 +26,10 @@
 //! into the destination's inbox ring (same wire format, two memcpy parts:
 //! header + payload — the *caller's slice* for a borrowed send, see
 //! [`Transport::send_borrowed`]) and a single ring-consumer thread per
-//! rank drains all inbound rings. Control frames travel the ring too, so `Finished` can
-//! never overtake data on the same channel. Pairs that are *not* both
-//! local fall back to the socket path per peer — mixed topologies share
-//! one transport.
+//! rank drains all inbound rings. Control frames travel the ring too, so
+//! `Finished` can never overtake data on the same channel. Pairs that are
+//! *not* both local fall back to the socket path per peer — mixed
+//! topologies share one transport.
 //!
 //! # Receiving
 //!
@@ -142,15 +142,19 @@ impl Chan {
     }
 }
 
-/// `src`'s ring in `inbox` as the byte source of a [`FrameReader`], with
-/// the bytes it has moved so far.
-struct RingSource<'a>(&'a Inbox, usize, usize);
+/// `src`'s ring in `inbox` as the byte source of a [`FrameReader`].
+struct RingSource<'a> {
+    inbox: &'a Inbox,
+    src: usize,
+    /// Bytes moved so far.
+    moved: usize,
+}
 
 // SAFETY: `Inbox::read` returns how many leading bytes of `dst` it wrote.
 unsafe impl ByteSource for RingSource<'_> {
     fn read(&mut self, dst: &mut [std::mem::MaybeUninit<u8>]) -> io::Result<usize> {
-        let n = self.0.read(self.1, dst);
-        self.2 += n;
+        let n = self.inbox.read(self.src, dst);
+        self.moved += n;
         Ok(n)
     }
 }
@@ -165,8 +169,8 @@ struct Shared {
     my_rank: usize,
     size: usize,
     hub: Arc<Hub>,
-    /// The one local rank's mailbox ([`Mailbox::post`] is the only entry
-    /// point for incoming envelopes, remote and loopback alike).
+    /// The one local rank's mailbox: loopback envelopes are posted, what
+    /// comes off a wire lands ([`Mailbox::dest_for`], [`Mailbox::land`]).
     mailbox: Mailbox,
     /// Outbound ring per destination, for peers co-located with this rank
     /// (unset = socket path). The mutex serializes producers: the main
@@ -531,7 +535,11 @@ impl Shared {
                 waiting.set(dest.is_none());
                 Ok(dest)
             };
-            let mut io = RingSource(inbox, chan.src, 0);
+            let mut io = RingSource {
+                inbox,
+                src: chan.src,
+                moved: 0,
+            };
             loop {
                 match reader.next(&mut io, dest_for) {
                     Ok(None) => break,
@@ -557,7 +565,7 @@ impl Shared {
             } else {
                 0
             };
-            moved |= io.2 > 0;
+            moved |= io.moved > 0;
             left_waiting |= waiting.get();
         }
         (moved, left_waiting)
@@ -589,8 +597,9 @@ impl EngineHooks for Shared {
         self.route_frame(src, frame);
     }
 
-    fn dest_for(&self, msg: MatchKey, len: usize) -> Option<Dest> {
-        Shared::dest_for(self, msg, len, false).ok().flatten()
+    fn dest_for(&self, msg: MatchKey, len: usize) -> io::Result<Dest> {
+        let dest = Shared::dest_for(self, msg, len, false)?;
+        Ok(dest.expect("only a patient caller is told to wait"))
     }
 
     fn on_data(&self, msg: MatchKey, ack_id: u64, dest: Dest) {

@@ -68,6 +68,7 @@ impl RawComm {
         self.state.post(dest_global, envelope);
     }
 
+    #[inline]
     fn match_key(&self, source: usize, tag: Tag) -> MpiResult<MatchKey> {
         if self.state.is_revoked(self.ctx) {
             return Err(MpiError::Revoked);
@@ -84,6 +85,7 @@ impl RawComm {
         })
     }
 
+    #[inline]
     fn status_of(&self, src_global: usize, tag: Tag, bytes: usize) -> Status {
         let source = self.local_rank_of(src_global).unwrap_or(usize::MAX);
         Status { source, tag, bytes }
@@ -155,9 +157,10 @@ impl RawComm {
     /// allocated for them (wildcard receives and inline-sized messages take
     /// the mailbox, as ever). A payload the sink refuses
     /// ([`Sink::reserve`]) is consumed and dropped; the status still
-    /// describes it. See [`Mailbox::take_into`] for the one case in which
-    /// `sink` does not come back: the receive fails while its payload is
-    /// half written, and `sink` is left `S::default()`.
+    /// describes it. `sink` comes back filled or untouched, with one
+    /// exception: when the receive fails (dead peer, deadline) while its
+    /// payload is half written, the buffer stays with the transport and
+    /// `sink` is left `S::default()`.
     pub fn recv_into<S: Sink + Default>(
         &self,
         source: usize,
@@ -180,6 +183,7 @@ impl RawComm {
         self.recv_into_until(source, tag, sink, Some(Instant::now() + timeout))
     }
 
+    #[inline]
     fn recv_into_until<S: Sink + Default>(
         &self,
         source: usize,
@@ -196,6 +200,7 @@ impl RawComm {
 
     /// This rank's mailbox (diagnostics: [`Mailbox::len`],
     /// [`Mailbox::posted_from`]).
+    #[inline]
     pub fn mailbox(&self) -> &Mailbox {
         self.state.mailbox(self.my_global_rank())
     }

@@ -652,9 +652,11 @@ impl TraceCtx {
     /// buffers were allocated for it. Inline payloads are not counted.
     #[inline]
     pub(crate) fn payload_moved(&self, rank: usize, len: usize, copies: u64, allocs: u64) {
-        if len > crate::transport::INLINE_CAP {
-            self.count(rank, Counter::PayloadBytesCopied, copies * len as u64);
-            self.count(rank, Counter::PayloadAllocs, allocs);
+        if self.flags() & METRICS != 0 && len > crate::transport::INLINE_CAP {
+            let stats = &self.ranks[rank];
+            let copied = copies * len as u64;
+            (stats.counter(Counter::PayloadBytesCopied)).fetch_add(copied, Ordering::Relaxed);
+            (stats.counter(Counter::PayloadAllocs)).fetch_add(allocs, Ordering::Relaxed);
         }
     }
 

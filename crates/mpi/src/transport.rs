@@ -16,6 +16,15 @@
 //! destination rank's [`Mailbox`], so matching semantics (FIFO per source,
 //! `ANY_SOURCE` arrival stamps, ack flipping) are defined once, here.
 //!
+//! A backend that reads messages off a wire delivers in two steps instead
+//! of one `post`: with a message's header in hand it asks the mailbox
+//! where the payload goes ([`Mailbox::dest_for`]), reads the payload
+//! straight into that, and hands it back ([`Mailbox::land`]). The answer is
+//! the buffer a blocked receive *posted* for exactly this message
+//! ([`Sink`], [`Mailbox::take_into`]) or one exact-size allocation that
+//! becomes the envelope's payload — so a large message is copied once on
+//! its way in, and into the very buffer its receiver gets back.
+//!
 //! # The shared-memory mailbox
 //!
 //! Each rank owns a [`Mailbox`] holding one FIFO *lane per sender*, so
@@ -270,6 +279,23 @@ pub trait Sink: Any + Send {
     unsafe fn commit(&mut self, len: usize);
     /// The committed payload.
     fn filled(&self, len: usize) -> &[u8];
+
+    /// Receives `bytes` as the whole payload: `reserve`, copy, `commit`.
+    /// `false` if the sink refused them.
+    fn put(&mut self, bytes: &[u8]) -> bool {
+        if !self.reserve(bytes.len()) {
+            return false;
+        }
+        let room = self.spare(bytes.len());
+        assert_eq!(room.len(), bytes.len(), "sink made the wrong room");
+        // SAFETY: `room` is exactly `bytes.len()` long and, being `&mut`,
+        // cannot overlap `bytes`; after the copy all of it is written.
+        unsafe {
+            std::ptr::copy_nonoverlapping(bytes.as_ptr(), room.as_mut_ptr().cast(), room.len());
+            self.commit(bytes.len());
+        }
+        true
+    }
 }
 
 impl Sink for Vec<u8> {
@@ -626,15 +652,19 @@ impl Mailbox {
         self.trace.taken(self.owner, msg, bytes);
     }
 
-    /// Takes the first matching envelope from one specific lane.
-    fn try_take_lane(&self, lane: usize, key: MatchKey) -> Option<Delivered> {
-        let e = self.remove_match(lane, key)?;
+    /// [`Mailbox::matched`] for an envelope removed from its lane.
+    fn consume(&self, e: Envelope) -> Delivered {
         self.matched(e.key(), e.payload.len(), e.ack.as_ref());
-        Some(Delivered {
+        Delivered {
             src: e.src,
             tag: e.tag,
             payload: e.payload,
-        })
+        }
+    }
+
+    /// Takes the first matching envelope from one specific lane.
+    fn try_take_lane(&self, lane: usize, key: MatchKey) -> Option<Delivered> {
+        self.remove_match(lane, key).map(|e| self.consume(e))
     }
 
     /// Lane holding the oldest matching envelope, by arrival stamp.
@@ -732,16 +762,7 @@ impl Mailbox {
     /// returns its (source, tag, byte length).
     fn pour<S: Sink>(&self, d: Delivered, sink: &mut S) -> (usize, Tag, usize) {
         let bytes = d.payload.as_slice();
-        if sink.reserve(bytes.len()) {
-            let room = sink.spare(bytes.len());
-            assert_eq!(room.len(), bytes.len(), "sink made the wrong room");
-            // SAFETY: `room` is exactly `bytes.len()` long and cannot
-            // overlap the payload, which this function owns; after the
-            // copy every byte of it is written, as `commit` requires.
-            unsafe {
-                std::ptr::copy_nonoverlapping(bytes.as_ptr(), room.as_mut_ptr().cast(), room.len());
-                sink.commit(bytes.len());
-            }
+        if sink.put(bytes) {
             self.trace.payload_moved(self.owner, bytes.len(), 1, 0);
         }
         (d.src, d.tag, bytes.len())
@@ -821,7 +842,8 @@ impl Mailbox {
                         None
                     }
                 },
-                // Mid-payload: whatever is queued arrived before it.
+                // The message this receive is matched with is on its way
+                // in: nothing that is queued meanwhile may overtake it.
                 filling => {
                     *slot = filling;
                     None
@@ -847,9 +869,7 @@ impl Mailbox {
             }
             Got::Queued(e, boxed) => {
                 *sink = back(boxed);
-                self.matched(key, e.payload.len(), e.ack.as_ref());
-                let (src, tag, payload) = (e.src, e.tag, e.payload);
-                Ok(self.pour(Delivered { src, tag, payload }, sink))
+                Ok(self.pour(self.consume(e), sink))
             }
         }
     }

@@ -223,6 +223,7 @@ impl UniverseState {
     }
 
     /// The mailbox of a locally-hosted rank.
+    #[inline]
     pub fn mailbox(&self, rank: usize) -> &Mailbox {
         self.transport.mailbox(rank)
     }
@@ -358,6 +359,7 @@ impl UniverseState {
     }
 
     /// True if the context has been revoked.
+    #[inline]
     pub fn is_revoked(&self, ctx: u64) -> bool {
         self.revoked
             .read()
@@ -829,6 +831,7 @@ pub struct TraceReport {
 /// sets are only re-read after a mark has bumped
 /// [`UniverseState::fault_epoch`], so the hot path of a blocking receive
 /// costs one atomic load per wakeup instead of two read-lock acquisitions.
+#[inline]
 pub(crate) fn wait_interrupt(
     state: &UniverseState,
     src: usize,
