@@ -60,7 +60,7 @@ use std::io;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock, Weak};
 use std::thread::JoinHandle;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use crate::metrics::{Counter, Gauge, Hist};
 use crate::trace::{EventKind, TraceCtx};
@@ -88,6 +88,17 @@ const CONSUMER_PARK_SLICE: Duration = Duration::from_millis(100);
 /// progress poll), so the consumer's job is to yield cheaply, not to wake
 /// fast.
 const CONSUMER_IDLE_PASSES: u32 = 256;
+
+/// How long the ring consumer leaves a payload in its ring for a receive
+/// the rank thread is about to post ([`Mailbox::dest_for`]'s "ask again")
+/// before it buffers the payload after all. A time rather than a number of
+/// passes: a pass is as long as the core's other tenants make it, so a
+/// count runs out soonest on a busy host — while the rank thread is still
+/// looking at the previous message — and turns the one-copy receive into
+/// the two-copy, two-buffer one on exactly the runs that are slow already.
+/// It bounds what the sender of a large message can lose to a rank that
+/// has stopped receiving: once per such rank, not per message.
+const CONSUMER_PATIENCE: Duration = Duration::from_millis(1);
 
 /// Where control frames go before/after the universe binds itself.
 enum SinkState {
@@ -127,9 +138,9 @@ struct RingRx {
 struct Chan {
     src: usize,
     reader: Option<FrameReader>,
-    /// Consecutive consumer passes that left a payload in the ring for the
-    /// rank thread to receive ([`Mailbox::dest_for`]'s "ask again").
-    left_waiting: u32,
+    /// Since when the consumer has been leaving a payload in the ring for
+    /// the rank thread to receive ([`Mailbox::dest_for`]'s "ask again").
+    waiting_since: Option<Instant>,
 }
 
 impl Chan {
@@ -137,7 +148,7 @@ impl Chan {
         Self {
             src,
             reader: Some(FrameReader::default()),
-            left_waiting: 0,
+            waiting_since: None,
         }
     }
 }
@@ -509,8 +520,8 @@ impl Shared {
     ///
     /// The `consumer` thread leaves a payload that a receive of the rank
     /// thread is about to claim ([`Mailbox::dest_for`]) in its ring for
-    /// [`CONSUMER_IDLE_PASSES`] passes — it yields between idle ones —
-    /// before it takes it after all: a rank that is off computing must not
+    /// [`CONSUMER_PATIENCE`] — it yields between idle passes — before it
+    /// takes it after all: a rank that is off computing must not
     /// wedge its producer. A receiver draining for itself never waits: it
     /// cannot get past a message by leaving it on the wire.
     fn drain_rx(&self, rx: &mut RingRx, consumer: bool) -> (bool, bool) {
@@ -528,7 +539,10 @@ impl Shared {
             let Some(reader) = &mut chan.reader else {
                 continue;
             };
-            let patient = consumer && chan.left_waiting < CONSUMER_IDLE_PASSES;
+            let patient = consumer
+                && chan
+                    .waiting_since
+                    .is_none_or(|since| since.elapsed() < CONSUMER_PATIENCE);
             let waiting = std::cell::Cell::new(false);
             let dest_for = |msg, len| {
                 let dest = self.dest_for(msg, len, patient)?;
@@ -560,11 +574,11 @@ impl Shared {
                     }
                 }
             }
-            chan.left_waiting = if waiting.get() {
-                chan.left_waiting + 1
+            if waiting.get() {
+                chan.waiting_since.get_or_insert_with(Instant::now);
             } else {
-                0
-            };
+                chan.waiting_since = None;
+            }
             moved |= io.moved > 0;
             left_waiting |= waiting.get();
         }
@@ -871,7 +885,8 @@ fn ring_consumer(shared: Arc<Shared>, inbox: Arc<Inbox>) {
             continue;
         }
         // A payload left for the rank thread keeps the consumer up: it is
-        // taken a bounded number of passes from now, not one park later.
+        // taken `CONSUMER_PATIENCE` from when it was first seen, not one
+        // park later.
         if left_waiting || idle_passes < CONSUMER_IDLE_PASSES {
             idle_passes += 1;
             // Yield rather than spin: on a busy (or single-core) host the
@@ -880,7 +895,7 @@ fn ring_consumer(shared: Arc<Shared>, inbox: Arc<Inbox>) {
             continue;
         }
         idle_passes = 0;
-        let start = std::time::Instant::now();
+        let start = Instant::now();
         inbox.park(snapshot, CONSUMER_PARK_SLICE);
         shared.ring_waited(u32::MAX, "recv", start.elapsed());
     }
