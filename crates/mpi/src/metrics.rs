@@ -140,6 +140,11 @@ named_cells! {
     PayloadBytesCopied => "payload_bytes_copied",
     /// Payload-sized buffers allocated on the same path.
     PayloadAllocs => "payload_allocs",
+    /// Mailbox / hub bumps that took the gate lock and notified the condvar
+    /// (one `futex` wake each), charged to the rank that was woken.
+    GateWakes => "gate_wakes",
+    /// Blocking waits that went as far as the gate's condvar.
+    GateSleeps => "gate_sleeps",
 }
 
 named_cells! {

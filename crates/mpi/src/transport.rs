@@ -62,6 +62,7 @@ use std::sync::{Arc, Condvar, Mutex, OnceLock};
 use std::time::Instant;
 
 use crate::error::{MpiError, MpiResult};
+use crate::metrics::Counter;
 use crate::tag::{source_matches, tag_matches, Tag, ANY_SOURCE, ANY_TAG, COLL_TAG_BASE};
 use crate::trace::TraceCtx;
 
@@ -411,6 +412,16 @@ impl Hub {
         let mut epoch = self.gate.lock().expect("hub gate poisoned");
         *epoch = epoch.wrapping_add(1);
         self.cond.notify_all();
+        self.count(Counter::GateWakes);
+    }
+
+    /// Adds one to the calling rank thread's counter `c`, once a trace
+    /// context is bound (helper threads host no rank and count nothing).
+    fn count(&self, c: Counter) {
+        let rank = crate::trace::thread_rank() as usize;
+        if let Some(trace) = self.trace.get().filter(|t| rank < t.size()) {
+            trace.count(rank, c, 1);
+        }
     }
 
     /// Blocks until `ready` returns `Some`, re-evaluating whenever the hub
@@ -453,6 +464,7 @@ impl Hub {
             if deadline.is_some_and(|d| Instant::now() >= d) {
                 return None;
             }
+            self.count(Counter::GateSleeps);
             let mut gate = self.gate.lock().expect("hub gate poisoned");
             while *gate == epoch {
                 match deadline {
@@ -622,6 +634,7 @@ impl Mailbox {
         let mut epoch = self.gate.lock().expect("mailbox gate poisoned");
         *epoch = epoch.wrapping_add(1);
         self.cond.notify_all();
+        self.trace.count(self.owner, Counter::GateWakes, 1);
     }
 
     /// Wakes all waiters so they can re-check failure/revocation state.
@@ -1084,6 +1097,7 @@ impl Mailbox {
                     waited: start.elapsed(),
                 });
             }
+            self.trace.count(self.owner, Counter::GateSleeps, 1);
             let mut gate = self.gate.lock().expect("mailbox gate poisoned");
             while *gate == epoch {
                 match deadline {
@@ -1641,6 +1655,54 @@ mod tests {
         // so the receiver either re-runs the interrupt or wakes to run it.
         mb.kick();
         assert_eq!(handle.join().unwrap().unwrap_err(), MpiError::Revoked);
+    }
+
+    // --- gate wakes and sleeps ------------------------------------------
+
+    /// A mailbox that counts (metrics on), and the context it counts into.
+    fn counted_mailbox() -> (Arc<Mailbox>, Arc<TraceCtx>) {
+        let trace = Arc::new(TraceCtx::new(1, crate::trace::METRICS));
+        let mb = Mailbox::new(0, 1, Arc::new(Hub::new()), Arc::clone(&trace));
+        (Arc::new(mb), trace)
+    }
+
+    fn gate_counts(trace: &TraceCtx) -> (u64, u64) {
+        let snap = trace.rank(0).snapshot();
+        (
+            snap.counter(Counter::GateWakes),
+            snap.counter(Counter::GateSleeps),
+        )
+    }
+
+    #[test]
+    fn a_post_nobody_sleeps_on_wakes_nobody() {
+        let (mb, trace) = counted_mailbox();
+        for i in 0..1000u32 {
+            mb.post(env(0, 1, 0, &i.to_le_bytes()));
+            assert!(mb.try_take(key(0, 1)).is_some());
+        }
+        // The parent's gate notifies its condvar on every bump.
+        assert_eq!(gate_counts(&trace), (1000, 0));
+    }
+
+    #[test]
+    fn a_post_to_a_sleeper_is_one_wake_for_one_sleep() {
+        let (mb, trace) = counted_mailbox();
+        let gate = Arc::new(Hub::new());
+        let entered = Arc::new(AtomicBool::new(false));
+        let (mb2, gate2, entered2) = (mb.clone(), gate.clone(), entered.clone());
+        let receiver = std::thread::spawn(move || {
+            mb2.take_blocking(key(0, 1), &|| {
+                entered2.store(true, Ordering::Release);
+                gate2.notify();
+                None
+            })
+            .unwrap()
+        });
+        await_flag(&gate, &entered);
+        mb.post(env(0, 1, 0, b"wake"));
+        assert_eq!(receiver.join().unwrap().payload.as_slice(), b"wake");
+        assert_eq!(gate_counts(&trace), (1, 1));
     }
 
     // --- posted receives -------------------------------------------------
