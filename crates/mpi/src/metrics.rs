@@ -90,7 +90,8 @@ named_cells! {
     BytesDelivered => "bytes_delivered",
     /// Substrate operations started (also the latency-sampling base).
     OpsStarted => "ops_started",
-    /// Nanoseconds parked on the mailbox slow path.
+    /// Nanoseconds blocked past the fast path of a mailbox or hub wait:
+    /// re-attempting, yielding and asleep alike (sampled 1 wait in 8).
     BlockedNs => "blocked_ns",
     /// Bounded waits that gave up with [`MpiError::Timeout`].
     Timeouts => "timeouts",
@@ -140,10 +141,12 @@ named_cells! {
     PayloadBytesCopied => "payload_bytes_copied",
     /// Payload-sized buffers allocated on the same path.
     PayloadAllocs => "payload_allocs",
-    /// Mailbox / hub bumps that took the gate lock and notified the condvar
-    /// (one `futex` wake each), charged to the rank that was woken.
+    /// Bumps that found a sleeper, took the gate lock and notified the
+    /// condvar: a mailbox's are charged to its owner, a hub's to the rank
+    /// that notified.
     GateWakes => "gate_wakes",
-    /// Blocking waits that went as far as the gate's condvar.
+    /// Times a blocking wait outlasted its patience and went to sleep on
+    /// the gate's condvar.
     GateSleeps => "gate_sleeps",
 }
 

@@ -288,7 +288,8 @@ impl RawComm {
         ))
     }
 
-    /// Blocking probe: waits (on the mailbox condvar, no polling) until a
+    /// Blocking probe: waits on the mailbox's gate (re-attempting for one
+    /// patience, then asleep until a deposit — no polling interval) until a
     /// matching message is available and returns its status without
     /// consuming it.
     pub fn probe(&self, source: usize, tag: Tag) -> MpiResult<Status> {

@@ -78,8 +78,8 @@ thread_local! {
     static THREAD_WAIT_NS: Cell<u64> = const { Cell::new(0) };
     /// This thread's ring shard, assigned round-robin on first use.
     static THREAD_SHARD: Cell<usize> = const { Cell::new(usize::MAX) };
-    /// Sleeps this thread has entered on behalf of the rank it hosts — the
-    /// sampling base for blocked-wait timing.
+    /// Blocking waits this thread has entered on behalf of the rank it hosts
+    /// — the sampling base for blocked-wait timing.
     static THREAD_PARKS: Cell<u64> = const { Cell::new(0) };
 }
 
@@ -622,18 +622,35 @@ impl TraceCtx {
     }
 
     /// Seam: the calling thread leaves the fast path of a blocking wait on
-    /// behalf of `rank` (`u32::MAX` if unknown). While measuring, the
-    /// returned guard adds everything until its drop to the thread's wait
-    /// accumulator, which open op scopes read back as `wait_ns`.
+    /// behalf of `rank` (`u32::MAX` if unknown); everything until the
+    /// returned guard drops — re-attempts, yields and sleep alike — is time
+    /// the rank is blocked. While measuring, the guard adds it to the
+    /// thread's wait accumulator, which open op scopes read back as
+    /// `wait_ns`. While [`METRICS`] is set it is charged to the rank's
+    /// `BlockedNs` counter, if this thread hosts the rank (a helper thread
+    /// waiting on a mailbox is not that rank being blocked).
+    ///
+    /// Only 1 wait in [`PARK_SAMPLE`] pays `BlockedNs`' two clock reads; the
+    /// measured duration is scaled back up on drop. `BlockedNs` feeds an
+    /// interval *ratio* — with thousands of waits per interval the sampling
+    /// error vanishes, while the common wait costs one thread-local
+    /// increment — a few nanoseconds of a ping-pong round on a machine where
+    /// every blocking receive waits (`observability_bench`).
     #[inline]
-    pub(crate) fn parked(&self, rank: u32) -> Parked<'_> {
+    pub(crate) fn blocked(&self, rank: u32) -> Blocked<'_> {
         let flags = self.flags();
-        Parked {
+        let sampled = flags & METRICS != 0
+            && THREAD_PARKS
+                .with(|p| p.replace(p.get() + 1))
+                .is_multiple_of(PARK_SAMPLE)
+            && thread_rank() == rank
+            && (rank as usize) < self.ranks.len();
+        Blocked {
             ctx: self,
             rank,
             flags,
             wait_start: (flags & MEASURE != 0).then(|| self.now_ns()),
-            sleep_start: None,
+            sampled_start: sampled.then(|| self.now_ns()),
         }
     }
 
@@ -660,11 +677,15 @@ impl TraceCtx {
         }
     }
 
-    /// Adds `v` to one of `rank`'s counters (while [`METRICS`] is set).
+    /// Adds `v` to one of `rank`'s counters (while [`METRICS`] is set). A
+    /// rank this context has no slot for — the [`thread_rank`] of a helper
+    /// thread — counts nothing.
     #[inline]
     pub fn count(&self, rank: usize, c: Counter, v: u64) {
         if self.flags() & METRICS != 0 {
-            self.ranks[rank].counter(c).fetch_add(v, Ordering::Relaxed);
+            if let Some(stats) = self.ranks.get(rank) {
+                stats.counter(c).fetch_add(v, Ordering::Relaxed);
+            }
         }
     }
 
@@ -774,54 +795,27 @@ impl OpScopeInner<'_> {
     }
 }
 
-/// 1-in-N park sampling rate for blocked-wait timing (power of two).
+/// 1-in-N sampling rate for blocked-wait timing (power of two).
 const PARK_SAMPLE: u64 = 8;
 
 /// RAII guard around the slow path of a blocking wait (see
-/// [`TraceCtx::parked`]). One clock read per side and per armed part.
-pub(crate) struct Parked<'a> {
+/// [`TraceCtx::blocked`]). One clock read per side and per armed part.
+pub(crate) struct Blocked<'a> {
     ctx: &'a TraceCtx,
     rank: u32,
     flags: u8,
     wait_start: Option<u64>,
-    sleep_start: Option<u64>,
+    sampled_start: Option<u64>,
 }
 
-impl Parked<'_> {
-    /// Marks the point where the thread stops polling and actually sleeps;
-    /// from here to the drop is charged to the rank's `BlockedNs` counter
-    /// (while [`METRICS`] is set, and only if this thread hosts the rank —
-    /// a helper thread parking on a mailbox is not that rank being
-    /// blocked).
-    ///
-    /// Only 1 sleep in [`PARK_SAMPLE`] pays the two clock reads; the
-    /// measured duration is scaled back up on drop. `BlockedNs` feeds an
-    /// interval *ratio* — with thousands of parks per interval the
-    /// sampling error vanishes, while the common park costs one
-    /// thread-local increment. That is what keeps the metrics-on ping-pong
-    /// inside its overhead gate on a machine where every blocking receive
-    /// parks.
-    pub(crate) fn sleeping(&mut self) {
-        if self.flags & METRICS != 0
-            && thread_rank() == self.rank
-            && (self.rank as usize) < self.ctx.ranks.len()
-            && THREAD_PARKS
-                .with(|p| p.replace(p.get() + 1))
-                .is_multiple_of(PARK_SAMPLE)
-        {
-            self.sleep_start = Some(self.ctx.now_ns());
-        }
-    }
-}
-
-impl Drop for Parked<'_> {
+impl Drop for Blocked<'_> {
     fn drop(&mut self) {
-        if self.wait_start.is_none() && self.sleep_start.is_none() {
+        if self.wait_start.is_none() && self.sampled_start.is_none() {
             return;
         }
         let now = self.ctx.now_ns();
-        if let Some(start_ns) = self.sleep_start {
-            // Scale the sampled sleep back to an estimate of the total.
+        if let Some(start_ns) = self.sampled_start {
+            // Scale the sampled wait back to an estimate of the total.
             self.ctx.ranks[self.rank as usize]
                 .counter(Counter::BlockedNs)
                 .fetch_add(
@@ -1115,7 +1109,7 @@ mod tests {
         assert_eq!(ctx.flags(), 0);
         // Guards are inert: no wait accumulates, no event appears.
         let before = thread_wait_ns();
-        drop(ctx.parked(0));
+        drop(ctx.blocked(0));
         drop(ctx.op(Op::Send, 0));
         ctx.event(|| unreachable!("events are off"));
         assert_eq!(thread_wait_ns(), before);
@@ -1140,7 +1134,7 @@ mod tests {
     fn parked_guard_accumulates_thread_wait() {
         let ctx = TraceCtx::new(1, MEASURE);
         let before = thread_wait_ns();
-        drop(ctx.parked(0));
+        drop(ctx.blocked(0));
         assert!(thread_wait_ns() >= before);
     }
 
@@ -1149,7 +1143,7 @@ mod tests {
         let ctx = TraceCtx::new(1, MEASURE);
         for _ in 0..2 {
             let _op = ctx.op(Op::Bcast, 0);
-            let _parked = ctx.parked(0);
+            let _parked = ctx.blocked(0);
             std::thread::sleep(std::time::Duration::from_millis(2));
         }
         let snap = ctx.rank(0).snapshot();

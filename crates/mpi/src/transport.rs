@@ -42,11 +42,15 @@
 //! receiver, and messages of at most [`INLINE_CAP`] bytes ride inline in the
 //! envelope without touching the heap at all.
 //!
-//! Blocked receivers never poll: a deposit bumps the mailbox *gate* epoch
-//! under its mutex and signals the condvar, and failure/revocation events
-//! [`Mailbox::kick`] every mailbox, so waits carry no timeout. The
-//! [`Hub`] plays the same role for events that are not tied to one mailbox
-//! (ssend acknowledgements, failure marks).
+//! A receiver that finds nothing stays runnable for one `PATIENCE` (about
+//! what a sleep and its wake cost), re-attempting and yielding the core in
+//! between, and then sleeps on the mailbox's *gate*, an event count. A
+//! sleeping receiver never polls: a deposit bumps the gate's epoch and wakes
+//! it, failure/revocation events [`Mailbox::kick`] every mailbox, so sleeps
+//! carry no timeout — and a deposit that finds nobody asleep pays one
+//! atomic add, no lock and no system call. The [`Hub`] is the same gate for
+//! events that are not tied to one mailbox (ssend acknowledgements, failure
+//! marks).
 //!
 //! Matching is FIFO per (source, tag, context): the receiver scans the
 //! sender's lane front-to-back and takes the first envelope that matches,
@@ -57,14 +61,14 @@
 use std::any::Any;
 use std::collections::VecDeque;
 use std::mem::MaybeUninit;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, OnceLock};
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 use crate::error::{MpiError, MpiResult};
 use crate::metrics::Counter;
 use crate::tag::{source_matches, tag_matches, Tag, ANY_SOURCE, ANY_TAG, COLL_TAG_BASE};
-use crate::trace::TraceCtx;
+use crate::trace::{thread_rank, TraceCtx};
 
 /// Largest payload (bytes) carried inline in the envelope instead of on the
 /// heap. Sub-cacheline messages — barrier tokens, counts exchanges, single
@@ -382,14 +386,122 @@ impl std::fmt::Debug for Posted {
     }
 }
 
+/// How long a waiter keeps re-attempting before it sleeps: about what the
+/// sleep and the wake it would otherwise pay cost together on this class of
+/// machine (a cross-core futex round trip, 30–60 µs). Waiting that long and
+/// then sleeping is never worse than twice the better of the two choices
+/// (Karlin et al., *Empirical Studies of Competitive Spinning*, SOSP '91).
+/// It is wall time, not a count of passes: with more runnable threads than
+/// cores one `yield_now` outlasts it, and the waiter sleeps after a pass or
+/// two instead of spinning through somebody else's time slice.
+const PATIENCE: Duration = Duration::from_micros(50);
+
+/// An event count: what [`Mailbox`] and [`Hub`] block on. A poster changes
+/// the state the waiter looks at and *then* calls [`Gate::bump`]; a waiter
+/// reads the epoch, looks at the state with no lock held, and sleeps only
+/// while the epoch is the one it read.
+#[derive(Debug, Default)]
+struct Gate {
+    epoch: AtomicU64,
+    /// Waiters between registering for a sleep and having woken from it.
+    sleepers: AtomicU32,
+    lock: Mutex<()>,
+    cond: Condvar,
+}
+
+impl Gate {
+    /// Moves the epoch on; wakes the sleepers if there are any (`true`).
+    ///
+    /// With nobody registered this is one atomic add and one load. The
+    /// `SeqCst` pair here and in [`Gate::sleep_while`] is Dekker's: either
+    /// this load sees the sleeper's registration, or the sleeper's epoch
+    /// check sees this add. A bump that sees a sleeper takes the lock before
+    /// it notifies, and the sleeper holds that lock from its check until the
+    /// condvar has it, so the notification cannot fall in between.
+    fn bump(&self) -> bool {
+        self.epoch.fetch_add(1, Ordering::SeqCst);
+        if self.sleepers.load(Ordering::SeqCst) == 0 {
+            return false;
+        }
+        let _lock = self.lock.lock().expect("gate poisoned");
+        self.cond.notify_all();
+        true
+    }
+
+    /// Sleeps until the epoch is no longer `seen` or `deadline` has passed.
+    fn sleep_while(&self, seen: u64, deadline: Option<Instant>) {
+        self.sleepers.fetch_add(1, Ordering::SeqCst);
+        let mut lock = self.lock.lock().expect("gate poisoned");
+        while self.epoch.load(Ordering::SeqCst) == seen {
+            lock = match deadline {
+                None => self.cond.wait(lock).expect("gate poisoned"),
+                Some(d) => {
+                    let Some(left) = d.checked_duration_since(Instant::now()) else {
+                        break;
+                    };
+                    self.cond.wait_timeout(lock, left).expect("gate poisoned").0
+                }
+            };
+        }
+        drop(lock);
+        self.sleepers.fetch_sub(1, Ordering::SeqCst);
+    }
+
+    /// The wait loop of [`Mailbox`] and [`Hub`], entered after a first
+    /// `check` came up empty: re-checks until `check` yields a value, or
+    /// gives up with the time waited once `deadline` has passed (after one
+    /// last check, so a value racing the deadline is still returned).
+    ///
+    /// For the first [`PATIENCE`] the waiter stays runnable between checks:
+    /// it runs `poll` (the transport's progress hook) and, when that moved
+    /// nothing, hands the core to whoever else wants it — two ranks sharing
+    /// a core pass it back and forth this way. After that it sleeps, and
+    /// every further check follows a bump. `check` runs with no lock held;
+    /// whatever it looks at must be changed *before* the bump that
+    /// announces the change, which is all that keeps the wait lossless.
+    ///
+    /// `probe` names the trace context and the rank the wait is attributed
+    /// to (blocked time, one `GateSleeps` per sleep).
+    fn wait<T>(
+        &self,
+        probe: Option<(&TraceCtx, u32)>,
+        deadline: Option<Instant>,
+        poll: impl Fn() -> bool,
+        mut check: impl FnMut() -> Option<T>,
+    ) -> Result<T, Duration> {
+        let start = Instant::now();
+        let _blocked = probe.map(|(trace, rank)| trace.blocked(rank));
+        loop {
+            let seen = self.epoch.load(Ordering::SeqCst);
+            if let Some(v) = check() {
+                return Ok(v);
+            }
+            let waited = start.elapsed();
+            if deadline.is_some_and(|d| start + waited >= d) {
+                return Err(waited);
+            }
+            if waited < PATIENCE {
+                if !poll() {
+                    std::thread::yield_now();
+                }
+            } else {
+                if let Some((trace, rank)) = probe {
+                    trace.count(rank as usize, Counter::GateSleeps, 1);
+                }
+                self.sleep_while(seen, deadline);
+            }
+        }
+    }
+}
+
 /// Process-wide wakeup channel for events that are not bound to a single
 /// mailbox: ssend acknowledgements and failure/revocation marks. Waiters
-/// re-evaluate a readiness predicate on
-/// every signal; there is no timeout and no polling.
+/// re-evaluate a readiness predicate: for a [`PATIENCE`] on their own, then
+/// asleep and once per [`Hub::notify`] — there is no timeout and no
+/// polling interval.
 #[derive(Debug, Default)]
 pub struct Hub {
-    gate: Mutex<u64>,
-    cond: Condvar,
+    gate: Gate,
     /// Trace context for wait attribution, bound once at universe start
     /// (hubs outlive/precede the universe, so this cannot be a ctor arg).
     trace: OnceLock<Arc<TraceCtx>>,
@@ -407,25 +519,18 @@ impl Hub {
         let _ = self.trace.set(trace);
     }
 
-    /// Signals every current waiter to re-check its predicate.
+    /// Signals every current waiter to re-check its predicate. The state
+    /// the predicate reads must have been changed before this call.
     pub fn notify(&self) {
-        let mut epoch = self.gate.lock().expect("hub gate poisoned");
-        *epoch = epoch.wrapping_add(1);
-        self.cond.notify_all();
-        self.count(Counter::GateWakes);
-    }
-
-    /// Adds one to the calling rank thread's counter `c`, once a trace
-    /// context is bound (helper threads host no rank and count nothing).
-    fn count(&self, c: Counter) {
-        let rank = crate::trace::thread_rank() as usize;
-        if let Some(trace) = self.trace.get().filter(|t| rank < t.size()) {
-            trace.count(rank, c, 1);
+        if self.gate.bump() {
+            if let Some(trace) = self.trace.get() {
+                trace.count(thread_rank() as usize, Counter::GateWakes, 1);
+            }
         }
     }
 
     /// Blocks until `ready` returns `Some`, re-evaluating whenever the hub
-    /// is notified. The predicate runs outside the gate lock.
+    /// is notified. The predicate runs with no lock held.
     pub fn wait_until<T>(&self, ready: impl FnMut() -> Option<T>) -> T {
         self.wait_until_deadline(ready, None)
             .expect("deadline-free wait cannot time out")
@@ -440,50 +545,13 @@ impl Hub {
         mut ready: impl FnMut() -> Option<T>,
         deadline: Option<Instant>,
     ) -> Option<T> {
-        {
-            // Fast path outside any wait span: a predicate that is already
-            // satisfied costs one epoch read and no clock access.
-            let epoch = *self.gate.lock().expect("hub gate poisoned");
-            let _ = epoch;
-            if let Some(v) = ready() {
-                return Some(v);
-            }
+        // Fast path outside any wait span: a predicate that is already
+        // satisfied costs no clock access.
+        if let Some(v) = ready() {
+            return Some(v);
         }
-        let _wait = self
-            .trace
-            .get()
-            .map(|t| t.parked(crate::trace::thread_rank()));
-        loop {
-            // Read the epoch before evaluating the predicate: a state change
-            // strictly after this read also bumps the epoch, so the wait
-            // below cannot sleep through it.
-            let epoch = *self.gate.lock().expect("hub gate poisoned");
-            if let Some(v) = ready() {
-                return Some(v);
-            }
-            if deadline.is_some_and(|d| Instant::now() >= d) {
-                return None;
-            }
-            self.count(Counter::GateSleeps);
-            let mut gate = self.gate.lock().expect("hub gate poisoned");
-            while *gate == epoch {
-                match deadline {
-                    None => gate = self.cond.wait(gate).expect("hub gate poisoned"),
-                    Some(d) => {
-                        let Some(left) = d.checked_duration_since(Instant::now()) else {
-                            // Deadline hit while parked: fall out to the
-                            // final predicate re-check above.
-                            break;
-                        };
-                        gate = self
-                            .cond
-                            .wait_timeout(gate, left)
-                            .expect("hub gate poisoned")
-                            .0;
-                    }
-                }
-            }
-        }
+        let probe = self.trace.get().map(|t| (&**t, thread_rank()));
+        self.gate.wait(probe, deadline, || false, ready).ok()
     }
 }
 
@@ -499,12 +567,6 @@ struct Lane {
     /// waiting for (see [`Mailbox::dest_for`]).
     leased: AtomicBool,
 }
-
-/// Empty polls a blocked receiver makes through the transport's
-/// [progress hook](Mailbox::set_progress_poll) before falling back to the
-/// condvar. Bounds the busy phase to tens of microseconds; anything longer
-/// is wake-driven as before.
-const PROGRESS_POLL_PASSES: u32 = 256;
 
 /// A transport-registered opportunistic progress poll (boxed closure with
 /// an inert `Debug`, so the mailbox stays derivable).
@@ -537,9 +599,8 @@ pub struct Mailbox {
     lanes: Box<[Lane]>,
     /// Arrival stamps; orders `ANY_SOURCE` matching across lanes.
     next_stamp: AtomicU64,
-    /// Deposit/kick epoch, bumped under the mutex to make waits lossless.
-    gate: Mutex<u64>,
-    cond: Condvar,
+    /// Bumped after every deposit and by every kick.
+    gate: Gate,
     /// Signalled when a take flips an ssend acknowledgement.
     hub: Arc<Hub>,
     /// Lifecycle-event recorder (one relaxed load when disabled).
@@ -567,8 +628,7 @@ impl Mailbox {
             owner,
             lanes: (0..n_sources).map(|_| Lane::default()).collect(),
             next_stamp: AtomicU64::new(0),
-            gate: Mutex::new(0),
-            cond: Condvar::new(),
+            gate: Gate::default(),
             hub,
             trace,
             progress: OnceLock::new(),
@@ -616,11 +676,11 @@ impl Mailbox {
                 .expect("lane poisoned");
             q.push_back((stamp, envelope));
         }
-        // Lane lock is released before the gate is taken: senders never hold
-        // both, so a receiver may scan lanes while holding the gate.
+        // The lane is filled (and its lock released) before the epoch moves:
+        // a waiter whose scan missed this envelope still has its bump coming.
         self.bump();
         // Collective-tagged traffic additionally drives the i-collective
-        // engine from the delivering thread (gate released first: the hook
+        // engine from the delivering thread (no lock is held here: the hook
         // may re-enter this mailbox or post to peers).
         if tag >= COLL_TAG_BASE {
             if let Some(n) = self.coll_notifier.get() {
@@ -629,12 +689,11 @@ impl Mailbox {
         }
     }
 
-    /// Moves the gate epoch on and wakes every waiter.
+    /// Moves the gate epoch on and wakes whoever sleeps on it.
     fn bump(&self) {
-        let mut epoch = self.gate.lock().expect("mailbox gate poisoned");
-        *epoch = epoch.wrapping_add(1);
-        self.cond.notify_all();
-        self.trace.count(self.owner, Counter::GateWakes, 1);
+        if self.gate.bump() {
+            self.trace.count(self.owner, Counter::GateWakes, 1);
+        }
     }
 
     /// Wakes all waiters so they can re-check failure/revocation state.
@@ -728,8 +787,8 @@ impl Mailbox {
     /// every wakeup to learn about failures or revocation.
     ///
     /// `interrupt` returns `Some(err)` when the wait must be abandoned (the
-    /// awaited peer died, or the communicator was revoked). There is no
-    /// polling: deposits and [`Mailbox::kick`] are the only wake sources.
+    /// awaited peer died, or the communicator was revoked). Once the wait
+    /// sleeps, deposits and [`Mailbox::kick`] are its only wake sources.
     pub fn take_blocking(
         &self,
         key: MatchKey,
@@ -977,11 +1036,11 @@ impl Mailbox {
         false
     }
 
-    /// Parks on this mailbox until `attempt` yields a value, `interrupt`
+    /// Waits on this mailbox until `attempt` yields a value, `interrupt`
     /// reports an error, or `deadline` passes — the generic wait loop behind
     /// the take/peek entry points, exposed to the i-collective engine so an
     /// owner's `wait` can drive its schedules from the same progress-poll +
-    /// condvar machinery (`attempt` steps the state machines; every arrival
+    /// gate machinery (`attempt` steps the state machines; every arrival
     /// bumps this mailbox's gate, so no wake-up is lost even when a
     /// delivering thread consumed the envelope itself). `attempt` always
     /// runs with no mailbox lock held: schedule steps post to peers, and on
@@ -1008,113 +1067,50 @@ impl Mailbox {
         self.wait_slow(interrupt, deadline, attempt)
     }
 
-    /// [`Mailbox::wait_matching`] after its first attempt missed.
+    /// [`Mailbox::wait_matching`] after its first attempt missed: the
+    /// [`Gate::wait`] of this mailbox, polling the transport's progress hook
+    /// while patient (a receiver on shm-xproc drains its own rings instead
+    /// of paying a helper-thread hand-off).
+    ///
+    /// `attempt` runs with *no* mailbox lock held. The i-collective attempt
+    /// steps schedules that post to peers, and on the shm backend a peer's
+    /// coll notifier runs inline in this very thread and can post straight
+    /// back to this mailbox. No wake-up is lost: a deposit fills its lane
+    /// *before* it bumps the epoch, so if `attempt` missed an envelope its
+    /// bump is still to come. The same ordering covers `interrupt`: fault
+    /// marks are applied before the kick that bumps the epoch.
     fn wait_slow<T>(
         &self,
         interrupt: &dyn Fn() -> Option<MpiError>,
         deadline: Option<Instant>,
         mut attempt: impl FnMut(&Self) -> Option<T>,
     ) -> MpiResult<T> {
-        let start = Instant::now();
-        // Everything past the fast path is blocked-waiting; the RAII guard
-        // attributes it to the owning rank (inert when measuring is off)
-        // and covers every exit — match, interrupt, or timeout.
-        let mut parked = self.trace.parked(self.owner as u32);
-        // A short burst of cooperative hand-offs before committing to the
-        // condvar: when rank-threads outnumber cores the matching send is
-        // usually posted by a peer that just needs the CPU, and taking the
-        // envelope after a scheduler yield saves the whole futex sleep/wake
-        // round-trip. The burst is a small constant (not interval polling —
-        // there is no sleep and no timeout); all actual waiting below is
-        // condvar-based and wake-driven.
-        //
-        // With a transport progress poll registered the burst additionally
-        // *drains the wire from this thread*: the waiting receiver pulls
-        // its own rings instead of paying a helper-thread handoff, which
-        // is what keeps the shm-xproc round trip in single-digit
-        // microseconds. The poll is bounded; long waits still park below
-        // and rely on the transport's own threads for delivery.
-        let passes = if self.progress.get().is_some() {
-            PROGRESS_POLL_PASSES
-        } else {
-            4
-        };
-        for _ in 0..passes {
-            let pulled = match self.progress.get() {
-                Some(poll) => (poll.0)(),
-                None => false,
-            };
-            if !pulled {
-                std::thread::yield_now();
-            }
+        let poll = || self.progress.get().is_some_and(|poll| (poll.0)());
+        let probe = Some((&*self.trace, self.owner as u32));
+        let verdict = self.gate.wait(probe, deadline, poll, || loop {
             if let Some(hit) = attempt(self) {
-                return Ok(hit);
+                return Some(Ok(hit));
             }
-        }
-        // From here on the thread actually sleeps. The live blocked-wait
-        // counter is charged for the condvar section only, so the metrics
-        // path reads no clock on the burst (measuring-mode wait attribution
-        // still covers the burst).
-        parked.sleeping();
-        loop {
-            // Snapshot the epoch, then run `attempt` with *no* mailbox lock
-            // held. The i-collective attempt steps schedules that post to
-            // peers, and on the shm backend a peer's coll notifier runs
-            // inline in this very thread and can post straight back to this
-            // mailbox — `Mailbox::post` takes the gate, so holding it across
-            // `attempt` self-deadlocks (e.g. a 6-rank dissemination cycle).
-            // No wake-up is lost: a deposit fills its lane *before* bumping
-            // the epoch under the gate, so if `attempt` missed an envelope
-            // its bump is still to come and the wait below sees it. The same
-            // ordering covers `interrupt`: fault marks are applied before
-            // the kick that bumps the epoch.
-            let epoch = *self.gate.lock().expect("mailbox gate poisoned");
+            let err = interrupt()?;
+            // A peer that deposits its last envelope and then finishes (or
+            // dies) between the attempt above and this check is reported
+            // gone although its message is in the lane. Marks are applied
+            // after the deposits they follow, so one more attempt tells the
+            // two cases apart. That attempt may also move a multi-receive
+            // wait (a collective machine) on to another peer without
+            // completing it; the fault is final only if it is still the
+            // verdict afterwards, and a new verdict is judged the same way.
             if let Some(hit) = attempt(self) {
-                return Ok(hit);
+                return Some(Ok(hit));
             }
-            if let Some(err) = interrupt() {
-                // A peer that deposits its last envelope and then finishes
-                // (or dies) between the attempt above and this check is
-                // reported gone although its message is in the lane. Marks
-                // are applied after the deposits they follow, so one more
-                // attempt tells the two cases apart. That attempt may also
-                // move a multi-receive wait (a collective machine) on to
-                // another peer without completing it; the fault is final
-                // only if it is still the verdict afterwards.
-                if let Some(hit) = attempt(self) {
-                    return Ok(hit);
-                }
-                if interrupt().as_ref() == Some(&err) {
-                    return Err(err);
-                }
-                continue;
+            if interrupt().as_ref() == Some(&err) {
+                return Some(Err(err));
             }
-            // The deadline is checked after one final match/interrupt pass,
-            // so an envelope racing the deadline is still delivered.
-            if deadline.is_some_and(|d| Instant::now() >= d) {
-                self.trace.timed_out(self.owner);
-                return Err(MpiError::Timeout {
-                    waited: start.elapsed(),
-                });
-            }
-            self.trace.count(self.owner, Counter::GateSleeps, 1);
-            let mut gate = self.gate.lock().expect("mailbox gate poisoned");
-            while *gate == epoch {
-                match deadline {
-                    None => gate = self.cond.wait(gate).expect("mailbox gate poisoned"),
-                    Some(d) => {
-                        let Some(left) = d.checked_duration_since(Instant::now()) else {
-                            break;
-                        };
-                        gate = self
-                            .cond
-                            .wait_timeout(gate, left)
-                            .expect("mailbox gate poisoned")
-                            .0;
-                    }
-                }
-            }
-        }
+        });
+        verdict.unwrap_or_else(|waited| {
+            self.trace.timed_out(self.owner);
+            Err(MpiError::Timeout { waited })
+        })
     }
 
     /// Number of queued envelopes (diagnostics / tests only).
@@ -1681,28 +1677,97 @@ mod tests {
             mb.post(env(0, 1, 0, &i.to_le_bytes()));
             assert!(mb.try_take(key(0, 1)).is_some());
         }
-        // The parent's gate notifies its condvar on every bump.
-        assert_eq!(gate_counts(&trace), (1000, 0));
+        // Nobody waits, so no bump may take the lock or notify.
+        assert_eq!(gate_counts(&trace), (0, 0));
+    }
+
+    /// Spins (yielding) until somebody has registered to sleep on `gate`.
+    fn await_sleeper(gate: &Gate) {
+        while gate.sleepers.load(Ordering::SeqCst) == 0 {
+            std::thread::yield_now();
+        }
     }
 
     #[test]
     fn a_post_to_a_sleeper_is_one_wake_for_one_sleep() {
         let (mb, trace) = counted_mailbox();
-        let gate = Arc::new(Hub::new());
-        let entered = Arc::new(AtomicBool::new(false));
-        let (mb2, gate2, entered2) = (mb.clone(), gate.clone(), entered.clone());
-        let receiver = std::thread::spawn(move || {
-            mb2.take_blocking(key(0, 1), &|| {
-                entered2.store(true, Ordering::Release);
-                gate2.notify();
-                None
-            })
-            .unwrap()
+        std::thread::scope(|s| {
+            let receiver = s.spawn(|| mb.take_blocking(key(0, 1), &never).unwrap());
+            // Registered, the receiver is either on the condvar or about to
+            // check the epoch under the lock: one bump ends its only sleep.
+            await_sleeper(&mb.gate);
+            mb.post(env(0, 1, 0, b"wake"));
+            assert_eq!(receiver.join().unwrap().payload.as_slice(), b"wake");
         });
-        await_flag(&gate, &entered);
-        mb.post(env(0, 1, 0, b"wake"));
-        assert_eq!(receiver.join().unwrap().payload.as_slice(), b"wake");
         assert_eq!(gate_counts(&trace), (1, 1));
+        assert_eq!(mb.gate.sleepers.load(Ordering::SeqCst), 0);
+    }
+
+    #[test]
+    fn gate_does_not_sleep_through_a_bump_it_has_not_seen() {
+        let gate = Gate::default();
+        let seen = gate.epoch.load(Ordering::SeqCst);
+        assert!(!gate.bump(), "nobody to wake");
+        // No deadline: returns only because the epoch has moved on.
+        gate.sleep_while(seen, None);
+        assert_eq!(gate.sleepers.load(Ordering::SeqCst), 0);
+    }
+
+    #[test]
+    fn gate_bump_wakes_a_registered_sleeper() {
+        let gate = Gate::default();
+        let seen = gate.epoch.load(Ordering::SeqCst);
+        std::thread::scope(|s| {
+            let sleeper = s.spawn(|| gate.sleep_while(seen, None));
+            await_sleeper(&gate);
+            assert!(gate.bump(), "the bump saw the sleeper");
+            sleeper.join().unwrap();
+        });
+        assert_eq!(gate.sleepers.load(Ordering::SeqCst), 0);
+    }
+
+    #[test]
+    fn gate_deadline_ends_the_sleep_and_deregisters() {
+        let gate = Gate::default();
+        let seen = gate.epoch.load(Ordering::SeqCst);
+        let t = Instant::now();
+        gate.sleep_while(seen, Some(t + Duration::from_millis(10)));
+        assert!(t.elapsed() >= Duration::from_millis(10));
+        assert_eq!(gate.epoch.load(Ordering::SeqCst), seen, "nothing bumped");
+        assert_eq!(gate.sleepers.load(Ordering::SeqCst), 0);
+    }
+
+    #[test]
+    fn no_exit_of_a_wait_leaves_a_sleeper_behind() {
+        let mb = mailbox(1);
+        let asleep = |mb: &Mailbox| mb.gate.sleepers.load(Ordering::SeqCst);
+        // Timeout, well past the patience.
+        let soon = Some(Instant::now() + 4 * PATIENCE);
+        let err = mb.take_blocking_deadline(key(0, 1), &never, soon);
+        assert!(err.unwrap_err().is_timeout());
+        assert_eq!(asleep(&mb), 0);
+        // Interrupt: raised while the receiver sleeps, announced by a kick.
+        let revoked = AtomicBool::new(false);
+        let interrupt = || revoked.load(Ordering::Acquire).then_some(MpiError::Revoked);
+        std::thread::scope(|s| {
+            let receiver = s.spawn(|| mb.take_blocking(key(0, 1), &interrupt));
+            await_sleeper(&mb.gate);
+            revoked.store(true, Ordering::Release);
+            mb.kick();
+            assert_eq!(receiver.join().unwrap().unwrap_err(), MpiError::Revoked);
+            assert_eq!(asleep(&mb), 0);
+            // Match.
+            let receiver = s.spawn(|| mb.take_blocking(key(0, 1), &never));
+            await_sleeper(&mb.gate);
+            mb.post(env(0, 1, 0, b"x"));
+            receiver.join().unwrap().unwrap();
+            assert_eq!(asleep(&mb), 0);
+        });
+        // The hub shares the loop: a predicate that never holds, a deadline.
+        let hub = Hub::new();
+        let soon = Some(Instant::now() + 4 * PATIENCE);
+        assert_eq!(hub.wait_until_deadline(|| None::<()>, soon), None);
+        assert_eq!(hub.gate.sleepers.load(Ordering::SeqCst), 0);
     }
 
     // --- posted receives -------------------------------------------------

@@ -1021,4 +1021,56 @@ mod tests {
             );
         }
     }
+
+    /// A rank whose waits all end inside the mailbox's patience never
+    /// sleeps, and is blocked all the same: `blocked_ns` covers the wait
+    /// from where it left the fast path, not from the condvar.
+    #[test]
+    fn a_rank_that_waits_without_sleeping_is_reported_blocked() {
+        use crate::metrics::Counter;
+        use std::time::{Duration, Instant};
+        const WAITS: u32 = 200;
+        let metrics_on = Config {
+            metrics: true,
+            ..Config::default()
+        };
+        // Rank 0 announces each receive; rank 1 then spins ~30 us before it
+        // sends, so rank 0 waits about that long every time.
+        let script = |comm: RawComm| {
+            let mut waited = Duration::ZERO;
+            for _ in 0..WAITS {
+                if comm.rank() == 0 {
+                    comm.send(1, 1, b"").unwrap();
+                    let t = Instant::now();
+                    comm.recv(1, 2).unwrap();
+                    waited += t.elapsed();
+                } else {
+                    comm.recv(0, 1).unwrap();
+                    let t = Instant::now();
+                    while t.elapsed() < Duration::from_micros(30) {
+                        std::hint::spin_loop();
+                    }
+                    comm.send(0, 2, b"").unwrap();
+                }
+            }
+            waited.as_nanos() as u64
+        };
+        // The claim is about a run the scheduler left alone (one rank per
+        // core, nobody descheduled mid-wait: one such wait, sampled or not,
+        // outweighs the other 199). Other tests share the cores, so a
+        // disturbed run is repeated; the bug this pins reads ~0 every time.
+        let mut seen = Vec::new();
+        for _ in 0..20 {
+            let job = Universe::run_threads(2, metrics_on.clone(), script).unwrap();
+            let (waited, stats) = (job.values[0], &job.stats[0]);
+            let blocked = stats.counter(Counter::BlockedNs);
+            let sleeps = stats.counter(Counter::GateSleeps);
+            if (waited / 2..=waited * 2).contains(&blocked) && sleeps <= u64::from(WAITS) / 10 {
+                return;
+            }
+            seen.push((waited, blocked, sleeps));
+            std::thread::sleep(Duration::from_millis(50));
+        }
+        panic!("(waited ns, blocked_ns, sleeps) per run: {seen:?}");
+    }
 }

@@ -822,7 +822,9 @@ fn case_large_copy_budget(comm: &RawComm) {
     let sent: u64 = SIZES.iter().map(|&b| (b * REPS) as u64).sum();
     let msgs = (SIZES.len() * REPS) as u64;
     // Every phase is counted from the snapshot that closed the one before
-    // it: taken before this rank reports, so before the sender moves on.
+    // it: taken before this rank reports, so before the sender moves on —
+    // and the receiver stays until the sender has taken its own, or the
+    // stats block it sends at teardown (larger than inline) is counted there.
     let mut before = moved(&comm.metrics());
     for (posted, want) in [(true, &budget[..2]), (false, &budget[2..])] {
         for bytes in SIZES {
@@ -858,9 +860,11 @@ fn case_large_copy_budget(comm: &RawComm) {
         if comm.rank() == 1 {
             let wire: Vec<u8> = mine.iter().flat_map(|v| v.to_le_bytes()).collect();
             comm.send(0, 3, &wire).unwrap();
+            comm.recv(0, 3).unwrap();
             continue;
         }
         let (theirs, _) = comm.recv(1, 3).unwrap();
+        comm.send(1, 3, b"").unwrap();
         let theirs = |i: usize| u64::from_le_bytes(theirs[i * 8..i * 8 + 8].try_into().unwrap());
         assert_eq!(
             (mine[0] + theirs(0), mine[1] + theirs(1)),
