@@ -386,15 +386,21 @@ impl std::fmt::Debug for Posted {
     }
 }
 
-/// How long a waiter keeps re-attempting before it sleeps: about what the
-/// sleep and the wake it would otherwise pay cost together on this class of
-/// machine (a cross-core futex round trip, 30–60 µs). Waiting that long and
-/// then sleeping is never worse than twice the better of the two choices
-/// (Karlin et al., *Empirical Studies of Competitive Spinning*, SOSP '91).
-/// It is wall time, not a count of passes: with more runnable threads than
-/// cores one `yield_now` outlasts it, and the waiter sleeps after a pass or
-/// two instead of spinning through somebody else's time slice.
-const PATIENCE: Duration = Duration::from_micros(50);
+/// How long a waiter keeps re-attempting before it sleeps: what the sleep
+/// and the wake it would otherwise pay cost together on this class of
+/// machine, taken at the slow end (a cross-core futex wake reads 30–85 µs
+/// from one minute to the next). Waiting that long and then sleeping is
+/// never worse than twice the better of the two choices (Karlin et al.,
+/// *Empirical Studies of Competitive Spinning*, SOSP '91). The slow end and
+/// not the middle, because a sleep is contagious below it: a rank woken
+/// late answers late, and a peer whose patience is shorter than that wake
+/// falls asleep waiting for the answer — whether a hand-off costs 2 µs or
+/// 100 then depends on how fast the box happens to wake threads that
+/// minute. It is wall time, not a count of passes: with more runnable
+/// threads than cores one `yield_now` outlasts it, and the waiter sleeps
+/// after a pass or two instead of spinning through somebody else's time
+/// slice.
+const PATIENCE: Duration = Duration::from_micros(100);
 
 /// An event count: what [`Mailbox`] and [`Hub`] block on. A poster changes
 /// the state the waiter looks at and *then* calls [`Gate::bump`]; a waiter

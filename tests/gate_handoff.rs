@@ -24,7 +24,7 @@ use rand::{Rng, SeedableRng};
 fn seeded_handoffs_lose_no_wake() {
     const SEED: u64 = 0x6761_7465;
     const ROUNDS: u64 = 10_000;
-    const DELAYS_US: [u64; 5] = [0, 5, 40, 60, 200];
+    const DELAYS_US: [u64; 5] = [0, 5, 80, 120, 250];
     let (done, hung) = mpsc::channel::<()>();
     let watchdog = std::thread::spawn(move || {
         if hung.recv_timeout(Duration::from_secs(60)).is_err() {
