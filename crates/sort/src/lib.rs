@@ -2,14 +2,16 @@
 //!
 //! The paper's §IV-A applications:
 //!
-//! * [`sample_sort`] — the textbook distributed sample sort of Fig. 7, in
-//!   three variants: through the kamping binding layer
+//! * [`sample_sort`] — the textbook distributed sample sort of Fig. 7
+//!   (one local sort, one `alltoallv`, a merge of the `p` runs received), in
+//!   four variants: through the kamping binding layer
 //!   ([`sample_sort_kamping`]), against the raw substrate with all the
 //!   hand-rolled boilerplate ([`sample_sort_plain`] — the "plain MPI"
-//!   column of Table I / Fig. 8), and an **MPL-like ablation**
+//!   column of Table I / Fig. 8), an **MPL-like ablation**
 //!   ([`sample_sort_mpl_like`]) that lowers the data exchange to
 //!   `alltoallw` with per-peer derived datatypes — the lowering §II blames
-//!   for MPL's slowdown on v-collectives, reproduced measurably.
+//!   for MPL's slowdown on v-collectives, reproduced measurably — and one
+//!   that overlaps the exchange with the local sort (`sample_sort_overlapped`).
 //! * [`suffix`] — suffix-array construction by prefix doubling
 //!   (Manber–Myers), the §IV-A text-processing application (163 vs. 426
 //!   lines of code in the paper), with the hand-rolled plain-substrate

@@ -13,6 +13,8 @@ use std::collections::HashMap;
 use kamping_mpi::coll::excl_prefix_sum;
 use kamping_mpi::RawComm;
 
+use crate::sample_sort::merge_runs;
+
 // LOC-BEGIN suffix_plain
 /// Balanced block distribution (duplicated here: plain code has no shared
 /// library to lean on).
@@ -249,6 +251,9 @@ fn sample_sort_tuples_plain(comm: &RawComm, data: &mut Vec<(u64, u64, u64)>, see
             )
         })
         .collect();
+    if gsamples.is_empty() {
+        return; // nobody holds a tuple
+    }
     gsamples.sort_unstable();
     let splitters: Vec<(u64, u64, u64)> =
         (1..p).map(|i| gsamples[i * gsamples.len() / p]).collect();
@@ -292,7 +297,10 @@ fn sample_sort_tuples_plain(comm: &RawComm, data: &mut Vec<(u64, u64, u64)>, see
             )
         })
         .collect();
-    data.sort_unstable();
+    // Freed before the merge allocates: see `sample_sort_plain`'s `drop`.
+    drop(recv);
+    let rcounts_elems: Vec<usize> = rcounts.iter().map(|&c| c / 24).collect();
+    merge_runs(data, &rcounts_elems);
 }
 // LOC-END suffix_plain
 
@@ -329,6 +337,15 @@ mod tests {
             let a = suffix_array_prefix_doubling_plain(comm.raw(), &local, text.len() as u64);
             let b = suffix_array_prefix_doubling(&comm, &local, text.len() as u64).unwrap();
             assert_eq!(a, b);
+        });
+    }
+
+    #[test]
+    fn tuple_sort_of_nothing_returns() {
+        kamping::run(3, |comm| {
+            let mut none = Vec::new();
+            sample_sort_tuples_plain(comm.raw(), &mut none, 1);
+            assert!(none.is_empty());
         });
     }
 
