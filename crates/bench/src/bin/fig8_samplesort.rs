@@ -10,7 +10,7 @@
 //! Run with
 //! `cargo run --release -p kamping-bench --bin fig8_samplesort -- [max_p] [n_per_rank] [reps]`.
 
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 use kamping_bench::{ms, time_world_custom};
 use kamping_sort::{sample_sort_kamping, sample_sort_mpl_like, sample_sort_plain};
@@ -37,26 +37,26 @@ fn main() {
     let mut p = 1;
     while p <= max_p {
         // The input is drawn before the clock starts: only the sort is timed.
-        let best = |sort: &(dyn Fn(&kamping::Communicator, &mut Vec<u64>) + Sync)| {
-            (0..reps)
-                .map(|_| {
-                    time_world_custom(p, |comm| {
-                        let mut d = data_for(comm.rank(), n);
-                        comm.barrier().expect("opening barrier");
-                        let start = Instant::now();
-                        sort(comm, &mut d);
-                        comm.barrier().expect("closing barrier");
-                        let elapsed = start.elapsed();
-                        std::hint::black_box(&d);
-                        elapsed
-                    })
-                })
-                .min()
-                .expect("reps > 0")
+        let time = |sort: &(dyn Fn(&kamping::Communicator, &mut Vec<u64>) + Sync)| {
+            time_world_custom(p, |comm| {
+                let mut d = data_for(comm.rank(), n);
+                comm.barrier().expect("opening barrier");
+                let start = Instant::now();
+                sort(comm, &mut d);
+                comm.barrier().expect("closing barrier");
+                let elapsed = start.elapsed();
+                std::hint::black_box(&d);
+                elapsed
+            })
         };
-        let t_plain = best(&|comm, d| sample_sort_plain(comm.raw(), d, 7));
-        let t_kamping = best(&|comm, d| sample_sort_kamping(comm, d, 7).unwrap());
-        let t_mpl = best(&|comm, d| sample_sort_mpl_like(comm, d, 7).unwrap());
+        // The columns take turns within a repetition, so a slow stretch of
+        // the host falls on all three.
+        let [mut t_plain, mut t_kamping, mut t_mpl] = [Duration::MAX; 3];
+        for _ in 0..reps {
+            t_plain = t_plain.min(time(&|comm, d| sample_sort_plain(comm.raw(), d, 7)));
+            t_kamping = t_kamping.min(time(&|comm, d| sample_sort_kamping(comm, d, 7).unwrap()));
+            t_mpl = t_mpl.min(time(&|comm, d| sample_sort_mpl_like(comm, d, 7).unwrap()));
+        }
         println!(
             "{:>5} {} {} {} {:>10.3}",
             p,
