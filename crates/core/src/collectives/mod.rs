@@ -6,7 +6,7 @@
 //! optional parameter the operation accepts, and its `call()`. The setters
 //! themselves live once in [`crate::call`]; the "omitted ⇒ exchange the
 //! counts, prefix-sum the displacements" default lives once here, in
-//! [`resolve`].
+//! `resolve`.
 
 pub mod allgather;
 pub mod alltoall;

@@ -54,7 +54,7 @@
 //! * Failures surface as `Result`s ([`KampingError`]), never as silent
 //!   return codes; usage errors (missing parameters, wrong buffer types)
 //!   are compile errors.
-//! * Receive buffers carry a [`ResizePolicy`](resize::ResizePolicy) chosen
+//! * Receive buffers carry a [`ResizePolicy`] chosen
 //!   at compile time: `ResizeToFit`, `GrowOnly`, or the checking `NoResize`.
 
 pub mod assertions;

@@ -31,7 +31,7 @@
 //! instead of hoping a race shows up.
 //!
 //! Activation: `KAMPING_CHAOS=<seed>:<spec>` in the environment (parsed
-//! into [`crate::Config::chaos`], applied by [`crate::Universe::run`]), or
+//! into `Config::chaos`, applied by [`crate::Universe::run`]), or
 //! programmatically via [`crate::Universe::run_with_chaos`]. The spec is a
 //! comma-separated directive list, e.g.
 //! `KAMPING_CHAOS=7:drop=20,delay=30@2,kill=2@40`. See
@@ -97,7 +97,7 @@ pub struct ChaosSpec {
 impl ChaosSpec {
     /// A schedule that injects nothing (all faults at zero) — the identity
     /// wrapper, useful as a parse base and for overhead measurements.
-    pub fn new(seed: u64) -> Self {
+    pub(crate) fn new(seed: u64) -> Self {
         Self {
             seed,
             drop_pct: 0,
@@ -415,7 +415,7 @@ impl ChaosTransport {
 
     /// Binds the universe's trace context so injected faults appear in the
     /// event stream. Idempotent; the first binding wins.
-    pub fn bind_trace(&self, trace: Arc<TraceCtx>) {
+    pub(crate) fn bind_trace(&self, trace: Arc<TraceCtx>) {
         let _ = self.trace.set(trace);
     }
 
@@ -444,7 +444,7 @@ impl ChaosTransport {
     /// Binds where an injected rank death is applied locally (the universe
     /// state). Idempotent; without a sink the kill still cuts traffic and
     /// broadcasts `Failed` to remote ranks.
-    pub fn bind_sink(&self, sink: Weak<dyn ControlSink>) {
+    pub(crate) fn bind_sink(&self, sink: Weak<dyn ControlSink>) {
         *self.sink.lock().expect("chaos sink poisoned") = Some(sink);
     }
 

@@ -1,17 +1,24 @@
 //! Blocking collectives.
 //!
 //! The log-round and all-peers algorithms (dissemination barrier, tree
-//! bcast/reduce/allreduce, Bruck allgatherv and small-block alltoall,
-//! linear alltoallv — see DESIGN.md for the full table) are the state
-//! machines of [`crate::icoll`]; the entry points here validate, pick the
-//! machine and step it inline on the caller's stack
-//! ([`RawComm::run_inline`]). The rooted linear collectives (gather,
-//! scatter) and the chain scans are straight-line code over the internal
-//! send/receive helpers. Broadcast fan-out is zero-copy: every envelope of
-//! one bcast aliases a single shared allocation. The dense all-to-alls post
-//! one envelope per peer — including empty ones — which reproduces the
-//! linear-in-`p` startup cost of `MPI_Alltoallv` that §V-A of the paper
-//! contrasts with sparse and grid exchanges.
+//! bcast/reduce/allreduce, Rabenseifner's allreduce, Bruck allgatherv and
+//! small-block alltoall, linear alltoallv — see DESIGN.md for the full
+//! table) are the state machines of [`crate::icoll`]; the entry points
+//! here validate, pick the machine and step it inline on the caller's
+//! stack (`RawComm::run_inline`).
+//!
+//! `gatherv`/`scatterv`, `scan`/`exscan`, `neighbor_alltoallv` and the
+//! `alltoallw`-style exchange stay straight-line code over the internal
+//! send/receive helpers, on purpose: each is a linear exchange with no
+//! nonblocking name, so it exists once already, and a loop is its shortest
+//! form. A machine buys a second driver; one of these becomes a machine
+//! when it gets an `i*` name, not before.
+//!
+//! Broadcast fan-out is zero-copy: every envelope of one bcast aliases a
+//! single shared allocation. The dense all-to-alls post one envelope per
+//! peer — including empty ones — which reproduces the linear-in-`p`
+//! startup cost of `MPI_Alltoallv` that §V-A of the paper contrasts with
+//! sparse and grid exchanges.
 //!
 //! Byte-level API: counts and displacements are in bytes; the typed layer
 //! (`kamping`) converts element counts. Variable-size collectives take
@@ -20,7 +27,6 @@
 //! job (paper §III-A), not the substrate's.
 
 use crate::error::{MpiError, MpiResult};
-use crate::hier::AllreduceAlgo;
 use crate::icoll::check_elems;
 use crate::icoll::sm::{AllgathervSm, AlltoallvSm, BarrierSm};
 use crate::profile::Op;
@@ -33,13 +39,13 @@ use std::collections::HashSet;
 /// Per-peer block size (bytes) below which [`RawComm::alltoall`] switches
 /// to Bruck's log-round algorithm, mirroring real MPI implementations'
 /// small-message strategy.
-pub const BRUCK_THRESHOLD_BYTES: usize = 256;
+pub(crate) const BRUCK_THRESHOLD_BYTES: usize = 256;
 
 /// Number of tags in the NBX rotation band of
 /// [`RawComm::sparse_alltoallv`]. Rotating the tag between rounds keeps a
 /// fast rank's next-round message from being matched by a peer still
 /// draining the previous round.
-pub const SPARSE_TAG_ROTATION: Tag = 4096;
+pub(crate) const SPARSE_TAG_ROTATION: Tag = 4096;
 
 /// First tag of the band reserved for NBX sparse exchanges (the top 4096
 /// user tags; applications should stay below this).
@@ -72,7 +78,7 @@ pub enum AlltoallAlgo {
 
 impl AlltoallAlgo {
     /// Parses the `KAMPING_ALLTOALL` values.
-    pub fn parse(s: &str) -> Option<Self> {
+    pub(crate) fn parse(s: &str) -> Option<Self> {
         match s.trim() {
             "auto" | "" => Some(Self::Auto),
             "dense" => Some(Self::Dense),
@@ -409,7 +415,7 @@ impl RawComm {
     /// Fixed-size all-to-all: `send` is `p` equal byte blocks; block `i`
     /// goes to rank `i`. Returns the `p` received blocks concatenated in
     /// rank order. Bruck's algorithm for small blocks, the direct linear
-    /// exchange otherwise ([`RawComm::alltoall_plan`]).
+    /// exchange otherwise (`RawComm::alltoall_plan`).
     pub fn alltoall(&self, send: &[u8]) -> MpiResult<Vec<u8>> {
         let _op = self.record(Op::Alltoall);
         let (block, bruck) = self.alltoall_plan(send)?;
@@ -479,22 +485,17 @@ impl RawComm {
         Ok(())
     }
 
-    /// Reduce-to-all. Strategy-selected ([`RawComm::allreduce_algo`],
+    /// Reduce-to-all. Strategy-selected (`RawComm::allreduce_algo`,
     /// DESIGN.md §11): tree reduce + broadcast by default, the two-level
-    /// composition on mixed topologies,
-    /// [`RawComm::allreduce_rabenseifner`] for large payloads under `Auto`.
+    /// composition on mixed topologies, Rabenseifner's halving/doubling
+    /// for large payloads under `Auto`.
     pub fn allreduce(&self, buf: &mut Vec<u8>, op: ByteOp<'_>, elem_size: usize) -> MpiResult<()> {
         let _op = self.record(Op::Allreduce);
         check_elems(buf, elem_size)?;
-        match self.allreduce_algo(buf.len(), true)? {
-            AllreduceAlgo::Rabenseifner => self.allreduce_rabenseifner_inner(buf, op, elem_size),
-            AllreduceAlgo::Tree(hier) => {
-                let mine = std::mem::take(buf);
-                *buf = self
-                    .run_inline(|_| Ok(self.allreduce_sm(hier.as_deref(), mine, op, elem_size)))?;
-                Ok(())
-            }
-        }
+        let algo = self.allreduce_algo(buf.len(), true)?;
+        let mine = std::mem::take(buf);
+        *buf = self.run_inline(|_| Ok(self.allreduce_sm(algo, mine, op, elem_size)))?;
+        Ok(())
     }
 
     /// Reduce-scatter with equal blocks (`MPI_Reduce_scatter_block`): the
@@ -632,7 +633,7 @@ impl RawComm {
     /// counts first (one small `alltoall`), so callers don't need to know
     /// receive sizes — the convenience surface the strategy layer and the
     /// grid phases build on.
-    pub fn alltoallv_parts(&self, parts: &[Vec<u8>]) -> MpiResult<Vec<Vec<u8>>> {
+    pub(crate) fn alltoallv_parts(&self, parts: &[Vec<u8>]) -> MpiResult<Vec<Vec<u8>>> {
         let p = self.size();
         if parts.len() != p {
             return Err(MpiError::InvalidCounts {
@@ -669,7 +670,7 @@ impl RawComm {
     /// Personalized all-to-all routed per [`AlltoallAlgo`]: explicit
     /// algorithm, or `KAMPING_ALLTOALL`, or the auto rule (grid for large
     /// or multi-host communicators, dense otherwise). Input/output shape
-    /// matches [`RawComm::alltoallv_parts`]. All ranks must resolve the
+    /// matches `RawComm::alltoallv_parts`. All ranks must resolve the
     /// same algorithm, which holds because every selection input is
     /// rank-uniform.
     pub fn alltoallv_strategy(

@@ -222,11 +222,6 @@ impl RawComm {
         self.group[self.rank]
     }
 
-    /// The attached graph topology, if any.
-    pub fn topology(&self) -> Option<&GraphTopo> {
-        self.topo.as_deref()
-    }
-
     /// Advances and returns the per-communicator operation sequence number.
     ///
     /// Public for *plugin* use (paper §III-F): a plugin that runs its own
@@ -234,7 +229,7 @@ impl RawComm {
     /// rank-synchronized sequence number here to rotate tags between
     /// rounds, provided every rank calls it in the same order — the same
     /// contract MPI imposes on collectives.
-    pub fn next_operation_seq(&self) -> u32 {
+    pub(crate) fn next_operation_seq(&self) -> u32 {
         self.next_coll_seq()
     }
 

@@ -1,8 +1,8 @@
 //! The process environment, parsed once.
 //!
 //! Every `KAMPING_*` variable the library understands is read here, by
-//! [`Config::from_lookup`], exactly once per universe: the `Universe::run*`
-//! entry points build one [`Config`], hand it to the universe state, and
+//! `Config::from_lookup`, exactly once per universe: the `Universe::run*`
+//! entry points build one `Config`, hand it to the universe state, and
 //! everything below — instrumentation switches, the chaos schedule, the
 //! collective-selection defaults, the `kampirun` launch environment —
 //! reads that struct. A malformed value is always a typed
@@ -21,45 +21,42 @@ use crate::trace::{EVENTS, MEASURE, METRICS};
 
 /// Everything the environment configures, for one universe.
 #[derive(Debug, Clone)]
-pub struct Config {
+pub(crate) struct Config {
     /// Record lifecycle events into the ring (`KAMPING_TRACE`).
-    pub tracing: bool,
+    pub(crate) tracing: bool,
     /// Measure per-op latency and wait attribution (`KAMPING_MEASURE`;
     /// implied by tracing).
-    pub measuring: bool,
+    pub(crate) measuring: bool,
     /// Where to write the trace at teardown (`KAMPING_TRACE` value when it
     /// names a path; `None` for flag-only activation).
-    pub trace_out: Option<PathBuf>,
+    pub(crate) trace_out: Option<PathBuf>,
     /// Collect live metrics (`KAMPING_METRICS`).
-    pub metrics: bool,
+    pub(crate) metrics: bool,
     /// Where rank 0 appends the merged JSONL interval records
     /// (`KAMPING_METRICS` value when it names a path).
-    pub metrics_out: Option<PathBuf>,
+    pub(crate) metrics_out: Option<PathBuf>,
     /// Snapshot poll interval (`KAMPING_METRICS_INTERVAL_MS`).
-    pub metrics_interval_ms: u64,
-    /// Straggler threshold multiplier over the interval's median
-    /// blocked-wait ratio (`KAMPING_STRAGGLER_FACTOR`).
-    pub straggler_factor: f64,
+    pub(crate) metrics_interval_ms: u64,
     /// Flight-recorder output directory (`KAMPING_CRASH_DIR`). Setting it
     /// forces tracing, measuring, and metrics on: crash evidence needs the
     /// rings populated.
-    pub crash_dir: Option<PathBuf>,
+    pub(crate) crash_dir: Option<PathBuf>,
     /// Fault-injection schedule (`KAMPING_CHAOS`).
-    pub chaos: Option<ChaosSpec>,
+    pub(crate) chaos: Option<ChaosSpec>,
     /// Default rooted-collective strategy (`KAMPING_COLL_STRATEGY`);
     /// [`crate::RawComm::set_coll_strategy`] overrides it per communicator.
-    pub coll_strategy: CollStrategy,
+    pub(crate) coll_strategy: CollStrategy,
     /// Synthetic host-group count (`KAMPING_FAKE_HOSTS`);
     /// [`crate::RawComm::set_fake_hosts`] overrides it per communicator.
-    pub fake_hosts: Option<usize>,
+    pub(crate) fake_hosts: Option<usize>,
     /// Segment size of the pipelined broadcast (`KAMPING_BCAST_SEGMENT`).
-    pub bcast_segment: usize,
+    pub(crate) bcast_segment: usize,
     /// What `AlltoallAlgo::Auto` resolves to when not `Auto` itself
     /// (`KAMPING_ALLTOALL`).
-    pub alltoall: AlltoallAlgo,
+    pub(crate) alltoall: AlltoallAlgo,
     /// The `kampirun` launch environment, when this process is one rank of
     /// a multi-process job (`KAMPING_TRANSPORT=socket|shm-xproc`).
-    pub socket: Option<SocketConfig>,
+    pub(crate) socket: Option<SocketConfig>,
 }
 
 impl Default for Config {
@@ -71,7 +68,6 @@ impl Default for Config {
             metrics: false,
             metrics_out: None,
             metrics_interval_ms: 1000,
-            straggler_factor: 2.0,
             crash_dir: None,
             chaos: None,
             coll_strategy: CollStrategy::Auto,
@@ -106,13 +102,13 @@ fn switch_or_path(key: &str, v: String) -> MpiResult<(bool, Option<PathBuf>)> {
 
 impl Config {
     /// Reads the process environment.
-    pub fn from_env() -> MpiResult<Self> {
+    pub(crate) fn from_env() -> MpiResult<Self> {
         Self::from_lookup(|k| std::env::var(k).ok())
     }
 
     /// [`Config::from_env`] over an arbitrary lookup (testable without
     /// process-global env mutation).
-    pub fn from_lookup(get: impl Fn(&str) -> Option<String>) -> MpiResult<Self> {
+    pub(crate) fn from_lookup(get: impl Fn(&str) -> Option<String>) -> MpiResult<Self> {
         // `key` set and non-blank → `parse` it or fail naming `key`.
         fn var<T>(
             get: &impl Fn(&str) -> Option<String>,
@@ -149,10 +145,6 @@ impl Config {
             |v| v.parse().ok().filter(|&ms: &u64| ms >= 10),
         )?
         .unwrap_or(cfg.metrics_interval_ms);
-        cfg.straggler_factor = var(&get, "KAMPING_STRAGGLER_FACTOR", "a positive number", |v| {
-            v.parse().ok().filter(|&f: &f64| f.is_finite() && f > 0.0)
-        })?
-        .unwrap_or(cfg.straggler_factor);
         if let Some(dir) = get("KAMPING_CRASH_DIR").filter(|v| !v.trim().is_empty()) {
             cfg.crash_dir = Some(PathBuf::from(dir));
             (cfg.tracing, cfg.measuring, cfg.metrics) = (true, true, true);
@@ -185,7 +177,7 @@ impl Config {
 
     /// The instrumentation bits these switches ask for (see
     /// [`crate::trace::TraceCtx::new`]).
-    pub fn trace_flags(&self) -> u8 {
+    pub(crate) fn trace_flags(&self) -> u8 {
         let bit = |on: bool, bit: u8| if on { bit } else { 0 };
         bit(self.measuring || self.tracing, MEASURE)
             | bit(self.metrics, METRICS)
@@ -235,8 +227,6 @@ mod tests {
             ("KAMPING_METRICS", " "),
             ("KAMPING_METRICS_INTERVAL_MS", "fast"),
             ("KAMPING_METRICS_INTERVAL_MS", "5"),
-            ("KAMPING_STRAGGLER_FACTOR", "-1"),
-            ("KAMPING_STRAGGLER_FACTOR", "NaNx"),
             ("KAMPING_CHAOS", "7:explode=1"),
             ("KAMPING_COLL_STRATEGY", "tree"),
             ("KAMPING_FAKE_HOSTS", "two"),

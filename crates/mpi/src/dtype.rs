@@ -89,7 +89,7 @@ impl TypeDesc {
     }
 
     /// Validates internal consistency (blocks within extent, stride sane).
-    pub fn validate(&self) -> MpiResult<()> {
+    pub(crate) fn validate(&self) -> MpiResult<()> {
         let ok = match self {
             TypeDesc::Contiguous { .. } => true,
             TypeDesc::Vector {

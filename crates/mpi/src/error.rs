@@ -10,7 +10,7 @@ use std::fmt;
 use std::time::Duration;
 
 /// Result alias used throughout the substrate.
-pub type MpiResult<T> = Result<T, MpiError>;
+pub(crate) type MpiResult<T> = Result<T, MpiError>;
 
 /// Errors raised by substrate operations.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -23,9 +23,8 @@ pub enum MpiError {
     },
     /// The communicator has been revoked (ULFM `MPI_ERR_REVOKED`).
     Revoked,
-    /// A bounded wait (`recv_timeout`, `probe_timeout`,
-    /// [`crate::RawRequest::wait_timeout`]) hit its deadline before the
-    /// awaited event occurred. The peer may merely be slow — unlike
+    /// A bounded wait (`recv_timeout`, [`crate::RawRequest::wait_timeout`])
+    /// hit its deadline before the awaited event occurred. The peer may merely be slow — unlike
     /// [`MpiError::ProcFailed`] this carries no evidence of death, only
     /// that the operation did not complete within the budget.
     Timeout {
@@ -38,14 +37,6 @@ pub enum MpiError {
     /// [`crate::Universe::try_run`] instead of panicking, so launcher bugs
     /// are testable.
     Config(String),
-    /// An incoming message was larger than the posted receive buffer
-    /// (`MPI_ERR_TRUNCATE`).
-    Truncation {
-        /// Bytes the receiver allowed.
-        expected: usize,
-        /// Bytes the message actually carried.
-        got: usize,
-    },
     /// A rank argument was outside the communicator.
     InvalidRank {
         /// The offending rank.
@@ -77,12 +68,6 @@ impl fmt::Display for MpiError {
                 write!(f, "operation timed out after {waited:?}")
             }
             MpiError::Config(what) => write!(f, "invalid configuration: {what}"),
-            MpiError::Truncation { expected, got } => {
-                write!(
-                    f,
-                    "message truncated: receiver allowed {expected} bytes, message had {got}"
-                )
-            }
             MpiError::InvalidRank { rank, size } => {
                 write!(f, "invalid rank {rank} for communicator of size {size}")
             }
@@ -116,11 +101,6 @@ mod tests {
 
     #[test]
     fn display_is_human_readable() {
-        let e = MpiError::Truncation {
-            expected: 8,
-            got: 16,
-        };
-        assert!(e.to_string().contains("truncated"));
         let e = MpiError::InvalidRank { rank: 9, size: 4 };
         assert!(e.to_string().contains("invalid rank 9"));
     }
@@ -130,11 +110,6 @@ mod tests {
         assert!(MpiError::ProcFailed { rank: 0 }.is_failure());
         assert!(MpiError::Revoked.is_failure());
         assert!(!MpiError::InvalidRank { rank: 0, size: 1 }.is_failure());
-        assert!(!MpiError::Truncation {
-            expected: 1,
-            got: 2
-        }
-        .is_failure());
         let t = MpiError::Timeout {
             waited: Duration::from_millis(5),
         };

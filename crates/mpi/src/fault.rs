@@ -62,43 +62,15 @@ impl RawComm {
             .wait_until(|| self.state.is_revoked(self.ctx).then_some(()));
     }
 
-    /// Like [`RawComm::await_revoked`], but gives up after `timeout` with
-    /// [`MpiError::Timeout`] — for recovery code that must not wedge when
-    /// the expected revocation never arrives.
-    pub fn await_revoked_timeout(&self, timeout: Duration) -> MpiResult<()> {
-        let start = Instant::now();
-        self.state
-            .hub
-            .wait_until_deadline(
-                || self.state.is_revoked(self.ctx).then_some(()),
-                Some(start + timeout),
-            )
-            .ok_or(MpiError::Timeout {
-                waited: start.elapsed(),
-            })
-    }
-
     /// Blocks (without polling) until at least one member of this
     /// communicator is marked failed; returns the lowest failed local rank.
     pub fn await_failure(&self) -> usize {
         self.state.hub.wait_until(|| self.first_failed())
     }
 
-    /// Like [`RawComm::await_failure`], but gives up after `timeout` with
-    /// [`MpiError::Timeout`] if no member has been marked failed by then.
-    pub fn await_failure_timeout(&self, timeout: Duration) -> MpiResult<usize> {
-        let start = Instant::now();
-        self.state
-            .hub
-            .wait_until_deadline(|| self.first_failed(), Some(start + timeout))
-            .ok_or(MpiError::Timeout {
-                waited: start.elapsed(),
-            })
-    }
-
     /// Lowest-numbered failed member of this communicator, if any
     /// (`MPI_Comm_failure_ack`/`get_acked` rolled into one query).
-    pub fn first_failed(&self) -> Option<usize> {
+    pub(crate) fn first_failed(&self) -> Option<usize> {
         (0..self.size()).find(|&l| self.state.is_failed(self.group[l]))
     }
 
@@ -144,13 +116,6 @@ impl RawComm {
         self.epoch
     }
 
-    /// The latest membership epoch this *process* has observed — ahead of
-    /// [`RawComm::membership_epoch`] when admissions happened that this
-    /// communicator has not grown into yet.
-    pub fn latest_membership_epoch(&self) -> u64 {
-        self.state.membership_epoch.load(Ordering::Acquire)
-    }
-
     /// Builds the communicator of the next membership epoch after this
     /// one (`grow` — the inverse of [`RawComm::shrink`]). Collective over
     /// the grown membership: every surviving member calls `grow()` while
@@ -163,7 +128,7 @@ impl RawComm {
     /// [`RawComm::await_grow_timeout`] to block for one). A member failing
     /// *during* the admission barrier does not fail the grow: the grown
     /// communicator is returned with the failure already marked, and the
-    /// caller handles it through the normal path ([`RawComm::first_failed`]
+    /// caller handles it through the normal path (`RawComm::first_failed`
     /// → [`RawComm::shrink`]).
     pub fn grow(&self) -> MpiResult<RawComm> {
         let _op = self.record(Op::Grow);

@@ -9,7 +9,7 @@
 //! trees: one binomial tree over the group leaders (inter-host), one
 //! binomial tree inside each group (intra-host), merged into a single
 //! parent/children relation so a payload streams through both levels
-//! without a store-and-forward barrier between them. [`binomial_over`] is
+//! without a store-and-forward barrier between them. `binomial_over` is
 //! the only tree-shape generator; the machines in [`crate::icoll`] that
 //! run over its output do not know which level a link belongs to.
 //!
@@ -18,25 +18,23 @@
 //! relayed segment-by-segment, so tree depth adds latency once, not once
 //! per byte.
 //!
-//! For large allreduces [`RawComm::allreduce_rabenseifner`] implements
-//! the classic reduce-scatter + allgather composition (Rabenseifner),
-//! whose bandwidth term is 2·(p−1)/p·n instead of the 2·n·log p of
-//! reduce+bcast trees. It is straight-line blocking code, not a machine
-//! yet, so `iallreduce` never selects it.
+//! Large allreduces take the classic reduce-scatter + allgather
+//! composition (Rabenseifner), whose bandwidth term is 2·(p−1)/p·n instead
+//! of the 2·n·log p of reduce+bcast trees — a fold schedule like the
+//! others (`crate::icoll::sm::rabenseifner_steps`).
 //!
 //! Selection is governed by [`CollStrategy`] (`KAMPING_COLL_STRATEGY`,
 //! or [`RawComm::set_coll_strategy`]): `flat` always takes the binomial
 //! tree over all ranks, `hier` always takes the two-level shapes, and
 //! `auto` (the default) decides per call from locality and payload size.
 //! It is consulted in exactly one function per collective —
-//! [`RawComm::rooted_tree`] for bcast and reduce,
-//! [`RawComm::allreduce_algo`] for allreduce — shared by the blocking and
+//! `RawComm::rooted_tree` for bcast and reduce,
+//! `RawComm::allreduce_algo` for allreduce — shared by the blocking and
 //! the nonblocking name. Every input to the decision — environment,
 //! communicator topology, the (rank-uniform) buffer length of allreduce —
 //! is identical on all ranks, so ranks never diverge in algorithm choice.
 
-use crate::coll::combine;
-use crate::error::{MpiError, MpiResult};
+use crate::error::MpiResult;
 use crate::icoll::check_elems;
 use crate::icoll::sm::{recursive_doubling_steps, BcastSm, FoldStep, Tree};
 use crate::metrics::Counter;
@@ -47,11 +45,11 @@ use crate::{ByteOp, RawComm};
 use std::sync::Arc;
 
 /// Default broadcast segment size (bytes) for the pipelined tree.
-pub const DEFAULT_BCAST_SEGMENT: usize = 64 * 1024;
+pub(crate) const DEFAULT_BCAST_SEGMENT: usize = 64 * 1024;
 
 /// Payload size (bytes) from which `auto` prefers the Rabenseifner
 /// allreduce over reduce+bcast.
-pub const RABENSEIFNER_MIN_BYTES: usize = 32 * 1024;
+pub(crate) const RABENSEIFNER_MIN_BYTES: usize = 32 * 1024;
 
 /// How the rooted collectives (bcast/reduce/allreduce) pick their
 /// algorithm. Must be uniform across the ranks of a communicator.
@@ -70,7 +68,7 @@ pub enum CollStrategy {
 
 impl CollStrategy {
     /// Parses the `KAMPING_COLL_STRATEGY` values.
-    pub fn parse(s: &str) -> Option<Self> {
+    pub(crate) fn parse(s: &str) -> Option<Self> {
         match s.trim() {
             "auto" | "" => Some(Self::Auto),
             "flat" => Some(Self::Flat),
@@ -85,7 +83,8 @@ pub(crate) enum AllreduceAlgo {
     /// Reduce + broadcast trees: flat (`None`), or two-level over the
     /// given host groups with a recursive-doubling exchange among leaders.
     Tree(Option<Arc<HierTopo>>),
-    /// [`RawComm::allreduce_rabenseifner`].
+    /// Halving reduce-scatter + doubling allgather
+    /// ([`crate::icoll::sm::rabenseifner_steps`]).
     Rabenseifner,
 }
 
@@ -130,7 +129,7 @@ impl RawComm {
     /// The rooted-collective strategy in effect for this communicator:
     /// an explicit [`RawComm::set_coll_strategy`] override, else the
     /// universe's configuration (`KAMPING_COLL_STRATEGY`, default `Auto`).
-    pub fn coll_strategy(&self) -> CollStrategy {
+    pub(crate) fn coll_strategy(&self) -> CollStrategy {
         (self.strategy.get()).unwrap_or(self.state.config.coll_strategy)
     }
 
@@ -201,6 +200,7 @@ impl RawComm {
         let auto = self.coll_strategy() == CollStrategy::Auto;
         let hier = self.hier_view(build)?.filter(|h| !auto || h.has_fanout());
         if hier.is_none() && auto && len >= RABENSEIFNER_MIN_BYTES && self.size() >= 4 {
+            self.note_strategy(Counter::StrategyRabenseifner);
             return Ok(AllreduceAlgo::Rabenseifner);
         }
         self.note_strategy(match hier {
@@ -276,7 +276,7 @@ impl RawComm {
     /// Broadcast segment size: `KAMPING_BCAST_SEGMENT` (bytes) or the
     /// default. Only the root's value shapes the wire; receivers follow
     /// the self-describing header.
-    pub fn bcast_segment(&self) -> usize {
+    pub(crate) fn bcast_segment(&self) -> usize {
         self.state.config.bcast_segment
     }
 
@@ -326,14 +326,15 @@ impl RawComm {
         Ok(())
     }
 
-    /// Rabenseifner allreduce: recursive-halving reduce-scatter followed
-    /// by a recursive-doubling allgather. Bandwidth-optimal for large
-    /// payloads — each rank moves ~2·(p−1)/p·n bytes instead of the
-    /// 2·n·log p of tree reduce+bcast. Works for any `p` (non-power-of-two
-    /// sizes fold the first `2r` ranks into pairs first) and any element
-    /// count (chunks split at element granularity; tiny payloads just get
-    /// empty chunks). Requires an associative *and commutative* operator,
-    /// like every reduction here.
+    /// Rabenseifner allreduce regardless of strategy and size (the A/B
+    /// point against the trees; [`RawComm::allreduce`] selects it for
+    /// large payloads under `Auto`): recursive-halving reduce-scatter
+    /// followed by a recursive-doubling allgather
+    /// (`crate::icoll::sm::rabenseifner_steps`). Bandwidth-optimal for
+    /// large payloads — each rank moves ~2·(p−1)/p·n bytes instead of the
+    /// 2·n·log p of tree reduce+bcast. Works for any `p` and any element
+    /// count. Requires an associative *and commutative* operator, like
+    /// every reduction here.
     pub fn allreduce_rabenseifner(
         &self,
         buf: &mut Vec<u8>,
@@ -341,102 +342,11 @@ impl RawComm {
         elem_size: usize,
     ) -> MpiResult<()> {
         let _op = self.record(crate::profile::Op::Allreduce);
-        self.allreduce_rabenseifner_inner(buf, op, elem_size)
-    }
-
-    pub(crate) fn allreduce_rabenseifner_inner(
-        &self,
-        buf: &mut Vec<u8>,
-        op: ByteOp<'_>,
-        elem_size: usize,
-    ) -> MpiResult<()> {
         check_elems(buf, elem_size)?;
         self.note_strategy(Counter::StrategyRabenseifner);
-        let p = self.size();
-        let fold_tag = coll_tag(self.next_coll_seq());
-        let rs_tag = coll_tag(self.next_coll_seq());
-        let ag_tag = coll_tag(self.next_coll_seq());
-        if p == 1 {
-            return Ok(());
-        }
-        let me = self.rank();
-        let count = buf.len() / elem_size;
-        let k = prev_power_of_two(p);
-        let r = p - k;
-        // Element range of chunk `j` of `k`: monotone integer split that
-        // tolerates count < k (empty chunks) without special cases.
-        let bound = |j: usize| j * count / k * elem_size;
-        let combine_range = |buf: &mut [u8], lo: usize, hi: usize, part: &[u8]| -> MpiResult<()> {
-            if part.len() != hi - lo {
-                return Err(MpiError::InvalidCounts {
-                    what: "allreduce buffers differ in length",
-                });
-            }
-            combine(&mut buf[lo..hi], part, op, elem_size);
-            Ok(())
-        };
-        // Fold down to a power-of-two group.
-        let new_idx = if me < 2 * r {
-            if me % 2 == 1 {
-                self.send_internal(me - 1, fold_tag, buf.clone())?;
-                *buf = self.recv_internal(me - 1, fold_tag)?;
-                return Ok(());
-            }
-            let part = self.recv_internal(me + 1, fold_tag)?;
-            let len = buf.len();
-            combine_range(buf, 0, len, &part)?;
-            me / 2
-        } else {
-            me - r
-        };
-        let to_actual = |j: usize| if j < r { 2 * j } else { j + r };
-        // Reduce-scatter by recursive halving: my chunk window [clo, chi)
-        // narrows by half each round; I ship the half I'm dropping and
-        // fold incoming data into the half I keep.
-        let mut clo = 0usize;
-        let mut chi = k;
-        let mut span = k >> 1;
-        while span > 0 {
-            let partner = to_actual(new_idx ^ span);
-            let mid = clo + (chi - clo) / 2;
-            let (keep, ship) = if new_idx & span == 0 {
-                ((clo, mid), (mid, chi))
-            } else {
-                ((mid, chi), (clo, mid))
-            };
-            self.send_internal(partner, rs_tag, buf[bound(ship.0)..bound(ship.1)].to_vec())?;
-            let part = self.recv_internal(partner, rs_tag)?;
-            combine_range(buf, bound(keep.0), bound(keep.1), &part)?;
-            (clo, chi) = keep;
-            span >>= 1;
-        }
-        debug_assert_eq!((clo, chi), (new_idx, new_idx + 1));
-        // Allgather by recursive doubling: the owned window doubles each
-        // round, received halves land in their final position.
-        let mut span = 1usize;
-        while span < k {
-            let partner = to_actual(new_idx ^ span);
-            self.send_internal(partner, ag_tag, buf[bound(clo)..bound(chi)].to_vec())?;
-            let part = self.recv_internal(partner, ag_tag)?;
-            let (plo, phi) = if new_idx & span == 0 {
-                (chi, chi + (chi - clo))
-            } else {
-                (clo - (chi - clo), clo)
-            };
-            if part.len() != bound(phi) - bound(plo) {
-                return Err(MpiError::InvalidCounts {
-                    what: "allreduce buffers differ in length",
-                });
-            }
-            buf[bound(plo)..bound(phi)].copy_from_slice(&part);
-            (clo, chi) = (clo.min(plo), chi.max(phi));
-            span <<= 1;
-        }
-        debug_assert_eq!((clo, chi), (0, k));
-        // Fold back up to the parked odd ranks.
-        if me < 2 * r {
-            self.send_internal(me + 1, fold_tag, buf.clone())?;
-        }
+        let mine = std::mem::take(buf);
+        let algo = AllreduceAlgo::Rabenseifner;
+        *buf = self.run_inline(|_| Ok(self.allreduce_sm(algo, mine, op, elem_size)))?;
         Ok(())
     }
 }
@@ -519,7 +429,7 @@ mod tests {
     }
 
     #[test]
-    fn rabenseifner_matches_flat_allreduce() {
+    fn forced_rabenseifner_matches_flat_allreduce() {
         for p in [1, 2, 3, 4, 5, 6, 7, 8, 11, 16] {
             Universe::run(p, |comm| {
                 let op = u64_op();

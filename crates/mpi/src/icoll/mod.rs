@@ -2,14 +2,14 @@
 //!
 //! Every collective algorithm with a log-round or all-peers schedule
 //! (dissemination barrier, tree bcast/reduce and their allreduce composite,
-//! Bruck allgatherv/alltoall, linear alltoallv) exists exactly once, as an
-//! explicit state machine ([`CollSm`], in [`sm`]) — a schedule of send /
-//! receive / local-combine steps whose `step` never blocks. Building a
-//! machine validates the arguments and posts the schedule's *initial* sends
-//! (sends are eager on every backend, so they never block). Two drivers
-//! run it to completion:
+//! Rabenseifner's allreduce, Bruck allgatherv/alltoall, linear alltoallv)
+//! exists exactly once, as an explicit state machine (`CollSm`, in
+//! `sm`) — a schedule of send / receive / local-combine steps whose
+//! `step` never blocks. Building a machine validates the arguments and
+//! posts the schedule's *initial* sends (sends are eager on every backend,
+//! so they never block). Two drivers run it to completion:
 //!
-//! * **Inline** ([`RawComm::run_inline`]) — the blocking collectives. The
+//! * **Inline** (`RawComm::run_inline`) — the blocking collectives. The
 //!   machine lives on the caller's stack and is stepped by the caller
 //!   alone, parked on its mailbox gate between steps like any blocking
 //!   receive. No `Arc`, no `Mutex`, no registry entry, and the reduce
@@ -17,9 +17,9 @@
 //!   costs 2.74× a blocking 8-byte allreduce on the reference box
 //!   (kbench `mpi.icoll.issue_wait_over_blocking_ratio`), which is why
 //!   blocking calls do not take the registered path.
-//! * **Registered** ([`RawComm::issue`]) — the `i*` collectives. The
-//!   machine moves into a [`CollCell`] listed in the universe's
-//!   [`Registry`] and is advanced by whichever thread delivers a
+//! * **Registered** (`RawComm::issue`) — the `i*` collectives. The
+//!   machine moves into a `CollCell` listed in the universe's
+//!   `Registry` and is advanced by whichever thread delivers a
 //!   collective-tagged envelope to the owner's mailbox:
 //!
 //!   * **shm** — the peer rank-thread that performed the [`Mailbox::post`];
@@ -28,7 +28,7 @@
 //!   * **shm-xproc** — the ring consumer thread, or a *waiting receiver*
 //!     draining its own rings through the mailbox progress poll.
 //!
-//!   All three funnel through one hook: [`Mailbox::set_coll_notifier`]
+//!   All three funnel through one hook: `Mailbox::set_coll_notifier`
 //!   fires after the gate bump of every collective-tagged deposit. The
 //!   caller never has to poll — compute proceeds while peers' deliveries
 //!   push the schedule forward — and `wait` parks on the owner's mailbox
@@ -37,10 +37,10 @@
 //! Algorithm selection ([`crate::hier::CollStrategy`], the Bruck
 //! threshold) happens where a machine is built — one function per
 //! collective, shared by the blocking and the nonblocking name, so `ix`
-//! runs the same algorithm as `x`. Two documented exceptions, both
-//! because an issue must never block: `ix` takes the two-level shapes
-//! only once the communicator's host-group view exists (building it is a
-//! blocking collective), and `iallreduce` has no Rabenseifner machine.
+//! runs the same algorithm as `x`. One documented exception, because an
+//! issue must never block: `ix` takes the two-level shapes only once the
+//! communicator's host-group view exists (building it is a blocking
+//! collective).
 //!
 //! # Ownership
 //!
@@ -54,7 +54,7 @@
 //!
 //! Each machine draws one or several per-communicator collective sequence
 //! numbers when it is built. Because MPI requires every rank to issue
-//! collectives in the same order, the derived [`coll_tag`]s are
+//! collectives in the same order, the derived `coll_tag`s are
 //! rank-synchronized, and any number of collectives can be outstanding at
 //! once: their envelopes cannot be confused. Collective tags are invisible
 //! to `ANY_TAG` receives, so user-tag traffic (e.g. the NBX sparse alltoall
@@ -78,8 +78,8 @@ use crate::universe::UniverseState;
 use crate::RawComm;
 
 use sm::{
-    reduce_steps, AllgathervSm, AllreduceSm, AlltoallBruckSm, AlltoallvSm, BarrierSm, BcastSm,
-    FoldSm,
+    rabenseifner_steps, reduce_steps, AllgathervSm, AllreduceSm, AlltoallBruckSm, AlltoallvSm,
+    BarrierSm, BcastSm, FoldSm,
 };
 
 /// Owned element-combine closure for nonblocking reductions. The blocking
@@ -541,7 +541,7 @@ impl RawCollRequest {
 
     /// [`RawCollRequest::wait`] with an optional absolute deadline — the
     /// form used when one time budget spans several requests.
-    pub fn wait_deadline(&mut self, deadline: Option<Instant>) -> MpiResult<Vec<u8>> {
+    pub(crate) fn wait_deadline(&mut self, deadline: Option<Instant>) -> MpiResult<Vec<u8>> {
         let Some(cell) = self.cell.clone() else {
             return Ok(Vec::new());
         };
@@ -753,23 +753,34 @@ impl RawComm {
         FoldSm::new(tag, reduce_steps(tree), buf, op, elem_size)
     }
 
-    /// Tree allreduce machine (reduce, leader exchange under hierarchy,
-    /// broadcast) for a choice made by [`RawComm::allreduce_algo`].
+    /// Allreduce machine for a choice made by [`RawComm::allreduce_algo`]:
+    /// over a tree the reduce, the leader exchange under hierarchy and the
+    /// broadcast; Rabenseifner's schedule on its own.
     pub(crate) fn allreduce_sm<F: Fn(&mut [u8], &[u8])>(
         &self,
-        hier: Option<&crate::topo::HierTopo>,
+        algo: AllreduceAlgo,
         buf: Vec<u8>,
         op: F,
         elem_size: usize,
     ) -> AllreduceSm<F> {
-        let (tree, leaders, segment) = self.allreduce_shape(hier);
+        let hier = match algo {
+            AllreduceAlgo::Tree(hier) => hier,
+            AllreduceAlgo::Rabenseifner => {
+                let count = buf.len() / elem_size;
+                let steps = rabenseifner_steps(self.size(), self.rank(), count, elem_size);
+                let tag = coll_tag(self.next_coll_seq());
+                let fold = FoldSm::new(tag, steps, buf, op, elem_size);
+                return AllreduceSm::new(fold, None, None);
+            }
+        };
+        let (tree, leaders, segment) = self.allreduce_shape(hier.as_deref());
         let fold = self.reduce_over(&tree, buf, op, elem_size);
         // Every rank of a two-level allreduce draws the leader tag, so the
         // sequence stays rank-synchronized; only leaders use it.
         let leader_tag = hier.map(|_| coll_tag(self.next_coll_seq()));
         let leader = leader_tag.zip(leaders);
         let bcast_tag = coll_tag(self.next_coll_seq());
-        AllreduceSm::new(fold, leader, bcast_tag, tree, segment)
+        AllreduceSm::new(fold, leader, Some((bcast_tag, tree, segment)))
     }
 
     /// Block size of the fixed-size all-to-all of `send`, and whether it
@@ -834,9 +845,7 @@ impl RawComm {
     }
 
     /// Nonblocking reduce-to-all: `wait` returns the reduced buffer on
-    /// every rank. Same algorithm as [`RawComm::allreduce`], except that
-    /// Rabenseifner's has no machine yet: where the blocking call would
-    /// pick it (large payloads under `Auto`), this one keeps the flat tree.
+    /// every rank. Same algorithm as [`RawComm::allreduce`].
     pub fn iallreduce(
         &self,
         buf: Vec<u8>,
@@ -845,11 +854,8 @@ impl RawComm {
     ) -> MpiResult<RawCollRequest> {
         self.issue(Op::Iallreduce, |_| {
             check_elems(&buf, elem_size)?;
-            let hier = match self.allreduce_algo(buf.len(), false)? {
-                AllreduceAlgo::Tree(hier) => hier,
-                AllreduceAlgo::Rabenseifner => None,
-            };
-            Ok(self.allreduce_sm(hier.as_deref(), buf, move |a, r| op(a, r), elem_size))
+            let algo = self.allreduce_algo(buf.len(), false)?;
+            Ok(self.allreduce_sm(algo, buf, move |a, r| op(a, r), elem_size))
         })
     }
 

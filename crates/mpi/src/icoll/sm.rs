@@ -195,15 +195,21 @@ impl CollSm for BcastSm {
     }
 }
 
+/// The bytes of the buffer a [`FoldStep`] names: a `(from, to)` range, or
+/// `None` for the whole buffer — whose length a tree or recursive-doubling
+/// schedule need not know.
+pub(crate) type Part = Option<(usize, usize)>;
+
 /// One step of a [`FoldSm`] schedule.
 #[derive(Clone, Copy)]
 pub(crate) enum FoldStep {
-    /// Receive the peer's buffer and fold it into mine (`mine ∘= theirs`).
-    Fold(usize),
-    /// Receive the peer's buffer in place of mine.
-    Adopt(usize),
-    /// Send the peer a copy of my buffer.
-    Share(usize),
+    /// Receive the peer's bytes and fold them into this part of my buffer
+    /// (`mine ∘= theirs`).
+    Fold(usize, Part),
+    /// Receive the peer's bytes in place of this part of my buffer.
+    Adopt(usize, Part),
+    /// Send the peer a copy of this part of my buffer.
+    Share(usize, Part),
     /// Send the peer my buffer itself; mine is empty afterwards.
     Give(usize),
 }
@@ -211,11 +217,11 @@ use FoldStep::{Adopt, Fold, Give, Share};
 
 /// The reducing machine: runs a schedule of [`FoldStep`]s over one
 /// equal-length buffer per rank and completes with whatever the schedule
-/// leaves in this rank's buffer. Tree reduce and recursive doubling are
-/// schedules ([`reduce_steps`], [`recursive_doubling_steps`]), not
-/// machines of their own. Generic over the operator so the inline driver
-/// can run it over a borrowed [`crate::ByteOp`] and the registry over an
-/// owned one.
+/// leaves in this rank's buffer. Tree reduce, recursive doubling and
+/// Rabenseifner's halving/doubling are schedules ([`reduce_steps`],
+/// [`recursive_doubling_steps`], [`rabenseifner_steps`]), not machines of
+/// their own. Generic over the operator so the inline driver can run it
+/// over a borrowed [`crate::ByteOp`] and the registry over an owned one.
 pub(crate) struct FoldSm<F> {
     tag: Tag,
     steps: Vec<FoldStep>,
@@ -243,27 +249,41 @@ impl<F: Fn(&mut [u8], &[u8])> FoldSm<F> {
     fn restart(&mut self, tag: Tag, steps: Vec<FoldStep>, buf: Vec<u8>) {
         (self.tag, self.steps, self.pc, self.buf) = (tag, steps, 0, buf);
     }
+
+    fn part(&self, part: Part) -> std::ops::Range<usize> {
+        let (from, to) = part.unwrap_or((0, self.buf.len()));
+        from..to
+    }
 }
 
 impl<F: Fn(&mut [u8], &[u8])> CollSm for FoldSm<F> {
     fn step(&mut self, cx: &StepCx<'_>) -> MpiResult<Option<Vec<u8>>> {
         while let Some(&step) = self.steps.get(self.pc) {
             match step {
-                Fold(peer) | Adopt(peer) => {
-                    let Some(part) = cx.try_take(peer, self.tag) else {
+                Fold(peer, part) | Adopt(peer, part) => {
+                    let Some(theirs) = cx.try_take(peer, self.tag) else {
                         return Ok(None);
                     };
-                    if matches!(step, Adopt(_)) {
-                        self.buf = part.into_vec();
-                    } else if part.len() != self.buf.len() {
-                        return Err(MpiError::InvalidCounts {
-                            what: "reduce buffers differ in length",
-                        });
+                    if matches!(step, Adopt(_, None)) {
+                        self.buf = theirs.into_vec();
                     } else {
-                        combine(&mut self.buf, part.as_slice(), &self.op, self.elem);
+                        let range = self.part(part);
+                        let (mine, theirs) = (&mut self.buf[range], theirs.as_slice());
+                        if theirs.len() != mine.len() {
+                            return Err(MpiError::InvalidCounts {
+                                what: "reduce buffers differ in length",
+                            });
+                        }
+                        match step {
+                            Adopt(..) => mine.copy_from_slice(theirs),
+                            _ => combine(mine, theirs, &self.op, self.elem),
+                        }
                     }
                 }
-                Share(peer) => cx.post(peer, self.tag, Payload::from_slice(&self.buf)),
+                Share(peer, part) => {
+                    let mine = &self.buf[self.part(part)];
+                    cx.post(peer, self.tag, Payload::from_slice(mine));
+                }
                 Give(peer) => {
                     let buf = std::mem::take(&mut self.buf);
                     cx.post(peer, self.tag, Payload::from_vec(buf));
@@ -276,7 +296,7 @@ impl<F: Fn(&mut [u8], &[u8])> CollSm for FoldSm<F> {
 
     fn awaited(&self) -> Option<usize> {
         match self.steps.get(self.pc) {
-            Some(&(Fold(peer) | Adopt(peer))) => Some(peer),
+            Some(&(Fold(peer, _) | Adopt(peer, _))) => Some(peer),
             _ => None,
         }
     }
@@ -288,74 +308,136 @@ impl<F: Fn(&mut [u8], &[u8])> CollSm for FoldSm<F> {
 /// parent. The combine order is therefore a deterministic function of the
 /// tree; the root completes with the reduction, every other rank empty.
 pub(crate) fn reduce_steps((parent, children): &Tree) -> Vec<FoldStep> {
-    let folds = children.iter().rev().map(|&c| Fold(c));
+    let folds = children.iter().rev().map(|&c| Fold(c, None));
     folds.chain(parent.map(Give)).collect()
 }
 
-/// Recursive-doubling allreduce over an explicit member list as a fold
-/// schedule for member `my_idx`: one full-buffer exchange per ⌈log₂ n⌉
-/// round. Non-power-of-two counts take the standard fold: the first `2r`
-/// members pair up, odd members park their data with the even partner and
-/// get the result back at the end.
-pub(crate) fn recursive_doubling_steps(members: &[usize], my_idx: usize) -> Vec<FoldStep> {
-    let n = members.len();
+/// Wraps the rounds of a power-of-two exchange in the standard fold for
+/// any member count `n`: with `k` the largest power of two ≤ `n` and
+/// `r = n − k`, the first `2r` members pair up, odd members park their
+/// data with the even partner and get the result back at the end.
+/// `rounds(k, idx, partner)` lists the steps of position `idx` among the
+/// `k` that remain; `partner` maps such a position to a rank through
+/// `member`.
+fn pair_folded(
+    n: usize,
+    my_idx: usize,
+    member: impl Fn(usize) -> usize,
+    rounds: impl FnOnce(usize, usize, &dyn Fn(usize) -> usize) -> Vec<FoldStep>,
+) -> Vec<FoldStep> {
     let k = prev_power_of_two(n);
     let r = n - k;
     let paired = my_idx < 2 * r;
     if paired && my_idx % 2 == 1 {
-        return vec![Give(members[my_idx - 1]), Adopt(members[my_idx - 1])];
+        let even = member(my_idx - 1);
+        return vec![Give(even), Adopt(even, None)];
     }
-    let mut steps = Vec::new();
-    let new_idx = if paired {
-        steps.push(Fold(members[my_idx + 1]));
-        my_idx / 2
-    } else {
-        my_idx - r
-    };
-    let mut span = 1usize;
-    while span < k {
-        let j = new_idx ^ span;
-        let partner = members[if j < r { 2 * j } else { j + r }];
-        steps.extend([Share(partner), Fold(partner)]);
-        span <<= 1;
-    }
-    if paired {
-        steps.push(Share(members[my_idx + 1]));
-    }
+    let idx = if paired { my_idx / 2 } else { my_idx - r };
+    let parked = paired.then(|| member(my_idx + 1));
+    let mut steps: Vec<FoldStep> = parked.map(|odd| Fold(odd, None)).into_iter().collect();
+    steps.extend(rounds(k, idx, &|j| {
+        member(if j < r { 2 * j } else { j + r })
+    }));
+    steps.extend(parked.map(|odd| Share(odd, None)));
     steps
 }
 
-/// Reduce-to-all as a composite: a [`reduce_steps`] stage up `tree`, on
+/// The exchange distances of a power-of-two group of `k`: 1, 2, … k/2.
+fn spans(k: usize) -> impl DoubleEndedIterator<Item = usize> {
+    (0..k.trailing_zeros()).map(|bit| 1usize << bit)
+}
+
+/// Recursive-doubling allreduce over an explicit member list as a fold
+/// schedule for member `my_idx`: one full-buffer exchange per ⌈log₂ n⌉
+/// round, inside [`pair_folded`].
+pub(crate) fn recursive_doubling_steps(members: &[usize], my_idx: usize) -> Vec<FoldStep> {
+    pair_folded(
+        members.len(),
+        my_idx,
+        |i| members[i],
+        |k, idx, partner| {
+            let round = |span| {
+                let peer = partner(idx ^ span);
+                [Share(peer, None), Fold(peer, None)]
+            };
+            spans(k).flat_map(round).collect()
+        },
+    )
+}
+
+/// Rabenseifner's allreduce as a fold schedule for rank `me` of `p` over
+/// `count` elements of `elem` bytes: a recursive-halving reduce-scatter,
+/// then a recursive-doubling allgather, inside [`pair_folded`] — each rank
+/// moves ~2·(k−1)/k of the buffer instead of log₂ k whole copies. The
+/// buffer is cut into `k` chunks at element granularity (a count below `k`
+/// just leaves chunks empty). In the halving round at distance `span` a
+/// rank owns the aligned window of `2·span` chunks around its index: it
+/// ships the half the partner sits in and folds the partner's
+/// contribution into its own half, ending with the reduction of one chunk.
+/// The doubling rounds retrace the distances upwards: share the owned
+/// window, place the partner's next to it. A pair meets in both phases on
+/// the one tag; its two messages stay ordered per channel, like a
+/// segmented broadcast's.
+pub(crate) fn rabenseifner_steps(p: usize, me: usize, count: usize, elem: usize) -> Vec<FoldStep> {
+    pair_folded(
+        p,
+        me,
+        |i| i,
+        |k, idx, partner| {
+            // Bytes of the aligned window of `span` chunks holding chunk `i`.
+            let window = |i: usize, span: usize| {
+                let first = i & !(span - 1);
+                let bound = |chunk: usize| chunk * count / k * elem;
+                Some((bound(first), bound(first + span)))
+            };
+            let halving = spans(k).rev().flat_map(|span| {
+                let peer = partner(idx ^ span);
+                [
+                    Share(peer, window(idx ^ span, span)),
+                    Fold(peer, window(idx, span)),
+                ]
+            });
+            let doubling = spans(k).flat_map(|span| {
+                let peer = partner(idx ^ span);
+                [
+                    Share(peer, window(idx, span)),
+                    Adopt(peer, window(idx ^ span, span)),
+                ]
+            });
+            halving.chain(doubling).collect()
+        },
+    )
+}
+
+/// Reduce-to-all as a composite of up to three stages, each on its own
+/// issue-time tag. Over a tree: a [`reduce_steps`] stage up `tree`, on
 /// hierarchical topologies a [`recursive_doubling_steps`] stage among the
 /// group leaders (`tree` is then the rank's host-group tree), and a
-/// [`BcastSm`] back down the same tree, each on its own issue-time tag. A
-/// non-root's reduce stage ends as soon as its partial is given away, so it
-/// moves on to the (still pending) broadcast receive without blocking.
+/// [`BcastSm`] back down the same tree. A non-root's reduce stage ends as
+/// soon as its partial is given away, so it moves on to the (still
+/// pending) broadcast receive without blocking. A [`rabenseifner_steps`]
+/// schedule leaves the result on every rank and is the only stage.
 pub(crate) struct AllreduceSm<F> {
     fold: FoldSm<F>,
     /// Group leaders only: the exchange still to run after the reduce.
     leader: Option<(Tag, Vec<FoldStep>)>,
-    bcast_tag: Tag,
-    tree: Tree,
-    segment: Option<usize>,
+    /// The broadcast still to start once the folds are done: its tag, the
+    /// tree and the segment size.
+    down: Option<(Tag, Tree, Option<usize>)>,
     bcast: Option<BcastSm>,
 }
 
 impl<F: Fn(&mut [u8], &[u8])> AllreduceSm<F> {
-    /// `fold` is the reduce stage, already loaded with this rank's buffer.
+    /// `fold` is the first stage, already loaded with this rank's buffer.
     pub(crate) fn new(
         fold: FoldSm<F>,
         leader: Option<(Tag, Vec<FoldStep>)>,
-        bcast_tag: Tag,
-        tree: Tree,
-        segment: Option<usize>,
+        down: Option<(Tag, Tree, Option<usize>)>,
     ) -> Self {
         Self {
             fold,
             leader,
-            bcast_tag,
-            tree,
-            segment,
+            down,
             bcast: None,
         }
     }
@@ -370,16 +452,17 @@ impl<F: Fn(&mut [u8], &[u8])> CollSm for AllreduceSm<F> {
             let Some(buf) = self.fold.step(cx)? else {
                 return Ok(None);
             };
-            match self.leader.take() {
-                Some((tag, steps)) => self.fold.restart(tag, steps, buf),
-                // The tree's root seeds the broadcast with the result;
-                // everyone else enters it as a plain receiver.
-                None => {
-                    let tree = std::mem::take(&mut self.tree);
-                    let seed = Payload::from_vec(buf);
-                    self.bcast = Some(BcastSm::start(cx, self.bcast_tag, tree, self.segment, seed));
-                }
+            if let Some((tag, steps)) = self.leader.take() {
+                self.fold.restart(tag, steps, buf);
+                continue;
             }
+            // The tree's root seeds the broadcast with the result;
+            // everyone else enters it as a plain receiver.
+            let Some((tag, tree, segment)) = self.down.take() else {
+                return Ok(Some(buf));
+            };
+            let seed = Payload::from_vec(buf);
+            self.bcast = Some(BcastSm::start(cx, tag, tree, segment, seed));
         }
     }
 

@@ -66,45 +66,43 @@
 //! assert_eq!(sums, vec![6, 6, 6, 6]);
 //! ```
 
+#![warn(unreachable_pub)]
+
 pub mod chaos;
 pub mod coll;
-pub mod comm;
-pub mod config;
+mod comm;
+mod config;
 pub mod dtype;
 pub mod elastic;
-pub mod error;
-pub mod fault;
-pub mod hier;
-pub mod ibarrier;
+mod error;
+mod fault;
+mod hier;
+mod ibarrier;
 pub mod icoll;
 pub mod measurements;
 pub mod metrics;
 pub mod net;
-pub mod p2p;
+mod p2p;
 pub mod profile;
-pub mod request;
-pub mod tag;
-pub mod topo;
+mod request;
+mod tag;
+mod topo;
 pub mod trace;
 pub mod transport;
-pub mod universe;
+mod universe;
 
-pub use chaos::{ChaosSpec, ChaosTransport};
-pub use coll::{AlltoallAlgo, SparseMsg};
+pub use chaos::ChaosSpec;
+pub use coll::AlltoallAlgo;
 pub use comm::RawComm;
-pub use config::Config;
-pub use elastic::{ShardMap, ShardMove};
-pub use error::{MpiError, MpiResult};
+pub use error::MpiError;
 pub use fault::MembershipChange;
 pub use hier::CollStrategy;
 pub use icoll::{OwnedByteOp, RawCollRequest};
-pub use measurements::{TimerTree, TreeAggregate};
 pub use p2p::Status;
 pub use profile::{Op, ProfileSnapshot};
 pub use request::RawRequest;
 pub use tag::{Tag, ANY_SOURCE, ANY_TAG};
-pub use trace::{EventKind, TraceEvent};
-pub use universe::{TraceReport, Universe};
+pub use universe::Universe;
 
 /// Reduction operator over packed byte buffers.
 ///

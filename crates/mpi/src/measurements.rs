@@ -13,7 +13,7 @@
 //! emitted as deterministic JSON ([`TreeAggregate::to_json`]) or a
 //! pretty-printed tree ([`TreeAggregate::render`]).
 //!
-//! [`op_tree`] builds the same aggregate from the per-op cells of every
+//! `op_tree` builds the same aggregate from the per-op cells of every
 //! rank's stats block ([`crate::trace`]), giving per-op `calls` / `wait` /
 //! `compute` splits across ranks without any manual instrumentation.
 //!
@@ -502,7 +502,7 @@ impl TreeAggregate {
 /// with `calls` / `wait` / `compute` children splitting the latency. The
 /// call counts are always on; the times are zero unless measuring was
 /// active (`KAMPING_MEASURE`, `KAMPING_TRACE` or `Universe::run_traced`).
-pub fn op_tree(ranks: &[MetricsSnapshot]) -> TreeAggregate {
+pub(crate) fn op_tree(ranks: &[MetricsSnapshot]) -> TreeAggregate {
     let leaf = |name: &str, per_rank: Vec<f64>| AggNode {
         name: name.into(),
         measurements: vec![Aggregate::from_per_rank(per_rank)],

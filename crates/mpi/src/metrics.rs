@@ -17,7 +17,7 @@
 //! blocked-wait ratios, straggler flags). In-process (shm) the poller
 //! reads all blocks directly; across processes it rides the normal data
 //! plane on a reserved collective-tag pair
-//! ([`crate::tag::METRICS_SEQ_BASE`]), so no new wire machinery
+//! (`crate::tag::METRICS_SEQ_BASE`), so no new wire machinery
 //! is needed. Dead or unresponsive ranks are reported as `stale` for the
 //! interval instead of stalling the poll — the property the chaos-kill
 //! soak relies on.
@@ -45,7 +45,7 @@ use crate::universe::UniverseState;
 
 /// Histogram buckets: bucket 0 is `< 1 µs`, bucket `i` (1 ≤ i ≤ 24) is
 /// `[2^(i-1), 2^i) µs`, bucket 25 collects everything ≥ 2^24 µs (~16.8 s).
-pub const N_BUCKETS: usize = 26;
+pub(crate) const N_BUCKETS: usize = 26;
 
 /// Declares a `#[repr(usize)]` enum together with its variant count, its
 /// discriminant-ordered variant list and its stable snake_case names, so a
@@ -60,14 +60,14 @@ macro_rules! named_cells {
         }
 
         /// Number of variants.
-        pub const $n: usize = [$($name,)*].len();
+        pub(crate) const $n: usize = [$($name,)*].len();
 
         /// All variants in discriminant order (the wire and JSONL layout).
-        pub const $all: [$ty; $n] = [$($ty::$variant,)*];
+        pub(crate) const $all: [$ty; $n] = [$($ty::$variant,)*];
 
         impl $ty {
             /// Stable snake_case name (JSONL `totals` key).
-            pub fn name(self) -> &'static str {
+            pub(crate) fn name(self) -> &'static str {
                 match self {
                     $($ty::$variant => $name,)*
                 }
@@ -172,7 +172,7 @@ impl Gauge {
 /// Latency histograms.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 #[repr(usize)]
-pub enum Hist {
+pub(crate) enum Hist {
     /// Substrate op latency (sampled 1-in-64 unless measuring is on).
     OpLatency,
     /// Heartbeat ping → pong round trips (socket backend).
@@ -182,11 +182,11 @@ pub enum Hist {
 }
 
 /// Number of [`Hist`] variants.
-pub const N_HISTS: usize = 3;
+pub(crate) const N_HISTS: usize = 3;
 
 /// Bucket index for a duration in nanoseconds (see [`N_BUCKETS`]).
 #[inline]
-pub fn bucket_of(ns: u64) -> usize {
+pub(crate) fn bucket_of(ns: u64) -> usize {
     let us = ns / 1000;
     if us == 0 {
         0
@@ -197,7 +197,7 @@ pub fn bucket_of(ns: u64) -> usize {
 
 /// Upper bound of bucket `i` in microseconds (used for percentile
 /// reporting; the overflow bucket reports `2^25`).
-pub fn bucket_bound_us(i: usize) -> u64 {
+pub(crate) fn bucket_bound_us(i: usize) -> u64 {
     1u64 << i.min(25)
 }
 
@@ -207,11 +207,11 @@ pub fn bucket_bound_us(i: usize) -> u64 {
 
 /// Frozen copy of one rank's stats block (or a delta, or a cross-rank
 /// merge — the same shape serves all three), taken with
-/// [`crate::trace::RankStats::snapshot`].
+/// `crate::trace::RankStats::snapshot`.
 pub type MetricsSnapshot = StatsBlock<u64>;
 
 /// Wire size of one snapshot: every cell as a little-endian `u64`.
-pub const METRICS_WIRE_BYTES: usize =
+pub(crate) const METRICS_WIRE_BYTES: usize =
     (3 * crate::profile::N_OPS + N_COUNTERS + N_GAUGES + N_HISTS * N_BUCKETS) * 8;
 
 impl MetricsSnapshot {
@@ -221,14 +221,14 @@ impl MetricsSnapshot {
     }
 
     /// The §III-H / LogGP columns of this block.
-    pub fn profile(&self) -> RankProfile {
+    pub(crate) fn profile(&self) -> RankProfile {
         RankProfile::of(self, |v| *v)
     }
 
     /// What happened since `earlier`: every cell subtracts, except gauges,
     /// which keep the latest value (levels and high-waters are
     /// instantaneous, not cumulative).
-    pub fn delta(&self, earlier: &Self) -> Self {
+    pub(crate) fn delta(&self, earlier: &Self) -> Self {
         let mut d = self.clone();
         for (v, e) in d.words_mut().zip(earlier.words()) {
             *v = v.saturating_sub(*e);
@@ -239,7 +239,7 @@ impl MetricsSnapshot {
 
     /// Folds `other` (another rank) into `self`: every cell adds, except
     /// high-water gauges, which take the max.
-    pub fn merge(&mut self, other: &Self) {
+    pub(crate) fn merge(&mut self, other: &Self) {
         let mine = self.gauges;
         for (v, o) in self.words_mut().zip(other.words()) {
             *v = v.saturating_add(*o);
@@ -252,13 +252,13 @@ impl MetricsSnapshot {
     /// Fixed little-endian `u64` blob ([`METRICS_WIRE_BYTES`] long) — the
     /// one wire form of per-rank numbers, used by the live plane and the
     /// teardown gather alike.
-    pub fn to_bytes(&self) -> Vec<u8> {
+    pub(crate) fn to_bytes(&self) -> Vec<u8> {
         self.words().flat_map(|v| v.to_le_bytes()).collect()
     }
 
     /// Parses a [`MetricsSnapshot::to_bytes`] blob; `None` on any size
     /// mismatch (version skew across processes).
-    pub fn from_bytes(bytes: &[u8]) -> Option<Self> {
+    pub(crate) fn from_bytes(bytes: &[u8]) -> Option<Self> {
         if bytes.len() != METRICS_WIRE_BYTES {
             return None;
         }
@@ -271,7 +271,7 @@ impl MetricsSnapshot {
 
     /// The `q`-quantile (0 < q ≤ 1) of a histogram, reported as the upper
     /// bucket bound in microseconds; 0 when the histogram is empty.
-    pub fn percentile_us(&self, h: Hist, q: f64) -> u64 {
+    pub(crate) fn percentile_us(&self, h: Hist, q: f64) -> u64 {
         hist_percentile_us(&self.hists[h as usize], q)
     }
 
@@ -289,7 +289,7 @@ impl MetricsSnapshot {
 }
 
 /// `q`-quantile of one bucket array, as the upper bucket bound in µs.
-pub fn hist_percentile_us(buckets: &[u64; N_BUCKETS], q: f64) -> u64 {
+pub(crate) fn hist_percentile_us(buckets: &[u64; N_BUCKETS], q: f64) -> u64 {
     let total: u64 = buckets.iter().sum();
     if total == 0 {
         return 0;
@@ -328,24 +328,26 @@ pub const JSONL_FIELDS: [&str; 13] = [
 ];
 
 /// Inputs for one merged interval record.
-pub struct IntervalRecord<'a> {
+pub(crate) struct IntervalRecord<'a> {
     /// Poll sequence number (1-based).
-    pub seq: u64,
+    pub(crate) seq: u64,
     /// Wall clock at emission, unix milliseconds.
-    pub t_unix_ms: u64,
+    pub(crate) t_unix_ms: u64,
     /// Actual elapsed interval, milliseconds (≥ 1).
-    pub interval_ms: u64,
+    pub(crate) interval_ms: u64,
     /// Universe size.
-    pub ranks: usize,
+    pub(crate) ranks: usize,
     /// Ranks that did not report this interval (dead or unresponsive).
-    pub stale: &'a [usize],
+    pub(crate) stale: &'a [usize],
     /// Cross-rank merge of the per-rank deltas.
-    pub merged: &'a MetricsSnapshot,
+    pub(crate) merged: &'a MetricsSnapshot,
     /// Per-rank blocked-wait ratio for the interval (0..=1, one per rank).
-    pub blocked: &'a [f64],
-    /// Straggler threshold multiplier over the median blocked ratio.
-    pub straggler_factor: f64,
+    pub(crate) blocked: &'a [f64],
 }
+
+/// Straggler threshold: a rank is flagged when its blocked-wait ratio
+/// exceeds this multiple of the interval's median.
+const STRAGGLER_FACTOR: f64 = 2.0;
 
 /// Median of `vals` (already assumed small); 0 for empty input.
 fn median(vals: &mut [f64]) -> f64 {
@@ -362,9 +364,9 @@ fn median(vals: &mut [f64]) -> f64 {
 }
 
 /// Stragglers for the record: non-stale ranks whose blocked ratio exceeds
-/// `factor ×` the non-stale median (and a 1% floor, so an all-idle
-/// interval flags nobody). Returns (median, stragglers).
-pub fn stragglers(blocked: &[f64], stale: &[usize], factor: f64) -> (f64, Vec<usize>) {
+/// [`STRAGGLER_FACTOR`] × the non-stale median (and a 1% floor, so an
+/// all-idle interval flags nobody). Returns (median, stragglers).
+pub(crate) fn stragglers(blocked: &[f64], stale: &[usize]) -> (f64, Vec<usize>) {
     let mut live: Vec<f64> = blocked
         .iter()
         .enumerate()
@@ -372,7 +374,7 @@ pub fn stragglers(blocked: &[f64], stale: &[usize], factor: f64) -> (f64, Vec<us
         .map(|(_, &v)| v)
         .collect();
     let med = median(&mut live);
-    let threshold = (med * factor).max(0.01);
+    let threshold = (med * STRAGGLER_FACTOR).max(0.01);
     let out = blocked
         .iter()
         .enumerate()
@@ -390,13 +392,13 @@ fn json_usize_array(vals: &[usize]) -> String {
 /// Renders one merged interval as a single JSON line (no trailing
 /// newline), with the exact field order of [`JSONL_FIELDS`] — hand-built
 /// so the order is deterministic on every backend.
-pub fn format_interval_record(r: &IntervalRecord<'_>) -> String {
+pub(crate) fn format_interval_record(r: &IntervalRecord<'_>) -> String {
     let interval_ms = r.interval_ms.max(1);
     let msgs_per_s = r.merged.counter(Counter::MsgsSent) * 1000 / interval_ms;
     let bytes_per_s = r.merged.counter(Counter::BytesSent) * 1000 / interval_ms;
     let p50 = r.merged.percentile_us(Hist::OpLatency, 0.50);
     let p99 = r.merged.percentile_us(Hist::OpLatency, 0.99);
-    let (blocked_median, straggler_ranks) = stragglers(r.blocked, r.stale, r.straggler_factor);
+    let (blocked_median, straggler_ranks) = stragglers(r.blocked, r.stale);
     let blocked: Vec<String> = r.blocked.iter().map(|v| format!("{v:.4}")).collect();
     format!(
         "{{\"seq\":{},\"t_unix_ms\":{},\"interval_ms\":{},\"ranks\":{},\"stale\":{},\
@@ -459,7 +461,7 @@ pub fn scrape_u64(line: &str, key: &str) -> Option<u64> {
 }
 
 /// Extracts the float after `"key":` in a JSON line.
-pub fn scrape_f64(line: &str, key: &str) -> Option<f64> {
+pub(crate) fn scrape_f64(line: &str, key: &str) -> Option<f64> {
     scrape_num(line, key)
 }
 
@@ -589,7 +591,6 @@ fn poller(state: &Arc<UniverseState>, stop: &AtomicBool, out: &Path, remote: boo
             stale: &stale,
             merged: &merged,
             blocked: &blocked,
-            straggler_factor: state.config.straggler_factor,
         });
         let file = std::fs::OpenOptions::new()
             .create(true)
@@ -715,21 +716,21 @@ fn responder(state: &Arc<UniverseState>, stop: &AtomicBool, me: usize) {
 /// Everything one rank knows at crash time.
 pub(crate) struct CrashInfo<'a> {
     /// This (surviving) global rank.
-    pub rank: usize,
+    pub(crate) rank: usize,
     /// True when the rank's own closure panicked.
-    pub panicked: bool,
+    pub(crate) panicked: bool,
     /// Global ranks marked failed, sorted.
-    pub failed: &'a [usize],
+    pub(crate) failed: &'a [usize],
     /// The first failure this process observed, if any.
-    pub first_failed: Option<usize>,
+    pub(crate) first_failed: Option<usize>,
     /// Ops open at dump time: `(global rank, op name, since_ns)`.
-    pub ops_in_flight: &'a [(usize, &'static str, u64)],
+    pub(crate) ops_in_flight: &'a [(usize, &'static str, u64)],
     /// Trace events lost to ring overflow.
-    pub dropped_events: u64,
+    pub(crate) dropped_events: u64,
     /// Final totals of this rank's block.
-    pub totals: MetricsSnapshot,
+    pub(crate) totals: MetricsSnapshot,
     /// Last trace events, already rendered as Chrome JSON objects.
-    pub events: &'a [String],
+    pub(crate) events: &'a [String],
 }
 
 /// Writes `crash-rank<R>.json`. Scalar fields come first so the
@@ -1003,7 +1004,6 @@ mod tests {
             stale: &[1],
             merged: &merged,
             blocked: &[0.25, 0.0],
-            straggler_factor: 2.0,
         };
         let line = format_interval_record(&rec);
         let mut last = 0;
@@ -1022,14 +1022,14 @@ mod tests {
     fn stragglers_flag_outliers_only() {
         // Ranks 0..3 mildly blocked, rank 3 way over 2x median.
         let blocked = [0.10, 0.12, 0.11, 0.60];
-        let (med, s) = stragglers(&blocked, &[], 2.0);
+        let (med, s) = stragglers(&blocked, &[]);
         assert!((med - 0.115).abs() < 1e-9);
         assert_eq!(s, vec![3]);
         // Stale ranks are excluded from both median and flags.
-        let (_, s) = stragglers(&blocked, &[3], 2.0);
+        let (_, s) = stragglers(&blocked, &[3]);
         assert!(s.is_empty());
         // All idle: the 1% floor keeps noise from flagging anyone.
-        let (_, s) = stragglers(&[0.0, 0.001, 0.0], &[], 2.0);
+        let (_, s) = stragglers(&[0.0, 0.001, 0.0], &[]);
         assert!(s.is_empty());
     }
 
@@ -1044,7 +1044,6 @@ mod tests {
             stale: &[],
             merged: &merged,
             blocked: &[0.0, 0.0],
-            straggler_factor: 2.0,
         };
         let line = format_interval_record(&rec);
         let tty = tty_line(&line).expect("scrapes");

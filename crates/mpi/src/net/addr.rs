@@ -18,7 +18,7 @@ use std::time::{Duration, Instant};
 
 /// A transport endpoint address.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub enum Addr {
+pub(crate) enum Addr {
     /// Unix-domain socket at this filesystem path.
     Unix(PathBuf),
     /// TCP socket at this `host:port`.
@@ -27,7 +27,7 @@ pub enum Addr {
 
 impl Addr {
     /// Parses the `unix:<path>` / `tcp:<host>:<port>` string form.
-    pub fn parse(s: &str) -> io::Result<Self> {
+    pub(crate) fn parse(s: &str) -> io::Result<Self> {
         if let Some(path) = s.strip_prefix("unix:") {
             Ok(Addr::Unix(PathBuf::from(path)))
         } else if let Some(hostport) = s.strip_prefix("tcp:") {
@@ -52,7 +52,7 @@ impl std::fmt::Display for Addr {
 
 /// A bound, listening endpoint.
 #[derive(Debug)]
-pub enum Listener {
+pub(crate) enum Listener {
     /// Unix-domain listener and the path it is bound to.
     Unix(UnixListener, PathBuf),
     /// TCP listener.
@@ -62,7 +62,7 @@ pub enum Listener {
 impl Listener {
     /// Binds a listener at `addr`. A TCP port of 0 binds an ephemeral
     /// port; read the actual address back with [`Listener::local_addr`].
-    pub fn bind(addr: &Addr) -> io::Result<Self> {
+    pub(crate) fn bind(addr: &Addr) -> io::Result<Self> {
         match addr {
             Addr::Unix(path) => Ok(Listener::Unix(UnixListener::bind(path)?, path.clone())),
             Addr::Tcp(hostport) => Ok(Listener::Tcp(TcpListener::bind(hostport.as_str())?)),
@@ -70,7 +70,7 @@ impl Listener {
     }
 
     /// The address peers should connect to (ephemeral TCP ports resolved).
-    pub fn local_addr(&self) -> io::Result<Addr> {
+    pub(crate) fn local_addr(&self) -> io::Result<Addr> {
         match self {
             Listener::Unix(_, path) => Ok(Addr::Unix(path.clone())),
             Listener::Tcp(l) => Ok(Addr::Tcp(l.local_addr()?.to_string())),
@@ -79,7 +79,7 @@ impl Listener {
 
     /// Blocks until a peer connects (or returns `WouldBlock` when the
     /// listener is nonblocking and no connection is queued).
-    pub fn accept(&self) -> io::Result<Stream> {
+    pub(crate) fn accept(&self) -> io::Result<Stream> {
         match self {
             Listener::Unix(l, _) => {
                 let (s, _) = l.accept()?;
@@ -95,7 +95,7 @@ impl Listener {
 
     /// Switches the listener between blocking and nonblocking accepts
     /// (the progress engine polls it through epoll).
-    pub fn set_nonblocking(&self, nonblocking: bool) -> io::Result<()> {
+    pub(crate) fn set_nonblocking(&self, nonblocking: bool) -> io::Result<()> {
         match self {
             Listener::Unix(l, _) => l.set_nonblocking(nonblocking),
             Listener::Tcp(l) => l.set_nonblocking(nonblocking),
@@ -103,7 +103,7 @@ impl Listener {
     }
 
     /// The raw fd, for registration with a poller.
-    pub fn raw_fd(&self) -> RawFd {
+    pub(crate) fn raw_fd(&self) -> RawFd {
         match self {
             Listener::Unix(l, _) => l.as_raw_fd(),
             Listener::Tcp(l) => l.as_raw_fd(),
@@ -113,7 +113,7 @@ impl Listener {
 
 /// A connected byte stream.
 #[derive(Debug)]
-pub enum Stream {
+pub(crate) enum Stream {
     /// Unix-domain stream.
     Unix(UnixStream),
     /// TCP stream (Nagle disabled — frames are latency-sensitive).
@@ -122,7 +122,7 @@ pub enum Stream {
 
 impl Stream {
     /// Connects to `addr`.
-    pub fn connect(addr: &Addr) -> io::Result<Self> {
+    pub(crate) fn connect(addr: &Addr) -> io::Result<Self> {
         match addr {
             Addr::Unix(path) => Ok(Stream::Unix(UnixStream::connect(path)?)),
             Addr::Tcp(hostport) => {
@@ -144,7 +144,7 @@ impl Stream {
     /// still remaining (never past the deadline), a clamped final sleep
     /// buys one last attempt *at* the deadline, and a zero `timeout`
     /// degrades to exactly one attempt with no sleep at all.
-    pub fn connect_retry(addr: &Addr, timeout: Duration) -> io::Result<Self> {
+    pub(crate) fn connect_retry(addr: &Addr, timeout: Duration) -> io::Result<Self> {
         let deadline = Instant::now() + timeout;
         let mut backoff = Duration::from_millis(1);
         const BACKOFF_CAP: Duration = Duration::from_millis(100);
@@ -186,7 +186,7 @@ impl Stream {
     /// `WouldBlock`/`TimedOut` after `d`, `None` restores indefinite
     /// blocking. A joiner's rendezvous handshake uses this so a severed
     /// monitor connection surfaces as a typed timeout, not a silent hang.
-    pub fn set_read_timeout(&self, timeout: Option<Duration>) -> io::Result<()> {
+    pub(crate) fn set_read_timeout(&self, timeout: Option<Duration>) -> io::Result<()> {
         match self {
             Stream::Unix(s) => s.set_read_timeout(timeout),
             Stream::Tcp(s) => s.set_read_timeout(timeout),
@@ -194,7 +194,7 @@ impl Stream {
     }
 
     /// Switches the stream between blocking and nonblocking I/O.
-    pub fn set_nonblocking(&self, nonblocking: bool) -> io::Result<()> {
+    pub(crate) fn set_nonblocking(&self, nonblocking: bool) -> io::Result<()> {
         match self {
             Stream::Unix(s) => s.set_nonblocking(nonblocking),
             Stream::Tcp(s) => s.set_nonblocking(nonblocking),
@@ -202,7 +202,7 @@ impl Stream {
     }
 
     /// The raw fd, for registration with a poller.
-    pub fn raw_fd(&self) -> RawFd {
+    pub(crate) fn raw_fd(&self) -> RawFd {
         match self {
             Stream::Unix(s) => s.as_raw_fd(),
             Stream::Tcp(s) => s.as_raw_fd(),

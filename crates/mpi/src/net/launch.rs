@@ -22,7 +22,7 @@ static LAUNCH_SEQ: AtomicU64 = AtomicU64::new(0);
 
 /// Which wire co-located ranks use. The launcher only ever starts
 /// same-host jobs, so `ShmXproc` puts *every* pair on shared-memory rings
-/// unless a `KAMPING_LOCAL_RANKS` override (see [`super::SocketConfig`])
+/// unless a `KAMPING_LOCAL_RANKS` override (see `super::SocketConfig`)
 /// splits the set for testing mixed topologies.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Backend {

@@ -11,7 +11,7 @@
 //!
 //! which amounts to `KAMPING_TRANSPORT=socket` plus `KAMPING_RANK`,
 //! `KAMPING_RANKS`, and `KAMPING_RENDEZVOUS` for each spawned process.
-//! [`crate::Universe::run`] detects that environment ([`crate::Config::socket`])
+//! [`crate::Universe::run`] detects that environment (`Config::socket`)
 //! and joins the job as one rank instead of spawning threads.
 //!
 //! # Rendezvous
@@ -50,9 +50,9 @@ mod socket;
 mod sys;
 pub mod wire;
 
-pub use addr::{Addr, Listener, Stream};
+pub(crate) use addr::{Addr, Listener, Stream};
 pub use launch::{launch, Backend, LaunchSpec, RankExit};
-pub use socket::SocketTransport;
+pub(crate) use socket::SocketTransport;
 
 use std::io;
 use std::panic::AssertUnwindSafe;
@@ -78,19 +78,19 @@ const RENDEZVOUS_TIMEOUT: Duration = Duration::from_secs(20);
 
 /// The socket-backend environment of one rank, as set up by `kampirun`.
 #[derive(Debug, Clone)]
-pub struct SocketConfig {
+pub(crate) struct SocketConfig {
     /// This process's global rank.
-    pub rank: usize,
+    pub(crate) rank: usize,
     /// Total number of ranks in the job.
-    pub ranks: usize,
+    pub(crate) ranks: usize,
     /// Rendezvous endpoint (rank 0 binds it, everyone else connects).
-    pub rendezvous: Addr,
+    pub(crate) rendezvous: Addr,
     /// Wire selection: sockets everywhere, or shared-memory rings between
     /// co-located ranks with sockets only for remote pairs.
-    pub backend: Backend,
+    pub(crate) backend: Backend,
     /// Directory holding the per-rank inbox ring files
     /// (`KAMPING_SHM_DIR`; required for `shm-xproc`).
-    pub shm_dir: Option<PathBuf>,
+    pub(crate) shm_dir: Option<PathBuf>,
     /// The co-located rank set (`KAMPING_LOCAL_RANKS`). `None` means every
     /// rank shares this host. A pair talks over rings iff *both* ends are
     /// in the set; all other pairs use sockets.
@@ -99,19 +99,19 @@ pub struct SocketConfig {
     /// separating host groups (`"0-3;4-7"` emulates two 4-rank hosts on
     /// one machine). Each process keeps only the group containing its own
     /// rank, so both ends of an intra-group pair agree on ring wiring.
-    pub local_ranks: Option<Vec<usize>>,
+    pub(crate) local_ranks: Option<Vec<usize>>,
     /// Per-channel ring capacity in bytes (`KAMPING_RING_KB`).
-    pub ring_bytes: usize,
+    pub(crate) ring_bytes: usize,
     /// Universe capacity (`KAMPING_MAX_RANKS`, default `ranks`): the
     /// number of global-rank slots, of which `ranks` are filled at launch
     /// and the rest by late joiners. Elastic capacity is capped at 64.
-    pub max_ranks: usize,
+    pub(crate) max_ranks: usize,
     /// This process is a late joiner (`KAMPING_JOIN=1`): it carries no
     /// `KAMPING_RANK` — rank 0's rendezvous monitor assigns one.
-    pub join: bool,
+    pub(crate) join: bool,
     /// Joiner-only: sleep this long before the join handshake
     /// (`KAMPING_JOIN_DELAY_MS`), so a launcher can stagger admissions.
-    pub join_delay: Duration,
+    pub(crate) join_delay: Duration,
 }
 
 impl SocketConfig {
@@ -121,7 +121,7 @@ impl SocketConfig {
     /// [`MpiError::Config`] (naming the offending variable) if one is
     /// requested but its environment is malformed or incomplete, because
     /// silently falling back to threads would mask launcher bugs.
-    pub fn from_lookup(get: impl Fn(&str) -> Option<String>) -> MpiResult<Option<Self>> {
+    pub(crate) fn from_lookup(get: impl Fn(&str) -> Option<String>) -> MpiResult<Option<Self>> {
         let backend = match get("KAMPING_TRANSPORT") {
             Some(v) if v == "socket" => Backend::Socket,
             Some(v) if v == "shm-xproc" => Backend::ShmXproc,

@@ -94,7 +94,7 @@ pub(crate) struct OutFrame {
 
 impl OutFrame {
     /// A non-data frame.
-    pub fn control(frame: &Frame) -> Self {
+    pub(crate) fn control(frame: &Frame) -> Self {
         Self {
             head: encode_prefixed(frame),
             payload: Payload::from_slice(&[]),
@@ -103,7 +103,7 @@ impl OutFrame {
     }
 
     /// The data frame of message `msg`.
-    pub fn data(msg: MatchKey, ack_id: u64, payload: Payload) -> Self {
+    pub(crate) fn data(msg: MatchKey, ack_id: u64, payload: Payload) -> Self {
         let head = data_frame_header(msg.src, msg.tag, msg.ctx, ack_id, payload.len());
         Self {
             head: head.to_vec(),
@@ -223,7 +223,7 @@ impl Engine {
     /// address is `addrs[my_rank]`). `None` address slots belong to
     /// not-yet-admitted elastic ranks; they are filled later through
     /// [`Engine::set_addr`].
-    pub fn start(
+    pub(crate) fn start(
         my_rank: usize,
         addrs: Vec<Option<Addr>>,
         listener: Listener,
@@ -277,7 +277,7 @@ impl Engine {
     /// is written at most once (ranks are never reused); installing over
     /// an existing address is ignored, so replayed admission broadcasts
     /// are harmless.
-    pub fn set_addr(&self, rank: usize, addr: Addr) {
+    pub(crate) fn set_addr(&self, rank: usize, addr: Addr) {
         let mut addrs = self.sh.addrs.lock().expect("addr table poisoned");
         if rank < addrs.len() && addrs[rank].is_none() {
             addrs[rank] = Some(addr);
@@ -286,7 +286,7 @@ impl Engine {
 
     /// Queues one frame for `dest` and rings the progress thread. Never
     /// blocks on the wire. Returns false if the peer is already gone.
-    pub fn enqueue(&self, dest: usize, frame: OutFrame) -> bool {
+    pub(crate) fn enqueue(&self, dest: usize, frame: OutFrame) -> bool {
         let depth;
         {
             let mut o = self.sh.peers[dest].lock().expect("outbound poisoned");
@@ -310,7 +310,7 @@ impl Engine {
     }
 
     /// Flushes all outbound traffic (bounded) and stops the thread.
-    pub fn shutdown(&self) {
+    pub(crate) fn shutdown(&self) {
         self.sh.down.store(true, Ordering::Release);
         self.sh.kick.ring();
         let handle = self.thread.lock().expect("thread slot poisoned").take();

@@ -28,7 +28,7 @@
 //! byte stream of length-prefixed [`super::wire::Frame`]s — the *same*
 //! frame format as the socket wire, so a frame larger than the ring simply
 //! streams through it in chunks, which the consumer moves straight to the
-//! payload's destination ([`super::wire::FrameReader`]).
+//! payload's destination (`super::wire::FrameReader`).
 //!
 //! # Futex protocol
 //!
@@ -45,7 +45,7 @@
 //! * **space** (consumer wakes producer): a producer facing a full ring
 //!   sets the per-ring prod-sleep flag, re-reads `head`, and `futex_wait`s
 //!   on the head word; the consumer wakes it after advancing `head` if the
-//!   flag was set. Producer waits are sliced ([`SPACE_WAIT_SLICE`]) so an
+//!   flag was set. Producer waits are sliced (`SPACE_WAIT_SLICE`) so an
 //!   abort predicate (peer failed, shutdown) is re-checked even if the
 //!   consumer is gone for good.
 //!
@@ -81,12 +81,12 @@ pub const DEFAULT_RING_BYTES: usize = 256 * 1024;
 const SPACE_WAIT_SLICE: Duration = Duration::from_millis(50);
 
 /// Path of rank `rank`'s inbox file under `dir`.
-pub fn inbox_path(dir: &Path, rank: usize) -> PathBuf {
+pub(crate) fn inbox_path(dir: &Path, rank: usize) -> PathBuf {
     dir.join(format!("inbox-{rank}.ring"))
 }
 
 /// Total inbox file size for `ranks` sources at `cap` bytes per ring.
-pub fn file_len(ranks: usize, cap: usize) -> usize {
+pub(crate) fn file_len(ranks: usize, cap: usize) -> usize {
     INBOX_HDR + ranks * (RING_HDR + cap)
 }
 
@@ -122,7 +122,6 @@ fn map_inbox(file: &File, ranks: usize, cap: usize) -> io::Result<SharedMap> {
 /// is guaranteed to exist.
 pub struct Inbox {
     map: SharedMap,
-    ranks: usize,
     cap: usize,
 }
 
@@ -139,12 +138,7 @@ impl Inbox {
             .open(inbox_path(dir, rank))?;
         file.set_len(file_len(ranks, cap) as u64)?;
         let map = map_inbox(&file, ranks, cap)?;
-        Ok(Self { map, ranks, cap })
-    }
-
-    /// Number of source rings in this inbox.
-    pub fn ranks(&self) -> usize {
-        self.ranks
+        Ok(Self { map, cap })
     }
 
     fn doorbell(&self) -> &AtomicU32 {
@@ -171,13 +165,13 @@ impl Inbox {
 
     /// Rings our own doorbell (shutdown path: unblocks a parked consumer
     /// thread of this same process).
-    pub fn wake_self(&self) {
+    pub(crate) fn wake_self(&self) {
         self.doorbell().fetch_add(1, Ordering::SeqCst);
         futex_wake(self.doorbell(), u32::MAX);
     }
 
     /// Bytes currently readable in the ring from `src`.
-    pub fn readable(&self, src: usize) -> usize {
+    pub(crate) fn readable(&self, src: usize) -> usize {
         let base = ring_base(src, self.cap);
         let head = self.map.atomic_u32(base + HEAD).load(Ordering::Relaxed);
         let tail = self.map.atomic_u32(base + TAIL).load(Ordering::Acquire);
@@ -198,7 +192,7 @@ impl Inbox {
     /// Moves up to `dst.len()` readable bytes from `src`'s ring to the
     /// front of `dst`, releases the space, and wakes the producer if it is
     /// parked on it. Returns the number of bytes moved, all of them written.
-    pub fn read(&self, src: usize, dst: &mut [MaybeUninit<u8>]) -> usize {
+    pub(crate) fn read(&self, src: usize, dst: &mut [MaybeUninit<u8>]) -> usize {
         let base = ring_base(src, self.cap);
         let head_word = self.map.atomic_u32(base + HEAD);
         let head = head_word.load(Ordering::Relaxed);
@@ -257,11 +251,6 @@ impl RingTx {
         })
     }
 
-    /// Ring capacity in bytes.
-    pub fn capacity(&self) -> usize {
-        self.cap
-    }
-
     fn head(&self) -> &AtomicU32 {
         self.map.atomic_u32(self.base + HEAD)
     }
@@ -290,7 +279,7 @@ impl RingTx {
     /// Bytes currently in the ring (unconsumed). A producer-side sample;
     /// the consumer may drain concurrently, so this is a lower bound on
     /// the space the next write will find.
-    pub fn occupancy(&self) -> usize {
+    pub(crate) fn occupancy(&self) -> usize {
         let head = self.head().load(Ordering::Acquire);
         let tail = self.tail().load(Ordering::Relaxed);
         tail.wrapping_sub(head) as usize

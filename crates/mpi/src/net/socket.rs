@@ -112,14 +112,14 @@ enum SinkState {
 pub(crate) struct XprocSetup {
     /// This rank's own inbox (created before the rendezvous join, so every
     /// peer that holds the address table can already map it).
-    pub inbox: Inbox,
+    pub(crate) inbox: Inbox,
     /// Directory holding all inbox files.
-    pub dir: std::path::PathBuf,
+    pub(crate) dir: std::path::PathBuf,
     /// The co-located rank set (includes this rank). A pair uses rings iff
     /// *both* ends are in the set.
-    pub local: Vec<usize>,
+    pub(crate) local: Vec<usize>,
     /// Per-channel ring capacity (bytes, power of two).
-    pub ring_bytes: usize,
+    pub(crate) ring_bytes: usize,
 }
 
 /// Inbound-ring drain state: the per-source frame readers plus the inbox
@@ -665,7 +665,7 @@ impl EngineHooks for Shared {
 
 /// The [`Transport`] implementation over the progress engine and optional
 /// shm-xproc rings. One per process; hosts exactly one rank.
-pub struct SocketTransport {
+pub(crate) struct SocketTransport {
     shared: Arc<Shared>,
     /// Whether any ring channels are configured (backend name).
     xproc: bool,

@@ -28,14 +28,14 @@ use std::time::Duration;
 #[repr(C)]
 #[cfg_attr(target_arch = "x86_64", repr(packed))]
 #[derive(Clone, Copy)]
-pub struct EpollEvent {
+pub(crate) struct EpollEvent {
     events: u32,
     token: u64,
 }
 
 impl EpollEvent {
     /// An empty record for `epoll_wait` output buffers.
-    pub fn zeroed() -> Self {
+    pub(crate) fn zeroed() -> Self {
         Self {
             events: 0,
             token: 0,
@@ -43,14 +43,14 @@ impl EpollEvent {
     }
 
     /// Ready-event mask ([`EPOLLIN`] / [`EPOLLOUT`] / [`EPOLLERR`] / [`EPOLLHUP`]).
-    pub fn events(&self) -> u32 {
+    pub(crate) fn events(&self) -> u32 {
         // By-value copy: fields of a packed struct must not be referenced.
 
         self.events
     }
 
     /// The token the fd was registered with.
-    pub fn token(&self) -> u64 {
+    pub(crate) fn token(&self) -> u64 {
         self.token
     }
 }
@@ -58,10 +58,10 @@ impl EpollEvent {
 /// `struct pollfd` for the rendezvous monitor's `poll` loop.
 #[repr(C)]
 #[derive(Clone, Copy)]
-pub struct PollFd {
-    pub fd: c_int,
-    pub events: i16,
-    pub revents: i16,
+pub(crate) struct PollFd {
+    pub(crate) fd: c_int,
+    pub(crate) events: i16,
+    pub(crate) revents: i16,
 }
 
 #[repr(C)]
@@ -95,13 +95,13 @@ const EPOLL_CTL_ADD: c_int = 1;
 const EPOLL_CTL_MOD: c_int = 3;
 
 /// Readable (also: peer hung up a readable stream).
-pub const EPOLLIN: u32 = 0x1;
+pub(crate) const EPOLLIN: u32 = 0x1;
 /// Writable without blocking.
-pub const EPOLLOUT: u32 = 0x4;
+pub(crate) const EPOLLOUT: u32 = 0x4;
 /// Error condition on the fd.
-pub const EPOLLERR: u32 = 0x8;
+pub(crate) const EPOLLERR: u32 = 0x8;
 /// Peer hang-up.
-pub const EPOLLHUP: u32 = 0x10;
+pub(crate) const EPOLLHUP: u32 = 0x10;
 
 const EFD_CLOEXEC: c_int = 0o2000000;
 const EFD_NONBLOCK: c_int = 0o4000;
@@ -121,7 +121,7 @@ const FUTEX_WAIT: c_int = 0;
 const FUTEX_WAKE: c_int = 1;
 
 /// `POLLIN` for [`PollFd::events`].
-pub const POLLIN: i16 = 0x1;
+pub(crate) const POLLIN: i16 = 0x1;
 
 fn cvt(ret: c_int) -> io::Result<c_int> {
     if ret < 0 {
@@ -137,13 +137,13 @@ fn cvt(ret: c_int) -> io::Result<c_int> {
 
 /// An epoll instance. `epoll_ctl` is kernel-thread-safe, so registration
 /// may happen from any thread while another is parked in [`Epoll::wait`].
-pub struct Epoll {
+pub(crate) struct Epoll {
     fd: OwnedFd,
 }
 
 impl Epoll {
     /// Creates a close-on-exec epoll instance.
-    pub fn new() -> io::Result<Self> {
+    pub(crate) fn new() -> io::Result<Self> {
         let fd = cvt(unsafe { epoll_create1(EPOLL_CLOEXEC) })?;
         Ok(Self {
             fd: unsafe { OwnedFd::from_raw_fd(fd) },
@@ -156,19 +156,23 @@ impl Epoll {
     }
 
     /// Starts watching `fd` under `token` for the given interests.
-    pub fn add(&self, fd: RawFd, token: u64, read: bool, write: bool) -> io::Result<()> {
+    pub(crate) fn add(&self, fd: RawFd, token: u64, read: bool, write: bool) -> io::Result<()> {
         self.ctl(EPOLL_CTL_ADD, fd, interest(read, write), token)
     }
 
     /// Replaces `fd`'s interest set.
-    pub fn modify(&self, fd: RawFd, token: u64, read: bool, write: bool) -> io::Result<()> {
+    pub(crate) fn modify(&self, fd: RawFd, token: u64, read: bool, write: bool) -> io::Result<()> {
         self.ctl(EPOLL_CTL_MOD, fd, interest(read, write), token)
     }
 
     /// Blocks until at least one registered fd is ready or `timeout`
     /// expires (`None` waits forever). A signal interruption reports as
     /// zero ready events rather than an error.
-    pub fn wait(&self, events: &mut [EpollEvent], timeout: Option<Duration>) -> io::Result<usize> {
+    pub(crate) fn wait(
+        &self,
+        events: &mut [EpollEvent],
+        timeout: Option<Duration>,
+    ) -> io::Result<usize> {
         let ms: c_int = match timeout {
             None => -1,
             // Round up so the caller's deadline has truly passed when a
@@ -212,13 +216,13 @@ fn interest(read: bool, write: bool) -> u32 {
 
 /// A nonblocking eventfd used as a cross-thread wakeup doorbell for an
 /// epoll loop.
-pub struct EventFd {
+pub(crate) struct EventFd {
     fd: OwnedFd,
 }
 
 impl EventFd {
     /// Creates a nonblocking, close-on-exec eventfd with counter 0.
-    pub fn new() -> io::Result<Self> {
+    pub(crate) fn new() -> io::Result<Self> {
         let fd = cvt(unsafe { eventfd(0, EFD_CLOEXEC | EFD_NONBLOCK) })?;
         Ok(Self {
             fd: unsafe { OwnedFd::from_raw_fd(fd) },
@@ -226,14 +230,14 @@ impl EventFd {
     }
 
     /// The fd to register with an [`Epoll`].
-    pub fn raw(&self) -> RawFd {
+    pub(crate) fn raw(&self) -> RawFd {
         self.fd.as_raw_fd()
     }
 
     /// Makes the fd readable (wakes the poller). Saturation of the
     /// counter (`EAGAIN`) already implies a pending wakeup, so it is not
     /// an error.
-    pub fn ring(&self) {
+    pub(crate) fn ring(&self) {
         let one: u64 = 1;
         unsafe {
             write(
@@ -245,7 +249,7 @@ impl EventFd {
     }
 
     /// Clears the counter so the fd stops reading as ready.
-    pub fn drain(&self) {
+    pub(crate) fn drain(&self) {
         let mut buf: u64 = 0;
         unsafe {
             read(
@@ -259,7 +263,7 @@ impl EventFd {
 
 /// `read(2)` into possibly uninitialised memory: `Ok(n)` wrote the first
 /// `n` bytes of `dst` (0 at end of stream).
-pub fn read_fd(fd: RawFd, dst: &mut [MaybeUninit<u8>]) -> io::Result<usize> {
+pub(crate) fn read_fd(fd: RawFd, dst: &mut [MaybeUninit<u8>]) -> io::Result<usize> {
     // SAFETY: the kernel writes at most `dst.len()` bytes into `dst`.
     let n = unsafe { read(fd, dst.as_mut_ptr().cast::<c_void>(), dst.len()) };
     if n < 0 {
@@ -275,7 +279,7 @@ pub fn read_fd(fd: RawFd, dst: &mut [MaybeUninit<u8>]) -> io::Result<usize> {
 /// A `MAP_SHARED` read-write mapping of a file, unmapped on drop. The
 /// backing file may be closed once mapped; the mapping (and the pages any
 /// other process sees through its own mapping) stays alive.
-pub struct SharedMap {
+pub(crate) struct SharedMap {
     ptr: *mut u8,
     len: usize,
 }
@@ -287,7 +291,7 @@ unsafe impl Sync for SharedMap {}
 
 impl SharedMap {
     /// Maps `len` bytes of `file` shared read-write.
-    pub fn map(file: &File, len: usize) -> io::Result<Self> {
+    pub(crate) fn map(file: &File, len: usize) -> io::Result<Self> {
         let ptr = unsafe {
             mmap(
                 std::ptr::null_mut(),
@@ -309,7 +313,7 @@ impl SharedMap {
 
     /// A shared atomic word at byte offset `off` (must be 4-aligned and in
     /// bounds — both are layout invariants of the callers, asserted here).
-    pub fn atomic_u32(&self, off: usize) -> &AtomicU32 {
+    pub(crate) fn atomic_u32(&self, off: usize) -> &AtomicU32 {
         assert!(
             off.is_multiple_of(4) && off + 4 <= self.len,
             "misplaced ring word"
@@ -322,7 +326,7 @@ impl SharedMap {
     /// # Safety
     /// The caller must guarantee exclusive write ownership of
     /// `[off, off + src.len())` under the ring protocol.
-    pub unsafe fn write_bytes_at(&self, off: usize, src: &[u8]) {
+    pub(crate) unsafe fn write_bytes_at(&self, off: usize, src: &[u8]) {
         debug_assert!(off + src.len() <= self.len);
         std::ptr::copy_nonoverlapping(src.as_ptr(), self.ptr.add(off), src.len());
     }
@@ -333,7 +337,7 @@ impl SharedMap {
     /// # Safety
     /// The caller must guarantee the range is owned (published by the
     /// producer, not yet released by the consumer).
-    pub unsafe fn read_bytes_at(&self, off: usize, dst: &mut [MaybeUninit<u8>]) {
+    pub(crate) unsafe fn read_bytes_at(&self, off: usize, dst: &mut [MaybeUninit<u8>]) {
         debug_assert!(off + dst.len() <= self.len);
         std::ptr::copy_nonoverlapping(self.ptr.add(off), dst.as_mut_ptr().cast(), dst.len());
     }
@@ -348,7 +352,7 @@ impl Drop for SharedMap {
 /// Blocks until `word` is woken or no longer holds `expected` (the kernel
 /// re-checks under its internal lock, which is what makes sleep/wake-free
 /// handoffs race-free). Spurious returns are fine — all callers loop.
-pub fn futex_wait(word: &AtomicU32, expected: u32, timeout: Option<Duration>) {
+pub(crate) fn futex_wait(word: &AtomicU32, expected: u32, timeout: Option<Duration>) {
     let ts;
     let ts_ptr: *const Timespec = match timeout {
         None => std::ptr::null(),
@@ -376,7 +380,7 @@ pub fn futex_wait(word: &AtomicU32, expected: u32, timeout: Option<Duration>) {
 }
 
 /// Wakes up to `n` waiters parked on `word`.
-pub fn futex_wake(word: &AtomicU32, n: u32) {
+pub(crate) fn futex_wake(word: &AtomicU32, n: u32) {
     unsafe {
         syscall(
             SYS_FUTEX,
@@ -391,7 +395,7 @@ pub fn futex_wake(word: &AtomicU32, n: u32) {
 }
 
 /// `poll(2)` over `fds`; signal interruptions report as zero ready fds.
-pub fn poll_fds(fds: &mut [PollFd], timeout: Option<Duration>) -> io::Result<usize> {
+pub(crate) fn poll_fds(fds: &mut [PollFd], timeout: Option<Duration>) -> io::Result<usize> {
     let ms: c_int = match timeout {
         None => -1,
         Some(d) => (d.as_millis() as i64).min(i32::MAX as i64) as c_int,

@@ -30,9 +30,9 @@
 //!
 //! # Reading the data plane
 //!
-//! A `Data` frame starts with [`DATA_HEAD`] fixed bytes — length prefix,
+//! A `Data` frame starts with `DATA_HEAD` fixed bytes — length prefix,
 //! kind, source, tag, context, ack id, payload length — and everything
-//! after them is payload. [`FrameReader`], one per inbound ring or
+//! after them is payload. `FrameReader`, one per inbound ring or
 //! connection, is the only reader of the data plane and has two states:
 //!
 //! * **header** — bytes collect in a small buffer until it holds a whole
@@ -42,7 +42,7 @@
 //!   straight into that destination, however many reads it takes.
 //!
 //! The buffer never sees a payload byte: a read in the header state asks
-//! for at most [`DATA_HEAD`] bytes past the last known frame boundary, and
+//! for at most `DATA_HEAD` bytes past the last known frame boundary, and
 //! a data frame's payload starts exactly that far behind its own start.
 
 use std::io::{self, Read, Write};
@@ -115,7 +115,7 @@ pub enum Frame {
     Join {
         /// Global rank of the joiner.
         rank: usize,
-        /// String form of the joiner's data-plane [`super::Addr`].
+        /// String form of the joiner's data-plane `super::Addr`.
         data_addr: String,
     },
     /// Rendezvous: the full rank table, indexed by global rank.
@@ -141,7 +141,7 @@ pub enum Frame {
     /// Rendezvous: a late-arriving process asks to join the running job.
     /// Unlike `Join` it carries no rank — rank 0 assigns a fresh one.
     JoinElastic {
-        /// String form of the joiner's data-plane [`super::Addr`].
+        /// String form of the joiner's data-plane `super::Addr`.
         data_addr: String,
     },
     /// Rendezvous: rank 0 admits a late joiner, assigning its fresh global
@@ -411,7 +411,7 @@ impl Frame {
 
 /// Writes one length-prefixed frame. Does not flush — batching is the
 /// writer thread's call.
-pub fn write_frame(w: &mut impl Write, frame: &Frame) -> io::Result<()> {
+pub(crate) fn write_frame(w: &mut impl Write, frame: &Frame) -> io::Result<()> {
     let body = frame.encode();
     w.write_all(&(body.len() as u32).to_le_bytes())?;
     w.write_all(&body)
@@ -568,7 +568,7 @@ impl FrameReader {
 
 /// Reads one length-prefixed frame. EOF at a frame boundary surfaces as
 /// [`io::ErrorKind::UnexpectedEof`].
-pub fn read_frame(r: &mut impl Read) -> io::Result<Frame> {
+pub(crate) fn read_frame(r: &mut impl Read) -> io::Result<Frame> {
     let mut len = [0u8; 4];
     r.read_exact(&mut len)?;
     let len = u32::from_le_bytes(len) as usize;

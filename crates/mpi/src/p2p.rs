@@ -119,16 +119,6 @@ impl RawComm {
         Ok(())
     }
 
-    /// Blocking send of an already-shared buffer: the receiver aliases the
-    /// same allocation. Fan-out senders (broadcast) post one `Arc` per child
-    /// instead of one copy per child.
-    pub fn send_shared(&self, dest: usize, tag: Tag, payload: Arc<Vec<u8>>) -> MpiResult<()> {
-        let _op = self.record(Op::Send);
-        let dest_global = self.check_send(dest, payload.len())?;
-        self.post_to(dest_global, tag, Payload::from_shared(payload), None);
-        Ok(())
-    }
-
     /// Blocking receive returning the transport payload (zero-copy when the
     /// payload is uniquely held).
     pub(crate) fn recv_payload(&self, source: usize, tag: Tag) -> MpiResult<(Payload, Status)> {
@@ -198,7 +188,7 @@ impl RawComm {
         Ok(self.status_of(src, tag, bytes))
     }
 
-    /// This rank's mailbox (diagnostics: [`Mailbox::len`],
+    /// This rank's mailbox (diagnostics: `Mailbox::len`,
     /// [`Mailbox::posted_from`]).
     #[inline]
     pub fn mailbox(&self) -> &Mailbox {
@@ -226,25 +216,6 @@ impl RawComm {
             .take_blocking_deadline(key, &interrupt, deadline)?;
         let status = self.status_of(d.src, d.tag, d.payload.len());
         Ok((d.payload.into_vec(), status))
-    }
-
-    /// Blocking receive with a size limit: errors with
-    /// [`MpiError::Truncation`] if the matched message exceeds `max_bytes`.
-    /// (The message is consumed either way, as in MPI.)
-    pub fn recv_bounded(
-        &self,
-        source: usize,
-        tag: Tag,
-        max_bytes: usize,
-    ) -> MpiResult<(Vec<u8>, Status)> {
-        let (payload, status) = self.recv(source, tag)?;
-        if payload.len() > max_bytes {
-            return Err(MpiError::Truncation {
-                expected: max_bytes,
-                got: payload.len(),
-            });
-        }
-        Ok((payload, status))
     }
 
     /// Non-blocking standard-mode send. Completes immediately (eager
@@ -298,21 +269,6 @@ impl RawComm {
         let me = self.my_global_rank();
         let interrupt = wait_interrupt(&self.state, key.src, self.ctx);
         let (src, t, n) = self.state.mailbox(me).peek_blocking(key, &interrupt)?;
-        Ok(self.status_of(src, t, n))
-    }
-
-    /// Like [`RawComm::probe`], but gives up after `timeout` with
-    /// [`MpiError::Timeout`].
-    pub fn probe_timeout(&self, source: usize, tag: Tag, timeout: Duration) -> MpiResult<Status> {
-        let _op = self.record(Op::Probe);
-        let key = self.match_key(source, tag)?;
-        let me = self.my_global_rank();
-        let interrupt = wait_interrupt(&self.state, key.src, self.ctx);
-        let deadline = Some(Instant::now() + timeout);
-        let (src, t, n) = self
-            .state
-            .mailbox(me)
-            .peek_blocking_deadline(key, &interrupt, deadline)?;
         Ok(self.status_of(src, t, n))
     }
 
@@ -486,24 +442,6 @@ mod tests {
     }
 
     #[test]
-    fn truncation_detected() {
-        Universe::run(2, |comm| {
-            if comm.rank() == 0 {
-                comm.send(1, 0, &[0; 100]).unwrap();
-            } else {
-                let err = comm.recv_bounded(0, 0, 10).unwrap_err();
-                assert_eq!(
-                    err,
-                    MpiError::Truncation {
-                        expected: 10,
-                        got: 100
-                    }
-                );
-            }
-        });
-    }
-
-    #[test]
     fn sendrecv_ring_rotation() {
         Universe::run(4, |comm| {
             let right = (comm.rank() + 1) % comm.size();
@@ -559,7 +497,7 @@ mod tests {
         use crate::universe::UniverseState;
         let (hub, trace) = (Arc::new(Hub::new()), TraceCtx::disabled(1));
         let capped = Arc::new(Capped(ShmTransport::new(1, &hub, &trace)));
-        let config = crate::Config::default();
+        let config = crate::config::Config::default();
         let state = UniverseState::with_transport(1, vec![0], capped, hub, trace, config);
         let comm = RawComm::world(Arc::new(state), 0);
         let too_long = MpiError::InvalidCounts {
@@ -568,10 +506,6 @@ mod tests {
         let big = vec![0u8; 65];
         assert_eq!(comm.send(0, 1, &big).unwrap_err(), too_long);
         assert_eq!(comm.send_owned(0, 1, big.clone()).unwrap_err(), too_long);
-        assert_eq!(
-            comm.send_shared(0, 1, Arc::new(big.clone())).unwrap_err(),
-            too_long
-        );
         assert_eq!(comm.isend(0, 1, big.clone()).err(), Some(too_long.clone()));
         assert_eq!(comm.issend(0, 1, big).err(), Some(too_long));
         // Nothing was posted; a message at the cap goes through.
@@ -589,20 +523,6 @@ mod tests {
             } else {
                 let (msg, _) = comm.recv(0, 0).unwrap();
                 assert_eq!(msg, vec![1, 2, 3]);
-            }
-        });
-    }
-
-    #[test]
-    fn send_shared_aliases_one_allocation() {
-        Universe::run(3, |comm| {
-            if comm.rank() == 0 {
-                let buf = Arc::new(vec![5u8; 1000]);
-                comm.send_shared(1, 0, buf.clone()).unwrap();
-                comm.send_shared(2, 0, buf).unwrap();
-            } else {
-                let (msg, _) = comm.recv(0, 0).unwrap();
-                assert_eq!(msg, vec![5u8; 1000]);
             }
         });
     }

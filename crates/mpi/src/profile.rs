@@ -32,14 +32,14 @@ macro_rules! ops {
         }
 
         /// Number of distinct [`Op`] variants.
-        pub const N_OPS: usize = [$($name,)*].len();
+        pub(crate) const N_OPS: usize = [$($name,)*].len();
 
         /// All operations, in discriminant order (for reporting).
         pub const ALL_OPS: [Op; N_OPS] = [$(Op::$variant,)*];
 
         impl Op {
             /// Short lowercase name used in reports.
-            pub fn name(self) -> &'static str {
+            pub(crate) fn name(self) -> &'static str {
                 match self {
                     $(Op::$variant => $name,)*
                 }
@@ -173,20 +173,6 @@ impl ProfileSnapshot {
             .max()
             .unwrap_or(0)
     }
-
-    /// LogGP-style modeled time: the bottleneck rank's
-    /// `alpha * messages + beta * bytes`.
-    ///
-    /// `alpha` is the per-message startup cost, `beta` the per-byte cost
-    /// (both in arbitrary time units). This captures exactly the trade-off
-    /// §V-A of the paper discusses: grid all-to-all pays more `beta`
-    /// (volume) to save `alpha * p` startups.
-    pub fn modeled_time(&self, alpha: f64, beta: f64) -> f64 {
-        self.ranks
-            .iter()
-            .map(|r| alpha * r.messages_sent as f64 + beta * r.bytes_sent as f64)
-            .fold(0.0, f64::max)
-    }
 }
 
 #[cfg(test)]
@@ -229,20 +215,6 @@ mod tests {
         let d = after.since(&before);
         assert_eq!(d.total_calls(Op::Send), 1);
         assert_eq!(d.total_bytes(), 10);
-    }
-
-    #[test]
-    fn modeled_time_is_bottleneck_rank() {
-        let c = TraceCtx::disabled(2);
-        message(&c, 0, 8); // rank a: 1 msg, 8 bytes
-        for _ in 0..10 {
-            message(&c, 1, 0); // rank b: 10 msgs, 0 bytes
-        }
-        let snap = ProfileSnapshot::capture(&c);
-        // alpha-dominated: rank b is the bottleneck
-        assert_eq!(snap.modeled_time(1.0, 0.0), 10.0);
-        // beta-dominated: rank a is the bottleneck
-        assert_eq!(snap.modeled_time(0.0, 1.0), 8.0);
     }
 
     #[test]

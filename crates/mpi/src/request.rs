@@ -9,7 +9,6 @@
 //! level up, in `kamping::nonblocking` — at this level requests are as
 //! unsafe-to-misuse as MPI's, by design.
 
-use std::collections::HashMap;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -42,7 +41,7 @@ pub(crate) enum RequestKind {
 
 /// Payload of a completed request.
 #[derive(Debug, PartialEq, Eq)]
-pub enum Completion {
+pub(crate) enum Completion {
     /// A send or barrier completed.
     Done,
     /// A receive completed with this payload and status.
@@ -103,7 +102,7 @@ impl RawRequest {
 
     /// Polls for completion, distinguishing send/barrier completions from
     /// message deliveries.
-    pub fn test_any(&mut self) -> MpiResult<Option<Completion>> {
+    pub(crate) fn test_any(&mut self) -> MpiResult<Option<Completion>> {
         let Some(kind) = self.kind.take() else {
             return Ok(Some(Completion::Done));
         };
@@ -166,7 +165,10 @@ impl RawRequest {
 
     /// [`RawRequest::wait`] with an optional absolute deadline — the form
     /// used when one budget spans several requests. `None` waits forever.
-    pub fn wait_deadline(&mut self, deadline: Option<Instant>) -> MpiResult<(Vec<u8>, Status)> {
+    pub(crate) fn wait_deadline(
+        &mut self,
+        deadline: Option<Instant>,
+    ) -> MpiResult<(Vec<u8>, Status)> {
         let start = Instant::now();
         let done_status = Status {
             source: usize::MAX,
@@ -237,118 +239,10 @@ impl RawRequest {
             },
         }
     }
-
-    /// Completes all requests, returning receive payloads in request order
-    /// (`MPI_Waitall`).
-    pub fn wait_all(requests: &mut [RawRequest]) -> MpiResult<Vec<(Vec<u8>, Status)>> {
-        requests.iter_mut().map(RawRequest::wait).collect()
-    }
-
-    /// Waits until at least one request completes and returns
-    /// `(index, payload, status)` (`MPI_Waitany`). Returns `None` when every
-    /// request was already complete.
-    pub fn wait_any(requests: &mut [RawRequest]) -> MpiResult<Option<(usize, Vec<u8>, Status)>> {
-        if requests.iter().all(RawRequest::is_complete) {
-            return Ok(None);
-        }
-        loop {
-            for (i, r) in requests.iter_mut().enumerate() {
-                if r.is_complete() {
-                    continue;
-                }
-                if let Some(done) = r.test()? {
-                    return Ok(Some((i, done.0, done.1)));
-                }
-            }
-            std::thread::yield_now();
-        }
-    }
-
-    /// Tests all requests; returns completions (index, payload, status) of
-    /// those that finished this poll (`MPI_Testsome`).
-    pub fn test_some(requests: &mut [RawRequest]) -> MpiResult<Vec<(usize, Vec<u8>, Status)>> {
-        let mut done = Vec::new();
-        for (i, r) in requests.iter_mut().enumerate() {
-            if r.is_complete() {
-                continue;
-            }
-            if let Some((payload, status)) = r.test()? {
-                done.push((i, payload, status));
-            }
-        }
-        Ok(done)
-    }
-}
-
-/// A simple pool collecting requests for bulk completion — the substrate
-/// analog of KaMPIng's unbounded request pool (§III-E). The bounded variant
-/// lives in the binding layer.
-#[derive(Default)]
-pub struct RequestPool {
-    requests: Vec<RawRequest>,
-    /// Completions gathered by partial polls, keyed by insertion index.
-    completed: HashMap<usize, (Vec<u8>, Status)>,
-}
-
-impl RequestPool {
-    /// Creates an empty pool.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Adds a request; returns its index within the pool.
-    pub fn push(&mut self, request: RawRequest) -> usize {
-        self.requests.push(request);
-        self.requests.len() - 1
-    }
-
-    /// Number of pooled requests (complete or not).
-    pub fn len(&self) -> usize {
-        self.requests.len()
-    }
-
-    /// True if the pool holds no requests.
-    pub fn is_empty(&self) -> bool {
-        self.requests.is_empty()
-    }
-
-    /// Completes every pooled request; returns payload/status pairs in
-    /// insertion order and empties the pool.
-    pub fn wait_all(&mut self) -> MpiResult<Vec<(Vec<u8>, Status)>> {
-        let mut out: Vec<(Vec<u8>, Status)> = Vec::with_capacity(self.requests.len());
-        for (i, r) in self.requests.iter_mut().enumerate() {
-            if let Some(done) = self.completed.remove(&i) {
-                out.push(done);
-            } else {
-                out.push(r.wait()?);
-            }
-        }
-        self.requests.clear();
-        self.completed.clear();
-        Ok(out)
-    }
-
-    /// Polls every incomplete request once; true when all are complete.
-    pub fn test_all(&mut self) -> MpiResult<bool> {
-        let mut all = true;
-        for (i, r) in self.requests.iter_mut().enumerate() {
-            if self.completed.contains_key(&i) {
-                continue;
-            }
-            match r.test()? {
-                Some(done) => {
-                    self.completed.insert(i, done);
-                }
-                None => all = false,
-            }
-        }
-        Ok(all)
-    }
 }
 
 #[cfg(test)]
 mod tests {
-    use super::*;
     use crate::Universe;
 
     #[test]
@@ -362,36 +256,6 @@ mod tests {
                 assert!(req.test().unwrap().is_some());
             } else {
                 comm.recv(0, 0).unwrap();
-            }
-        });
-    }
-
-    #[test]
-    fn wait_all_orders_by_request() {
-        Universe::run(3, |comm| {
-            if comm.rank() == 0 {
-                let mut reqs = vec![comm.irecv(1, 0).unwrap(), comm.irecv(2, 0).unwrap()];
-                let done = RawRequest::wait_all(&mut reqs).unwrap();
-                assert_eq!(done[0].0, b"from-1");
-                assert_eq!(done[1].0, b"from-2");
-            } else {
-                let msg = format!("from-{}", comm.rank());
-                comm.send(0, 0, msg.as_bytes()).unwrap();
-            }
-        });
-    }
-
-    #[test]
-    fn wait_any_returns_some_completion() {
-        Universe::run(2, |comm| {
-            if comm.rank() == 0 {
-                let mut reqs = vec![comm.irecv(1, 0).unwrap()];
-                let (idx, payload, _) = RawRequest::wait_any(&mut reqs).unwrap().unwrap();
-                assert_eq!(idx, 0);
-                assert_eq!(payload, b"only");
-                assert!(RawRequest::wait_any(&mut reqs).unwrap().is_none());
-            } else {
-                comm.send(0, 0, b"only").unwrap();
             }
         });
     }
@@ -423,44 +287,6 @@ mod tests {
             } else {
                 comm.recv(0, 0).unwrap();
                 comm.send(0, 7, b"late").unwrap();
-            }
-        });
-    }
-
-    #[test]
-    fn pool_wait_all() {
-        Universe::run(4, |comm| {
-            if comm.rank() == 0 {
-                let mut pool = RequestPool::new();
-                for src in 1..comm.size() {
-                    pool.push(comm.irecv(src, 0).unwrap());
-                }
-                assert_eq!(pool.len(), 3);
-                let done = pool.wait_all().unwrap();
-                assert!(pool.is_empty());
-                let bytes: Vec<u8> = done.iter().map(|(p, _)| p[0]).collect();
-                assert_eq!(bytes, vec![1, 2, 3]);
-            } else {
-                comm.send(0, 0, &[comm.rank() as u8]).unwrap();
-            }
-        });
-    }
-
-    #[test]
-    fn pool_test_all_makes_progress() {
-        Universe::run(2, |comm| {
-            if comm.rank() == 0 {
-                let mut pool = RequestPool::new();
-                pool.push(comm.irecv(1, 0).unwrap());
-                comm.send(1, 1, b"go").unwrap();
-                while !pool.test_all().unwrap() {
-                    std::thread::yield_now();
-                }
-                let done = pool.wait_all().unwrap();
-                assert_eq!(done[0].0, b"late");
-            } else {
-                comm.recv(0, 1).unwrap();
-                comm.send(0, 0, b"late").unwrap();
             }
         });
     }

@@ -9,7 +9,7 @@
 pub type Tag = u32;
 
 /// Largest tag available to user code.
-pub const MAX_USER_TAG: Tag = (1 << 24) - 1;
+pub(crate) const MAX_USER_TAG: Tag = (1 << 24) - 1;
 
 /// Wildcard: match a message from any source (`MPI_ANY_SOURCE`).
 pub const ANY_SOURCE: usize = usize::MAX;

@@ -38,18 +38,18 @@ pub struct HierTopo {
 
 impl HierTopo {
     /// Leader (lowest rank) of group `g`.
-    pub fn leader(&self, g: usize) -> usize {
+    pub(crate) fn leader(&self, g: usize) -> usize {
         self.groups[g][0]
     }
 
     /// All group leaders, in group-id (= ascending-leader) order.
-    pub fn leaders(&self) -> Vec<usize> {
+    pub(crate) fn leaders(&self) -> Vec<usize> {
         self.groups.iter().map(|g| g[0]).collect()
     }
 
     /// True if a two-level tree can beat a flat one: more than one host
     /// group, and at least one group with local fan-out.
-    pub fn has_fanout(&self) -> bool {
+    pub(crate) fn has_fanout(&self) -> bool {
         self.groups.len() > 1 && self.groups.iter().any(|g| g.len() >= 2)
     }
 }
@@ -57,11 +57,11 @@ impl HierTopo {
 /// Adjacency of one rank in a distributed communication graph
 /// (`MPI_Dist_graph_create_adjacent`). Ranks are communicator-local.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct GraphTopo {
+pub(crate) struct GraphTopo {
     /// Ranks this rank receives from.
-    pub sources: Vec<usize>,
+    pub(crate) sources: Vec<usize>,
     /// Ranks this rank sends to.
-    pub destinations: Vec<usize>,
+    pub(crate) destinations: Vec<usize>,
 }
 
 impl RawComm {

@@ -18,7 +18,7 @@
 //!
 //! The exact counts (`calls`, messages and bytes sent) are always on and
 //! need no gate. Everything else hangs off one flags word
-//! ([`TraceCtx::flags`], bits [`MEASURE`] | [`METRICS`] | [`EVENTS`]):
+//! (`TraceCtx::flags`, bits `MEASURE` | `METRICS` | `EVENTS`):
 //! with all bits clear (the default) every probe is the always-on
 //! `fetch_add`s plus one relaxed load and a branch — no clock is read, no
 //! allocation happens, no lock is taken; under the `no-trace` feature the
@@ -27,7 +27,7 @@
 //! # Activation
 //!
 //! * `KAMPING_TRACE=<path|dir|1>` — events + measuring; the trace is
-//!   written at teardown (see [`crate::config::Config`]).
+//!   written at teardown (see `crate::config::Config`).
 //! * `KAMPING_MEASURE=1` — per-op latency and wait attribution only.
 //! * `KAMPING_METRICS=<path|1>` — counters, gauges, sampled histograms.
 //! * [`crate::Universe::run_traced`] — programmatic, env-independent.
@@ -85,17 +85,17 @@ thread_local! {
 
 /// Marks the current thread as hosting global rank `rank` (used to label
 /// wait events that occur outside any one mailbox, e.g. hub waits).
-pub fn set_thread_rank(rank: usize) {
+pub(crate) fn set_thread_rank(rank: usize) {
     THREAD_RANK.with(|r| r.set(rank as u32));
 }
 
 /// The global rank hosted by the current thread, or `u32::MAX`.
-pub fn thread_rank() -> u32 {
+pub(crate) fn thread_rank() -> u32 {
     THREAD_RANK.with(Cell::get)
 }
 
 /// Total nanoseconds the current thread has spent blocked so far.
-pub fn thread_wait_ns() -> u64 {
+pub(crate) fn thread_wait_ns() -> u64 {
     THREAD_WAIT_NS.with(Cell::get)
 }
 
@@ -289,28 +289,28 @@ mod tscclock {
 }
 
 /// Gate bit: per-op latency and wait attribution (`total_ns` / `wait_ns`).
-pub const MEASURE: u8 = 1;
+pub(crate) const MEASURE: u8 = 1;
 /// Gate bit: counters, gauges, sampled histograms, the in-flight breadcrumb.
-pub const METRICS: u8 = 2;
+pub(crate) const METRICS: u8 = 2;
 /// Gate bit: lifecycle events into the ring (set together with [`MEASURE`]).
-pub const EVENTS: u8 = 4;
+pub(crate) const EVENTS: u8 = 4;
 
 /// The numbers kept per rank, in wire order. Instantiated twice: over
-/// `AtomicU64` as the live block the probes write ([`RankStats`]), over
+/// `AtomicU64` as the live block the probes write (`RankStats`), over
 /// `u64` as its frozen copy ([`crate::metrics::MetricsSnapshot`]) — one
 /// layout, so a snapshot, a delta, a merge and the wire form are all walks
-/// over [`StatsBlock::words`].
+/// over `StatsBlock::words`.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct StatsBlock<T> {
     /// Invocations per [`Op`] (always on; indexed by discriminant).
     pub op_calls: [T; N_OPS],
-    /// Wall-clock nanoseconds per [`Op`] (while [`MEASURE`] is set).
+    /// Wall-clock nanoseconds per [`Op`] (while `MEASURE` is set).
     pub op_total_ns: [T; N_OPS],
     /// The blocked-waiting part of `op_total_ns`.
     pub op_wait_ns: [T; N_OPS],
-    /// Counter values in [`crate::metrics::ALL_COUNTERS`] order.
+    /// Counter values in `crate::metrics::ALL_COUNTERS` order.
     pub counters: [T; N_COUNTERS],
-    /// Gauge values in [`crate::metrics::ALL_GAUGES`] order.
+    /// Gauge values in `crate::metrics::ALL_GAUGES` order.
     pub gauges: [T; N_GAUGES],
     /// Histogram buckets, `[hist][bucket]`.
     pub hists: [[T; N_BUCKETS]; N_HISTS],
@@ -331,7 +331,7 @@ impl<T: Default> Default for StatsBlock<T> {
 
 impl<T> StatsBlock<T> {
     /// Every cell, in wire order.
-    pub fn words(&self) -> impl Iterator<Item = &T> {
+    pub(crate) fn words(&self) -> impl Iterator<Item = &T> {
         (self.op_calls.iter())
             .chain(&self.op_total_ns)
             .chain(&self.op_wait_ns)
@@ -341,7 +341,7 @@ impl<T> StatsBlock<T> {
     }
 
     /// Every cell, in wire order, mutably.
-    pub fn words_mut(&mut self) -> impl Iterator<Item = &mut T> {
+    pub(crate) fn words_mut(&mut self) -> impl Iterator<Item = &mut T> {
         (self.op_calls.iter_mut())
             .chain(&mut self.op_total_ns)
             .chain(&mut self.op_wait_ns)
@@ -356,7 +356,7 @@ impl<T> StatsBlock<T> {
 /// always-on words of neighbouring ranks never share a cache line.
 #[derive(Debug, Default)]
 #[repr(align(64))]
-pub struct RankStats {
+pub(crate) struct RankStats {
     block: StatsBlock<AtomicU64>,
     /// `start_ns << 8 | (op + 1)` while an op scope is open, 0 otherwise —
     /// the flight recorder's "op in flight at failure time" (`start_ns` is
@@ -371,7 +371,7 @@ impl RankStats {
     }
 
     /// Freezes the whole block.
-    pub fn snapshot(&self) -> StatsBlock<u64> {
+    pub(crate) fn snapshot(&self) -> StatsBlock<u64> {
         let mut snap = StatsBlock::<u64>::default();
         for (out, cell) in snap.words_mut().zip(self.block.words()) {
             *out = cell.load(Ordering::Relaxed);
@@ -380,13 +380,13 @@ impl RankStats {
     }
 
     /// Freezes the always-on part only (cheap enough to call per op).
-    pub fn profile(&self) -> RankProfile {
+    pub(crate) fn profile(&self) -> RankProfile {
         RankProfile::of(&self.block, |cell| cell.load(Ordering::Relaxed))
     }
 
     /// The op currently in flight, with its start (`now_ns` domain, 0 when
     /// the start was not timed).
-    pub fn in_flight(&self) -> Option<(Op, u64)> {
+    pub(crate) fn in_flight(&self) -> Option<(Op, u64)> {
         let v = self.in_flight.load(Ordering::Relaxed);
         let op = *ALL_OPS.get(((v & 0xff) as usize).checked_sub(1)?)?;
         Some((op, v >> 8))
@@ -408,7 +408,7 @@ macro_rules! envelope_event {
 }
 
 /// Per-universe instrumentation state: the gate word, the monotonic
-/// epoch, the event ring and one [`RankStats`] per global rank.
+/// epoch, the event ring and one `RankStats` per global rank.
 #[derive(Debug)]
 pub struct TraceCtx {
     /// The activation bits — the only gate in the crate.
@@ -428,7 +428,7 @@ pub struct TraceCtx {
 impl TraceCtx {
     /// A context for `size` ranks with the given activation bits
     /// ([`crate::config::Config::trace_flags`]).
-    pub fn new(size: usize, flags: u8) -> Self {
+    pub(crate) fn new(size: usize, flags: u8) -> Self {
         // Calibrate the fast clock before capturing the epoch pair, so the
         // one-time spin never lands between the two base readings.
         #[cfg(target_arch = "x86_64")]
@@ -464,7 +464,7 @@ impl TraceCtx {
     /// seed-equivalent build the overhead guard compares the
     /// runtime-disabled path against.
     #[inline]
-    pub fn flags(&self) -> u8 {
+    pub(crate) fn flags(&self) -> u8 {
         if cfg!(feature = "no-trace") {
             return 0;
         }
@@ -472,13 +472,13 @@ impl TraceCtx {
     }
 
     /// Number of rank slots.
-    pub fn size(&self) -> usize {
+    pub(crate) fn size(&self) -> usize {
         self.ranks.len()
     }
 
     /// The live block of global rank `rank`.
     #[inline]
-    pub fn rank(&self, rank: usize) -> &RankStats {
+    pub(crate) fn rank(&self, rank: usize) -> &RankStats {
         &self.ranks[rank]
     }
 
@@ -486,7 +486,7 @@ impl TraceCtx {
     /// calibrated TSC when available (see [`tscclock`]), from the OS
     /// monotonic clock otherwise.
     #[inline]
-    pub fn now_ns(&self) -> u64 {
+    pub(crate) fn now_ns(&self) -> u64 {
         #[cfg(target_arch = "x86_64")]
         if let Some(mult) = tscclock::mult() {
             let dc = tscclock::read().wrapping_sub(self.tsc_epoch);
@@ -496,7 +496,7 @@ impl TraceCtx {
     }
 
     /// Wall-clock (unix) nanoseconds at the epoch.
-    pub fn epoch_unix_ns(&self) -> u64 {
+    pub(crate) fn epoch_unix_ns(&self) -> u64 {
         self.epoch_unix_ns
     }
 
@@ -512,12 +512,12 @@ impl TraceCtx {
     }
 
     /// Events lost to ring overflow so far.
-    pub fn dropped_events(&self) -> u64 {
+    pub(crate) fn dropped_events(&self) -> u64 {
         self.dropped.load(Ordering::Relaxed)
     }
 
     /// Drains all shards and returns the events sorted by timestamp.
-    pub fn take_events(&self) -> Vec<TraceEvent> {
+    pub(crate) fn take_events(&self) -> Vec<TraceEvent> {
         let mut all = Vec::new();
         for shard in &self.shards {
             all.extend(shard.lock().expect("trace shard poisoned").drain(..));
@@ -681,7 +681,7 @@ impl TraceCtx {
     /// rank this context has no slot for — the [`thread_rank`] of a helper
     /// thread — counts nothing.
     #[inline]
-    pub fn count(&self, rank: usize, c: Counter, v: u64) {
+    pub(crate) fn count(&self, rank: usize, c: Counter, v: u64) {
         if self.flags() & METRICS != 0 {
             if let Some(stats) = self.ranks.get(rank) {
                 stats.counter(c).fetch_add(v, Ordering::Relaxed);
@@ -691,7 +691,7 @@ impl TraceCtx {
 
     /// Raises a high-water gauge to at least `v`.
     #[inline]
-    pub fn gauge_max(&self, rank: usize, g: Gauge, v: u64) {
+    pub(crate) fn gauge_max(&self, rank: usize, g: Gauge, v: u64) {
         if self.flags() & METRICS != 0 {
             self.ranks[rank].block.gauges[g as usize].fetch_max(v, Ordering::Relaxed);
         }
@@ -700,7 +700,7 @@ impl TraceCtx {
     /// Moves a level gauge by `delta` (every decrement follows a matching
     /// increment, so the wrapping add never underflows).
     #[inline]
-    pub fn gauge_add(&self, rank: usize, g: Gauge, delta: i64) {
+    pub(crate) fn gauge_add(&self, rank: usize, g: Gauge, delta: i64) {
         if self.flags() & METRICS != 0 {
             self.ranks[rank].block.gauges[g as usize].fetch_add(delta as u64, Ordering::Relaxed);
         }
@@ -708,7 +708,7 @@ impl TraceCtx {
 
     /// Records one latency observation (nanoseconds).
     #[inline]
-    pub fn observe(&self, rank: usize, h: Hist, ns: u64) {
+    pub(crate) fn observe(&self, rank: usize, h: Hist, ns: u64) {
         if self.flags() & METRICS != 0 {
             self.ranks[rank].block.hists[h as usize][bucket_of(ns)].fetch_add(1, Ordering::Relaxed);
         }
@@ -717,14 +717,14 @@ impl TraceCtx {
     /// The clock, if metrics are on — for sites that time a region only to
     /// [`TraceCtx::observe`] it afterwards.
     #[inline]
-    pub fn metrics_clock(&self) -> Option<u64> {
+    pub(crate) fn metrics_clock(&self) -> Option<u64> {
         (self.flags() & METRICS != 0).then(|| self.now_ns())
     }
 
     /// Records the event `make` builds (while [`EVENTS`] is set; `make`
     /// does not run otherwise).
     #[inline]
-    pub fn event(&self, make: impl FnOnce() -> EventKind) {
+    pub(crate) fn event(&self, make: impl FnOnce() -> EventKind) {
         if self.flags() & EVENTS != 0 {
             self.record_at(self.now_ns(), make());
         }
@@ -748,7 +748,7 @@ struct OpScopeInner<'a> {
 
 /// RAII guard around one substrate operation (see [`TraceCtx::op`]); `None`
 /// when neither [`MEASURE`] nor [`METRICS`] was set on entry.
-pub struct OpScope<'a>(Option<OpScopeInner<'a>>);
+pub(crate) struct OpScope<'a>(Option<OpScopeInner<'a>>);
 
 impl Drop for OpScope<'_> {
     #[inline]
@@ -943,25 +943,25 @@ fn trace_document<'a>(objects: impl Iterator<Item = &'a String>) -> String {
 
 /// Renders `events` as one Chrome trace JSON document (run-relative
 /// timestamps — the single-process export).
-pub fn chrome_trace_json(events: &[TraceEvent]) -> String {
+pub(crate) fn chrome_trace_json(events: &[TraceEvent]) -> String {
     trace_document(render_events(events, 0).iter())
 }
 
 /// Per-rank bookkeeping carried in the trace metadata line (a Chrome
 /// `"ph":"M"` event, so Perfetto tolerates it).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct RankTraceMeta {
+pub(crate) struct RankTraceMeta {
     /// Global rank the file belongs to.
-    pub rank: usize,
+    pub(crate) rank: usize,
     /// Events lost to ring overflow in that process.
-    pub dropped_events: u64,
+    pub(crate) dropped_events: u64,
 }
 
 /// Writes `events` as JSONL (one Chrome event object per line, timestamps
 /// shifted to absolute wall-clock µs) — the per-rank format merged by
 /// [`merge_trace_dir`]. `meta` (when present) becomes the file's first
 /// line, carrying the rank's dropped-event count into the merge.
-pub fn write_trace_jsonl(
+pub(crate) fn write_trace_jsonl(
     path: &Path,
     events: &[TraceEvent],
     epoch_unix_ns: u64,

@@ -8,7 +8,7 @@
 //! * [`ShmTransport`] (this module) — all ranks are threads of one process
 //!   and every mailbox is directly reachable; control propagation is a
 //!   no-op because the fault/barrier state is genuinely shared.
-//! * [`crate::net::SocketTransport`] — each rank is its own OS process;
+//! * `crate::net::SocketTransport` — each rank is its own OS process;
 //!   envelopes travel as length-prefixed frames over per-peer sockets and
 //!   control events are broadcast as control frames (see `crate::net`).
 //!
@@ -18,10 +18,10 @@
 //!
 //! A backend that reads messages off a wire delivers in two steps instead
 //! of one `post`: with a message's header in hand it asks the mailbox
-//! where the payload goes ([`Mailbox::dest_for`]), reads the payload
-//! straight into that, and hands it back ([`Mailbox::land`]). The answer is
+//! where the payload goes (`Mailbox::dest_for`), reads the payload
+//! straight into that, and hands it back (`Mailbox::land`). The answer is
 //! the buffer a blocked receive *posted* for exactly this message
-//! ([`Sink`], [`Mailbox::take_into`]) or one exact-size allocation that
+//! ([`Sink`], `Mailbox::take_into`) or one exact-size allocation that
 //! becomes the envelope's payload — so a large message is copied once on
 //! its way in, and into the very buffer its receiver gets back.
 //!
@@ -46,7 +46,7 @@
 //! what a sleep and its wake cost), re-attempting and yielding the core in
 //! between, and then sleeps on the mailbox's *gate*, an event count. A
 //! sleeping receiver never polls: a deposit bumps the gate's epoch and wakes
-//! it, failure/revocation events [`Mailbox::kick`] every mailbox, so sleeps
+//! it, failure/revocation events `Mailbox::kick` every mailbox, so sleeps
 //! carry no timeout — and a deposit that finds nobody asleep pays one
 //! atomic add, no lock and no system call. The [`Hub`] is the same gate for
 //! events that are not tied to one mailbox (ssend acknowledgements, failure
@@ -107,7 +107,7 @@ impl Payload {
 
     /// Packs an owned buffer without copying (unless it fits inline, in
     /// which case the allocation is dropped).
-    pub fn from_vec(v: Vec<u8>) -> Self {
+    pub(crate) fn from_vec(v: Vec<u8>) -> Self {
         if v.len() <= INLINE_CAP {
             Payload::from_slice(&v)
         } else {
@@ -115,13 +115,8 @@ impl Payload {
         }
     }
 
-    /// Wraps an already-shared buffer (fan-out senders clone the `Arc`).
-    pub fn from_shared(v: Arc<Vec<u8>>) -> Self {
-        Payload::Shared(v)
-    }
-
     /// The payload bytes.
-    pub fn as_slice(&self) -> &[u8] {
+    pub(crate) fn as_slice(&self) -> &[u8] {
         match self {
             Payload::Inline { len, data } => &data[..*len as usize],
             Payload::Shared(v) => v,
@@ -129,16 +124,11 @@ impl Payload {
     }
 
     /// Payload length in bytes.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         match self {
             Payload::Inline { len, .. } => *len as usize,
             Payload::Shared(v) => v.len(),
         }
-    }
-
-    /// True for zero-length payloads.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
     }
 
     /// True when the bytes ride inline (no heap allocation).
@@ -161,7 +151,7 @@ impl Payload {
 ///
 /// In-process the sender holds the same cell the receiver flips. For
 /// remote senders the receiving transport attaches a *hook* that runs on
-/// the first [`AckCell::set`] — the socket backend uses it to send the
+/// the first `AckCell::set` — the socket backend uses it to send the
 /// acknowledgement frame back to the origin rank.
 #[derive(Default)]
 pub struct AckCell {
@@ -178,15 +168,10 @@ impl std::fmt::Debug for AckCell {
 }
 
 impl AckCell {
-    /// Creates an unmatched cell.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
     /// Creates an unmatched cell whose first [`AckCell::set`] additionally
     /// runs `hook` (used by transports to propagate the ack to a remote
     /// sender).
-    pub fn with_hook(hook: impl FnOnce() + Send + 'static) -> Self {
+    pub(crate) fn with_hook(hook: impl FnOnce() + Send + 'static) -> Self {
         Self {
             matched: AtomicBool::new(false),
             on_set: Mutex::new(Some(Box::new(hook))),
@@ -194,7 +179,7 @@ impl AckCell {
     }
 
     /// Marks the message as matched by a receiver.
-    pub fn set(&self) {
+    pub(crate) fn set(&self) {
         self.matched.store(true, Ordering::Release);
         let hook = self.on_set.lock().expect("ack hook poisoned").take();
         if let Some(hook) = hook {
@@ -203,7 +188,7 @@ impl AckCell {
     }
 
     /// True once a receiver has matched the message.
-    pub fn is_set(&self) -> bool {
+    pub(crate) fn is_set(&self) -> bool {
         self.matched.load(Ordering::Acquire)
     }
 }
@@ -225,7 +210,7 @@ pub struct Envelope {
 
 impl Envelope {
     /// The message's (source, tag, context).
-    pub fn key(&self) -> MatchKey {
+    pub(crate) fn key(&self) -> MatchKey {
         MatchKey {
             src: self.src,
             tag: self.tag,
@@ -502,8 +487,8 @@ impl Gate {
 
 /// Process-wide wakeup channel for events that are not bound to a single
 /// mailbox: ssend acknowledgements and failure/revocation marks. Waiters
-/// re-evaluate a readiness predicate: for a [`PATIENCE`] on their own, then
-/// asleep and once per [`Hub::notify`] — there is no timeout and no
+/// re-evaluate a readiness predicate: for a `PATIENCE` on their own, then
+/// asleep and once per `Hub::notify` — there is no timeout and no
 /// polling interval.
 #[derive(Debug, Default)]
 pub struct Hub {
@@ -521,13 +506,13 @@ impl Hub {
 
     /// Binds the universe's trace context so hub waits are attributed as
     /// blocked time. Idempotent; the first binding wins.
-    pub fn bind_trace(&self, trace: Arc<TraceCtx>) {
+    pub(crate) fn bind_trace(&self, trace: Arc<TraceCtx>) {
         let _ = self.trace.set(trace);
     }
 
     /// Signals every current waiter to re-check its predicate. The state
     /// the predicate reads must have been changed before this call.
-    pub fn notify(&self) {
+    pub(crate) fn notify(&self) {
         if self.gate.bump() {
             if let Some(trace) = self.trace.get() {
                 trace.count(thread_rank() as usize, Counter::GateWakes, 1);
@@ -537,7 +522,7 @@ impl Hub {
 
     /// Blocks until `ready` returns `Some`, re-evaluating whenever the hub
     /// is notified. The predicate runs with no lock held.
-    pub fn wait_until<T>(&self, ready: impl FnMut() -> Option<T>) -> T {
+    pub(crate) fn wait_until<T>(&self, ready: impl FnMut() -> Option<T>) -> T {
         self.wait_until_deadline(ready, None)
             .expect("deadline-free wait cannot time out")
     }
@@ -546,7 +531,7 @@ impl Hub {
     /// if the predicate still yields nothing once the deadline has passed
     /// (the predicate is always re-checked one final time first, so a wake
     /// racing the deadline is not lost). `deadline: None` waits forever.
-    pub fn wait_until_deadline<T>(
+    pub(crate) fn wait_until_deadline<T>(
         &self,
         mut ready: impl FnMut() -> Option<T>,
         deadline: Option<Instant>,
@@ -653,7 +638,7 @@ impl Mailbox {
     /// are ignored). `poll` must be cheap when there is nothing to do, may
     /// be invoked from any thread that blocks on this mailbox, and may
     /// re-enter [`Mailbox::post`].
-    pub fn set_progress_poll(&self, poll: impl Fn() -> bool + Send + Sync + 'static) {
+    pub(crate) fn set_progress_poll(&self, poll: impl Fn() -> bool + Send + Sync + 'static) {
         let _ = self.progress.set(ProgressPoll(Box::new(poll)));
     }
 
@@ -703,7 +688,7 @@ impl Mailbox {
     }
 
     /// Wakes all waiters so they can re-check failure/revocation state.
-    pub fn kick(&self) {
+    pub(crate) fn kick(&self) {
         self.bump();
         // Failure/revocation marks must also reach schedules nobody is
         // waiting on (dropped requests adopted by the engine).
@@ -775,7 +760,7 @@ impl Mailbox {
 
     /// Returns (source, tag, byte length) of the first matching envelope
     /// without removing it (`MPI_Iprobe`).
-    pub fn try_peek(&self, key: MatchKey) -> Option<(usize, Tag, usize)> {
+    pub(crate) fn try_peek(&self, key: MatchKey) -> Option<(usize, Tag, usize)> {
         let peek_lane = |lane: &Lane| {
             let q = lane.queue.lock().expect("lane poisoned");
             q.iter()
@@ -794,7 +779,7 @@ impl Mailbox {
     ///
     /// `interrupt` returns `Some(err)` when the wait must be abandoned (the
     /// awaited peer died, or the communicator was revoked). Once the wait
-    /// sleeps, deposits and [`Mailbox::kick`] are its only wake sources.
+    /// sleeps, deposits and `Mailbox::kick` are its only wake sources.
     pub fn take_blocking(
         &self,
         key: MatchKey,
@@ -806,7 +791,7 @@ impl Mailbox {
     /// Like [`Mailbox::take_blocking`], but gives up at `deadline` with
     /// [`MpiError::Timeout`] — the bounded receive that chaos testing and
     /// hung-peer detection rely on. `deadline: None` waits forever.
-    pub fn take_blocking_deadline(
+    pub(crate) fn take_blocking_deadline(
         &self,
         key: MatchKey,
         interrupt: &dyn Fn() -> Option<MpiError>,
@@ -817,23 +802,12 @@ impl Mailbox {
 
     /// Blocks until a matching envelope is available and returns its
     /// (source, tag, length) without consuming it (`MPI_Probe`).
-    pub fn peek_blocking(
+    pub(crate) fn peek_blocking(
         &self,
         key: MatchKey,
         interrupt: &dyn Fn() -> Option<MpiError>,
     ) -> MpiResult<(usize, Tag, usize)> {
         self.wait_matching(interrupt, None, |mb| mb.try_peek(key))
-    }
-
-    /// Like [`Mailbox::peek_blocking`], but gives up at `deadline` with
-    /// [`MpiError::Timeout`].
-    pub fn peek_blocking_deadline(
-        &self,
-        key: MatchKey,
-        interrupt: &dyn Fn() -> Option<MpiError>,
-        deadline: Option<Instant>,
-    ) -> MpiResult<(usize, Tag, usize)> {
-        self.wait_matching(interrupt, deadline, |mb| mb.try_peek(key))
     }
 
     /// Copies a taken message into `sink` (unless the sink refuses it) and
@@ -1120,7 +1094,7 @@ impl Mailbox {
     }
 
     /// Number of queued envelopes (diagnostics / tests only).
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.lanes
             .iter()
             .map(|l| l.queue.lock().expect("lane poisoned").len())
@@ -1173,7 +1147,7 @@ pub enum ControlMsg {
 
 /// Expands a member bitmask (bit `r` ⇔ global rank `r`) into the sorted
 /// rank list communicators are derived from.
-pub fn members_from_mask(mask: u64) -> Vec<usize> {
+pub(crate) fn members_from_mask(mask: u64) -> Vec<usize> {
     (0..64).filter(|r| mask & (1 << r) != 0).collect()
 }
 
@@ -1181,7 +1155,7 @@ pub fn members_from_mask(mask: u64) -> Vec<usize> {
 ///
 /// # Panics
 /// Panics if any rank is ≥ 64 (the config layer rejects such universes).
-pub fn members_to_mask(members: &[usize]) -> u64 {
+pub(crate) fn members_to_mask(members: &[usize]) -> u64 {
     members.iter().fold(0u64, |m, &r| {
         assert!(r < 64, "elastic universes are capped at 64 global ranks");
         m | (1 << r)
@@ -1191,7 +1165,7 @@ pub fn members_to_mask(members: &[usize]) -> u64 {
 /// Where incoming *remote* control events are applied. Implemented by the
 /// universe state: transports deliver control frames here without ever
 /// re-broadcasting them (only the originating rank broadcasts).
-pub trait ControlSink: Send + Sync {
+pub(crate) trait ControlSink: Send + Sync {
     /// Applies one control event to the local fault/barrier view.
     fn apply(&self, msg: ControlMsg);
 }
@@ -1212,7 +1186,7 @@ pub enum Locality {
 impl Locality {
     /// True if the rank shares this host (in-process or shared memory) —
     /// the grouping predicate of the hierarchical collectives.
-    pub fn same_host(self) -> bool {
+    pub(crate) fn same_host(self) -> bool {
         self <= Locality::Host
     }
 }
@@ -1900,7 +1874,7 @@ mod tests {
     #[test]
     fn receive_abandoned_mid_payload_leaves_an_ordinary_envelope() {
         let mb = wired(2);
-        let ack = Arc::new(AckCell::new());
+        let ack = Arc::new(AckCell::default());
         let gate = Hub::new();
         let (claimed, gave_up) = (AtomicBool::new(false), AtomicBool::new(false));
         std::thread::scope(|s| {
@@ -2062,17 +2036,14 @@ mod tests {
 
     #[test]
     fn shared_payload_aliases_one_allocation() {
-        let arc = Arc::new(vec![9u8; 100]);
-        let a = Payload::from_shared(arc.clone());
+        let a = Payload::from_vec(vec![9u8; 100]);
         let b = a.clone();
-        assert_eq!(Arc::strong_count(&arc), 3);
-        assert_eq!(a.as_slice().as_ptr(), b.as_slice().as_ptr());
+        let at = a.as_slice().as_ptr();
+        assert_eq!(at, b.as_slice().as_ptr());
         drop(a);
-        drop(b);
         // Unique holder unwraps without copying.
-        let p = Payload::from_shared(arc);
-        let back = p.into_vec();
-        assert_eq!(back.len(), 100);
+        let back = b.into_vec();
+        assert_eq!(back.as_ptr(), at);
     }
 
     #[test]

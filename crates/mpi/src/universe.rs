@@ -16,7 +16,7 @@
 //! All fault and barrier bookkeeping lives here as a *per-process view*:
 //! on the shm backend the view is genuinely shared by all ranks, on the
 //! socket backend each process keeps its own copy synchronized through
-//! [`ControlMsg`] frames applied via the [`ControlSink`] impl below.
+//! [`ControlMsg`] frames applied via the `ControlSink` impl below.
 
 use std::collections::HashSet;
 use std::panic::AssertUnwindSafe;
@@ -43,11 +43,11 @@ use crate::transport::{
 #[derive(Debug, Clone)]
 pub(crate) struct GrowEvent {
     /// Membership epoch this event established (strictly increasing).
-    pub epoch: u64,
+    pub(crate) epoch: u64,
     /// Global ranks admitted by this event.
-    pub joiners: Vec<usize>,
+    pub(crate) joiners: Vec<usize>,
     /// Complete membership after the event.
-    pub members: Vec<usize>,
+    pub(crate) members: Vec<usize>,
 }
 
 /// Shared state of one MPI job, as seen by one process.
@@ -56,58 +56,58 @@ pub(crate) struct UniverseState {
     /// the world size; on an elastic job it is the *capacity* — mailboxes,
     /// counters and transport lanes are sized for it up front, and ranks
     /// beyond the launch membership stay dormant until admitted.
-    pub size: usize,
+    pub(crate) size: usize,
     /// Global ranks alive at launch, ascending — the group of the world
     /// communicator this process hands to its SPMD closure(s). Normally
     /// `0..size`; smaller on elastic jobs; the admission-time membership
     /// on a late-joining socket process.
-    pub launch_members: Vec<usize>,
+    pub(crate) launch_members: Vec<usize>,
     /// Current membership (latest epoch's view).
-    pub members: RwLock<Vec<usize>>,
+    pub(crate) members: RwLock<Vec<usize>>,
     /// Latest membership epoch (0 = launch; each admission bumps it).
-    pub membership_epoch: AtomicU64,
+    pub(crate) membership_epoch: AtomicU64,
     /// Every grow event seen, ascending by epoch — kept whole so that a
     /// survivor lagging several admissions behind can replay them one
     /// typed epoch transition at a time.
-    pub grow_log: RwLock<Vec<GrowEvent>>,
+    pub(crate) grow_log: RwLock<Vec<GrowEvent>>,
     /// Ranks parked awaiting admission ([`Universe::run_elastic`], shm).
-    pub parked: Mutex<Vec<usize>>,
+    pub(crate) parked: Mutex<Vec<usize>>,
     /// Admitted-but-unfinished rank count (shm elastic termination): when
     /// it reaches zero, `closing` is raised and parked ranks give up.
-    pub active_unfinished: AtomicUsize,
+    pub(crate) active_unfinished: AtomicUsize,
     /// Raised when the job is over; never-admitted parked ranks exit.
-    pub closing: AtomicBool,
+    pub(crate) closing: AtomicBool,
     /// The backend moving envelopes and control events between ranks.
-    pub transport: Arc<dyn Transport>,
+    pub(crate) transport: Arc<dyn Transport>,
     /// Wakeup channel for events not tied to one mailbox: ssend acks,
     /// failure/revocation marks.
-    pub hub: Arc<Hub>,
+    pub(crate) hub: Arc<Hub>,
     /// Bumped on every failure/finish/revocation mark. Blocking waits cache
     /// their last verdict and re-scan the sets below only when this moves.
-    pub fault_epoch: AtomicU64,
+    pub(crate) fault_epoch: AtomicU64,
     /// Global ranks that have failed (ULFM).
-    pub failed: RwLock<HashSet<usize>>,
+    pub(crate) failed: RwLock<HashSet<usize>>,
     /// The first failure this process observed — what the flight recorder
     /// names in its crash report (local observation order; the post-mortem
     /// collector takes the consensus across processes).
-    pub first_failed: OnceLock<usize>,
+    pub(crate) first_failed: OnceLock<usize>,
     /// Global ranks whose SPMD closure has returned. A finished rank will
     /// never communicate again, so peers blocked on it must be interrupted
     /// (in real MPI, completing `MPI_Finalize` with matching operations
     /// still pending is erroneous; we surface it as a process failure).
-    pub finished: RwLock<HashSet<usize>>,
+    pub(crate) finished: RwLock<HashSet<usize>>,
     /// Context ids of revoked communicators (ULFM).
-    pub revoked: RwLock<HashSet<u64>>,
+    pub(crate) revoked: RwLock<HashSet<u64>>,
     /// Outstanding nonblocking-collective schedules of locally-hosted
     /// ranks, advanced by whichever thread delivers a collective-tagged
     /// envelope (see [`crate::icoll`]).
-    pub icoll: Registry,
+    pub(crate) icoll: Registry,
     /// The instrumentation core: one stats block per global rank (remote
     /// ranks' blocks stay zero on multi-process backends; each process
     /// reports its own), the gate word and the event ring.
-    pub trace: Arc<TraceCtx>,
+    pub(crate) trace: Arc<TraceCtx>,
     /// The environment as parsed at universe start.
-    pub config: Config,
+    pub(crate) config: Config,
 }
 
 impl UniverseState {
@@ -224,7 +224,7 @@ impl UniverseState {
 
     /// The mailbox of a locally-hosted rank.
     #[inline]
-    pub fn mailbox(&self, rank: usize) -> &Mailbox {
+    pub(crate) fn mailbox(&self, rank: usize) -> &Mailbox {
         self.transport.mailbox(rank)
     }
 
@@ -267,13 +267,13 @@ impl UniverseState {
 
     /// Marks `rank` failed, wakes every blocked local receiver, and tells
     /// all remote ranks.
-    pub fn mark_failed(&self, rank: usize) {
+    pub(crate) fn mark_failed(&self, rank: usize) {
         self.apply_failed(rank);
         self.transport.control(ControlMsg::Failed { rank });
     }
 
     /// True if `rank` is marked failed.
-    pub fn is_failed(&self, rank: usize) -> bool {
+    pub(crate) fn is_failed(&self, rank: usize) -> bool {
         self.failed
             .read()
             .expect("failed set poisoned")
@@ -282,13 +282,13 @@ impl UniverseState {
 
     /// Marks `rank` as finished (its SPMD closure returned), wakes every
     /// blocked local receiver, and tells all remote ranks.
-    pub fn mark_finished(&self, rank: usize) {
+    pub(crate) fn mark_finished(&self, rank: usize) {
         self.apply_finished(rank);
         self.transport.control(ControlMsg::Finished { rank });
     }
 
     /// True if `rank` will never communicate again (failed or finished).
-    pub fn is_gone(&self, rank: usize) -> bool {
+    pub(crate) fn is_gone(&self, rank: usize) -> bool {
         self.is_failed(rank)
             || self
                 .finished
@@ -338,7 +338,7 @@ impl UniverseState {
     }
 
     /// The membership of the latest epoch this process has observed.
-    pub fn current_members(&self) -> Vec<usize> {
+    pub(crate) fn current_members(&self) -> Vec<usize> {
         self.members.read().expect("members poisoned").clone()
     }
 
@@ -353,14 +353,14 @@ impl UniverseState {
     }
 
     /// Marks the communicator context revoked on all ranks.
-    pub fn mark_revoked(&self, ctx: u64) {
+    pub(crate) fn mark_revoked(&self, ctx: u64) {
         self.apply_revoked(ctx);
         self.transport.control(ControlMsg::Revoked { ctx });
     }
 
     /// True if the context has been revoked.
     #[inline]
-    pub fn is_revoked(&self, ctx: u64) -> bool {
+    pub(crate) fn is_revoked(&self, ctx: u64) -> bool {
         self.revoked
             .read()
             .expect("revoked set poisoned")
@@ -409,7 +409,7 @@ impl UniverseState {
     }
 
     /// Freezes the profiling counters.
-    pub fn profile(&self) -> ProfileSnapshot {
+    pub(crate) fn profile(&self) -> ProfileSnapshot {
         ProfileSnapshot::capture(&self.trace)
     }
 }
@@ -493,7 +493,7 @@ impl Universe {
     /// the environment (once), selects the backend, applies any
     /// `KAMPING_CHAOS` schedule, and surfaces configuration problems as
     /// [`MpiError::Config`].
-    pub fn try_run_profiled<R, F>(size: usize, f: F) -> MpiResult<(Vec<R>, ProfileSnapshot)>
+    pub(crate) fn try_run_profiled<R, F>(size: usize, f: F) -> MpiResult<(Vec<R>, ProfileSnapshot)>
     where
         R: Send,
         F: Fn(RawComm) -> R + Sync,
@@ -514,11 +514,11 @@ impl Universe {
         if config.socket.is_some() {
             return crate::net::run_socket(config, f);
         }
-        Self::run_threads(size, config, f)
+        Self::run_threads(size, size, config, f)
     }
 
     /// Runs `f` with tracing and measuring force-enabled (on top of any
-    /// `KAMPING_TRACE` settings) and returns a [`TraceReport`]: the raw
+    /// `KAMPING_TRACE` settings) and returns a `TraceReport`: the raw
     /// lifecycle events, a Perfetto-loadable Chrome trace document, and an
     /// aggregated per-op timer tree where every rank contributes its
     /// call counts and wait/compute latency split.
@@ -560,7 +560,7 @@ impl Universe {
     {
         let mut config = Config::from_env()?;
         config.chaos = Some(spec);
-        Self::run_threads(size, config, f).map(|job| job.values)
+        Self::run_threads(size, size, config, f).map(|job| job.values)
     }
 
     /// Runs `f` as an *elastic* SPMD job: `initial` ranks start immediately
@@ -582,32 +582,12 @@ impl Universe {
         F: Fn(RawComm) -> R + Sync,
     {
         let config = Config::from_env()?;
+        let wrapped = |comm: RawComm| (comm.my_global_rank(), f(comm));
         if config.socket.is_some() {
             // One rank per process under kampirun; joiners are separate
             // processes, so the initial/capacity split is the launcher's
             // business (`--ranks` / `--elastic`), not ours.
-            let wrapped = |comm: RawComm| (comm.my_global_rank(), f(comm));
             return crate::net::run_socket(config, wrapped).map(|job| job.values);
-        }
-        Self::run_elastic_threads(initial, capacity, config, f)
-    }
-
-    /// The shm elastic path: `capacity` rank threads, of which the last
-    /// `capacity - initial` park until admitted or until the job closes.
-    fn run_elastic_threads<R, F>(
-        initial: usize,
-        capacity: usize,
-        config: Config,
-        f: F,
-    ) -> MpiResult<Vec<(usize, R)>>
-    where
-        R: Send,
-        F: Fn(RawComm) -> R + Sync,
-    {
-        if initial == 0 {
-            return Err(MpiError::Config(
-                "an elastic universe needs at least one initial rank".into(),
-            ));
         }
         if capacity < initial {
             return Err(MpiError::Config(
@@ -617,6 +597,25 @@ impl Universe {
         if capacity > 64 {
             return Err(MpiError::Config(
                 "elastic universes are capped at 64 global ranks".into(),
+            ));
+        }
+        Self::run_threads(initial, capacity, config, wrapped).map(|job| job.values)
+    }
+
+    /// The shared-memory path: spawn `capacity` rank threads, of which the
+    /// last `capacity - initial` park until admitted or until the job
+    /// closes, and join them. A fixed-size job is `initial == capacity`:
+    /// nobody parks, so nobody draws from the parked pool or waits for
+    /// `closing`. Hands back, in rank order, the result of every rank
+    /// whose closure ran.
+    fn run_threads<R, F>(initial: usize, capacity: usize, config: Config, f: F) -> MpiResult<Job<R>>
+    where
+        R: Send,
+        F: Fn(RawComm) -> R + Sync,
+    {
+        if initial == 0 {
+            return Err(MpiError::Config(
+                "a universe needs at least one rank".into(),
             ));
         }
         let state = UniverseState::new_shm(capacity, initial, config);
@@ -662,8 +661,12 @@ impl Universe {
                         };
                         let outcome = std::panic::catch_unwind(AssertUnwindSafe(|| f(comm)));
                         if outcome.is_err() {
+                            // Treat a panicking rank as a crashed process so
+                            // that peers error out instead of deadlocking.
                             state.mark_failed(rank);
                         }
+                        // Drain any fault-injection queues first: Finished
+                        // must not overtake data this rank still owes.
                         state.transport.quiesce();
                         state.mark_finished(rank);
                         if state.active_unfinished.fetch_sub(1, Ordering::AcqRel) == 1 {
@@ -685,71 +688,6 @@ impl Universe {
                 .collect()
         });
 
-        if let Some(plane) = plane {
-            plane.stop();
-        }
-        state.transport.shutdown();
-
-        let mut values = Vec::with_capacity(results.len());
-        let mut first_panic = None;
-        for (rank, r) in results {
-            match r {
-                Ok(v) => values.push((rank, v)),
-                Err(p) => {
-                    if first_panic.is_none() {
-                        first_panic = Some(p);
-                    }
-                }
-            }
-        }
-        if let Some(p) = first_panic {
-            std::panic::resume_unwind(p);
-        }
-        Ok(values)
-    }
-
-    /// The shared-memory path: spawn `size` rank threads and join them.
-    fn run_threads<R, F>(size: usize, config: Config, f: F) -> MpiResult<Job<R>>
-    where
-        R: Send,
-        F: Fn(RawComm) -> R + Sync,
-    {
-        if size == 0 {
-            return Err(MpiError::Config(
-                "a universe needs at least one rank".into(),
-            ));
-        }
-        let state = UniverseState::new_shm(size, size, config);
-        let plane = MetricsPlane::start(&state, None);
-        let f = &f;
-
-        let results: Vec<std::thread::Result<R>> = std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..size)
-                .map(|rank| {
-                    let state = Arc::clone(&state);
-                    scope.spawn(move || {
-                        crate::trace::set_thread_rank(rank);
-                        let comm = RawComm::world(state.clone(), rank);
-                        let outcome = std::panic::catch_unwind(AssertUnwindSafe(|| f(comm)));
-                        if outcome.is_err() {
-                            // Treat a panicking rank as a crashed process so
-                            // that peers error out instead of deadlocking.
-                            state.mark_failed(rank);
-                        }
-                        // Drain any fault-injection queues first: Finished
-                        // must not overtake data this rank still owes.
-                        state.transport.quiesce();
-                        state.mark_finished(rank);
-                        outcome
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("rank thread itself never panics"))
-                .collect()
-        });
-
         // Emit the final (possibly partial) metrics interval while the
         // transport is still up, then join the snapshot thread.
         if let Some(plane) = plane {
@@ -761,21 +699,18 @@ impl Universe {
         // thread and releases any held-back envelopes here.
         state.transport.shutdown();
 
-        let panicked: Vec<usize> = results
-            .iter()
-            .enumerate()
-            .filter(|(_, r)| r.is_err())
-            .map(|(r, _)| r)
-            .collect();
-
         // All ranks share this process, so one self-contained trace (and
         // one set of survivor crash reports) covers the whole job.
-        let all: Vec<usize> = (0..size).collect();
-        state.write_artifacts(&panicked, &all, None);
+        let ran: Vec<usize> = results.iter().map(|(rank, _)| *rank).collect();
+        let panicked: Vec<usize> = (results.iter())
+            .filter(|(_, r)| r.is_err())
+            .map(|(rank, _)| *rank)
+            .collect();
+        state.write_artifacts(&panicked, &ran, None);
 
-        let mut values = Vec::with_capacity(size);
+        let mut values = Vec::with_capacity(results.len());
         let mut first_panic = None;
-        for r in results {
+        for (_, r) in results {
             match r {
                 Ok(v) => values.push(v),
                 Err(p) => {
@@ -790,7 +725,9 @@ impl Universe {
         }
         Ok(Job {
             values,
-            stats: (0..size).map(|r| state.trace.rank(r).snapshot()).collect(),
+            stats: (0..capacity)
+                .map(|r| state.trace.rank(r).snapshot())
+                .collect(),
             complete: true,
             trace: Arc::clone(&state.trace),
         })
@@ -800,14 +737,14 @@ impl Universe {
 /// What a finished job hands back to the `run_*` wrappers.
 pub(crate) struct Job<R> {
     /// The closure results of the ranks this process hosted.
-    pub values: Vec<R>,
+    pub(crate) values: Vec<R>,
     /// Every rank's frozen stats block, by global rank.
-    pub stats: Vec<MetricsSnapshot>,
+    pub(crate) stats: Vec<MetricsSnapshot>,
     /// False when a multi-process teardown gather did not happen (chaos, a
     /// local panic, a failed peer) and `stats` covers this process only.
-    pub complete: bool,
+    pub(crate) complete: bool,
     /// The universe's instrumentation core (the event ring outlives it).
-    pub trace: Arc<TraceCtx>,
+    pub(crate) trace: Arc<TraceCtx>,
 }
 
 /// Everything [`Universe::run_traced`] captured about a job.
@@ -976,8 +913,8 @@ mod tests {
             metrics: true,
             ..Config::default()
         };
-        let on = Universe::run_threads(4, all_on, views_script).unwrap();
-        let off = Universe::run_threads(4, Config::default(), views_script).unwrap();
+        let on = Universe::run_threads(4, 4, all_on, views_script).unwrap();
+        let off = Universe::run_threads(4, 4, Config::default(), views_script).unwrap();
         let events = on.trace.take_events();
         let tree = crate::measurements::op_tree(&on.stats);
         let of_rank = |r: usize, pick: &dyn Fn(&EventKind) -> Option<(u32, u64)>| -> (u64, u64) {
@@ -1061,7 +998,7 @@ mod tests {
         // disturbed run is repeated; the bug this pins reads ~0 every time.
         let mut seen = Vec::new();
         for _ in 0..20 {
-            let job = Universe::run_threads(2, metrics_on.clone(), script).unwrap();
+            let job = Universe::run_threads(2, 2, metrics_on.clone(), script).unwrap();
             let (waited, stats) = (job.values[0], &job.stats[0]);
             let blocked = stats.counter(Counter::BlockedNs);
             let sleeps = stats.counter(Counter::GateSleeps);

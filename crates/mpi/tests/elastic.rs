@@ -441,3 +441,74 @@ fn shm_elastic_misuse_is_typed() {
     let err = Universe::run_elastic(3, 2, |_comm| ()).unwrap_err();
     assert!(matches!(err, MpiError::Config(_)), "got {err:?}");
 }
+
+// ---------------------------------------------------------------------
+// Teardown artefacts of the shm runner under `run_elastic`.
+// ---------------------------------------------------------------------
+
+const ARTIFACT_CASE_VAR: &str = "KAMPING_ELASTIC_ARTIFACT_CASE";
+
+/// Child-side entry of [`shm_run_elastic_writes_trace_and_crash_reports`]:
+/// a no-op under plain `cargo test`.
+#[test]
+fn shm_artifact_child_entry() {
+    let Ok(case) = std::env::var(ARTIFACT_CASE_VAR) else {
+        return;
+    };
+    match case.as_str() {
+        "barrier" => {
+            Universe::run_elastic(2, 2, |comm| comm.barrier().unwrap()).unwrap();
+        }
+        // Rank 1 panics; rank 0 observes the failure and survives. The
+        // panic is re-raised after teardown, so this child exits nonzero.
+        "panic" => {
+            let _ = Universe::run_elastic(2, 3, |comm| {
+                if comm.rank() == 1 {
+                    panic!("rank 1 exploded");
+                }
+                assert!(comm.recv(1, 0).unwrap_err().is_failure());
+            });
+        }
+        other => panic!("unknown case {other:?}"),
+    }
+}
+
+/// `run_elastic` on the shm backend goes through the same teardown as
+/// `run`: the `KAMPING_TRACE` export is written, and after a panicking
+/// rank the survivor's `KAMPING_CRASH_DIR` report. The environment only
+/// reaches a universe through its process, so each case re-executes this
+/// test binary — without `KAMPING_TRANSPORT`, so the child runs rank
+/// threads, not a `kampirun` job.
+#[test]
+fn shm_run_elastic_writes_trace_and_crash_reports() {
+    let scratch = std::env::temp_dir().join(format!("kamping-elastic-art-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&scratch);
+    std::fs::create_dir_all(&scratch).expect("creating scratch dir");
+    let child = |case: &str, var: &str, value: &std::path::Path| {
+        std::process::Command::new(std::env::current_exe().expect("test binary path available"))
+            .args(["shm_artifact_child_entry", "--exact"])
+            .env(ARTIFACT_CASE_VAR, case)
+            .env(var, value)
+            .env_remove("KAMPING_TRANSPORT")
+            .output()
+            .expect("spawning the child")
+    };
+
+    let trace = scratch.join("trace.json");
+    let out = child("barrier", "KAMPING_TRACE", &trace);
+    assert!(out.status.success(), "barrier child failed: {out:?}");
+    let doc = std::fs::read_to_string(&trace).expect("run_elastic wrote no trace file");
+    assert!(doc.contains("traceEvents"), "not a trace document: {doc}");
+
+    let out = child("panic", "KAMPING_CRASH_DIR", &scratch);
+    assert!(!out.status.success(), "the rank panic must fail the child");
+    assert!(
+        scratch.join("crash-rank0.json").is_file(),
+        "surviving rank 0 wrote no crash report: {out:?}"
+    );
+    assert!(
+        !scratch.join("crash-rank1.json").exists() && !scratch.join("crash-rank2.json").exists(),
+        "only ranks that ran and survived report"
+    );
+    let _ = std::fs::remove_dir_all(&scratch);
+}

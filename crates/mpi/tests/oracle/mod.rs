@@ -3,7 +3,7 @@
 //! reach them and no library algorithm shares a line with them. The
 //! equivalence suites compare every library collective against these; the
 //! `overhead` bench times them as the "linear" side of its tree-vs-linear
-//! cases. Included by path from `tests/collectives_tree_vs_naive.rs`,
+//! cases. Included by path from `tests/collectives_vs_oracle.rs`,
 //! `crates/mpi/tests/socket_backend.rs` and
 //! `crates/bench/benches/overhead.rs` (not every includer uses every
 //! function).

@@ -366,8 +366,8 @@ fn hier_strategy_matches_naive_at_p64() {
 #[test]
 fn rabenseifner_auto_kicks_in_and_matches_at_p64() {
     // A >=32 KiB payload at p=64 on one host takes the Rabenseifner
-    // reduce-scatter + allgather path under Auto (blocking only — the
-    // nonblocking name keeps the flat tree); equivalence vs naive.
+    // reduce-scatter + allgather schedule under Auto, through the blocking
+    // and the nonblocking name; equivalence vs naive.
     let p = 64;
     let elems = 8 * 1024; // 64 KiB
     Universe::run(p, |comm| {
@@ -377,6 +377,44 @@ fn rabenseifner_auto_kicks_in_and_matches_at_p64() {
             .collect();
         check_allreduce(comm, &mine, "rabenseifner");
     });
+}
+
+#[test]
+fn rabenseifner_matches_oracle_through_both_drivers() {
+    // Element counts around the chunk count k (the largest power of two
+    // <= p): none, fewer elements than chunks (empty chunks), one per
+    // chunk, and a ragged many — at every size, so the non-power-of-two
+    // fold runs too. Elements are sized so that every non-empty buffer
+    // reaches 32 KiB, where `Auto` picks Rabenseifner at p >= 4 under both
+    // names: `allreduce` runs the schedule through the inline driver,
+    // `iallreduce` through the registered one. `allreduce_rabenseifner`
+    // forces it where `Auto` would not (p < 4, the empty buffer).
+    for p in SIZES {
+        let k = 1usize << p.ilog2();
+        for count in [0, 1, k - 1, k, 4097] {
+            let elem = match count {
+                0 => 8,
+                _ => (32 * 1024usize).div_ceil(count).next_multiple_of(8),
+            };
+            Universe::run(p, |comm| {
+                let comm = &comm;
+                let what = format!("rabenseifner p={p} count={count} rank={}", comm.rank());
+                let mine = reduce_input(comm.rank(), count * elem / 8);
+                let mut naive = mine.clone();
+                oracle::reduce(comm, &mut naive, &sum_u64, elem, 0);
+                oracle::bcast(comm, &mut naive, 0);
+                let mut forced = mine.clone();
+                comm.allreduce_rabenseifner(&mut forced, &sum_u64, elem)
+                    .unwrap();
+                assert_eq!(forced, naive, "forced {what}");
+                let mut auto = mine.clone();
+                comm.allreduce(&mut auto, &sum_u64, elem).unwrap();
+                assert_eq!(auto, naive, "{what}");
+                let req = comm.iallreduce(mine, owned_sum(), elem);
+                assert_eq!(req.unwrap().wait().unwrap(), naive, "i {what}");
+            });
+        }
+    }
 }
 
 #[test]
@@ -405,8 +443,8 @@ fn mixed_sequence_stays_consistent_across_algorithms() {
 #[test]
 fn nonblocking_names_follow_coll_strategy() {
     // `ix` must run the algorithm `x` runs under every strategy: same
-    // results and the exact same envelopes (count and bytes). Payloads
-    // stay under 32 KiB, where no strategy picks Rabenseifner.
+    // results and the exact same envelopes (count and bytes) — at 48 bytes,
+    // and at 64 KiB, where `Auto` switches the allreduce to Rabenseifner.
     type Case = fn(&RawComm, bool) -> Vec<u8>;
     let bcast: Case = |comm, nonblocking| {
         let seed = if comm.rank() == 1 {
@@ -431,8 +469,8 @@ fn nonblocking_names_follow_coll_strategy() {
         comm.reduce(&mut buf, &sum_u64, 8, 3).unwrap();
         buf
     };
-    let allreduce: Case = |comm, nonblocking| {
-        let mine = reduce_input(comm.rank(), 6);
+    fn allreduce_of(comm: &RawComm, nonblocking: bool, elems: usize) -> Vec<u8> {
+        let mine = reduce_input(comm.rank(), elems);
         if nonblocking {
             let req = comm.iallreduce(mine, owned_sum(), 8);
             return req.unwrap().wait().unwrap();
@@ -440,6 +478,20 @@ fn nonblocking_names_follow_coll_strategy() {
         let mut buf = mine;
         comm.allreduce(&mut buf, &sum_u64, 8).unwrap();
         buf
+    }
+    let allreduce: Case = |comm, nonblocking| allreduce_of(comm, nonblocking, 6);
+    let allreduce_64k: Case = |comm, nonblocking| allreduce_of(comm, nonblocking, 8 * 1024);
+    // Results, envelope count and envelope bytes of one profiled run.
+    let run = |p: usize, strategy: CollStrategy, hosts: Option<usize>, case: Case, nb: bool| {
+        let (outs, profile) = Universe::run_profiled(p, |comm| {
+            let comm = &comm;
+            if let Some(hosts) = hosts {
+                comm.set_fake_hosts(hosts);
+            }
+            comm.set_coll_strategy(strategy);
+            case(comm, nb)
+        });
+        (outs, profile.total_messages(), profile.total_bytes())
     };
     for p in [4usize, 6] {
         for (name, case) in [
@@ -449,16 +501,8 @@ fn nonblocking_names_follow_coll_strategy() {
         ] {
             let mut bytes_by_strategy = Vec::new();
             for strategy in [CollStrategy::Flat, CollStrategy::Hier] {
-                let run = |nonblocking: bool| {
-                    let (outs, profile) = Universe::run_profiled(p, |comm| {
-                        let comm = &comm;
-                        comm.set_fake_hosts(2);
-                        comm.set_coll_strategy(strategy);
-                        case(comm, nonblocking)
-                    });
-                    (outs, profile.total_messages(), profile.total_bytes())
-                };
-                let (blocking, nonblocking) = (run(false), run(true));
+                let blocking = run(p, strategy, Some(2), case, false);
+                let nonblocking = run(p, strategy, Some(2), case, true);
                 assert_eq!(blocking, nonblocking, "{name} p={p} {strategy:?}");
                 bytes_by_strategy.push(blocking.2);
             }
@@ -469,5 +513,18 @@ fn nonblocking_names_follow_coll_strategy() {
                 assert_ne!(bytes_by_strategy[0], bytes_by_strategy[1], "{name} p={p}");
             }
         }
+        // One host, 64 KiB: `Auto` leaves the tree for Rabenseifner's
+        // halving/doubling — under both names, told from the flat tree by
+        // its envelope count (the same bytes in total, in more and smaller
+        // envelopes off the critical path).
+        let blocking = run(p, CollStrategy::Auto, None, allreduce_64k, false);
+        let nonblocking = run(p, CollStrategy::Auto, None, allreduce_64k, true);
+        assert_eq!(blocking, nonblocking, "allreduce 64 KiB p={p} Auto");
+        let flat = run(p, CollStrategy::Flat, None, allreduce_64k, false);
+        assert_eq!(blocking.0, flat.0, "allreduce 64 KiB p={p}");
+        assert_ne!(
+            blocking.1, flat.1,
+            "allreduce 64 KiB p={p}: Auto ran the tree"
+        );
     }
 }
