@@ -16,14 +16,15 @@ use kamping::prelude::*;
 use kamping_bench::time_world_custom;
 use kamping_serial::serial_struct;
 
-/// A padding-free record (eligible for the contiguous default).
-#[derive(Debug, Clone, Copy, PartialEq)]
-struct Packed {
-    id: u64,
-    value: f64,
-    weight: f64,
+kamping::pod_struct! {
+    /// A padding-free record (eligible for the contiguous default).
+    #[derive(Debug, Clone, Copy, PartialEq)]
+    struct Packed {
+        id: u64,
+        value: f64,
+        weight: f64,
+    }
 }
-kamping::impl_pod!(Packed: u64, f64, f64);
 serial_struct!(Packed { id, value, weight });
 
 /// The same record, gappy: u8 + padding forces the field-wise path.

@@ -8,9 +8,9 @@
 //!    their raw bytes, the "contiguous bytes" default the paper recommends
 //!    (§III-D4) because it avoids per-field gather loops. Implemented for
 //!    the built-in numeric types and fixed-size arrays thereof; user
-//!    structs opt in through [`impl_pod!`](crate::impl_pod), whose
-//!    compile-time size check rejects padded structs (the reflection-based
-//!    safety PFR provides in C++).
+//!    structs are defined through [`pod_struct!`](crate::pod_struct), which
+//!    sees every field, requires each to be pod and rejects padded structs
+//!    at compile time (the reflection-based safety PFR provides in C++).
 //! 2. **Dynamic types** — runtime-described layouts via
 //!    [`kamping_mpi::dtype::TypeDesc`]; the [`struct_desc!`](crate::struct_desc)
 //!    macro builds a field-wise `TypeDesc::Struct` for padded structs
@@ -31,8 +31,8 @@ use crate::error::{KResult, KampingError};
 /// * **every bit pattern is a valid value** (rules out `bool`, `char`,
 ///   enums, and NonZero types).
 ///
-/// Use [`impl_pod!`](crate::impl_pod) for structs — it statically asserts
-/// the no-padding requirement from the declared field types.
+/// Define structs with [`pod_struct!`](crate::pod_struct) — it checks all
+/// three requirements at compile time, so no `unsafe` is needed.
 pub unsafe trait PodType: Copy + Send + 'static {
     /// Wire size of one element.
     const SIZE: usize = std::mem::size_of::<Self>();
@@ -60,40 +60,73 @@ impl_pod_builtin!(u8, u16, u32, u64, u128, i8, i16, i32, i64, i128, usize, isize
 // type without padding, all bit patterns valid elementwise).
 unsafe impl<T: PodType, const N: usize> PodType for [T; N] {}
 
-/// Declares a user struct as a [`PodType`].
+/// Defines a user struct and declares it a [`PodType`].
 ///
-/// Lists the field types; a compile-time assertion checks that their sizes
-/// sum to the struct's size, i.e. that the struct has **no padding** — the
-/// case where KaMPIng's contiguous-bytes default applies. Padded structs
-/// fail to compile; use [`struct_desc!`](crate::struct_desc) (field-wise
-/// dynamic type) or reorder/pad the fields explicitly instead.
+/// The macro wraps the definition, so it sees every field: it emits
+/// `#[repr(C)]`, requires each field type to be a [`PodType`] itself (so
+/// every bit pattern of every field is valid) and asserts at compile time
+/// that the field sizes sum to the struct's size, i.e. that the struct has
+/// **no padding** — the case where KaMPIng's contiguous-bytes default
+/// applies. Padded structs fail to compile; use
+/// [`struct_desc!`](crate::struct_desc) (field-wise dynamic type) or
+/// reorder/pad the fields explicitly instead.
 ///
 /// ```
-/// use kamping::impl_pod;
-///
-/// #[derive(Clone, Copy)]
-/// struct Particle {
-///     position: [f64; 3],
-///     mass: f64,
+/// kamping::pod_struct! {
+///     #[derive(Clone, Copy)]
+///     pub struct Particle {
+///         pub position: [f64; 3],
+///         pub mass: f64,
+///     }
 /// }
-/// impl_pod!(Particle: [f64; 3], f64);
+/// let bytes = kamping::types::pod_as_bytes(&[Particle { position: [0.0; 3], mass: 1.0 }]);
+/// assert_eq!(bytes.len(), 32);
 /// ```
 ///
-/// The caller must list the field types truthfully (the macro cannot see
-/// the struct definition); lying about them is as unsound as a wrong
-/// `MPI_Datatype` in C.
+/// A field that is not itself pod does not compile — a reference, which
+/// decoding arbitrary bytes would forge:
+///
+/// ```compile_fail
+/// kamping::pod_struct! { #[derive(Clone, Copy)] struct Forged { r: &'static u64 } }
+/// ```
+///
+/// nor a `bool`, which has invalid bit patterns:
+///
+/// ```compile_fail
+/// kamping::pod_struct! { #[derive(Clone, Copy)] struct Flagged { flag: bool, value: u8 } }
+/// ```
+///
+/// nor a struct with padding:
+///
+/// ```compile_fail
+/// kamping::pod_struct! { #[derive(Clone, Copy)] struct Gappy { flag: u8, value: u64 } }
+/// ```
 #[macro_export]
-macro_rules! impl_pod {
-    ($ty:ty : $($field_ty:ty),+ $(,)?) => {
+macro_rules! pod_struct {
+    (
+        $(#[$meta:meta])*
+        $vis:vis struct $name:ident {
+            $($(#[$fmeta:meta])* $fvis:vis $field:ident : $fty:ty),+ $(,)?
+        }
+    ) => {
+        $(#[$meta])*
+        #[repr(C)]
+        $vis struct $name {
+            $($(#[$fmeta])* $fvis $field: $fty,)+
+        }
         const _: () = {
+            const fn field_is_pod<T: $crate::types::PodType>() {}
+            $(field_is_pod::<$fty>();)+
             assert!(
-                ::std::mem::size_of::<$ty>() == 0usize $(+ ::std::mem::size_of::<$field_ty>())+,
-                "impl_pod!: struct has padding bytes; use kamping::struct_desc! instead"
+                ::std::mem::size_of::<$name>() == 0usize $(+ ::std::mem::size_of::<$fty>())+,
+                "pod_struct!: struct has padding bytes; use kamping::struct_desc! instead"
             );
         };
-        // SAFETY: size check above proves there is no padding; the caller
-        // asserts the all-bit-patterns-valid contract by invoking the macro.
-        unsafe impl $crate::types::PodType for $ty {}
+        // SAFETY: `repr(C)` lays the fields out in order; each is a
+        // `PodType` (no padding inside, every bit pattern valid) and their
+        // sizes sum to the struct's, so there is no padding between or
+        // after them either.
+        unsafe impl $crate::types::PodType for $name {}
     };
 }
 
@@ -114,16 +147,28 @@ macro_rules! impl_pod {
 /// assert_eq!(desc.packed_size(), 5);
 /// assert_eq!(desc.extent(), 8);
 /// ```
+///
+/// Each listed type must be the field's real type, or the wire size would
+/// read past the field:
+///
+/// ```compile_fail
+/// #[repr(C)]
+/// struct Gappy { flag: u8, value: u32 }
+/// let desc = kamping::struct_desc!(Gappy { flag: u32, value: u32 });
+/// ```
 #[macro_export]
 macro_rules! struct_desc {
-    ($ty:ty { $($field:ident : $fty:ty),+ $(,)? }) => {
+    ($ty:ty { $($field:ident : $fty:ty),+ $(,)? }) => {{
+        $(let _ = |s: &$ty| {
+            let _: &$fty = &s.$field;
+        };)+
         ::kamping_mpi::dtype::TypeDesc::Struct {
             fields: vec![
                 $((::std::mem::offset_of!($ty, $field), ::std::mem::size_of::<$fty>())),+
             ],
             extent: ::std::mem::size_of::<$ty>(),
         }
-    };
+    }};
 }
 
 /// Reinterprets a pod slice as its wire bytes (zero-copy view).
@@ -255,16 +300,17 @@ mod tests {
         assert_eq!(back, v);
     }
 
-    #[derive(Clone, Copy, Debug, PartialEq)]
-    struct Vec3 {
-        x: f64,
-        y: f64,
-        z: f64,
+    pod_struct! {
+        #[derive(Clone, Copy, Debug, PartialEq)]
+        struct Vec3 {
+            x: f64,
+            y: f64,
+            z: f64,
+        }
     }
-    impl_pod!(Vec3: f64, f64, f64);
 
     #[test]
-    fn user_struct_via_impl_pod() {
+    fn user_struct_via_pod_struct() {
         let v = vec![Vec3 {
             x: 1.0,
             y: 2.0,

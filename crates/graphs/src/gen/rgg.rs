@@ -19,15 +19,15 @@ use kamping_plugins::SparseAlltoall;
 use crate::dist_graph::{range_start, DistGraph, VertexId};
 use crate::gen::unit_f64;
 
-/// A generated point (id + position), exchanged across strips.
-#[derive(Debug, Clone, Copy, PartialEq)]
-struct Point {
-    id: u64,
-    x: f64,
-    y: f64,
+kamping::pod_struct! {
+    /// A generated point (id + position), exchanged across strips.
+    #[derive(Debug, Clone, Copy, PartialEq)]
+    struct Point {
+        id: u64,
+        x: f64,
+        y: f64,
+    }
 }
-
-kamping::impl_pod!(Point: u64, f64, f64);
 
 /// Position of point `i` (deterministic in the seed and — crucially —
 /// independent of the rank count): the x coordinate is stratified by

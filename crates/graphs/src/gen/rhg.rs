@@ -23,15 +23,15 @@ use kamping_plugins::SparseAlltoall;
 use crate::dist_graph::{owner, range_start, DistGraph, VertexId};
 use crate::gen::unit_f64;
 
-/// A point in polar hyperbolic coordinates.
-#[derive(Debug, Clone, Copy, PartialEq)]
-struct HPoint {
-    id: u64,
-    radius: f64,
-    theta: f64,
+kamping::pod_struct! {
+    /// A point in polar hyperbolic coordinates.
+    #[derive(Debug, Clone, Copy, PartialEq)]
+    struct HPoint {
+        id: u64,
+        radius: f64,
+        theta: f64,
+    }
 }
-
-kamping::impl_pod!(HPoint: u64, f64, f64);
 
 const TAU: f64 = std::f64::consts::TAU;
 

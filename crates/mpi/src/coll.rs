@@ -34,7 +34,6 @@ use crate::tag::{coll_tag, Tag, ANY_SOURCE, MAX_USER_TAG};
 use crate::transport::{MatchKey, Payload};
 use crate::universe::wait_interrupt;
 use crate::{ByteOp, RawComm, RawRequest};
-use std::collections::HashSet;
 
 /// Per-peer block size (bytes) below which [`RawComm::alltoall`] switches
 /// to Bruck's log-round algorithm, mirroring real MPI implementations'
@@ -730,40 +729,31 @@ impl RawComm {
     /// O(degree) messages per rank — no term linear in `p`. Collective:
     /// every rank must call it (possibly with no messages).
     ///
-    /// Each message carries its index in `messages` as an 8-byte sequence
-    /// header; receivers drop duplicate (source, sequence) deliveries, so
-    /// a transport that duplicates envelopes (chaos `dup` faults, retrying
-    /// links) cannot double-deliver. Results are sorted by (source,
-    /// sequence) for determinism.
+    /// Results are sorted by source for determinism; several messages from
+    /// one source keep their send order, because a channel never overtakes
+    /// (the sort is stable).
     pub fn sparse_alltoallv(&self, messages: &[(usize, Vec<u8>)]) -> MpiResult<Vec<SparseMsg>> {
         // Per-round tag: rank-synchronized because the exchange is
         // collective (every rank calls it in the same order).
         let tag = SPARSE_TAG_BASE + (self.next_operation_seq() % SPARSE_TAG_ROTATION);
 
-        // 1. Post all sends in synchronous mode, sequence-stamped.
+        // 1. Post all sends in synchronous mode.
         let mut send_reqs: Vec<RawRequest> = Vec::with_capacity(messages.len());
-        for (seq, (dest, data)) in messages.iter().enumerate() {
-            let mut wire = Vec::with_capacity(8 + data.len());
-            wire.extend_from_slice(&(seq as u64).to_le_bytes());
-            wire.extend_from_slice(data);
-            send_reqs.push(self.issend(*dest, tag, wire)?);
+        for (dest, data) in messages {
+            send_reqs.push(self.issend(*dest, tag, data.clone())?);
         }
 
-        let mut received: Vec<(usize, u64, Vec<u8>)> = Vec::new();
-        let mut seen: HashSet<(usize, u64)> = HashSet::new();
+        let mut received: Vec<SparseMsg> = Vec::new();
         let mut barrier: Option<RawRequest> = None;
 
         // 2. Probe/receive until the barrier certifies quiescence.
         loop {
             while let Some(status) = self.iprobe(ANY_SOURCE, tag)? {
-                let (wire, st) = self.recv(status.source, tag)?;
-                if wire.len() < 8 {
-                    return Err(MpiError::Internal("sparse: truncated sequence header"));
-                }
-                let seq = u64::from_le_bytes(wire[..8].try_into().expect("8 bytes"));
-                if seen.insert((st.source, seq)) {
-                    received.push((st.source, seq, wire[8..].to_vec()));
-                }
+                let (data, st) = self.recv(status.source, tag)?;
+                received.push(SparseMsg {
+                    source: st.source,
+                    data,
+                });
             }
             match &mut barrier {
                 None => {
@@ -790,11 +780,8 @@ impl RawComm {
         // rank entered the barrier, and a drain here could steal messages
         // of a *subsequent* round from a fast peer.
 
-        received.sort_unstable_by_key(|&(src, seq, _)| (src, seq));
-        Ok(received
-            .into_iter()
-            .map(|(source, _, data)| SparseMsg { source, data })
-            .collect())
+        received.sort_by_key(|m| m.source);
+        Ok(received)
     }
 
     /// This communicator's grid decomposition, built (two splits — a

@@ -253,7 +253,7 @@ mod tests {
             ("KAMPING_FAKE_HOSTS", "4"),
             ("KAMPING_BCAST_SEGMENT", "16384"),
             ("KAMPING_ALLTOALL", "grid"),
-            ("KAMPING_CHAOS", "7:drop=20"),
+            ("KAMPING_CHAOS", "7:delay=20@1"),
         ]))
         .unwrap();
         assert_eq!(cfg.coll_strategy, CollStrategy::Hier);

@@ -4,8 +4,8 @@
 //! A [`TimerTree`] is a per-rank structure: nested `start`/`stop` pairs
 //! build a tree of named phases, each phase holding one or more
 //! *measurement slots* (repeated `start`/`stop` of the same phase
-//! accumulates into the current slot; [`TimerTree::stop_and_append`] opens
-//! a new slot, so iterations stay distinguishable). Named counters ride on
+//! accumulates into the current slot; [`TimerTree::append_seconds`] adds a
+//! slot, so imported values stay distinguishable). Named counters ride on
 //! the same tree. Nothing here touches the network until
 //! [`TimerTree::aggregate`], which — using the library's *own* collectives
 //! — verifies that every rank built the same tree shape and reduces each
@@ -52,8 +52,6 @@ struct Node {
     values: Vec<f64>,
     /// Set while this phase is open (between `start` and `stop`).
     started: Option<Instant>,
-    /// True when the next accumulation must open a fresh slot.
-    append_next: bool,
 }
 
 impl Node {
@@ -63,16 +61,13 @@ impl Node {
             children: Vec::new(),
             values: Vec::new(),
             started: None,
-            append_next: true,
         }
     }
 
     fn accumulate(&mut self, seconds: f64) {
-        if self.append_next || self.values.is_empty() {
-            self.values.push(seconds);
-            self.append_next = false;
-        } else {
-            *self.values.last_mut().expect("non-empty") += seconds;
+        match self.values.last_mut() {
+            Some(slot) => *slot += seconds,
+            None => self.values.push(seconds),
         }
     }
 }
@@ -87,7 +82,7 @@ impl Node {
 ///     t.start("phase_a");
 ///     // ... work ...
 ///     t.stop();
-///     t.counter_add("items", 42.0);
+///     t.counter_put("items", 42.0);
 ///     t.aggregate(&comm).unwrap().to_json()
 /// });
 /// assert_eq!(reports[0], reports[1]);
@@ -154,14 +149,10 @@ impl TimerTree {
     /// # Panics
     /// If no phase is open.
     pub fn stop(&mut self) {
-        self.stop_impl(false);
-    }
-
-    /// Stops the innermost open phase, recording the elapsed time as a
-    /// *new* slot — so each iteration of a repeated phase keeps its own
-    /// measurement instead of summing.
-    pub fn stop_and_append(&mut self) {
-        self.stop_impl(true);
+        assert!(self.stack.len() > 1, "stop() without a running phase");
+        let id = self.stack.pop().expect("checked non-root");
+        let started = self.nodes[id].started.take().expect("phase was running");
+        self.nodes[id].accumulate(started.elapsed().as_secs_f64());
     }
 
     /// Barrier on `comm`, then [`TimerTree::stop`] — so the recorded time
@@ -174,17 +165,6 @@ impl TimerTree {
         Ok(())
     }
 
-    fn stop_impl(&mut self, append: bool) {
-        assert!(self.stack.len() > 1, "stop() without a running phase");
-        let id = self.stack.pop().expect("checked non-root");
-        let started = self.nodes[id].started.take().expect("phase was running");
-        let secs = started.elapsed().as_secs_f64();
-        self.nodes[id].accumulate(secs);
-        if append {
-            self.nodes[id].append_next = true;
-        }
-    }
-
     /// Records an explicit measurement (in seconds) as a new slot of the
     /// phase `name` under the currently open phase, without running a
     /// clock. Used to import externally-timed values and by deterministic
@@ -193,13 +173,6 @@ impl TimerTree {
         check_name("phase", name);
         let id = self.child_named(name);
         self.nodes[id].values.push(seconds);
-        self.nodes[id].append_next = false;
-    }
-
-    /// Adds `delta` to the named counter (created at zero).
-    pub fn counter_add(&mut self, name: &str, delta: f64) {
-        check_name("counter", name);
-        *self.counters.entry(name.to_string()).or_insert(0.0) += delta;
     }
 
     /// Sets the named counter to `value`.
@@ -541,17 +514,13 @@ mod tests {
     use super::*;
 
     #[test]
-    fn start_stop_accumulates_and_append_splits() {
+    fn start_stop_accumulates_into_one_slot() {
         let mut t = TimerTree::new();
         t.start("a");
         t.stop();
         t.start("a");
         t.stop(); // same slot
-        t.start("a");
-        t.stop_and_append(); // still same slot, but next opens fresh
-        t.start("a");
-        t.stop();
-        assert_eq!(t.nodes[1].values.len(), 2);
+        assert_eq!(t.nodes[1].values.len(), 1);
     }
 
     #[test]
@@ -590,15 +559,15 @@ mod tests {
     }
 
     #[test]
-    fn counters_accumulate_sorted() {
+    fn counters_are_sorted() {
         let mut t = TimerTree::new();
-        t.counter_add("zeta", 1.0);
-        t.counter_add("alpha", 2.0);
-        t.counter_add("zeta", 3.0);
+        t.counter_put("zeta", 1.0);
+        t.counter_put("alpha", 2.0);
+        t.counter_put("zeta", 3.0);
         t.counter_put("mid", 7.0);
         let keys: Vec<&str> = t.counters.keys().map(String::as_str).collect();
         assert_eq!(keys, ["alpha", "mid", "zeta"]);
-        assert_eq!(t.counters["zeta"], 4.0);
+        assert_eq!(t.counters["zeta"], 3.0);
     }
 
     #[test]

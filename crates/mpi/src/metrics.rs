@@ -95,17 +95,11 @@ named_cells! {
     BlockedNs => "blocked_ns",
     /// Bounded waits that gave up with [`MpiError::Timeout`].
     Timeouts => "timeouts",
-    /// Chaos faults injected, by kind.
-    FaultsDropped => "faults_dropped",
-    /// Duplicated envelopes.
-    FaultsDuplicated => "faults_duplicated",
-    /// Delayed envelopes.
+    /// Chaos faults injected, by kind: envelopes delayed.
     FaultsDelayed => "faults_delayed",
-    /// Reordered envelopes.
-    FaultsReordered => "faults_reordered",
-    /// Envelopes eaten by a severed channel.
+    /// Envelopes discarded by a severed channel or a killed rank.
     FaultsSevered => "faults_severed",
-    /// Kill faults fired.
+    /// Rank deaths fired (counted on the victim).
     FaultsKilled => "faults_killed",
     /// Progress-engine wakeups (socket backend).
     EpollWakeups => "epoll_wakeups",

@@ -190,8 +190,8 @@ pub enum EventKind {
         src: u32,
         /// Destination global rank.
         dst: u32,
-        /// Fault kind (`"drop"`, `"dup"`, `"delay"`, `"reorder"`,
-        /// `"sever"`, `"kill"`).
+        /// Fault kind: `"delay"`, `"sever"` (an envelope discarded by a
+        /// cut link or a dead rank) or `"kill"` (the death itself).
         fault: &'static str,
     },
     /// A socket control-plane frame left this process (excluded from the

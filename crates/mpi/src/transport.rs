@@ -5,7 +5,7 @@
 //! events (failure, finish, revocation) to every peer,
 //! and flushing traffic at teardown. Two backends implement it:
 //!
-//! * [`ShmTransport`] (this module) — all ranks are threads of one process
+//! * `ShmTransport` (this module) — all ranks are threads of one process
 //!   and every mailbox is directly reachable; control propagation is a
 //!   no-op because the fault/barrier state is genuinely shared.
 //! * `crate::net::SocketTransport` — each rank is its own OS process;
@@ -1258,7 +1258,7 @@ pub trait Transport: Send + Sync {
     /// before a rank announces `Finished`, so that the announcement cannot
     /// overtake data the rank still owes its peers. A no-op for backends
     /// that never hold traffic back; the fault-injecting chaos wrapper
-    /// drains its delay queue and holdback slots here.
+    /// drains its delay queue here.
     fn quiesce(&self) {}
 
     /// Flushes all outgoing traffic and tears the backend down. Called
@@ -1271,14 +1271,14 @@ pub trait Transport: Send + Sync {
 /// every mailbox is directly addressable. This is the transport the seed
 /// system hard-wired; it remains the default (`KAMPING_TRANSPORT=shm`).
 #[derive(Debug)]
-pub struct ShmTransport {
+pub(crate) struct ShmTransport {
     mailboxes: Vec<Mailbox>,
 }
 
 impl ShmTransport {
     /// Creates mailboxes for `size` in-process ranks sharing `hub`,
     /// recording lifecycle events into `trace`.
-    pub fn new(size: usize, hub: &Arc<Hub>, trace: &Arc<TraceCtx>) -> Self {
+    pub(crate) fn new(size: usize, hub: &Arc<Hub>, trace: &Arc<TraceCtx>) -> Self {
         Self {
             mailboxes: (0..size)
                 .map(|owner| Mailbox::new(owner, size, Arc::clone(hub), Arc::clone(trace)))

@@ -1,11 +1,12 @@
 //! End-to-end chaos and deadline tests on the shared-memory backend.
 //!
 //! The unit suite in `src/chaos.rs` pins the *schedule* (which message is
-//! dropped under which seed); these tests pin the *observable contract* of
-//! this PR: a hung peer surfaces as [`MpiError::Timeout`] and a killed peer
-//! as [`MpiError::ProcFailed`] — typed errors within a caller-chosen
+//! delayed or cut under which seed); these tests pin the *observable
+//! contract*: a hung peer surfaces as [`MpiError::Timeout`] and a killed
+//! peer as [`MpiError::ProcFailed`] — typed errors within a caller-chosen
 //! deadline, never a wedged test suite and never a panic.
 
+use std::sync::mpsc::RecvTimeoutError;
 use std::time::Duration;
 
 use kamping_mpi::{ChaosSpec, MpiError, Universe};
@@ -282,50 +283,150 @@ fn delay_chaos_preserves_icollective_results() {
     .unwrap();
 }
 
-/// Counts how many of rank 1's 40 messages survive a drop=50 schedule,
-/// through the full Universe/RawComm stack.
-fn deliveries_under_drop(seed: u64) -> usize {
-    let spec = ChaosSpec::parse(&format!("{seed}:drop=50")).unwrap();
-    let counts = Universe::run_with_chaos(2, spec, |comm| {
-        if comm.rank() == 1 {
-            for i in 0..40u8 {
-                comm.send(0, 7, &[i]).unwrap();
-            }
-            // Nothing is exempt from drop chaos any more (the nonblocking
-            // barrier rides the data plane like every collective), so fence
-            // with redundant sentinels: each copy's fate is seed-determined,
-            // and 12 copies at drop=50 leave at least one survivor for the
-            // seeds this test uses. Channel FIFO means a delivered sentinel
-            // proves every surviving data message precedes it.
-            for _ in 0..12 {
-                comm.send(0, 8, b"fence").unwrap();
-            }
-            0
-        } else {
-            comm.recv_timeout(1, 8, Duration::from_secs(10)).unwrap();
-            let mut n = 0;
-            while comm.recv_timeout(1, 7, Duration::from_millis(100)).is_ok() {
-                n += 1;
-            }
-            n
+/// A typed error as a comparable outcome: `Timeout` carries how long it
+/// waited, which differs from run to run. Any other error fails the test.
+fn outcome<T>(r: Result<T, MpiError>) -> String {
+    match r {
+        Ok(_) => "ok".to_string(),
+        Err(MpiError::Timeout { .. }) => "timeout".to_string(),
+        Err(MpiError::ProcFailed { rank }) => format!("failed({rank})"),
+        Err(e) => panic!("expected a result, Timeout or ProcFailed, got {e:?}"),
+    }
+}
+
+/// Receives from `source` on `tag` until the first error; returns the
+/// first byte of every message taken and that error as an outcome.
+fn drain_channel(
+    comm: &kamping_mpi::RawComm,
+    source: usize,
+    tag: kamping_mpi::Tag,
+    patience: Duration,
+) -> (Vec<u8>, String) {
+    let mut got = Vec::new();
+    loop {
+        match comm.recv_timeout(source, tag, patience) {
+            Ok((payload, _)) => got.push(payload[0]),
+            Err(e) => return (got, outcome::<()>(Err(e))),
         }
+    }
+}
+
+/// Rank 0 sends 40 messages to rank 1 under `delay` + `kill=1@20`: the
+/// victim receives the 20 its death let through (delayed ones included),
+/// then times out; the sender's receive from the victim is `ProcFailed`.
+fn deliveries_under_kill(seed: u64) -> Vec<(Vec<u8>, String)> {
+    let spec = ChaosSpec::parse(&format!("{seed}:delay=30@1,kill=1@20")).unwrap();
+    // Outside the transport, so no rank finishes (which would turn the
+    // victim's timeout into ProcFailed) before both have their outcome.
+    let done = std::sync::Barrier::new(2);
+    Universe::run_with_chaos(2, spec, |comm| {
+        let got = if comm.rank() == 0 {
+            for i in 0..40u8 {
+                comm.send(1, 7, &[i]).unwrap();
+            }
+            let err = comm.recv_timeout(1, 9, Duration::from_secs(10));
+            (Vec::new(), outcome(err))
+        } else {
+            drain_channel(&comm, 0, 7, Duration::from_millis(500))
+        };
+        done.wait();
+        got
     })
-    .unwrap();
-    counts[0]
+    .unwrap()
 }
 
 /// The seeded schedule is reproducible end-to-end: the same seed delivers
-/// the same number of messages on every run, and a different seed is free
-/// to differ.
+/// the same prefix and surfaces the same typed errors on every run.
 #[test]
 fn same_seed_same_deliveries_end_to_end() {
-    let a = deliveries_under_drop(2024);
-    let b = deliveries_under_drop(2024);
-    assert_eq!(a, b, "same seed must yield the same delivery count");
-    assert!(
-        a > 0 && a < 40,
-        "drop=50 must thin but not erase the traffic"
-    );
+    let a = deliveries_under_kill(2024);
+    assert_eq!(a, deliveries_under_kill(2024), "same seed, same outcome");
+    assert_eq!(a[0], (Vec::new(), "failed(1)".to_string()));
+    assert_eq!(a[1], ((0..20).collect(), "timeout".to_string()));
+}
+
+/// One soak run, p = 4, `delay` + `sever=0->1@5` + `kill=3@9`:
+/// * p2p — 0 → 1 (severed), 1 → 2 (intact) and 2 → 3 (whose 10th
+///   message kills rank 3) each carry 16 messages, and 0 receives from the
+///   victim, which sends nothing;
+/// * then `ibarrier` and `iallreduce` on the damaged universe.
+///
+/// Returns every rank's outcomes, in order.
+fn soak(seed: u64) -> Vec<Vec<String>> {
+    const N: u8 = 16;
+    let spec = ChaosSpec::parse(&format!("{seed}:delay=25@1,sever=0->1@5,kill=3@9")).unwrap();
+    // Phases are fenced outside the transport: the death has fired before
+    // anyone receives, and nobody finishes before everyone is done.
+    let fence = std::sync::Barrier::new(4);
+    let patience = Duration::from_millis(300);
+    Universe::run_with_chaos(4, spec, |comm| {
+        let me = comm.rank();
+        if me < 3 {
+            for i in 0..N {
+                comm.send(me + 1, 7, &[i]).unwrap();
+            }
+        }
+        fence.wait();
+        let (got, end) = if me == 0 {
+            drain_channel(&comm, 3, 7, patience)
+        } else {
+            drain_channel(&comm, me - 1, 7, patience)
+        };
+        let mut log = vec![format!("p2p {got:?} then {end}")];
+        fence.wait();
+        let barrier = comm
+            .ibarrier()
+            .and_then(|mut r| r.wait_timeout(Duration::from_secs(1)));
+        log.push(format!("ibarrier {}", outcome(barrier)));
+        let sum = comm
+            .iallreduce(1u64.to_le_bytes().to_vec(), sum_op(), 8)
+            .and_then(|mut r| r.wait_timeout(Duration::from_secs(1)));
+        log.push(format!("iallreduce {}", outcome(sum)));
+        fence.wait();
+        log
+    })
+    .unwrap()
+}
+
+/// Seeded soak under every fault MPI admits: each run ends in bounded
+/// time with a result, `Timeout` or `ProcFailed` on every rank; each
+/// receiver gets exactly the FIFO prefix of its channel that the spec
+/// implies; and two runs of a seed agree.
+#[test]
+fn seeded_chaos_soak_ends_in_bounded_time() {
+    for seed in [7, 42, 2024] {
+        let (tx, rx) = std::sync::mpsc::channel();
+        let runs = std::thread::spawn(move || {
+            let runs = (soak(seed), soak(seed));
+            let _ = tx.send(());
+            runs
+        });
+        if let Err(RecvTimeoutError::Timeout) = rx.recv_timeout(Duration::from_secs(60)) {
+            panic!("seed {seed}: chaos soak did not end within 60 s");
+        }
+        let (a, b) = runs
+            .join()
+            .unwrap_or_else(|_| panic!("seed {seed}: a soak run panicked"));
+        assert_eq!(a, b, "seed {seed}: two runs must agree");
+        // 0 hears from the victim only that it died, 1 gets the prefix
+        // before the cut, 2 everything, the victim what preceded its death;
+        // the collectives of the damaged universe fail alike everywhere.
+        let expect = |n: u8, end: &str| {
+            let got: Vec<u8> = (0..n).collect();
+            [
+                format!("p2p {got:?} then {end}"),
+                "ibarrier failed(3)".to_string(),
+                "iallreduce failed(3)".to_string(),
+            ]
+        };
+        let want = [
+            expect(0, "failed(3)"),
+            expect(5, "timeout"),
+            expect(16, "timeout"),
+            expect(9, "timeout"),
+        ];
+        assert_eq!(a, want, "seed {seed}");
+    }
 }
 
 /// Delay chaos models a slow link, not a reordering one: per-channel FIFO

@@ -1476,7 +1476,7 @@ fn socket_chaos_kill_broadcasts_proc_failed() {
 fn socket_collectives_survive_delay_chaos() {
     // Delay chaos is semantics-preserving (per-channel FIFO), so the full
     // collectives case must pass unchanged under it — the property the CI
-    // chaos-soak job leans on.
+    // chaos-soak job's delay-seeded socket runs lean on.
     assert_all_success(
         "collectives",
         &run_job_chaos("collectives", 3, false, Some("3:delay=30@2")),
@@ -1575,9 +1575,13 @@ fn scratch_dir(case: &str, backend: Backend) -> (&'static str, String) {
 /// budget.
 fn copy_budget(backend: Backend, budget: &str) {
     let scratch = scratch_dir("copy-budget", backend);
+    // The budget is the bare backend's. A chaos schedule this suite may run
+    // under wraps the backend in a layer without a borrowed send (a delayed
+    // message must own its payload), so blank it: blank means unset.
     let env = [
         ("KAMPING_METRICS", "1".to_string()),
         ("KAMPING_TEST_BUDGET", budget.to_string()),
+        ("KAMPING_CHAOS", String::new()),
         scratch.clone(),
     ];
     let exits = run_job_full("large_copy_budget", 2, false, backend, &env);

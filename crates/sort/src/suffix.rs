@@ -17,15 +17,15 @@ use kamping::prelude::*;
 
 use crate::sample_sort::sample_sort_kamping;
 
-/// (rank, rank-at-offset-k, suffix index) — the sort key of one round.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
-struct Tup {
-    key1: u64,
-    key2: u64,
-    idx: u64,
+kamping::pod_struct! {
+    /// (rank, rank-at-offset-k, suffix index) — the sort key of one round.
+    #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+    struct Tup {
+        key1: u64,
+        key2: u64,
+        idx: u64,
+    }
 }
-
-kamping::impl_pod!(Tup: u64, u64, u64);
 
 /// Balanced contiguous block distribution of `n` items over `p` ranks.
 #[derive(Debug, Clone, Copy)]

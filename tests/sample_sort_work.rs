@@ -10,7 +10,7 @@
 use std::cell::Cell;
 use std::cmp::Ordering;
 
-use kamping::{impl_pod, Communicator};
+use kamping::{pod_struct, Communicator};
 use kamping_sort::{sample_sort_kamping, sample_sort_plain};
 use rand::rngs::SmallRng;
 use rand::{RngCore, SeedableRng};
@@ -19,14 +19,17 @@ thread_local! {
     static COMPARISONS: Cell<u64> = const { Cell::new(0) };
 }
 
-#[derive(Clone, Copy, PartialEq, Eq)]
-struct Counted(u64);
-impl_pod!(Counted: u64);
+pod_struct! {
+    #[derive(Clone, Copy, PartialEq, Eq)]
+    struct Counted {
+        key: u64,
+    }
+}
 
 impl Ord for Counted {
     fn cmp(&self, other: &Self) -> Ordering {
         COMPARISONS.with(|c| c.set(c.get() + 1));
-        self.0.cmp(&other.0)
+        self.key.cmp(&other.key)
     }
 }
 
@@ -50,12 +53,16 @@ fn comparisons_of(f: impl FnOnce()) -> u64 {
 fn work(p: usize, n: usize, sort: Sort) -> Vec<[u64; 3]> {
     kamping::run(p, |comm| {
         let mut rng = SmallRng::seed_from_u64(0x5047 + comm.rank() as u64);
-        let input: Vec<Counted> = (0..n).map(|_| Counted(rng.next_u64())).collect();
+        let input: Vec<Counted> = (0..n)
+            .map(|_| Counted {
+                key: rng.next_u64(),
+            })
+            .collect();
         let mut alone = input.clone();
         let one_sort = comparisons_of(|| alone.sort_unstable());
         let mut data = input;
         let distributed = comparisons_of(|| sort(&comm, &mut data));
-        assert!(data.windows(2).all(|w| w[0].0 <= w[1].0));
+        assert!(data.windows(2).all(|w| w[0].key <= w[1].key));
         [one_sort, distributed, data.len() as u64]
     })
 }
