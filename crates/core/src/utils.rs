@@ -5,7 +5,8 @@
 //! paper's `with_flattened(...)` helper turns a container of
 //! destination→messages pairs into the contiguous buffer + send counts an
 //! `alltoallv` needs; this is its Rust counterpart (used by the BFS
-//! example exactly as in paper Fig. 9).
+//! example exactly as in paper Fig. 9). The container is either a
+//! `dest → messages` map or a vector of messages indexed by destination.
 
 use std::collections::{BTreeMap, HashMap};
 
@@ -18,26 +19,62 @@ pub struct Flattened<T> {
     pub counts: Vec<usize>,
 }
 
-/// Flattens `dest → messages` into a contiguous buffer plus send counts
-/// for a communicator of `size` ranks. Destinations out of range panic
-/// (they are programming errors, like an invalid rank in MPI).
-pub fn with_flattened<T>(buckets: HashMap<usize, Vec<T>>, size: usize) -> Flattened<T> {
-    // Deterministic destination order regardless of hash order.
-    let ordered: BTreeMap<usize, Vec<T>> = buckets.into_iter().collect();
+/// A container of per-destination message buckets that [`with_flattened`]
+/// accepts: a `dest → messages` map, or a vector indexed by destination
+/// rank (paper Fig. 9 takes either kind of container of containers).
+pub trait Buckets<T> {
+    /// Number of messages over all buckets.
+    fn total_len(&self) -> usize;
+    /// Hands every bucket to `f` as `(destination, messages)`, in
+    /// ascending destination order.
+    fn for_each_ordered(self, f: impl FnMut(usize, Vec<T>));
+}
+
+impl<T> Buckets<T> for HashMap<usize, Vec<T>> {
+    fn total_len(&self) -> usize {
+        self.values().map(Vec::len).sum()
+    }
+    fn for_each_ordered(self, mut f: impl FnMut(usize, Vec<T>)) {
+        // Deterministic destination order regardless of hash order.
+        let ordered: BTreeMap<usize, Vec<T>> = self.into_iter().collect();
+        for (dest, msgs) in ordered {
+            f(dest, msgs);
+        }
+    }
+}
+
+impl<T> Buckets<T> for Vec<Vec<T>> {
+    fn total_len(&self) -> usize {
+        self.iter().map(Vec::len).sum()
+    }
+    fn for_each_ordered(self, mut f: impl FnMut(usize, Vec<T>)) {
+        for (dest, msgs) in self.into_iter().enumerate() {
+            f(dest, msgs);
+        }
+    }
+}
+
+/// Flattens per-destination buckets into a contiguous buffer plus send
+/// counts for a communicator of `size` ranks. A non-empty bucket for a
+/// destination out of range panics (a programming error, like an invalid
+/// rank in MPI); a vector of buckets may be shorter than `size`.
+///
+/// `data` is allocated once, at its exact final length, and every bucket
+/// is appended into it.
+pub fn with_flattened<T>(buckets: impl Buckets<T>, size: usize) -> Flattened<T> {
     let mut counts = vec![0usize; size];
-    let mut total = 0usize;
-    for (&dest, msgs) in &ordered {
+    let mut data = Vec::with_capacity(buckets.total_len());
+    buckets.for_each_ordered(|dest, mut msgs| {
+        if msgs.is_empty() {
+            return;
+        }
         assert!(
             dest < size,
             "with_flattened: destination {dest} out of range for size {size}"
         );
         counts[dest] = msgs.len();
-        total += msgs.len();
-    }
-    let mut data = Vec::with_capacity(total);
-    for (_, mut msgs) in ordered {
         data.append(&mut msgs);
-    }
+    });
     Flattened { data, counts }
 }
 
@@ -80,6 +117,35 @@ mod tests {
         let mut buckets = HashMap::new();
         buckets.insert(9, vec![1u8]);
         with_flattened(buckets, 2);
+    }
+
+    #[test]
+    fn flatten_vec_orders_by_destination() {
+        let f = with_flattened(vec![vec![1], vec![], vec![20, 21], vec![]], 4);
+        assert_eq!(f.data, vec![1, 20, 21]);
+        assert_eq!(f.counts, vec![1, 0, 2, 0]);
+    }
+
+    #[test]
+    fn flatten_vec_empty() {
+        let f = with_flattened(Vec::<Vec<u8>>::new(), 3);
+        assert!(f.data.is_empty());
+        assert_eq!(f.counts, vec![0, 0, 0]);
+    }
+
+    #[test]
+    fn flatten_vec_trailing_empty_buckets() {
+        // Shorter than `size`, or longer with only empty buckets past it.
+        let f = with_flattened(vec![vec![7u8]], 3);
+        assert_eq!((f.data, f.counts), (vec![7], vec![1, 0, 0]));
+        let f = with_flattened(vec![vec![], vec![7u8], vec![], vec![]], 2);
+        assert_eq!((f.data, f.counts), (vec![7], vec![0, 1]));
+    }
+
+    #[test]
+    #[should_panic(expected = "out of range")]
+    fn flatten_vec_rejects_bad_destination() {
+        with_flattened(vec![vec![], vec![], vec![1u8]], 2);
     }
 
     #[test]

@@ -16,8 +16,6 @@
 //! column: hand-rolled count exchange, displacement computation and byte
 //! packing), while [`bfs_kamping`] is the paper's Fig. 9.
 
-use std::collections::HashMap;
-
 use kamping::prelude::*;
 use kamping_mpi::RawComm;
 use kamping_plugins::{GridAlltoall, GridCommunicator, SparseAlltoall};
@@ -104,12 +102,12 @@ impl Exchanger {
         Ok(ex)
     }
 
-    /// Delivers `buckets` (destination rank → vertex ids) and returns every
-    /// received id. Collective.
+    /// Delivers `buckets` (vertex ids indexed by destination rank, one
+    /// bucket per rank) and returns every received id. Collective.
     pub fn exchange(
         &mut self,
         comm: &Communicator,
-        mut buckets: HashMap<usize, Vec<VertexId>>,
+        mut buckets: Vec<Vec<VertexId>>,
     ) -> KResult<Vec<VertexId>> {
         match self.strategy {
             ExchangeStrategy::BuiltinAlltoallv => {
@@ -127,13 +125,10 @@ impl Exchanger {
                 Ok(grid.alltoallv(&flat.data, &flat.counts)?.0)
             }
             ExchangeStrategy::Adaptive => {
-                let flat = with_flattened(buckets, comm.size());
-                let mut parts: Vec<Vec<u8>> = Vec::with_capacity(comm.size());
-                let mut off = 0usize;
-                for &c in &flat.counts {
-                    parts.push(kamping::types::pod_as_bytes(&flat.data[off..off + c]).to_vec());
-                    off += c;
-                }
+                let parts: Vec<Vec<u8>> = buckets
+                    .iter()
+                    .map(|vs| kamping::types::pod_as_bytes(vs).to_vec())
+                    .collect();
                 let by_source = comm
                     .raw()
                     .alltoallv_strategy(&parts, kamping_mpi::AlltoallAlgo::Auto)?;
@@ -149,11 +144,14 @@ impl Exchanger {
                     .neighbor_ranks
                     .iter()
                     .map(|&r| {
-                        let vs = buckets.remove(&r).unwrap_or_default();
+                        let vs = std::mem::take(&mut buckets[r]);
                         kamping::types::pod_as_bytes(&vs).to_vec()
                     })
                     .collect();
-                debug_assert!(buckets.is_empty(), "frontier left the static topology");
+                debug_assert!(
+                    buckets.iter().all(Vec::is_empty),
+                    "frontier left the static topology"
+                );
                 let rebuilt;
                 let ncomm = if self.strategy == ExchangeStrategy::NeighborRebuild {
                     // Dynamic pattern: pay the topology (re)construction.
@@ -180,10 +178,16 @@ impl Exchanger {
     fn comm_sparse(
         &self,
         comm: &Communicator,
-        buckets: HashMap<usize, Vec<VertexId>>,
+        buckets: Vec<Vec<VertexId>>,
     ) -> KResult<Vec<Vec<VertexId>>> {
+        // Only non-empty buckets become messages: NBX sends one per entry.
+        let messages: std::collections::HashMap<usize, Vec<VertexId>> = buckets
+            .into_iter()
+            .enumerate()
+            .filter(|(_, vs)| !vs.is_empty())
+            .collect();
         Ok(comm
-            .sparse_alltoall(buckets)?
+            .sparse_alltoall(messages)?
             .into_iter()
             .map(|m| m.data)
             .collect())
@@ -191,15 +195,16 @@ impl Exchanger {
 }
 
 /// Expands the current frontier: marks newly discovered local vertices,
-/// buckets remote ones by owner. Shared by all implementations (the paper
-/// extracts shared logic the same way for its LoC comparison).
+/// buckets remote ones by owner. Returns one bucket per rank, indexed by
+/// destination. Shared by all implementations (the paper extracts shared
+/// logic the same way for its LoC comparison).
 pub fn expand_frontier(
     g: &DistGraph,
     frontier: &[VertexId],
     dist: &mut [u64],
     level: u64,
-) -> HashMap<usize, Vec<VertexId>> {
-    let mut buckets: HashMap<usize, Vec<VertexId>> = HashMap::new();
+) -> Vec<Vec<VertexId>> {
+    let mut buckets: Vec<Vec<VertexId>> = vec![Vec::new(); g.ranks];
     for &v in frontier {
         for &w in g.neighbors(v) {
             if g.is_local(w) {
@@ -208,10 +213,10 @@ pub fn expand_frontier(
                     // Pre-mark and route through the self bucket so every
                     // exchange strategy shares one code path.
                     dist[i] = level + 1;
-                    buckets.entry(g.owner_of(w)).or_default().push(w);
+                    buckets[g.rank].push(w);
                 }
             } else {
-                buckets.entry(g.owner_of(w)).or_default().push(w);
+                buckets[g.owner_of(w)].push(w);
             }
         }
     }
@@ -219,24 +224,30 @@ pub fn expand_frontier(
 }
 
 /// Filters received candidates into the next frontier, setting distances.
+/// The frontier is ascending and duplicate-free: accepted vertices are
+/// marked in a bitmap over the local range and read back word by word.
 pub fn absorb_candidates(
     g: &DistGraph,
     candidates: &[VertexId],
     dist: &mut [u64],
     level: u64,
 ) -> Vec<VertexId> {
-    let mut next = Vec::new();
+    let mut accepted = vec![0u64; g.local_size().div_ceil(64)];
     for &w in candidates {
         let i = g.local_index(w);
         if dist[i] == UNREACHED || dist[i] == level + 1 {
-            if dist[i] == UNREACHED {
-                dist[i] = level + 1;
-            }
-            next.push(w);
+            dist[i] = level + 1;
+            accepted[i / 64] |= 1 << (i % 64);
         }
     }
-    next.sort_unstable();
-    next.dedup();
+    let mut next = Vec::new();
+    for (k, &word) in accepted.iter().enumerate() {
+        let mut bits = word;
+        while bits != 0 {
+            next.push(g.first + (64 * k) as u64 + u64::from(bits.trailing_zeros()));
+            bits &= bits - 1;
+        }
+    }
     next
 }
 
@@ -277,10 +288,7 @@ pub fn bfs_kamping(comm: &Communicator, g: &DistGraph, source: VertexId) -> KRes
     fn is_empty(frontier: &[VertexId], comm: &Communicator) -> KResult<bool> {
         Ok(comm.allreduce_single(frontier.is_empty() as u8, |a, b| a & b)? == 1)
     }
-    fn exchange(
-        frontier: HashMap<usize, Vec<VertexId>>,
-        comm: &Communicator,
-    ) -> KResult<Vec<VertexId>> {
+    fn exchange(frontier: Vec<Vec<VertexId>>, comm: &Communicator) -> KResult<Vec<VertexId>> {
         let flat = with_flattened(frontier, comm.size());
         comm.alltoallv_vec(&flat.data, &flat.counts)
     }
@@ -352,17 +360,15 @@ pub fn bfs_plain(comm: &RawComm, g: &DistGraph, source: VertexId) -> Vec<u64> {
         comm.allreduce(&mut buf, &and, 1).expect("allreduce");
         buf[0] == 1
     }
-    fn exchange(frontier: HashMap<usize, Vec<VertexId>>, comm: &RawComm) -> Vec<VertexId> {
+    fn exchange(frontier: Vec<Vec<VertexId>>, comm: &RawComm) -> Vec<VertexId> {
         let p = comm.size();
         // flatten the buckets into a contiguous send buffer by hand
         let mut send_counts = vec![0usize; p];
-        for (&dest, msgs) in &frontier {
+        for (dest, msgs) in frontier.iter().enumerate() {
             send_counts[dest] = msgs.len() * 8;
         }
         let mut send = Vec::new();
-        let mut ordered: Vec<_> = frontier.into_iter().collect();
-        ordered.sort_by_key(|&(d, _)| d);
-        for (_, msgs) in ordered {
+        for msgs in frontier {
             for v in msgs {
                 send.extend_from_slice(&v.to_le_bytes());
             }
@@ -414,6 +420,8 @@ pub fn bfs_plain(comm: &RawComm, g: &DistGraph, source: VertexId) -> Vec<u64> {
 
 #[cfg(test)]
 mod tests {
+    use std::collections::HashMap;
+
     use super::*;
     use crate::gen::{gnm, rgg2d, rhg};
 
@@ -486,6 +494,113 @@ mod tests {
             let r = crate::gen::rhg_radius(150, 8.0);
             rhg(comm, 150, r, 7).unwrap()
         });
+    }
+
+    /// The `HashMap`-bucketed expansion the rank-indexed one replaced.
+    fn reference_expand(
+        g: &DistGraph,
+        frontier: &[VertexId],
+        dist: &mut [u64],
+        level: u64,
+    ) -> HashMap<usize, Vec<VertexId>> {
+        let mut buckets: HashMap<usize, Vec<VertexId>> = HashMap::new();
+        for &v in frontier {
+            for &w in g.neighbors(v) {
+                if g.is_local(w) {
+                    let i = g.local_index(w);
+                    if dist[i] == UNREACHED {
+                        dist[i] = level + 1;
+                        buckets.entry(g.owner_of(w)).or_default().push(w);
+                    }
+                } else {
+                    buckets.entry(g.owner_of(w)).or_default().push(w);
+                }
+            }
+        }
+        buckets
+    }
+
+    /// The sort-and-dedup absorb the bitmap one replaced.
+    fn reference_absorb(
+        g: &DistGraph,
+        candidates: &[VertexId],
+        dist: &mut [u64],
+        level: u64,
+    ) -> Vec<VertexId> {
+        let mut next = Vec::new();
+        for &w in candidates {
+            let i = g.local_index(w);
+            if dist[i] == UNREACHED || dist[i] == level + 1 {
+                if dist[i] == UNREACHED {
+                    dist[i] = level + 1;
+                }
+                next.push(w);
+            }
+        }
+        next.sort_unstable();
+        next.dedup();
+        next
+    }
+
+    /// Both kernels against their references on seeded random graphs,
+    /// distances and candidate lists: duplicate candidates, vertices
+    /// pre-marked for the next level, reached earlier or still unreached,
+    /// local ranges that are and are not a multiple of 64, and ranks that
+    /// own no vertex at all (n < p).
+    #[test]
+    fn kernels_match_their_hashing_references() {
+        let level = 3u64;
+        for (n, p, seed) in [
+            (1000u64, 4usize, 1u64),
+            (256, 2, 2),
+            (130, 1, 3),
+            (3, 5, 4),
+            (97, 3, 5),
+        ] {
+            for rank in 0..p {
+                let mut state = seed * 1009 + rank as u64;
+                let mut below = |bound: u64| {
+                    state = crate::gen::splitmix64(state);
+                    state % bound.max(1)
+                };
+                let first = crate::dist_graph::range_start(n, p, rank);
+                let last = crate::dist_graph::range_start(n, p, rank + 1);
+                let local = last - first;
+                let edges: Vec<(u64, u64)> = (first..last)
+                    .flat_map(|u| (0..below(8)).map(|_| (u, below(n))).collect::<Vec<_>>())
+                    .collect();
+                let g = DistGraph::from_local_edges(n, p, rank, edges);
+                let dist: Vec<u64> = (0..local)
+                    .map(|_| match below(4) {
+                        0 => level + 1,
+                        1 => below(level + 1),
+                        _ => UNREACHED,
+                    })
+                    .collect();
+                let frontier: Vec<u64> = (first..last).filter(|_| below(3) == 0).collect();
+
+                let (mut got_dist, mut want_dist) = (dist.clone(), dist);
+                let got = expand_frontier(&g, &frontier, &mut got_dist, level);
+                let want = reference_expand(&g, &frontier, &mut want_dist, level);
+                assert_eq!(got_dist, want_dist, "expand dist n={n} p={p} rank={rank}");
+                assert_eq!(got.len(), p);
+                for (dest, bucket) in got.iter().enumerate() {
+                    let want_bucket = want.get(&dest).map_or(&[][..], Vec::as_slice);
+                    assert_eq!(bucket, want_bucket, "bucket {dest} n={n} p={p} rank={rank}");
+                }
+
+                // What the exchange would hand back: the self bucket plus
+                // random owned ids, duplicates included.
+                let mut candidates = got[rank].clone();
+                if local > 0 {
+                    candidates.extend((0..below(3 * local)).map(|_| first + below(local)));
+                }
+                let got = absorb_candidates(&g, &candidates, &mut got_dist, level);
+                let want = reference_absorb(&g, &candidates, &mut want_dist, level);
+                assert_eq!(got, want, "frontier n={n} p={p} rank={rank}");
+                assert_eq!(got_dist, want_dist, "absorb dist n={n} p={p} rank={rank}");
+            }
+        }
     }
 
     #[test]

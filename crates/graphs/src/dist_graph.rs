@@ -20,6 +20,8 @@ pub struct DistGraph {
     pub n: u64,
     /// Number of ranks the graph is distributed over.
     pub ranks: usize,
+    /// This rank (the owner of `first..last`).
+    pub rank: usize,
     /// First vertex owned by this rank.
     pub first: VertexId,
     /// One past the last vertex owned by this rank.
@@ -83,6 +85,7 @@ impl DistGraph {
         Self {
             n,
             ranks,
+            rank,
             first,
             last,
             offsets,
@@ -98,10 +101,9 @@ impl DistGraph {
         edges: Vec<(VertexId, VertexId)>,
     ) -> KResult<Self> {
         let p = comm.size();
-        let mut buckets: std::collections::HashMap<usize, Vec<u64>> =
-            std::collections::HashMap::new();
+        let mut buckets: Vec<Vec<u64>> = vec![Vec::new(); p];
         for (u, v) in edges {
-            buckets.entry(owner(n, p, u)).or_default().extend([u, v]);
+            buckets[owner(n, p, u)].extend([u, v]);
         }
         let flat = with_flattened(buckets, p);
         let received = comm.alltoallv_vec(&flat.data, &flat.counts)?;
