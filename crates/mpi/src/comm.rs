@@ -11,7 +11,6 @@
 //! central registry.
 
 use std::cell::{Cell, RefCell};
-use std::collections::HashMap;
 use std::sync::Arc;
 
 use crate::coll::GridCache;
@@ -34,6 +33,19 @@ pub(crate) fn fnv1a(words: &[u64]) -> u64 {
     h | 1
 }
 
+/// [`RawComm::inverse`] of a non-member: the source a status reports for it.
+pub(crate) const NOT_MEMBER: usize = usize::MAX;
+
+/// The global → local table of `group`: indexed by global rank, with
+/// [`NOT_MEMBER`] where a global rank is not in the group.
+pub(crate) fn rank_index(group: &[usize]) -> Arc<Vec<usize>> {
+    let mut inverse = vec![NOT_MEMBER; group.iter().max().map_or(0, |&g| g + 1)];
+    for (local, &global) in group.iter().enumerate() {
+        inverse[global] = local;
+    }
+    Arc::new(inverse)
+}
+
 /// Per-rank communicator handle.
 pub struct RawComm {
     pub(crate) state: Arc<UniverseState>,
@@ -41,8 +53,8 @@ pub struct RawComm {
     pub(crate) ctx: u64,
     /// Local rank -> global rank.
     pub(crate) group: Arc<Vec<usize>>,
-    /// Global rank -> local rank.
-    pub(crate) inverse: Arc<HashMap<usize, usize>>,
+    /// Global rank -> local rank ([`rank_index`]).
+    pub(crate) inverse: Arc<Vec<usize>>,
     /// This handle's local rank.
     pub(crate) rank: usize,
     /// Membership epoch this communicator was derived under (0 = launch
@@ -107,12 +119,11 @@ impl RawComm {
     /// [`RawComm::from_grow`] instead.
     pub(crate) fn world(state: Arc<UniverseState>, rank: usize) -> Self {
         let group: Arc<Vec<usize>> = Arc::new(state.launch_members.clone());
-        let inverse = Arc::new(group.iter().enumerate().map(|(l, &g)| (g, l)).collect());
         Self {
             state,
             ctx: 0,
+            inverse: rank_index(&group),
             group,
-            inverse,
             rank,
             epoch: 0,
             coll_seq: Cell::new(0),
@@ -141,12 +152,11 @@ impl RawComm {
             .iter()
             .position(|&g| g == my_global)
             .expect("a grown communicator must contain the building rank");
-        let inverse = Arc::new(members.iter().enumerate().map(|(l, &g)| (g, l)).collect());
         Self {
             state,
             ctx: grow_ctx(epoch),
+            inverse: rank_index(&members),
             group: Arc::new(members),
-            inverse,
             rank,
             epoch,
             coll_seq: Cell::new(0),
@@ -170,12 +180,11 @@ impl RawComm {
             .iter()
             .position(|&g| g == my_global)
             .expect("deriving rank must be a member of the new group");
-        let inverse = Arc::new(members.iter().enumerate().map(|(l, &g)| (g, l)).collect());
         Self {
             state: Arc::clone(&self.state),
             ctx,
+            inverse: rank_index(&members),
             group: Arc::new(members),
-            inverse,
             rank,
             epoch: self.epoch,
             coll_seq: Cell::new(0),
@@ -213,7 +222,10 @@ impl RawComm {
     /// Translates a global rank back to this communicator's local rank.
     #[inline]
     pub fn local_rank_of(&self, global: usize) -> Option<usize> {
-        self.inverse.get(&global).copied()
+        self.inverse
+            .get(global)
+            .copied()
+            .filter(|&l| l != NOT_MEMBER)
     }
 
     /// This rank's global (world) rank.
@@ -354,6 +366,15 @@ mod tests {
             }
             assert!(comm.global_rank(99).is_err());
         });
+    }
+
+    /// The table is indexed by global rank up to the largest member, with
+    /// the sentinel in every gap.
+    #[test]
+    fn rank_index_maps_members_and_marks_gaps() {
+        use super::{rank_index, NOT_MEMBER};
+        assert_eq!(*rank_index(&[4, 0, 2]), [1, NOT_MEMBER, 2, NOT_MEMBER, 0]);
+        assert!(rank_index(&[]).is_empty());
     }
 
     #[test]

@@ -62,7 +62,7 @@
 
 pub(crate) mod sm;
 
-use std::cell::{Cell, RefCell};
+use std::cell::RefCell;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, TryLockError, Weak};
 use std::time::{Duration, Instant};
@@ -72,9 +72,9 @@ use crate::error::{MpiError, MpiResult};
 use crate::hier::AllreduceAlgo;
 use crate::metrics::{Counter, Gauge, Hist};
 use crate::profile::Op;
-use crate::tag::{coll_tag, Tag};
+use crate::tag::{coll_tag, Tag, ANY_SOURCE};
 use crate::transport::{Envelope, Mailbox, MatchKey, Payload};
-use crate::universe::UniverseState;
+use crate::universe::{wait_interrupt, UniverseState};
 use crate::RawComm;
 
 use sm::{
@@ -151,17 +151,8 @@ pub(crate) trait CollSm {
 
 /// Lifecycle of one issued collective.
 enum CollCore {
-    /// Schedule still has pending receives. `clean` caches the fault epoch
-    /// *and the awaited rank* for which the fault scan last came up empty,
-    /// so the (lock-protected) scan reruns only when a mark lands or the
-    /// schedule advances onto a different peer. Epoch alone is not enough:
-    /// a mark can be applied while the schedule still waits on a live
-    /// rank, and when it then advances onto the already-marked dead one,
-    /// no further epoch bump ever arrives to retrigger the scan.
-    Running {
-        sm: Box<dyn CollSm + Send>,
-        clean: Option<(u64, Option<usize>)>,
-    },
+    /// Schedule still has pending receives.
+    Running(Box<dyn CollSm + Send>),
     /// Completed; result bytes awaiting pickup by the owner.
     Done(Vec<u8>),
     /// Result already handed to the owner.
@@ -263,7 +254,7 @@ impl CollCell {
     }
 
     fn step_locked_inner(&self, state: &UniverseState, core: &mut CollCore) -> bool {
-        let CollCore::Running { sm, clean } = core else {
+        let CollCore::Running(sm) = core else {
             return true;
         };
         let cx = StepCx {
@@ -278,10 +269,6 @@ impl CollCell {
                 true
             }
             Ok(None) => {
-                let verdict = (state.fault_epoch.load(Ordering::Acquire), sm.awaited());
-                if *clean == Some(verdict) {
-                    return false;
-                }
                 if state.is_revoked(self.ctx) {
                     *core = CollCore::Failed(MpiError::Revoked);
                     return true;
@@ -293,17 +280,21 @@ impl CollCell {
                 // a live rank whose own step awaits the dead one, so the
                 // dead rank never shows up as our `awaited`. A member that
                 // finished cleanly is exempt unless directly awaited — its
-                // `Bye` proves it posted everything first.
+                // `Bye` proves it posted everything first. No verdict is
+                // cached: the member scan is one load until a rank fails.
                 let gone =
                     |l: Option<usize>| l.map(|l| self.group[l]).filter(|&g| state.is_gone(g));
-                let failed = || self.group.iter().copied().find(|&g| state.is_failed(g));
-                if gone(verdict.1).or_else(failed).is_none() {
-                    *clean = Some(verdict);
+                let failed = || {
+                    (state.any_failed())
+                        .then(|| self.group.iter().copied().find(|&g| state.is_failed(g)))
+                        .flatten()
+                };
+                if gone(sm.awaited()).or_else(failed).is_none() {
                     return false;
                 }
                 // A waited-on rank is gone — but envelopes it posted before
                 // dying may have landed between the dry step above and the
-                // epoch read (the Acquire on `fault_epoch` makes them
+                // fate read (the Acquire load of its fate bit makes them
                 // visible now), so re-step before giving up: a rank that
                 // *entered* the schedule and then finished is not a fault.
                 match sm.step(&cx) {
@@ -320,16 +311,12 @@ impl CollCell {
                         // member first: a directly awaited rank that merely
                         // finished may only be collateral (it left after the
                         // real fault wedged the schedule).
-                        let awaited = sm.awaited();
-                        match failed().or_else(|| gone(awaited)) {
+                        match failed().or_else(|| gone(sm.awaited())) {
                             Some(rank) => {
                                 *core = CollCore::Failed(MpiError::ProcFailed { rank });
                                 true
                             }
-                            None => {
-                                *clean = Some((verdict.0, awaited));
-                                false
-                            }
+                            None => false,
                         }
                     }
                 }
@@ -346,7 +333,7 @@ impl CollCell {
     fn try_finish(&self) -> Option<MpiResult<Vec<u8>>> {
         let mut core = self.core.lock().expect("coll cell poisoned");
         match &*core {
-            CollCore::Running { .. } => None,
+            CollCore::Running(_) => None,
             CollCore::Failed(e) => Some(Err(e.clone())),
             CollCore::Taken => Some(Ok(Vec::new())),
             CollCore::Done(_) => {
@@ -361,7 +348,7 @@ impl CollCell {
     fn is_settled(&self) -> bool {
         !matches!(
             &*self.core.lock().expect("coll cell poisoned"),
-            CollCore::Running { .. }
+            CollCore::Running(_)
         )
     }
 }
@@ -638,31 +625,17 @@ impl RawComm {
     /// `step` as the match attempt and its awaited peer as the fault
     /// source: the wait fails with `ProcFailed` if that peer is gone
     /// (failed, or returned without posting) and with `Revoked` if the
-    /// communicator was revoked. The verdict is cached per (fault epoch,
-    /// awaited peer) like [`CollCore::Running`]'s, so a wakeup costs one
-    /// atomic load while nothing changed.
+    /// communicator was revoked ([`wait_interrupt`]: two loads while
+    /// nothing is revoked).
     pub(crate) fn run_inline<S: CollSm>(
         &self,
         build: impl FnOnce(&StepCx<'_>) -> MpiResult<S>,
     ) -> MpiResult<Vec<u8>> {
         let cx = self.cx()?;
         let sm = RefCell::new(build(&cx)?);
-        let clean = Cell::new(None);
         let interrupt = || {
-            let epoch = self.state.fault_epoch.load(Ordering::Acquire);
-            let verdict = (epoch, sm.borrow().awaited());
-            if clean.get() == Some(verdict) {
-                return None;
-            }
-            if self.state.is_revoked(self.ctx) {
-                return Some(MpiError::Revoked);
-            }
-            let awaited = verdict.1.map(|l| self.group[l]);
-            if let Some(rank) = awaited.filter(|&g| self.state.is_gone(g)) {
-                return Some(MpiError::ProcFailed { rank });
-            }
-            clean.set(Some(verdict));
-            None
+            let awaited = sm.borrow().awaited().map_or(ANY_SOURCE, |l| self.group[l]);
+            wait_interrupt(&self.state, awaited, self.ctx)()
         };
         self.state
             .mailbox(self.my_global_rank())
@@ -687,7 +660,7 @@ impl RawComm {
             ctx: self.ctx,
             rank: self.rank,
             op,
-            core: Mutex::new(CollCore::Running { sm, clean: None }),
+            core: Mutex::new(CollCore::Running(sm)),
             rerun: AtomicBool::new(false),
         });
         let me = self.my_global_rank();

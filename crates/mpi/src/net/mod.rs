@@ -461,10 +461,7 @@ fn spawn_monitor(
                             // A rank this process already holds for failed
                             // is announced all the same: a broken data link
                             // tells only its own end, the monitor everyone.
-                            let finished = state.finished.read().expect("finished set poisoned");
-                            let crashed = !finished.contains(&rank);
-                            drop(finished);
-                            if crashed {
+                            if !state.is_finished(rank) {
                                 state.mark_failed(rank);
                             }
                             conns.swap_remove(i);

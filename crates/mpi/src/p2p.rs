@@ -15,6 +15,7 @@
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
+use crate::comm::NOT_MEMBER;
 use crate::error::{MpiError, MpiResult};
 use crate::profile::Op;
 use crate::request::{RawRequest, RequestKind};
@@ -32,6 +33,15 @@ pub struct Status {
     pub tag: Tag,
     /// Payload length in bytes.
     pub bytes: usize,
+}
+
+impl Status {
+    /// The status of a message from `src_global`, its source translated by
+    /// a communicator's global → local table ([`crate::comm::rank_index`]).
+    pub(crate) fn of(inverse: &[usize], src_global: usize, tag: Tag, bytes: usize) -> Self {
+        let source = inverse.get(src_global).copied().unwrap_or(NOT_MEMBER);
+        Self { source, tag, bytes }
+    }
 }
 
 impl RawComm {
@@ -87,8 +97,7 @@ impl RawComm {
 
     #[inline]
     fn status_of(&self, src_global: usize, tag: Tag, bytes: usize) -> Status {
-        let source = self.local_rank_of(src_global).unwrap_or(usize::MAX);
-        Status { source, tag, bytes }
+        Status::of(&self.inverse, src_global, tag, bytes)
     }
 
     /// Blocking standard-mode send of `payload` to local rank `dest`.
@@ -254,7 +263,7 @@ impl RawComm {
             RequestKind::Recv {
                 key,
                 me: self.my_global_rank(),
-                group: Arc::clone(&self.group),
+                inverse: Arc::clone(&self.inverse),
             },
         ))
     }
@@ -450,6 +459,26 @@ mod tests {
                 .sendrecv(right, 0, &[comm.rank() as u8], left, 0)
                 .unwrap();
             assert_eq!(got, vec![left as u8]);
+        });
+    }
+
+    /// A status names its source by the index table: a member's local
+    /// rank, and `usize::MAX` for a global rank outside the group (beyond
+    /// the table's end too).
+    #[test]
+    fn status_source_of_a_non_member_is_usize_max() {
+        Universe::run(4, |comm| {
+            let half = comm
+                .split(comm.rank() as u64 % 2, 9 - comm.rank() as u64)
+                .unwrap();
+            let (mate, stranger) = ((comm.rank() + 2) % 4, (comm.rank() + 1) % 4);
+            let source = |g: usize| half.status_of(g, 0, 0).source;
+            assert_eq!(source(mate), usize::from(mate < comm.rank()));
+            assert_eq!(source(comm.rank()), usize::from(mate > comm.rank()));
+            assert_eq!(
+                (source(stranger), source(7), source(ANY_SOURCE)),
+                (usize::MAX, usize::MAX, usize::MAX)
+            );
         });
     }
 

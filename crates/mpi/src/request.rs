@@ -28,11 +28,12 @@ pub(crate) enum RequestKind {
         ack: Arc<AckCell>,
         dest_global: usize,
     },
-    /// Receive: complete when a matching envelope arrives.
+    /// Receive: complete when a matching envelope arrives. `inverse` is
+    /// the communicator's global → local table ([`crate::comm::rank_index`]).
     Recv {
         key: MatchKey,
         me: usize,
-        group: Arc<Vec<usize>>,
+        inverse: Arc<Vec<usize>>,
     },
     /// Non-blocking collective (today only the barrier arrives here):
     /// complete when the icoll engine settles the schedule.
@@ -74,14 +75,6 @@ impl RawRequest {
         self.kind.is_none()
     }
 
-    fn local_status(group: &[usize], src_global: usize, tag: crate::Tag, bytes: usize) -> Status {
-        let source = group
-            .iter()
-            .position(|&g| g == src_global)
-            .unwrap_or(usize::MAX);
-        Status { source, tag, bytes }
-    }
-
     /// Polls for completion. For receives, returns the payload/status pair
     /// when complete. A completed (null) request reports `Some(None)`-like
     /// behaviour: it is complete with no payload.
@@ -109,29 +102,28 @@ impl RawRequest {
         match kind {
             RequestKind::SendDone => Ok(Some(Completion::Done)),
             RequestKind::Ssend { ack, dest_global } => {
-                if ack.is_set() {
-                    Ok(Some(Completion::Done))
-                } else if self.state.is_gone(dest_global) {
-                    // The destination will never match this message.
-                    Err(crate::MpiError::ProcFailed { rank: dest_global })
-                } else {
-                    self.kind = Some(RequestKind::Ssend { ack, dest_global });
-                    Ok(None)
+                match ssend_verdict(|| ack.is_set(), || self.state.is_gone(dest_global)) {
+                    Some(true) => Ok(Some(Completion::Done)),
+                    Some(false) => Err(MpiError::ProcFailed { rank: dest_global }),
+                    None => {
+                        self.kind = Some(RequestKind::Ssend { ack, dest_global });
+                        Ok(None)
+                    }
                 }
             }
-            RequestKind::Recv { key, me, group } => {
+            RequestKind::Recv { key, me, inverse } => {
                 // Surface failures/revocation even while polling.
                 let interrupt = wait_interrupt(&self.state, key.src, key.ctx);
                 match self.state.mailbox(me).try_take(key) {
                     Some(d) => {
-                        let status = Self::local_status(&group, d.src, d.tag, d.payload.len());
+                        let status = Status::of(&inverse, d.src, d.tag, d.payload.len());
                         Ok(Some(Completion::Message(d.payload.into_vec(), status)))
                     }
                     None => {
                         if let Some(err) = interrupt() {
                             return Err(err);
                         }
-                        self.kind = Some(RequestKind::Recv { key, me, group });
+                        self.kind = Some(RequestKind::Recv { key, me, inverse });
                         Ok(None)
                     }
                 }
@@ -177,7 +169,7 @@ impl RawRequest {
         };
         match self.kind.take() {
             None | Some(RequestKind::SendDone) => Ok((Vec::new(), done_status)),
-            Some(RequestKind::Recv { key, me, group }) => {
+            Some(RequestKind::Recv { key, me, inverse }) => {
                 let interrupt = wait_interrupt(&self.state, key.src, key.ctx);
                 match self
                     .state
@@ -185,12 +177,12 @@ impl RawRequest {
                     .take_blocking_deadline(key, &interrupt, deadline)
                 {
                     Ok(d) => {
-                        let status = Self::local_status(&group, d.src, d.tag, d.payload.len());
+                        let status = Status::of(&inverse, d.src, d.tag, d.payload.len());
                         Ok((d.payload.into_vec(), status))
                     }
                     Err(e) => {
                         if e.is_timeout() {
-                            self.kind = Some(RequestKind::Recv { key, me, group });
+                            self.kind = Some(RequestKind::Recv { key, me, inverse });
                             self.waited += start.elapsed();
                             return Err(MpiError::Timeout {
                                 waited: self.waited,
@@ -203,20 +195,12 @@ impl RawRequest {
             Some(RequestKind::Ssend { ack, dest_global }) => {
                 let state = Arc::clone(&self.state);
                 let verdict = state.hub.wait_until_deadline(
-                    || {
-                        if ack.is_set() {
-                            Some(Ok(()))
-                        } else if state.is_gone(dest_global) {
-                            Some(Err(crate::MpiError::ProcFailed { rank: dest_global }))
-                        } else {
-                            None
-                        }
-                    },
+                    || ssend_verdict(|| ack.is_set(), || state.is_gone(dest_global)),
                     deadline,
                 );
                 match verdict {
-                    Some(Ok(())) => Ok((Vec::new(), done_status)),
-                    Some(Err(e)) => Err(e),
+                    Some(true) => Ok((Vec::new(), done_status)),
+                    Some(false) => Err(MpiError::ProcFailed { rank: dest_global }),
                     None => {
                         self.kind = Some(RequestKind::Ssend { ack, dest_global });
                         self.waited += start.elapsed();
@@ -241,9 +225,69 @@ impl RawRequest {
     }
 }
 
+/// The verdict on a synchronous-mode send from one look at its ack and its
+/// destination: `Some(true)` once matched, `Some(false)` once the
+/// destination is gone without having matched, `None` while pending.
+///
+/// The ack is read again after the destination is seen gone, because a
+/// receiver may match the message and then finish between the two reads. A
+/// receiver sets the ack when it matches, which is before its closure
+/// returns and the universe marks it finished; on the socket backend its
+/// `Ack` frame travels ahead of its `Finished` frame on the same FIFO
+/// channel. The finish bit is set with `Release` and `gone` loads it with
+/// `Acquire`, so once `gone` holds, any ack set before it is visible: a
+/// second miss means the message was never matched.
+fn ssend_verdict(acked: impl Fn() -> bool, gone: impl FnOnce() -> bool) -> Option<bool> {
+    if acked() {
+        return Some(true);
+    }
+    gone().then(acked)
+}
+
 #[cfg(test)]
 mod tests {
+    use super::ssend_verdict;
     use crate::Universe;
+    use std::cell::Cell;
+
+    /// Replays one sequence of ack observations through the verdict;
+    /// returns it with the number of ack reads it took.
+    fn verdict(acks: &[bool], gone: bool) -> (Option<bool>, usize) {
+        let reads = Cell::new(0);
+        let acked = || {
+            reads.set(reads.get() + 1);
+            acks[reads.get() - 1]
+        };
+        (ssend_verdict(acked, || gone), reads.get())
+    }
+
+    /// The check-then-fault race, scripted: the receiver matches (ack set)
+    /// and finishes between the sender's first ack read and its fate read.
+    /// The send completed; it must not read as `ProcFailed`.
+    #[test]
+    fn issend_matched_then_finished_is_complete() {
+        assert_eq!(verdict(&[false, true], true), (Some(true), 2));
+        assert_eq!(verdict(&[false, false], true), (Some(false), 2));
+        assert_eq!(verdict(&[true], true), (Some(true), 1));
+        assert_eq!(verdict(&[false], false), (None, 1));
+    }
+
+    /// The same race on real ranks: rank 1 matches the `issend` and returns
+    /// at once, so rank 0's wait often sees it finished. Every wait must
+    /// complete.
+    #[test]
+    fn issend_to_a_rank_that_matches_and_returns_completes() {
+        for _ in 0..100 {
+            Universe::run(2, |comm| {
+                if comm.rank() == 0 {
+                    let mut req = comm.issend(1, 3, b"x".to_vec()).unwrap();
+                    req.wait().unwrap();
+                } else {
+                    comm.recv(0, 3).unwrap();
+                }
+            });
+        }
+    }
 
     #[test]
     fn isend_request_completes_immediately() {

@@ -20,7 +20,7 @@
 
 use std::collections::HashSet;
 use std::panic::AssertUnwindSafe;
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, OnceLock, RwLock};
 
 use crate::chaos::{ChaosSpec, ChaosTransport};
@@ -49,6 +49,14 @@ pub(crate) struct GrowEvent {
     /// Complete membership after the event.
     pub(crate) members: Vec<usize>,
 }
+
+/// Fate bit of a rank that has failed (ULFM).
+const FAILED: u8 = 1;
+/// Fate bit of a rank whose SPMD closure has returned. A finished rank will
+/// never communicate again, so peers blocked on it must be interrupted (in
+/// real MPI, completing `MPI_Finalize` with matching operations still
+/// pending is erroneous; we surface it as a process failure).
+const FINISHED: u8 = 2;
 
 /// Shared state of one MPI job, as seen by one process.
 pub(crate) struct UniverseState {
@@ -82,22 +90,22 @@ pub(crate) struct UniverseState {
     /// Wakeup channel for events not tied to one mailbox: ssend acks,
     /// failure/revocation marks.
     pub(crate) hub: Arc<Hub>,
-    /// Bumped on every failure/finish/revocation mark. Blocking waits cache
-    /// their last verdict and re-scan the sets below only when this moves.
-    pub(crate) fault_epoch: AtomicU64,
-    /// Global ranks that have failed (ULFM).
-    pub(crate) failed: RwLock<HashSet<usize>>,
+    /// Fate bits ([`FAILED`], [`FINISHED`]) of each of the `size` rank
+    /// slots, indexed by global rank. A mark sets its bit with `Release`
+    /// before it wakes anyone; the checks load it with `Acquire`, so a
+    /// reader that sees a rank gone also sees what the rank did first.
+    fates: Box<[AtomicU8]>,
     /// The first failure this process observed — what the flight recorder
     /// names in its crash report (local observation order; the post-mortem
-    /// collector takes the consensus across processes).
+    /// collector takes the consensus across processes). Set after the fate
+    /// bit, it is also the one-load "has any rank failed" gate.
     pub(crate) first_failed: OnceLock<usize>,
-    /// Global ranks whose SPMD closure has returned. A finished rank will
-    /// never communicate again, so peers blocked on it must be interrupted
-    /// (in real MPI, completing `MPI_Finalize` with matching operations
-    /// still pending is erroneous; we surface it as a process failure).
-    pub(crate) finished: RwLock<HashSet<usize>>,
-    /// Context ids of revoked communicators (ULFM).
-    pub(crate) revoked: RwLock<HashSet<u64>>,
+    /// Context ids of revoked communicators (ULFM). Contexts are hashes, so
+    /// this stays a set; it is read only once `any_revoked` is up.
+    revoked: RwLock<HashSet<u64>>,
+    /// Raised by the first revocation: until then a revocation check is one
+    /// load and takes no lock.
+    any_revoked: AtomicBool,
     /// Outstanding nonblocking-collective schedules of locally-hosted
     /// ranks, advanced by whichever thread delivers a collective-tagged
     /// envelope (see [`crate::icoll`]).
@@ -167,11 +175,10 @@ impl UniverseState {
             closing: AtomicBool::new(false),
             transport,
             hub,
-            fault_epoch: AtomicU64::new(0),
-            failed: RwLock::new(HashSet::new()),
+            fates: (0..size).map(|_| AtomicU8::new(0)).collect(),
             first_failed: OnceLock::new(),
-            finished: RwLock::new(HashSet::new()),
             revoked: RwLock::new(HashSet::new()),
+            any_revoked: AtomicBool::new(false),
             icoll: Registry::new(),
             trace,
             config,
@@ -232,27 +239,36 @@ impl UniverseState {
     /// receivers in every local mailbox (including parked collective
     /// waiters) and hub waiters (ssend waits).
     fn broadcast_fault(&self) {
-        self.fault_epoch.fetch_add(1, Ordering::Release);
         self.transport.kick_local();
         self.hub.notify();
     }
 
+    /// Sets fate `bit` of `rank` (a slot outside the universe has none).
+    fn set_fate(&self, rank: usize, bit: u8) {
+        if let Some(fate) = self.fates.get(rank) {
+            fate.fetch_or(bit, Ordering::Release);
+        }
+    }
+
+    /// The fate bits of `rank`; 0 for a live rank or a slot outside the
+    /// universe (`ANY_SOURCE` included).
+    #[inline]
+    fn fate(&self, rank: usize) -> u8 {
+        self.fates
+            .get(rank)
+            .map_or(0, |f| f.load(Ordering::Acquire))
+    }
+
     /// Applies a failure mark to the local view (no re-broadcast).
     fn apply_failed(&self, rank: usize) {
+        self.set_fate(rank, FAILED);
         let _ = self.first_failed.set(rank);
-        self.failed
-            .write()
-            .expect("failed set poisoned")
-            .insert(rank);
         self.broadcast_fault();
     }
 
     /// Applies a finish mark to the local view (no re-broadcast).
     fn apply_finished(&self, rank: usize) {
-        self.finished
-            .write()
-            .expect("finished set poisoned")
-            .insert(rank);
+        self.set_fate(rank, FINISHED);
         self.broadcast_fault();
     }
 
@@ -262,6 +278,7 @@ impl UniverseState {
             .write()
             .expect("revoked set poisoned")
             .insert(ctx);
+        self.any_revoked.store(true, Ordering::Release);
         self.broadcast_fault();
     }
 
@@ -273,11 +290,20 @@ impl UniverseState {
     }
 
     /// True if `rank` is marked failed.
+    #[inline]
     pub(crate) fn is_failed(&self, rank: usize) -> bool {
-        self.failed
-            .read()
-            .expect("failed set poisoned")
-            .contains(&rank)
+        self.fate(rank) & FAILED != 0
+    }
+
+    /// True if some rank of this universe is marked failed.
+    #[inline]
+    pub(crate) fn any_failed(&self) -> bool {
+        self.first_failed.get().is_some()
+    }
+
+    /// Every rank marked failed, ascending.
+    pub(crate) fn failed_ranks(&self) -> Vec<usize> {
+        (0..self.size).filter(|&r| self.is_failed(r)).collect()
     }
 
     /// Marks `rank` as finished (its SPMD closure returned), wakes every
@@ -287,14 +313,15 @@ impl UniverseState {
         self.transport.control(ControlMsg::Finished { rank });
     }
 
+    /// True if `rank`'s closure has returned.
+    pub(crate) fn is_finished(&self, rank: usize) -> bool {
+        self.fate(rank) & FINISHED != 0
+    }
+
     /// True if `rank` will never communicate again (failed or finished).
+    #[inline]
     pub(crate) fn is_gone(&self, rank: usize) -> bool {
-        self.is_failed(rank)
-            || self
-                .finished
-                .read()
-                .expect("finished set poisoned")
-                .contains(&rank)
+        self.fate(rank) != 0
     }
 
     /// Applies a grow event to the local view (no re-broadcast).
@@ -358,13 +385,14 @@ impl UniverseState {
         self.transport.control(ControlMsg::Revoked { ctx });
     }
 
-    /// True if the context has been revoked.
+    /// True if the context has been revoked. One load while no
+    /// communicator of this process has been; the set lookup after that.
     #[inline]
     pub(crate) fn is_revoked(&self, ctx: u64) -> bool {
-        self.revoked
-            .read()
-            .expect("revoked set poisoned")
-            .contains(&ctx)
+        self.any_revoked.load(Ordering::Acquire)
+            && (self.revoked.read())
+                .expect("revoked set poisoned")
+                .contains(&ctx)
     }
 
     /// Writes this process's teardown artefacts: the crash reports (when
@@ -380,11 +408,7 @@ impl UniverseState {
         hosted: &[usize],
         proc_rank: Option<usize>,
     ) {
-        let mut failed: Vec<usize> = (self.failed.read().expect("failed set poisoned"))
-            .iter()
-            .copied()
-            .collect();
-        failed.sort_unstable();
+        let failed = self.failed_ranks();
         let timeouts = |r: usize| self.trace.rank(r).snapshot().counter(Counter::Timeouts);
         let crash_dir = self.config.crash_dir.as_deref().filter(|_| {
             !panicked.is_empty() || !failed.is_empty() || hosted.iter().any(|&r| timeouts(r) > 0)
@@ -762,33 +786,22 @@ pub struct TraceReport {
 }
 
 /// Interrupt predicate builder shared by blocking operations: returns an
-/// error when `src` has failed or `ctx` has been revoked.
-///
-/// The closure caches its verdict per fault epoch: the failure/finish/revoke
-/// sets are only re-read after a mark has bumped
-/// [`UniverseState::fault_epoch`], so the hot path of a blocking receive
-/// costs one atomic load per wakeup instead of two read-lock acquisitions.
+/// error when `src` is gone or `ctx` has been revoked. Two loads while
+/// nothing is revoked.
 #[inline]
 pub(crate) fn wait_interrupt(
     state: &UniverseState,
     src: usize,
     ctx: u64,
 ) -> impl Fn() -> Option<MpiError> + '_ {
-    let cached: std::cell::Cell<Option<u64>> = std::cell::Cell::new(None);
     move || {
-        let epoch = state.fault_epoch.load(Ordering::Acquire);
-        if cached.get() == Some(epoch) {
-            // No fault event since the last scan came up clean.
-            return None;
-        }
         if state.is_revoked(ctx) {
             return Some(MpiError::Revoked);
         }
-        if src != crate::tag::ANY_SOURCE && state.is_gone(src) {
-            return Some(MpiError::ProcFailed { rank: src });
-        }
-        cached.set(Some(epoch));
-        None
+        // `ANY_SOURCE` is no slot: its fate reads 0.
+        state
+            .is_gone(src)
+            .then_some(MpiError::ProcFailed { rank: src })
     }
 }
 
@@ -848,25 +861,70 @@ mod tests {
         assert_eq!(profile.total_bytes(), 5);
     }
 
+    /// Failed and finished are independent bits of one word: either order
+    /// of the two marks leaves the rank failed *and* gone, and one mark
+    /// touches no other rank.
     #[test]
-    fn fault_epoch_moves_on_marks() {
-        let state = UniverseState::new_shm(2, 2, Config::default());
-        let e0 = state.fault_epoch.load(Ordering::Acquire);
+    fn fate_bits_compose_in_either_order() {
+        let state = UniverseState::new_shm(4, 4, Config::default());
+        let fates = |r: usize| (state.is_failed(r), state.is_finished(r), state.is_gone(r));
+        assert!(!state.any_failed());
+        state.mark_finished(1);
+        assert_eq!(fates(1), (false, true, true));
+        assert!(!state.any_failed(), "a finish is no failure");
         state.mark_failed(1);
-        let e1 = state.fault_epoch.load(Ordering::Acquire);
-        assert!(e1 > e0);
+        assert_eq!(fates(1), (true, true, true));
+        state.mark_failed(2);
+        assert_eq!(fates(2), (true, false, true));
+        state.mark_finished(2);
+        assert_eq!(fates(2), (true, true, true));
+        assert!(state.any_failed());
+        assert_eq!(
+            (fates(0), fates(3)),
+            ((false, false, false), (false, false, false))
+        );
+        // Out-of-range slots (ANY_SOURCE among them) have no fate.
+        assert!(!state.is_gone(crate::tag::ANY_SOURCE) && !state.is_gone(4));
+    }
+
+    /// The flight recorder's inputs read the bits: the first failure
+    /// observed wins, and the failed list is ascending whatever the mark
+    /// order.
+    #[test]
+    fn first_failed_and_failed_list_read_the_bits() {
+        let state = UniverseState::new_shm(6, 6, Config::default());
+        for r in [4, 1, 3] {
+            state.mark_failed(r);
+        }
+        state.mark_finished(2);
+        state.mark_failed(4);
+        assert_eq!(state.first_failed.get(), Some(&4));
+        assert_eq!(state.failed_ranks(), vec![1, 3, 4]);
+    }
+
+    /// The first revoke opens the gate; behind it, exactly the revoked
+    /// context reads revoked.
+    #[test]
+    fn revocation_gate_opens_on_the_first_revoke() {
+        let state = UniverseState::new_shm(2, 2, Config::default());
+        assert!(!state.any_revoked.load(Ordering::Acquire) && !state.is_revoked(42));
         state.mark_revoked(42);
-        assert!(state.fault_epoch.load(Ordering::Acquire) > e1);
+        assert!(state.any_revoked.load(Ordering::Acquire));
+        assert!(state.is_revoked(42) && !state.is_revoked(43));
     }
 
     #[test]
-    fn wait_interrupt_caches_clean_verdict_per_epoch() {
+    fn wait_interrupt_sees_a_mark_after_a_clean_check() {
         let state = UniverseState::new_shm(2, 2, Config::default());
         let check = wait_interrupt(&state, 1, 0);
         assert!(check().is_none());
         assert!(check().is_none());
         state.mark_failed(1);
         assert_eq!(check(), Some(MpiError::ProcFailed { rank: 1 }));
+        let any = wait_interrupt(&state, crate::tag::ANY_SOURCE, 7);
+        assert!(any().is_none());
+        state.mark_revoked(7);
+        assert_eq!(any(), Some(MpiError::Revoked));
     }
 
     #[test]
