@@ -29,6 +29,7 @@
 use crate::error::{MpiError, MpiResult};
 use crate::icoll::check_elems;
 use crate::icoll::sm::{AllgathervSm, AlltoallvSm, BarrierSm};
+use crate::metrics::Counter;
 use crate::profile::Op;
 use crate::tag::{coll_tag, Tag, ANY_SOURCE, MAX_USER_TAG};
 use crate::transport::{MatchKey, Payload};
@@ -39,6 +40,19 @@ use crate::{ByteOp, RawComm, RawRequest};
 /// to Bruck's log-round algorithm, mirroring real MPI implementations'
 /// small-message strategy.
 pub(crate) const BRUCK_THRESHOLD_BYTES: usize = 256;
+
+/// Payload size (bytes) from which [`RawComm::allreduce`] takes
+/// Rabenseifner's schedule instead of reduce + broadcast (at p ≥ 4).
+pub(crate) const RABENSEIFNER_MIN_BYTES: usize = 32 * 1024;
+
+/// What [`RawComm::allreduce_algo`] selected.
+pub(crate) enum AllreduceAlgo {
+    /// Reduce + broadcast over the binomial tree rooted at 0.
+    Tree,
+    /// Halving reduce-scatter + doubling allgather
+    /// ([`crate::icoll::sm::rabenseifner_steps`]).
+    Rabenseifner,
+}
 
 /// Number of tags in the NBX rotation band of
 /// [`RawComm::sparse_alltoallv`]. Rotating the tag between rounds keeps a
@@ -229,14 +243,12 @@ impl RawComm {
     }
 
     /// Broadcast: `buf` at `root` is distributed to all ranks, replacing
-    /// their `buf` contents. Strategy-selected (DESIGN.md §11): the flat
-    /// zero-copy binomial tree on a single host, the two-level segmented
-    /// tree when [`crate::hier::CollStrategy`] resolves to hierarchy.
+    /// their `buf` contents. Zero-copy down the binomial tree rooted at
+    /// `root` (DESIGN.md §11).
     pub fn bcast(&self, buf: &mut Vec<u8>, root: usize) -> MpiResult<()> {
         let _op = self.record(Op::Bcast);
-        *buf = self.run_inline(|cx| {
-            self.bcast_sm(cx, root, || Payload::from_vec(std::mem::take(buf)), true)
-        })?;
+        *buf = self
+            .run_inline(|cx| self.bcast_sm(cx, root, || Payload::from_vec(std::mem::take(buf))))?;
         Ok(())
     }
 
@@ -251,10 +263,10 @@ impl RawComm {
             // A root's machine is complete once built — it only fans out —
             // so dropping it unstepped skips materializing a result the
             // caller already holds.
-            self.bcast_sm(&self.cx()?, root, seed, true)?;
+            self.bcast_sm(&self.cx()?, root, seed)?;
             return Ok(None);
         }
-        self.run_inline(|cx| self.bcast_sm(cx, root, seed, true))
+        self.run_inline(|cx| self.bcast_sm(cx, root, seed))
             .map(Some)
     }
 
@@ -467,7 +479,7 @@ impl RawComm {
     }
 
     /// Tree reduce of equal-length buffers into `root`'s `buf`; non-root
-    /// buffers are consumed. Strategy-selected like [`RawComm::bcast`].
+    /// buffers are consumed. Runs up the tree [`RawComm::bcast`] runs down.
     /// `op` combines `elem_size`-byte elements; the combine order is a
     /// deterministic function of the tree (associative ops reduce exactly;
     /// floating-point results depend on `p` — see the reproducible-reduce
@@ -480,19 +492,60 @@ impl RawComm {
         root: usize,
     ) -> MpiResult<()> {
         let _op = self.record(Op::Reduce);
-        *buf = self.run_inline(|_| self.reduce_sm(buf, op, elem_size, root, true))?;
+        *buf = self.run_inline(|_| self.reduce_sm(buf, op, elem_size, root))?;
         Ok(())
     }
 
-    /// Reduce-to-all. Strategy-selected (`RawComm::allreduce_algo`,
-    /// DESIGN.md §11): tree reduce + broadcast by default, the two-level
-    /// composition on mixed topologies, Rabenseifner's halving/doubling
-    /// for large payloads under `Auto`.
+    /// Reduce-to-all (DESIGN.md §11): tree reduce + broadcast,
+    /// Rabenseifner's halving/doubling from 32 KiB at p ≥ 4.
     pub fn allreduce(&self, buf: &mut Vec<u8>, op: ByteOp<'_>, elem_size: usize) -> MpiResult<()> {
         let _op = self.record(Op::Allreduce);
         check_elems(buf, elem_size)?;
-        let algo = self.allreduce_algo(buf.len(), true)?;
+        let algo = self.allreduce_algo(buf.len());
         let mine = std::mem::take(buf);
+        *buf = self.run_inline(|_| Ok(self.allreduce_sm(algo, mine, op, elem_size)))?;
+        Ok(())
+    }
+
+    /// The algorithm an allreduce of `len` bytes takes, for the blocking
+    /// and the nonblocking name alike: Rabenseifner from
+    /// [`RABENSEIFNER_MIN_BYTES`] at p ≥ 4, else reduce + broadcast over
+    /// the tree. `len` is rank-uniform by the collective's own contract
+    /// (all buffers equal length), so every rank picks the same.
+    pub(crate) fn allreduce_algo(&self, len: usize) -> AllreduceAlgo {
+        if len >= RABENSEIFNER_MIN_BYTES && self.size() >= 4 {
+            self.note_rabenseifner();
+            AllreduceAlgo::Rabenseifner
+        } else {
+            AllreduceAlgo::Tree
+        }
+    }
+
+    /// Counts one Rabenseifner dispatch in this rank's stats block.
+    fn note_rabenseifner(&self) {
+        let me = self.my_global_rank();
+        self.state.trace.count(me, Counter::StrategyRabenseifner, 1);
+    }
+
+    /// Rabenseifner allreduce regardless of size (the A/B point against
+    /// the tree; [`RawComm::allreduce`] selects it for large payloads):
+    /// recursive-halving reduce-scatter followed by a recursive-doubling
+    /// allgather (`crate::icoll::sm::rabenseifner_steps`). Bandwidth-optimal
+    /// for large payloads — each rank moves ~2·(p−1)/p·n bytes instead of
+    /// the 2·n·log p of tree reduce+bcast. Works for any `p` and any
+    /// element count. Requires an associative *and commutative* operator,
+    /// like every reduction here.
+    pub fn allreduce_rabenseifner(
+        &self,
+        buf: &mut Vec<u8>,
+        op: ByteOp<'_>,
+        elem_size: usize,
+    ) -> MpiResult<()> {
+        let _op = self.record(Op::Allreduce);
+        check_elems(buf, elem_size)?;
+        self.note_rabenseifner();
+        let mine = std::mem::take(buf);
+        let algo = AllreduceAlgo::Rabenseifner;
         *buf = self.run_inline(|_| Ok(self.allreduce_sm(algo, mine, op, elem_size)))?;
         Ok(())
     }
@@ -521,7 +574,7 @@ impl RawComm {
             });
         }
         let acc = self.run_inline(|_| {
-            Ok(self.reduce_over(&self.flat_tree(0), buf.to_vec(), op, elem_size))
+            Ok(self.reduce_over(&self.rooted_tree(0), buf.to_vec(), op, elem_size))
         })?;
         let scatter_tag = coll_tag(self.next_coll_seq());
         let parts: Option<Vec<Vec<u8>>> = (self.rank() == 0).then(|| {
@@ -723,6 +776,36 @@ impl RawComm {
         }
     }
 
+    /// True if every rank of this communicator shares the calling
+    /// process's host, the input of the alltoall `Auto` rule. Computed
+    /// from the local locality view only — the same-host relation
+    /// partitions the job, so the predicate is identical on every rank —
+    /// and cached.
+    pub(crate) fn single_host_view(&self) -> bool {
+        if let Some(v) = self.single_host.get() {
+            return v;
+        }
+        let v = if self.fake_hosts.get().is_some_and(|k| k >= 2) && self.size() > 1 {
+            false
+        } else {
+            let transport = &self.state.transport;
+            (0..self.size()).all(|l| transport.locality(self.group[l]).same_host())
+        };
+        self.single_host.set(Some(v));
+        v
+    }
+
+    /// Pretends this communicator spans `k` hosts: with `k ≥ 2`, the
+    /// alltoall `Auto` rule ([`AlltoallAlgo::Auto`]) sees several hosts
+    /// whatever the transport's locality says — the test seam of its
+    /// "p ≥ 16 across hosts" branch. Nothing else reads it: every rooted
+    /// collective runs over the one binomial tree. Must be applied
+    /// identically on every rank before first use.
+    pub fn set_fake_hosts(&self, k: usize) {
+        self.fake_hosts.set(Some(k));
+        self.single_host.set(None);
+    }
+
     /// NBX dynamic sparse data exchange (Hoefler, Siebert and Lumsdaine,
     /// PPoPP'10): issend every message, probe-receive until own sends
     /// completed, then a non-blocking barrier certifies global quiescence.
@@ -898,6 +981,27 @@ mod tests {
             .chunks_exact(8)
             .map(|c| u64::from_le_bytes(c.try_into().unwrap()))
             .collect()
+    }
+
+    #[test]
+    fn forced_rabenseifner_matches_flat_allreduce() {
+        for p in [1, 2, 3, 4, 5, 6, 7, 8, 11, 16] {
+            Universe::run(p, |comm| {
+                let op = u64_op();
+                // Deliberately includes counts smaller than p (empty
+                // chunks) and counts not divisible by p.
+                for count in [1usize, 3, p, 4 * p + 1, 257] {
+                    let vals: Vec<u64> = (0..count as u64)
+                        .map(|i| i * 31 + comm.rank() as u64)
+                        .collect();
+                    let mut rab = encode(&vals);
+                    let mut flat = rab.clone();
+                    comm.allreduce_rabenseifner(&mut rab, &op, 8).unwrap();
+                    comm.allreduce(&mut flat, &op, 8).unwrap();
+                    assert_eq!(rab, flat, "p={p} count={count}");
+                }
+            });
+        }
     }
 
     #[test]

@@ -15,9 +15,8 @@ use std::sync::Arc;
 
 use crate::coll::GridCache;
 use crate::error::{MpiError, MpiResult};
-use crate::hier::CollStrategy;
 use crate::profile::Op;
-use crate::topo::{GraphTopo, HierTopo};
+use crate::topo::GraphTopo;
 use crate::universe::UniverseState;
 
 /// FNV-1a over a list of words; used to derive child context ids.
@@ -66,17 +65,12 @@ pub struct RawComm {
     pub(crate) coll_seq: Cell<u32>,
     /// Graph topology, if attached.
     pub(crate) topo: Option<Arc<GraphTopo>>,
-    /// Lazily-built host-group view (hierarchical collectives); the build
-    /// is itself a collective, so it runs on first hierarchical dispatch.
-    pub(crate) hier: RefCell<Option<Arc<HierTopo>>>,
     /// Lazily-built ⌈√p⌉ grid sub-communicators (grid all-to-all backend).
     /// `Rc` both shares the splits between clones and breaks the layout
     /// cycle (`GridCache` holds two `RawComm`s); a communicator never
     /// leaves its rank-thread, so no atomics are needed.
     pub(crate) grid: RefCell<Option<std::rc::Rc<GridCache>>>,
-    /// Cached/overridden collective strategy (`KAMPING_COLL_STRATEGY`).
-    pub(crate) strategy: Cell<Option<CollStrategy>>,
-    /// Synthetic host-group count (tests/benches; `KAMPING_FAKE_HOSTS`).
+    /// Synthetic host count ([`RawComm::set_fake_hosts`]).
     pub(crate) fake_hosts: Cell<Option<usize>>,
     /// Cached "every rank shares this host" predicate.
     pub(crate) single_host: Cell<Option<bool>>,
@@ -93,9 +87,7 @@ impl Clone for RawComm {
             epoch: self.epoch,
             coll_seq: self.coll_seq.clone(),
             topo: self.topo.clone(),
-            hier: RefCell::new(self.hier.borrow().clone()),
             grid: RefCell::new(self.grid.borrow().clone()),
-            strategy: self.strategy.clone(),
             fake_hosts: self.fake_hosts.clone(),
             single_host: self.single_host.clone(),
         }
@@ -128,9 +120,7 @@ impl RawComm {
             epoch: 0,
             coll_seq: Cell::new(0),
             topo: None,
-            hier: RefCell::new(None),
             grid: RefCell::new(None),
-            strategy: Cell::new(None),
             fake_hosts: Cell::new(None),
             single_host: Cell::new(None),
         }
@@ -161,9 +151,7 @@ impl RawComm {
             epoch,
             coll_seq: Cell::new(0),
             topo: None,
-            hier: RefCell::new(None),
             grid: RefCell::new(None),
-            strategy: Cell::new(None),
             fake_hosts: Cell::new(None),
             single_host: Cell::new(None),
         }
@@ -189,12 +177,7 @@ impl RawComm {
             epoch: self.epoch,
             coll_seq: Cell::new(0),
             topo,
-            hier: RefCell::new(None),
             grid: RefCell::new(None),
-            // Strategy and synthetic grouping are inherited: a sub-comm of
-            // a hier-forced comm stays hier-forced (its *groups* are
-            // recomputed from its own membership on first use).
-            strategy: self.strategy.clone(),
             fake_hosts: Cell::new(None),
             single_host: Cell::new(None),
         }

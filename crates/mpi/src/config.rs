@@ -15,7 +15,6 @@ use std::path::PathBuf;
 use crate::chaos::ChaosSpec;
 use crate::coll::AlltoallAlgo;
 use crate::error::{MpiError, MpiResult};
-use crate::hier::{CollStrategy, DEFAULT_BCAST_SEGMENT};
 use crate::net::SocketConfig;
 use crate::trace::{EVENTS, MEASURE, METRICS};
 
@@ -43,14 +42,6 @@ pub(crate) struct Config {
     pub(crate) crash_dir: Option<PathBuf>,
     /// Fault-injection schedule (`KAMPING_CHAOS`).
     pub(crate) chaos: Option<ChaosSpec>,
-    /// Default rooted-collective strategy (`KAMPING_COLL_STRATEGY`);
-    /// [`crate::RawComm::set_coll_strategy`] overrides it per communicator.
-    pub(crate) coll_strategy: CollStrategy,
-    /// Synthetic host-group count (`KAMPING_FAKE_HOSTS`);
-    /// [`crate::RawComm::set_fake_hosts`] overrides it per communicator.
-    pub(crate) fake_hosts: Option<usize>,
-    /// Segment size of the pipelined broadcast (`KAMPING_BCAST_SEGMENT`).
-    pub(crate) bcast_segment: usize,
     /// What `AlltoallAlgo::Auto` resolves to when not `Auto` itself
     /// (`KAMPING_ALLTOALL`).
     pub(crate) alltoall: AlltoallAlgo,
@@ -70,9 +61,6 @@ impl Default for Config {
             metrics_interval_ms: 1000,
             crash_dir: None,
             chaos: None,
-            coll_strategy: CollStrategy::Auto,
-            fake_hosts: None,
-            bcast_segment: DEFAULT_BCAST_SEGMENT,
             alltoall: AlltoallAlgo::Auto,
             socket: None,
         }
@@ -152,18 +140,6 @@ impl Config {
         if let Some(spec) = get("KAMPING_CHAOS").filter(|v| !v.is_empty()) {
             cfg.chaos = Some(ChaosSpec::parse(&spec)?);
         }
-        let strategy = var(
-            &get,
-            "KAMPING_COLL_STRATEGY",
-            "auto, flat or hier",
-            CollStrategy::parse,
-        )?;
-        cfg.coll_strategy = strategy.unwrap_or_default();
-        cfg.fake_hosts = var(&get, "KAMPING_FAKE_HOSTS", "an integer", |v| v.parse().ok())?;
-        cfg.bcast_segment = var(&get, "KAMPING_BCAST_SEGMENT", "a positive integer", |v| {
-            v.parse().ok().filter(|&s: &usize| s > 0)
-        })?
-        .unwrap_or(DEFAULT_BCAST_SEGMENT);
         let alltoall = var(
             &get,
             "KAMPING_ALLTOALL",
@@ -228,10 +204,6 @@ mod tests {
             ("KAMPING_METRICS_INTERVAL_MS", "fast"),
             ("KAMPING_METRICS_INTERVAL_MS", "5"),
             ("KAMPING_CHAOS", "7:explode=1"),
-            ("KAMPING_COLL_STRATEGY", "tree"),
-            ("KAMPING_FAKE_HOSTS", "two"),
-            ("KAMPING_BCAST_SEGMENT", "0"),
-            ("KAMPING_BCAST_SEGMENT", "64k"),
             ("KAMPING_ALLTOALL", "bruck"),
             ("KAMPING_TRANSPORT", "carrier-pigeon"),
         ] {
@@ -249,31 +221,21 @@ mod tests {
     #[test]
     fn collective_selection_and_chaos_are_parsed_once() {
         let cfg = Config::from_lookup(lookup(&[
-            ("KAMPING_COLL_STRATEGY", "hier"),
-            ("KAMPING_FAKE_HOSTS", "4"),
-            ("KAMPING_BCAST_SEGMENT", "16384"),
             ("KAMPING_ALLTOALL", "grid"),
             ("KAMPING_CHAOS", "7:delay=20@1"),
         ]))
         .unwrap();
-        assert_eq!(cfg.coll_strategy, CollStrategy::Hier);
-        assert_eq!(cfg.fake_hosts, Some(4));
-        assert_eq!(cfg.bcast_segment, 16384);
         assert_eq!(cfg.alltoall, AlltoallAlgo::Grid);
         assert_eq!(cfg.chaos.expect("chaos spec parsed").seed, 7);
         assert!(cfg.socket.is_none());
         // Blank means unset, as it does for a shell's `VAR= cmd`.
         let cfg = Config::from_lookup(lookup(&[
-            ("KAMPING_COLL_STRATEGY", ""),
-            ("KAMPING_FAKE_HOSTS", " "),
-            ("KAMPING_BCAST_SEGMENT", ""),
+            ("KAMPING_METRICS_INTERVAL_MS", " "),
             ("KAMPING_ALLTOALL", ""),
             ("KAMPING_CHAOS", ""),
         ]))
         .unwrap();
-        assert_eq!(cfg.coll_strategy, CollStrategy::Auto);
-        assert_eq!(cfg.fake_hosts, None);
-        assert_eq!(cfg.bcast_segment, DEFAULT_BCAST_SEGMENT);
+        assert_eq!(cfg.metrics_interval_ms, 1000);
         assert_eq!(cfg.alltoall, AlltoallAlgo::Auto);
         assert!(cfg.chaos.is_none());
     }

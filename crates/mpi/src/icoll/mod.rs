@@ -34,13 +34,10 @@
 //!   push the schedule forward — and `wait` parks on the owner's mailbox
 //!   gate, stepping the machines on each wakeup.
 //!
-//! Algorithm selection ([`crate::hier::CollStrategy`], the Bruck
-//! threshold) happens where a machine is built — one function per
-//! collective, shared by the blocking and the nonblocking name, so `ix`
-//! runs the same algorithm as `x`. One documented exception, because an
-//! issue must never block: `ix` takes the two-level shapes only once the
-//! communicator's host-group view exists (building it is a blocking
-//! collective).
+//! Algorithm selection (the Rabenseifner and Bruck size rules) happens
+//! where a machine is built — one function per collective, shared by the
+//! blocking and the nonblocking name, so `ix` runs the same algorithm as
+//! `x`.
 //!
 //! # Ownership
 //!
@@ -67,9 +64,8 @@ use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, TryLockError, Weak};
 use std::time::{Duration, Instant};
 
-use crate::coll::excl_prefix_sum;
+use crate::coll::{excl_prefix_sum, AllreduceAlgo};
 use crate::error::{MpiError, MpiResult};
-use crate::hier::AllreduceAlgo;
 use crate::metrics::{Counter, Gauge, Hist};
 use crate::profile::Op;
 use crate::tag::{coll_tag, Tag, ANY_SOURCE};
@@ -78,8 +74,8 @@ use crate::universe::{wait_interrupt, UniverseState};
 use crate::RawComm;
 
 use sm::{
-    rabenseifner_steps, reduce_steps, AllgathervSm, AllreduceSm, AlltoallBruckSm, AlltoallvSm,
-    BarrierSm, BcastSm, FoldSm,
+    binomial_over, rabenseifner_steps, reduce_steps, AllgathervSm, AllreduceSm, AlltoallBruckSm,
+    AlltoallvSm, BarrierSm, BcastSm, FoldSm, Tree,
 };
 
 /// Owned element-combine closure for nonblocking reductions. The blocking
@@ -678,46 +674,47 @@ impl RawComm {
 
     // ----- machine builders, shared by `x` and `ix` -----
 
-    /// Broadcast machine for the tree the strategy selects
-    /// ([`RawComm::rooted_tree`]; `blocking` says whether the selection may
-    /// run a blocking topology build): whole-payload on the flat binomial
-    /// tree, segmented on the two-level one. `seed` produces the root's
-    /// payload and runs only once the arguments are validated.
+    /// This rank's place in the binomial tree over all ranks rooted at
+    /// `root`: the one tree bcast, reduce and the tree allreduce run over.
+    /// Never looks at the buffer, which non-root ranks of a broadcast
+    /// legitimately leave empty.
+    pub(crate) fn rooted_tree(&self, root: usize) -> Tree {
+        binomial_over(self.size(), self.rank(), root)
+    }
+
+    /// Whole-payload, zero-copy broadcast machine down
+    /// [`RawComm::rooted_tree`]. `seed` produces the root's payload and
+    /// runs only once the arguments are validated.
     pub(crate) fn bcast_sm(
         &self,
         cx: &StepCx<'_>,
         root: usize,
         seed: impl FnOnce() -> Payload,
-        blocking: bool,
     ) -> MpiResult<BcastSm> {
         self.check_root(root)?;
-        let (tree, hier) = self.rooted_tree(root, blocking)?;
-        let segment = hier.then(|| self.bcast_segment());
         let tag = coll_tag(self.next_coll_seq());
-        Ok(BcastSm::start(cx, tag, tree, segment, seed()))
+        Ok(BcastSm::start(cx, tag, self.rooted_tree(root), seed()))
     }
 
-    /// Reduce machine over the tree the strategy selects (`blocking` as
-    /// for [`RawComm::bcast_sm`]); takes `buf` once the arguments are
-    /// validated.
+    /// Reduce machine up [`RawComm::rooted_tree`]; takes `buf` once the
+    /// arguments are validated.
     pub(crate) fn reduce_sm<F: Fn(&mut [u8], &[u8])>(
         &self,
         buf: &mut Vec<u8>,
         op: F,
         elem_size: usize,
         root: usize,
-        blocking: bool,
     ) -> MpiResult<FoldSm<F>> {
         self.check_root(root)?;
         check_elems(buf, elem_size)?;
-        let (tree, _) = self.rooted_tree(root, blocking)?;
+        let tree = self.rooted_tree(root);
         Ok(self.reduce_over(&tree, std::mem::take(buf), op, elem_size))
     }
 
     /// Reduce machine up an explicit tree.
     pub(crate) fn reduce_over<F: Fn(&mut [u8], &[u8])>(
         &self,
-        tree: &sm::Tree,
+        tree: &Tree,
         buf: Vec<u8>,
         op: F,
         elem_size: usize,
@@ -727,8 +724,8 @@ impl RawComm {
     }
 
     /// Allreduce machine for a choice made by [`RawComm::allreduce_algo`]:
-    /// over a tree the reduce, the leader exchange under hierarchy and the
-    /// broadcast; Rabenseifner's schedule on its own.
+    /// the reduce and the broadcast over the tree rooted at 0, or
+    /// Rabenseifner's schedule on its own.
     pub(crate) fn allreduce_sm<F: Fn(&mut [u8], &[u8])>(
         &self,
         algo: AllreduceAlgo,
@@ -736,24 +733,16 @@ impl RawComm {
         op: F,
         elem_size: usize,
     ) -> AllreduceSm<F> {
-        let hier = match algo {
-            AllreduceAlgo::Tree(hier) => hier,
-            AllreduceAlgo::Rabenseifner => {
-                let count = buf.len() / elem_size;
-                let steps = rabenseifner_steps(self.size(), self.rank(), count, elem_size);
-                let tag = coll_tag(self.next_coll_seq());
-                let fold = FoldSm::new(tag, steps, buf, op, elem_size);
-                return AllreduceSm::new(fold, None, None);
-            }
-        };
-        let (tree, leaders, segment) = self.allreduce_shape(hier.as_deref());
+        if let AllreduceAlgo::Rabenseifner = algo {
+            let count = buf.len() / elem_size;
+            let steps = rabenseifner_steps(self.size(), self.rank(), count, elem_size);
+            let tag = coll_tag(self.next_coll_seq());
+            return AllreduceSm::new(FoldSm::new(tag, steps, buf, op, elem_size), None);
+        }
+        let tree = self.rooted_tree(0);
         let fold = self.reduce_over(&tree, buf, op, elem_size);
-        // Every rank of a two-level allreduce draws the leader tag, so the
-        // sequence stays rank-synchronized; only leaders use it.
-        let leader_tag = hier.map(|_| coll_tag(self.next_coll_seq()));
-        let leader = leader_tag.zip(leaders);
         let bcast_tag = coll_tag(self.next_coll_seq());
-        AllreduceSm::new(fold, leader, Some((bcast_tag, tree, segment)))
+        AllreduceSm::new(fold, Some((bcast_tag, tree)))
     }
 
     /// Block size of the fixed-size all-to-all of `send`, and whether it
@@ -790,14 +779,10 @@ impl RawComm {
     /// Nonblocking broadcast: the root moves `buf` in; every rank's `wait`
     /// returns the broadcast bytes (the non-root input buffer is dropped,
     /// mirroring `bcast` overwriting it). Same algorithm as
-    /// [`RawComm::bcast`] — with one caveat shared by `ireduce` and
-    /// `iallreduce`: an issue never blocks, so it takes the two-level
-    /// shapes only once the communicator's host-group view exists (built
-    /// by any blocking hierarchical collective or by
-    /// [`RawComm::hier_topo`]; synthetic hosts need no build).
+    /// [`RawComm::bcast`].
     pub fn ibcast(&self, buf: Vec<u8>, root: usize) -> MpiResult<RawCollRequest> {
         self.issue(Op::Ibcast, |cx| {
-            self.bcast_sm(cx, root, || Payload::from_vec(buf), false)
+            self.bcast_sm(cx, root, || Payload::from_vec(buf))
         })
     }
 
@@ -813,7 +798,7 @@ impl RawComm {
     ) -> MpiResult<RawCollRequest> {
         self.issue(Op::Ireduce, |_| {
             let op = move |a: &mut [u8], r: &[u8]| op(a, r);
-            self.reduce_sm(&mut buf, op, elem_size, root, false)
+            self.reduce_sm(&mut buf, op, elem_size, root)
         })
     }
 
@@ -827,7 +812,7 @@ impl RawComm {
     ) -> MpiResult<RawCollRequest> {
         self.issue(Op::Iallreduce, |_| {
             check_elems(&buf, elem_size)?;
-            let algo = self.allreduce_algo(buf.len(), false)?;
+            let algo = self.allreduce_algo(buf.len());
             Ok(self.allreduce_sm(algo, buf, move |a, r| op(a, r), elem_size))
         })
     }

@@ -15,7 +15,6 @@ use std::borrow::Cow;
 
 use crate::coll::{combine, excl_prefix_sum};
 use crate::error::{MpiError, MpiResult};
-use crate::hier::prev_power_of_two;
 use crate::tag::Tag;
 use crate::transport::Payload;
 
@@ -23,12 +22,45 @@ use super::{CollSm, StepCx};
 
 /// One rank's place in a rooted tree: its parent (`None` at the root) and
 /// its children, as communicator-local ranks. Generated only by
-/// [`crate::hier::binomial_over`] and its two-level composition.
+/// [`binomial_over`].
 pub(crate) type Tree = (Option<usize>, Vec<usize>);
 
-/// Byte length of the self-describing header on a segmented broadcast's
-/// first envelope: total length and segment length, both u64 LE.
-const SEG_HDR: usize = 16;
+/// Binomial parent/children of rank `me` among `n` ranks, rooted at
+/// `root`. Children are listed farthest subtree first. The only code
+/// computing a tree shape: bcast, reduce and the tree allreduce all run
+/// over its output.
+pub(crate) fn binomial_over(n: usize, me: usize, root: usize) -> Tree {
+    debug_assert!(me < n && root < n);
+    let rel = (me + n - root) % n;
+    let actual = |r: usize| (r + root) % n;
+    let mut mask = 1usize;
+    let parent = if rel == 0 {
+        while mask < n {
+            mask <<= 1;
+        }
+        None
+    } else {
+        while rel & mask == 0 {
+            mask <<= 1;
+        }
+        Some(actual(rel - mask))
+    };
+    let mut children = Vec::new();
+    mask >>= 1;
+    while mask > 0 {
+        if rel + mask < n {
+            children.push(actual(rel + mask));
+        }
+        mask >>= 1;
+    }
+    (parent, children)
+}
+
+/// Largest power of two ≤ `n` (n ≥ 1).
+pub(crate) fn prev_power_of_two(n: usize) -> usize {
+    debug_assert!(n >= 1);
+    1usize << (usize::BITS - 1 - n.leading_zeros())
+}
 
 /// Dissemination barrier (⌈log₂ p⌉ zero-byte rounds). Round `i` signals
 /// rank `r + 2^i` and waits for `r − 2^i`; after the last round every rank
@@ -75,68 +107,30 @@ impl CollSm for BarrierSm {
     }
 }
 
-/// Broadcast down a [`Tree`]. With `segment: None` the payload travels
-/// whole and zero-copy: every envelope of the fan-out aliases one shared
-/// allocation and the last holder unwraps it for free. With a segment size
-/// the root cuts it into envelopes of that many bytes (the first prefixed
-/// with a (total, segment) header, so receivers are independent of the
-/// root's setting) and every inner node relays each envelope as it
-/// arrives — tree depth adds latency once, not once per byte. The root
-/// fans out at creation and is complete immediately.
+/// Broadcast down a [`Tree`]. The payload travels whole and zero-copy:
+/// every envelope of the fan-out aliases one shared allocation and the
+/// last holder unwraps it for free. The root fans out at creation and is
+/// complete immediately; every other rank relays the one envelope from its
+/// parent as it arrives.
 pub(crate) struct BcastSm {
     tag: Tag,
+    /// The parent stays set until its envelope has arrived.
     tree: Tree,
-    segmented: bool,
-    /// Envelopes still to come from the parent; `None` until the first one
-    /// tells (segmented: through its header; whole: it is the only one).
-    left: Option<usize>,
-    /// Segmented receivers: announced total and the bytes assembled so far.
-    total: usize,
-    out: Vec<u8>,
-    /// The payload where it exists in one piece (root, whole receivers).
-    whole: Option<Payload>,
+    payload: Option<Payload>,
 }
 
 impl BcastSm {
     /// `seed` is the root's payload; other ranks' is ignored.
-    pub(crate) fn start(
-        cx: &StepCx<'_>,
-        tag: Tag,
-        tree: Tree,
-        segment: Option<usize>,
-        seed: Payload,
-    ) -> Self {
+    pub(crate) fn start(cx: &StepCx<'_>, tag: Tag, tree: Tree, seed: Payload) -> Self {
         let mut sm = Self {
             tag,
             tree,
-            segmented: segment.is_some(),
-            left: None,
-            total: 0,
-            out: Vec::new(),
-            whole: None,
+            payload: None,
         };
-        if sm.tree.0.is_some() {
-            return sm;
+        if sm.tree.0.is_none() {
+            sm.relay(cx, &seed);
+            sm.payload = Some(seed);
         }
-        match segment {
-            None => sm.relay(cx, &seed),
-            Some(seg) => {
-                let (data, seg) = (seed.as_slice(), seg.max(1));
-                // At least one envelope, so an empty payload still travels.
-                for i in 0..data.len().div_ceil(seg).max(1) {
-                    let part = &data[i * seg..data.len().min((i + 1) * seg)];
-                    let mut wire = Vec::with_capacity(SEG_HDR + part.len());
-                    if i == 0 {
-                        wire.extend_from_slice(&(data.len() as u64).to_le_bytes());
-                        wire.extend_from_slice(&(seg as u64).to_le_bytes());
-                    }
-                    wire.extend_from_slice(part);
-                    sm.relay(cx, &Payload::from_vec(wire));
-                }
-            }
-        }
-        sm.whole = Some(seed);
-        sm.left = Some(0);
         sm
     }
 
@@ -151,53 +145,29 @@ impl BcastSm {
 
 impl CollSm for BcastSm {
     fn step(&mut self, cx: &StepCx<'_>) -> MpiResult<Option<Vec<u8>>> {
-        while let Some(parent) = self.awaited() {
-            let Some(part) = cx.try_take(parent, self.tag) else {
+        if let Some(parent) = self.tree.0 {
+            let Some(payload) = cx.try_take(parent, self.tag) else {
                 return Ok(None);
             };
-            self.relay(cx, &part);
-            match self.left {
-                None if !self.segmented => {
-                    self.whole = Some(part);
-                    self.left = Some(0);
-                }
-                None => {
-                    let bytes = part.as_slice();
-                    if bytes.len() < SEG_HDR {
-                        return Err(MpiError::Internal("segmented bcast: truncated header"));
-                    }
-                    let word = |at: usize| {
-                        u64::from_le_bytes(bytes[at..at + 8].try_into().expect("8 bytes"))
-                    };
-                    self.total = word(0) as usize;
-                    let seg = (word(8) as usize).max(1);
-                    self.out = Vec::with_capacity(self.total);
-                    self.out.extend_from_slice(&bytes[SEG_HDR..]);
-                    self.left = Some(self.total.div_ceil(seg).max(1) - 1);
-                }
-                Some(n) => {
-                    self.out.extend_from_slice(part.as_slice());
-                    self.left = Some(n - 1);
-                }
-            }
+            self.relay(cx, &payload);
+            (self.tree.0, self.payload) = (None, Some(payload));
         }
-        match self.whole.take() {
-            Some(p) => Ok(Some(p.into_vec())),
-            None if self.out.len() == self.total => Ok(Some(std::mem::take(&mut self.out))),
-            None => Err(MpiError::Internal(
-                "segmented bcast: reassembled length mismatch",
-            )),
-        }
+        Ok(Some(
+            self.payload
+                .take()
+                .map(Payload::into_vec)
+                .unwrap_or_default(),
+        ))
     }
 
     fn awaited(&self) -> Option<usize> {
-        self.tree.0.filter(|_| self.left != Some(0))
+        self.tree.0
     }
 }
 
 /// The bytes of the buffer a [`FoldStep`] names: a `(from, to)` range, or
-/// `None` for the whole buffer — whose length a tree or recursive-doubling
-/// schedule need not know.
+/// `None` for the whole buffer — whose length a tree schedule need not
+/// know.
 pub(crate) type Part = Option<(usize, usize)>;
 
 /// One step of a [`FoldSm`] schedule.
@@ -217,11 +187,11 @@ use FoldStep::{Adopt, Fold, Give, Share};
 
 /// The reducing machine: runs a schedule of [`FoldStep`]s over one
 /// equal-length buffer per rank and completes with whatever the schedule
-/// leaves in this rank's buffer. Tree reduce, recursive doubling and
-/// Rabenseifner's halving/doubling are schedules ([`reduce_steps`],
-/// [`recursive_doubling_steps`], [`rabenseifner_steps`]), not machines of
-/// their own. Generic over the operator so the inline driver can run it
-/// over a borrowed [`crate::ByteOp`] and the registry over an owned one.
+/// leaves in this rank's buffer. Tree reduce and Rabenseifner's
+/// halving/doubling are schedules ([`reduce_steps`],
+/// [`rabenseifner_steps`]), not machines of their own. Generic over the
+/// operator so the inline driver can run it over a borrowed
+/// [`crate::ByteOp`] and the registry over an owned one.
 pub(crate) struct FoldSm<F> {
     tag: Tag,
     steps: Vec<FoldStep>,
@@ -242,12 +212,6 @@ impl<F: Fn(&mut [u8], &[u8])> FoldSm<F> {
             op,
             elem,
         }
-    }
-
-    /// Loads the next stage of a composite: another schedule, run over the
-    /// buffer the previous one completed with.
-    fn restart(&mut self, tag: Tag, steps: Vec<FoldStep>, buf: Vec<u8>) {
-        (self.tag, self.steps, self.pc, self.buf) = (tag, steps, 0, buf);
     }
 
     fn part(&self, part: Part) -> std::ops::Range<usize> {
@@ -303,41 +267,35 @@ impl<F: Fn(&mut [u8], &[u8])> CollSm for FoldSm<F> {
 }
 
 /// Tree reduce as a fold schedule: fold the children in reverse list order
-/// — nearest subtree first; under a two-level tree the intra-host subtrees,
-/// listed last, before the inter-host ones — then give the partial to the
-/// parent. The combine order is therefore a deterministic function of the
-/// tree; the root completes with the reduction, every other rank empty.
+/// — nearest subtree first — then give the partial to the parent. The
+/// combine order is therefore a deterministic function of the tree; the
+/// root completes with the reduction, every other rank empty.
 pub(crate) fn reduce_steps((parent, children): &Tree) -> Vec<FoldStep> {
     let folds = children.iter().rev().map(|&c| Fold(c, None));
     folds.chain(parent.map(Give)).collect()
 }
 
 /// Wraps the rounds of a power-of-two exchange in the standard fold for
-/// any member count `n`: with `k` the largest power of two ≤ `n` and
-/// `r = n − k`, the first `2r` members pair up, odd members park their
-/// data with the even partner and get the result back at the end.
+/// any rank count `p`: with `k` the largest power of two ≤ `p` and
+/// `r = p − k`, the first `2r` ranks pair up, odd ranks park their data
+/// with the even partner and get the result back at the end.
 /// `rounds(k, idx, partner)` lists the steps of position `idx` among the
-/// `k` that remain; `partner` maps such a position to a rank through
-/// `member`.
+/// `k` that remain; `partner` maps such a position to its rank.
 fn pair_folded(
-    n: usize,
-    my_idx: usize,
-    member: impl Fn(usize) -> usize,
+    p: usize,
+    me: usize,
     rounds: impl FnOnce(usize, usize, &dyn Fn(usize) -> usize) -> Vec<FoldStep>,
 ) -> Vec<FoldStep> {
-    let k = prev_power_of_two(n);
-    let r = n - k;
-    let paired = my_idx < 2 * r;
-    if paired && my_idx % 2 == 1 {
-        let even = member(my_idx - 1);
-        return vec![Give(even), Adopt(even, None)];
+    let k = prev_power_of_two(p);
+    let r = p - k;
+    let paired = me < 2 * r;
+    if paired && me % 2 == 1 {
+        return vec![Give(me - 1), Adopt(me - 1, None)];
     }
-    let idx = if paired { my_idx / 2 } else { my_idx - r };
-    let parked = paired.then(|| member(my_idx + 1));
+    let idx = if paired { me / 2 } else { me - r };
+    let parked = paired.then_some(me + 1);
     let mut steps: Vec<FoldStep> = parked.map(|odd| Fold(odd, None)).into_iter().collect();
-    steps.extend(rounds(k, idx, &|j| {
-        member(if j < r { 2 * j } else { j + r })
-    }));
+    steps.extend(rounds(k, idx, &|j| if j < r { 2 * j } else { j + r }));
     steps.extend(parked.map(|odd| Share(odd, None)));
     steps
 }
@@ -345,24 +303,6 @@ fn pair_folded(
 /// The exchange distances of a power-of-two group of `k`: 1, 2, … k/2.
 fn spans(k: usize) -> impl DoubleEndedIterator<Item = usize> {
     (0..k.trailing_zeros()).map(|bit| 1usize << bit)
-}
-
-/// Recursive-doubling allreduce over an explicit member list as a fold
-/// schedule for member `my_idx`: one full-buffer exchange per ⌈log₂ n⌉
-/// round, inside [`pair_folded`].
-pub(crate) fn recursive_doubling_steps(members: &[usize], my_idx: usize) -> Vec<FoldStep> {
-    pair_folded(
-        members.len(),
-        my_idx,
-        |i| members[i],
-        |k, idx, partner| {
-            let round = |span| {
-                let peer = partner(idx ^ span);
-                [Share(peer, None), Fold(peer, None)]
-            };
-            spans(k).flat_map(round).collect()
-        },
-    )
 }
 
 /// Rabenseifner's allreduce as a fold schedule for rank `me` of `p` over
@@ -376,67 +316,53 @@ pub(crate) fn recursive_doubling_steps(members: &[usize], my_idx: usize) -> Vec<
 /// contribution into its own half, ending with the reduction of one chunk.
 /// The doubling rounds retrace the distances upwards: share the owned
 /// window, place the partner's next to it. A pair meets in both phases on
-/// the one tag; its two messages stay ordered per channel, like a
-/// segmented broadcast's.
+/// the one tag; its two messages stay ordered because a channel never
+/// overtakes.
 pub(crate) fn rabenseifner_steps(p: usize, me: usize, count: usize, elem: usize) -> Vec<FoldStep> {
-    pair_folded(
-        p,
-        me,
-        |i| i,
-        |k, idx, partner| {
-            // Bytes of the aligned window of `span` chunks holding chunk `i`.
-            let window = |i: usize, span: usize| {
-                let first = i & !(span - 1);
-                let bound = |chunk: usize| chunk * count / k * elem;
-                Some((bound(first), bound(first + span)))
-            };
-            let halving = spans(k).rev().flat_map(|span| {
-                let peer = partner(idx ^ span);
-                [
-                    Share(peer, window(idx ^ span, span)),
-                    Fold(peer, window(idx, span)),
-                ]
-            });
-            let doubling = spans(k).flat_map(|span| {
-                let peer = partner(idx ^ span);
-                [
-                    Share(peer, window(idx, span)),
-                    Adopt(peer, window(idx ^ span, span)),
-                ]
-            });
-            halving.chain(doubling).collect()
-        },
-    )
+    pair_folded(p, me, |k, idx, partner| {
+        // Bytes of the aligned window of `span` chunks holding chunk `i`.
+        let window = |i: usize, span: usize| {
+            let first = i & !(span - 1);
+            let bound = |chunk: usize| chunk * count / k * elem;
+            Some((bound(first), bound(first + span)))
+        };
+        let halving = spans(k).rev().flat_map(|span| {
+            let peer = partner(idx ^ span);
+            [
+                Share(peer, window(idx ^ span, span)),
+                Fold(peer, window(idx, span)),
+            ]
+        });
+        let doubling = spans(k).flat_map(|span| {
+            let peer = partner(idx ^ span);
+            [
+                Share(peer, window(idx, span)),
+                Adopt(peer, window(idx ^ span, span)),
+            ]
+        });
+        halving.chain(doubling).collect()
+    })
 }
 
-/// Reduce-to-all as a composite of up to three stages, each on its own
-/// issue-time tag. Over a tree: a [`reduce_steps`] stage up `tree`, on
-/// hierarchical topologies a [`recursive_doubling_steps`] stage among the
-/// group leaders (`tree` is then the rank's host-group tree), and a
+/// Reduce-to-all as a composite of up to two stages, each on its own
+/// issue-time tag. Over a tree: a [`reduce_steps`] stage up `tree` and a
 /// [`BcastSm`] back down the same tree. A non-root's reduce stage ends as
 /// soon as its partial is given away, so it moves on to the (still
 /// pending) broadcast receive without blocking. A [`rabenseifner_steps`]
 /// schedule leaves the result on every rank and is the only stage.
 pub(crate) struct AllreduceSm<F> {
     fold: FoldSm<F>,
-    /// Group leaders only: the exchange still to run after the reduce.
-    leader: Option<(Tag, Vec<FoldStep>)>,
-    /// The broadcast still to start once the folds are done: its tag, the
-    /// tree and the segment size.
-    down: Option<(Tag, Tree, Option<usize>)>,
+    /// The broadcast still to start once the fold is done: its tag and
+    /// the tree.
+    down: Option<(Tag, Tree)>,
     bcast: Option<BcastSm>,
 }
 
 impl<F: Fn(&mut [u8], &[u8])> AllreduceSm<F> {
     /// `fold` is the first stage, already loaded with this rank's buffer.
-    pub(crate) fn new(
-        fold: FoldSm<F>,
-        leader: Option<(Tag, Vec<FoldStep>)>,
-        down: Option<(Tag, Tree, Option<usize>)>,
-    ) -> Self {
+    pub(crate) fn new(fold: FoldSm<F>, down: Option<(Tag, Tree)>) -> Self {
         Self {
             fold,
-            leader,
             down,
             bcast: None,
         }
@@ -445,25 +371,21 @@ impl<F: Fn(&mut [u8], &[u8])> AllreduceSm<F> {
 
 impl<F: Fn(&mut [u8], &[u8])> CollSm for AllreduceSm<F> {
     fn step(&mut self, cx: &StepCx<'_>) -> MpiResult<Option<Vec<u8>>> {
-        loop {
-            if let Some(bcast) = &mut self.bcast {
-                return bcast.step(cx);
-            }
-            let Some(buf) = self.fold.step(cx)? else {
-                return Ok(None);
-            };
-            if let Some((tag, steps)) = self.leader.take() {
-                self.fold.restart(tag, steps, buf);
-                continue;
-            }
-            // The tree's root seeds the broadcast with the result;
-            // everyone else enters it as a plain receiver.
-            let Some((tag, tree, segment)) = self.down.take() else {
-                return Ok(Some(buf));
-            };
-            let seed = Payload::from_vec(buf);
-            self.bcast = Some(BcastSm::start(cx, tag, tree, segment, seed));
+        if let Some(bcast) = &mut self.bcast {
+            return bcast.step(cx);
         }
+        let Some(buf) = self.fold.step(cx)? else {
+            return Ok(None);
+        };
+        // The tree's root seeds the broadcast with the result; everyone
+        // else enters it as a plain receiver.
+        let Some((tag, tree)) = self.down.take() else {
+            return Ok(Some(buf));
+        };
+        let bcast = self
+            .bcast
+            .insert(BcastSm::start(cx, tag, tree, Payload::from_vec(buf)));
+        bcast.step(cx)
     }
 
     fn awaited(&self) -> Option<usize> {
@@ -766,5 +688,31 @@ impl CollSm for AlltoallvSm<'_> {
 
     fn awaited(&self) -> Option<usize> {
         (self.next < self.recv_counts.len()).then_some(self.next)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn binomial_over_covers_every_member_once() {
+        for n in 1..=17 {
+            for root in 0..n {
+                let mut seen_parent = vec![0usize; n];
+                for i in 0..n {
+                    let (parent, children) = binomial_over(n, i, root);
+                    assert_eq!(parent.is_none(), i == root, "n={n} root={root}");
+                    for c in children {
+                        seen_parent[c] += 1;
+                        // Child's computed parent must point back at me.
+                        let (cp, _) = binomial_over(n, c, root);
+                        assert_eq!(cp, Some(i), "n={n} root={root}");
+                    }
+                }
+                seen_parent[root] = 1;
+                assert!(seen_parent.iter().all(|&c| c == 1), "n={n} root={root}");
+            }
+        }
     }
 }

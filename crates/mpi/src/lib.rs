@@ -76,7 +76,6 @@ pub mod dtype;
 pub mod elastic;
 mod error;
 mod fault;
-mod hier;
 mod ibarrier;
 pub mod icoll;
 pub mod measurements;
@@ -96,7 +95,6 @@ pub use coll::AlltoallAlgo;
 pub use comm::RawComm;
 pub use error::MpiError;
 pub use fault::MembershipChange;
-pub use hier::CollStrategy;
 pub use icoll::{OwnedByteOp, RawCollRequest};
 pub use p2p::Status;
 pub use profile::{Op, ProfileSnapshot};

@@ -123,10 +123,6 @@ named_cells! {
     CollsCompleted => "colls_completed",
     /// Collective state-machine steps taken.
     CollSteps => "coll_steps",
-    /// Rooted collectives dispatched to the flat (single-level) trees.
-    StrategyFlat => "strategy_flat",
-    /// Rooted collectives dispatched to the two-level hierarchy.
-    StrategyHier => "strategy_hier",
     /// Allreduces dispatched to Rabenseifner reduce-scatter+allgather.
     StrategyRabenseifner => "strategy_raben",
     /// Bytes of non-inline point-to-point payloads moved by a user-space

@@ -18,42 +18,6 @@ use crate::profile::Op;
 use crate::tag::coll_tag;
 use crate::RawComm;
 
-/// The host-group view of a communicator: ranks partitioned by physical
-/// locality ([`crate::transport::Locality`]), as consumed by the
-/// hierarchical collectives (DESIGN.md §11).
-///
-/// A *group* is a maximal set of ranks that share a host (in-process
-/// threads, or processes wired by shm-xproc rings); its *leader* is the
-/// lowest rank of the group. On the plain shm backend every rank is one
-/// group; on a pure-socket job every rank is its own group.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct HierTopo {
-    /// Group id of every communicator rank.
-    pub group_of: Vec<usize>,
-    /// Members of each group, ascending (the leader is `groups[g][0]`).
-    pub groups: Vec<Vec<usize>>,
-    /// This rank's group id.
-    pub my_group: usize,
-}
-
-impl HierTopo {
-    /// Leader (lowest rank) of group `g`.
-    pub(crate) fn leader(&self, g: usize) -> usize {
-        self.groups[g][0]
-    }
-
-    /// All group leaders, in group-id (= ascending-leader) order.
-    pub(crate) fn leaders(&self) -> Vec<usize> {
-        self.groups.iter().map(|g| g[0]).collect()
-    }
-
-    /// True if a two-level tree can beat a flat one: more than one host
-    /// group, and at least one group with local fan-out.
-    pub(crate) fn has_fanout(&self) -> bool {
-        self.groups.len() > 1 && self.groups.iter().any(|g| g.len() >= 2)
-    }
-}
-
 /// Adjacency of one rank in a distributed communication graph
 /// (`MPI_Dist_graph_create_adjacent`). Ranks are communicator-local.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -129,73 +93,6 @@ impl RawComm {
         }
         Ok(received)
     }
-
-    /// The communicator's host-group view, built on first use and cached.
-    ///
-    /// Building is a **collective** (one allgather of each rank's locally
-    /// computed group leader), so the first hierarchical collective on a
-    /// communicator pays one extra setup round — exactly like the first
-    /// `split`. Every rank must reach it in the same collective order,
-    /// which holds because strategy selection is deterministic in
-    /// (environment, communicator), never in per-rank data.
-    pub fn hier_topo(&self) -> MpiResult<Arc<HierTopo>> {
-        if let Some(h) = self.hier.borrow().as_ref() {
-            return Ok(Arc::clone(h));
-        }
-        let h = Arc::new(self.build_hier_topo()?);
-        *self.hier.borrow_mut() = Some(Arc::clone(&h));
-        Ok(h)
-    }
-
-    fn build_hier_topo(&self) -> MpiResult<HierTopo> {
-        let p = self.size();
-        let leader_of: Vec<usize> = if let Some(k) = self.fake_hosts_setting().filter(|&k| k >= 1) {
-            // Synthetic grouping (tests/benches): k contiguous rank blocks.
-            // Deterministic from (p, k) alone — no communication needed.
-            let span = p.div_ceil(k.min(p));
-            (0..p).map(|r| (r / span) * span).collect()
-        } else {
-            // Each rank knows its own leader — the lowest rank it shares a
-            // host with (itself included: self is `Locality::Process`).
-            // One allgather makes the view global; it is consistent
-            // because the same-host relation partitions the job (shm: all
-            // ranks; shm-xproc: the ring group; socket: singletons).
-            let transport = &self.state.transport;
-            let mine = (0..p)
-                .find(|&l| transport.locality(self.group[l]).same_host())
-                .unwrap_or(self.rank());
-            let all = self.allgather(&(mine as u64).to_le_bytes())?;
-            all.chunks_exact(8)
-                .map(|c| u64::from_le_bytes(c.try_into().expect("8 bytes")) as usize)
-                .collect()
-        };
-        let mut leaders: Vec<usize> = leader_of.clone();
-        leaders.sort_unstable();
-        leaders.dedup();
-        let mut groups: Vec<Vec<usize>> = vec![Vec::new(); leaders.len()];
-        let mut group_of = vec![0usize; p];
-        for (r, &l) in leader_of.iter().enumerate() {
-            let g = leaders.binary_search(&l).map_err(|_| {
-                MpiError::Internal("hier: inconsistent host-leader views across ranks")
-            })?;
-            group_of[r] = g;
-            groups[g].push(r);
-        }
-        if groups
-            .iter()
-            .zip(&leaders)
-            .any(|(g, &l)| g.first() != Some(&l))
-        {
-            return Err(MpiError::Internal(
-                "hier: a group's leader is not its lowest rank",
-            ));
-        }
-        Ok(HierTopo {
-            my_group: group_of[self.rank()],
-            group_of,
-            groups,
-        })
-    }
 }
 
 #[cfg(test)]
@@ -240,27 +137,27 @@ mod tests {
 
     #[test]
     fn neighbor_collective_posts_only_neighbor_messages() {
-        let (_, profile) = Universe::run_profiled(4, |comm| {
-            let before = comm.profile();
-            let right = (comm.rank() + 1) % comm.size();
-            let left = (comm.rank() + comm.size() - 1) % comm.size();
-            let g = comm
-                .dist_graph_create_adjacent(vec![left], vec![right])
-                .unwrap();
-            let setup = comm.profile().since(&before);
-            g.neighbor_alltoallv(&[vec![0u8; 64]]).unwrap();
-            let total = comm.profile().since(&before);
-            // The exchange itself costs exactly one envelope per rank.
-            if comm.rank() == 0 {
-                let exchange_msgs = total.total_messages() - setup.total_messages();
-                // 4 ranks x 1 destination each (allow slack for ranks still
-                // in-flight is unnecessary: neighbor_alltoallv completed on
-                // all ranks before any rank returns... but profile reads are
-                // racy across ranks, so only check own rank's counters).
-                let _ = exchange_msgs;
-            }
-        });
-        assert_eq!(profile.total_calls(Op::NeighborAlltoallv), 4);
+        // Envelopes of a universe that builds the ring topology and runs
+        // one exchange, minus those of one that only builds it: the
+        // exchange alone, exactly one envelope per rank.
+        let ring = |exchange: bool| {
+            let (_, profile) = Universe::run_profiled(4, |comm| {
+                let right = (comm.rank() + 1) % comm.size();
+                let left = (comm.rank() + comm.size() - 1) % comm.size();
+                let g = comm
+                    .dist_graph_create_adjacent(vec![left], vec![right])
+                    .unwrap();
+                if exchange {
+                    g.neighbor_alltoallv(&[vec![0u8; 64]]).unwrap();
+                }
+            });
+            profile
+        };
+        let (with, setup) = (ring(true), ring(false));
+        assert_eq!(with.total_messages() - setup.total_messages(), 4);
+        assert_eq!(with.total_bytes() - setup.total_bytes(), 4 * 64);
+        assert_eq!(with.total_calls(Op::NeighborAlltoallv), 4);
+        assert_eq!(setup.total_calls(Op::NeighborAlltoallv), 0);
     }
 
     #[test]

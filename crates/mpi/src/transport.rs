@@ -1170,9 +1170,9 @@ pub(crate) trait ControlSink: Send + Sync {
     fn apply(&self, msg: ControlMsg);
 }
 
-/// How close another rank is, as a hint for algorithm selection (e.g. a
-/// topology-aware collective wants intra-host trees below an inter-host
-/// tree). Ordered: `Process < Host < Remote` in increasing distance.
+/// How close another rank is, as a hint for algorithm selection (the
+/// alltoall `Auto` rule asks whether a communicator spans hosts).
+/// Ordered: `Process < Host < Remote` in increasing distance.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub enum Locality {
     /// Same address space (a thread of this process, or this rank itself).
@@ -1185,7 +1185,7 @@ pub enum Locality {
 
 impl Locality {
     /// True if the rank shares this host (in-process or shared memory) —
-    /// the grouping predicate of the hierarchical collectives.
+    /// the predicate of `RawComm::single_host_view`.
     pub(crate) fn same_host(self) -> bool {
         self <= Locality::Host
     }

@@ -11,8 +11,7 @@
 //! case bodies tell the two roles apart.
 //!
 //! The shm tests exercise the same epoch machinery in-process through
-//! [`Universe::run_elastic`] + [`RawComm::spawn_merge`], including the
-//! hierarchical-collective variant over `set_fake_hosts`.
+//! [`Universe::run_elastic`] + [`RawComm::spawn_merge`].
 
 use std::time::Duration;
 
@@ -340,22 +339,16 @@ fn shm_spawn_merge_admits_parked_rank() {
     }
 }
 
-/// Satellite: the full shrink → grow → shrink cycle in one process, with
-/// the *hierarchical* collectives (synthetic two-host grouping via
-/// `set_fake_hosts`) fingerprinting every epoch's membership.
+/// The full shrink → grow → shrink cycle in one process, with an
+/// allreduce fingerprinting every epoch's membership.
 #[test]
-fn shm_cycle_equivalence_with_fake_host_hierarchy() {
-    let hier_sum = |comm: &RawComm| {
-        comm.set_coll_strategy(kamping_mpi::CollStrategy::Hier);
-        comm.set_fake_hosts(2);
-        global_sum(comm)
-    };
+fn shm_shrink_grow_shrink_cycle() {
     let results = Universe::run_elastic(4, 5, |comm| {
         let mut slot = Some(comm);
         // --- epoch 0: the launch membership ---------------------------
         let world = if slot.as_ref().unwrap().membership_epoch() == 0 {
             let comm = slot.take().unwrap();
-            assert_eq!(hier_sum(&comm), 6, "launch membership is {{0,1,2,3}}");
+            assert_eq!(global_sum(&comm), 6, "launch membership is {{0,1,2,3}}");
             if comm.my_global_rank() == 3 {
                 comm.simulate_failure();
                 return comm.my_global_rank();
@@ -375,7 +368,7 @@ fn shm_cycle_equivalence_with_fake_host_hierarchy() {
             }
             let s = w.shrink().unwrap();
             assert_members(&s, &[0, 1, 2]);
-            assert_eq!(hier_sum(&s), 3);
+            assert_eq!(global_sum(&s), 3);
             s
         });
 
@@ -397,7 +390,7 @@ fn shm_cycle_equivalence_with_fake_host_hierarchy() {
             }
         };
         assert_members(&grown, &[0, 1, 2, 4]);
-        assert_eq!(hier_sum(&grown), 7);
+        assert_eq!(global_sum(&grown), 7);
 
         // --- second shrink to {0,1,4} ---------------------------------
         if grown.my_global_rank() == 2 {
@@ -412,7 +405,7 @@ fn shm_cycle_equivalence_with_fake_host_hierarchy() {
         }
         let pair = grown.shrink().unwrap();
         assert_members(&pair, &[0, 1, 4]);
-        assert_eq!(hier_sum(&pair), 5);
+        assert_eq!(global_sum(&pair), 5);
         pair.my_global_rank()
     })
     .unwrap();

@@ -552,88 +552,87 @@ fn case_chaos_kill(comm: &RawComm) {
     assert!(err.is_failure(), "expected a failure, got {err:?}");
 }
 
-/// Tentpole acceptance: the two-level (node-leader + intra-node)
-/// collectives at p=32 across a mixed topology — two 16-rank "hosts"
-/// joined by sockets, rings inside each. The topology must be discovered
-/// from transport locality (not configured), and broadcast / allreduce /
-/// reduce must produce the same bytes as the linear oracle on the same
-/// communicator.
-fn case_hier_collectives(comm: &RawComm) {
+/// The rooted collectives at p=32 across a mixed topology — two 16-rank
+/// "hosts" joined by sockets, rings inside each — over the one binomial
+/// tree, whose edges cross the ring/socket seam (0 → 16 when rooted at
+/// 0). Broadcast / reduce / allreduce must produce the same bytes as the
+/// linear oracle on the same communicator.
+fn case_tree_collectives(comm: &RawComm) {
     let p = comm.size();
-    comm.set_coll_strategy(kamping_mpi::CollStrategy::Hier);
-    // The locality probe must have split the job into the two launcher-
-    // configured host groups, with the lowest rank of each as leader.
-    let h = comm.hier_topo().unwrap();
-    assert_eq!(h.groups.len(), 2, "expected two discovered host groups");
-    assert_eq!(h.groups[0], (0..p / 2).collect::<Vec<_>>());
-    assert_eq!(h.groups[1], (p / 2..p).collect::<Vec<_>>());
-    // Pipelined hierarchical bcast from a non-leader root (the parent
-    // exports a small KAMPING_BCAST_SEGMENT so this payload segments).
-    let pattern: Vec<u8> = (0..4096u32).map(|i| (i * 7 % 251) as u8).collect();
-    let mut buf = if comm.rank() == 5 {
-        pattern.clone()
-    } else {
-        Vec::new()
-    };
-    comm.bcast(&mut buf, 5).unwrap();
-    assert_eq!(buf, pattern);
-    // Two-level allreduce: leaders exchange across the socket seam.
-    let mut acc = (comm.rank() as u64).to_le_bytes().to_vec();
-    comm.allreduce(&mut acc, &byte_sum, 8).unwrap();
     let n = p as u64;
-    assert_eq!(u64::from_le_bytes(acc.try_into().unwrap()), n * (n - 1) / 2);
-    // Two-level reduce rooted at the *second* group's leader.
-    let mut acc = (comm.rank() as u64 + 1).to_le_bytes().to_vec();
-    comm.reduce(&mut acc, &byte_sum, 8, p / 2).unwrap();
-    if comm.rank() == p / 2 {
-        assert_eq!(u64::from_le_bytes(acc.try_into().unwrap()), n * (n + 1) / 2);
-    }
-    // The linear oracle interleaves on the same communicator and agrees.
-    let mut flat = (comm.rank() as u64).to_le_bytes().to_vec();
+    // Broadcast 4 KiB from a root inside the first host.
+    let pattern: Vec<u8> = (0..4096u32).map(|i| (i * 7 % 251) as u8).collect();
+    let seed = || {
+        if comm.rank() == 5 {
+            pattern.clone()
+        } else {
+            Vec::new()
+        }
+    };
+    let mut buf = seed();
+    comm.bcast(&mut buf, 5).unwrap();
+    let mut want = seed();
+    oracle::bcast(comm, &mut want, 5);
+    assert_eq!(buf, want);
+    assert_eq!(buf, pattern);
+    // Allreduce against the oracle's reduce + bcast.
+    let mine = (comm.rank() as u64).to_le_bytes().to_vec();
+    let mut acc = mine.clone();
+    comm.allreduce(&mut acc, &byte_sum, 8).unwrap();
+    let mut flat = mine;
     oracle::reduce(comm, &mut flat, &byte_sum, 8, 0);
     oracle::bcast(comm, &mut flat, 0);
-    assert_eq!(
-        u64::from_le_bytes(flat.try_into().unwrap()),
-        n * (n - 1) / 2
-    );
+    assert_eq!(acc, flat);
+    assert_eq!(u64::from_le_bytes(acc.try_into().unwrap()), n * (n - 1) / 2);
+    // Reduce rooted in the *second* host, against the oracle's reduce.
+    let mine = (comm.rank() as u64 + 1).to_le_bytes().to_vec();
+    let mut acc = mine.clone();
+    comm.reduce(&mut acc, &byte_sum, 8, p / 2).unwrap();
+    let mut naive = mine;
+    oracle::reduce(comm, &mut naive, &byte_sum, 8, p / 2);
+    if comm.rank() == p / 2 {
+        assert_eq!(acc, naive);
+        assert_eq!(u64::from_le_bytes(acc.try_into().unwrap()), n * (n + 1) / 2);
+    }
     comm.barrier().unwrap();
 }
 
-/// Satellite: chaos kills the *second group's leader* exactly at its
-/// inter-leader exchange post, mid two-level allreduce. Every survivor
-/// must surface a typed failure — not hang: the members of the dead
-/// leader's group starve waiting for the broadcast-down, the other leader
-/// starves on the reduced partial, and the `Failed` broadcast (plus
-/// peers' clean exits) must wake all of them.
-fn case_hier_leader_kill(comm: &RawComm) {
-    let p = comm.size();
-    let leader = p / 2;
-    comm.set_coll_strategy(kamping_mpi::CollStrategy::Hier);
+/// Chaos kills rank 16 — an interior node of the binomial tree over 32
+/// ranks rooted at 0, with parent 0 and children 24, 20, 18 and 17 — as
+/// it posts its reduced partial up to 0, mid allreduce. Every survivor
+/// must surface a typed failure — not hang: rank 0 starves on the
+/// partial, 16's subtree starves on the broadcast down from 16, and the
+/// rest of the tree starves on the broadcast down from 0. The `Failed`
+/// broadcast (plus peers' clean exits) must wake all of them.
+fn case_interior_kill(comm: &RawComm) {
+    let victim = comm.size() / 2;
     let mut acc = (comm.rank() as u64).to_le_bytes().to_vec();
-    if comm.rank() == leader {
-        // Post #1; the topology-build allgather (Bruck, 5 rounds) spends
-        // #2-#6 of the kill budget, so the 7th post — this rank's reduced
-        // partial to leader 0 — fires the death.
+    if comm.rank() == victim {
+        // Every process counts the posts touching 16 that it makes. The
+        // victim's post #1 passes (`kill=16@1`). In the allreduce it
+        // posts nothing until its four children's partials have arrived
+        // (each child's one post to 16 stays inside its own budget of
+        // 1), then gives its partial to 0: post #2 fires the death.
         comm.send(0, 9, b"first").unwrap();
         let _ = comm.allreduce(&mut acc, &byte_sum, 8);
         return;
     }
     if comm.rank() == 0 {
-        let (payload, _) = comm.recv(leader, 9).unwrap();
+        let (payload, _) = comm.recv(victim, 9).unwrap();
         assert_eq!(payload, b"first");
     }
     let err = comm.allreduce(&mut acc, &byte_sum, 8).unwrap_err();
     assert!(err.is_failure(), "expected a failure, got {err:?}");
 }
 
-/// Satellite: chaos severs the leader→member link `16 -> 17` after its
-/// first message (the topology-build allgather's Bruck round), so the cut
-/// hits exactly the broadcast-down leg of the two-level allreduce. Rank
-/// 17 starves, every other rank completes; the peers' clean exits must
+/// Chaos severs the link `16 -> 17` before its first message
+/// (`sever=16->17@0`). In the binomial tree over 32 ranks rooted at 0,
+/// rank 17 is a leaf under 16; the allreduce's reduce leg runs 17 → 16,
+/// so the only message on the cut link is the broadcast down. Rank 17
+/// starves, every other rank completes; the peers' clean exits must
 /// convert rank 17's starvation into a typed `ProcFailed`, not a hang.
-fn case_hier_sever(comm: &RawComm) {
+fn case_bcast_sever(comm: &RawComm) {
     let p = comm.size();
-    comm.set_coll_strategy(kamping_mpi::CollStrategy::Hier);
     let mut acc = (comm.rank() as u64).to_le_bytes().to_vec();
     let n = p as u64;
     if comm.rank() == p / 2 + 1 {
@@ -1334,9 +1333,9 @@ fn worker_entry() {
         "icoll_kill_reduce" => case_icoll_kill_reduce(&comm),
         "chaos_sever" => case_chaos_sever(&comm),
         "chaos_kill" => case_chaos_kill(&comm),
-        "hier_collectives" => case_hier_collectives(&comm),
-        "hier_leader_kill" => case_hier_leader_kill(&comm),
-        "hier_sever" => case_hier_sever(&comm),
+        "tree_collectives" => case_tree_collectives(&comm),
+        "interior_kill" => case_interior_kill(&comm),
+        "bcast_sever" => case_bcast_sever(&comm),
         "revoke" => case_revoke(&comm),
         "kill_recovery" => case_kill_recovery(&comm),
         "traced_work" => case_traced_work(&comm),
@@ -1870,39 +1869,36 @@ fn mixed_backend_keeps_per_source_fifo() {
     assert_all_success("wildcard_drain", &run_mixed_job("wildcard_drain", 4, "0,1"));
 }
 
-/// Tentpole acceptance at production-ish scale: 32 ranks, two 16-rank
-/// "hosts" (rings inside each, sockets across), hierarchical strategy on,
-/// small broadcast segment so the pipelined bcast actually segments.
+/// The rooted collectives at 32 ranks on two 16-rank "hosts" (rings
+/// inside each, sockets across), over the binomial tree.
 #[test]
-fn mixed_backend_hierarchical_collectives_p32() {
+fn mixed_backend_tree_collectives_p32() {
     let exits = run_job_full(
-        "hier_collectives",
+        "tree_collectives",
         32,
         false,
         Backend::ShmXproc,
-        &[
-            ("KAMPING_LOCAL_RANKS", "0-15;16-31".to_string()),
-            ("KAMPING_BCAST_SEGMENT", "1024".to_string()),
-        ],
+        &[("KAMPING_LOCAL_RANKS", "0-15;16-31".to_string())],
     );
-    assert_all_success("hier_collectives", &exits);
+    assert_all_success("tree_collectives", &exits);
 }
 
-/// Chaos kill of a group leader mid two-level allreduce: every survivor
-/// surfaces a typed failure instead of hanging.
+/// Chaos kill of an interior tree node mid allreduce, across the
+/// ring/socket seam: every survivor surfaces a typed failure instead of
+/// hanging.
 ///
-/// The kill budget counts the victim's posts under the topology-build
-/// Bruck allgather and the leader exchange.
+/// The kill budget counts the victim's posts: a handshake, then its
+/// partial of the reduce leg (see `case_interior_kill`).
 #[test]
-fn mixed_backend_hier_leader_death_fails_allreduce() {
+fn mixed_backend_interior_rank_death_fails_allreduce() {
     let exits = run_job_full(
-        "hier_leader_kill",
+        "interior_kill",
         32,
         false,
         Backend::ShmXproc,
         &[
             ("KAMPING_LOCAL_RANKS", "0-15;16-31".to_string()),
-            ("KAMPING_CHAOS", "13:kill=16@6".to_string()),
+            ("KAMPING_CHAOS", "13:kill=16@1".to_string()),
         ],
     );
     // The victim's exit status is not asserted (its own teardown races
@@ -1919,24 +1915,24 @@ fn mixed_backend_hier_leader_death_fails_allreduce() {
     }
 }
 
-/// Chaos sever of the leader→member broadcast-down link: the starved
-/// member gets `ProcFailed` once its peers finish; nobody hangs.
+/// Chaos sever of the broadcast-down link to a leaf: the starved leaf
+/// gets `ProcFailed` once its peers finish; nobody hangs.
 ///
-/// Like the leader-kill case, the sever offset is pinned to the
-/// schedules' message counts.
+/// The sever offset is pinned to the tree's message counts (see
+/// `case_bcast_sever`).
 #[test]
-fn mixed_backend_hier_severed_bcast_link_fails_starved_member() {
+fn mixed_backend_severed_bcast_link_fails_starved_leaf() {
     let exits = run_job_full(
-        "hier_sever",
+        "bcast_sever",
         32,
         false,
         Backend::ShmXproc,
         &[
             ("KAMPING_LOCAL_RANKS", "0-15;16-31".to_string()),
-            ("KAMPING_CHAOS", "11:sever=16->17@1".to_string()),
+            ("KAMPING_CHAOS", "11:sever=16->17@0".to_string()),
         ],
     );
-    assert_all_success("hier_sever", &exits);
+    assert_all_success("bcast_sever", &exits);
 }
 
 // ---------------------------------------------------------------------
