@@ -29,7 +29,7 @@ use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
 use kamping_mpi::elastic::{ConservationReport, Ledger, ShardMap};
-use kamping_mpi::{MembershipChange, MpiError, RawComm, Universe, ANY_SOURCE};
+use kamping_mpi::{MembershipChange, MpiError, RawComm, Universe, ANY_SOURCE, ANY_TAG};
 
 /// Request: `[id, key, requester_global]`, each a little-endian u64.
 const TAG_REQ: u32 = 7001;
@@ -432,7 +432,11 @@ fn run_rank(
         }
 
         if handled == 0 {
-            std::thread::sleep(Duration::from_micros(200));
+            // Idle: wait for the next message (or 200 us), not a blind
+            // sleep through it. Timing out is the common idle outcome.
+            let _ = svc
+                .cur()
+                .probe_timeout(ANY_SOURCE, ANY_TAG, Duration::from_micros(200));
         }
     }
 

@@ -36,7 +36,7 @@
 
 use std::collections::{BinaryHeap, HashMap};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex, OnceLock, Weak};
+use std::sync::{Arc, Condvar, Mutex, Weak};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -315,15 +315,20 @@ pub(crate) struct ChaosTransport {
     sink: Mutex<Option<Weak<dyn ControlSink>>>,
     delayer: Option<Arc<Delayer>>,
     delivery: Mutex<Option<JoinHandle<()>>>,
-    /// Trace context for fault-injection events, bound post-construction
-    /// (the wrapper is built before the universe that owns the context).
-    trace: OnceLock<Arc<TraceCtx>>,
+    /// Trace context for fault-injection events.
+    trace: Arc<TraceCtx>,
 }
 
 impl ChaosTransport {
-    /// Wraps `inner`, injecting faults per `spec`. `size` is the number of
-    /// global ranks (bounds the per-channel counter table).
-    pub(crate) fn new(inner: Arc<dyn Transport>, size: usize, spec: ChaosSpec) -> Self {
+    /// Wraps `inner`, injecting faults per `spec` and recording them into
+    /// `trace`. `size` is the number of global ranks (bounds the
+    /// per-channel counter table).
+    pub(crate) fn new(
+        inner: Arc<dyn Transport>,
+        size: usize,
+        spec: ChaosSpec,
+        trace: Arc<TraceCtx>,
+    ) -> Self {
         let delayer = (spec.delay_pct > 0).then(|| Arc::new(Delayer::new()));
         let delivery = delayer.as_ref().map(|d| {
             let d = Arc::clone(d);
@@ -345,22 +350,16 @@ impl ChaosTransport {
             sink: Mutex::new(None),
             delayer,
             delivery: Mutex::new(delivery),
-            trace: OnceLock::new(),
+            trace,
         }
     }
 
-    /// Binds the universe's trace context so injected faults appear in the
-    /// event stream. Idempotent; the first binding wins.
-    pub(crate) fn bind_trace(&self, trace: Arc<TraceCtx>) {
-        let _ = self.trace.set(trace);
-    }
-
     /// Records one injected fault on the envelope `src → dst` as a trace
-    /// event and as a count on `rank`'s block (no-op when both are off or
-    /// no context is bound): a mangled envelope counts at its destination,
-    /// whose traffic a dashboard reader is watching; a death at its victim.
+    /// event and as a count on `rank`'s block (no-op when both are off): a
+    /// mangled envelope counts at its destination, whose traffic a
+    /// dashboard reader is watching; a death at its victim.
     fn trace_fault(&self, rank: usize, src: usize, dst: usize, fault: &'static str) {
-        let Some(t) = self.trace.get() else { return };
+        let t = &self.trace;
         let c = match fault {
             "delay" => Counter::FaultsDelayed,
             "sever" => Counter::FaultsSevered,
@@ -409,7 +408,7 @@ impl ChaosTransport {
             if !self.killed[i].swap(true, Ordering::AcqRel) {
                 self.trace_fault(kill.rank, src, dest, "kill");
                 // Mirror UniverseState::mark_failed: apply locally through
-                // the sink (which kicks mailboxes and the hub), broadcast
+                // the sink (which kicks every local mailbox), broadcast
                 // to remote ranks over the real backend.
                 let sink = self
                     .sink
@@ -562,7 +561,7 @@ impl Drop for ChaosTransport {
 mod tests {
     use super::*;
     use crate::trace::METRICS;
-    use crate::transport::{Hub, MatchKey, Payload, ShmTransport};
+    use crate::transport::{MatchKey, Payload, ShmTransport};
 
     fn spec(directives: &str) -> ChaosSpec {
         ChaosSpec::parse(&format!("7:{directives}")).unwrap()
@@ -620,14 +619,9 @@ mod tests {
     /// A chaos layer over a fresh shm backend with a metrics-enabled trace
     /// context bound, so the injected faults land in the stats block.
     fn metered(size: usize, spec: ChaosSpec) -> (ChaosTransport, Arc<TraceCtx>) {
-        let inner = Arc::new(ShmTransport::new(
-            size,
-            &Arc::new(Hub::new()),
-            &TraceCtx::disabled(size),
-        ));
-        let chaos = ChaosTransport::new(inner, size, spec);
+        let inner = Arc::new(ShmTransport::new(size, &TraceCtx::disabled(size)));
         let trace = Arc::new(TraceCtx::new(size, METRICS));
-        chaos.bind_trace(Arc::clone(&trace));
+        let chaos = ChaosTransport::new(inner, size, spec, Arc::clone(&trace));
         (chaos, trace)
     }
 

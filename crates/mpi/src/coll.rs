@@ -829,8 +829,14 @@ impl RawComm {
         let mut received: Vec<SparseMsg> = Vec::new();
         let mut barrier: Option<RawRequest> = None;
 
-        // 2. Probe/receive until the barrier certifies quiescence.
-        loop {
+        // 2. Probe/receive until the barrier certifies quiescence. One step
+        // drains the probes, then tests the sends or the barrier; between
+        // steps the rank sleeps on its gate, which everything a step waits
+        // for bumps: a deposit (a message of this round, a barrier token),
+        // the ack of its own issend and a fault mark. A barrier that a
+        // delivering thread completed after its deposit's bump is stepped
+        // by `test` itself.
+        let mut step = || -> MpiResult<Option<()>> {
             while let Some(status) = self.iprobe(ANY_SOURCE, tag)? {
                 let (data, st) = self.recv(status.source, tag)?;
                 received.push(SparseMsg {
@@ -838,26 +844,19 @@ impl RawComm {
                     data,
                 });
             }
-            match &mut barrier {
-                None => {
-                    let mut done = true;
-                    for r in &mut send_reqs {
-                        if !r.is_complete() && r.test()?.is_none() {
-                            done = false;
-                        }
-                    }
-                    if done {
-                        barrier = Some(self.ibarrier()?);
+            if barrier.is_none() {
+                for r in &mut send_reqs {
+                    if !r.is_complete() && r.test()?.is_none() {
+                        return Ok(None);
                     }
                 }
-                Some(req) => {
-                    if req.test()?.is_some() {
-                        break;
-                    }
-                }
+                barrier = Some(self.ibarrier()?);
             }
-            std::thread::yield_now();
-        }
+            let req = barrier.as_mut().expect("issued once every send completed");
+            Ok(req.test()?.map(drop))
+        };
+        self.mailbox()
+            .wait_until(&|| None, None, |_| step().transpose())??;
         // No draining after barrier completion: synchronous-mode semantics
         // guarantee every message of this round was matched before any
         // rank entered the barrier, and a drain here could steal messages
@@ -962,7 +961,9 @@ impl RawComm {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::metrics::Counter;
     use crate::Universe;
+    use std::time::Duration;
 
     fn u64_op() -> impl Fn(&mut [u8], &[u8]) + Sync {
         |acc: &mut [u8], rhs: &[u8]| {
@@ -1395,5 +1396,80 @@ mod tests {
         // Dense alltoallv: every rank posts p-1 envelopes.
         assert_eq!(profile.max_messages_per_rank(), 3);
         assert_eq!(profile.total_calls(Op::Alltoallv), 4);
+    }
+
+    /// Runs `f` on `p` ranks with metrics on, under a watchdog: a hang
+    /// fails the test instead of wedging the suite.
+    fn run_watched<R: Send + 'static>(
+        p: usize,
+        f: impl Fn(RawComm) -> R + Send + Sync + 'static,
+    ) -> Vec<R> {
+        let (done, watch) = std::sync::mpsc::channel();
+        let runner = std::thread::spawn(move || {
+            let metrics_on = crate::config::Config {
+                metrics: true,
+                ..Default::default()
+            };
+            let job = Universe::run_threads(p, p, metrics_on, f).unwrap();
+            let _ = done.send(());
+            job.values
+        });
+        let verdict = watch.recv_timeout(Duration::from_secs(30));
+        assert!(
+            !matches!(verdict, Err(std::sync::mpsc::RecvTimeoutError::Timeout)),
+            "the exchange hung"
+        );
+        runner
+            .join()
+            .unwrap_or_else(|panic| std::panic::resume_unwind(panic))
+    }
+
+    /// NBX sleeps on its gate while it waits: rank 2 enters 30 ms late, far
+    /// past the patience of rank 0, which waits for rank 2's message and
+    /// for the barrier. The exchange is a ring.
+    #[test]
+    fn sparse_exchange_sleeps_while_a_peer_is_late() {
+        let slept = run_watched(3, |comm| {
+            let (me, p) = (comm.rank(), comm.size());
+            if me == 2 {
+                std::thread::sleep(Duration::from_millis(30));
+            }
+            let sleeps = || comm.metrics().counter(Counter::GateSleeps);
+            let before = sleeps();
+            let msgs = vec![((me + 1) % p, vec![me as u8; 3])];
+            let got = comm.sparse_alltoallv(&msgs).unwrap();
+            let left = (me + p - 1) % p;
+            let got: Vec<(usize, Vec<u8>)> = got.into_iter().map(|m| (m.source, m.data)).collect();
+            assert_eq!(got, vec![(left, vec![left as u8; 3])], "rank {me}");
+            sleeps() - before
+        });
+        assert!(slept[0] >= 1, "rank 0 never slept: {slept:?}");
+    }
+
+    /// A rank dies mid-exchange, after posting its issends: every survivor
+    /// returns a failure-class error, and none hangs.
+    #[test]
+    fn sparse_exchange_fails_typed_when_a_rank_dies_mid_exchange() {
+        let out = run_watched(4, |comm| {
+            let (me, p) = (comm.rank(), comm.size());
+            let msgs: Vec<(usize, Vec<u8>)> = (0..p)
+                .filter(|&d| d != me)
+                .map(|d| (d, vec![me as u8]))
+                .collect();
+            if me == 3 {
+                // The exchange's first step, and then death.
+                let tag = SPARSE_TAG_BASE + (comm.next_operation_seq() % SPARSE_TAG_ROTATION);
+                for (dest, data) in msgs {
+                    comm.issend(dest, tag, data).unwrap();
+                }
+                comm.simulate_failure();
+                return None;
+            }
+            Some(comm.sparse_alltoallv(&msgs).map(|_| ()))
+        });
+        for (rank, outcome) in out.into_iter().enumerate().take(3) {
+            let err = outcome.unwrap().unwrap_err();
+            assert!(err.is_failure(), "rank {rank}: {err:?}");
+        }
     }
 }

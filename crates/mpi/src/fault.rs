@@ -57,15 +57,29 @@ impl RawComm {
     /// Failure-handling code uses this to rendezvous on the revocation
     /// instead of spinning on [`RawComm::is_revoked`].
     pub fn await_revoked(&self) {
-        self.state
-            .hub
-            .wait_until(|| self.state.is_revoked(self.ctx).then_some(()));
+        let revoked = || self.state.is_revoked(self.ctx).then_some(());
+        self.await_mark(None, revoked)
+            .expect("a wait without a deadline cannot time out");
     }
 
     /// Blocks (without polling) until at least one member of this
     /// communicator is marked failed; returns the lowest failed local rank.
     pub fn await_failure(&self) -> usize {
-        self.state.hub.wait_until(|| self.first_failed())
+        self.await_mark(None, || self.first_failed())
+            .expect("a wait without a deadline cannot time out")
+    }
+
+    /// Waits on this rank's mailbox until `marked` yields or `timeout` has
+    /// passed ([`MpiError::Timeout`]). Every failure, finish, revocation
+    /// and membership mark kicks every local mailbox after it is applied,
+    /// so each one re-runs `marked`.
+    fn await_mark<T>(
+        &self,
+        timeout: Option<Duration>,
+        mut marked: impl FnMut() -> Option<T>,
+    ) -> MpiResult<T> {
+        let deadline = timeout.map(|t| Instant::now() + t);
+        self.mailbox().wait_until(&|| None, deadline, |_| marked())
     }
 
     /// Lowest-numbered failed member of this communicator, if any
@@ -170,19 +184,10 @@ impl RawComm {
     /// newest observed epoch; follow with [`RawComm::grow`] to step into
     /// it.
     pub fn await_grow_timeout(&self, timeout: Duration) -> MpiResult<u64> {
-        let start = Instant::now();
-        self.state
-            .hub
-            .wait_until_deadline(
-                || {
-                    let e = self.state.membership_epoch.load(Ordering::Acquire);
-                    (e > self.epoch).then_some(e)
-                },
-                Some(start + timeout),
-            )
-            .ok_or(MpiError::Timeout {
-                waited: start.elapsed(),
-            })
+        self.await_mark(Some(timeout), || {
+            let e = self.state.membership_epoch.load(Ordering::Acquire);
+            (e > self.epoch).then_some(e)
+        })
     }
 
     /// Blocks until membership churns in *either* direction — a member
@@ -193,22 +198,13 @@ impl RawComm {
         &self,
         timeout: Duration,
     ) -> MpiResult<MembershipChange> {
-        let start = Instant::now();
-        self.state
-            .hub
-            .wait_until_deadline(
-                || {
-                    if let Some(l) = self.first_failed() {
-                        return Some(MembershipChange::Failure(l));
-                    }
-                    let e = self.state.membership_epoch.load(Ordering::Acquire);
-                    (e > self.epoch).then_some(MembershipChange::Grow(e))
-                },
-                Some(start + timeout),
-            )
-            .ok_or(MpiError::Timeout {
-                waited: start.elapsed(),
-            })
+        self.await_mark(Some(timeout), || {
+            if let Some(l) = self.first_failed() {
+                return Some(MembershipChange::Failure(l));
+            }
+            let e = self.state.membership_epoch.load(Ordering::Acquire);
+            (e > self.epoch).then_some(MembershipChange::Grow(e))
+        })
     }
 
     /// Admits `n` parked ranks into the universe (`MPI_Comm_spawn` +

@@ -90,7 +90,7 @@ named_cells! {
     BytesDelivered => "bytes_delivered",
     /// Substrate operations started (also the latency-sampling base).
     OpsStarted => "ops_started",
-    /// Nanoseconds blocked past the fast path of a mailbox or hub wait:
+    /// Nanoseconds blocked past the fast path of a mailbox gate wait:
     /// re-attempting, yielding and asleep alike (sampled 1 wait in 8).
     BlockedNs => "blocked_ns",
     /// Bounded waits that gave up with [`MpiError::Timeout`].
@@ -132,8 +132,8 @@ named_cells! {
     /// Payload-sized buffers allocated on the same path.
     PayloadAllocs => "payload_allocs",
     /// Bumps that found a sleeper, took the gate lock and notified the
-    /// condvar: a mailbox's are charged to its owner, a hub's to the rank
-    /// that notified.
+    /// condvar, charged to the gate's owner (the rank woken, whichever
+    /// thread bumped: an ack's wake is its sender's).
     GateWakes => "gate_wakes",
     /// Times a blocking wait outlasted its patience and went to sleep on
     /// the gate's condvar.

@@ -67,7 +67,7 @@ use crate::config::Config;
 use crate::error::{MpiError, MpiResult};
 use crate::metrics::{MetricsSnapshot, METRICS_WIRE_BYTES};
 use crate::trace::TraceCtx;
-use crate::transport::{ControlSink, Hub, Transport};
+use crate::transport::{ControlSink, Transport};
 use crate::universe::{Job, UniverseState};
 
 use wire::{read_frame, write_frame, Frame};
@@ -790,12 +790,10 @@ where
 
     let trace = Arc::new(TraceCtx::new(capacity, config.trace_flags()));
     crate::trace::set_thread_rank(my_rank);
-    let hub = Arc::new(Hub::new());
     let monitor_table = table.clone();
     let socket = match SocketTransport::new(
         my_rank,
         capacity,
-        Arc::clone(&hub),
         table,
         listener,
         Arc::clone(&trace),
@@ -812,8 +810,8 @@ where
                 Arc::clone(&socket) as Arc<dyn Transport>,
                 capacity,
                 spec,
+                Arc::clone(&trace),
             ));
-            layer.bind_trace(Arc::clone(&trace));
             (Arc::clone(&layer) as Arc<dyn Transport>, Some(layer))
         }
     };
@@ -821,7 +819,6 @@ where
         capacity,
         my_members.clone(),
         transport,
-        hub,
         Arc::clone(&trace),
         config,
     ));

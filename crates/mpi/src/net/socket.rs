@@ -43,8 +43,8 @@
 //! Synchronous-mode sends travel with a registry key (`ack_id`): the
 //! receiving side rebuilds the envelope with an [`AckCell`] whose hook
 //! sends an `Ack` frame back when the message is matched, and the origin
-//! flips the registered cell (and notifies the [`Hub`]) when that frame
-//! arrives. Frames dropped because a peer became unreachable settle their
+//! flips the registered cell when that frame arrives (the cell's own hook
+//! wakes the sender). Frames dropped because a peer became unreachable settle their
 //! acks locally, so no sender waits on a frame that will never arrive.
 //!
 //! Failure detection is two-plane: a connect/write/read error on a data
@@ -179,7 +179,6 @@ struct Shared {
     me: Weak<Shared>,
     my_rank: usize,
     size: usize,
-    hub: Arc<Hub>,
     /// The one local rank's mailbox: loopback envelopes are posted, what
     /// comes off a wire lands ([`Mailbox::dest_for`], [`Mailbox::land`]).
     mailbox: Mailbox,
@@ -443,7 +442,6 @@ impl Shared {
             .remove(&ack_id);
         if let Some(cell) = cell {
             cell.set();
-            self.hub.notify();
         }
     }
 
@@ -688,7 +686,6 @@ impl SocketTransport {
     pub(crate) fn new(
         my_rank: usize,
         size: usize,
-        hub: Arc<Hub>,
         addrs: Vec<Option<Addr>>,
         listener: Listener,
         trace: Arc<TraceCtx>,
@@ -739,14 +736,13 @@ impl SocketTransport {
                 (Some(inbox), Some(Mutex::new(rx)))
             }
         };
-        let mailbox = Mailbox::new(my_rank, size, Arc::clone(&hub), Arc::clone(&trace));
+        let mailbox = Mailbox::new(my_rank, size, Arc::new(Hub), Arc::clone(&trace));
         mailbox.set_wired();
         let shared = Arc::new_cyclic(|me| Shared {
             me: me.clone(),
             my_rank,
             size,
             mailbox,
-            hub,
             trace,
             rings,
             rx,

@@ -238,10 +238,20 @@ impl RawComm {
 
     /// Non-blocking synchronous-mode send: the request completes only once a
     /// matching receive has consumed the message (needed by NBX).
+    ///
+    /// Whichever thread sets the ack — the receiver, a post to a dead rank,
+    /// a transport thread reading the `Ack` frame — bumps this rank's gate
+    /// and nobody else's. The hook holds the universe weakly: an unmatched
+    /// envelope holding it strongly would keep its own mailbox alive.
     pub fn issend(&self, dest: usize, tag: Tag, payload: Vec<u8>) -> MpiResult<RawRequest> {
         let _op = self.record(Op::Issend);
         let dest_global = self.check_send(dest, payload.len())?;
-        let ack = Arc::new(AckCell::default());
+        let (state, me) = (Arc::downgrade(&self.state), self.my_global_rank());
+        let ack = Arc::new(AckCell::with_hook(move || {
+            if let Some(state) = state.upgrade() {
+                state.mailbox(me).bump();
+            }
+        }));
         self.post_to(
             dest_global,
             tag,
@@ -250,7 +260,11 @@ impl RawComm {
         );
         Ok(RawRequest::new(
             self.state.clone(),
-            RequestKind::Ssend { ack, dest_global },
+            RequestKind::Ssend {
+                ack,
+                dest_global,
+                me,
+            },
         ))
     }
 
@@ -273,11 +287,21 @@ impl RawComm {
     /// matching message is available and returns its status without
     /// consuming it.
     pub fn probe(&self, source: usize, tag: Tag) -> MpiResult<Status> {
+        self.probe_until(source, tag, None)
+    }
+
+    /// Like [`RawComm::probe`], but gives up after `timeout` with
+    /// [`MpiError::Timeout`] — the bounded twin, as
+    /// [`RawComm::recv_timeout`] is `recv`'s. Consumes nothing either way.
+    pub fn probe_timeout(&self, source: usize, tag: Tag, timeout: Duration) -> MpiResult<Status> {
+        self.probe_until(source, tag, Some(Instant::now() + timeout))
+    }
+
+    fn probe_until(&self, source: usize, tag: Tag, deadline: Option<Instant>) -> MpiResult<Status> {
         let _op = self.record(Op::Probe);
         let key = self.match_key(source, tag)?;
-        let me = self.my_global_rank();
         let interrupt = wait_interrupt(&self.state, key.src, self.ctx);
-        let (src, t, n) = self.state.mailbox(me).peek_blocking(key, &interrupt)?;
+        let (src, t, n) = self.mailbox().peek_blocking(key, &interrupt, deadline)?;
         Ok(self.status_of(src, t, n))
     }
 
@@ -522,12 +546,12 @@ mod tests {
     #[test]
     fn payload_above_the_transport_cap_is_rejected_at_the_send() {
         use crate::trace::TraceCtx;
-        use crate::transport::{Hub, ShmTransport};
+        use crate::transport::ShmTransport;
         use crate::universe::UniverseState;
-        let (hub, trace) = (Arc::new(Hub::new()), TraceCtx::disabled(1));
-        let capped = Arc::new(Capped(ShmTransport::new(1, &hub, &trace)));
+        let trace = TraceCtx::disabled(1);
+        let capped = Arc::new(Capped(ShmTransport::new(1, &trace)));
         let config = crate::config::Config::default();
-        let state = UniverseState::with_transport(1, vec![0], capped, hub, trace, config);
+        let state = UniverseState::with_transport(1, vec![0], capped, trace, config);
         let comm = RawComm::world(Arc::new(state), 0);
         let too_long = MpiError::InvalidCounts {
             what: "payload exceeds the largest message the transport can frame",
@@ -552,6 +576,38 @@ mod tests {
             } else {
                 let (msg, _) = comm.recv(0, 0).unwrap();
                 assert_eq!(msg, vec![1, 2, 3]);
+            }
+        });
+    }
+
+    /// `probe_timeout` consumes nothing, gives up typed, and a deposit
+    /// wakes it long before its deadline.
+    #[test]
+    fn probe_timeout_is_woken_by_a_deposit_and_consumes_nothing() {
+        Universe::run(2, |comm| {
+            if comm.rank() == 0 {
+                let err = comm.probe_timeout(1, 4, Duration::from_millis(10));
+                assert!(err.unwrap_err().is_timeout());
+                comm.send(1, 0, b"go").unwrap();
+                let t = Instant::now();
+                let st = comm.probe_timeout(ANY_SOURCE, ANY_TAG, Duration::from_secs(30));
+                assert_eq!(
+                    st.unwrap(),
+                    Status {
+                        source: 1,
+                        tag: 4,
+                        bytes: 5
+                    }
+                );
+                assert!(
+                    t.elapsed() < Duration::from_secs(10),
+                    "woken by the deposit"
+                );
+                assert_eq!(comm.recv(1, 4).unwrap().0, b"hello");
+            } else {
+                comm.recv(0, 0).unwrap();
+                std::thread::sleep(Duration::from_millis(5));
+                comm.send(0, 4, b"hello").unwrap();
             }
         });
     }

@@ -24,9 +24,11 @@ pub(crate) enum RequestKind {
     SendDone,
     /// Synchronous-mode send: complete when the ack cell is set, error if
     /// the destination dies before matching (avoids an unbounded wait).
+    /// `me` is the sender's global rank: the cell's hook bumps its gate.
     Ssend {
         ack: Arc<AckCell>,
         dest_global: usize,
+        me: usize,
     },
     /// Receive: complete when a matching envelope arrives. `inverse` is
     /// the communicator's global → local table ([`crate::comm::rank_index`]).
@@ -101,16 +103,22 @@ impl RawRequest {
         };
         match kind {
             RequestKind::SendDone => Ok(Some(Completion::Done)),
-            RequestKind::Ssend { ack, dest_global } => {
-                match ssend_verdict(|| ack.is_set(), || self.state.is_gone(dest_global)) {
-                    Some(true) => Ok(Some(Completion::Done)),
-                    Some(false) => Err(MpiError::ProcFailed { rank: dest_global }),
-                    None => {
-                        self.kind = Some(RequestKind::Ssend { ack, dest_global });
-                        Ok(None)
-                    }
+            RequestKind::Ssend {
+                ack,
+                dest_global,
+                me,
+            } => match ssend_verdict(|| ack.is_set(), || self.state.is_gone(dest_global)) {
+                Some(true) => Ok(Some(Completion::Done)),
+                Some(false) => Err(MpiError::ProcFailed { rank: dest_global }),
+                None => {
+                    self.kind = Some(RequestKind::Ssend {
+                        ack,
+                        dest_global,
+                        me,
+                    });
+                    Ok(None)
                 }
-            }
+            },
             RequestKind::Recv { key, me, inverse } => {
                 // Surface failures/revocation even while polling.
                 let interrupt = wait_interrupt(&self.state, key.src, key.ctx);
@@ -139,9 +147,9 @@ impl RawRequest {
         }
     }
 
-    /// Blocks until the request completes. Never polls: receives and
-    /// collectives block on the owning mailbox's condvar, synchronous-send
-    /// acks block on the universe [`crate::transport::Hub`].
+    /// Blocks until the request completes. Never polls: every kind sleeps
+    /// on the owning rank's mailbox gate, which deposits, fault marks and
+    /// the ack of a synchronous-mode send all bump.
     pub fn wait(&mut self) -> MpiResult<(Vec<u8>, Status)> {
         self.wait_deadline(None)
     }
@@ -192,17 +200,24 @@ impl RawRequest {
                     }
                 }
             }
-            Some(RequestKind::Ssend { ack, dest_global }) => {
-                let state = Arc::clone(&self.state);
-                let verdict = state.hub.wait_until_deadline(
-                    || ssend_verdict(|| ack.is_set(), || state.is_gone(dest_global)),
-                    deadline,
-                );
+            Some(RequestKind::Ssend {
+                ack,
+                dest_global,
+                me,
+            }) => {
+                let state = &self.state;
+                let verdict = state.mailbox(me).wait_until(&|| None, deadline, |_| {
+                    ssend_verdict(|| ack.is_set(), || state.is_gone(dest_global))
+                });
                 match verdict {
-                    Some(true) => Ok((Vec::new(), done_status)),
-                    Some(false) => Err(MpiError::ProcFailed { rank: dest_global }),
-                    None => {
-                        self.kind = Some(RequestKind::Ssend { ack, dest_global });
+                    Ok(true) => Ok((Vec::new(), done_status)),
+                    Ok(false) => Err(MpiError::ProcFailed { rank: dest_global }),
+                    Err(_) => {
+                        self.kind = Some(RequestKind::Ssend {
+                            ack,
+                            dest_global,
+                            me,
+                        });
                         self.waited += start.elapsed();
                         Err(MpiError::Timeout {
                             waited: self.waited,

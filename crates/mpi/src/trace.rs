@@ -72,7 +72,7 @@ thread_local! {
     /// Global rank hosted by this thread (rank threads on shm, the main
     /// thread on socket); `u32::MAX` for helper threads.
     static THREAD_RANK: Cell<u32> = const { Cell::new(u32::MAX) };
-    /// Nanoseconds this thread has spent blocked (mailbox/hub waits),
+    /// Nanoseconds this thread has spent blocked (mailbox gate waits),
     /// accumulated monotonically. Op scopes snapshot it on entry and
     /// attribute the delta to the op on exit.
     static THREAD_WAIT_NS: Cell<u64> = const { Cell::new(0) };
@@ -83,8 +83,8 @@ thread_local! {
     static THREAD_PARKS: Cell<u64> = const { Cell::new(0) };
 }
 
-/// Marks the current thread as hosting global rank `rank` (used to label
-/// wait events that occur outside any one mailbox, e.g. hub waits).
+/// Marks the current thread as hosting global rank `rank` (what sampled
+/// wait timing and timeouts are attributed by).
 pub(crate) fn set_thread_rank(rank: usize) {
     THREAD_RANK.with(|r| r.set(rank as u32));
 }
@@ -165,7 +165,7 @@ pub enum EventKind {
         /// Payload bytes.
         bytes: u64,
     },
-    /// A thread was blocked (mailbox or hub wait). `ts_ns` is the moment
+    /// A thread was blocked (a mailbox gate wait). `ts_ns` is the moment
     /// the wait began.
     Wait {
         /// Global rank of the blocked thread (`u32::MAX` if unknown).

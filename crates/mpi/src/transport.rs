@@ -48,9 +48,10 @@
 //! sleeping receiver never polls: a deposit bumps the gate's epoch and wakes
 //! it, failure/revocation events `Mailbox::kick` every mailbox, so sleeps
 //! carry no timeout — and a deposit that finds nobody asleep pays one
-//! atomic add, no lock and no system call. The [`Hub`] is the same gate for
-//! events that are not tied to one mailbox (ssend acknowledgements, failure
-//! marks).
+//! atomic add, no lock and no system call. The gate is the only thing a
+//! rank ever sleeps on: the acknowledgement of its own synchronous-mode
+//! send bumps it too, so a wait for "a message, my ack or a fault" is one
+//! wait.
 //!
 //! Matching is FIFO per (source, tag, context): the receiver scans the
 //! sender's lane front-to-back and takes the first envelope that matches,
@@ -68,7 +69,7 @@ use std::time::{Duration, Instant};
 use crate::error::{MpiError, MpiResult};
 use crate::metrics::Counter;
 use crate::tag::{source_matches, tag_matches, Tag, ANY_SOURCE, ANY_TAG, COLL_TAG_BASE};
-use crate::trace::{thread_rank, TraceCtx};
+use crate::trace::TraceCtx;
 
 /// Largest payload (bytes) carried inline in the envelope instead of on the
 /// heap. Sub-cacheline messages — barrier tokens, counts exchanges, single
@@ -387,10 +388,17 @@ impl std::fmt::Debug for Posted {
 /// slice.
 const PATIENCE: Duration = Duration::from_micros(100);
 
-/// An event count: what [`Mailbox`] and [`Hub`] block on. A poster changes
-/// the state the waiter looks at and *then* calls [`Gate::bump`]; a waiter
-/// reads the epoch, looks at the state with no lock held, and sleeps only
-/// while the epoch is the one it read.
+/// An event count, one per rank under its [`Mailbox`]: what every blocking
+/// wait of the rank sleeps on. A poster changes the state the waiter looks
+/// at and *then* calls [`Gate::bump`]; a waiter reads the epoch, looks at
+/// the state with no lock held, and sleeps only while the epoch is the one
+/// it read.
+///
+/// What bumps a rank's gate: a deposit in its mailbox (or a posted receive
+/// filled), a [`Mailbox::kick`] for every failure, finish, revocation and
+/// membership mark and for the end of an elastic job, and the
+/// acknowledgement of the rank's own synchronous-mode send (the sender's
+/// [`AckCell`] hook, whichever thread sets it).
 #[derive(Debug, Default)]
 struct Gate {
     epoch: AtomicU64,
@@ -438,7 +446,7 @@ impl Gate {
         self.sleepers.fetch_sub(1, Ordering::SeqCst);
     }
 
-    /// The wait loop of [`Mailbox`] and [`Hub`], entered after a first
+    /// The wait loop of [`Mailbox`], entered after a first
     /// `check` came up empty: re-checks until `check` yields a value, or
     /// gives up with the time waited once `deadline` has passed (after one
     /// last check, so a value racing the deadline is still returned).
@@ -485,64 +493,17 @@ impl Gate {
     }
 }
 
-/// Process-wide wakeup channel for events that are not bound to a single
-/// mailbox: ssend acknowledgements and failure/revocation marks. Waiters
-/// re-evaluate a readiness predicate: for a `PATIENCE` on their own, then
-/// asleep and once per `Hub::notify` — there is no timeout and no
-/// polling interval.
+/// Retired: a rank's waits all sleep on its own mailbox's gate. The type
+/// stays only as the ignored argument of [`Mailbox::new`], which
+/// kbench's layer probes still pass; ROADMAP item 6 (a) deletes both
+/// together.
 #[derive(Debug, Default)]
-pub struct Hub {
-    gate: Gate,
-    /// Trace context for wait attribution, bound once at universe start
-    /// (hubs outlive/precede the universe, so this cannot be a ctor arg).
-    trace: OnceLock<Arc<TraceCtx>>,
-}
+pub struct Hub;
 
 impl Hub {
-    /// Creates an idle hub.
+    /// The unit value.
     pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Binds the universe's trace context so hub waits are attributed as
-    /// blocked time. Idempotent; the first binding wins.
-    pub(crate) fn bind_trace(&self, trace: Arc<TraceCtx>) {
-        let _ = self.trace.set(trace);
-    }
-
-    /// Signals every current waiter to re-check its predicate. The state
-    /// the predicate reads must have been changed before this call.
-    pub(crate) fn notify(&self) {
-        if self.gate.bump() {
-            if let Some(trace) = self.trace.get() {
-                trace.count(thread_rank() as usize, Counter::GateWakes, 1);
-            }
-        }
-    }
-
-    /// Blocks until `ready` returns `Some`, re-evaluating whenever the hub
-    /// is notified. The predicate runs with no lock held.
-    pub(crate) fn wait_until<T>(&self, ready: impl FnMut() -> Option<T>) -> T {
-        self.wait_until_deadline(ready, None)
-            .expect("deadline-free wait cannot time out")
-    }
-
-    /// Like [`Hub::wait_until`], but gives up at `deadline`: returns `None`
-    /// if the predicate still yields nothing once the deadline has passed
-    /// (the predicate is always re-checked one final time first, so a wake
-    /// racing the deadline is not lost). `deadline: None` waits forever.
-    pub(crate) fn wait_until_deadline<T>(
-        &self,
-        mut ready: impl FnMut() -> Option<T>,
-        deadline: Option<Instant>,
-    ) -> Option<T> {
-        // Fast path outside any wait span: a predicate that is already
-        // satisfied costs no clock access.
-        if let Some(v) = ready() {
-            return Some(v);
-        }
-        let probe = self.trace.get().map(|t| (&**t, thread_rank()));
-        self.gate.wait(probe, deadline, || false, ready).ok()
+        Self
     }
 }
 
@@ -590,10 +551,9 @@ pub struct Mailbox {
     lanes: Box<[Lane]>,
     /// Arrival stamps; orders `ANY_SOURCE` matching across lanes.
     next_stamp: AtomicU64,
-    /// Bumped after every deposit and by every kick.
+    /// What every wait of the owner sleeps on (see [`Gate`] for what
+    /// bumps it).
     gate: Gate,
-    /// Signalled when a take flips an ssend acknowledgement.
-    hub: Arc<Hub>,
     /// Lifecycle-event recorder (one relaxed load when disabled).
     trace: Arc<TraceCtx>,
     /// Optional transport progress poll, driven by *waiting* receivers so
@@ -612,15 +572,14 @@ pub struct Mailbox {
 
 impl Mailbox {
     /// Creates the mailbox of global rank `owner` accepting envelopes from
-    /// `n_sources` global ranks, sharing `hub` for acknowledgement wakeups
-    /// and recording lifecycle events into `trace`.
-    pub fn new(owner: usize, n_sources: usize, hub: Arc<Hub>, trace: Arc<TraceCtx>) -> Self {
+    /// `n_sources` global ranks and recording lifecycle events into
+    /// `trace`. The [`Hub`] argument is unused (see there).
+    pub fn new(owner: usize, n_sources: usize, _hub: Arc<Hub>, trace: Arc<TraceCtx>) -> Self {
         Self {
             owner,
             lanes: (0..n_sources).map(|_| Lane::default()).collect(),
             next_stamp: AtomicU64::new(0),
             gate: Gate::default(),
-            hub,
             trace,
             progress: OnceLock::new(),
             coll_notifier: OnceLock::new(),
@@ -680,8 +639,10 @@ impl Mailbox {
         }
     }
 
-    /// Moves the gate epoch on and wakes whoever sleeps on it.
-    fn bump(&self) {
+    /// Moves the gate epoch on and wakes whoever sleeps on it — the wake
+    /// of an acknowledgement, which (unlike [`Mailbox::kick`]) has nothing
+    /// for the collective engine. A wake is charged to the owner.
+    pub(crate) fn bump(&self) {
         if self.gate.bump() {
             self.trace.count(self.owner, Counter::GateWakes, 1);
         }
@@ -710,7 +671,6 @@ impl Mailbox {
     fn matched(&self, msg: MatchKey, bytes: usize, ack: Option<&Arc<AckCell>>) {
         if let Some(ack) = ack {
             ack.set();
-            self.hub.notify();
         }
         self.trace.taken(self.owner, msg, bytes);
     }
@@ -785,7 +745,7 @@ impl Mailbox {
         key: MatchKey,
         interrupt: &dyn Fn() -> Option<MpiError>,
     ) -> MpiResult<Delivered> {
-        self.wait_matching(interrupt, None, |mb| mb.try_take(key))
+        self.wait_until(interrupt, None, |mb| mb.try_take(key))
     }
 
     /// Like [`Mailbox::take_blocking`], but gives up at `deadline` with
@@ -797,17 +757,19 @@ impl Mailbox {
         interrupt: &dyn Fn() -> Option<MpiError>,
         deadline: Option<Instant>,
     ) -> MpiResult<Delivered> {
-        self.wait_matching(interrupt, deadline, |mb| mb.try_take(key))
+        self.wait_until(interrupt, deadline, |mb| mb.try_take(key))
     }
 
     /// Blocks until a matching envelope is available and returns its
-    /// (source, tag, length) without consuming it (`MPI_Probe`).
+    /// (source, tag, length) without consuming it (`MPI_Probe`); gives up
+    /// at `deadline` with [`MpiError::Timeout`].
     pub(crate) fn peek_blocking(
         &self,
         key: MatchKey,
         interrupt: &dyn Fn() -> Option<MpiError>,
+        deadline: Option<Instant>,
     ) -> MpiResult<(usize, Tag, usize)> {
-        self.wait_matching(interrupt, None, |mb| mb.try_peek(key))
+        self.wait_until(interrupt, deadline, |mb| mb.try_peek(key))
     }
 
     /// Copies a taken message into `sink` (unless the sink refuses it) and
@@ -1017,25 +979,16 @@ impl Mailbox {
     }
 
     /// Waits on this mailbox until `attempt` yields a value, `interrupt`
-    /// reports an error, or `deadline` passes — the generic wait loop behind
-    /// the take/peek entry points, exposed to the i-collective engine so an
-    /// owner's `wait` can drive its schedules from the same progress-poll +
-    /// gate machinery (`attempt` steps the state machines; every arrival
-    /// bumps this mailbox's gate, so no wake-up is lost even when a
-    /// delivering thread consumed the envelope itself). `attempt` always
-    /// runs with no mailbox lock held: schedule steps post to peers, and on
-    /// the shm backend the resulting notifier chain can re-enter
-    /// [`Mailbox::post`] on this very mailbox from this very thread.
+    /// reports an error, or `deadline` passes — the one wait of a rank:
+    /// the take/peek entry points, request, collective, synchronous-send,
+    /// ULFM and membership waits and NBX all come here (`attempt` steps
+    /// whatever they wait for; every event they wait for bumps this
+    /// mailbox's gate, so no wake-up is lost even when a delivering thread
+    /// consumed the envelope itself). `attempt` always runs with no mailbox
+    /// lock held: schedule steps post to peers, and on the shm backend the
+    /// resulting notifier chain can re-enter [`Mailbox::post`] on this very
+    /// mailbox from this very thread.
     pub(crate) fn wait_until<T>(
-        &self,
-        interrupt: &dyn Fn() -> Option<MpiError>,
-        deadline: Option<Instant>,
-        attempt: impl FnMut(&Self) -> Option<T>,
-    ) -> MpiResult<T> {
-        self.wait_matching(interrupt, deadline, attempt)
-    }
-
-    fn wait_matching<T>(
         &self,
         interrupt: &dyn Fn() -> Option<MpiError>,
         deadline: Option<Instant>,
@@ -1047,7 +1000,7 @@ impl Mailbox {
         self.wait_slow(interrupt, deadline, attempt)
     }
 
-    /// [`Mailbox::wait_matching`] after its first attempt missed: the
+    /// [`Mailbox::wait_until`] after its first attempt missed: the
     /// [`Gate::wait`] of this mailbox, polling the transport's progress hook
     /// while patient (a receiver on shm-xproc drains its own rings instead
     /// of paying a helper-thread hand-off).
@@ -1276,12 +1229,12 @@ pub(crate) struct ShmTransport {
 }
 
 impl ShmTransport {
-    /// Creates mailboxes for `size` in-process ranks sharing `hub`,
-    /// recording lifecycle events into `trace`.
-    pub(crate) fn new(size: usize, hub: &Arc<Hub>, trace: &Arc<TraceCtx>) -> Self {
+    /// Creates mailboxes for `size` in-process ranks, recording lifecycle
+    /// events into `trace`.
+    pub(crate) fn new(size: usize, trace: &Arc<TraceCtx>) -> Self {
         Self {
             mailboxes: (0..size)
-                .map(|owner| Mailbox::new(owner, size, Arc::clone(hub), Arc::clone(trace)))
+                .map(|owner| Mailbox::new(owner, size, Arc::new(Hub), Arc::clone(trace)))
                 .collect(),
         }
     }
@@ -1342,7 +1295,7 @@ mod tests {
         assert!(Locality::Process < Locality::Host);
         assert!(Locality::Host < Locality::Remote);
         let trace = TraceCtx::disabled(2);
-        let shm = ShmTransport::new(2, &Arc::new(Hub::new()), &trace);
+        let shm = ShmTransport::new(2, &trace);
         // Every shm rank is a thread of this process.
         assert_eq!(shm.locality(0), Locality::Process);
         assert_eq!(shm.locality(1), Locality::Process);
@@ -1542,18 +1495,20 @@ mod tests {
     /// Deterministic rendezvous used instead of `thread::sleep`: the
     /// blocked side raises `flag` from inside its interrupt/predicate
     /// closure (which the wait loop runs before every condvar sleep) and
-    /// signals `gate`; the driving side blocks on `gate` until then.
-    /// Either the waiter then sleeps and is woken, or the wake event was
-    /// already applied and the waiter's next re-check sees it — both
-    /// orders pass without any timing assumption.
-    fn await_flag(gate: &Hub, flag: &AtomicBool) {
-        gate.wait_until(|| flag.load(Ordering::Acquire).then_some(()));
+    /// bumps `gate`, a second gate that carries only this handshake; the
+    /// driving side blocks on `gate` until then. Either the waiter then
+    /// sleeps and is woken, or the wake event was already applied and the
+    /// waiter's next re-check sees it — both orders pass without any timing
+    /// assumption.
+    fn await_flag(gate: &Gate, flag: &AtomicBool) {
+        let raised = || flag.load(Ordering::Acquire).then_some(());
+        gate.wait(None, None, || false, raised).unwrap();
     }
 
     #[test]
     fn blocking_take_wakes_on_post() {
         let mb = Arc::new(mailbox(1));
-        let gate = Arc::new(Hub::new());
+        let gate = Arc::new(Gate::default());
         let entered = Arc::new(AtomicBool::new(false));
         let (mb2, gate2, entered2) = (mb.clone(), gate.clone(), entered.clone());
         let handle = std::thread::spawn(move || {
@@ -1564,7 +1519,7 @@ mod tests {
             };
             mb2.take_blocking(key, &|| {
                 entered2.store(true, Ordering::Release);
-                gate2.notify();
+                gate2.bump();
                 None
             })
             .unwrap()
@@ -1579,7 +1534,7 @@ mod tests {
     #[test]
     fn blocking_peek_wakes_on_post_and_preserves() {
         let mb = Arc::new(mailbox(1));
-        let gate = Arc::new(Hub::new());
+        let gate = Arc::new(Gate::default());
         let entered = Arc::new(AtomicBool::new(false));
         let (mb2, gate2, entered2) = (mb.clone(), gate.clone(), entered.clone());
         let handle = std::thread::spawn(move || {
@@ -1588,12 +1543,12 @@ mod tests {
                 tag: 3,
                 ctx: 0,
             };
-            mb2.peek_blocking(key, &|| {
+            let interrupt = || {
                 entered2.store(true, Ordering::Release);
-                gate2.notify();
+                gate2.bump();
                 None
-            })
-            .unwrap()
+            };
+            mb2.peek_blocking(key, &interrupt, None).unwrap()
         });
         await_flag(&gate, &entered);
         mb.post(env(0, 3, 0, b"stay"));
@@ -1604,7 +1559,7 @@ mod tests {
     #[test]
     fn kick_wakes_blocked_receiver_for_interrupt() {
         let mb = Arc::new(mailbox(1));
-        let gate = Arc::new(Hub::new());
+        let gate = Arc::new(Gate::default());
         let entered = Arc::new(AtomicBool::new(false));
         let interrupted = Arc::new(AtomicBool::new(false));
         let (mb2, gate2, entered2, flag) = (
@@ -1621,7 +1576,7 @@ mod tests {
             };
             mb2.take_blocking(key, &|| {
                 entered2.store(true, Ordering::Release);
-                gate2.notify();
+                gate2.bump();
                 flag.load(Ordering::Acquire).then_some(MpiError::Revoked)
             })
         });
@@ -1743,11 +1698,11 @@ mod tests {
             receiver.join().unwrap().unwrap();
             assert_eq!(asleep(&mb), 0);
         });
-        // The hub shares the loop: a predicate that never holds, a deadline.
-        let hub = Hub::new();
+        // A generic wait: an attempt that never holds, a deadline.
         let soon = Some(Instant::now() + 4 * PATIENCE);
-        assert_eq!(hub.wait_until_deadline(|| None::<()>, soon), None);
-        assert_eq!(hub.gate.sleepers.load(Ordering::SeqCst), 0);
+        let err = mb.wait_until(&never, soon, |_| None::<()>);
+        assert!(err.unwrap_err().is_timeout());
+        assert_eq!(asleep(&mb), 0);
     }
 
     // --- posted receives -------------------------------------------------
@@ -1875,7 +1830,7 @@ mod tests {
     fn receive_abandoned_mid_payload_leaves_an_ordinary_envelope() {
         let mb = wired(2);
         let ack = Arc::new(AckCell::default());
-        let gate = Hub::new();
+        let gate = Gate::default();
         let (claimed, gave_up) = (AtomicBool::new(false), AtomicBool::new(false));
         std::thread::scope(|s| {
             let receiver = s.spawn(|| {
@@ -1884,7 +1839,7 @@ mod tests {
                 let interrupt = || claimed.load(Ordering::Acquire).then_some(MpiError::Revoked);
                 let err = mb.take_into(key(1, 5), &mut sink, &interrupt, None);
                 gave_up.store(true, Ordering::Release);
-                gate.notify();
+                gate.bump();
                 (err, sink)
             });
             await_posted(&mb, 1);
@@ -2046,26 +2001,33 @@ mod tests {
         assert_eq!(back.as_ptr(), at);
     }
 
+    /// The sender's side of a synchronous-mode send: a wait on its own
+    /// mailbox for its ack, which the ack cell's hook announces with a
+    /// bump. The ack is set while the waiter runs its attempt (the
+    /// handshake rides a second gate, so the hook's bump is the only one
+    /// the mailbox ever sees): whichever order the two land in, the waiter
+    /// returns.
     #[test]
-    fn hub_wait_sees_signal_raced_with_predicate() {
-        let hub = Arc::new(Hub::new());
-        // A *second* hub carries the handshake so the signal under test is
-        // the only notification `hub` ever sees.
-        let gate = Arc::new(Hub::new());
+    fn mailbox_wait_sees_an_ack_raced_with_its_attempt() {
+        let mb = Arc::new(mailbox(1));
+        let gate = Arc::new(Gate::default());
         let entered = Arc::new(AtomicBool::new(false));
-        let flag = Arc::new(AtomicBool::new(false));
-        let (h2, gate2, entered2, f2) = (hub.clone(), gate.clone(), entered.clone(), flag.clone());
+        let ack = {
+            let mb = Arc::clone(&mb);
+            Arc::new(AckCell::with_hook(move || mb.bump()))
+        };
+        let (mb2, gate2, entered2, ack2) = (mb.clone(), gate.clone(), entered.clone(), ack.clone());
         let waiter = std::thread::spawn(move || {
-            h2.wait_until(|| {
+            mb2.wait_until(&never, None, |_| {
                 entered2.store(true, Ordering::Release);
-                gate2.notify();
-                f2.load(Ordering::Acquire).then_some(42)
+                gate2.bump();
+                ack2.is_set().then_some(42)
             })
         });
         await_flag(&gate, &entered);
-        flag.store(true, Ordering::Release);
-        hub.notify();
-        assert_eq!(waiter.join().unwrap(), 42);
+        ack.set();
+        assert_eq!(waiter.join().unwrap().unwrap(), 42);
+        assert_eq!(mb.gate.sleepers.load(Ordering::SeqCst), 0);
     }
 
     #[test]
@@ -2084,8 +2046,7 @@ mod tests {
 
     #[test]
     fn shm_transport_posts_and_kicks() {
-        let hub = Arc::new(Hub::new());
-        let t = ShmTransport::new(2, &hub, &TraceCtx::disabled(2));
+        let t = ShmTransport::new(2, &TraceCtx::disabled(2));
         t.post(1, env(0, 4, 0, b"via-trait"));
         assert!(t.is_local(1));
         assert_eq!(t.name(), "shm");

@@ -33,8 +33,8 @@ use crate::metrics::{Counter, MetricsPlane, MetricsSnapshot};
 use crate::profile::ProfileSnapshot;
 use crate::trace::{TraceCtx, TraceEvent};
 use crate::transport::{
-    members_from_mask, ControlMsg, ControlSink, Envelope, Hub, Mailbox, MatchKey, Payload,
-    ShmTransport, Transport, INLINE_CAP,
+    members_from_mask, ControlMsg, ControlSink, Envelope, Mailbox, MatchKey, Payload, ShmTransport,
+    Transport, INLINE_CAP,
 };
 
 /// One membership-growth admission: at `epoch`, `joiners` were added and
@@ -83,13 +83,11 @@ pub(crate) struct UniverseState {
     /// Admitted-but-unfinished rank count (shm elastic termination): when
     /// it reaches zero, `closing` is raised and parked ranks give up.
     pub(crate) active_unfinished: AtomicUsize,
-    /// Raised when the job is over; never-admitted parked ranks exit.
+    /// Raised when the job is over (then every local mailbox is kicked);
+    /// never-admitted parked ranks exit.
     pub(crate) closing: AtomicBool,
     /// The backend moving envelopes and control events between ranks.
     pub(crate) transport: Arc<dyn Transport>,
-    /// Wakeup channel for events not tied to one mailbox: ssend acks,
-    /// failure/revocation marks.
-    pub(crate) hub: Arc<Hub>,
     /// Fate bits ([`FAILED`], [`FINISHED`]) of each of the `size` rank
     /// slots, indexed by global rank. A mark sets its bit with `Release`
     /// before it wakes anyone; the checks load it with `Acquire`, so a
@@ -127,13 +125,11 @@ impl UniverseState {
     /// `initial == size`).
     fn new_shm(size: usize, initial: usize, config: Config) -> Arc<Self> {
         let trace = Arc::new(TraceCtx::new(size, config.trace_flags()));
-        let hub = Arc::new(Hub::new());
-        let shm: Arc<dyn Transport> = Arc::new(ShmTransport::new(size, &hub, &trace));
+        let shm: Arc<dyn Transport> = Arc::new(ShmTransport::new(size, &trace));
         let (transport, chaos_layer) = match config.chaos.clone() {
             None => (shm, None),
             Some(spec) => {
-                let layer = Arc::new(ChaosTransport::new(shm, size, spec));
-                layer.bind_trace(Arc::clone(&trace));
+                let layer = Arc::new(ChaosTransport::new(shm, size, spec, Arc::clone(&trace)));
                 (Arc::clone(&layer) as Arc<dyn Transport>, Some(layer))
             }
         };
@@ -141,7 +137,6 @@ impl UniverseState {
             size,
             (0..initial).collect(),
             transport,
-            hub,
             trace,
             config,
         ));
@@ -159,11 +154,9 @@ impl UniverseState {
         size: usize,
         launch_members: Vec<usize>,
         transport: Arc<dyn Transport>,
-        hub: Arc<Hub>,
         trace: Arc<TraceCtx>,
         config: Config,
     ) -> Self {
-        hub.bind_trace(Arc::clone(&trace));
         Self {
             size,
             members: RwLock::new(launch_members.clone()),
@@ -174,7 +167,6 @@ impl UniverseState {
             active_unfinished: AtomicUsize::new(0),
             closing: AtomicBool::new(false),
             transport,
-            hub,
             fates: (0..size).map(|_| AtomicU8::new(0)).collect(),
             first_failed: OnceLock::new(),
             revoked: RwLock::new(HashSet::new()),
@@ -197,7 +189,6 @@ impl UniverseState {
             if let Some(ack) = envelope.ack {
                 // Never going to be matched; complete it so senders don't hang.
                 ack.set();
-                self.hub.notify();
             }
             return;
         }
@@ -235,12 +226,12 @@ impl UniverseState {
         self.transport.mailbox(rank)
     }
 
-    /// Wakes everything that might be waiting on failure state: blocked
-    /// receivers in every local mailbox (including parked collective
-    /// waiters) and hub waiters (ssend waits).
+    /// Wakes everything that might be waiting on a mark: every wait of a
+    /// local rank sleeps on its own mailbox's gate, so kicking every local
+    /// mailbox reaches receives, collective waits, synchronous sends,
+    /// membership waits and parked ranks alike.
     fn broadcast_fault(&self) {
         self.transport.kick_local();
-        self.hub.notify();
     }
 
     /// Sets fate `bit` of `rank` (a slot outside the universe has none).
@@ -632,7 +623,12 @@ impl Universe {
     /// nobody parks, so nobody draws from the parked pool or waits for
     /// `closing`. Hands back, in rank order, the result of every rank
     /// whose closure ran.
-    fn run_threads<R, F>(initial: usize, capacity: usize, config: Config, f: F) -> MpiResult<Job<R>>
+    pub(crate) fn run_threads<R, F>(
+        initial: usize,
+        capacity: usize,
+        config: Config,
+        f: F,
+    ) -> MpiResult<Job<R>>
     where
         R: Send,
         F: Fn(RawComm) -> R + Sync,
@@ -660,7 +656,7 @@ impl Universe {
                             // Park until a member admits this rank via
                             // spawn_merge, or until the job closes with
                             // this rank never admitted.
-                            let admitted = state.hub.wait_until(|| {
+                            let admitted = state.mailbox(rank).wait_until(&|| None, None, |_| {
                                 let hit = state
                                     .grow_log
                                     .read()
@@ -674,7 +670,8 @@ impl Universe {
                                     None => None,
                                 }
                             });
-                            let (epoch, members) = admitted?;
+                            let (epoch, members) =
+                                admitted.expect("a wait without a deadline cannot time out")?;
                             let comm = RawComm::from_grow(state.clone(), epoch, members, rank);
                             // Admission barrier: rendezvous with the
                             // survivors' grow() on the new context. A
@@ -695,7 +692,7 @@ impl Universe {
                         state.mark_finished(rank);
                         if state.active_unfinished.fetch_sub(1, Ordering::AcqRel) == 1 {
                             state.closing.store(true, Ordering::Release);
-                            state.hub.notify();
+                            state.transport.kick_local();
                         }
                         Some(outcome)
                     })
@@ -1014,6 +1011,71 @@ mod tests {
                 off.stats[r].counter(Counter::MsgsDelivered) == 0,
                 "gated part is off"
             );
+        }
+    }
+
+    /// An ack wakes its sender and nobody else, and the wake is charged to
+    /// the rank it woke. Rank 0 waits on an issend to rank 1 while ranks 2
+    /// and 3 sleep in `await_revoked`; rank 1 receives once all three have
+    /// gone to sleep, and revokes once rank 0 has read its own wakes. The
+    /// two hand-offs around that read go through flags, not messages, so
+    /// they wake nobody; ranks 0 and 1 await the revoke too, so no finish
+    /// mark lands in between.
+    #[test]
+    fn an_ack_wakes_its_sender_and_nobody_else() {
+        use crate::metrics::Counter;
+        use std::time::Duration;
+        let metrics_on = Config {
+            metrics: true,
+            ..Config::default()
+        };
+        let spin_until = |flag: &AtomicBool| {
+            while !flag.load(Ordering::Acquire) {
+                std::thread::sleep(Duration::from_millis(1));
+            }
+        };
+        // Rank 1's receive has returned, so its ack's wake is counted; rank
+        // 0 has read its count.
+        let (received, read) = (AtomicBool::new(false), AtomicBool::new(false));
+        let job = Universe::run_threads(4, 4, metrics_on, |comm| {
+            let count = |r: usize, c| comm.state.trace.rank(r).snapshot().counter(c);
+            let mut wakes = None;
+            match comm.rank() {
+                0 => {
+                    comm.issend(1, 5, b"x".to_vec()).unwrap().wait().unwrap();
+                    spin_until(&received);
+                    wakes = Some(count(0, Counter::GateWakes));
+                    read.store(true, Ordering::Release);
+                }
+                1 => {
+                    while [0, 2, 3]
+                        .iter()
+                        .any(|&r| count(r, Counter::GateSleeps) == 0)
+                    {
+                        std::thread::sleep(Duration::from_millis(1));
+                    }
+                    // A sleep is counted just before the sleeper registers:
+                    // give the three that long to reach their condvars.
+                    std::thread::sleep(Duration::from_millis(20));
+                    comm.recv(0, 5).unwrap();
+                    received.store(true, Ordering::Release);
+                    spin_until(&read);
+                    comm.revoke();
+                }
+                _ => {}
+            }
+            comm.await_revoked();
+            wakes
+        })
+        .unwrap();
+        assert_eq!(
+            job.values[0],
+            Some(1),
+            "the ack's one wake, charged to rank 0"
+        );
+        for r in [2, 3] {
+            let sleeps = job.stats[r].counter(Counter::GateSleeps);
+            assert_eq!(sleeps, 1, "rank {r} slept once, until the revoke");
         }
     }
 

@@ -512,7 +512,7 @@ fn case_icoll_kill_reduce(comm: &RawComm) {
 
 /// Satellite: a severed link (chaos drops the data, no failure mark) must
 /// surface as `Timeout` on the starved receiver — on the socket backend,
-/// where the wait parks on the process-local hub, not a shared one.
+/// where the wait parks on the rank's own mailbox gate.
 fn case_chaos_sever(comm: &RawComm) {
     if comm.rank() == 0 {
         comm.send(1, 3, b"vanishes").unwrap();

@@ -130,9 +130,7 @@ mod tests {
                 comm.simulate_failure();
                 return;
             }
-            while comm.survivors().len() == 4 {
-                std::thread::yield_now();
-            }
+            comm.raw().await_failure();
             let ok = comm.agree(true).unwrap();
             assert!(ok);
             let not_ok = comm.agree(comm.rank() != 2).unwrap();

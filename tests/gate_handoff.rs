@@ -17,7 +17,8 @@ use rand::{Rng, SeedableRng};
 /// poster busy-waits for a drawn delay, so the receiver's waits end on the
 /// fast path, inside its patience, at the patience's edge and in its sleep;
 /// every message is echoed, so the posters wait in turn. Every fourth round
-/// goes by `issend` in both directions: those completions are hub waits.
+/// goes by `issend` in both directions: those completions are woken by the
+/// ack's bump of the sender's own gate.
 /// A wake-up that is lost leaves all three ranks asleep; the watchdog then
 /// names the seed and ends the process.
 #[test]
