@@ -46,17 +46,6 @@ impl Communicator {
     }
 }
 
-/// The wire image of each of the back-to-back blocks of `data`.
-fn split_blocks<T: PodType>(data: &[T], counts: &[usize]) -> Vec<Vec<u8>> {
-    let mut rest = data;
-    let blocks = counts.iter().map(|&c| {
-        let (block, tail) = rest.split_at(c);
-        rest = tail;
-        pod_as_bytes(block).to_vec()
-    });
-    blocks.collect()
-}
-
 impl<S, R> Call<'_, Scatter, S, R> {
     /// Executes the scatter.
     pub fn call<T>(self) -> KResult<CallResult<R::Out>>
@@ -67,18 +56,18 @@ impl<S, R> Call<'_, Scatter, S, R> {
     {
         let (comm, root) = (self.comm, self.op.root);
         let p = comm.size();
-        let parts = if comm.rank() == root {
+        let data = if comm.rank() == root {
             let data = self.send.slice();
             if !data.len().is_multiple_of(p) {
                 return Err(KampingError::InvalidArgument(
                     "scatter: send buffer length not divisible by comm size",
                 ));
             }
-            Some(split_blocks(data, &vec![data.len() / p; p]))
+            Some(pod_as_bytes(data))
         } else {
             None
         };
-        let bytes = comm.raw().scatter(parts.as_deref(), root)?;
+        let bytes = comm.raw().scatter(data, root)?;
         Ok(CallResult::new(self.recv.place(&bytes)?, Absent, Absent))
     }
 }
@@ -93,7 +82,8 @@ impl<S, R, SC> Call<'_, Scatterv, S, R, SC> {
         SC: CountSlot,
     {
         let (comm, root) = (self.comm, self.op.root);
-        let parts = if comm.rank() == root {
+        let elem = std::mem::size_of::<T>();
+        let layout = if comm.rank() == root {
             let data = self.send.slice();
             let layout = resolve(
                 comm,
@@ -106,11 +96,13 @@ impl<S, R, SC> Call<'_, Scatterv, S, R, SC> {
                 data.len(),
                 "scatterv: send_counts do not sum to send buffer length",
             )?;
-            Some(split_blocks(data, &layout.counts))
+            let counts: Vec<usize> = layout.counts.iter().map(|c| c * elem).collect();
+            Some((pod_as_bytes(data), counts))
         } else {
             None
         };
-        let bytes = comm.raw().scatterv(parts.as_deref(), root)?;
+        let send = layout.as_ref().map(|(data, counts)| (*data, &counts[..]));
+        let bytes = comm.raw().scatterv(send, root)?;
         Ok(CallResult::new(self.recv.place(&bytes)?, Absent, Absent))
     }
 }

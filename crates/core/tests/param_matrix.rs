@@ -372,13 +372,16 @@ fn scatterv_source(i: &RootedIn, me: usize) -> (Vec<u64>, Vec<usize>) {
 }
 
 fn sv_oracle(raw: &RawComm, i: &RootedIn) -> Outcome {
-    let parts: Option<Vec<Vec<u8>>> = (raw.rank() == i.root).then(|| {
-        (0..raw.size())
-            .map(|r| bytes(&block(r, i.counts[r])))
-            .collect()
-    });
+    let parts: Vec<Vec<u8>> = (0..raw.size())
+        .map(|r| bytes(&block(r, i.counts[r])))
+        .collect();
+    let (flat, counts) = (
+        parts.concat(),
+        parts.iter().map(Vec::len).collect::<Vec<_>>(),
+    );
+    let send = (raw.rank() == i.root).then_some((&flat[..], &counts[..]));
     Outcome {
-        buf: words(&raw.scatterv(parts.as_deref(), i.root).unwrap()),
+        buf: words(&raw.scatterv(send, i.root).unwrap()),
         counts: None,
         displs: None,
     }
@@ -537,7 +540,8 @@ fn every_receive_buffer_form_on_every_collective() {
 
             let parts: Option<Vec<Vec<u8>>> =
                 (me == root).then(|| (0..p).map(|r| bytes(&block(r, 2))).collect());
-            let want = words(&raw.scatter(parts.as_deref(), root).unwrap());
+            let flat = parts.as_ref().map(|parts| parts.concat());
+            let want = words(&raw.scatter(flat.as_deref(), root).unwrap());
             let source: Vec<u64> = parts.iter().flatten().flat_map(|b| words(b)).collect();
             recv_buf_forms!("scatter", &want, comm.scatter(send_buf(&source)).root(root));
 

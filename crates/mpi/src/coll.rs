@@ -1,18 +1,15 @@
 //! Blocking collectives.
 //!
-//! The log-round and all-peers algorithms (dissemination barrier, tree
-//! bcast/reduce/allreduce, Rabenseifner's allreduce, Bruck allgatherv and
-//! small-block alltoall, linear alltoallv — see DESIGN.md for the full
-//! table) are the state machines of [`crate::icoll`]; the entry points
-//! here validate, pick the machine and step it inline on the caller's
-//! stack (`RawComm::run_inline`).
-//!
-//! `gatherv`/`scatterv`, `scan`/`exscan`, `neighbor_alltoallv` and the
-//! `alltoallw`-style exchange stay straight-line code over the internal
-//! send/receive helpers, on purpose: each is a linear exchange with no
-//! nonblocking name, so it exists once already, and a loop is its shortest
-//! form. A machine buys a second driver; one of these becomes a machine
-//! when it gets an `i*` name, not before.
+//! Every collective here — barrier, bcast, reduce, both allreduces,
+//! gather(v), scatter(v), allgather(v), alltoall(v), scan, exscan and
+//! reduce-scatter — is a schedule of sends and receives built by a pure
+//! function of `crate::icoll::sm`; the entry points validate, build the
+//! starting buffer and run the schedule inline on the caller's stack
+//! (`RawComm::run_inline`), the same interpreter the `i*` names run
+//! through the registry. `neighbor_alltoallv` and the `alltoallw`-style
+//! exchange keep the internal send/receive helpers below: they return
+//! per-peer vectors or unpack by type, so one schedule buffer would add a
+//! copy.
 //!
 //! Broadcast fan-out is zero-copy: every envelope of one bcast aliases a
 //! single shared allocation. The dense all-to-alls post one envelope per
@@ -22,16 +19,14 @@
 //!
 //! Byte-level API: counts and displacements are in bytes; the typed layer
 //! (`kamping`) converts element counts. Variable-size collectives take
-//! explicit receive counts, exactly like their C counterparts — computing
-//! those counts when the user doesn't know them is the *binding layer's*
-//! job (paper §III-A), not the substrate's.
+//! explicit counts, exactly like their C counterparts — computing those
+//! counts when the user doesn't know them is the *binding layer's* job
+//! (paper §III-A), not the substrate's.
 
 use crate::error::{MpiError, MpiResult};
-use crate::icoll::check_elems;
-use crate::icoll::sm::{AllgathervSm, AlltoallvSm, BarrierSm};
-use crate::metrics::Counter;
+use crate::icoll::{check_elems, sm};
 use crate::profile::Op;
-use crate::tag::{coll_tag, Tag, ANY_SOURCE, MAX_USER_TAG};
+use crate::tag::{Tag, ANY_SOURCE, MAX_USER_TAG};
 use crate::transport::{MatchKey, Payload};
 use crate::universe::wait_interrupt;
 use crate::{ByteOp, RawComm, RawRequest};
@@ -44,15 +39,6 @@ pub(crate) const BRUCK_THRESHOLD_BYTES: usize = 256;
 /// Payload size (bytes) from which [`RawComm::allreduce`] takes
 /// Rabenseifner's schedule instead of reduce + broadcast (at p ≥ 4).
 pub(crate) const RABENSEIFNER_MIN_BYTES: usize = 32 * 1024;
-
-/// What [`RawComm::allreduce_algo`] selected.
-pub(crate) enum AllreduceAlgo {
-    /// Reduce + broadcast over the binomial tree rooted at 0.
-    Tree,
-    /// Halving reduce-scatter + doubling allgather
-    /// ([`crate::icoll::sm::rabenseifner_steps`]).
-    Rabenseifner,
-}
 
 /// Number of tags in the NBX rotation band of
 /// [`RawComm::sparse_alltoallv`]. Rotating the tag between rounds keeps a
@@ -191,8 +177,9 @@ pub fn excl_prefix_sum(counts: &[usize]) -> Vec<usize> {
 }
 
 impl RawComm {
-    /// Internal receive on a collective tag (no op-counter recording;
-    /// zero-copy when the payload is uniquely held).
+    /// Internal receive on a collective tag for the exchanges that are not
+    /// schedules (`neighbor_alltoallv`, `alltoallw`): no op-counter
+    /// recording, zero-copy when the payload is uniquely held.
     pub(crate) fn recv_internal(&self, src: usize, tag: Tag) -> MpiResult<Vec<u8>> {
         let src_global = self.global_rank(src)?;
         let key = MatchKey {
@@ -208,7 +195,8 @@ impl RawComm {
         Ok(d.payload.into_vec())
     }
 
-    /// Internal send on a collective tag (no op-counter recording).
+    /// Internal send on a collective tag (no op-counter recording), the
+    /// counterpart of `RawComm::recv_internal`.
     pub(crate) fn send_internal(&self, dest: usize, tag: Tag, payload: Vec<u8>) -> MpiResult<()> {
         if self.state.is_revoked(self.ctx) {
             return Err(MpiError::Revoked);
@@ -218,7 +206,7 @@ impl RawComm {
         Ok(())
     }
 
-    fn check_len(&self, v: &[usize], what: &'static str) -> MpiResult<()> {
+    pub(crate) fn check_len(&self, v: &[usize], what: &'static str) -> MpiResult<()> {
         if v.len() != self.size() {
             return Err(MpiError::InvalidCounts { what });
         }
@@ -238,7 +226,8 @@ impl RawComm {
     /// Barrier: dissemination algorithm, ⌈log₂ p⌉ rounds.
     pub fn barrier(&self) -> MpiResult<()> {
         let _op = self.record(Op::Barrier);
-        self.run_inline(|cx| Ok(BarrierSm::start(cx, coll_tag(self.next_coll_seq()))))?;
+        let schedule = sm::barrier(self.size(), self.rank());
+        self.run_inline(None, self.sched(schedule, Vec::new(), Vec::new()))?;
         Ok(())
     }
 
@@ -247,8 +236,7 @@ impl RawComm {
     /// `root` (DESIGN.md §11).
     pub fn bcast(&self, buf: &mut Vec<u8>, root: usize) -> MpiResult<()> {
         let _op = self.record(Op::Bcast);
-        *buf = self
-            .run_inline(|cx| self.bcast_sm(cx, root, || Payload::from_vec(std::mem::take(buf))))?;
+        *buf = self.run_inline(None, self.bcast_sched(buf, root)?)?;
         Ok(())
     }
 
@@ -258,16 +246,16 @@ impl RawComm {
     /// received bytes on non-root ranks and `None` at the root.
     pub fn bcast_from(&self, data_at_root: &[u8], root: usize) -> MpiResult<Option<Vec<u8>>> {
         let _op = self.record(Op::Bcast);
-        let seed = || Payload::from_slice(data_at_root);
-        if self.rank() == root {
-            // A root's machine is complete once built — it only fans out —
-            // so dropping it unstepped skips materializing a result the
+        let (p, me) = (self.size(), self.rank());
+        self.check_root(root)?;
+        let (mut schedule, mut seed) = (sm::bcast(p, me, root), Vec::new());
+        if me == root {
+            // The root only fans out; skip materializing a result the
             // caller already holds.
-            self.bcast_sm(&self.cx()?, root, seed)?;
-            return Ok(None);
+            (schedule.out, seed) = (sm::Out::Nothing, data_at_root.to_vec());
         }
-        self.run_inline(|cx| self.bcast_sm(cx, root, seed))
-            .map(Some)
+        let out = self.run_inline(None, self.sched(schedule, seed, Vec::new()))?;
+        Ok((me != root).then_some(out))
     }
 
     /// Variable-size gather: every rank contributes `send`; `root` receives
@@ -281,108 +269,92 @@ impl RawComm {
         root: usize,
     ) -> MpiResult<Option<Vec<u8>>> {
         let _op = self.record(Op::Gatherv);
-        let tag = coll_tag(self.next_coll_seq());
-        self.gatherv_inner(send, recv_counts, root, tag)
-    }
-
-    fn gatherv_inner(
-        &self,
-        send: &[u8],
-        recv_counts: Option<&[usize]>,
-        root: usize,
-        tag: Tag,
-    ) -> MpiResult<Option<Vec<u8>>> {
-        let p = self.size();
-        self.check_root(root)?;
-        if self.rank() != root {
-            self.send_internal(root, tag, send.to_vec())?;
-            return Ok(None);
-        }
-        let counts = recv_counts.ok_or(MpiError::InvalidCounts {
-            what: "root gatherv needs recv_counts",
-        })?;
-        self.check_len(counts, "gatherv recv_counts length != comm size")?;
-        if counts[root] != send.len() {
-            return Err(MpiError::InvalidCounts {
-                what: "gatherv: own recv_count != send length",
-            });
-        }
-        let displs = excl_prefix_sum(counts);
-        let total: usize = counts.iter().sum();
-        let mut out = vec![0u8; total];
-        out[displs[root]..displs[root] + send.len()].copy_from_slice(send);
-        for src in 0..p {
-            if src == root {
-                continue;
-            }
-            let part = self.recv_internal(src, tag)?;
-            if part.len() != counts[src] {
-                return Err(MpiError::InvalidCounts {
-                    what: "gatherv: message length != recv_count",
-                });
-            }
-            out[displs[src]..displs[src] + part.len()].copy_from_slice(&part);
-        }
-        Ok(Some(out))
+        self.gatherv_inline(send, recv_counts, root)
     }
 
     /// Fixed-size gather: like [`gatherv`](Self::gatherv) with all counts
     /// equal to `send.len()`.
     pub fn gather(&self, send: &[u8], root: usize) -> MpiResult<Option<Vec<u8>>> {
         let _op = self.record(Op::Gather);
-        let tag = coll_tag(self.next_coll_seq());
-        let counts = vec![send.len(); self.size()];
-        self.gatherv_inner(send, Some(&counts), root, tag)
+        self.gatherv_inline(send, Some(&vec![send.len(); self.size()]), root)
     }
 
-    /// Variable-size scatter: `root` provides one byte block per rank;
-    /// every rank receives its block.
-    pub fn scatterv(&self, parts: Option<&[Vec<u8>]>, root: usize) -> MpiResult<Vec<u8>> {
-        let _op = self.record(Op::Scatterv);
-        let tag = coll_tag(self.next_coll_seq());
-        self.scatterv_inner(parts, root, tag)
-    }
-
-    fn scatterv_inner(
+    fn gatherv_inline(
         &self,
-        parts: Option<&[Vec<u8>]>,
+        send: &[u8],
+        recv_counts: Option<&[usize]>,
         root: usize,
-        tag: Tag,
-    ) -> MpiResult<Vec<u8>> {
-        let p = self.size();
+    ) -> MpiResult<Option<Vec<u8>>> {
+        let (p, me) = (self.size(), self.rank());
         self.check_root(root)?;
-        if self.rank() == root {
-            let parts = parts.ok_or(MpiError::InvalidCounts {
-                what: "root scatterv needs parts",
+        let mut out = Vec::new();
+        let counts = if me == root {
+            let counts = recv_counts.ok_or(MpiError::InvalidCounts {
+                what: "root gatherv needs recv_counts",
             })?;
-            if parts.len() != p {
+            self.check_len(counts, "gatherv recv_counts length != comm size")?;
+            if counts[root] != send.len() {
                 return Err(MpiError::InvalidCounts {
-                    what: "scatterv parts length != comm size",
+                    what: "gatherv: own recv_count != send length",
                 });
             }
-            for (dest, part) in parts.iter().enumerate() {
-                if dest != root {
-                    self.send_internal(dest, tag, part.clone())?;
-                }
-            }
-            Ok(parts[root].clone())
+            out = sm::placed(counts.iter().sum(), excl_prefix_sum(counts)[root], send);
+            counts
         } else {
-            self.recv_internal(root, tag)
-        }
+            &[]
+        };
+        let schedule = sm::gatherv(p, me, root, send.len(), counts);
+        let out = self.run_inline(None, self.sched(schedule, out, send))?;
+        Ok((me == root).then_some(out))
     }
 
-    /// Fixed-size scatter (equal block sizes enforced).
-    pub fn scatter(&self, parts: Option<&[Vec<u8>]>, root: usize) -> MpiResult<Vec<u8>> {
+    /// Variable-size scatter: `root` provides `(bytes, counts)`, one block
+    /// of `counts[r]` bytes per rank, back to back; every rank receives its
+    /// block. Non-root ranks pass `None`.
+    pub fn scatterv(&self, send: Option<(&[u8], &[usize])>, root: usize) -> MpiResult<Vec<u8>> {
+        let _op = self.record(Op::Scatterv);
+        self.scatterv_inline(send, root)
+    }
+
+    /// Fixed-size scatter: the root's `send` is `p` equal blocks.
+    pub fn scatter(&self, send: Option<&[u8]>, root: usize) -> MpiResult<Vec<u8>> {
         let _op = self.record(Op::Scatter);
-        if let Some(parts) = parts {
-            if parts.windows(2).any(|w| w[0].len() != w[1].len()) {
+        let p = self.size();
+        let counts = match send {
+            Some(bytes) if !bytes.len().is_multiple_of(p) => {
                 return Err(MpiError::InvalidCounts {
                     what: "scatter requires equal block sizes",
-                });
+                })
             }
-        }
-        let tag = coll_tag(self.next_coll_seq());
-        self.scatterv_inner(parts, root, tag)
+            Some(bytes) => vec![bytes.len() / p; p],
+            None => Vec::new(),
+        };
+        self.scatterv_inline(send.map(|bytes| (bytes, &counts[..])), root)
+    }
+
+    fn scatterv_inline(&self, send: Option<(&[u8], &[usize])>, root: usize) -> MpiResult<Vec<u8>> {
+        let (p, me) = (self.size(), self.rank());
+        self.check_root(root)?;
+        let (bytes, counts, mine) = match send {
+            _ if me != root => (&[][..], &[][..], Vec::new()),
+            None => {
+                return Err(MpiError::InvalidCounts {
+                    what: "root scatterv needs its bytes and counts",
+                })
+            }
+            Some((bytes, counts)) => {
+                self.check_len(counts, "scatterv send_counts length != comm size")?;
+                if counts.iter().sum::<usize>() > bytes.len() {
+                    return Err(MpiError::InvalidCounts {
+                        what: "scatterv send_counts exceed the send length",
+                    });
+                }
+                let at = excl_prefix_sum(counts)[root];
+                (bytes, counts, bytes[at..at + counts[root]].to_vec())
+            }
+        };
+        let schedule = sm::scatterv(p, me, root, counts);
+        self.run_inline(None, self.sched(schedule, mine, bytes))
     }
 
     /// Fixed-size allgather: every rank contributes `send` (same length on
@@ -391,10 +363,7 @@ impl RawComm {
     pub fn allgather(&self, send: &[u8]) -> MpiResult<Vec<u8>> {
         let _op = self.record(Op::Allgather);
         let counts = vec![send.len(); self.size()];
-        self.run_inline(|cx| {
-            let tag = coll_tag(self.next_coll_seq());
-            Ok(AllgathervSm::start(cx, tag, send, counts))
-        })
+        self.run_inline(None, self.allgatherv_sched(send, &counts)?)
     }
 
     /// Variable-size allgather. `recv_counts[r]` is the byte count rank `r`
@@ -402,40 +371,16 @@ impl RawComm {
     /// Same algorithm as [`RawComm::allgather`].
     pub fn allgatherv(&self, send: &[u8], recv_counts: &[usize]) -> MpiResult<Vec<u8>> {
         let _op = self.record(Op::Allgatherv);
-        self.run_inline(|cx| {
-            self.check_allgatherv_args(send, recv_counts)?;
-            let tag = coll_tag(self.next_coll_seq());
-            Ok(AllgathervSm::start(cx, tag, send, recv_counts))
-        })
-    }
-
-    pub(crate) fn check_allgatherv_args(
-        &self,
-        send: &[u8],
-        recv_counts: &[usize],
-    ) -> MpiResult<()> {
-        self.check_len(recv_counts, "allgatherv recv_counts length != comm size")?;
-        if recv_counts[self.rank()] != send.len() {
-            return Err(MpiError::InvalidCounts {
-                what: "allgatherv: own recv_count != send length",
-            });
-        }
-        Ok(())
+        self.run_inline(None, self.allgatherv_sched(send, recv_counts)?)
     }
 
     /// Fixed-size all-to-all: `send` is `p` equal byte blocks; block `i`
     /// goes to rank `i`. Returns the `p` received blocks concatenated in
     /// rank order. Bruck's algorithm for small blocks, the direct linear
-    /// exchange otherwise (`RawComm::alltoall_plan`).
+    /// exchange otherwise (`RawComm::alltoall_sched`).
     pub fn alltoall(&self, send: &[u8]) -> MpiResult<Vec<u8>> {
         let _op = self.record(Op::Alltoall);
-        let (block, bruck) = self.alltoall_plan(send)?;
-        if bruck {
-            return self.run_inline(|cx| Ok(self.alltoall_bruck_sm(cx, send, block)));
-        }
-        let counts = vec![block; self.size()];
-        let displs = excl_prefix_sum(&counts);
-        self.alltoallv_inline(send, &counts, &displs, &counts, &displs)
+        self.run_inline(None, self.alltoall_sched(send, false)?)
     }
 
     /// Fixed-size all-to-all with Bruck's algorithm, regardless of size
@@ -443,8 +388,7 @@ impl RawComm {
     /// automatically for small blocks).
     pub fn alltoall_bruck(&self, send: &[u8]) -> MpiResult<Vec<u8>> {
         let _op = self.record(Op::Alltoall);
-        let (block, _) = self.alltoall_plan(send)?;
-        self.run_inline(|cx| Ok(self.alltoall_bruck_sm(cx, send, block)))
+        self.run_inline(None, self.alltoall_sched(send, true)?)
     }
 
     /// Variable all-to-all with explicit byte counts and displacements, the
@@ -460,22 +404,8 @@ impl RawComm {
         recv_displs: &[usize],
     ) -> MpiResult<Vec<u8>> {
         let _op = self.record(Op::Alltoallv);
-        self.alltoallv_inline(send, send_counts, send_displs, recv_counts, recv_displs)
-    }
-
-    fn alltoallv_inline(
-        &self,
-        send: &[u8],
-        send_counts: &[usize],
-        send_displs: &[usize],
-        recv_counts: &[usize],
-        recv_displs: &[usize],
-    ) -> MpiResult<Vec<u8>> {
-        self.run_inline(|cx| {
-            let tag = coll_tag(self.next_coll_seq());
-            let send_layout = (send_counts, send_displs);
-            AlltoallvSm::start(cx, tag, send, send_layout, recv_counts, recv_displs)
-        })
+        let layouts = ((send_counts, send_displs), (recv_counts, recv_displs));
+        self.run_inline(None, self.alltoallv_sched(send, layouts.0, layouts.1)?)
     }
 
     /// Tree reduce of equal-length buffers into `root`'s `buf`; non-root
@@ -492,7 +422,8 @@ impl RawComm {
         root: usize,
     ) -> MpiResult<()> {
         let _op = self.record(Op::Reduce);
-        *buf = self.run_inline(|_| self.reduce_sm(buf, op, elem_size, root))?;
+        let sched = self.reduce_sched(buf, elem_size, root)?;
+        *buf = self.run_inline(Some((op, elem_size)), sched)?;
         Ok(())
     }
 
@@ -500,37 +431,15 @@ impl RawComm {
     /// Rabenseifner's halving/doubling from 32 KiB at p ≥ 4.
     pub fn allreduce(&self, buf: &mut Vec<u8>, op: ByteOp<'_>, elem_size: usize) -> MpiResult<()> {
         let _op = self.record(Op::Allreduce);
-        check_elems(buf, elem_size)?;
-        let algo = self.allreduce_algo(buf.len());
-        let mine = std::mem::take(buf);
-        *buf = self.run_inline(|_| Ok(self.allreduce_sm(algo, mine, op, elem_size)))?;
+        let sched = self.allreduce_sched(buf, elem_size, false)?;
+        *buf = self.run_inline(Some((op, elem_size)), sched)?;
         Ok(())
-    }
-
-    /// The algorithm an allreduce of `len` bytes takes, for the blocking
-    /// and the nonblocking name alike: Rabenseifner from
-    /// [`RABENSEIFNER_MIN_BYTES`] at p ≥ 4, else reduce + broadcast over
-    /// the tree. `len` is rank-uniform by the collective's own contract
-    /// (all buffers equal length), so every rank picks the same.
-    pub(crate) fn allreduce_algo(&self, len: usize) -> AllreduceAlgo {
-        if len >= RABENSEIFNER_MIN_BYTES && self.size() >= 4 {
-            self.note_rabenseifner();
-            AllreduceAlgo::Rabenseifner
-        } else {
-            AllreduceAlgo::Tree
-        }
-    }
-
-    /// Counts one Rabenseifner dispatch in this rank's stats block.
-    fn note_rabenseifner(&self) {
-        let me = self.my_global_rank();
-        self.state.trace.count(me, Counter::StrategyRabenseifner, 1);
     }
 
     /// Rabenseifner allreduce regardless of size (the A/B point against
     /// the tree; [`RawComm::allreduce`] selects it for large payloads):
     /// recursive-halving reduce-scatter followed by a recursive-doubling
-    /// allgather (`crate::icoll::sm::rabenseifner_steps`). Bandwidth-optimal
+    /// allgather (`crate::icoll::sm::rabenseifner`). Bandwidth-optimal
     /// for large payloads — each rank moves ~2·(p−1)/p·n bytes instead of
     /// the 2·n·log p of tree reduce+bcast. Works for any `p` and any
     /// element count. Requires an associative *and commutative* operator,
@@ -542,11 +451,8 @@ impl RawComm {
         elem_size: usize,
     ) -> MpiResult<()> {
         let _op = self.record(Op::Allreduce);
-        check_elems(buf, elem_size)?;
-        self.note_rabenseifner();
-        let mine = std::mem::take(buf);
-        let algo = AllreduceAlgo::Rabenseifner;
-        *buf = self.run_inline(|_| Ok(self.allreduce_sm(algo, mine, op, elem_size)))?;
+        let sched = self.allreduce_sched(buf, elem_size, true)?;
+        *buf = self.run_inline(Some((op, elem_size)), sched)?;
         Ok(())
     }
 
@@ -562,7 +468,7 @@ impl RawComm {
     ) -> MpiResult<Vec<u8>> {
         let _op = self.record(Op::Reduce);
         let _op = self.record(Op::Scatterv);
-        let p = self.size();
+        let (p, me) = (self.size(), self.rank());
         if elem_size == 0 {
             return Err(MpiError::InvalidCounts {
                 what: "reduce_scatter_block: elem_size must be nonzero",
@@ -573,17 +479,12 @@ impl RawComm {
                 what: "reduce_scatter_block: buffer not divisible into p element blocks",
             });
         }
-        let acc = self.run_inline(|_| {
-            Ok(self.reduce_over(&self.rooted_tree(0), buf.to_vec(), op, elem_size))
-        })?;
-        let scatter_tag = coll_tag(self.next_coll_seq());
-        let parts: Option<Vec<Vec<u8>>> = (self.rank() == 0).then(|| {
-            let block = acc.len() / p;
-            (0..p)
-                .map(|r| acc[r * block..(r + 1) * block].to_vec())
-                .collect()
-        });
-        self.scatterv_inner(parts.as_deref(), 0, scatter_tag)
+        let block = buf.len() / p;
+        let schedule = sm::reduce_scatter_block(p, me, block);
+        let sched = self.sched(schedule, buf.to_vec(), Vec::new());
+        let mut out = self.run_inline(Some((op, elem_size)), sched)?;
+        out.truncate(block);
+        Ok(out)
     }
 
     /// Combined send + receive that reuses one buffer
@@ -613,26 +514,10 @@ impl RawComm {
     /// the elementwise fold of ranks `0..=r`. Chain algorithm.
     pub fn scan(&self, buf: &mut Vec<u8>, op: ByteOp<'_>, elem_size: usize) -> MpiResult<()> {
         let _op = self.record(Op::Scan);
-        let tag = coll_tag(self.next_coll_seq());
-        if elem_size == 0 || !buf.len().is_multiple_of(elem_size) {
-            return Err(MpiError::InvalidCounts {
-                what: "scan buffer not a multiple of elem_size",
-            });
-        }
-        let r = self.rank();
-        if r > 0 {
-            let mut prefix = self.recv_internal(r - 1, tag)?;
-            if prefix.len() != buf.len() {
-                return Err(MpiError::InvalidCounts {
-                    what: "scan buffers differ in length",
-                });
-            }
-            combine(&mut prefix, buf, op, elem_size);
-            *buf = prefix;
-        }
-        if r + 1 < self.size() {
-            self.send_internal(r + 1, tag, buf.clone())?;
-        }
+        check_elems(buf, elem_size)?;
+        let schedule = sm::scan(self.size(), self.rank(), buf.len());
+        let sched = self.sched(schedule, std::mem::take(buf), Vec::new());
+        *buf = self.run_inline(Some((op, elem_size)), sched)?;
         Ok(())
     }
 
@@ -646,36 +531,10 @@ impl RawComm {
         elem_size: usize,
     ) -> MpiResult<Option<Vec<u8>>> {
         let _op = self.record(Op::Exscan);
-        let tag = coll_tag(self.next_coll_seq());
-        if elem_size == 0 || !buf.len().is_multiple_of(elem_size) {
-            return Err(MpiError::InvalidCounts {
-                what: "exscan buffer not a multiple of elem_size",
-            });
-        }
-        let r = self.rank();
-        let prefix = if r > 0 {
-            let p = self.recv_internal(r - 1, tag)?;
-            if p.len() != buf.len() {
-                return Err(MpiError::InvalidCounts {
-                    what: "exscan buffers differ in length",
-                });
-            }
-            Some(p)
-        } else {
-            None
-        };
-        if r + 1 < self.size() {
-            let mut inclusive = match &prefix {
-                Some(p) => {
-                    let mut acc = p.clone();
-                    combine(&mut acc, buf, op, elem_size);
-                    acc
-                }
-                None => buf.to_vec(),
-            };
-            self.send_internal(r + 1, tag, std::mem::take(&mut inclusive))?;
-        }
-        Ok(prefix)
+        check_elems(buf, elem_size)?;
+        let schedule = sm::exscan(self.size(), self.rank(), buf.len());
+        let out = self.run_inline(Some((op, elem_size)), self.sched(schedule, Vec::new(), buf))?;
+        Ok((self.rank() > 0).then_some(out))
     }
 
     // ----- strategy-selectable all-to-all backends (DESIGN.md §11) -----
@@ -751,7 +610,7 @@ impl RawComm {
                     .map(|(d, m)| (d, m.clone()))
                     .collect();
                 let mut out = vec![Vec::new(); p];
-                for msg in self.sparse_alltoallv(&messages)? {
+                for msg in self.sparse_alltoallv(messages)? {
                     out[msg.source].extend_from_slice(&msg.data);
                 }
                 Ok(out)
@@ -815,7 +674,7 @@ impl RawComm {
     /// Results are sorted by source for determinism; several messages from
     /// one source keep their send order, because a channel never overtakes
     /// (the sort is stable).
-    pub fn sparse_alltoallv(&self, messages: &[(usize, Vec<u8>)]) -> MpiResult<Vec<SparseMsg>> {
+    pub fn sparse_alltoallv(&self, messages: Vec<(usize, Vec<u8>)>) -> MpiResult<Vec<SparseMsg>> {
         // Per-round tag: rank-synchronized because the exchange is
         // collective (every rank calls it in the same order).
         let tag = SPARSE_TAG_BASE + (self.next_operation_seq() % SPARSE_TAG_ROTATION);
@@ -823,7 +682,7 @@ impl RawComm {
         // 1. Post all sends in synchronous mode.
         let mut send_reqs: Vec<RawRequest> = Vec::with_capacity(messages.len());
         for (dest, data) in messages {
-            send_reqs.push(self.issend(*dest, tag, data.clone())?);
+            send_reqs.push(self.issend(dest, tag, data)?);
         }
 
         let mut received: Vec<SparseMsg> = Vec::new();
@@ -1048,9 +907,13 @@ mod tests {
     #[test]
     fn scatterv_roundtrips_gatherv() {
         Universe::run(3, |comm| {
-            let parts: Option<Vec<Vec<u8>>> =
-                (comm.rank() == 1).then(|| (0..3).map(|i| vec![i as u8; i + 2]).collect());
-            let mine = comm.scatterv(parts.as_deref(), 1).unwrap();
+            let parts: Vec<Vec<u8>> = (0..3).map(|i| vec![i as u8; i + 2]).collect();
+            let (bytes, counts) = (
+                parts.concat(),
+                parts.iter().map(Vec::len).collect::<Vec<_>>(),
+            );
+            let send = (comm.rank() == 1).then_some((&bytes[..], &counts[..]));
+            let mine = comm.scatterv(send, 1).unwrap();
             assert_eq!(mine, vec![comm.rank() as u8; comm.rank() + 2]);
         });
     }
@@ -1059,7 +922,7 @@ mod tests {
     fn scatter_rejects_ragged_blocks() {
         Universe::run(2, |comm| {
             if comm.rank() == 0 {
-                let parts = vec![vec![1u8], vec![2u8, 3u8]];
+                let parts = [1u8, 2u8, 3u8];
                 assert!(matches!(
                     comm.scatter(Some(&parts), 0),
                     Err(MpiError::InvalidCounts { .. })
@@ -1437,7 +1300,7 @@ mod tests {
             let sleeps = || comm.metrics().counter(Counter::GateSleeps);
             let before = sleeps();
             let msgs = vec![((me + 1) % p, vec![me as u8; 3])];
-            let got = comm.sparse_alltoallv(&msgs).unwrap();
+            let got = comm.sparse_alltoallv(msgs).unwrap();
             let left = (me + p - 1) % p;
             let got: Vec<(usize, Vec<u8>)> = got.into_iter().map(|m| (m.source, m.data)).collect();
             assert_eq!(got, vec![(left, vec![left as u8; 3])], "rank {me}");
@@ -1465,7 +1328,7 @@ mod tests {
                 comm.simulate_failure();
                 return None;
             }
-            Some(comm.sparse_alltoallv(&msgs).map(|_| ()))
+            Some(comm.sparse_alltoallv(msgs).map(|_| ()))
         });
         for (rank, outcome) in out.into_iter().enumerate().take(3) {
             let err = outcome.unwrap().unwrap_err();

@@ -1,16 +1,16 @@
-//! The collective engine: one state machine per algorithm, two drivers.
+//! The collective engine: one interpreter, two drivers.
 //!
-//! Every collective algorithm with a log-round or all-peers schedule
-//! (dissemination barrier, tree bcast/reduce and their allreduce composite,
-//! Rabenseifner's allreduce, Bruck allgatherv/alltoall, linear alltoallv)
-//! exists exactly once, as an explicit state machine (`CollSm`, in
-//! `sm`) — a schedule of send / receive / local-combine steps whose
-//! `step` never blocks. Building a machine validates the arguments and
-//! posts the schedule's *initial* sends (sends are eager on every backend,
-//! so they never block). Two drivers run it to completion:
+//! Every collective algorithm is a `sm::Schedule` — the tags it draws
+//! plus a list of sends and receives over one byte buffer — built by a
+//! pure function of `p`, the rank and the sizes, and run by the one
+//! interpreter `sm::Sched`, whose `step` never blocks. The size rules
+//! (Rabenseifner, Bruck) and the starting buffer live in one builder per
+//! collective here, shared by the blocking and the nonblocking name, so
+//! `ix` runs the same schedule as `x`. Two drivers run a schedule to
+//! completion:
 //!
 //! * **Inline** (`RawComm::run_inline`) — the blocking collectives. The
-//!   machine lives on the caller's stack and is stepped by the caller
+//!   schedule lives on the caller's stack and is stepped by the caller
 //!   alone, parked on its mailbox gate between steps like any blocking
 //!   receive. No `Arc`, no `Mutex`, no registry entry, and the reduce
 //!   operator stays a borrowed [`crate::ByteOp`]. An `issue().wait()` pair
@@ -18,26 +18,16 @@
 //!   (kbench `mpi.icoll.issue_wait_over_blocking_ratio`), which is why
 //!   blocking calls do not take the registered path.
 //! * **Registered** (`RawComm::issue`) — the `i*` collectives. The
-//!   machine moves into a `CollCell` listed in the universe's
-//!   `Registry` and is advanced by whichever thread delivers a
-//!   collective-tagged envelope to the owner's mailbox:
-//!
-//!   * **shm** — the peer rank-thread that performed the [`Mailbox::post`];
-//!   * **socket** — the epoll progress engine's routing (its `EngineHooks`
-//!     feed decoded frames into `Mailbox::post`);
-//!   * **shm-xproc** — the ring consumer thread, or a *waiting receiver*
-//!     draining its own rings through the mailbox progress poll.
-//!
-//!   All three funnel through one hook: `Mailbox::set_coll_notifier`
-//!   fires after the gate bump of every collective-tagged deposit. The
-//!   caller never has to poll — compute proceeds while peers' deliveries
-//!   push the schedule forward — and `wait` parks on the owner's mailbox
-//!   gate, stepping the machines on each wakeup.
-//!
-//! Algorithm selection (the Rabenseifner and Bruck size rules) happens
-//! where a machine is built — one function per collective, shared by the
-//! blocking and the nonblocking name, so `ix` runs the same algorithm as
-//! `x`.
+//!   schedule moves into a `CollCell` listed in the universe's `Registry`
+//!   and is advanced by whichever thread delivers a collective-tagged
+//!   envelope to the owner's mailbox: the peer rank-thread that performed
+//!   the [`Mailbox::post`] on shm, the epoll engine's routing on sockets,
+//!   the ring consumer (or a waiting receiver draining its own rings) on
+//!   shm-xproc. All three funnel through one hook:
+//!   `Mailbox::set_coll_notifier` fires after the gate bump of every
+//!   collective-tagged deposit, so compute proceeds while peers'
+//!   deliveries push the schedule forward, and `wait` parks on the owner's
+//!   mailbox gate, stepping the schedules on each wakeup.
 //!
 //! # Ownership
 //!
@@ -49,8 +39,8 @@
 //!
 //! # Tags and multiple outstanding collectives
 //!
-//! Each machine draws one or several per-communicator collective sequence
-//! numbers when it is built. Because MPI requires every rank to issue
+//! Each schedule draws consecutive per-communicator collective sequence
+//! numbers when it is loaded. Because MPI requires every rank to issue
 //! collectives in the same order, the derived `coll_tag`s are
 //! rank-synchronized, and any number of collectives can be outstanding at
 //! once: their envelopes cannot be confused. Collective tags are invisible
@@ -59,24 +49,22 @@
 
 pub(crate) mod sm;
 
+use std::borrow::Cow;
 use std::cell::RefCell;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, TryLockError, Weak};
 use std::time::{Duration, Instant};
 
-use crate::coll::{excl_prefix_sum, AllreduceAlgo};
+use crate::coll::{excl_prefix_sum, BRUCK_THRESHOLD_BYTES, RABENSEIFNER_MIN_BYTES};
 use crate::error::{MpiError, MpiResult};
 use crate::metrics::{Counter, Gauge, Hist};
 use crate::profile::Op;
-use crate::tag::{coll_tag, Tag, ANY_SOURCE};
+use crate::tag::{Tag, ANY_SOURCE};
 use crate::transport::{Envelope, Mailbox, MatchKey, Payload};
 use crate::universe::{wait_interrupt, UniverseState};
-use crate::RawComm;
+use crate::{ByteOp, RawComm};
 
-use sm::{
-    binomial_over, rabenseifner_steps, reduce_steps, AllgathervSm, AllreduceSm, AlltoallBruckSm,
-    AlltoallvSm, BarrierSm, BcastSm, FoldSm, Tree,
-};
+use sm::{Sched, Schedule};
 
 /// Owned element-combine closure for nonblocking reductions. The blocking
 /// calls borrow their operator ([`crate::ByteOp`]); an i-reduction outlives
@@ -85,14 +73,16 @@ use sm::{
 pub type OwnedByteOp = Arc<dyn Fn(&mut [u8], &[u8]) + Send + Sync>;
 
 /// Everything a schedule step may touch, borrowed for the duration of one
-/// [`CollSm::step`] call. Lives on the stack of whichever thread advances
-/// the machine (the owner, or a delivering peer thread).
+/// [`Sched::step`] call. Lives on the stack of whichever thread advances
+/// the schedule (the owner, or a delivering peer thread).
 pub(crate) struct StepCx<'a> {
     state: &'a UniverseState,
     group: &'a [usize],
     ctx: u64,
     /// Communicator-local rank owning the schedule.
     rank: usize,
+    /// The reduction operator and its element size, for fold steps.
+    fold: Option<(ByteOp<'a>, usize)>,
 }
 
 impl StepCx<'_> {
@@ -128,27 +118,10 @@ impl StepCx<'_> {
     }
 }
 
-/// One collective as an explicit state machine. `step` runs every
-/// transition whose input is available and **never blocks**;
-/// `Ok(Some(out))` means the schedule completed with result bytes `out`,
-/// after which the machine is not stepped again. The inline driver steps
-/// it from the owning thread only; registered machines are stepped under
-/// their [`CollCell`]'s lock, so `&mut self` is exclusive even though any
-/// thread may drive them.
-pub(crate) trait CollSm {
-    /// Advances as far as currently possible.
-    fn step(&mut self, cx: &StepCx<'_>) -> MpiResult<Option<Vec<u8>>>;
-
-    /// Communicator-local rank whose message this schedule is blocked on
-    /// (for fault attribution: if it is gone, the schedule can never
-    /// complete). Every algorithm receives from one peer at a time.
-    fn awaited(&self) -> Option<usize>;
-}
-
 /// Lifecycle of one issued collective.
 enum CollCore {
     /// Schedule still has pending receives.
-    Running(Box<dyn CollSm + Send>),
+    Running(Sched<'static>),
     /// Completed; result bytes awaiting pickup by the owner.
     Done(Vec<u8>),
     /// Result already handed to the owner.
@@ -168,6 +141,8 @@ pub(crate) struct CollCell {
     ctx: u64,
     rank: usize,
     op: Op,
+    /// The owned reduction operator and its element size.
+    fold: Option<(OwnedByteOp, usize)>,
     core: Mutex<CollCore>,
     /// Set by a delivery thread that lost the `try_lock` race in
     /// [`CollCell::advance`] after depositing an envelope: the lock holder
@@ -253,22 +228,18 @@ impl CollCell {
         let CollCore::Running(sm) = core else {
             return true;
         };
+        let fold = (self.fold.as_ref()).map(|(op, elem)| (&**op as ByteOp<'_>, *elem));
         let cx = StepCx {
             state,
             group: &self.group,
             ctx: self.ctx,
             rank: self.rank,
+            fold,
         };
-        match sm.step(&cx) {
-            Ok(Some(out)) => {
-                *core = CollCore::Done(out);
-                true
-            }
-            Ok(None) => {
-                if state.is_revoked(self.ctx) {
-                    *core = CollCore::Failed(MpiError::Revoked);
-                    return true;
-                }
+        let verdict = match sm.step(&cx).transpose() {
+            Some(settled) => settled,
+            None if state.is_revoked(self.ctx) => Err(MpiError::Revoked),
+            None => {
                 // Two ways a fault dooms an incomplete schedule: the rank we
                 // directly await is gone (failed *or* finished — it will
                 // never post), or any group member has *failed*. The latter
@@ -293,35 +264,24 @@ impl CollCell {
                 // fate read (the Acquire load of its fate bit makes them
                 // visible now), so re-step before giving up: a rank that
                 // *entered* the schedule and then finished is not a fault.
-                match sm.step(&cx) {
-                    Ok(Some(out)) => {
-                        *core = CollCore::Done(out);
-                        true
-                    }
-                    Err(e) => {
-                        *core = CollCore::Failed(e);
-                        true
-                    }
-                    Ok(None) => {
-                        // Attribute the failure to an actually *failed*
-                        // member first: a directly awaited rank that merely
-                        // finished may only be collateral (it left after the
-                        // real fault wedged the schedule).
-                        match failed().or_else(|| gone(sm.awaited())) {
-                            Some(rank) => {
-                                *core = CollCore::Failed(MpiError::ProcFailed { rank });
-                                true
-                            }
-                            None => false,
-                        }
-                    }
+                match sm.step(&cx).transpose() {
+                    Some(settled) => settled,
+                    // Attribute the failure to an actually *failed* member
+                    // first: a directly awaited rank that merely finished
+                    // may only be collateral (it left after the real fault
+                    // wedged the schedule).
+                    None => match failed().or_else(|| gone(sm.awaited())) {
+                        Some(rank) => Err(MpiError::ProcFailed { rank }),
+                        None => return false,
+                    },
                 }
             }
-            Err(e) => {
-                *core = CollCore::Failed(e);
-                true
-            }
-        }
+        };
+        *core = match verdict {
+            Ok(out) => CollCore::Done(out),
+            Err(e) => CollCore::Failed(e),
+        };
+        true
     }
 
     /// Owner-side completion check: takes the result if done, clones the
@@ -601,9 +561,8 @@ impl std::fmt::Debug for RawCollRequest {
 
 impl RawComm {
     /// This rank's step context on this communicator. Refused once the
-    /// communicator is revoked, so no machine is built (and nothing
-    /// posted) on a dead context.
-    pub(crate) fn cx(&self) -> MpiResult<StepCx<'_>> {
+    /// communicator is revoked, so nothing is posted on a dead context.
+    fn cx<'a>(&'a self, fold: Option<(ByteOp<'a>, usize)>) -> MpiResult<StepCx<'a>> {
         if self.state.is_revoked(self.ctx) {
             return Err(MpiError::Revoked);
         }
@@ -612,23 +571,38 @@ impl RawComm {
             group: &self.group,
             ctx: self.ctx,
             rank: self.rank,
+            fold,
         })
     }
 
-    /// The inline driver: builds a machine and steps it on the caller's
-    /// stack until it completes, parking on this rank's mailbox between
-    /// steps — the same wait loop as a blocking receive, with the machine's
-    /// `step` as the match attempt and its awaited peer as the fault
-    /// source: the wait fails with `ProcFailed` if that peer is gone
-    /// (failed, or returned without posting) and with `Revoked` if the
-    /// communicator was revoked ([`wait_interrupt`]: two loads while
-    /// nothing is revoked).
-    pub(crate) fn run_inline<S: CollSm>(
+    /// Draws the schedule's tags (consecutive collective sequence numbers)
+    /// and loads it with its starting buffer and the input its sends may
+    /// copy from.
+    pub(crate) fn sched<'a>(
         &self,
-        build: impl FnOnce(&StepCx<'_>) -> MpiResult<S>,
+        schedule: Schedule,
+        buf: Vec<u8>,
+        input: impl Into<Cow<'a, [u8]>>,
+    ) -> Sched<'a> {
+        let first = self.coll_seq.get();
+        self.coll_seq.set(first.wrapping_add(schedule.tags));
+        Sched::new(first, schedule, buf, input.into())
+    }
+
+    /// The inline driver: steps a schedule on the caller's stack until it
+    /// completes, parking on this rank's mailbox between steps — the same
+    /// wait loop as a blocking receive, with `step` as the match attempt
+    /// and the awaited peer as the fault source: the wait fails with
+    /// `ProcFailed` if that peer is gone (failed, or returned without
+    /// posting) and with `Revoked` if the communicator was revoked
+    /// ([`wait_interrupt`]: two loads while nothing is revoked).
+    pub(crate) fn run_inline(
+        &self,
+        fold: Option<(ByteOp<'_>, usize)>,
+        sched: Sched<'_>,
     ) -> MpiResult<Vec<u8>> {
-        let cx = self.cx()?;
-        let sm = RefCell::new(build(&cx)?);
+        let cx = self.cx(fold)?;
+        let sm = RefCell::new(sched);
         let interrupt = || {
             let awaited = sm.borrow().awaited().map_or(ANY_SOURCE, |l| self.group[l]);
             wait_interrupt(&self.state, awaited, self.ctx)()
@@ -638,24 +612,26 @@ impl RawComm {
             .wait_until(&interrupt, None, |_| sm.borrow_mut().step(&cx).transpose())?
     }
 
-    /// The registered driver: builds a machine, moves it into a
+    /// The registered driver: builds a schedule, moves it into a
     /// [`CollCell`] listed in the registry and steps it once (messages may
     /// already be queued from faster peers); delivering threads and the
     /// request's `wait`/`test` advance it from there.
-    fn issue<S: CollSm + Send + 'static>(
+    fn issue(
         &self,
         op: Op,
-        build: impl FnOnce(&StepCx<'_>) -> MpiResult<S>,
+        fold: Option<(OwnedByteOp, usize)>,
+        build: impl FnOnce() -> MpiResult<Sched<'static>>,
     ) -> MpiResult<RawCollRequest> {
-        let cx = self.cx()?;
+        self.cx(None)?;
         self.state.trace.op_issued(op, self.my_global_rank());
-        let sm = Box::new(build(&cx)?);
+        let sm = build()?;
         let cell = Arc::new(CollCell {
             state: Arc::downgrade(&self.state),
             group: Arc::clone(&self.group),
             ctx: self.ctx,
             rank: self.rank,
             op,
+            fold,
             core: Mutex::new(CollCore::Running(sm)),
             rerun: AtomicBool::new(false),
         });
@@ -672,106 +648,127 @@ impl RawComm {
         })
     }
 
-    // ----- machine builders, shared by `x` and `ix` -----
+    // ----- schedules shared by `x` and `ix` -----
 
-    /// This rank's place in the binomial tree over all ranks rooted at
-    /// `root`: the one tree bcast, reduce and the tree allreduce run over.
-    /// Never looks at the buffer, which non-root ranks of a broadcast
-    /// legitimately leave empty.
-    pub(crate) fn rooted_tree(&self, root: usize) -> Tree {
-        binomial_over(self.size(), self.rank(), root)
-    }
-
-    /// Whole-payload, zero-copy broadcast machine down
-    /// [`RawComm::rooted_tree`]. `seed` produces the root's payload and
-    /// runs only once the arguments are validated.
-    pub(crate) fn bcast_sm(
-        &self,
-        cx: &StepCx<'_>,
-        root: usize,
-        seed: impl FnOnce() -> Payload,
-    ) -> MpiResult<BcastSm> {
+    /// Broadcast of the root's `buf` (taken once the root is checked; other
+    /// ranks' is dropped) down the binomial tree rooted at `root`.
+    pub(crate) fn bcast_sched(&self, buf: &mut Vec<u8>, root: usize) -> MpiResult<Sched<'static>> {
         self.check_root(root)?;
-        let tag = coll_tag(self.next_coll_seq());
-        Ok(BcastSm::start(cx, tag, self.rooted_tree(root), seed()))
+        let schedule = sm::bcast(self.size(), self.rank(), root);
+        Ok(self.sched(schedule, std::mem::take(buf), Vec::new()))
     }
 
-    /// Reduce machine up [`RawComm::rooted_tree`]; takes `buf` once the
-    /// arguments are validated.
-    pub(crate) fn reduce_sm<F: Fn(&mut [u8], &[u8])>(
+    /// Reduce of `buf` (taken once the arguments are checked) up the
+    /// binomial tree rooted at `root`.
+    pub(crate) fn reduce_sched(
         &self,
         buf: &mut Vec<u8>,
-        op: F,
         elem_size: usize,
         root: usize,
-    ) -> MpiResult<FoldSm<F>> {
+    ) -> MpiResult<Sched<'static>> {
         self.check_root(root)?;
         check_elems(buf, elem_size)?;
-        let tree = self.rooted_tree(root);
-        Ok(self.reduce_over(&tree, std::mem::take(buf), op, elem_size))
+        let schedule = sm::reduce(self.size(), self.rank(), root);
+        Ok(self.sched(schedule, std::mem::take(buf), Vec::new()))
     }
 
-    /// Reduce machine up an explicit tree.
-    pub(crate) fn reduce_over<F: Fn(&mut [u8], &[u8])>(
+    /// Allreduce of `buf` (taken once checked), for the blocking and the
+    /// nonblocking name alike: Rabenseifner's schedule from
+    /// [`RABENSEIFNER_MIN_BYTES`] at p ≥ 4 (or `forced`), else up and down
+    /// the tree rooted at 0. The length is rank-uniform by the
+    /// collective's own contract, so every rank picks the same.
+    pub(crate) fn allreduce_sched(
         &self,
-        tree: &Tree,
-        buf: Vec<u8>,
-        op: F,
+        buf: &mut Vec<u8>,
         elem_size: usize,
-    ) -> FoldSm<F> {
-        let tag = coll_tag(self.next_coll_seq());
-        FoldSm::new(tag, reduce_steps(tree), buf, op, elem_size)
+        forced: bool,
+    ) -> MpiResult<Sched<'static>> {
+        check_elems(buf, elem_size)?;
+        let (p, me, len) = (self.size(), self.rank(), buf.len());
+        let schedule = if forced || (len >= RABENSEIFNER_MIN_BYTES && p >= 4) {
+            let me_global = self.my_global_rank();
+            self.state
+                .trace
+                .count(me_global, Counter::StrategyRabenseifner, 1);
+            sm::rabenseifner(p, me, len / elem_size, elem_size)
+        } else {
+            sm::tree_allreduce(p, me)
+        };
+        Ok(self.sched(schedule, std::mem::take(buf), Vec::new()))
     }
 
-    /// Allreduce machine for a choice made by [`RawComm::allreduce_algo`]:
-    /// the reduce and the broadcast over the tree rooted at 0, or
-    /// Rabenseifner's schedule on its own.
-    pub(crate) fn allreduce_sm<F: Fn(&mut [u8], &[u8])>(
+    /// Bruck allgatherv of `send` by `recv_counts`.
+    pub(crate) fn allgatherv_sched(
         &self,
-        algo: AllreduceAlgo,
-        buf: Vec<u8>,
-        op: F,
-        elem_size: usize,
-    ) -> AllreduceSm<F> {
-        if let AllreduceAlgo::Rabenseifner = algo {
-            let count = buf.len() / elem_size;
-            let steps = rabenseifner_steps(self.size(), self.rank(), count, elem_size);
-            let tag = coll_tag(self.next_coll_seq());
-            return AllreduceSm::new(FoldSm::new(tag, steps, buf, op, elem_size), None);
+        send: &[u8],
+        recv_counts: &[usize],
+    ) -> MpiResult<Sched<'static>> {
+        self.check_len(recv_counts, "allgatherv recv_counts length != comm size")?;
+        if recv_counts[self.rank()] != send.len() {
+            return Err(MpiError::InvalidCounts {
+                what: "allgatherv: own recv_count != send length",
+            });
         }
-        let tree = self.rooted_tree(0);
-        let fold = self.reduce_over(&tree, buf, op, elem_size);
-        let bcast_tag = coll_tag(self.next_coll_seq());
-        AllreduceSm::new(fold, Some((bcast_tag, tree)))
+        let at = excl_prefix_sum(recv_counts)[self.rank()];
+        let out = sm::placed(recv_counts.iter().sum(), at, send);
+        let schedule = sm::allgatherv(self.size(), self.rank(), recv_counts);
+        Ok(self.sched(schedule, out, Vec::new()))
     }
 
-    /// Block size of the fixed-size all-to-all of `send`, and whether it
-    /// takes Bruck's algorithm: like real MPI implementations, small
-    /// blocks go in ⌈log₂ p⌉ rounds of combined messages, large ones in
-    /// the direct linear exchange. Note that *`alltoallv` never gets this
-    /// optimization* — mirroring practice, and the reason the paper's
-    /// sparse/grid plugins exist (§V-A).
-    pub(crate) fn alltoall_plan(&self, send: &[u8]) -> MpiResult<(usize, bool)> {
-        let p = self.size();
+    /// Fixed-size all-to-all of `send`: like real MPI implementations,
+    /// small blocks go in Bruck's ⌈log₂ p⌉ rounds of combined messages
+    /// (`bruck` forces them), large ones in the direct linear exchange.
+    /// Note that *`alltoallv` never gets this optimization* — mirroring
+    /// practice, and the reason the paper's sparse/grid plugins exist
+    /// (§V-A).
+    pub(crate) fn alltoall_sched<'a>(
+        &self,
+        send: impl Into<Cow<'a, [u8]>>,
+        bruck: bool,
+    ) -> MpiResult<Sched<'a>> {
+        let (send, p, me) = (send.into(), self.size(), self.rank());
         if !send.len().is_multiple_of(p) {
             return Err(MpiError::InvalidCounts {
                 what: "alltoall send length not divisible by comm size",
             });
         }
         let block = send.len() / p;
-        Ok((block, p > 4 && block <= crate::coll::BRUCK_THRESHOLD_BYTES))
+        if bruck || (p > 4 && block <= BRUCK_THRESHOLD_BYTES) {
+            let slots = sm::permuted(&send, p, block, |j| (me + j) % p);
+            return Ok(self.sched(sm::alltoall_bruck(p, me, block), slots, Vec::new()));
+        }
+        let layout = (&vec![block; p][..], &excl_prefix_sum(&vec![block; p])[..]);
+        self.alltoallv_sched(send, layout, layout)
     }
 
-    /// Bruck all-to-all machine; reserves one tag per round up front.
-    pub(crate) fn alltoall_bruck_sm(
+    /// Linear alltoallv of `send` by byte counts and displacements.
+    pub(crate) fn alltoallv_sched<'a>(
         &self,
-        cx: &StepCx<'_>,
-        send: &[u8],
-        block: usize,
-    ) -> AlltoallBruckSm {
-        let rounds = self.size().next_power_of_two().trailing_zeros();
-        let tags = (0..rounds).map(|_| coll_tag(self.next_coll_seq()));
-        AlltoallBruckSm::start(cx, tags.collect(), send, block)
+        send: impl Into<Cow<'a, [u8]>>,
+        send_layout: sm::Layout<'_>,
+        recv_layout: sm::Layout<'_>,
+    ) -> MpiResult<Sched<'a>> {
+        let (send, p, me) = (send.into(), self.size(), self.rank());
+        let ((send_counts, send_displs), (recv_counts, recv_displs)) = (send_layout, recv_layout);
+        self.check_len(send_counts, "alltoallv send_counts length != comm size")?;
+        self.check_len(send_displs, "alltoallv send_displs length != comm size")?;
+        self.check_len(recv_counts, "alltoallv recv_counts length != comm size")?;
+        self.check_len(recv_displs, "alltoallv recv_displs length != comm size")?;
+        if (0..p).any(|dest| send_displs[dest] + send_counts[dest] > send.len()) {
+            return Err(MpiError::InvalidCounts {
+                what: "alltoallv send block out of bounds",
+            });
+        }
+        if send_counts[me] != recv_counts[me] {
+            return Err(MpiError::InvalidCounts {
+                what: "alltoallv self send/recv count mismatch",
+            });
+        }
+        let total = (0..p).map(|s| recv_displs[s] + recv_counts[s]).max();
+        let mine = &send[send_displs[me]..send_displs[me] + send_counts[me]];
+        let out = sm::placed(total.unwrap_or(0), recv_displs[me], mine);
+        let schedule = sm::alltoallv(p, me, send_layout, recv_layout);
+        Ok(self.sched(schedule, out, send))
     }
 
     // ----- nonblocking entry points -----
@@ -780,10 +777,8 @@ impl RawComm {
     /// returns the broadcast bytes (the non-root input buffer is dropped,
     /// mirroring `bcast` overwriting it). Same algorithm as
     /// [`RawComm::bcast`].
-    pub fn ibcast(&self, buf: Vec<u8>, root: usize) -> MpiResult<RawCollRequest> {
-        self.issue(Op::Ibcast, |cx| {
-            self.bcast_sm(cx, root, || Payload::from_vec(buf))
-        })
+    pub fn ibcast(&self, mut buf: Vec<u8>, root: usize) -> MpiResult<RawCollRequest> {
+        self.issue(Op::Ibcast, None, || self.bcast_sched(&mut buf, root))
     }
 
     /// Nonblocking reduce to `root`: `wait` returns the reduced buffer at
@@ -796,9 +791,8 @@ impl RawComm {
         elem_size: usize,
         root: usize,
     ) -> MpiResult<RawCollRequest> {
-        self.issue(Op::Ireduce, |_| {
-            let op = move |a: &mut [u8], r: &[u8]| op(a, r);
-            self.reduce_sm(&mut buf, op, elem_size, root)
+        self.issue(Op::Ireduce, Some((op, elem_size)), || {
+            self.reduce_sched(&mut buf, elem_size, root)
         })
     }
 
@@ -806,14 +800,12 @@ impl RawComm {
     /// every rank. Same algorithm as [`RawComm::allreduce`].
     pub fn iallreduce(
         &self,
-        buf: Vec<u8>,
+        mut buf: Vec<u8>,
         op: OwnedByteOp,
         elem_size: usize,
     ) -> MpiResult<RawCollRequest> {
-        self.issue(Op::Iallreduce, |_| {
-            check_elems(&buf, elem_size)?;
-            let algo = self.allreduce_algo(buf.len());
-            Ok(self.allreduce_sm(algo, buf, move |a, r| op(a, r), elem_size))
+        self.issue(Op::Iallreduce, Some((op, elem_size)), || {
+            self.allreduce_sched(&mut buf, elem_size, false)
         })
     }
 
@@ -821,18 +813,15 @@ impl RawComm {
     /// rank-ordered concatenation.
     pub fn iallgather(&self, send: Vec<u8>) -> MpiResult<RawCollRequest> {
         let counts = vec![send.len(); self.size()];
-        self.issue(Op::Iallgather, |cx| {
-            let tag = coll_tag(self.next_coll_seq());
-            Ok(AllgathervSm::start(cx, tag, &send, counts))
+        self.issue(Op::Iallgather, None, || {
+            self.allgatherv_sched(&send, &counts)
         })
     }
 
     /// Variable-size counterpart of [`RawComm::iallgather`].
     pub fn iallgatherv(&self, send: Vec<u8>, recv_counts: &[usize]) -> MpiResult<RawCollRequest> {
-        self.issue(Op::Iallgatherv, |cx| {
-            self.check_allgatherv_args(&send, recv_counts)?;
-            let tag = coll_tag(self.next_coll_seq());
-            Ok(AllgathervSm::start(cx, tag, &send, recv_counts.to_vec()))
+        self.issue(Op::Iallgatherv, None, || {
+            self.allgatherv_sched(&send, recv_counts)
         })
     }
 
@@ -840,19 +829,7 @@ impl RawComm {
     /// block `i` goes to rank `i`; `wait` returns the received blocks in
     /// rank order. Same algorithm as [`RawComm::alltoall`].
     pub fn ialltoall(&self, send: Vec<u8>) -> MpiResult<RawCollRequest> {
-        let (block, bruck) = self.alltoall_plan(&send)?;
-        if bruck {
-            return self.issue(Op::Ialltoall, |cx| {
-                Ok(self.alltoall_bruck_sm(cx, &send, block))
-            });
-        }
-        let counts = vec![block; self.size()];
-        let displs = excl_prefix_sum(&counts);
-        self.issue(Op::Ialltoall, |cx| {
-            let tag = coll_tag(self.next_coll_seq());
-            let layout = (&counts[..], &displs[..]);
-            AlltoallvSm::start(cx, tag, &send, layout, counts.clone(), displs.clone())
-        })
+        self.issue(Op::Ialltoall, None, || self.alltoall_sched(send, false))
     }
 
     /// Nonblocking variable all-to-all with explicit byte counts and
@@ -866,15 +843,9 @@ impl RawComm {
         recv_counts: &[usize],
         recv_displs: &[usize],
     ) -> MpiResult<RawCollRequest> {
-        self.issue(Op::Ialltoallv, |cx| {
-            AlltoallvSm::start(
-                cx,
-                coll_tag(self.next_coll_seq()),
-                &send,
-                (send_counts, send_displs),
-                recv_counts.to_vec(),
-                recv_displs.to_vec(),
-            )
+        self.issue(Op::Ialltoallv, None, || {
+            let layouts = ((send_counts, send_displs), (recv_counts, recv_displs));
+            self.alltoallv_sched(send, layouts.0, layouts.1)
         })
     }
 
@@ -882,8 +853,9 @@ impl RawComm {
     /// [`RawComm::ibarrier`], which wraps this in a
     /// [`crate::request::RawRequest`] for drop-in `MPI_Request` semantics.
     pub(crate) fn ibarrier_req(&self) -> MpiResult<RawCollRequest> {
-        self.issue(Op::Ibarrier, |cx| {
-            Ok(BarrierSm::start(cx, coll_tag(self.next_coll_seq())))
+        self.issue(Op::Ibarrier, None, || {
+            let schedule = sm::barrier(self.size(), self.rank());
+            Ok(self.sched(schedule, Vec::new(), Vec::new()))
         })
     }
 }

@@ -6,7 +6,7 @@
 //! environment the `kampirun` binary sets up:
 //!
 //! ```text
-//! kampirun --ranks 4 -- ./target/release/examples/sample_sort
+//! kampirun --ranks 4 -- ./target/release/examples/sort_smoke
 //! ```
 //!
 //! which amounts to `KAMPING_TRANSPORT=socket` plus `KAMPING_RANK`,

@@ -1020,6 +1020,9 @@ impl Mailbox {
     ) -> MpiResult<T> {
         let poll = || self.progress.get().is_some_and(|poll| (poll.0)());
         let probe = Some((&*self.trace, self.owner as u32));
+        // A wait whose deadline had passed before it began is a poll, and
+        // a poll that misses is not a timeout.
+        let polled = deadline.is_some_and(|d| d <= Instant::now());
         let verdict = self.gate.wait(probe, deadline, poll, || loop {
             if let Some(hit) = attempt(self) {
                 return Some(Ok(hit));
@@ -1041,7 +1044,9 @@ impl Mailbox {
             }
         });
         verdict.unwrap_or_else(|waited| {
-            self.trace.timed_out(self.owner);
+            if !polled {
+                self.trace.timed_out(self.owner);
+            }
             Err(MpiError::Timeout { waited })
         })
     }

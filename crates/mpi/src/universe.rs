@@ -807,6 +807,42 @@ mod tests {
     use super::*;
     use crate::profile::Op;
 
+    /// A receive whose deadline has already passed is a poll: its miss is
+    /// no timeout, so a run whose only misses are polls writes no crash
+    /// report. A wait that does expire still counts.
+    #[test]
+    fn zero_deadline_polls_are_not_timeouts() {
+        use crate::tag::ANY_SOURCE;
+        use std::time::Duration;
+        let dir = std::env::temp_dir().join(format!("kamping-polls-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let armed = Config {
+            metrics: true,
+            crash_dir: Some(dir.clone()),
+            ..Default::default()
+        };
+        let job = Universe::run_threads(2, 2, armed, |comm| {
+            for _ in 0..100 {
+                let miss = comm.recv_timeout(ANY_SOURCE, 7, Duration::ZERO);
+                assert!(miss.unwrap_err().is_timeout());
+            }
+            comm.metrics().counter(Counter::Timeouts)
+        });
+        assert_eq!(job.unwrap().values, vec![0, 0]);
+        assert!(!dir.exists(), "zero-deadline polls wrote a crash report");
+
+        let metrics_on = Config {
+            metrics: true,
+            ..Default::default()
+        };
+        let job = Universe::run_threads(2, 2, metrics_on, |comm| {
+            let miss = comm.recv_timeout(ANY_SOURCE, 7, Duration::from_millis(2));
+            assert!(miss.unwrap_err().is_timeout());
+            comm.metrics().counter(Counter::Timeouts)
+        });
+        assert_eq!(job.unwrap().values, vec![1, 1]);
+    }
+
     #[test]
     fn run_returns_results_in_rank_order() {
         let out = Universe::run(5, |comm| comm.rank() * 10);

@@ -60,7 +60,7 @@ pub trait SparseAlltoall: CommunicatorPlugin {
             .iter()
             .map(|(dest, data)| (*dest, pod_as_bytes(data).to_vec()))
             .collect();
-        let received = raw.sparse_alltoallv(&wire)?;
+        let received = raw.sparse_alltoallv(wire)?;
         let mut out = Vec::with_capacity(received.len());
         for msg in received {
             out.push(SparseMessage {
@@ -188,7 +188,7 @@ mod tests {
                     (right, vec![round, comm.rank() as u8]),
                     (0, vec![0xA0 | comm.rank() as u8]),
                 ];
-                let got = comm.sparse_alltoallv(&msgs).unwrap();
+                let got = comm.sparse_alltoallv(msgs).unwrap();
                 if comm.rank() == 0 {
                     // Ring message from p-1 plus one direct message from
                     // every rank: p + 1 in total, with BOTH messages from
